@@ -6,7 +6,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spotweb_linalg::Matrix;
-use spotweb_solver::{AdmmSolver, QpProblem, Settings};
+use spotweb_solver::{AdmmSolver, QpProblem, Settings, SolverError, SparseQp};
 
 /// A portfolio-shaped QP: n variables in [0,1], unit budget row,
 /// random PSD quadratic and random linear cost.
@@ -158,11 +158,43 @@ fn bench_block_structure(c: &mut Criterion) {
     group.finish();
 }
 
+fn set_up<Q>(qp: &Q, markets: usize) -> f64
+where
+    Q: Clone + TryInto<SparseQp>,
+    SolverError: From<Q::Error>,
+{
+    AdmmSolver::with_block_structure(qp.clone(), Settings::default(), markets)
+        .expect("setup")
+        .rho()
+}
+
+/// Set-up alone — equilibration, structure check, KKT accumulation
+/// and block factorization — from the dense input adapter (which pays
+/// one `n²` scan to drop the zeros) and from CSR input, at the
+/// smallest and largest Fig. 7(b) cells.
+fn bench_setup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("admm_setup");
+    group.sample_size(10);
+    for &(markets, horizon) in &[(36usize, 4usize), (144, 10)] {
+        let dense = multi_period_qp(markets, horizon);
+        let sparse = SparseQp::try_from(dense.clone()).expect("valid problem");
+        let cell = format!("{markets}x{horizon}");
+        group.bench_with_input(BenchmarkId::new("dense_adapter", &cell), &dense, |b, qp| {
+            b.iter(|| set_up(qp, markets));
+        });
+        group.bench_with_input(BenchmarkId::new("csr", &cell), &sparse, |b, qp| {
+            b.iter(|| set_up(qp, markets));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_admm,
     bench_warm_start,
     bench_factor_reuse,
-    bench_block_structure
+    bench_block_structure,
+    bench_setup
 );
 criterion_main!(benches);

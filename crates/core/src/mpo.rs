@@ -18,7 +18,7 @@ use spotweb_telemetry::{names, prof};
 
 use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
-use crate::portfolio::{build_linear_cost, unpack_plan, PortfolioProblem};
+use crate::portfolio::{build_linear_cost, build_sparse_qp, unpack_plan};
 use crate::Result;
 
 /// Output of one optimization run.
@@ -58,8 +58,8 @@ impl PortfolioDecision {
 /// the inputs that shaped its quadratic part and constraints. When the
 /// next call arrives with the same dimensions and an identical
 /// covariance, `P` and `A` are unchanged — only the linear cost `q`
-/// needs rebuilding, and the `O((NH)³)` KKT factorization (plus the
-/// Ruiz equilibration) from construction is reused.
+/// needs rebuilding, and the blockwise `O(H·N³)` KKT factorization
+/// (plus the Ruiz equilibration) from construction is reused.
 struct SolverCache {
     solver: AdmmSolver,
     covariance: Matrix,
@@ -179,26 +179,16 @@ impl MpoOptimizer {
             let cache = self.cache.as_mut().expect("cache checked above");
             cache.solver.update_linear_cost(&q)?;
         } else {
-            let problem = PortfolioProblem::build(
-                catalog,
-                forecast,
-                covariance,
-                prev_allocation,
-                &self.config,
-            )?;
+            let qp = build_sparse_qp(catalog, forecast, covariance, prev_allocation, &self.config)?;
             // The portfolio QP is block-tridiagonal in the horizon (risk
             // and constraints are per-period; churn couples neighbours), so
-            // a multi-period instance factors blockwise in O(H·N³). Fall
-            // back to the dense path if the structure check ever fails.
-            let solver = if problem.horizon >= 2 {
-                AdmmSolver::with_block_structure(
-                    problem.qp.clone(),
-                    self.settings.clone(),
-                    problem.markets,
-                )
-                .or_else(|_| AdmmSolver::new(problem.qp.clone(), self.settings.clone()))?
+            // a multi-period instance factors blockwise in O(H·N³). The
+            // builder guarantees the structure, so the problem is moved
+            // into the solver; a failed check is an error, not a fallback.
+            let solver = if h >= 2 {
+                AdmmSolver::with_block_structure(qp, self.settings.clone(), n)?
             } else {
-                AdmmSolver::new(problem.qp.clone(), self.settings.clone())?
+                AdmmSolver::new(qp, self.settings.clone())?
             };
             self.cache = Some(SolverCache {
                 solver,
@@ -475,6 +465,55 @@ mod tests {
         let d1 = opt.optimize(&catalog, &f, &cov, &[0.0; 3]).unwrap();
         let d2 = opt.optimize(&catalog, &f, &cov, d1.first()).unwrap();
         assert!(!d1.warm_started && !d2.warm_started);
+    }
+
+    #[test]
+    fn non_finite_inputs_are_errors_not_garbage_iterates() {
+        let catalog = Catalog::fig5_three_markets();
+        let good_cov = identity_cov(3);
+        let good = flat_forecast(&[2.0, 1.0, 1.2], 4);
+        let mut nan_price = good.clone();
+        nan_price.prices[1][2] = f64::NAN;
+        let mut nan_cov = good_cov.clone();
+        nan_cov[(0, 2)] = f64::NAN;
+        // Finite inputs whose product overflows: q = λ·price/r = ∞.
+        let mut overflow = good.clone();
+        overflow.workload = vec![1e300; 4];
+        overflow.prices = vec![vec![1e300; 3]; 4];
+        let nan_bound = SpotWebConfig {
+            a_min: f64::NAN,
+            ..SpotWebConfig::default()
+        };
+        let table = [
+            ("NaN price", SpotWebConfig::default(), &nan_price, &good_cov),
+            (
+                "NaN covariance cell",
+                SpotWebConfig::default(),
+                &good,
+                &nan_cov,
+            ),
+            ("∞ in q", SpotWebConfig::default(), &overflow, &good_cov),
+            ("NaN bound", nan_bound, &good, &good_cov),
+        ];
+        for (case, config, forecast, cov) in table {
+            let mut opt = MpoOptimizer::new(config);
+            let got = opt.optimize(&catalog, forecast, cov, &[0.0; 3]);
+            assert!(got.is_err(), "{case} must be rejected, got {got:?}");
+        }
+
+        // The factor-reuse fast path rebuilds only q: it must check too.
+        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
+        opt.optimize(&catalog, &good, &good_cov, &[0.0; 3]).unwrap();
+        let reused = opt.optimize(&catalog, &overflow, &good_cov, &[0.0; 3]);
+        assert!(
+            matches!(
+                reused,
+                Err(crate::CoreError::Solver(
+                    spotweb_solver::SolverError::NonFinite { what: "q" }
+                ))
+            ),
+            "got {reused:?}"
+        );
     }
 
     #[test]

@@ -18,15 +18,18 @@
 //! * Constraints (Eq. 7–10): per-market boxes `0 ≤ A[τ][i] ≤ a_max` and
 //!   per-interval budget `A_min ≤ Σ_i A[τ][i] ≤ A_max`.
 
-use spotweb_linalg::Matrix;
+use spotweb_linalg::{CsrMatrix, Matrix};
 use spotweb_market::Catalog;
-use spotweb_solver::QpProblem;
+use spotweb_solver::{QpProblem, SparseQp};
 
 use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
 use crate::{CoreError, Result};
 
-/// A built portfolio QP plus the metadata to interpret its solution.
+/// A built portfolio QP, expanded densely, plus the metadata to
+/// interpret its solution — the form tests and benches inspect. The
+/// optimizer itself never builds this: it hands [`build_sparse_qp`]'s
+/// CSR problem straight to the solver.
 #[derive(Debug, Clone)]
 pub struct PortfolioProblem {
     /// The QP in standard form.
@@ -48,90 +51,11 @@ impl PortfolioProblem {
         prev_allocation: &[f64],
         config: &SpotWebConfig,
     ) -> Result<PortfolioProblem> {
-        config.validate().map_err(CoreError::Dimension)?;
-        forecast.validate().map_err(CoreError::Dimension)?;
-        let n = catalog.len();
-        let h = config.horizon;
-        if forecast.horizon() < h {
-            return Err(CoreError::Dimension(format!(
-                "forecast horizon {} < config horizon {h}",
-                forecast.horizon()
-            )));
-        }
-        if forecast.markets() != n {
-            return Err(CoreError::Dimension(format!(
-                "forecast markets {} != catalog {n}",
-                forecast.markets()
-            )));
-        }
-        if covariance.rows() != n || covariance.cols() != n {
-            return Err(CoreError::Dimension("covariance must be N×N".into()));
-        }
-        if prev_allocation.len() != n {
-            return Err(CoreError::Dimension(
-                "prev_allocation must have one entry per market".into(),
-            ));
-        }
-
-        let nv = n * h;
-
-        // ---- Quadratic part P (in ½xᵀPx convention → factor 2). ----
-        let mut p = Matrix::zeros(nv, nv);
-        // Risk blocks: 2α·M on each interval's diagonal block.
-        let risk_block = covariance.scaled(2.0 * config.alpha);
-        for tau in 0..h {
-            p.add_block(tau * n, tau * n, &risk_block);
-        }
-        // Churn: γ Σ_τ ‖A(τ) − A(τ−1)‖².
-        let g = config.churn_gamma;
-        if g > 0.0 {
-            for tau in 0..h {
-                for i in 0..n {
-                    let d = tau * n + i;
-                    // A(τ) appears in the τ-th difference...
-                    p[(d, d)] += 2.0 * g;
-                    // ...and in the (τ+1)-th difference, when it exists.
-                    if tau + 1 < h {
-                        p[(d, d)] += 2.0 * g;
-                        let e = (tau + 1) * n + i;
-                        p[(d, e)] -= 2.0 * g;
-                        p[(e, d)] -= 2.0 * g;
-                    }
-                }
-            }
-        }
-
-        // ---- Linear part q. ----
-        let q = build_linear_cost(catalog, forecast, prev_allocation, config)?;
-
-        // ---- Constraints. ----
-        // Rows: per-τ per-market boxes (N·H), then per-τ budgets (H).
-        let m_rows = nv + h;
-        let mut a = Matrix::zeros(m_rows, nv);
-        let mut l = vec![0.0; m_rows];
-        let mut u = vec![0.0; m_rows];
-        for tau in 0..h {
-            for i in 0..n {
-                let row = tau * n + i;
-                a[(row, tau * n + i)] = 1.0;
-                l[row] = 0.0;
-                u[row] = config.a_max_per_market;
-            }
-        }
-        for tau in 0..h {
-            let row = nv + tau;
-            for i in 0..n {
-                a[(row, tau * n + i)] = 1.0;
-            }
-            l[row] = config.a_min;
-            u[row] = config.a_max_total;
-        }
-
-        let qp = QpProblem::new(p, q, a, l, u)?;
+        let qp = build_sparse_qp(catalog, forecast, covariance, prev_allocation, config)?;
         Ok(PortfolioProblem {
-            qp,
-            markets: n,
-            horizon: h,
+            qp: qp.to_dense(),
+            markets: catalog.len(),
+            horizon: config.horizon,
         })
     }
 
@@ -140,6 +64,88 @@ impl PortfolioProblem {
     pub fn unpack(&self, x: &[f64]) -> Vec<Vec<f64>> {
         unpack_plan(x, self.markets, self.horizon)
     }
+}
+
+/// Assemble the portfolio QP directly in CSR — `(N·H)²` zeros are
+/// never written. Arguments as for [`PortfolioProblem::build`].
+///
+/// `P` is block-tridiagonal: the symmetrized risk block `2α·M` (plus
+/// the churn diagonal) repeated on each interval's diagonal block, and
+/// `−2γ·I` coupling adjacent intervals. `A` stacks the `N·H` box rows
+/// (one entry each) over the `H` budget rows (`N` entries each). Exact
+/// zeros are not stored, so the result equals the CSR of the dense
+/// assembly entry for entry.
+pub fn build_sparse_qp(
+    catalog: &Catalog,
+    forecast: &ForecastBundle,
+    covariance: &Matrix,
+    prev_allocation: &[f64],
+    config: &SpotWebConfig,
+) -> Result<SparseQp> {
+    config.validate().map_err(CoreError::Dimension)?;
+    let n = catalog.len();
+    let h = config.horizon;
+    if covariance.rows() != n || covariance.cols() != n {
+        return Err(CoreError::Dimension("covariance must be N×N".into()));
+    }
+    // ---- Linear part q (validates the forecast and `prev_allocation`). ----
+    let q = build_linear_cost(catalog, forecast, prev_allocation, config)?;
+    let nv = n * h;
+
+    // ---- Quadratic part P (in ½xᵀPx convention → factor 2). ----
+    // One interval's diagonal block: the risk term 2α·M, made symmetric
+    // ((P + Pᵀ)/2 off the diagonal) as every QP constructor would.
+    // Churn γ Σ_τ ‖A(τ) − A(τ−1)‖² adds 2γ to the diagonal once for
+    // the τ-th difference and once more for the (τ+1)-th when it
+    // exists, and −2γ between A[τ][i] and A[τ+1][i].
+    let mut risk = covariance.scaled(2.0 * config.alpha);
+    risk.symmetrize_mut();
+    let g = config.churn_gamma;
+    let churn = g > 0.0;
+    let mut p_indptr = Vec::with_capacity(nv + 1);
+    let mut p_indices = Vec::with_capacity(nv * (n + 2));
+    let mut p_data = Vec::with_capacity(nv * (n + 2));
+    p_indptr.push(0);
+    for tau in 0..h {
+        let last = tau + 1 == h;
+        for i in 0..n {
+            let earlier = (churn && tau > 0).then(|| ((tau - 1) * n + i, -2.0 * g));
+            let later = (churn && !last).then(|| ((tau + 1) * n + i, -2.0 * g));
+            let own = (0..n).map(|j| {
+                let v = if i != j || !churn {
+                    risk[(i, j)]
+                } else if last {
+                    risk[(i, i)] + 2.0 * g
+                } else {
+                    risk[(i, i)] + 2.0 * g + 2.0 * g
+                };
+                (tau * n + j, v)
+            });
+            for (col, v) in earlier.into_iter().chain(own).chain(later) {
+                if v != 0.0 {
+                    p_indices.push(col);
+                    p_data.push(v);
+                }
+            }
+            p_indptr.push(p_indices.len());
+        }
+    }
+    let p = CsrMatrix::from_parts(nv, nv, p_indptr, p_indices, p_data)
+        .expect("rows assembled with ascending columns");
+
+    // ---- Constraints. ----
+    // Rows: per-τ per-market boxes (N·H), then per-τ budgets (H).
+    let m_rows = nv + h;
+    let a_indptr = (0..=nv).chain((1..=h).map(|t| nv + t * n)).collect();
+    let a_indices = (0..nv).chain(0..nv).collect();
+    let a = CsrMatrix::from_parts(m_rows, nv, a_indptr, a_indices, vec![1.0; 2 * nv])
+        .expect("one entry per box row, one interval per budget row");
+    let mut l = vec![0.0; m_rows];
+    let mut u = vec![config.a_max_per_market; m_rows];
+    l[nv..].fill(config.a_min);
+    u[nv..].fill(config.a_max_total);
+
+    Ok(SparseQp::new(p, q, a, l, u)?)
 }
 
 /// Split a flat `N·H` solution vector into per-interval allocation
@@ -228,6 +234,106 @@ mod tests {
         let forecast = ForecastBundle::flat(1000.0, &[6.0, 1.0, 1.0], &[0.04, 0.04, 0.04], 4);
         let m = Matrix::identity(3).scaled(1e-4);
         (catalog, forecast, m, SpotWebConfig::default())
+    }
+
+    /// The dense assembly `build_sparse_qp` replaced, kept as its
+    /// oracle: `P` and `A` written into zeroed `(N·H)²` matrices and
+    /// symmetrized by `QpProblem::new`.
+    fn build_dense_reference(
+        catalog: &Catalog,
+        forecast: &ForecastBundle,
+        covariance: &Matrix,
+        prev_allocation: &[f64],
+        config: &SpotWebConfig,
+    ) -> QpProblem {
+        let (n, h) = (catalog.len(), config.horizon);
+        let nv = n * h;
+        let mut p = Matrix::zeros(nv, nv);
+        let risk_block = covariance.scaled(2.0 * config.alpha);
+        for tau in 0..h {
+            p.add_block(tau * n, tau * n, &risk_block);
+        }
+        let g = config.churn_gamma;
+        if g > 0.0 {
+            for tau in 0..h {
+                for i in 0..n {
+                    let d = tau * n + i;
+                    p[(d, d)] += 2.0 * g;
+                    if tau + 1 < h {
+                        p[(d, d)] += 2.0 * g;
+                        let e = (tau + 1) * n + i;
+                        p[(d, e)] -= 2.0 * g;
+                        p[(e, d)] -= 2.0 * g;
+                    }
+                }
+            }
+        }
+        let q = build_linear_cost(catalog, forecast, prev_allocation, config).unwrap();
+        let m_rows = nv + h;
+        let mut a = Matrix::zeros(m_rows, nv);
+        let mut l = vec![0.0; m_rows];
+        let mut u = vec![0.0; m_rows];
+        for tau in 0..h {
+            for i in 0..n {
+                let row = tau * n + i;
+                a[(row, tau * n + i)] = 1.0;
+                u[row] = config.a_max_per_market;
+            }
+            let row = nv + tau;
+            for i in 0..n {
+                a[(row, tau * n + i)] = 1.0;
+            }
+            l[row] = config.a_min;
+            u[row] = config.a_max_total;
+        }
+        QpProblem::new(p, q, a, l, u).unwrap()
+    }
+
+    #[test]
+    fn sparse_build_equals_the_csr_of_the_dense_reference() {
+        for (n, h) in [(3usize, 1usize), (3, 4), (18, 4), (36, 10)] {
+            for gamma in [0.0, 0.05] {
+                let catalog = Catalog::ec2_subset(n);
+                let prices: Vec<f64> = (0..n).map(|i| 0.2 + 0.03 * i as f64).collect();
+                let fails: Vec<f64> = (0..n).map(|i| 0.02 + 0.01 * (i % 5) as f64).collect();
+                let forecast = ForecastBundle::flat(4000.0, &prices, &fails, h);
+                // Slightly asymmetric, with exact zeros off the
+                // every-third-market correlation pattern.
+                let mut cov = Matrix::identity(n).scaled(1e-3);
+                for i in 0..n {
+                    for j in 0..n {
+                        if i != j && i % 3 == j % 3 {
+                            cov[(i, j)] = 2e-4 + 1e-6 * (i as f64 - 0.5 * j as f64);
+                        }
+                    }
+                }
+                let prev: Vec<f64> = (0..n).map(|i| 0.1 * (i % 2) as f64).collect();
+                let config = SpotWebConfig {
+                    churn_gamma: gamma,
+                    ..SpotWebConfig::default().with_horizon(h)
+                };
+
+                let dense = build_dense_reference(&catalog, &forecast, &cov, &prev, &config);
+                let sparse = build_sparse_qp(&catalog, &forecast, &cov, &prev, &config).unwrap();
+                let case = format!("N = {n}, H = {h}, γ = {gamma}");
+                assert_eq!(
+                    *sparse.p(),
+                    CsrMatrix::from_dense(&dense.p, 0.0),
+                    "P, {case}"
+                );
+                assert_eq!(
+                    *sparse.a(),
+                    CsrMatrix::from_dense(&dense.a, 0.0),
+                    "A, {case}"
+                );
+                // …and the dense view handed to tests and benches is
+                // the old dense build.
+                let built = PortfolioProblem::build(&catalog, &forecast, &cov, &prev, &config);
+                let built = built.unwrap().qp;
+                assert_eq!((built.p, built.a), (dense.p, dense.a), "{case}");
+                assert_eq!((built.q, built.l, built.u), (dense.q, dense.l, dense.u));
+            }
+        }
     }
 
     #[test]

@@ -31,8 +31,55 @@ pub struct BlockTridiagCholesky {
     diag: Vec<Cholesky>,
     /// Sub-diagonal blocks of the block factor (`B_i`, `i ∈ 1..H`).
     sub: Vec<Matrix>,
+    /// `B_iᵀ`, row-major, so the backward pass reads rows too.
+    sub_t: Vec<Matrix>,
     /// Block dimension `N`.
     block: usize,
+}
+
+/// `y[i] ← finish(y[i], fold over k of step(s, m[i, k]·x[k]))` with
+/// `s` starting at `start(y[i])` — a mat-vec whose every row keeps one
+/// accumulator fed in ascending `k`, so the rounding is that of the
+/// plain scalar loop. Four rows run interleaved: a single accumulator
+/// is bound by the add latency, four independent ones are not.
+#[inline(always)]
+fn fold_rows(
+    m: &Matrix,
+    x: &[f64],
+    y: &mut [f64],
+    start: impl Fn(f64) -> f64,
+    step: impl Fn(f64, f64) -> f64,
+    finish: impl Fn(f64, f64) -> f64,
+) {
+    let n = y.len();
+    let mut i = 0;
+    while i + 4 <= n {
+        let (r0, r1, r2, r3) = (m.row(i), m.row(i + 1), m.row(i + 2), m.row(i + 3));
+        let (mut s0, mut s1, mut s2, mut s3) = (
+            start(y[i]),
+            start(y[i + 1]),
+            start(y[i + 2]),
+            start(y[i + 3]),
+        );
+        for ((((xk, a0), a1), a2), a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            s0 = step(s0, a0 * xk);
+            s1 = step(s1, a1 * xk);
+            s2 = step(s2, a2 * xk);
+            s3 = step(s3, a3 * xk);
+        }
+        y[i] = finish(y[i], s0);
+        y[i + 1] = finish(y[i + 1], s1);
+        y[i + 2] = finish(y[i + 2], s2);
+        y[i + 3] = finish(y[i + 3], s3);
+        i += 4;
+    }
+    for i in i..n {
+        let mut s = start(y[i]);
+        for (xk, a) in x.iter().zip(m.row(i)) {
+            s = step(s, a * xk);
+        }
+        y[i] = finish(y[i], s);
+    }
 }
 
 impl BlockTridiagCholesky {
@@ -94,6 +141,7 @@ impl BlockTridiagCholesky {
         }
         Ok(BlockTridiagCholesky {
             diag: factors,
+            sub_t: subs.iter().map(Matrix::transpose).collect(),
             sub: subs,
             block: n,
         })
@@ -120,41 +168,35 @@ impl BlockTridiagCholesky {
         let h = self.blocks();
         // Forward: solve the block-bidiagonal L z = b.
         //   z₀ = L₀⁻¹ b₀; z_t = L_t⁻¹ (b_t − B_t z_{t−1}).
-        let mut zt_prev = vec![0.0; n];
         for t in 0..h {
-            let (lo, hi) = (t * n, (t + 1) * n);
+            let (solved, rest) = x.split_at_mut(t * n);
+            let cur = &mut rest[..n];
             if t > 0 {
-                let b = &self.sub[t - 1];
-                for i in 0..n {
-                    let mut s = x[lo + i];
-                    let row = b.row(i);
-                    for k in 0..n {
-                        s -= row[k] * zt_prev[k];
-                    }
-                    x[lo + i] = s;
-                }
+                // cur[i] ← ((cur[i] − B[i,0]·z₀) − B[i,1]·z₁) − …
+                let z_prev = &solved[(t - 1) * n..];
+                fold_rows(&self.sub[t - 1], z_prev, cur, |y| y, |s, p| s - p, |_, s| s);
             }
-            self.diag[t].forward_solve_in_place(&mut x[lo..hi])?;
-            zt_prev.copy_from_slice(&x[lo..hi]);
+            self.diag[t].forward_solve_in_place(cur)?;
         }
         // Backward: Lᵀ x = z (block upper-bidiagonal with Bᵀ blocks).
         //   x_{H−1} = L_{H−1}⁻ᵀ z_{H−1};
         //   x_t = L_t⁻ᵀ (z_t − B_{t+1}ᵀ x_{t+1}).
         for t in (0..h).rev() {
-            let (lo, hi) = (t * n, (t + 1) * n);
+            let (head, solved) = x.split_at_mut((t + 1) * n);
+            let cur = &mut head[t * n..];
             if t + 1 < h {
-                let b = &self.sub[t]; // B_{t+1}
-                let x_next: Vec<f64> = x[hi..hi + n].to_vec();
-                for i in 0..n {
-                    // (Bᵀ x)_i = Σ_k B[k,i] x_k.
-                    let mut s = 0.0;
-                    for k in 0..n {
-                        s += b[(k, i)] * x_next[k];
-                    }
-                    x[lo + i] -= s;
-                }
+                // cur[i] ← cur[i] − Σ_k Bᵀ[i,k]·x_k, the sum from 0.0.
+                let x_next = &solved[..n];
+                fold_rows(
+                    &self.sub_t[t],
+                    x_next,
+                    cur,
+                    |_| 0.0,
+                    |s, p| s + p,
+                    |y, s| y - s,
+                );
             }
-            self.diag[t].backward_solve_in_place(&mut x[lo..hi])?;
+            self.diag[t].backward_solve_in_place(cur)?;
         }
         Ok(())
     }
@@ -223,6 +265,90 @@ mod tests {
         let dense_x = Cholesky::factor(&dense).unwrap().solve(&b).unwrap();
         for (a, c) in x.iter().zip(&dense_x) {
             assert!((a - c).abs() < 1e-8);
+        }
+    }
+
+    /// The plain scalar block solve the kernels must reproduce bit for
+    /// bit: one accumulator per row, ascending `k`, `Bᵀ` read by column.
+    fn scalar_solve(f: &BlockTridiagCholesky, x: &mut [f64]) {
+        let n = f.block;
+        let forward = |l: &Matrix, x: &mut [f64]| {
+            for i in 0..n {
+                let mut s = x[i];
+                for k in 0..i {
+                    s -= l[(i, k)] * x[k];
+                }
+                x[i] = s / l[(i, i)];
+            }
+        };
+        let backward = |l: &Matrix, x: &mut [f64]| {
+            for i in (0..n).rev() {
+                let mut s = x[i];
+                for k in (i + 1)..n {
+                    s -= l[(k, i)] * x[k];
+                }
+                x[i] = s / l[(i, i)];
+            }
+        };
+        for t in 0..f.blocks() {
+            if t > 0 {
+                for i in 0..n {
+                    let mut s = x[t * n + i];
+                    for k in 0..n {
+                        s -= f.sub[t - 1][(i, k)] * x[(t - 1) * n + k];
+                    }
+                    x[t * n + i] = s;
+                }
+            }
+            forward(f.diag[t].l(), &mut x[t * n..(t + 1) * n]);
+        }
+        for t in (0..f.blocks()).rev() {
+            if t + 1 < f.blocks() {
+                for i in 0..n {
+                    let mut s = 0.0;
+                    for k in 0..n {
+                        s += f.sub[t][(k, i)] * x[(t + 1) * n + k];
+                    }
+                    x[t * n + i] -= s;
+                }
+            }
+            backward(f.diag[t].l(), &mut x[t * n..(t + 1) * n]);
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_are_bitwise_the_scalar_reference() {
+        // Block sizes around the four-row tile, and the benchmark's.
+        // Miri skips the last: it is ~1000× slower than native.
+        let sizes: &[usize] = if cfg!(miri) {
+            &[1, 3, 4, 5, 37]
+        } else {
+            &[1, 3, 4, 5, 37, 144]
+        };
+        for &n in sizes {
+            let h = 3;
+            let diag: Vec<Matrix> = (0..h).map(|t| spd_block(t as f64, n)).collect();
+            let sub: Vec<Matrix> = (1..h)
+                .map(|t| {
+                    let mut e = coupling(t as f64, n);
+                    // Fill the coupling so every mat-vec term is live.
+                    for i in 0..n {
+                        for j in 0..n {
+                            e[(i, j)] += 0.01 * ((i * 5 + j * 11 + t) as f64).cos();
+                        }
+                    }
+                    e
+                })
+                .collect();
+            let f = BlockTridiagCholesky::factor(&diag, &sub).unwrap();
+            let b: Vec<f64> = (0..n * h).map(|i| (i as f64 * 0.43).sin() * 2.0).collect();
+            let mut want = b.clone();
+            scalar_solve(&f, &mut want);
+            let mut got = b;
+            f.solve_in_place(&mut got).unwrap();
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.to_bits(), w.to_bits(), "n = {n}: {g} vs {w}");
+            }
         }
     }
 

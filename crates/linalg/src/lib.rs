@@ -1,9 +1,10 @@
-//! Dense linear algebra substrate for SpotWeb.
+//! Linear algebra substrate for SpotWeb.
 //!
 //! SpotWeb's multi-period portfolio optimizer is a convex quadratic
 //! program, and its workload predictor is a cubic-spline regression —
-//! both reduce to small dense linear-algebra kernels. This crate
-//! implements exactly the kernels those consumers need, from scratch:
+//! both reduce to small dense factorizations plus, for the QP, sparse
+//! problem data. This crate implements exactly the kernels those
+//! consumers need, from scratch:
 //!
 //! * [`Matrix`] — a row-major dense matrix with the usual arithmetic,
 //!   products, transposes and Gram matrices.
@@ -18,6 +19,8 @@
 //! * [`mod@lstsq`] — linear least squares built on QR.
 //! * [`tridiag`] — Thomas algorithm for tridiagonal systems (natural
 //!   cubic spline second-derivative solve).
+//! * [`sparse`] — CSR matrices: the QP's `P` and `A` from assembly
+//!   through equilibration to the per-iteration products.
 //! * [`vector`] — free functions on `&[f64]` (dot, norms, axpy…).
 //!
 //! Everything is `f64`, deterministic, and allocation-conscious: the

@@ -1,9 +1,9 @@
 //! The ADMM iteration (OSQP-style operator splitting).
 
 use spotweb_linalg::vector;
-use spotweb_linalg::{BlockTridiagCholesky, Cholesky, CsrMatrix, Matrix};
+use spotweb_linalg::{BlockTridiagCholesky, Matrix};
 
-use crate::qp::{QpProblem, QpSolution, QpStatus, Settings};
+use crate::qp::{QpSolution, QpStatus, Settings, SparseQp};
 use crate::scaling::{ruiz_equilibrate, Scaling};
 use crate::termination::Residuals;
 use crate::{Result, SolverError};
@@ -15,23 +15,6 @@ const EQ_RHO_BOOST: f64 = 1e3;
 /// Bounds for the adaptive penalty.
 const RHO_MIN: f64 = 1e-6;
 const RHO_MAX: f64 = 1e6;
-
-/// The cached KKT factorization: dense, or block-tridiagonal when the
-/// problem has multi-period structure (see
-/// [`AdmmSolver::with_block_structure`]).
-enum KktFactor {
-    Dense(Cholesky),
-    Block(BlockTridiagCholesky),
-}
-
-impl KktFactor {
-    fn solve_in_place(&self, x: &mut [f64]) {
-        match self {
-            KktFactor::Dense(f) => f.solve_in_place(x).expect("kkt solve"),
-            KktFactor::Block(f) => f.solve_in_place(x).expect("kkt solve"),
-        }
-    }
-}
 
 /// Scratch vectors for one ADMM solve, owned by the solver and reused
 /// across [`AdmmSolver::solve_from`] calls so a receding-horizon
@@ -97,32 +80,39 @@ impl SolveWorkspace {
 /// which SpotWeb's receding-horizon controller uses between periods —
 /// consecutive portfolio problems differ only in the forecast data, so
 /// the previous solution is an excellent initial iterate.
+///
+/// The problem is held in CSR throughout ([`SparseQp`]); the only
+/// dense storage is the KKT factor itself, `H` diagonal and `H − 1`
+/// coupling blocks of `block_size²` (one block of `n²` for
+/// [`AdmmSolver::new`]).
 pub struct AdmmSolver {
     /// Scaled problem (identical to the original if scaling is off).
-    prob: QpProblem,
+    prob: SparseQp,
     /// Original (unscaled) problem, kept for final reporting.
-    orig: QpProblem,
+    orig: SparseQp,
     scaling: Scaling,
     settings: Settings,
     /// Per-row penalty ρᵢ (boosted on equality rows).
     rho_vec: Vec<f64>,
     /// Scalar ρ the vector was derived from.
     rho: f64,
-    /// Block size for the structured factorization, when enabled.
-    block_size: Option<usize>,
-    kkt: KktFactor,
-    /// Sparse copies of the scaled `A` and `P` for the hot-loop
-    /// products (box/budget constraint matrices are > 99% zeros).
-    a_sparse: CsrMatrix,
-    p_sparse: CsrMatrix,
+    /// The factored `P + σI + Aᵀdiag(ρ)A`: one block when the problem
+    /// is unstructured, `H` when it is multi-period.
+    kkt: BlockTridiagCholesky,
     /// Reusable per-solve scratch (see [`SolveWorkspace`]).
     workspace: SolveWorkspace,
 }
 
 impl AdmmSolver {
-    /// Set up a solver: equilibrate (if enabled) and factor the KKT matrix.
-    pub fn new(problem: QpProblem, settings: Settings) -> Result<Self> {
-        Self::build(problem, settings, None)
+    /// Set up a solver: equilibrate (if enabled) and factor the KKT
+    /// matrix as one dense block. Takes a [`SparseQp`], or a dense
+    /// [`crate::QpProblem`] which is converted (and re-validated) once.
+    pub fn new<Q>(problem: Q, settings: Settings) -> Result<Self>
+    where
+        Q: TryInto<SparseQp>,
+        SolverError: From<Q::Error>,
+    {
+        Self::build(problem.try_into()?, settings, 1)
     }
 
     /// Set up a solver that exploits *multi-period structure*: the
@@ -131,27 +121,33 @@ impl AdmmSolver {
     /// constraint row touches variables of a single block. SpotWeb's
     /// portfolio QP has exactly this shape (per-period risk + budget,
     /// adjacent-period churn coupling), and the block factorization
-    /// turns the per-iteration `O((HN)³)` setup into `O(H·N³)`.
+    /// turns the `O((HN)³)` factorization into `O(H·N³)` and the
+    /// per-iteration solve from `O((HN)²)` into `O(H·N²)`.
     ///
-    /// Returns [`SolverError::Dimension`] when the structure does not
-    /// hold — callers can fall back to [`AdmmSolver::new`].
-    pub fn with_block_structure(
-        problem: QpProblem,
+    /// The structure is checked over the *stored* entries of `P` and
+    /// `A`; [`SolverError::Dimension`] when it does not hold.
+    pub fn with_block_structure<Q>(
+        problem: Q,
         settings: Settings,
         block_size: usize,
-    ) -> Result<Self> {
+    ) -> Result<Self>
+    where
+        Q: TryInto<SparseQp>,
+        SolverError: From<Q::Error>,
+    {
+        let problem = problem.try_into()?;
         if block_size == 0 || !problem.num_vars().is_multiple_of(block_size) {
             return Err(SolverError::Dimension(
                 "block size must divide the variable count",
             ));
         }
         verify_block_structure(&problem, block_size)?;
-        Self::build(problem, settings, Some(block_size))
+        let blocks = (problem.num_vars() / block_size).max(1);
+        Self::build(problem, settings, blocks)
     }
 
-    fn build(problem: QpProblem, settings: Settings, block_size: Option<usize>) -> Result<Self> {
-        let orig = problem.clone();
-        let mut prob = problem;
+    fn build(orig: SparseQp, settings: Settings, blocks: usize) -> Result<Self> {
+        let mut prob = orig.clone();
         let scaling = if settings.scaling {
             ruiz_equilibrate(&mut prob, settings.scaling_iters)
         } else {
@@ -159,9 +155,7 @@ impl AdmmSolver {
         };
         let rho = settings.rho;
         let rho_vec = build_rho_vec(&prob, rho);
-        let kkt = factor_kkt(&prob, settings.sigma, &rho_vec, block_size)?;
-        let a_sparse = CsrMatrix::from_dense(&prob.a, 0.0);
-        let p_sparse = CsrMatrix::from_dense(&prob.p, 0.0);
+        let kkt = factor_kkt(&prob, settings.sigma, &rho_vec, blocks)?;
         Ok(AdmmSolver {
             prob,
             orig,
@@ -169,19 +163,14 @@ impl AdmmSolver {
             settings,
             rho_vec,
             rho,
-            block_size,
             kkt,
-            a_sparse,
-            p_sparse,
             workspace: SolveWorkspace::default(),
         })
     }
 
     /// Solve from a cold start (zero initial iterate).
     pub fn solve(&mut self) -> QpSolution {
-        let n = self.prob.num_vars();
-        let m = self.prob.num_constraints();
-        self.solve_from(&vec![0.0; n], &vec![0.0; m])
+        self.iterate(None)
     }
 
     /// Solve warm-started from `(x0, y0)` **in the original problem's
@@ -220,27 +209,37 @@ impl AdmmSolver {
     /// assert!(warm.iterations <= cold.iterations);
     /// ```
     pub fn solve_from(&mut self, x0: &[f64], y0: &[f64]) -> QpSolution {
-        let n = self.prob.num_vars();
-        let m = self.prob.num_constraints();
-        assert_eq!(x0.len(), n, "warm-start x length");
-        assert_eq!(y0.len(), m, "warm-start y length");
+        assert_eq!(x0.len(), self.num_vars(), "warm-start x length");
+        assert_eq!(y0.len(), self.num_constraints(), "warm-start y length");
+        self.iterate(Some((x0, y0)))
+    }
+
+    /// The iteration behind [`AdmmSolver::solve`] (no warm start: the
+    /// zeroed workspace *is* the cold iterate) and
+    /// [`AdmmSolver::solve_from`].
+    fn iterate(&mut self, warm: Option<(&[f64], &[f64])>) -> QpSolution {
+        let n = self.num_vars();
+        let m = self.num_constraints();
 
         // Take the workspace out of `self` so the iteration below can
         // borrow it mutably alongside `self` (for ρ updates).
         let mut ws = std::mem::take(&mut self.workspace);
         ws.reset(n, m);
 
-        // Map the warm start into scaled coordinates: x̄ = D⁻¹x, ȳ = cE⁻¹… —
-        // inverse of Scaling::unscale_*.
-        for ((dst, v), d) in ws.x.iter_mut().zip(x0).zip(&self.scaling.d) {
-            *dst = v / d;
+        if let Some((x0, y0)) = warm {
+            // Map the warm start into scaled coordinates: x̄ = D⁻¹x,
+            // ȳ = cE⁻¹y — inverse of Scaling::unscale_*.
+            for ((dst, v), d) in ws.x.iter_mut().zip(x0).zip(&self.scaling.d) {
+                *dst = v / d;
+            }
+            for ((dst, v), e) in ws.y.iter_mut().zip(y0).zip(&self.scaling.e) {
+                *dst = v * self.scaling.c / e;
+            }
+            self.prob
+                .a
+                .matvec_into(&ws.x, &mut ws.z)
+                .expect("warm-start A·x");
         }
-        for ((dst, v), e) in ws.y.iter_mut().zip(y0).zip(&self.scaling.e) {
-            *dst = v * self.scaling.c / e;
-        }
-        self.a_sparse
-            .matvec_into(&ws.x, &mut ws.z)
-            .expect("warm-start A·x");
         vector::clamp_box(&mut ws.z, &self.prob.l, &self.prob.u);
 
         let alpha = self.settings.alpha;
@@ -254,16 +253,18 @@ impl AdmmSolver {
             for i in 0..m {
                 ws.tmp_m[i] = self.rho_vec[i] * ws.z[i] - ws.y[i];
             }
-            self.a_sparse
+            self.prob
+                .a
                 .matvec_transpose_into(&ws.tmp_m, &mut ws.aty)
                 .expect("admm: Aᵀv shape");
             for j in 0..n {
                 ws.rhs[j] = sigma * ws.x[j] - self.prob.q[j] + ws.aty[j];
             }
             // x̃ = K⁻¹ rhs (in place).
-            self.kkt.solve_in_place(&mut ws.rhs);
+            self.kkt.solve_in_place(&mut ws.rhs).expect("kkt solve");
             let xtil = &ws.rhs;
-            self.a_sparse
+            self.prob
+                .a
                 .matvec_into(xtil, &mut ws.ztil)
                 .expect("admm: A·x̃ shape");
 
@@ -283,10 +284,10 @@ impl AdmmSolver {
             let do_adapt = self.settings.adaptive_rho_interval > 0
                 && it % self.settings.adaptive_rho_interval == 0;
             if do_check || do_adapt {
-                let res = Residuals::compute_sparse(
-                    &self.p_sparse,
+                let res = Residuals::compute(
+                    &self.prob.p,
                     &self.prob.q,
-                    &self.a_sparse,
+                    &self.prob.a,
                     &ws.x,
                     &ws.z,
                     &ws.y,
@@ -307,13 +308,23 @@ impl AdmmSolver {
             }
         }
 
-        // Unscale and report against the original problem.
+        // Unscale and report against the original problem. `px` is
+        // free again: the residual check is done with it.
         let x_orig = self.scaling.unscale_x(&ws.x);
         let y_orig = self.scaling.unscale_y(&ws.y);
-        self.workspace = ws;
         let mut z_orig = self.orig.a.matvec(&x_orig).expect("report: A·x");
         vector::clamp_box(&mut z_orig, &self.orig.l, &self.orig.u);
-        let objective = self.orig.objective(&x_orig);
+        // ½ xᵀPx + qᵀx, the quadratic form summed row by row.
+        self.orig
+            .p
+            .matvec_into(&x_orig, &mut ws.px)
+            .expect("report: P·x");
+        let mut xpx = 0.0;
+        for (xi, pxi) in x_orig.iter().zip(&ws.px) {
+            xpx += xi * pxi;
+        }
+        let objective = 0.5 * xpx + vector::dot(&self.orig.q, &x_orig);
+        self.workspace = ws;
         let (primal_residual, dual_residual) = match last_res {
             Some(r) => (r.primal, r.dual),
             None => (f64::INFINITY, f64::INFINITY),
@@ -339,18 +350,19 @@ impl AdmmSolver {
         let new_rho = (self.rho * ratio).clamp(RHO_MIN, RHO_MAX);
         let tol = self.settings.adaptive_rho_tolerance;
         if new_rho > self.rho * tol || new_rho < self.rho / tol {
-            self.rho = new_rho;
-            self.rho_vec = build_rho_vec(&self.prob, new_rho);
-            if let Ok(kkt) = factor_kkt(
-                &self.prob,
-                self.settings.sigma,
-                &self.rho_vec,
-                self.block_size,
-            ) {
+            // Factor first; ρ, its per-row vector and the factor must
+            // change together or not at all — `K` embeds ρ, and the
+            // y/z updates must use the ρ that `K` was built with. On
+            // (unlikely) factorization failure all three stay as they
+            // were and the iteration carries on with the old penalty.
+            let rho_vec = build_rho_vec(&self.prob, new_rho);
+            if let Ok(kkt) =
+                factor_kkt(&self.prob, self.settings.sigma, &rho_vec, self.kkt.blocks())
+            {
+                self.rho = new_rho;
+                self.rho_vec = rho_vec;
                 self.kkt = kkt;
             }
-            // On (unlikely) factorization failure keep the old factor —
-            // the iteration remains valid for the old ρ.
         }
     }
 
@@ -376,19 +388,24 @@ impl AdmmSolver {
     /// when two consecutive problems differ *only* in their linear
     /// cost — SpotWeb's receding-horizon controller with an unchanged
     /// covariance: same `P`, same constraints, fresh price/forecast
-    /// vector — the `O(n³)` factorization from construction can be
+    /// vector — the equilibration and the factorization from
+    /// construction (`O(H·N³)` blockwise, `O(n³)` unstructured) can be
     /// reused and only this `O(n)` update is paid. The Ruiz scaling
     /// computed at construction is kept as a fixed preconditioner
     /// (any fixed positive scaling is valid; it may merely differ from
     /// what a fresh equilibration of the new `q` would pick).
     ///
-    /// Returns [`SolverError::Dimension`] when `q` has the wrong length.
+    /// Returns [`SolverError::Dimension`] when `q` has the wrong
+    /// length and [`SolverError::NonFinite`] when it holds a NaN or ±∞.
     pub fn update_linear_cost(&mut self, q: &[f64]) -> Result<()> {
         let n = self.prob.num_vars();
         if q.len() != n {
             return Err(SolverError::Dimension(
                 "linear cost length must match the variable count",
             ));
+        }
+        if !q.iter().all(|v| v.is_finite()) {
+            return Err(SolverError::NonFinite { what: "q" });
         }
         self.orig.q.copy_from_slice(q);
         for j in 0..n {
@@ -399,7 +416,7 @@ impl AdmmSolver {
 }
 
 /// Per-row ρ with the equality-constraint boost.
-fn build_rho_vec(prob: &QpProblem, rho: f64) -> Vec<f64> {
+fn build_rho_vec(prob: &SparseQp, rho: f64) -> Vec<f64> {
     prob.l
         .iter()
         .zip(&prob.u)
@@ -407,85 +424,86 @@ fn build_rho_vec(prob: &QpProblem, rho: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Assemble the dense `K = P + σI + Aᵀ diag(ρ) A`.
-fn assemble_kkt(prob: &QpProblem, sigma: f64, rho_vec: &[f64]) -> Matrix {
-    let n = prob.num_vars();
-    let m = prob.num_constraints();
-    let mut k = prob.p.clone();
-    k.add_diag_mut(sigma);
-    // K += Aᵀ diag(ρ) A, accumulated row by row of A.
-    for r in 0..m {
-        let row = prob.a.row(r);
-        let w = rho_vec[r];
-        for i in 0..n {
-            let ri = row[i];
-            if ri == 0.0 {
-                continue;
-            }
-            let wri = w * ri;
-            for j in i..n {
-                k[(i, j)] += wri * row[j];
-            }
-        }
-    }
-    // Mirror upper→lower (we filled the upper triangle above).
-    for i in 0..n {
-        for j in 0..i {
-            k[(i, j)] = k[(j, i)];
-        }
-    }
-    k
-}
-
-/// Factor the KKT matrix, densely or blockwise.
-fn factor_kkt(
-    prob: &QpProblem,
+/// Accumulate `K = P + σI + Aᵀ diag(ρ) A` straight into its `blocks`
+/// diagonal blocks and the sub-diagonal coupling blocks (`sub[t]` is
+/// block row `t + 1`, block column `t`), assuming the structure
+/// [`verify_block_structure`] checks (none for a single block).
+///
+/// Every entry of `K` is summed in a fixed order — the `P` entry, then
+/// σ on the diagonal, then the constraint rows ascending — which is the
+/// order a dense `P.clone()` + `Aᵀdiag(ρ)A` row sweep adds them in;
+/// the terms a dense sweep would add for absent entries are exact
+/// `±0.0`. Like that sweep, only the upper triangle is accumulated and
+/// the rest mirrored, so `K` is symmetric to the bit.
+fn assemble_kkt_blocks(
+    prob: &SparseQp,
     sigma: f64,
     rho_vec: &[f64],
-    block_size: Option<usize>,
-) -> Result<KktFactor> {
-    let k = assemble_kkt(prob, sigma, rho_vec);
-    match block_size {
-        None => Cholesky::factor(&k)
-            .map(KktFactor::Dense)
-            .map_err(|e| SolverError::Factorization(e.to_string())),
-        Some(nb) => {
-            let h = prob.num_vars() / nb;
-            let mut diag = Vec::with_capacity(h);
-            let mut sub = Vec::with_capacity(h.saturating_sub(1));
-            for t in 0..h {
-                let mut d = Matrix::zeros(nb, nb);
-                for i in 0..nb {
-                    for j in 0..nb {
-                        d[(i, j)] = k[(t * nb + i, t * nb + j)];
-                    }
-                }
-                diag.push(d);
-                if t > 0 {
-                    let mut e = Matrix::zeros(nb, nb);
-                    for i in 0..nb {
-                        for j in 0..nb {
-                            e[(i, j)] = k[(t * nb + i, (t - 1) * nb + j)];
-                        }
-                    }
-                    sub.push(e);
-                }
+    blocks: usize,
+) -> (Vec<Matrix>, Vec<Matrix>) {
+    let nb = prob.num_vars() / blocks;
+    let mut diag = vec![Matrix::zeros(nb, nb); blocks];
+    let mut sub = vec![Matrix::zeros(nb, nb); blocks - 1];
+    for i in 0..prob.num_vars() {
+        let (bi, li) = (i / nb, i % nb);
+        let (cols, vals) = prob.p.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            if j < i {
+                continue;
             }
-            BlockTridiagCholesky::factor(&diag, &sub)
-                .map(KktFactor::Block)
-                .map_err(|e| SolverError::Factorization(e.to_string()))
+            let (bj, lj) = (j / nb, j % nb);
+            if bj == bi {
+                diag[bi][(li, lj)] += v;
+            } else {
+                // K[i, j] one block right of the diagonal, stored as
+                // its mirror image K[j, i] in the sub-diagonal block.
+                sub[bi][(lj, li)] += v;
+            }
+        }
+        diag[bi][(li, li)] += sigma;
+    }
+    for (r, &w) in rho_vec.iter().enumerate() {
+        let (cols, vals) = prob.a.row(r);
+        let Some(&first) = cols.first() else { continue };
+        let (block, offset) = (&mut diag[first / nb], first / nb * nb);
+        for (x, (&i, &ri)) in cols.iter().zip(vals).enumerate() {
+            let wri = w * ri;
+            for (&j, &rj) in cols[x..].iter().zip(&vals[x..]) {
+                block[(i - offset, j - offset)] += wri * rj;
+            }
         }
     }
+    for block in &mut diag {
+        for i in 0..nb {
+            for j in 0..i {
+                block[(i, j)] = block[(j, i)];
+            }
+        }
+    }
+    (diag, sub)
 }
 
-/// Check that `P` is block-tridiagonal and every constraint row is
-/// local to one block of `block_size` variables.
-fn verify_block_structure(prob: &QpProblem, block_size: usize) -> Result<()> {
-    let n = prob.num_vars();
-    for i in 0..n {
-        for j in 0..n {
-            let (bi, bj) = (i / block_size, j / block_size);
-            if bi.abs_diff(bj) >= 2 && prob.p[(i, j)] != 0.0 {
+/// Assemble and factor the KKT matrix blockwise.
+fn factor_kkt(
+    prob: &SparseQp,
+    sigma: f64,
+    rho_vec: &[f64],
+    blocks: usize,
+) -> Result<BlockTridiagCholesky> {
+    let (diag, sub) = assemble_kkt_blocks(prob, sigma, rho_vec, blocks);
+    BlockTridiagCholesky::factor(&diag, &sub).map_err(|e| SolverError::Factorization(e.to_string()))
+}
+
+/// Check over the stored entries that `P` is block-tridiagonal and
+/// every constraint row is local to one block of `block_size`
+/// variables.
+fn verify_block_structure(prob: &SparseQp, block_size: usize) -> Result<()> {
+    for i in 0..prob.num_vars() {
+        let (cols, _) = prob.p.row(i);
+        // Ascending columns: the two ends bound the whole row.
+        if let (Some(&lo), Some(&hi)) = (cols.first(), cols.last()) {
+            let bi = i / block_size;
+            if bi.abs_diff(lo / block_size) >= 2 || bi.abs_diff(hi / block_size) >= 2 {
                 return Err(SolverError::Dimension(
                     "P is not block-tridiagonal for the given block size",
                 ));
@@ -493,20 +511,12 @@ fn verify_block_structure(prob: &QpProblem, block_size: usize) -> Result<()> {
         }
     }
     for r in 0..prob.num_constraints() {
-        let row = prob.a.row(r);
-        let mut block: Option<usize> = None;
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                let b = j / block_size;
-                match block {
-                    None => block = Some(b),
-                    Some(prev) if prev != b => {
-                        return Err(SolverError::Dimension(
-                            "constraint row spans multiple blocks",
-                        ))
-                    }
-                    _ => {}
-                }
+        let (cols, _) = prob.a.row(r);
+        if let (Some(&lo), Some(&hi)) = (cols.first(), cols.last()) {
+            if lo / block_size != hi / block_size {
+                return Err(SolverError::Dimension(
+                    "constraint row spans multiple blocks",
+                ));
             }
         }
     }
@@ -516,7 +526,9 @@ fn verify_block_structure(prob: &QpProblem, block_size: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotweb_linalg::Matrix;
+    use crate::qp::QpProblem;
+    use crate::scaling::tests::{bits, ruiz_equilibrate_dense, sparse_problem};
+    use proptest::prelude::*;
 
     fn solve(problem: QpProblem) -> QpSolution {
         let mut s = AdmmSolver::new(problem, Settings::default()).unwrap();
@@ -723,6 +735,121 @@ mod tests {
             u[t * 3 + 2] = 1.5;
         }
         QpProblem::new(p, q, a, l, u).unwrap()
+    }
+
+    /// The dense assembly the block accumulation replaced, kept as its
+    /// oracle: `K = P.clone() + σI`, then `Aᵀdiag(ρ)A` swept row by row
+    /// over the upper triangle (zeros included), then mirrored.
+    fn assemble_kkt_dense(prob: &QpProblem, sigma: f64, rho_vec: &[f64]) -> Matrix {
+        let n = prob.num_vars();
+        let mut k = prob.p.clone();
+        k.add_diag_mut(sigma);
+        for r in 0..prob.num_constraints() {
+            let row = prob.a.row(r);
+            let w = rho_vec[r];
+            for i in 0..n {
+                let ri = row[i];
+                if ri == 0.0 {
+                    continue;
+                }
+                let wri = w * ri;
+                for j in i..n {
+                    k[(i, j)] += wri * row[j];
+                }
+            }
+        }
+        for i in 0..n {
+            for j in 0..i {
+                k[(i, j)] = k[(j, i)];
+            }
+        }
+        k
+    }
+
+    /// `assemble_kkt_blocks` against the dense oracle, bitwise, after
+    /// equilibrating each side its own way.
+    fn assert_kkt_blocks_match_dense(dense: QpProblem, blocks: usize) {
+        let settings = Settings::default();
+        let mut sparse = SparseQp::try_from(dense.clone()).unwrap();
+        let mut dense = dense;
+        ruiz_equilibrate(&mut sparse, settings.scaling_iters);
+        ruiz_equilibrate_dense(&mut dense, settings.scaling_iters);
+        let rho_vec = build_rho_vec(&sparse, settings.rho);
+        let k = assemble_kkt_dense(&dense, settings.sigma, &rho_vec);
+        let (diag, sub) = assemble_kkt_blocks(&sparse, settings.sigma, &rho_vec, blocks);
+        let nb = dense.num_vars() / blocks;
+        let block_of = |row: usize, col: usize| -> Vec<u64> {
+            let mut out = Vec::with_capacity(nb * nb);
+            for i in 0..nb {
+                for j in 0..nb {
+                    out.push(k[(row * nb + i, col * nb + j)].to_bits());
+                }
+            }
+            out
+        };
+        for (t, d) in diag.iter().enumerate() {
+            assert_eq!(bits(d.as_slice()), block_of(t, t), "diagonal block {t}");
+        }
+        for (t, e) in sub.iter().enumerate() {
+            assert_eq!(bits(e.as_slice()), block_of(t + 1, t), "coupling block {t}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Unstructured problems: the single KKT block is the dense K.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn kkt_block_is_bitwise_the_dense_assembly(dense in sparse_problem(7, 5)) {
+            assert_kkt_blocks_match_dense(dense, 1);
+        }
+    }
+
+    #[test]
+    fn kkt_blocks_are_bitwise_the_dense_assembly_on_multi_period_structure() {
+        for h in [2, 3, 6] {
+            assert_kkt_blocks_match_dense(multi_period_qp(h), h);
+        }
+    }
+
+    #[test]
+    fn failed_refactorization_leaves_rho_and_iterates_unchanged() {
+        // K = P + σ + ρ with P = −1: positive definite at ρ = 2, not at
+        // the ρ = 0.2 the adaptive rule asks for below, so the
+        // refactorization fails and the update must be dropped whole.
+        let make = || {
+            let qp = QpProblem::new(
+                Matrix::from_diag(&[-1.0]),
+                vec![0.3],
+                Matrix::identity(1),
+                vec![-1.0],
+                vec![1.0],
+            )
+            .unwrap();
+            let settings = Settings {
+                rho: 2.0,
+                scaling: false,
+                adaptive_rho_interval: 0,
+                max_iter: 25,
+                ..Settings::default()
+            };
+            AdmmSolver::new(qp, settings).unwrap()
+        };
+        let mut untouched = make();
+        let mut nudged = make();
+        nudged.maybe_update_rho(0.1);
+        assert_eq!(nudged.rho(), 2.0);
+        assert_eq!(nudged.rho_vec, untouched.rho_vec);
+        let (a, b) = (nudged.solve(), untouched.solve());
+        assert_eq!(a.iterations, b.iterations);
+        assert_eq!(bits(&a.x), bits(&b.x));
+        assert_eq!(bits(&a.y), bits(&b.y));
+
+        // A refactorization that succeeds commits all three together.
+        nudged.maybe_update_rho(10.0);
+        assert_eq!(nudged.rho(), 20.0);
+        assert_eq!(nudged.rho_vec, vec![20.0]);
     }
 
     #[test]

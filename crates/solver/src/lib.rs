@@ -13,11 +13,15 @@
 //! ```
 //!
 //! with `P ⪰ 0`. The ADMM iteration factors `P + σI + ρAᵀA` **once**
-//! (dense Cholesky from `spotweb-linalg`) and reuses the factorization
-//! every iteration, re-factoring only when the adaptive penalty ρ moves
-//! by more than a threshold. Ruiz equilibration preconditions badly
-//! scaled problems (per-request costs span orders of magnitude across
-//! markets).
+//! (Cholesky from `spotweb-linalg`, blockwise when the problem is
+//! multi-period) and reuses the factorization every iteration,
+//! re-factoring only when the adaptive penalty ρ moves by more than a
+//! threshold. Ruiz equilibration preconditions badly scaled problems
+//! (per-request costs span orders of magnitude across markets).
+//!
+//! `P` and `A` are carried in CSR from set-up to the final report
+//! ([`SparseQp`]); the dense [`QpProblem`] is an input adapter that is
+//! converted once.
 //!
 //! Two entry points:
 //! * [`admm::AdmmSolver`] — the general path used by the MPO optimizer.
@@ -38,7 +42,7 @@ pub mod scaling;
 pub mod termination;
 
 pub use admm::AdmmSolver;
-pub use qp::{QpProblem, QpSolution, QpStatus, Settings};
+pub use qp::{QpProblem, QpSolution, QpStatus, Settings, SparseQp};
 
 /// Errors reported when constructing or solving a QP.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +57,12 @@ pub enum SolverError {
     /// The KKT system could not be factored (P not PSD after
     /// regularization, or numerical breakdown).
     Factorization(String),
+    /// The problem data holds a NaN or an infinity where a number is
+    /// needed (bounds may be ±∞, never NaN).
+    NonFinite {
+        /// Which part of the problem: `"P"`, `"q"`, `"A"` or `"bounds"`.
+        what: &'static str,
+    },
 }
 
 impl core::fmt::Display for SolverError {
@@ -63,11 +73,20 @@ impl core::fmt::Display for SolverError {
                 write!(f, "infeasible bounds at constraint row {row} (l > u)")
             }
             SolverError::Factorization(msg) => write!(f, "factorization failed: {msg}"),
+            SolverError::NonFinite { what } => write!(f, "non-finite value in {what}"),
         }
     }
 }
 
 impl std::error::Error for SolverError {}
+
+/// Lets the solver's constructors take `impl TryInto<SparseQp>`: a
+/// [`SparseQp`] converts to itself infallibly, a [`QpProblem`] fallibly.
+impl From<core::convert::Infallible> for SolverError {
+    fn from(never: core::convert::Infallible) -> Self {
+        match never {}
+    }
+}
 
 /// Convenience result alias.
 pub type Result<T> = core::result::Result<T, SolverError>;

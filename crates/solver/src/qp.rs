@@ -1,6 +1,6 @@
 //! QP problem, settings and solution types.
 
-use spotweb_linalg::Matrix;
+use spotweb_linalg::{CsrMatrix, Matrix};
 
 use crate::{Result, SolverError};
 
@@ -15,6 +15,11 @@ use crate::{Result, SolverError};
 /// construction; PSD-ness is enforced indirectly via the σ-regularized
 /// KKT factorization). Equality constraints are encoded by `l[i] == u[i]`;
 /// one-sided constraints use `f64::INFINITY` / `f64::NEG_INFINITY`.
+///
+/// This dense form is an *input adapter*: the solver converts it to a
+/// [`SparseQp`] once, at set-up, and works on that. Callers that can
+/// assemble `P` and `A` sparsely should build a [`SparseQp`] directly
+/// and skip the `n²` storage.
 ///
 /// ```
 /// use spotweb_linalg::Matrix;
@@ -49,25 +54,8 @@ pub struct QpProblem {
 impl QpProblem {
     /// Build and validate a problem.
     pub fn new(p: Matrix, q: Vec<f64>, a: Matrix, l: Vec<f64>, u: Vec<f64>) -> Result<Self> {
-        let n = q.len();
-        let m = l.len();
-        if p.rows() != n || p.cols() != n {
-            return Err(SolverError::Dimension("P must be n×n matching q"));
-        }
-        if a.cols() != n {
-            return Err(SolverError::Dimension("A must have n columns"));
-        }
-        if a.rows() != m || u.len() != m {
-            return Err(SolverError::Dimension("A, l, u must agree on m"));
-        }
-        for (i, (&lo, &hi)) in l.iter().zip(&u).enumerate() {
-            if lo > hi {
-                return Err(SolverError::InfeasibleBounds { row: i });
-            }
-            if lo.is_nan() || hi.is_nan() {
-                return Err(SolverError::Dimension("bounds must not be NaN"));
-            }
-        }
+        let (p_shape, a_shape) = ((p.rows(), p.cols()), (a.rows(), a.cols()));
+        validate(p_shape, p.as_slice(), &q, a_shape, a.as_slice(), &l, &u)?;
         let mut p = p;
         p.symmetrize_mut();
         Ok(QpProblem { p, q, a, l, u })
@@ -97,6 +85,139 @@ impl QpProblem {
             v = v.max(lo - axi).max(axi - hi);
         }
         v
+    }
+}
+
+/// What both constructors check: consistent dimensions; no non-finite
+/// entry in `P`, `q` or `A`; no NaN bound (±∞ means "one-sided" and is
+/// fine) and no bound pair with `l > u`.
+fn validate(
+    p_shape: (usize, usize),
+    p: &[f64],
+    q: &[f64],
+    a_shape: (usize, usize),
+    a: &[f64],
+    l: &[f64],
+    u: &[f64],
+) -> Result<()> {
+    let (n, m) = (q.len(), l.len());
+    if p_shape != (n, n) {
+        return Err(SolverError::Dimension("P must be n×n matching q"));
+    }
+    if a_shape.1 != n {
+        return Err(SolverError::Dimension("A must have n columns"));
+    }
+    if a_shape.0 != m || u.len() != m {
+        return Err(SolverError::Dimension("A, l, u must agree on m"));
+    }
+    for (what, values) in [("P", p), ("q", q), ("A", a)] {
+        if !values.iter().all(|v| v.is_finite()) {
+            return Err(SolverError::NonFinite { what });
+        }
+    }
+    for (i, (&lo, &hi)) in l.iter().zip(u).enumerate() {
+        if lo > hi {
+            return Err(SolverError::InfeasibleBounds { row: i });
+        }
+        if lo.is_nan() || hi.is_nan() {
+            return Err(SolverError::NonFinite { what: "bounds" });
+        }
+    }
+    Ok(())
+}
+
+/// The same QP as [`QpProblem`] with `P` and `A` in compressed sparse
+/// row form — the solver's one internal representation. SpotWeb's
+/// portfolio QP has ≤ 2 nonzeros per column of `A` and a
+/// block-tridiagonal `P`; carried this way, set-up is `O(nnz)` plus the
+/// factorization instead of several passes over `(N·H)²` zeros.
+///
+/// Fields are private so that a `SparseQp` always holds a validated
+/// problem: consistent dimensions, finite data, ordered non-NaN
+/// bounds, and a `P` stored symmetric (both triangles).
+///
+/// ```
+/// use spotweb_linalg::{CsrMatrix, Matrix};
+/// use spotweb_solver::{AdmmSolver, Settings, SparseQp};
+///
+/// // min (x − 2)²  subject to 0 ≤ x ≤ 1  →  x = 1.
+/// let qp = SparseQp::new(
+///     CsrMatrix::from_dense(&Matrix::from_diag(&[2.0]), 0.0),
+///     vec![-4.0],
+///     CsrMatrix::from_dense(&Matrix::identity(1), 0.0),
+///     vec![0.0],
+///     vec![1.0],
+/// ).unwrap();
+/// let sol = AdmmSolver::new(qp, Settings::default()).unwrap().solve();
+/// assert!(sol.is_solved());
+/// assert!((sol.x[0] - 1.0).abs() < 1e-4);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseQp {
+    pub(crate) p: CsrMatrix,
+    pub(crate) q: Vec<f64>,
+    pub(crate) a: CsrMatrix,
+    pub(crate) l: Vec<f64>,
+    pub(crate) u: Vec<f64>,
+}
+
+impl SparseQp {
+    /// Build and validate a problem. Like [`QpProblem::new`], `P` is
+    /// symmetrized (`(P + Pᵀ)/2`, the same arithmetic entry for entry),
+    /// so a matrix that is already symmetric is kept bit for bit.
+    pub fn new(p: CsrMatrix, q: Vec<f64>, a: CsrMatrix, l: Vec<f64>, u: Vec<f64>) -> Result<Self> {
+        let (p_shape, a_shape) = ((p.rows(), p.cols()), (a.rows(), a.cols()));
+        validate(p_shape, p.values(), &q, a_shape, a.values(), &l, &u)?;
+        let p = p.symmetrized().expect("P checked square");
+        Ok(SparseQp { p, q, a, l, u })
+    }
+
+    /// Quadratic cost matrix, `n × n`, stored symmetric.
+    pub fn p(&self) -> &CsrMatrix {
+        &self.p
+    }
+
+    /// Constraint matrix, `m × n`.
+    pub fn a(&self) -> &CsrMatrix {
+        &self.a
+    }
+
+    /// Number of decision variables.
+    pub fn num_vars(&self) -> usize {
+        self.q.len()
+    }
+
+    /// Number of constraint rows.
+    pub fn num_constraints(&self) -> usize {
+        self.l.len()
+    }
+
+    /// The same problem with `P` and `A` expanded densely.
+    pub fn to_dense(&self) -> QpProblem {
+        QpProblem {
+            p: self.p.to_dense(),
+            q: self.q.clone(),
+            a: self.a.to_dense(),
+            l: self.l.clone(),
+            u: self.u.clone(),
+        }
+    }
+}
+
+/// The dense adapter: drop the exact zeros of `P` and `A` and validate
+/// again (a [`QpProblem`]'s fields are public, so it may have been
+/// edited since [`QpProblem::new`] checked it).
+impl TryFrom<QpProblem> for SparseQp {
+    type Error = SolverError;
+
+    fn try_from(dense: QpProblem) -> Result<Self> {
+        SparseQp::new(
+            CsrMatrix::from_dense(&dense.p, 0.0),
+            dense.q,
+            CsrMatrix::from_dense(&dense.a, 0.0),
+            dense.l,
+            dense.u,
+        )
     }
 }
 
@@ -250,14 +371,82 @@ mod tests {
     }
 
     #[test]
-    fn nan_bounds_rejected() {
-        let bad = QpProblem::new(
-            Matrix::identity(1),
+    fn non_finite_data_rejected_by_both_constructors() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // (what, P[0][1], q[0], A[1][0], l[0], u[1])
+        let table = [
+            ("P", nan, 0.0, 0.0, 0.0, 1.0),
+            ("P", inf, 0.0, 0.0, 0.0, 1.0),
+            ("q", 0.0, nan, 0.0, 0.0, 1.0),
+            ("q", 0.0, -inf, 0.0, 0.0, 1.0),
+            ("A", 0.0, 0.0, nan, 0.0, 1.0),
+            ("A", 0.0, 0.0, inf, 0.0, 1.0),
+            ("bounds", 0.0, 0.0, 0.0, nan, 1.0),
+            ("bounds", 0.0, 0.0, 0.0, 0.0, nan),
+        ];
+        for (what, p01, q0, a10, l0, u1) in table {
+            let mut p = Matrix::identity(2);
+            p[(0, 1)] = p01;
+            let mut a = Matrix::identity(2);
+            a[(1, 0)] = a10;
+            let (q, l, u) = (vec![q0, 0.0], vec![l0, 0.0], vec![1.0, u1]);
+            let want = Err(SolverError::NonFinite { what });
+            let dense = QpProblem::new(p.clone(), q.clone(), a.clone(), l.clone(), u.clone());
+            assert_eq!(dense.map(|_| ()), want, "dense, bad {what}");
+            let (p, a) = (
+                CsrMatrix::from_dense(&p, 0.0),
+                CsrMatrix::from_dense(&a, 0.0),
+            );
+            let sparse = SparseQp::new(p, q, a, l, u);
+            assert_eq!(sparse.map(|_| ()), want, "sparse, bad {what}");
+        }
+        // Infinite bounds mean one-sided rows and stay legal.
+        let open = SparseQp::new(
+            CsrMatrix::from_dense(&Matrix::identity(1), 0.0),
             vec![0.0],
-            Matrix::identity(1),
-            vec![f64::NAN],
-            vec![1.0],
+            CsrMatrix::from_dense(&Matrix::identity(1), 0.0),
+            vec![-inf],
+            vec![inf],
         );
-        assert!(bad.is_err());
+        assert!(open.is_ok());
+    }
+
+    #[test]
+    fn dense_adapter_revalidates_and_round_trips() {
+        let dense = tiny();
+        let sparse = SparseQp::try_from(dense.clone()).unwrap();
+        assert_eq!((sparse.num_vars(), sparse.num_constraints()), (2, 2));
+        assert_eq!(sparse.p().nnz(), 2);
+        let back = sparse.to_dense();
+        assert_eq!((back.p, back.a), (dense.p.clone(), dense.a.clone()));
+        // Fields are public: a NaN written after `new` is still caught.
+        let mut edited = dense;
+        edited.a[(0, 1)] = f64::NAN;
+        assert_eq!(
+            SparseQp::try_from(edited).map(|_| ()),
+            Err(SolverError::NonFinite { what: "A" })
+        );
+    }
+
+    #[test]
+    fn sparse_p_is_symmetrized_like_dense() {
+        let p = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]);
+        let sparse = SparseQp::new(
+            CsrMatrix::from_dense(&p, 0.0),
+            vec![0.0; 2],
+            CsrMatrix::from_dense(&Matrix::identity(2), 0.0),
+            vec![0.0; 2],
+            vec![1.0; 2],
+        )
+        .unwrap();
+        let dense = QpProblem::new(
+            p,
+            vec![0.0; 2],
+            Matrix::identity(2),
+            vec![0.0; 2],
+            vec![1.0; 2],
+        )
+        .unwrap();
+        assert_eq!(sparse.p().to_dense(), dense.p);
     }
 }

@@ -12,9 +12,7 @@
 //! `E` and cost scalar `c`, solving in the scaled space and unscaling
 //! `x = Dx̄`, `y = cE ȳ`.
 
-use spotweb_linalg::Matrix;
-
-use crate::qp::QpProblem;
+use crate::qp::SparseQp;
 
 /// Diagonal scalings produced by [`ruiz_equilibrate`].
 #[derive(Debug, Clone)]
@@ -52,23 +50,6 @@ impl Scaling {
     }
 }
 
-/// Infinity norm of column `j` over both `P` (n rows) and `A` (m rows).
-fn col_norm(p: &Matrix, a: &Matrix, j: usize) -> f64 {
-    let mut nrm: f64 = 0.0;
-    for i in 0..p.rows() {
-        nrm = nrm.max(p[(i, j)].abs());
-    }
-    for i in 0..a.rows() {
-        nrm = nrm.max(a[(i, j)].abs());
-    }
-    nrm
-}
-
-/// Infinity norm of row `i` of `A`.
-fn row_norm(a: &Matrix, i: usize) -> f64 {
-    a.row(i).iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 fn safe_inv_sqrt(v: f64) -> f64 {
     if v < 1e-10 {
         1.0
@@ -82,46 +63,38 @@ fn safe_inv_sqrt(v: f64) -> f64 {
 /// `iters` rounds of the modified Ruiz iteration (as in OSQP §5.1),
 /// followed by a cost normalization that picks `c` so the scaled
 /// objective gradient has unit-ish magnitude.
-pub fn ruiz_equilibrate(problem: &mut QpProblem, iters: usize) -> Scaling {
+///
+/// Only stored entries are visited. A norm is a max of absolute
+/// values, to which zeros contribute nothing, and every stored entry
+/// is multiplied by the same factors a dense sweep would apply to it,
+/// so the result is bit for bit that of equilibrating the dense form.
+pub fn ruiz_equilibrate(problem: &mut SparseQp, iters: usize) -> Scaling {
     let n = problem.num_vars();
     let m = problem.num_constraints();
     let mut scaling = Scaling::identity(n, m);
+    let mut col_norms = vec![0.0; n];
 
     for _ in 0..iters {
         // Column scalings from max |entry| per variable across P and A.
-        let delta_d: Vec<f64> = (0..n)
-            .map(|j| safe_inv_sqrt(col_norm(&problem.p, &problem.a, j)))
-            .collect();
+        col_norms.fill(0.0);
+        problem.p.col_abs_max_into(&mut col_norms);
+        problem.a.col_abs_max_into(&mut col_norms);
+        let delta_d: Vec<f64> = col_norms.iter().map(|&v| safe_inv_sqrt(v)).collect();
         // Row scalings for A.
         let delta_e: Vec<f64> = (0..m)
-            .map(|i| safe_inv_sqrt(row_norm(&problem.a, i)))
+            .map(|i| safe_inv_sqrt(problem.a.row_abs_max(i)))
             .collect();
 
-        // P ← D P D.
-        for i in 0..n {
-            for j in 0..n {
-                problem.p[(i, j)] *= delta_d[i] * delta_d[j];
-            }
-        }
-        // q ← D q.
+        // P ← D P D, q ← D q, A ← E A D, bounds ← E ⊙ bounds.
+        problem.p.scale_rows_cols(&delta_d, &delta_d);
+        problem.a.scale_rows_cols(&delta_e, &delta_d);
         for j in 0..n {
             problem.q[j] *= delta_d[j];
-        }
-        // A ← E A D.
-        for i in 0..m {
-            for j in 0..n {
-                problem.a[(i, j)] *= delta_e[i] * delta_d[j];
-            }
-        }
-        // Bounds ← E ⊙ bounds.
-        for i in 0..m {
-            problem.l[i] *= delta_e[i];
-            problem.u[i] *= delta_e[i];
-        }
-        for j in 0..n {
             scaling.d[j] *= delta_d[j];
         }
         for i in 0..m {
+            problem.l[i] *= delta_e[i];
+            problem.u[i] *= delta_e[i];
             scaling.e[i] *= delta_e[i];
         }
     }
@@ -130,14 +103,9 @@ pub fn ruiz_equilibrate(problem: &mut QpProblem, iters: usize) -> Scaling {
     let mean_p_col: f64 = if n == 0 {
         0.0
     } else {
-        (0..n)
-            .map(|j| {
-                (0..n)
-                    .map(|i| problem.p[(i, j)].abs())
-                    .fold(0.0_f64, f64::max)
-            })
-            .sum::<f64>()
-            / n as f64
+        col_norms.fill(0.0);
+        problem.p.col_abs_max_into(&mut col_norms);
+        col_norms.iter().sum::<f64>() / n as f64
     };
     let q_norm = spotweb_linalg::vector::norm_inf(&problem.q);
     let denom = mean_p_col.max(q_norm);
@@ -150,12 +118,140 @@ pub fn ruiz_equilibrate(problem: &mut QpProblem, iters: usize) -> Scaling {
     scaling
 }
 
+// Crate-visible: the KKT-assembly proptest in `admm` equilibrates with
+// the same dense oracle before comparing.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::qp::QpProblem;
+    use proptest::prelude::*;
     use spotweb_linalg::Matrix;
 
-    fn badly_scaled() -> QpProblem {
+    /// The dense sweep the sparse equilibration replaced, kept as its
+    /// oracle: every entry of `P` and `A` visited, zeros included.
+    pub(crate) fn ruiz_equilibrate_dense(problem: &mut QpProblem, iters: usize) -> Scaling {
+        let n = problem.num_vars();
+        let m = problem.num_constraints();
+        let mut scaling = Scaling::identity(n, m);
+        let col_norm = |p: &Matrix, a: &Matrix, j: usize| {
+            let mut nrm: f64 = 0.0;
+            for i in 0..p.rows() {
+                nrm = nrm.max(p[(i, j)].abs());
+            }
+            for i in 0..a.rows() {
+                nrm = nrm.max(a[(i, j)].abs());
+            }
+            nrm
+        };
+        for _ in 0..iters {
+            let delta_d: Vec<f64> = (0..n)
+                .map(|j| safe_inv_sqrt(col_norm(&problem.p, &problem.a, j)))
+                .collect();
+            let delta_e: Vec<f64> = (0..m)
+                .map(|i| {
+                    let row = problem.a.row(i);
+                    safe_inv_sqrt(row.iter().fold(0.0_f64, |m, v| m.max(v.abs())))
+                })
+                .collect();
+            for i in 0..n {
+                for j in 0..n {
+                    problem.p[(i, j)] *= delta_d[i] * delta_d[j];
+                }
+            }
+            for j in 0..n {
+                problem.q[j] *= delta_d[j];
+            }
+            for i in 0..m {
+                for j in 0..n {
+                    problem.a[(i, j)] *= delta_e[i] * delta_d[j];
+                }
+            }
+            for i in 0..m {
+                problem.l[i] *= delta_e[i];
+                problem.u[i] *= delta_e[i];
+            }
+            for j in 0..n {
+                scaling.d[j] *= delta_d[j];
+            }
+            for i in 0..m {
+                scaling.e[i] *= delta_e[i];
+            }
+        }
+        let mean_p_col: f64 = if n == 0 {
+            0.0
+        } else {
+            (0..n)
+                .map(|j| {
+                    (0..n)
+                        .map(|i| problem.p[(i, j)].abs())
+                        .fold(0.0_f64, f64::max)
+                })
+                .sum::<f64>()
+                / n as f64
+        };
+        let q_norm = spotweb_linalg::vector::norm_inf(&problem.q);
+        let denom = mean_p_col.max(q_norm);
+        let c = if denom < 1e-10 { 1.0 } else { 1.0 / denom };
+        problem.p.scale_mut(c);
+        for v in &mut problem.q {
+            *v *= c;
+        }
+        scaling.c = c;
+        scaling
+    }
+
+    pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A random `n`-variable, `m`-row problem whose `P` and `A` are
+    /// about half exact zeros, magnitudes spread over six decades.
+    pub(crate) fn sparse_problem(n: usize, m: usize) -> impl Strategy<Value = QpProblem> {
+        let entry = || (0.0f64..1.0, -3.0f64..3.0, -1.0f64..1.0);
+        (
+            prop::collection::vec(entry(), n * n),
+            prop::collection::vec(entry(), m * n),
+            prop::collection::vec(-2.0f64..2.0, n),
+        )
+            .prop_map(move |(p, a, q)| {
+                let cell = |(keep, exp, v): (f64, f64, f64)| {
+                    if keep < 0.5 {
+                        0.0
+                    } else {
+                        v * 10f64.powf(exp)
+                    }
+                };
+                let p = Matrix::from_vec(n, n, p.into_iter().map(cell).collect()).unwrap();
+                let a = Matrix::from_vec(m, n, a.into_iter().map(cell).collect()).unwrap();
+                QpProblem::new(p, q, a, vec![-1.0; m], vec![1.0; m]).unwrap()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Sparse equilibration ≡ the dense sweep, bit for bit: the
+        /// scaling vectors, the cost scalar and all scaled data.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn sparse_ruiz_is_bitwise_the_dense_sweep(dense in sparse_problem(7, 5), iters in 0usize..12) {
+            let mut sparse = SparseQp::try_from(dense.clone()).unwrap();
+            let mut dense = dense;
+            let want = ruiz_equilibrate_dense(&mut dense, iters);
+            let got = ruiz_equilibrate(&mut sparse, iters);
+            prop_assert_eq!(bits(&got.d), bits(&want.d));
+            prop_assert_eq!(bits(&got.e), bits(&want.e));
+            prop_assert_eq!(got.c.to_bits(), want.c.to_bits());
+            let scaled = sparse.to_dense();
+            prop_assert_eq!(bits(scaled.p.as_slice()), bits(dense.p.as_slice()));
+            prop_assert_eq!(bits(scaled.a.as_slice()), bits(dense.a.as_slice()));
+            prop_assert_eq!(bits(&scaled.q), bits(&dense.q));
+            prop_assert_eq!(bits(&scaled.l), bits(&dense.l));
+            prop_assert_eq!(bits(&scaled.u), bits(&dense.u));
+        }
+    }
+
+    fn badly_scaled() -> SparseQp {
         QpProblem::new(
             Matrix::from_diag(&[1e6, 1e-4]),
             vec![1e5, 1e-3],
@@ -163,6 +259,8 @@ mod tests {
             vec![0.0, 0.0],
             vec![1e3, 1e-2],
         )
+        .unwrap()
+        .try_into()
         .unwrap()
     }
 
@@ -172,7 +270,7 @@ mod tests {
         ruiz_equilibrate(&mut p, 10);
         // After equilibration all row norms of A should be near 1.
         for i in 0..p.a.rows() {
-            let rn = p.a.row(i).iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            let rn = p.a.row_abs_max(i);
             assert!((rn - 1.0).abs() < 0.2, "row {i} norm {rn}");
         }
     }
@@ -181,13 +279,13 @@ mod tests {
     fn unscaling_round_trips_solution() {
         let mut p = badly_scaled();
         // x̄ feasible in scaled space maps to x feasible in the original.
-        let orig = badly_scaled();
+        let orig = badly_scaled().to_dense();
         let s = ruiz_equilibrate(&mut p, 10);
         let x_bar = vec![0.5 / s.d[0].max(1e-30) * s.d[0], 0.0]; // arbitrary
         let x = s.unscale_x(&x_bar);
         assert_eq!(x.len(), 2);
         // The scaled constraint l̄ ≤ Āx̄ ≤ ū iff original l ≤ Ax ≤ u.
-        let scaled_violation = p.max_violation(&x_bar);
+        let scaled_violation = p.to_dense().max_violation(&x_bar);
         let orig_violation = orig.max_violation(&x);
         assert!((scaled_violation <= 1e-9) == (orig_violation <= 1e-6));
     }
@@ -201,13 +299,15 @@ mod tests {
 
     #[test]
     fn zero_matrix_does_not_explode() {
-        let mut p = QpProblem::new(
+        let mut p: SparseQp = QpProblem::new(
             Matrix::zeros(2, 2),
             vec![0.0; 2],
             Matrix::zeros(1, 2),
             vec![0.0],
             vec![1.0],
         )
+        .unwrap()
+        .try_into()
         .unwrap();
         let s = ruiz_equilibrate(&mut p, 5);
         assert!(s.d.iter().all(|v| v.is_finite() && *v > 0.0));

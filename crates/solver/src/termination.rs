@@ -1,7 +1,7 @@
 //! Convergence criteria for the ADMM iteration.
 
 use spotweb_linalg::vector::norm_inf;
-use spotweb_linalg::{CsrMatrix, Matrix};
+use spotweb_linalg::CsrMatrix;
 
 /// Primal and dual residuals plus the scale factors used for the
 /// relative part of the tolerance (OSQP §3.4).
@@ -24,26 +24,6 @@ impl Residuals {
     /// they are overwritten.
     #[allow(clippy::too_many_arguments)]
     pub fn compute(
-        p: &Matrix,
-        q: &[f64],
-        a: &Matrix,
-        x: &[f64],
-        z: &[f64],
-        y: &[f64],
-        ax: &mut [f64],
-        px: &mut [f64],
-        aty: &mut [f64],
-    ) -> Residuals {
-        a.matvec_into(x, ax).expect("residual: A·x shape");
-        p.matvec_into(x, px).expect("residual: P·x shape");
-        a.matvec_transpose_into(y, aty)
-            .expect("residual: Aᵀ·y shape");
-        Self::reduce(q, z, ax, px, aty)
-    }
-
-    /// Sparse-operator variant used by the ADMM hot loop.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_sparse(
         p: &CsrMatrix,
         q: &[f64],
         a: &CsrMatrix,
@@ -97,11 +77,16 @@ impl Residuals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spotweb_linalg::Matrix;
+
+    fn csr(m: &Matrix) -> CsrMatrix {
+        CsrMatrix::from_dense(m, 0.0)
+    }
 
     #[test]
     fn zero_iterate_converges_for_zero_problem() {
-        let p = Matrix::zeros(2, 2);
-        let a = Matrix::zeros(1, 2);
+        let p = csr(&Matrix::zeros(2, 2));
+        let a = csr(&Matrix::zeros(1, 2));
         let q = [0.0, 0.0];
         let (x, z, y) = ([0.0, 0.0], [0.0], [0.0]);
         let mut ax = [0.0];
@@ -113,8 +98,8 @@ mod tests {
 
     #[test]
     fn detects_primal_gap() {
-        let p = Matrix::zeros(1, 1);
-        let a = Matrix::identity(1);
+        let p = csr(&Matrix::zeros(1, 1));
+        let a = csr(&Matrix::identity(1));
         let q = [0.0];
         let x = [2.0];
         let z = [1.0]; // Ax = 2 but z = 1 → primal residual 1.
@@ -131,8 +116,8 @@ mod tests {
     fn detects_dual_gap() {
         // P = I, q = -1 → stationarity requires x = 1; at x = 0 the dual
         // residual is |q| = 1.
-        let p = Matrix::identity(1);
-        let a = Matrix::identity(1);
+        let p = csr(&Matrix::identity(1));
+        let a = csr(&Matrix::identity(1));
         let q = [-1.0];
         let x = [0.0];
         let z = [0.0];

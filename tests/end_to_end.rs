@@ -136,3 +136,49 @@ fn lb_and_optimizer_agree_on_weights() {
     assert_eq!(per_market[1], 75);
     assert_eq!(per_market[2], 0);
 }
+
+/// The smallest and largest cells of the benchmark's Fig. 7(b) grid
+/// (`benchmark/fixtures/solver_scaling.rs` at seed 1234; its catalogs
+/// are `fig7::synthetic_catalog`'s), solved cold.
+/// ADMM's iteration count moves with the last bit of every sum in
+/// set-up and in the KKT solve, so a kernel or assembly change that
+/// reassociates one fails here before it can drift the goldens.
+#[test]
+fn admm_iteration_counts_are_pinned_on_the_benchmark_cells() {
+    use spotweb::core::{ForecastBundle, MpoOptimizer};
+    use spotweb::linalg::Matrix;
+    use spotweb::workload::rng::{stream_id, CounterStream, DOMAIN_NOISE};
+    use spotweb_bench::fig7::synthetic_catalog;
+
+    // (grid index, catalog, horizon, pinned iterations)
+    let cells = [
+        (0u64, synthetic_catalog(36), 4usize, 190usize),
+        (5, synthetic_catalog(144), 10, 430),
+    ];
+    for (index, catalog, horizon, pinned) in cells {
+        let n = catalog.len();
+        let markets = catalog.markets();
+        let prices: Vec<f64> = markets
+            .iter()
+            .map(|m| m.instance.on_demand_price * 0.3)
+            .collect();
+        let failures: Vec<f64> = markets.iter().map(|m| m.base_revocation_prob).collect();
+        let draws = CounterStream::new(1234, stream_id(DOMAIN_NOISE, index));
+        let variance = 1e-3 * (1.0 + 0.05 * draws.unit_f64_at(0));
+        let mut covariance = Matrix::identity(n).scaled(variance);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && i % 4 == j % 4 {
+                    covariance[(i, j)] = 2e-4;
+                }
+            }
+        }
+        let forecast = ForecastBundle::flat(20_000.0, &prices, &failures, horizon);
+        let mut optimizer = MpoOptimizer::new(SpotWebConfig::default().with_horizon(horizon));
+        let decision = optimizer
+            .optimize(&catalog, &forecast, &covariance, &vec![0.0; n])
+            .unwrap();
+        assert!(decision.solved, "{n} × {horizon} must converge");
+        assert_eq!(decision.iterations, pinned, "{n} × {horizon}");
+    }
+}
