@@ -36,7 +36,7 @@ use spotweb_market::{Catalog, CloudSim};
 use spotweb_sim::{
     nproc, report_json, run_full_stack, runner::ReactiveCheapestPolicy, RunnerConfig,
 };
-use spotweb_telemetry::json::{json_f64, json_string};
+use spotweb_telemetry::json::{fnv1a64_hex, json_f64, json_string};
 use spotweb_telemetry::TelemetrySink;
 use spotweb_workload::Trace;
 
@@ -237,14 +237,7 @@ pub fn run_command(seed: u64, max_shards: usize) -> Result<ShardOutput, String> 
 /// FNV digest of an already-rendered report JSON line (the same digest
 /// [`spotweb_sim::report_digest`] computes from the report itself).
 fn report_digest_of_json(json: &str) -> String {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in json.as_bytes().iter().chain(b"\n") {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    format!("{h:016x}")
+    fnv1a64_hex(format!("{json}\n").as_bytes())
 }
 
 #[cfg(test)]

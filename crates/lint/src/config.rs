@@ -111,9 +111,12 @@ impl LintConfig {
             ],
             telemetry_crate: "telemetry".to_string(),
             hot_paths: vec![
-                // The per-arrival loop: one served/killed counter tick
-                // and one latency observation per simulated request.
+                // The per-arrival loop of the full-stack scheduler.
                 "sim::runner".to_string(),
+                // The cluster mechanism both schedulers' per-request
+                // path runs through: one served/killed counter tick
+                // and one latency observation per simulated request.
+                "sim::cluster".to_string(),
                 // Event queue: one counter tick per schedule and pop.
                 "sim::engine".to_string(),
                 // Router: admission/no-backend drop counters per route.
@@ -146,6 +149,7 @@ impl LintConfig {
                 // generated concurrently, so every draw must be a pure
                 // function of (seed, stream, counter).
                 "sim::runner".to_string(),
+                "sim::cluster".to_string(),
                 "sim::shard".to_string(),
                 "sim::rng".to_string(),
             ],

@@ -9,24 +9,24 @@
 //! time-sorted timeline from a seed, so the same `(plan, seed)` always
 //! replays the same failure history.
 //!
-//! [`ChaosScenario`] runs a compiled plan against the request-level
-//! cluster simulation (the Fig. 4(a) event loop), while
+//! [`ChaosScenario`] runs a compiled plan as the exact-time scheduler
+//! over [`crate::cluster::Cluster`], while
 //! [`crate::runner::run_full_stack`] accepts a plan through
 //! [`crate::runner::RunnerConfig`] for interval-granular injections
-//! (price shocks need a live market). Both paths drive an
+//! (price shocks need a live market). Both paths drive the cluster's
 //! [`InvariantChecker`] every tick: requests are conserved
 //! (`arrived = served + dropped + in-flight`), no request is ever
 //! routed to a `Down` backend, and drain deadlines are honored.
 
-use spotweb_lb::{BackendState, LoadBalancer, LoadBalancerConfig, RouteOutcome};
+use spotweb_lb::{BackendState, LoadBalancer, LoadBalancerConfig};
 use spotweb_telemetry::json::{json_f64, json_string};
-use spotweb_telemetry::{names, TelemetrySink, TraceEvent};
+use spotweb_telemetry::TelemetrySink;
 
+use crate::cluster::Cluster;
 use crate::engine::{Event, EventQueue};
 use crate::metrics::{BucketStats, LatencyRecorder};
 use crate::rng::{stream_id, CounterStream, DOMAIN_FAULT_COIN, DOMAIN_SCENARIO_GAP};
-use crate::scenario::ServerSpec;
-use crate::service::ServiceModel;
+use crate::scenario::{fig4a_cluster, ServerSpec};
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -278,11 +278,6 @@ impl InvariantChecker {
         self.in_flight -= 1;
     }
 
-    /// Requests currently in flight according to the checker's ledger.
-    pub fn in_flight(&self) -> i64 {
-        self.in_flight
-    }
-
     /// Run the per-tick checks: ledger conservation and agreement with
     /// the balancer's counters.
     pub fn check_tick(&mut self, lb: &LoadBalancer, now: f64) {
@@ -347,8 +342,9 @@ pub enum Replacement {
     None,
 }
 
-/// A fault-scripted cluster scenario: the Fig. 4(a) event loop driven
-/// by a [`FaultPlan`] and audited by an [`InvariantChecker`].
+/// A fault-scripted cluster scenario: the exact-time event loop over
+/// [`Cluster`], driven by a [`FaultPlan`] and audited by an
+/// [`InvariantChecker`]. The defaults are the Fig. 4(a) testbed.
 #[derive(Debug, Clone)]
 pub struct ChaosScenario {
     /// Scenario label (propagated into the report / JSON).
@@ -391,34 +387,7 @@ impl Default for ChaosScenario {
     fn default() -> Self {
         ChaosScenario {
             name: "custom".to_string(),
-            // The Fig. 4(a) testbed cluster: 1120 rps capacity at
-            // ~600 rps offered.
-            servers: vec![
-                ServerSpec {
-                    market: 0,
-                    capacity_rps: 80.0,
-                },
-                ServerSpec {
-                    market: 0,
-                    capacity_rps: 80.0,
-                },
-                ServerSpec {
-                    market: 1,
-                    capacity_rps: 160.0,
-                },
-                ServerSpec {
-                    market: 1,
-                    capacity_rps: 160.0,
-                },
-                ServerSpec {
-                    market: 2,
-                    capacity_rps: 320.0,
-                },
-                ServerSpec {
-                    market: 2,
-                    capacity_rps: 320.0,
-                },
-            ],
+            servers: fig4a_cluster(),
             arrival_rps: 600.0,
             duration_secs: 660.0,
             warning_secs: 120.0,
@@ -461,82 +430,43 @@ impl ChaosScenario {
     /// * `slow-start-storm` — a storm whose replacements boot 245 s
     ///   late and warm 60 s slow (provider capacity crunch).
     pub fn named(name: &str) -> ChaosScenario {
-        let base = ChaosScenario::default();
+        // The correlated loss of markets 1 and 2: 86% of capacity.
+        let storm = |warning_secs: Option<f64>| FaultKind::CorrelatedRevocation {
+            markets: vec![1, 2],
+            warning_secs,
+        };
+        let flap = |target: usize, down_secs: f64| FaultKind::BackendFlap { target, down_secs };
+        let base = ChaosScenario {
+            name: name.to_string(),
+            ..ChaosScenario::default()
+        };
         match name {
             "revocation-storm" => ChaosScenario {
-                name: name.to_string(),
-                plan: FaultPlan::new().at(
-                    60.0,
-                    FaultKind::CorrelatedRevocation {
-                        markets: vec![1, 2],
-                        warning_secs: None,
-                    },
-                ),
+                plan: FaultPlan::new().at(60.0, storm(None)),
                 ..base
             },
             "revocation-storm-vanilla" => ChaosScenario {
-                name: name.to_string(),
                 transiency_aware: false,
                 replacement: Replacement::None,
-                plan: FaultPlan::new().at(
-                    60.0,
-                    FaultKind::CorrelatedRevocation {
-                        markets: vec![1, 2],
-                        warning_secs: None,
-                    },
-                ),
+                plan: FaultPlan::new().at(60.0, storm(None)),
                 ..base
             },
             "zero-warning" => ChaosScenario {
-                name: name.to_string(),
-                plan: FaultPlan::new().at(
-                    120.0,
-                    FaultKind::CorrelatedRevocation {
-                        markets: vec![1, 2],
-                        warning_secs: Some(0.0),
-                    },
-                ),
+                plan: FaultPlan::new().at(120.0, storm(Some(0.0))),
                 ..base
             },
             "backend-flaps" => ChaosScenario {
-                name: name.to_string(),
                 plan: FaultPlan::new()
-                    .at(
-                        100.0,
-                        FaultKind::BackendFlap {
-                            target: 4,
-                            down_secs: 45.0,
-                        },
-                    )
-                    .at(
-                        240.0,
-                        FaultKind::BackendFlap {
-                            target: 5,
-                            down_secs: 45.0,
-                        },
-                    )
-                    .random(
-                        0.08,
-                        30.0,
-                        FaultKind::BackendFlap {
-                            target: 2,
-                            down_secs: 20.0,
-                        },
-                    ),
+                    .at(100.0, flap(4, 45.0))
+                    .at(240.0, flap(5, 45.0))
+                    .random(0.08, 30.0, flap(2, 20.0)),
                 ..base
             },
             "slow-start-storm" => ChaosScenario {
-                name: name.to_string(),
                 plan: FaultPlan::new()
                     .at(30.0, FaultKind::StartupDelay { extra_secs: 245.0 })
                     .at(30.0, FaultKind::WarmupStall { extra_secs: 60.0 })
-                    .at(
-                        60.0,
-                        FaultKind::CorrelatedRevocation {
-                            markets: vec![1, 2],
-                            warning_secs: None,
-                        },
-                    ),
+                    .at(60.0, storm(None)),
                 ..base
             },
             other => panic!("unknown chaos scenario {other:?}; known: {NAMED_SCENARIOS:?}"),
@@ -553,268 +483,143 @@ impl ChaosScenario {
         // arrival process is draw-order-free (see `crate::rng`).
         let gaps = CounterStream::new(self.seed, stream_id(DOMAIN_SCENARIO_GAP, 0));
         let sink = self.telemetry.clone();
-        let mut lb = LoadBalancer::new(LoadBalancerConfig {
-            transiency_aware: self.transiency_aware,
-            admission_control: true,
-            max_utilization: 0.98,
-            max_delay_secs: 2.0,
-            service_secs: self.service_secs,
-        });
-        lb.set_telemetry(sink.clone());
-        let mut services: Vec<ServiceModel> = Vec::new();
-        // Latest death time of each backend slot (flapped backends may
-        // resurrect; the completion handler needs the last death to
-        // classify in-flight work that spans it).
-        let mut death_time: Vec<Option<f64>> = Vec::new();
+        let mut cluster = Cluster::new(
+            LoadBalancerConfig {
+                transiency_aware: self.transiency_aware,
+                admission_control: true,
+                max_utilization: 0.98,
+                max_delay_secs: 2.0,
+                service_secs: self.service_secs,
+            },
+            self.service_secs,
+            self.startup_secs,
+            self.warmup_secs,
+            sink.clone(),
+        );
         for s in &self.servers {
-            lb.add_backend_up(s.market, s.capacity_rps);
-            services.push(ServiceModel::new(s.capacity_rps, self.service_secs, 0.0));
-            death_time.push(None);
+            cluster.bootstrap(s.market, s.capacity_rps);
         }
 
         let mut queue = EventQueue::new();
         queue.set_telemetry(sink.clone());
         let mut recorder = LatencyRecorder::new(self.bucket_secs, self.duration_secs);
-        let mut checker = InvariantChecker::new();
-        let mut next_request: u64 = 0;
         let mut migrated: u64 = 0;
-        let mut lost: u64 = 0;
         let mut warnings: u32 = 0;
         let mut deaths: u32 = 0;
         let mut flaps: u32 = 0;
-        let mut faults_fired: usize = 0;
-        // StartupDelay / WarmupStall accumulate into these.
-        let mut extra_startup = 0.0;
-        let mut extra_warmup = 0.0;
 
-        let first = gaps.exp_at(0, self.arrival_rps);
         queue.schedule(
-            first,
+            gaps.exp_at(0, self.arrival_rps),
             Event::Arrival {
                 request: 0,
                 session: 0,
             },
         );
-        next_request += 1;
-
         for (i, f) in timeline.iter().enumerate() {
             queue.schedule(f.at_secs, Event::FaultTrigger { fault: i });
         }
+        let replace = |cluster: &mut Cluster, queue: &mut EventQueue, dying: usize, now: f64| {
+            let (backend, booted_at) = cluster.replace(dying, now);
+            queue.schedule(booted_at, Event::ServerReady { backend });
+        };
 
+        // The run drains the queue completely: arrivals stop at
+        // `duration_secs`, after which the backlog finishes serving so
+        // every request gets its latency (or drop) recorded.
         while let Some((now, event)) = queue.pop() {
             sink.set_clock(now);
             match event {
                 Event::Arrival { request, session } => {
-                    lb.tick(now);
-                    checker.on_arrival();
-                    match lb.route(Some(session), now) {
-                        RouteOutcome::Routed(b) => {
-                            checker.on_route(&lb, b, now);
-                            let done = services[b].admit(now);
-                            queue.schedule(
-                                done,
-                                Event::Completion {
-                                    request,
-                                    backend: b,
-                                    arrived: now,
-                                },
-                            );
-                        }
-                        RouteOutcome::Dropped => {
-                            checker.on_dropped_at_admission();
-                            recorder.record_drop(now);
-                        }
+                    cluster.tick(now);
+                    match cluster.admit(session, now) {
+                        Some((backend, done)) => queue.schedule(
+                            done,
+                            Event::Completion {
+                                request,
+                                backend,
+                                arrived: now,
+                            },
+                        ),
+                        None => recorder.record_drop(now),
                     }
-                    checker.check_tick(&lb, now);
-                    if request + 1 == next_request {
-                        let t_next = now + gaps.exp_at(next_request, self.arrival_rps);
-                        if t_next <= self.duration_secs {
-                            let session = next_request % self.sessions;
-                            queue.schedule(
-                                t_next,
-                                Event::Arrival {
-                                    request: next_request,
-                                    session,
-                                },
-                            );
-                            next_request += 1;
-                        }
+                    cluster.audit(now);
+                    // Self-scheduling generator: each arrival spawns the
+                    // next one, until the horizon.
+                    let next = request + 1;
+                    let t_next = now + gaps.exp_at(next, self.arrival_rps);
+                    if t_next <= self.duration_secs {
+                        queue.schedule(
+                            t_next,
+                            Event::Arrival {
+                                request: next,
+                                session: next % self.sessions,
+                            },
+                        );
                     }
                 }
                 Event::Completion {
                     request: _,
                     backend,
                     arrived,
-                } => {
-                    match death_time[backend] {
-                        // The server died while this request was in
-                        // flight (admitted before the death, finishing
-                        // after — a restore in between does not save
-                        // it).
-                        Some(d) if d < now && d >= arrived => {
-                            recorder.record_drop(arrived);
-                            checker.on_dropped_in_flight();
-                            sink.count(names::REQUESTS_KILLED_IN_FLIGHT_TOTAL, 1);
-                        }
-                        _ => {
-                            recorder.record(arrived, now - arrived);
-                            lb.complete(backend, None);
-                            checker.on_served();
-                            sink.count(names::REQUESTS_SERVED_TOTAL, 1);
-                            sink.observe(names::REQUEST_LATENCY_SECONDS, now - arrived);
-                        }
-                    }
-                }
+                } => match cluster.complete(backend, arrived, now) {
+                    Some(latency) => recorder.record(arrived, latency),
+                    None => recorder.record_drop(arrived),
+                },
                 Event::RevocationWarning {
                     backend,
                     warning_secs,
                 } => {
                     warnings += 1;
-                    let report = lb.revocation_warning(backend, now, warning_secs);
-                    migrated += report.migrated_sessions as u64;
+                    migrated += cluster.warn(backend, now, warning_secs) as u64;
                     queue.schedule(now + warning_secs, Event::ServerDeath { backend });
                     if self.replacement == Replacement::OnWarning {
-                        self.spawn_replacement(
-                            backend,
-                            now,
-                            extra_startup,
-                            extra_warmup,
-                            &mut lb,
-                            &mut services,
-                            &mut death_time,
-                            &mut queue,
-                        );
+                        replace(&mut cluster, &mut queue, backend, now);
                     }
                 }
                 Event::ServerDeath { backend } => {
                     deaths += 1;
-                    lost += lb.server_died(backend, now) as u64;
-                    death_time[backend] = Some(now);
-                    services[backend].kill(now);
+                    cluster.kill(backend, now);
                     if self.replacement == Replacement::OnDeath {
-                        self.spawn_replacement(
-                            backend,
-                            now,
-                            extra_startup,
-                            extra_warmup,
-                            &mut lb,
-                            &mut services,
-                            &mut death_time,
-                            &mut queue,
-                        );
+                        replace(&mut cluster, &mut queue, backend, now);
                     }
                 }
-                Event::ServerReady { backend } => {
-                    lb.tick(now);
-                    let _ = backend;
-                }
-                Event::BackendRestore { backend } => {
-                    lb.restore_backend(backend, now, self.warmup_secs + extra_warmup);
-                    services[backend] = ServiceModel::new(
-                        lb.backends()[backend].capacity_rps,
-                        self.service_secs,
-                        now + self.warmup_secs + extra_warmup,
-                    );
-                }
+                Event::ServerReady { .. } => cluster.tick(now),
+                Event::BackendRestore { backend } => cluster.restore(backend, now),
                 Event::FaultTrigger { fault } => {
-                    faults_fired += 1;
-                    if sink.is_enabled() {
-                        let (kind, detail) = match &timeline[fault].kind {
-                            FaultKind::CorrelatedRevocation {
-                                markets,
-                                warning_secs,
-                            } => (
-                                "correlated_revocation",
-                                match warning_secs {
-                                    // spotweb-lint: allow(no-float-display-in-renderers) -- debug list rendering in a golden-locked trace detail
-                                    Some(w) => format!("markets {markets:?} warning {w}s"),
-                                    // spotweb-lint: allow(no-float-display-in-renderers) -- debug list rendering in a golden-locked trace detail
-                                    None => format!("markets {markets:?} default warning"),
-                                },
-                            ),
-                            FaultKind::BackendFlap { target, down_secs } => (
-                                "backend_flap",
-                                format!("backend {target} down {down_secs}s"),
-                            ),
-                            FaultKind::PriceShock { .. } => {
-                                ("price_shock", "ignored (no market in cluster)".to_string())
-                            }
-                            FaultKind::StartupDelay { extra_secs } => {
-                                ("startup_delay", format!("+{extra_secs}s boot"))
-                            }
-                            FaultKind::WarmupStall { extra_secs } => {
-                                ("warmup_stall", format!("+{extra_secs}s warmup"))
-                            }
-                        };
-                        sink.emit_at(
-                            now,
-                            TraceEvent::FaultInjected {
-                                fault: kind.to_string(),
-                                detail,
-                            },
-                        );
-                    }
-                    match &timeline[fault].kind {
+                    let kind = &timeline[fault].kind;
+                    cluster.inject(now, kind, "backend");
+                    match kind {
                         FaultKind::CorrelatedRevocation {
                             markets,
                             warning_secs,
                         } => {
-                            let w = warning_secs.unwrap_or(self.warning_secs);
-                            let victims: Vec<usize> = lb
-                                .backends()
-                                .iter()
-                                .filter(|b| {
-                                    markets.contains(&b.market)
-                                        && matches!(
-                                            b.state,
-                                            BackendState::Up | BackendState::Starting { .. }
-                                        )
-                                })
-                                .map(|b| b.id)
-                                .collect();
-                            for id in victims {
+                            let warning_secs = warning_secs.unwrap_or(self.warning_secs);
+                            for backend in cluster.serving_in(markets) {
                                 queue.schedule(
                                     now,
                                     Event::RevocationWarning {
-                                        backend: id,
-                                        warning_secs: w,
+                                        backend,
+                                        warning_secs,
                                     },
                                 );
                             }
                         }
                         FaultKind::BackendFlap { target, down_secs } => {
-                            let id = *target;
-                            let flappable = id < lb.backends().len()
-                                && matches!(
-                                    lb.backends()[id].state,
-                                    BackendState::Up | BackendState::Starting { .. }
-                                );
-                            if flappable {
+                            let backend = *target;
+                            if cluster.flap(backend, now) {
                                 flaps += 1;
-                                lost += lb.server_died(id, now) as u64;
-                                death_time[id] = Some(now);
-                                services[id].kill(now);
-                                queue.schedule(
-                                    now + down_secs,
-                                    Event::BackendRestore { backend: id },
-                                );
+                                queue.schedule(now + down_secs, Event::BackendRestore { backend });
                             }
                         }
-                        FaultKind::StartupDelay { extra_secs } => {
-                            extra_startup += extra_secs;
-                        }
-                        FaultKind::WarmupStall { extra_secs } => {
-                            extra_warmup += extra_secs;
-                        }
-                        // No market in the cluster scenario; the
-                        // full-stack runner applies price shocks.
-                        FaultKind::PriceShock { .. } => {}
+                        // Stalls are applied by `inject`; there is no
+                        // market here for a price shock to move.
+                        _ => {}
                     }
                 }
             }
         }
 
-        checker.check_drained();
+        let (stats, checker) = cluster.finish();
         let (served, dropped) = recorder.totals();
         ChaosReport {
             scenario: self.name.clone(),
@@ -827,51 +632,18 @@ impl ChaosScenario {
             p90: recorder.overall_percentile(90.0),
             p99: recorder.overall_percentile(99.0),
             migrated_sessions: migrated,
-            lost_sessions: lost,
-            admission_rejections: lb.stats().admission_rejections,
+            lost_sessions: stats.sessions_lost,
+            admission_rejections: stats.admission_rejections,
             revocation_warnings: warnings,
             server_deaths: deaths,
             backend_flaps: flaps,
-            faults_fired,
+            // Every compiled fault lies inside the horizon, and the
+            // queue drained: they all fired.
+            faults_fired: timeline.len(),
             invariant_violations: checker.violations().to_vec(),
             invariant_violation_count: checker.violation_count(),
             buckets: recorder.all_stats(),
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_replacement(
-        &self,
-        dying: usize,
-        now: f64,
-        extra_startup: f64,
-        extra_warmup: f64,
-        lb: &mut LoadBalancer,
-        services: &mut Vec<ServiceModel>,
-        death_time: &mut Vec<Option<f64>>,
-        queue: &mut EventQueue,
-    ) {
-        let market = lb.backends()[dying].market;
-        let capacity = lb.backends()[dying].capacity_rps;
-        let startup = self.startup_secs + extra_startup;
-        let warmup = self.warmup_secs + extra_warmup;
-        let id = lb.add_backend(market, capacity, now, startup, warmup);
-        self.telemetry.emit_at(
-            now,
-            TraceEvent::ReplacementStarted {
-                replaces: dying,
-                backend: id,
-                market,
-                ready_at: now + startup + warmup,
-            },
-        );
-        services.push(ServiceModel::new(
-            capacity,
-            self.service_secs,
-            now + startup + warmup,
-        ));
-        death_time.push(None);
-        queue.schedule(now + startup, Event::ServerReady { backend: id });
     }
 }
 
@@ -933,49 +705,38 @@ impl ChaosReport {
     pub fn to_json_pretty(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"scenario\": {},\n",
-            json_string(&self.scenario)
-        ));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!(
-            "  \"transiency_aware\": {},\n",
-            self.transiency_aware
-        ));
-        out.push_str(&format!("  \"served\": {},\n", self.served));
-        out.push_str(&format!("  \"dropped\": {},\n", self.dropped));
-        out.push_str(&format!(
-            "  \"drop_fraction\": {},\n",
-            json_f64(self.drop_fraction)
-        ));
-        out.push_str(&format!("  \"p50\": {},\n", json_f64(self.p50)));
-        out.push_str(&format!("  \"p90\": {},\n", json_f64(self.p90)));
-        out.push_str(&format!("  \"p99\": {},\n", json_f64(self.p99)));
-        out.push_str(&format!(
-            "  \"migrated_sessions\": {},\n",
-            self.migrated_sessions
-        ));
-        out.push_str(&format!("  \"lost_sessions\": {},\n", self.lost_sessions));
-        out.push_str(&format!(
-            "  \"admission_rejections\": {},\n",
-            self.admission_rejections
-        ));
-        out.push_str(&format!(
-            "  \"revocation_warnings\": {},\n",
-            self.revocation_warnings
-        ));
-        out.push_str(&format!("  \"server_deaths\": {},\n", self.server_deaths));
-        out.push_str(&format!("  \"backend_flaps\": {},\n", self.backend_flaps));
-        out.push_str(&format!("  \"faults_fired\": {},\n", self.faults_fired));
-        out.push_str(&format!("  \"invariants_ok\": {},\n", self.invariants_ok()));
-        out.push_str("  \"invariant_violations\": [");
-        for (i, v) in self.invariant_violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(v));
-        }
-        out.push_str("],\n");
+        let mut field = |key: &str, value: String| {
+            out.push_str(&format!("  \"{key}\": {value},\n"));
+        };
+        field("scenario", json_string(&self.scenario));
+        field("seed", self.seed.to_string());
+        field("transiency_aware", self.transiency_aware.to_string());
+        field("served", self.served.to_string());
+        field("dropped", self.dropped.to_string());
+        field("drop_fraction", json_f64(self.drop_fraction));
+        field("p50", json_f64(self.p50));
+        field("p90", json_f64(self.p90));
+        field("p99", json_f64(self.p99));
+        field("migrated_sessions", self.migrated_sessions.to_string());
+        field("lost_sessions", self.lost_sessions.to_string());
+        field(
+            "admission_rejections",
+            self.admission_rejections.to_string(),
+        );
+        field("revocation_warnings", self.revocation_warnings.to_string());
+        field("server_deaths", self.server_deaths.to_string());
+        field("backend_flaps", self.backend_flaps.to_string());
+        field("faults_fired", self.faults_fired.to_string());
+        field("invariants_ok", self.invariants_ok().to_string());
+        let violations: Vec<String> = self
+            .invariant_violations
+            .iter()
+            .map(|v| json_string(v))
+            .collect();
+        field(
+            "invariant_violations",
+            format!("[{}]", violations.join(", ")),
+        );
         out.push_str("  \"buckets\": [\n");
         for (i, b) in self.buckets.iter().enumerate() {
             out.push_str(&format!(

@@ -16,17 +16,24 @@
 //! * [`metrics`] — per-time-bucket latency distributions (quartiles /
 //!   p90 / p99), drop and migration counters — the data behind the
 //!   Fig. 4(a) boxplot.
-//! * [`scenario`] — end-to-end scenarios driving `spotweb-lb`:
-//!   [`scenario::FailoverScenario`] reproduces the Fig. 4(a)
-//!   experiment (6-server heterogeneous cluster, ~600 req/s, induced
-//!   correlated revocation at t ≈ 3 min, reactive replacement within
-//!   the warning window) for both the transiency-aware and vanilla
-//!   balancers.
+//! * [`cluster`] — the request-level mechanism, implemented once:
+//!   [`cluster::Cluster`] owns the balancer, the per-backend service
+//!   queues and the invariant checker, and is the only code that
+//!   admits an arrival, resolves a completion (the kill rule), or
+//!   kills, flaps, restores, retires and provisions a backend. Two
+//!   *schedulers* drive it: [`faults::ChaosScenario`] (exact-time
+//!   events on [`engine`]) and [`runner`] (interval-batched control,
+//!   completions on [`calendar`]).
 //! * [`faults`] — the deterministic fault-injection harness:
 //!   seed-compiled [`faults::FaultPlan`]s (correlated revocations,
 //!   zero-warning kills, backend flaps, price shocks, startup/warmup
-//!   stalls), the invariant-audited [`faults::ChaosScenario`] runner,
+//!   stalls), the invariant-audited [`faults::ChaosScenario`] loop,
 //!   and the named chaos scenarios the regression suite replays.
+//! * [`scenario`] — [`scenario::FailoverScenario`], the Fig. 4(a)
+//!   experiment (6-server heterogeneous cluster, ~600 req/s, induced
+//!   correlated revocation at t ≈ 3 min, reactive replacement within
+//!   the warning window) for both the transiency-aware and vanilla
+//!   balancers — a configuration of the chaos loop, not a loop.
 //! * [`sweep`] — the deterministic parallel sweep engine: fan a grid
 //!   of independent (policy, scenario, seed) runs across
 //!   `std::thread::scope` workers with byte-identical output at any
@@ -47,6 +54,7 @@
 #![deny(missing_docs)]
 
 pub mod calendar;
+pub mod cluster;
 pub mod engine;
 pub mod faults;
 pub mod metrics;

@@ -2,40 +2,29 @@
 //! balancer + request-level simulation, wired together the way the
 //! paper's Fig. 2 architecture runs in production.
 //!
-//! Per decision interval the runner:
-//! 1. advances the market (prices, failure probabilities),
-//! 2. asks the policy for the next fleet (server counts per market),
-//! 3. reconciles the cluster — boots new servers (startup + cache
-//!    warm-up), gracefully decommissions surplus ones,
-//! 4. programs the balancer's WRR weights from the portfolio,
-//! 5. samples revocations; victims get a warning, then die,
-//! 6. generates Poisson request traffic at the trace's rate and runs
-//!    it through the balancer into per-server service queues,
-//! 7. accounts cost (per-second billing at current prices) and
-//!    latency/drop metrics.
+//! This is the *interval-batched* scheduler over the shared
+//! [`Cluster`] mechanism (the exact-time one is
+//! [`crate::faults::ChaosScenario`]). Per decision interval it:
+//! 1. applies the interval's faults and advances the market (prices,
+//!    failure probabilities),
+//! 2. asks the policy for the next fleet and reconciles the cluster to
+//!    it — boots new servers, gracefully decommissions surplus ones,
+//!    programs the WRR weights, enforces the provider lifetime cap,
+//! 3. samples revocations; victims get a warning and a replacement,
+//!    then die,
+//! 4. runs Poisson traffic at the trace's rate through the cluster;
+//!    pending deaths, flaps and restores fire lazily, when an arrival
+//!    crosses their time, so the loop computes the earliest pending
+//!    control timepoint once and runs arrivals up to it touching only
+//!    the cluster and the completion calendar (every balancer read in
+//!    that tight loop is time-lazy, so deferring `tick` and the full
+//!    invariant sweep to control timepoints is unobservable),
+//! 5. settles: drains due completions, accounts cost (per-second
+//!    billing at current prices), rolls up telemetry.
 //!
-//! The interval length is configurable; request-level simulation is
-//! O(requests), and the request loop is built so the per-request
-//! constant stays small enough for day- and week-scale runs at paper
-//! rates (§5's 20 krps Wikipedia trace) — see DESIGN.md's "Hot-path
-//! architecture". Three things keep the per-arrival cost down, all
-//! byte-identical to the straightforward structure they replaced:
-//!
-//! * **Control-event batching** — pending deaths, flaps, and restores
-//!   fire lazily at arrival times, so the loop computes the earliest
-//!   pending control timepoint once and runs arrivals up to it in a
-//!   tight loop touching only the balancer, the service queues, and
-//!   the completion calendar. Control scans, `LoadBalancer::tick`,
-//!   and the full invariant sweep run at control timepoints and
-//!   interval boundaries (every balancer read the tight loop performs
-//!   is time-lazy, so deferring `tick` is unobservable).
-//! * **Allocation-free queues** — [`ServiceModel`] runs on a fixed
-//!   slot array, and the global completion queue is a
-//!   [`crate::calendar::CalendarQueue`] (O(1) push/pop in the old
-//!   heap's exact total order).
-//! * **Interned counters** — per-request counters use
-//!   [`CounterHandle`]s resolved once per run instead of string-keyed
-//!   registry lookups per event.
+//! Request-level simulation is O(requests); DESIGN.md's "Hot-path
+//! architecture" covers what keeps the per-request constant small
+//! enough for week-scale runs at paper rates (§5's 20 krps trace).
 //!
 //! Arrivals are drawn from the counter-based, draw-order-free
 //! [`crate::rng`] generator, keyed per decision interval — which is
@@ -44,18 +33,18 @@
 //! output at any shard count (see [`crate::shard`] for the pipeline
 //! and the invariance argument).
 
-use spotweb_lb::{BackendState, LoadBalancer, LoadBalancerConfig, MonitorWindow, RouteOutcome};
+use spotweb_lb::{LoadBalancerConfig, MonitorWindow};
 use spotweb_market::billing::{BillingLedger, BillingModel, CostMeter};
 use spotweb_market::CloudSim;
-use spotweb_telemetry::{names, prof, CounterHandle, TelemetrySink, TraceEvent};
+use spotweb_telemetry::{names, prof, TelemetrySink, TraceEvent};
 use spotweb_workload::Trace;
 
 use crate::calendar::CalendarQueue;
-use crate::faults::{FaultKind, FaultPlan, InvariantChecker};
+use crate::cluster::Cluster;
+use crate::faults::{FaultKind, FaultPlan, FaultSpec};
 use crate::metrics::LatencyRecorder;
-use crate::service::ServiceModel;
 use crate::shard::{
-    ArrivalPipeline, ArrivalSupply, DeferredObs, DirectObs, FoldWorker, InlineArrivals, ObsSink,
+    ArrivalPipeline, ArrivalSupply, DeferredObs, FoldWorker, InlineArrivals, ObsSink,
     PipelineArrivals, WindowArrivals, WindowSpec,
 };
 
@@ -176,7 +165,7 @@ pub struct RunnerReport {
     /// Compiled faults that fired (0 without a plan).
     pub faults_fired: usize,
     /// Invariant violations the checker observed (empty on a healthy
-    /// run; see [`InvariantChecker`]).
+    /// run; see [`crate::faults::InvariantChecker`]).
     pub invariant_violations: Vec<String>,
 }
 
@@ -214,9 +203,6 @@ pub fn run_full_stack_observed(
     prof::scope!(names::SPAN_RUNNER_RUN);
     let horizon = config.interval_secs * config.intervals as f64;
     let recorder = LatencyRecorder::new(config.interval_secs, horizon);
-    let latency_hist = config
-        .telemetry
-        .histogram_handle(names::REQUEST_LATENCY_SECONDS);
     if config.shards <= 1 {
         // Inline mode: arrivals generate lazily on this thread (no
         // batch ever materializes — day-scale windows are tens of
@@ -225,8 +211,7 @@ pub fn run_full_stack_observed(
             seed: config.seed,
             sessions: config.sessions,
         };
-        let obs = DirectObs::new(recorder, latency_hist);
-        run_loop(policy, cloud, trace, config, on_interval, supply, obs)
+        run_loop(policy, cloud, trace, config, on_interval, supply, recorder)
     } else {
         // Sharded mode: per-interval window specs are fixed up front
         // (the same boundary rate samples the inline path takes), gen
@@ -244,7 +229,7 @@ pub fn run_full_stack_observed(
             .collect();
         let pipeline = ArrivalPipeline::spawn(config.seed, config.sessions, specs, config.shards);
         let supply = PipelineArrivals::new(pipeline);
-        let obs = DeferredObs::new(FoldWorker::spawn(recorder, latency_hist));
+        let obs = DeferredObs::new(FoldWorker::spawn(recorder));
         run_loop(policy, cloud, trace, config, on_interval, supply, obs)
     }
 }
@@ -254,6 +239,12 @@ pub fn run_full_stack_observed(
 /// pipeline/deferred at `shards > 1` — execute the same counter-RNG
 /// draws, the same routing sequence, and the same metrics fold order,
 /// so their reports are byte-identical by construction.
+///
+/// Each interval is six phases over the shared [`Cluster`], named after
+/// the profiler spans they run under: `runner.control_batch` (apply
+/// faults, reconcile the fleet, deliver revocations), then
+/// `runner.arrival_loop` alternating with `runner.control_batch` (fire
+/// due controls), then `runner.drain` / `billing` / `rollup` (settle).
 fn run_loop<S: ArrivalSupply, O: ObsSink>(
     policy: &mut dyn FleetPolicy,
     cloud: &mut CloudSim,
@@ -261,98 +252,11 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
     config: &RunnerConfig,
     on_interval: &mut dyn FnMut(usize, u64),
     mut arrivals: S,
-    mut obs: O,
+    obs: O,
 ) -> RunnerReport {
-    let n_markets = cloud.catalog().len();
     let sink = config.telemetry.clone();
-    let mut lb = LoadBalancer::new(config.lb.clone());
-    lb.set_telemetry(sink.clone());
     cloud.set_telemetry(sink.clone());
-    let mut services: Vec<ServiceModel> = Vec::new();
-    // Latest death ever per backend (never cleared; classifies
-    // in-flight work that spans a death even across a restore).
-    let mut last_death: Vec<Option<f64>> = Vec::new();
-    // Backends per market currently alive (ids into lb).
-    let mut alive: Vec<Vec<usize>> = vec![Vec::new(); n_markets];
-    let horizon = config.interval_secs * config.intervals as f64;
-    // Chaos: the plan compiles once, up front, from the run seed.
-    let timeline = config
-        .faults
-        .as_ref()
-        .map(|p| p.compile(config.seed, horizon))
-        .unwrap_or_default();
-    let mut fault_cursor = 0usize;
-    let mut faults_fired = 0usize;
-    let mut extra_startup = 0.0f64;
-    let mut extra_warmup = 0.0f64;
-    // In-flight flaps: (fire_time, market, down_secs) and scheduled
-    // recoveries (restore_time, backend, market).
-    let mut pending_flaps: Vec<(f64, usize, f64)> = Vec::new();
-    let mut pending_restores: Vec<(f64, usize, usize)> = Vec::new();
-    let mut checker = InvariantChecker::new();
-    let mut meter = CostMeter::new(n_markets, BillingModel::PerSecond);
-    // Event-driven cost accounting: backends enter the ledger when
-    // bought, move to its died list when their death *fires*, and each
-    // interval settles in O(live + died this interval) — same charge
-    // sequence as the old all-backends scan (see `BillingLedger`).
-    let mut billing = BillingLedger::new();
-    let mut revocations = 0u32;
-    let mut relinquished = 0u32;
-    // Birth time per backend, for the provider lifetime cap.
-    let mut born_at: Vec<f64> = Vec::new();
-    let mut fleet_sizes = Vec::with_capacity(config.intervals);
-    // Deferred deaths: (deadline, backend).
-    let mut pending_deaths: Vec<(f64, usize)> = Vec::new();
-    // (completion_time, backend, arrival_time) in a bucketed calendar
-    // queue popping in the exact min-heap order the runner always used
-    // — persists across intervals so work spanning a boundary resolves.
-    // Bucket width: half a base service time, comfortably under the
-    // queue's no-late-insert bound (every completion is scheduled at
-    // least one service time ahead of the clock).
-    let mut completions = CalendarQueue::new(config.service_secs * 0.5);
-    // Interned per-request counters: resolved once here, O(1) in the
-    // hot loop (see spotweb_telemetry::CounterHandle).
-    let served_counter = sink.counter_handle(names::REQUESTS_SERVED_TOTAL);
-    let killed_counter = sink.counter_handle(names::REQUESTS_KILLED_IN_FLIGHT_TOTAL);
-    // Application-level monitoring (§5.2): the policy sees the arrival
-    // rate the balancer *measured*, not the generator's ground truth.
-    let mut monitor = MonitorWindow::new(config.interval_secs);
-    #[allow(clippy::too_many_arguments)]
-    fn drain_completions<O: ObsSink>(
-        upto: f64,
-        completions: &mut CalendarQueue,
-        lb: &mut LoadBalancer,
-        last_death: &[Option<f64>],
-        obs: &mut O,
-        monitor: &mut MonitorWindow,
-        checker: &mut InvariantChecker,
-        served_counter: &CounterHandle,
-        killed_counter: &CounterHandle,
-    ) {
-        while let Some(done) = completions.peek_done() {
-            if done > upto {
-                break;
-            }
-            let (done, b, arrived) = completions.pop().expect("peeked entry");
-            match last_death[b] {
-                // The server died while this request was in flight (a
-                // later restore does not save it).
-                Some(d) if d < done && d >= arrived => {
-                    obs.dropped(arrived);
-                    monitor.record_dropped(arrived);
-                    checker.on_dropped_in_flight();
-                    killed_counter.inc();
-                }
-                _ => {
-                    obs.served(arrived, done - arrived);
-                    monitor.record_served(arrived, done - arrived);
-                    lb.complete(b, None);
-                    checker.on_served();
-                    served_counter.inc();
-                }
-            }
-        }
-    }
+    let mut run = Scheduler::new(config, cloud.catalog().len(), obs);
 
     for interval in 0..config.intervals {
         let t0 = interval as f64 * config.interval_secs;
@@ -365,90 +269,15 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
         // revocation sampling — profiles as one control batch; the
         // guard is dropped just before the arrival loop starts.
         let prof_control = prof::ScopeGuard::enter(names::SPAN_RUNNER_CONTROL_BATCH);
-
-        // Apply this interval's compiled faults. Price shocks land
-        // before the market steps so the tick already quotes them;
-        // forced revocations queue up for the revocation section below
-        // (they need the reconciled fleet); flaps fire at their exact
-        // times inside the request loop.
-        let mut forced_revocations: Vec<(Vec<usize>, Option<f64>)> = Vec::new();
-        while fault_cursor < timeline.len() && timeline[fault_cursor].at_secs < t_end {
-            faults_fired += 1;
-            // Price shocks trace themselves inside the market façade.
-            if sink.is_enabled() {
-                let (fault, detail) = match &timeline[fault_cursor].kind {
-                    FaultKind::PriceShock { .. } => (None, String::new()),
-                    FaultKind::CorrelatedRevocation {
-                        markets,
-                        warning_secs,
-                    } => (
-                        Some("correlated_revocation"),
-                        match warning_secs {
-                            Some(w) => format!("markets {markets:?} warning {w}s"),
-                            None => format!("markets {markets:?} default warning"),
-                        },
-                    ),
-                    FaultKind::StartupDelay { extra_secs } => {
-                        (Some("startup_delay"), format!("+{extra_secs}s boot"))
-                    }
-                    FaultKind::WarmupStall { extra_secs } => {
-                        (Some("warmup_stall"), format!("+{extra_secs}s warmup"))
-                    }
-                    FaultKind::BackendFlap { target, down_secs } => (
-                        Some("backend_flap"),
-                        format!("market {target} down {down_secs}s"),
-                    ),
-                };
-                if let Some(fault) = fault {
-                    sink.emit_at(
-                        timeline[fault_cursor].at_secs.max(t0),
-                        TraceEvent::FaultInjected {
-                            fault: fault.to_string(),
-                            detail,
-                        },
-                    );
-                }
-            }
-            match &timeline[fault_cursor].kind {
-                FaultKind::PriceShock {
-                    market,
-                    multiplier,
-                    hold_intervals,
-                } => {
-                    cloud.inject_price_shock(*market, *multiplier, *hold_intervals);
-                }
-                FaultKind::CorrelatedRevocation {
-                    markets,
-                    warning_secs,
-                } => {
-                    forced_revocations.push((markets.clone(), *warning_secs));
-                }
-                FaultKind::StartupDelay { extra_secs } => {
-                    extra_startup += extra_secs;
-                }
-                FaultKind::WarmupStall { extra_secs } => {
-                    extra_warmup += extra_secs;
-                }
-                FaultKind::BackendFlap { target, down_secs } => {
-                    pending_flaps.push((
-                        timeline[fault_cursor].at_secs.max(t0),
-                        *target,
-                        *down_secs,
-                    ));
-                }
-            }
-            fault_cursor += 1;
-        }
-
+        let forced_revocations = run.apply_interval_faults(cloud, t0, t_end);
         let tick = cloud.step();
         // Interval 0 has no measurements yet; afterwards the policy is
-        // fed the balancer-monitored rate.
+        // fed the balancer-monitored rate (§5.2) — O(1) rolling rates,
+        // the same float as the full snapshot's `arrival_rate`.
         let observed_rps = if interval == 0 {
             trace.rate_at(t0)
         } else {
-            // O(1) rolling rates — same float as the full snapshot's
-            // `arrival_rate`, without sorting the window's latencies.
-            monitor.rates(t0).arrival_rate
+            run.monitor.rates(t0).arrival_rate
         };
         let desired = policy.decide_fleet(
             interval,
@@ -457,403 +286,435 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
             &tick.failure_probs,
             &cloud.history().failure_matrix(),
         );
-        assert_eq!(desired.len(), n_markets, "policy fleet length");
+        run.reconcile_fleet(cloud, &desired, interval == 0, t0);
+        run.deliver_revocations(cloud, forced_revocations, t0);
+        drop(prof_control);
 
-        // Reconcile the cluster.
-        for m in 0..n_markets {
-            let have = alive[m].len() as u32;
-            let want = desired[m];
-            if want > have {
-                for _ in 0..(want - have) {
-                    let cap = cloud.catalog().market(m).capacity_rps();
-                    let startup = config.startup_secs + extra_startup;
-                    let warmup = config.warmup_secs + extra_warmup;
-                    let id = if interval == 0 {
-                        // Bootstrap instantly so the run starts serving.
-                        lb.add_backend_up(m, cap)
-                    } else {
-                        lb.add_backend(m, cap, t0, startup, warmup)
-                    };
-                    let warm_until = if interval == 0 {
-                        0.0
-                    } else {
-                        t0 + startup + warmup
-                    };
-                    services.push(ServiceModel::new(cap, config.service_secs, warm_until));
-                    last_death.push(None);
-                    born_at.push(t0);
-                    billing.add(id, m);
-                    alive[m].push(id);
-                }
-            } else if have > want {
-                for _ in 0..(have - want) {
-                    if let Some(id) = alive[m].pop() {
-                        lb.decommission(id, t0);
-                        // A decommissioned server keeps serving (as a
-                        // drain-fallback) until any replacement capacity
-                        // started this interval is warmed up — releasing
-                        // it earlier would open a gap on market switches.
-                        let linger = t0
-                            + config.startup_secs
-                            + config.warmup_secs
-                            + 50.0 * config.service_secs;
-                        pending_deaths.push((linger, id));
-                    }
-                }
-            }
-        }
-
-        // Program WRR weights proportional to per-market capacity share.
-        let cap_share: Vec<f64> = {
-            let caps: Vec<f64> = (0..n_markets)
-                .map(|m| alive[m].len() as f64 * cloud.catalog().market(m).capacity_rps())
-                .collect();
-            let total: f64 = caps.iter().sum();
-            if total > 0.0 {
-                caps.iter().map(|c| c / total).collect()
-            } else {
-                vec![0.0; n_markets]
-            }
-        };
-        lb.update_portfolio_weights(&cap_share, t0);
-
-        // Provider lifetime cap (§7): relinquish servers that would hit
-        // the cap this interval, replacing them proactively so the
-        // graceful drain overlaps the replacement's startup.
-        if let Some(cap_secs) = config.max_lifetime_secs {
-            for (m, alive_m) in alive.iter_mut().enumerate() {
-                let mut idx = 0;
-                while idx < alive_m.len() {
-                    let id = alive_m[idx];
-                    if t0 + config.interval_secs - born_at[id] >= cap_secs {
-                        alive_m.remove(idx);
-                        relinquished += 1;
-                        lb.decommission(id, t0);
-                        let linger = t0
-                            + config.startup_secs
-                            + config.warmup_secs
-                            + 50.0 * config.service_secs;
-                        pending_deaths.push((linger, id));
-                        let cap_rps = cloud.catalog().market(m).capacity_rps();
-                        let startup = config.startup_secs + extra_startup;
-                        let warmup = config.warmup_secs + extra_warmup;
-                        let new_id = lb.add_backend(m, cap_rps, t0, startup, warmup);
-                        sink.emit_at(
-                            t0,
-                            TraceEvent::ReplacementStarted {
-                                replaces: id,
-                                backend: new_id,
-                                market: m,
-                                ready_at: t0 + startup + warmup,
-                            },
-                        );
-                        services.push(ServiceModel::new(
-                            cap_rps,
-                            config.service_secs,
-                            t0 + startup + warmup,
-                        ));
-                        last_death.push(None);
-                        born_at.push(t0);
-                        billing.add(new_id, m);
-                        alive_m.push(new_id);
-                    } else {
-                        idx += 1;
-                    }
-                }
-            }
-        }
-
-        // Sample revocations for this interval; victims drain then die.
-        let fleet: Vec<u32> = alive.iter().map(|v| v.len() as u32).collect();
-        fleet_sizes.push(fleet.iter().sum());
-        let events = cloud.sample_revocations(&fleet);
-        let warning = cloud.warning_secs();
-        for e in &events {
-            if alive[e.market].is_empty() {
-                continue;
-            }
-            let pos = e.server_index % alive[e.market].len();
-            let id = alive[e.market].remove(pos);
-            revocations += 1;
-            lb.revocation_warning(id, t0, warning);
-            pending_deaths.push((t0 + warning, id));
-            // Reactive reprovisioning (§4.4): request a same-capacity
-            // replacement the moment the warning arrives, so it is
-            // serving before (or shortly after) the victim dies.
-            let cap = cloud.catalog().market(e.market).capacity_rps();
-            let startup = config.startup_secs + extra_startup;
-            let warmup = config.warmup_secs + extra_warmup;
-            let new_id = lb.add_backend(e.market, cap, t0, startup, warmup);
-            sink.emit_at(
-                t0,
-                TraceEvent::ReplacementStarted {
-                    replaces: id,
-                    backend: new_id,
-                    market: e.market,
-                    ready_at: t0 + startup + warmup,
-                },
-            );
-            services.push(ServiceModel::new(
-                cap,
-                config.service_secs,
-                t0 + startup + warmup,
-            ));
-            last_death.push(None);
-            born_at.push(t0);
-            billing.add(new_id, e.market);
-            alive[e.market].push(new_id);
-        }
-
-        // Injected correlated revocations (chaos): every alive server
-        // in the targeted markets gets a warning — optionally shorter
-        // than the provider default — plus a reactive replacement, same
-        // as a sampled revocation.
-        for (markets, w_opt) in forced_revocations.drain(..) {
-            let w = w_opt.unwrap_or(warning);
-            for &m in &markets {
-                for id in std::mem::take(&mut alive[m]) {
-                    revocations += 1;
-                    lb.revocation_warning(id, t0, w);
-                    pending_deaths.push((t0 + w, id));
-                    let cap = cloud.catalog().market(m).capacity_rps();
-                    let startup = config.startup_secs + extra_startup;
-                    let warmup = config.warmup_secs + extra_warmup;
-                    let new_id = lb.add_backend(m, cap, t0, startup, warmup);
-                    sink.emit_at(
-                        t0,
-                        TraceEvent::ReplacementStarted {
-                            replaces: id,
-                            backend: new_id,
-                            market: m,
-                            ready_at: t0 + startup + warmup,
-                        },
-                    );
-                    services.push(ServiceModel::new(
-                        cap,
-                        config.service_secs,
-                        t0 + startup + warmup,
-                    ));
-                    last_death.push(None);
-                    born_at.push(t0);
-                    billing.add(new_id, m);
-                    alive[m].push(new_id);
-                }
-            }
-        }
-
-        // Request-level simulation of the interval. Completions are
-        // real events so the balancer's in-flight counts (and with
-        // them saturation detection, least-utilized fallback and
-        // admission control) reflect genuine queue depth.
-        //
-        // Control events — deaths, flaps, restores — have always fired
-        // lazily at arrival times, so instead of scanning the pending
-        // lists per arrival the loop computes the earliest pending
-        // control timepoint and runs arrivals up to it in a tight loop
-        // that touches only the balancer, the service queues, and the
-        // completion calendar. The control scans, `lb.tick`, and the
-        // full invariant sweep run when an arrival crosses that
-        // timepoint (every balancer read below is time-lazy, so the
-        // deferred `tick` is unobservable — states promote on read).
-        //
         // Arrivals follow the *true* trace rate (the generator is the
         // outside world; only the policy sees measurements); the rate
         // is constant within the interval, so it is sampled once. The
         // supply yields the interval's arrivals in time order — the
         // identical counter-RNG walk whether generated lazily here
         // (`shards = 1`) or pre-computed by the gen pool.
-        drop(prof_control);
         let rate = trace.rate_at(t0).max(1e-6);
         let mut window = arrivals.window(interval, WindowSpec { t0, t_end, rate });
-        let mut next_arrival = window.next();
-        while next_arrival.is_some() {
-            // Earliest pending control timepoint in this interval.
-            let mut next_control = t_end;
-            for &(deadline, _) in &pending_deaths {
-                next_control = next_control.min(deadline);
+        let mut pending = window.next();
+        while let Some(arrival) = pending {
+            pending = run.arrival_phase(&mut window, arrival, t_end);
+            if let Some((now, _)) = pending {
+                run.fire_due_controls(now);
             }
-            for &(fire_time, _, _) in &pending_flaps {
-                next_control = next_control.min(fire_time);
-            }
-            for &(restore_time, _, _) in &pending_restores {
-                next_control = next_control.min(restore_time);
-            }
+        }
+        run.settle_interval(interval, &tick.prices, observed_rps);
+        sink.set_clock(t_end);
+        sink.span_end(span, "interval");
+        let stats = run.cluster.stats();
+        on_interval(interval, stats.routed + stats.dropped);
+    }
+    run.finish()
+}
 
-            // The tight arrival run: no control is due before
-            // `next_control`, so the per-arrival scans would all no-op.
-            // One profiling span per batch (not per arrival): in-loop
-            // completion drains are accounted to the batch, and the
-            // per-request `lb.route` span nests inside it. The block
-            // closes the span before the control-timepoint work below.
-            {
-                prof::scope!(names::SPAN_RUNNER_ARRIVAL_LOOP);
-                while let Some((now, session)) = next_arrival {
-                    if now >= next_control {
-                        break;
-                    }
-                    drain_completions(
-                        now,
-                        &mut completions,
-                        &mut lb,
-                        &last_death,
-                        &mut obs,
-                        &mut monitor,
-                        &mut checker,
-                        &served_counter,
-                        &killed_counter,
-                    );
-                    checker.on_arrival();
-                    match lb.route(Some(session), now) {
-                        RouteOutcome::Routed(b) => {
-                            checker.on_route(&lb, b, now);
-                            let done = services[b].admit(now);
-                            completions.push(done, b, now);
-                        }
-                        RouteOutcome::Dropped => {
-                            checker.on_dropped_at_admission();
-                            obs.dropped(now);
-                            monitor.record_dropped(now);
-                        }
-                    }
-                    next_arrival = window.next();
-                }
-            }
-            let Some((now, _)) = next_arrival else {
+/// The full-stack scheduler's state: the [`Cluster`] mechanism plus
+/// what only this scheduler needs — the per-market fleet, billing, the
+/// monitor the policy reads, the completion calendar, and the control
+/// events waiting for an arrival to cross their time.
+struct Scheduler<'a, O: ObsSink> {
+    config: &'a RunnerConfig,
+    cluster: Cluster,
+    obs: O,
+    /// Backends per market currently alive (neither warned,
+    /// decommissioned nor down).
+    alive: Vec<Vec<usize>>,
+    /// Birth time per backend id, for the provider lifetime cap.
+    born_at: Vec<f64>,
+    meter: CostMeter,
+    /// Event-driven cost accounting: a backend is billed from when it
+    /// is bought until its death *fires* (see `BillingLedger`).
+    billing: BillingLedger,
+    /// Application-level monitoring (§5.2): the policy sees the arrival
+    /// rate the balancer *measured*, not the generator's ground truth.
+    monitor: MonitorWindow,
+    /// `(completion_time, backend, arrival_time)` in the min-heap order
+    /// the runner always used; persists across intervals so work
+    /// spanning a boundary resolves.
+    completions: CalendarQueue,
+    /// The fault plan, compiled once from the run seed; `fault_cursor`
+    /// is the first entry not yet applied.
+    timeline: Vec<FaultSpec>,
+    fault_cursor: usize,
+    /// Deferred deaths `(deadline, backend)`, flaps `(fire_time,
+    /// market, down_secs)` and recoveries `(restore_time, backend,
+    /// market)`.
+    pending_deaths: Vec<(f64, usize)>,
+    pending_flaps: Vec<(f64, usize, f64)>,
+    pending_restores: Vec<(f64, usize, usize)>,
+    revocations: u32,
+    relinquished: u32,
+    fleet_sizes: Vec<u32>,
+}
+
+impl<'a, O: ObsSink> Scheduler<'a, O> {
+    fn new(config: &'a RunnerConfig, n_markets: usize, obs: O) -> Self {
+        let horizon = config.interval_secs * config.intervals as f64;
+        Scheduler {
+            config,
+            cluster: Cluster::new(
+                config.lb.clone(),
+                config.service_secs,
+                config.startup_secs,
+                config.warmup_secs,
+                config.telemetry.clone(),
+            ),
+            obs,
+            alive: vec![Vec::new(); n_markets],
+            born_at: Vec::new(),
+            meter: CostMeter::new(n_markets, BillingModel::PerSecond),
+            billing: BillingLedger::new(),
+            monitor: MonitorWindow::new(config.interval_secs),
+            // Bucket width: half a base service time, comfortably under
+            // the queue's no-late-insert bound (every completion is
+            // scheduled at least one service time ahead of the clock).
+            completions: CalendarQueue::new(config.service_secs * 0.5),
+            timeline: config
+                .faults
+                .as_ref()
+                .map(|p| p.compile(config.seed, horizon))
+                .unwrap_or_default(),
+            fault_cursor: 0,
+            pending_deaths: Vec::new(),
+            pending_flaps: Vec::new(),
+            pending_restores: Vec::new(),
+            revocations: 0,
+            relinquished: 0,
+            fleet_sizes: Vec::with_capacity(config.intervals),
+        }
+    }
+
+    /// Apply the compiled faults firing before `t_end`. Price shocks
+    /// land before the market steps so the tick already quotes them
+    /// (and trace themselves inside the market façade); flaps queue up
+    /// to fire at their exact times inside the request loop; forced
+    /// revocations are returned for [`Self::deliver_revocations`] (they
+    /// need the reconciled fleet).
+    fn apply_interval_faults(
+        &mut self,
+        cloud: &mut CloudSim,
+        t0: f64,
+        t_end: f64,
+    ) -> Vec<(Vec<usize>, Option<f64>)> {
+        let mut forced_revocations = Vec::new();
+        while let Some(fault) = self.timeline.get(self.fault_cursor) {
+            if fault.at_secs >= t_end {
                 break;
-            };
-
-            // Control timepoint crossed by the next arrival: fire
-            // everything due, in the order the per-arrival scans
-            // always used (deaths, then flaps, then restores).
-            prof::scope!(names::SPAN_RUNNER_CONTROL_BATCH);
-            pending_deaths.retain(|&(deadline, id)| {
-                if deadline <= now {
-                    lb.server_died(id, deadline);
-                    services[id].kill(deadline);
-                    last_death[id] = Some(deadline);
-                    billing.mark_died(id, deadline);
-                    // Permanent death: compact the corpse out of the
-                    // balancer and free its service queues. Every
-                    // arrival routed to `id` precedes the deadline (the
-                    // arrival loop breaks at the control timepoint), so
-                    // nothing live references the row; completions
-                    // still in the calendar resolve through the
-                    // retire-safe `lb.complete`.
-                    prof::scope!(names::SPAN_RUNNER_COMPACT);
-                    lb.retire(id);
-                    services[id].release();
-                    false
-                } else {
-                    true
-                }
-            });
-            // Chaos flaps: the first alive server of the target market
-            // crashes without warning, then restores after down_secs.
-            pending_flaps.retain(|&(fire_time, market, down_secs)| {
-                if fire_time <= now {
-                    if market < n_markets && !alive[market].is_empty() {
-                        let id = alive[market].remove(0);
-                        lb.server_died(id, fire_time);
-                        services[id].kill(fire_time);
-                        last_death[id] = Some(fire_time);
-                        // A flap is a temporary death: the backend is
-                        // NOT retired (its restore is already
-                        // scheduled), but billing stops at fire time
-                        // unless the restore lands in the same interval.
-                        billing.mark_died(id, fire_time);
-                        pending_restores.push((fire_time + down_secs, id, market));
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-            let mut restored: Vec<(f64, usize, usize)> = Vec::new();
-            pending_restores.retain(|&(restore_time, id, market)| {
-                if restore_time <= now {
-                    restored.push((restore_time, id, market));
-                    false
-                } else {
-                    true
-                }
-            });
-            for (restore_time, id, market) in restored {
-                let warmup = config.warmup_secs + extra_warmup;
-                lb.restore_backend(id, restore_time, warmup);
-                billing.restore(id, market);
-                let cap = cloud.catalog().market(market).capacity_rps();
-                services[id] = ServiceModel::new(cap, config.service_secs, restore_time + warmup);
-                alive[market].push(id);
             }
-            lb.tick(now);
-            checker.check_tick(&lb, now);
+            let at = fault.at_secs.max(t0);
+            match &fault.kind {
+                FaultKind::PriceShock {
+                    market,
+                    multiplier,
+                    hold_intervals,
+                } => cloud.inject_price_shock(*market, *multiplier, *hold_intervals),
+                kind => self.cluster.inject(at, kind, "market"),
+            }
+            match &fault.kind {
+                FaultKind::CorrelatedRevocation {
+                    markets,
+                    warning_secs,
+                } => forced_revocations.push((markets.clone(), *warning_secs)),
+                FaultKind::BackendFlap { target, down_secs } => {
+                    self.pending_flaps.push((at, *target, *down_secs))
+                }
+                _ => {}
+            }
+            self.fault_cursor += 1;
         }
-        lb.tick(t_end);
-        checker.check_tick(&lb, t_end);
-        // End-of-interval (and end-of-run) completion drains profile
-        // as `runner.drain`; the guard closes before billing/rollup.
-        let prof_drain = prof::ScopeGuard::enter(names::SPAN_RUNNER_DRAIN);
-        drain_completions(
-            t_end,
-            &mut completions,
-            &mut lb,
-            &last_death,
-            &mut obs,
-            &mut monitor,
-            &mut checker,
-            &served_counter,
-            &killed_counter,
-        );
-        // Whatever still runs past the interval end resolves at the top
-        // of the next interval (or here if the run is over).
-        if interval + 1 == config.intervals {
-            drain_completions(
-                f64::INFINITY,
-                &mut completions,
-                &mut lb,
-                &last_death,
-                &mut obs,
-                &mut monitor,
-                &mut checker,
-                &served_counter,
-                &killed_counter,
-            );
+        forced_revocations
+    }
+
+    /// A freshly started backend joins its market's fleet and the bill.
+    fn enlist(&mut self, id: usize, market: usize, t0: f64) {
+        self.born_at.push(t0);
+        self.billing.add(id, market);
+        self.alive[market].push(id);
+    }
+
+    /// Start a reactive same-capacity replacement for `dying` (§4.4).
+    fn replace(&mut self, dying: usize, market: usize, t0: f64) {
+        let (id, _) = self.cluster.replace(dying, t0);
+        self.enlist(id, market, t0);
+    }
+
+    /// Drain `id` gracefully. A decommissioned server keeps serving (as
+    /// a drain-fallback) until any replacement capacity started this
+    /// interval is warmed up — releasing it earlier would open a gap on
+    /// market switches.
+    fn decommission(&mut self, id: usize, t0: f64) {
+        self.cluster.warn(id, t0, f64::INFINITY);
+        let config = self.config;
+        let linger = t0 + config.startup_secs + config.warmup_secs + 50.0 * config.service_secs;
+        self.pending_deaths.push((linger, id));
+    }
+
+    /// Warn `id` (`warning_secs` of notice), schedule its death and
+    /// request its replacement the moment the warning arrives, so the
+    /// replacement is serving before (or shortly after) the victim dies.
+    fn revoke(&mut self, id: usize, market: usize, t0: f64, warning_secs: f64) {
+        self.revocations += 1;
+        self.cluster.warn(id, t0, warning_secs);
+        self.pending_deaths.push((t0 + warning_secs, id));
+        self.replace(id, market, t0);
+    }
+
+    /// Bring the fleet to `desired` servers per market, re-program the
+    /// WRR weights, and enforce the provider lifetime cap.
+    fn reconcile_fleet(&mut self, cloud: &CloudSim, desired: &[u32], bootstrap: bool, t0: f64) {
+        let n_markets = self.alive.len();
+        assert_eq!(desired.len(), n_markets, "policy fleet length");
+        let capacity = |m: usize| cloud.catalog().market(m).capacity_rps();
+        for (m, &want) in desired.iter().enumerate() {
+            let have = self.alive[m].len() as u32;
+            for _ in want..have {
+                let id = self.alive[m].pop().expect("have > want");
+                self.decommission(id, t0);
+            }
+            for _ in have..want {
+                let id = if bootstrap {
+                    // Interval 0 starts serving instantly, warm.
+                    self.cluster.bootstrap(m, capacity(m))
+                } else {
+                    self.cluster.provision(m, capacity(m), t0).0
+                };
+                self.enlist(id, m, t0);
+            }
         }
-        drop(prof_drain);
+
+        // Program WRR weights proportional to per-market capacity share.
+        let caps: Vec<f64> = (0..n_markets)
+            .map(|m| self.alive[m].len() as f64 * capacity(m))
+            .collect();
+        let total: f64 = caps.iter().sum();
+        let cap_share: Vec<f64> = if total > 0.0 {
+            caps.iter().map(|c| c / total).collect()
+        } else {
+            vec![0.0; n_markets]
+        };
+        self.cluster.update_portfolio_weights(&cap_share, t0);
+
+        // Provider lifetime cap (§7): relinquish servers that would hit
+        // the cap this interval, replacing them proactively so the
+        // graceful drain overlaps the replacement's startup.
+        if let Some(cap_secs) = self.config.max_lifetime_secs {
+            for m in 0..n_markets {
+                let mut idx = 0;
+                while idx < self.alive[m].len() {
+                    let id = self.alive[m][idx];
+                    if t0 + self.config.interval_secs - self.born_at[id] >= cap_secs {
+                        self.alive[m].remove(idx);
+                        self.relinquished += 1;
+                        self.decommission(id, t0);
+                        self.replace(id, m, t0);
+                    } else {
+                        idx += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sample this interval's revocations, then deliver the injected
+    /// correlated ones: every victim drains, gets a replacement, and
+    /// dies when its warning runs out.
+    fn deliver_revocations(
+        &mut self,
+        cloud: &mut CloudSim,
+        forced_revocations: Vec<(Vec<usize>, Option<f64>)>,
+        t0: f64,
+    ) {
+        let fleet: Vec<u32> = self.alive.iter().map(|v| v.len() as u32).collect();
+        self.fleet_sizes.push(fleet.iter().sum());
+        let warning = cloud.warning_secs();
+        for e in cloud.sample_revocations(&fleet) {
+            if self.alive[e.market].is_empty() {
+                continue;
+            }
+            let pos = e.server_index % self.alive[e.market].len();
+            let id = self.alive[e.market].remove(pos);
+            self.revoke(id, e.market, t0, warning);
+        }
+        // Chaos: every alive server in the targeted markets, with an
+        // optionally shorter warning than the provider default.
+        for (markets, warning_secs) in forced_revocations {
+            for m in markets {
+                for id in std::mem::take(&mut self.alive[m]) {
+                    self.revoke(id, m, t0, warning_secs.unwrap_or(warning));
+                }
+            }
+        }
+    }
+
+    /// Record the fate of the request that arrived at `arrived` — its
+    /// latency, or `None` for a drop — in the metrics and the monitor.
+    fn record(&mut self, arrived: f64, latency: Option<f64>) {
+        match latency {
+            Some(latency) => {
+                self.obs.served(arrived, latency);
+                self.monitor.record_served(arrived, latency);
+            }
+            None => {
+                self.obs.dropped(arrived);
+                self.monitor.record_dropped(arrived);
+            }
+        }
+    }
+
+    /// Resolve every completion due by `upto`.
+    fn drain_completions(&mut self, upto: f64) {
+        while self.completions.peek_done().is_some_and(|t| t <= upto) {
+            let (done, backend, arrived) = self.completions.pop().expect("peeked entry");
+            let latency = self.cluster.complete(backend, arrived, done);
+            self.record(arrived, latency);
+        }
+    }
+
+    /// The tight arrival run: computes the earliest pending control
+    /// timepoint once and runs arrivals (starting with `arrival`) up to
+    /// it, touching only the cluster and the completion calendar.
+    /// Returns the first arrival at or past the timepoint, unprocessed,
+    /// or `None` when the window is exhausted.
+    ///
+    /// One profiling span per batch (not per arrival): in-loop
+    /// completion drains are accounted to the batch, and the
+    /// per-request `lb.route` span nests inside it.
+    // Inlined into `run_loop` the window generator's state stays in
+    // registers across arrivals (request_path: ~2 % of wall time).
+    #[inline(always)]
+    fn arrival_phase<W: WindowArrivals>(
+        &mut self,
+        window: &mut W,
+        arrival: (f64, u64),
+        t_end: f64,
+    ) -> Option<(f64, u64)> {
+        let next_control = (self.pending_deaths.iter().map(|d| d.0))
+            .chain(self.pending_flaps.iter().map(|f| f.0))
+            .chain(self.pending_restores.iter().map(|r| r.0))
+            .fold(t_end, f64::min);
+        prof::scope!(names::SPAN_RUNNER_ARRIVAL_LOOP);
+        let mut next_arrival = Some(arrival);
+        while let Some((now, session)) = next_arrival {
+            if now >= next_control {
+                break;
+            }
+            self.drain_completions(now);
+            match self.cluster.admit(session, now) {
+                Some((backend, done)) => self.completions.push(done, backend, now),
+                None => self.record(now, None),
+            }
+            next_arrival = window.next();
+        }
+        next_arrival
+    }
+
+    /// An arrival at `now` crossed a control timepoint: fire everything
+    /// due, in the order the per-arrival scans always used (deaths,
+    /// then flaps, then restores), then advance the balancer's lazy
+    /// lifecycle states and audit.
+    fn fire_due_controls(&mut self, now: f64) {
+        prof::scope!(names::SPAN_RUNNER_CONTROL_BATCH);
+        self.pending_deaths.retain(|&(deadline, id)| {
+            if deadline > now {
+                return true;
+            }
+            self.cluster.kill(id, deadline);
+            self.billing.mark_died(id, deadline);
+            // Permanent death: compact the corpse out of the balancer
+            // and free its service queues. Every arrival routed to `id`
+            // precedes the deadline (the arrival loop breaks at the
+            // control timepoint), and completions still in the calendar
+            // resolve against the recorded death time.
+            prof::scope!(names::SPAN_RUNNER_COMPACT);
+            self.cluster.retire(id);
+            false
+        });
+        // Chaos flaps: the first alive server of the target market
+        // crashes without warning, then restores after down_secs.
+        self.pending_flaps
+            .retain(|&(fire_time, market, down_secs)| {
+                if fire_time > now {
+                    return true;
+                }
+                if market < self.alive.len() && !self.alive[market].is_empty() {
+                    let id = self.alive[market].remove(0);
+                    self.cluster.kill(id, fire_time);
+                    // A flap is a temporary death: the backend is NOT
+                    // retired (its restore is already scheduled), but
+                    // billing stops at fire time unless the restore lands
+                    // in the same interval.
+                    self.billing.mark_died(id, fire_time);
+                    self.pending_restores
+                        .push((fire_time + down_secs, id, market));
+                }
+                false
+            });
+        self.pending_restores.retain(|&(restore_time, id, market)| {
+            if restore_time > now {
+                return true;
+            }
+            self.cluster.restore(id, restore_time);
+            self.billing.restore(id, market);
+            self.alive[market].push(id);
+            false
+        });
+        self.cluster.tick(now);
+        self.cluster.audit(now);
+    }
+
+    /// Close the interval: final tick and audit, drain completions due
+    /// by `t_end` (everything, on the last interval — whatever still
+    /// runs past an earlier interval's end resolves in the next one),
+    /// flush the metrics window, bill, and roll up telemetry.
+    fn settle_interval(&mut self, interval: usize, prices: &[f64], observed_rps: f64) {
+        let config = self.config;
+        let t0 = interval as f64 * config.interval_secs;
+        let t_end = t0 + config.interval_secs;
+        self.cluster.tick(t_end);
+        self.cluster.audit(t_end);
+        {
+            prof::scope!(names::SPAN_RUNNER_DRAIN);
+            self.drain_completions(t_end);
+            if interval + 1 == config.intervals {
+                self.drain_completions(f64::INFINITY);
+            }
+        }
         // Flush this window's buffered observations to the fold (a
         // no-op in inline mode).
-        obs.end_window(interval);
+        self.obs.end_window(interval);
 
         // Bill every backend that existed during any part of the
         // interval — including draining/decommissioned servers still
         // finishing work — at this tick's price (per-second model).
-        // The ledger replays the old ascending-id scan's exact charge
-        // sequence in O(live + died-this-interval).
         {
             prof::scope!(names::SPAN_RUNNER_BILLING);
-            billing.settle(t0, config.interval_secs, &tick.prices, &mut meter);
+            self.billing
+                .settle(t0, config.interval_secs, prices, &mut self.meter);
         }
 
         // End-of-interval rollup: O(1) monitor rates, in place. The
         // eviction this performs at `t_end` is idempotent with the one
         // the next interval's policy read performs at the same
         // timepoint, so a telemetry-enabled run still replays the
-        // exact same decisions as a disabled one. (The old full-window
-        // clone + snapshot copied and sorted ~rate × window records
-        // per interval — at day scale, 72 M — purely to shield the
-        // next read; the span now measures the rollup itself, not
-        // instrumentation overhead.)
+        // exact same decisions as a disabled one.
+        let sink = &config.telemetry;
         if sink.is_enabled() {
             prof::scope!(names::SPAN_RUNNER_ROLLUP);
-            let rates = monitor.rates(t_end);
-            let stats = obs.bucket_stats(interval);
-            sink.gauge(names::FLEET_SIZE, fleet_sizes[interval] as f64);
+            let rates = self.monitor.rates(t_end);
+            let stats = self.obs.bucket_stats(interval);
+            sink.gauge(names::FLEET_SIZE, self.fleet_sizes[interval] as f64);
             sink.emit_at(
                 t_end,
                 TraceEvent::IntervalSummary {
                     interval: interval as u64,
                     observed_rps,
-                    fleet_size: fleet_sizes[interval],
+                    fleet_size: self.fleet_sizes[interval],
                     arrival_rate: rates.arrival_rate,
                     throughput: rates.throughput,
                     drop_rate: rates.drop_rate,
@@ -862,29 +723,28 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
                 },
             );
         }
-        sink.set_clock(t_end);
-        sink.span_end(span, "interval");
-        on_interval(interval, lb.stats().routed + lb.stats().dropped);
     }
 
-    checker.check_drained();
-    let recorder = obs.finish();
-    let (served, dropped) = recorder.totals();
-    RunnerReport {
-        served,
-        dropped,
-        drop_fraction: recorder.drop_fraction(),
-        p50: recorder.overall_percentile(50.0),
-        p90: recorder.overall_percentile(90.0),
-        p99: recorder.overall_percentile(99.0),
-        cost: meter.total(),
-        revocations,
-        migrated_sessions: lb.stats().migrations,
-        lifetime_relinquishments: relinquished,
-        fleet_sizes,
-        buckets: recorder.all_stats(),
-        faults_fired,
-        invariant_violations: checker.violations().to_vec(),
+    fn finish(self) -> RunnerReport {
+        let (stats, checker) = self.cluster.finish();
+        let recorder = self.obs.finish();
+        let (served, dropped) = recorder.totals();
+        RunnerReport {
+            served,
+            dropped,
+            drop_fraction: recorder.drop_fraction(),
+            p50: recorder.overall_percentile(50.0),
+            p90: recorder.overall_percentile(90.0),
+            p99: recorder.overall_percentile(99.0),
+            cost: self.meter.total(),
+            revocations: self.revocations,
+            migrated_sessions: stats.migrations,
+            lifetime_relinquishments: self.relinquished,
+            fleet_sizes: self.fleet_sizes,
+            buckets: recorder.all_stats(),
+            faults_fired: self.fault_cursor,
+            invariant_violations: checker.violations().to_vec(),
+        }
     }
 }
 
@@ -922,11 +782,6 @@ impl FleetPolicy for ReactiveCheapestPolicy {
         fleet[best] = ((observed_rps * self.headroom) / self.capacities[best]).ceil() as u32;
         fleet
     }
-}
-
-/// Expose backend states for assertions in tests.
-pub fn is_down(state: BackendState) -> bool {
-    state == BackendState::Down
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! End-to-end cluster scenarios.
+//! The Fig. 4(a) failover scenario.
 //!
 //! [`FailoverScenario`] reproduces the paper's Fig. 4(a) testbed
 //! experiment: a heterogeneous six-server cluster at 70–95% utilization
@@ -8,13 +8,14 @@
 //! come up within the warning period), while the vanilla balancer keeps
 //! routing to the doomed servers and loses everything in flight when
 //! they die.
+//!
+//! The scenario is a *configuration* of the chaos loop, not a loop of
+//! its own: [`FailoverScenario::run`] builds the equivalent
+//! [`ChaosScenario`], so it runs under the invariant checker too.
 
-use spotweb_lb::{LoadBalancer, LoadBalancerConfig, RouteOutcome};
-
-use crate::engine::{Event, EventQueue};
-use crate::metrics::{BucketStats, LatencyRecorder};
-use crate::rng::{stream_id, CounterStream, DOMAIN_SCENARIO_GAP};
-use crate::service::ServiceModel;
+use crate::faults::{ChaosScenario, FaultKind, FaultPlan, Replacement};
+use crate::metrics::BucketStats;
+use crate::TelemetrySink;
 
 /// One server in the initial cluster.
 #[derive(Debug, Clone, Copy)]
@@ -23,6 +24,27 @@ pub struct ServerSpec {
     pub market: usize,
     /// Serving capacity (req/s).
     pub capacity_rps: f64,
+}
+
+/// The Fig. 4(a) testbed cluster: 2× m4.xlarge (80 rps), 2× m4.2xlarge
+/// (160), 2× m4.4xlarge (320), one market per size — 1120 rps total
+/// against ≈ 600 rps offered, so utilization rises to ~95% on the
+/// survivors once markets 1 and 2 are revoked.
+pub fn fig4a_cluster() -> Vec<ServerSpec> {
+    [
+        (0, 80.0),
+        (0, 80.0),
+        (1, 160.0),
+        (1, 160.0),
+        (2, 320.0),
+        (2, 320.0),
+    ]
+    .into_iter()
+    .map(|(market, capacity_rps)| ServerSpec {
+        market,
+        capacity_rps,
+    })
+    .collect()
 }
 
 /// Scenario parameters. Defaults reproduce Fig. 4(a).
@@ -59,35 +81,7 @@ pub struct FailoverScenario {
 impl Default for FailoverScenario {
     fn default() -> Self {
         FailoverScenario {
-            // 2× m4.xlarge (80 rps), 2× m4.2xlarge (160), 2× m4.4xlarge
-            // (320) — 1120 rps total, ≈ 600 rps offered → util rises to
-            // ~95% on survivors after the revocation.
-            servers: vec![
-                ServerSpec {
-                    market: 0,
-                    capacity_rps: 80.0,
-                },
-                ServerSpec {
-                    market: 0,
-                    capacity_rps: 80.0,
-                },
-                ServerSpec {
-                    market: 1,
-                    capacity_rps: 160.0,
-                },
-                ServerSpec {
-                    market: 1,
-                    capacity_rps: 160.0,
-                },
-                ServerSpec {
-                    market: 2,
-                    capacity_rps: 320.0,
-                },
-                ServerSpec {
-                    market: 2,
-                    capacity_rps: 320.0,
-                },
-            ],
+            servers: fig4a_cluster(),
             arrival_rps: 600.0,
             duration_secs: 600.0,
             revocation_at: Some(180.0),
@@ -123,206 +117,61 @@ pub struct FailoverReport {
     pub migrated_sessions: u64,
     /// Sessions lost to abrupt death.
     pub lost_sessions: u64,
+    /// Invariant violations the run's checker recorded (empty on a
+    /// healthy run; see [`crate::faults::InvariantChecker`]).
+    pub invariant_violations: Vec<String>,
 }
 
 impl FailoverScenario {
-    /// Run the scenario to completion.
+    /// Run the scenario to completion, as a [`ChaosScenario`].
+    ///
+    /// The revocation is a timed fault, so a `revocation_at` at or past
+    /// `duration_secs` never fires ([`FaultPlan::compile`] drops faults
+    /// beyond the horizon).
     pub fn run(&self) -> FailoverReport {
-        assert!(!self.servers.is_empty(), "need at least one server");
-        assert!(self.arrival_rps > 0.0 && self.duration_secs > 0.0);
-
-        // Counter-based gaps (draw-order-free): gap `k` belongs to
-        // request `k`, so the arrival process is a pure function of
-        // the seed — see `crate::rng`.
-        let gaps = CounterStream::new(self.seed, stream_id(DOMAIN_SCENARIO_GAP, 0));
-        let mut lb = LoadBalancer::new(LoadBalancerConfig {
-            transiency_aware: self.transiency_aware,
-            admission_control: true,
-            max_utilization: 0.98,
-            max_delay_secs: 2.0,
+        let mut plan = FaultPlan::new();
+        if let Some(at_secs) = self.revocation_at {
+            plan = plan.at(
+                at_secs,
+                FaultKind::CorrelatedRevocation {
+                    markets: self.victim_markets.clone(),
+                    warning_secs: None,
+                },
+            );
+        }
+        let report = ChaosScenario {
+            name: "failover".to_string(),
+            servers: self.servers.clone(),
+            arrival_rps: self.arrival_rps,
+            duration_secs: self.duration_secs,
+            warning_secs: self.warning_secs,
+            startup_secs: self.startup_secs,
+            warmup_secs: self.warmup_secs,
             service_secs: self.service_secs,
-        });
-        let mut services: Vec<ServiceModel> = Vec::new();
-        let mut death_time: Vec<Option<f64>> = Vec::new();
-        for s in &self.servers {
-            lb.add_backend_up(s.market, s.capacity_rps);
-            services.push(ServiceModel::new(s.capacity_rps, self.service_secs, 0.0));
-            death_time.push(None);
-        }
-
-        let mut queue = EventQueue::new();
-        let mut recorder = LatencyRecorder::new(self.bucket_secs, self.duration_secs);
-        let mut next_request: u64 = 0;
-        let mut migrated: u64 = 0;
-        let mut lost: u64 = 0;
-
-        // Seed the arrival stream.
-        let first = gaps.exp_at(0, self.arrival_rps);
-        queue.schedule(
-            first,
-            Event::Arrival {
-                request: 0,
-                session: 0,
+            transiency_aware: self.transiency_aware,
+            replacement: if self.transiency_aware {
+                Replacement::OnWarning
+            } else {
+                Replacement::OnDeath
             },
-        );
-        next_request += 1;
-
-        // Schedule the induced correlated revocations.
-        if let Some(t_rev) = self.revocation_at {
-            for (id, s) in self.servers.iter().enumerate() {
-                if self.victim_markets.contains(&s.market) {
-                    queue.schedule(
-                        t_rev,
-                        Event::RevocationWarning {
-                            backend: id,
-                            warning_secs: self.warning_secs,
-                        },
-                    );
-                }
-            }
+            sessions: self.sessions,
+            bucket_secs: self.bucket_secs,
+            seed: self.seed,
+            plan,
+            telemetry: TelemetrySink::disabled(),
         }
-
-        // The run drains the queue completely: arrivals stop at
-        // `duration_secs`, after which the backlog finishes serving so
-        // every request gets its latency (or drop) recorded.
-        while let Some((now, event)) = queue.pop() {
-            match event {
-                Event::Arrival { request, session } => {
-                    lb.tick(now);
-                    match lb.route(Some(session), now) {
-                        RouteOutcome::Routed(b) => {
-                            let done = services[b].admit(now);
-                            queue.schedule(
-                                done,
-                                Event::Completion {
-                                    request,
-                                    backend: b,
-                                    arrived: now,
-                                },
-                            );
-                        }
-                        RouteOutcome::Dropped => {
-                            recorder.record_drop(now);
-                        }
-                    }
-                    // Self-scheduling generator: only the newest arrival
-                    // spawns the next one.
-                    if request + 1 == next_request {
-                        let t_next = now + gaps.exp_at(next_request, self.arrival_rps);
-                        if t_next <= self.duration_secs {
-                            let session = next_request % self.sessions;
-                            queue.schedule(
-                                t_next,
-                                Event::Arrival {
-                                    request: next_request,
-                                    session,
-                                },
-                            );
-                            next_request += 1;
-                        }
-                    }
-                }
-                Event::Completion {
-                    request: _,
-                    backend,
-                    arrived,
-                } => {
-                    match death_time[backend] {
-                        // The server died before finishing this request.
-                        Some(d) if d < now => {
-                            recorder.record_drop(arrived);
-                        }
-                        _ => {
-                            recorder.record(arrived, now - arrived);
-                            lb.complete(backend, None);
-                        }
-                    }
-                }
-                Event::RevocationWarning {
-                    backend,
-                    warning_secs,
-                } => {
-                    let report = lb.revocation_warning(backend, now, warning_secs);
-                    migrated += report.migrated_sessions as u64;
-                    let _ = report.stayed_sessions; // re-homed lazily
-
-                    queue.schedule(now + warning_secs, Event::ServerDeath { backend });
-                    if self.transiency_aware {
-                        // Reactive reprovisioning on the warning: start a
-                        // replacement of the same capacity immediately.
-                        self.spawn_replacement(
-                            backend,
-                            now,
-                            &mut lb,
-                            &mut services,
-                            &mut death_time,
-                            &mut queue,
-                        );
-                    }
-                }
-                Event::ServerDeath { backend } => {
-                    lost += lb.server_died(backend, now) as u64;
-                    death_time[backend] = Some(now);
-                    // In-flight requests die with the server; their
-                    // Completion events turn into drops (handled above).
-                    services[backend].kill(now);
-                    if !self.transiency_aware {
-                        // Vanilla reacts only once health checks see the
-                        // dead server.
-                        self.spawn_replacement(
-                            backend,
-                            now,
-                            &mut lb,
-                            &mut services,
-                            &mut death_time,
-                            &mut queue,
-                        );
-                    }
-                }
-                Event::ServerReady { backend } => {
-                    lb.tick(now);
-                    let _ = backend;
-                }
-                Event::FaultTrigger { .. } | Event::BackendRestore { .. } => {
-                    // Chaos events belong to `faults::ChaosScenario`;
-                    // the plain failover scenario never schedules them.
-                    unreachable!("chaos event in FailoverScenario")
-                }
-            }
-        }
-
-        let (served, dropped) = recorder.totals();
+        .run();
         FailoverReport {
-            drop_fraction: recorder.drop_fraction(),
-            p90: recorder.overall_percentile(90.0),
-            p99: recorder.overall_percentile(99.0),
-            buckets: recorder.all_stats(),
-            served,
-            dropped,
-            migrated_sessions: migrated,
-            lost_sessions: lost,
+            buckets: report.buckets,
+            served: report.served,
+            dropped: report.dropped,
+            drop_fraction: report.drop_fraction,
+            p90: report.p90,
+            p99: report.p99,
+            migrated_sessions: report.migrated_sessions,
+            lost_sessions: report.lost_sessions,
+            invariant_violations: report.invariant_violations,
         }
-    }
-
-    fn spawn_replacement(
-        &self,
-        dying: usize,
-        now: f64,
-        lb: &mut LoadBalancer,
-        services: &mut Vec<ServiceModel>,
-        death_time: &mut Vec<Option<f64>>,
-        queue: &mut EventQueue,
-    ) {
-        let market = lb.backends()[dying].market;
-        let capacity = lb.backends()[dying].capacity_rps;
-        let id = lb.add_backend(market, capacity, now, self.startup_secs, self.warmup_secs);
-        services.push(ServiceModel::new(
-            capacity,
-            self.service_secs,
-            now + self.startup_secs + self.warmup_secs,
-        ));
-        death_time.push(None);
-        queue.schedule(now + self.startup_secs, Event::ServerReady { backend: id });
     }
 }
 
@@ -330,7 +179,7 @@ impl FailoverScenario {
 mod tests {
     use super::*;
 
-    fn quick(aware: bool, revoke: bool) -> FailoverReport {
+    fn quick_scenario(aware: bool, revoke: bool) -> FailoverScenario {
         FailoverScenario {
             duration_secs: 420.0,
             revocation_at: revoke.then_some(120.0),
@@ -339,7 +188,10 @@ mod tests {
             seed: 7,
             ..FailoverScenario::default()
         }
-        .run()
+    }
+
+    fn quick(aware: bool, revoke: bool) -> FailoverReport {
+        quick_scenario(aware, revoke).run()
     }
 
     #[test]
@@ -405,6 +257,35 @@ mod tests {
         let b = quick(true, true);
         assert_eq!(a.served, b.served);
         assert_eq!(a.dropped, b.dropped);
+    }
+
+    #[test]
+    fn revocation_past_the_horizon_never_fires() {
+        // The one semantic edge of running on the chaos loop: the
+        // revocation is a timed fault, and `FaultPlan::compile` drops
+        // faults at or past `duration_secs` (the old private loop
+        // delivered such warnings during the post-arrival drain).
+        let late = FailoverScenario {
+            revocation_at: Some(420.0),
+            ..quick_scenario(true, true)
+        }
+        .run();
+        let never = quick(true, false);
+        assert_eq!(late.migrated_sessions, 0);
+        assert_eq!((late.served, late.dropped), (never.served, never.dropped));
+        assert_eq!(late.p99.to_bits(), never.p99.to_bits());
+    }
+
+    #[test]
+    fn every_mode_runs_under_the_invariant_checker() {
+        for (aware, revoke) in [(true, true), (false, true), (true, false)] {
+            let r = quick(aware, revoke);
+            assert!(
+                r.invariant_violations.is_empty(),
+                "aware {aware} revoke {revoke}: {:?}",
+                r.invariant_violations
+            );
+        }
     }
 
     #[test]

@@ -39,8 +39,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use spotweb_telemetry::json::{json_f64, json_string, json_u32_array};
-use spotweb_telemetry::HistogramHandle;
+use spotweb_telemetry::json::{fnv1a64_hex, json_f64, json_string, json_u32_array};
 
 use crate::metrics::{BucketStats, LatencyRecorder};
 use crate::rng::{stream_id, CounterStream, DOMAIN_ARRIVAL_GAP, DOMAIN_ARRIVAL_SESSION};
@@ -334,36 +333,21 @@ pub(crate) trait ObsSink {
     fn finish(self) -> LatencyRecorder;
 }
 
-/// `shards = 1`: apply observations immediately, exactly as the
-/// pre-shard runner did.
-pub(crate) struct DirectObs {
-    recorder: LatencyRecorder,
-    latency_hist: HistogramHandle,
-}
-
-impl DirectObs {
-    pub(crate) fn new(recorder: LatencyRecorder, latency_hist: HistogramHandle) -> Self {
-        DirectObs {
-            recorder,
-            latency_hist,
-        }
-    }
-}
-
-impl ObsSink for DirectObs {
+/// `shards = 1`: the recorder itself is the sink — observations apply
+/// immediately, exactly as the pre-shard runner did.
+impl ObsSink for LatencyRecorder {
     fn served(&mut self, arrived: f64, latency: f64) {
-        self.recorder.record(arrived, latency);
-        self.latency_hist.observe(latency);
+        self.record(arrived, latency);
     }
     fn dropped(&mut self, arrived: f64) {
-        self.recorder.record_drop(arrived);
+        self.record_drop(arrived);
     }
     fn end_window(&mut self, _interval: usize) {}
     fn bucket_stats(&mut self, interval: usize) -> BucketStats {
-        self.recorder.bucket_stats(interval)
+        LatencyRecorder::bucket_stats(self, interval)
     }
     fn finish(self) -> LatencyRecorder {
-        self.recorder
+        self
     }
 }
 
@@ -384,10 +368,12 @@ struct FoldShared {
 }
 
 /// The single fold worker: applies buffered observation batches to the
-/// recorder (and the telemetry latency histogram) strictly in window
-/// order. One worker, ascending windows ⇒ the recorder sees the exact
-/// call sequence the serial run makes, so non-associative float
-/// accumulation cannot diverge with the shard count.
+/// recorder strictly in window order. One worker, ascending windows ⇒
+/// the recorder sees the exact call sequence the serial run makes, so
+/// non-associative float accumulation cannot diverge with the shard
+/// count. (The telemetry latency histogram is fed by
+/// [`crate::cluster::Cluster`] on the simulation thread, in completion
+/// order — the same sequence.)
 pub(crate) struct FoldWorker {
     shared: Arc<FoldShared>,
     handle: Option<JoinHandle<()>>,
@@ -399,7 +385,7 @@ pub(crate) struct FoldWorker {
 const FOLD_MAX_PENDING: usize = 8;
 
 impl FoldWorker {
-    pub(crate) fn spawn(recorder: LatencyRecorder, latency_hist: HistogramHandle) -> Self {
+    pub(crate) fn spawn(recorder: LatencyRecorder) -> Self {
         let shared = Arc::new(FoldShared {
             q: Mutex::new(FoldQueue {
                 batches: VecDeque::new(),
@@ -430,10 +416,7 @@ impl FoldWorker {
                     let mut rec = worker_shared.recorder.lock().expect("fold recorder lock");
                     for ev in &batch {
                         match *ev {
-                            ObsEvent::Served { arrived, latency } => {
-                                rec.record(arrived, latency);
-                                latency_hist.observe(latency);
-                            }
+                            ObsEvent::Served { arrived, latency } => rec.record(arrived, latency),
                             ObsEvent::Dropped { arrived } => rec.record_drop(arrived),
                         }
                     }
@@ -612,22 +595,12 @@ pub fn report_json(r: &RunnerReport) -> String {
 /// sweep digests use), newline-terminated so digests of concatenated
 /// reports compose.
 pub fn report_digest(r: &RunnerReport) -> String {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for b in report_json(r).as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash ^= u64::from(b'\n');
-    hash = hash.wrapping_mul(FNV_PRIME);
-    format!("{hash:016x}")
+    fnv1a64_hex(format!("{}\n", report_json(r)).as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotweb_telemetry::TelemetrySink;
 
     fn specs(n: usize, interval_secs: f64, rate: f64) -> Vec<WindowSpec> {
         (0..n)
@@ -669,10 +642,8 @@ mod tests {
 
     #[test]
     fn fold_matches_direct_application() {
-        let sink = TelemetrySink::disabled();
-        let hist = sink.histogram_handle("test_latency");
         let mut direct = LatencyRecorder::new(10.0, 40.0);
-        let fold = FoldWorker::spawn(LatencyRecorder::new(10.0, 40.0), hist.clone());
+        let fold = FoldWorker::spawn(LatencyRecorder::new(10.0, 40.0));
         let mut deferred = DeferredObs::new(fold);
         let events: Vec<(usize, ObsEvent)> = vec![
             (

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use spotweb_telemetry::json::{json_f64, json_string};
+use spotweb_telemetry::json::{fnv1a64_hex, json_f64, json_string};
 use spotweb_telemetry::{names, prof};
 
 /// Map `f` over `tasks` on up to `jobs` worker threads, returning the
@@ -247,18 +247,8 @@ where
 /// fingerprint `figures sweep` compares across `--jobs` counts to
 /// prove byte-identical output.
 pub fn digest(summaries: &[RunSummary]) -> String {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for s in summaries {
-        for b in s.to_json().as_bytes() {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash ^= u64::from(b'\n');
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    format!("{hash:016x}")
+    let lines: String = summaries.iter().map(|s| s.to_json() + "\n").collect();
+    fnv1a64_hex(lines.as_bytes())
 }
 
 #[cfg(test)]

@@ -58,6 +58,19 @@ pub fn json_u32_array(xs: &[u32]) -> String {
     format!("[{}]", body.join(","))
 }
 
+/// FNV-1a 64 digest of `bytes`, rendered as 16 lowercase hex digits —
+/// the one fingerprint the sweep, shard and bench digests share.
+/// (`spotweb_lint::manifest::fnv64` keeps its own copy because the lint
+/// crate is dependency-free; a root test holds the two equal.)
+pub fn fnv1a64_hex(bytes: &[u8]) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{hash:016x}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,5 +106,11 @@ mod tests {
         assert_eq!(json_f64_array(&[1.0, 0.5]), "[1.0,0.5]");
         assert_eq!(json_u32_array(&[1, 2]), "[1,2]");
         assert_eq!(json_f64_array(&[]), "[]");
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        assert_eq!(fnv1a64_hex(b""), "cbf29ce484222325");
+        assert_eq!(fnv1a64_hex(b"a"), "af63dc4c8601ec8c");
     }
 }

@@ -41,6 +41,10 @@ fn main() {
             "  sessions migrated {:>5}   sessions lost {:>5}",
             report.migrated_sessions, report.lost_sessions
         );
+        println!(
+            "  invariant violations {:>2}   (conservation, routing safety, drain deadlines)",
+            report.invariant_violations.len()
+        );
         println!("  minute-by-minute (revocation warning fires at t = 180 s):");
         println!("    minute   served   mean    p50     p90     p99   dropped");
         for b in &report.buckets {

@@ -229,3 +229,16 @@ fn generators_reproduce_the_on_disk_goldens() {
         );
     }
 }
+
+/// The workspace has two FNV-1a 64 implementations on purpose: the
+/// dependency-free lint crate keeps its own, everything else shares
+/// `telemetry::json::fnv1a64_hex`. They must never drift apart.
+#[test]
+fn the_two_fnv_digests_agree() {
+    use spotweb::telemetry::json::fnv1a64_hex;
+    assert_eq!(fnv64(b""), "cbf29ce484222325");
+    let long: Vec<u8> = (0..=255u8).cycle().take(4099).collect();
+    for bytes in [&b""[..], b"{\"served\":10,\"dropped\":2}\n", &long] {
+        assert_eq!(fnv64(bytes), fnv1a64_hex(bytes));
+    }
+}
