@@ -2,7 +2,8 @@
 //! path (ISSUE 5): the four operations the batched runner loop touches
 //! for every simulated request, plus the telemetry fast path the loop
 //! counts through. Wall-clock numbers here are machine-dependent — the
-//! committed record lives in `BENCH_runner.json` (`figures perf`).
+//! committed record is `benchmark/baseline/` (the isolated drivers of
+//! the traced `request_path` run time the same calls).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spotweb_lb::{LoadBalancer, LoadBalancerConfig, RouteOutcome};

@@ -3,9 +3,7 @@
 //! ```text
 //! figures <command> [--seed N] [--intervals N] [--workload wikipedia|vod]
 //!         [--scenario NAME] [--policy NAME] [--summary] [--out DIR]
-//!         [--jobs J] [--shards N] [--full] [--alloc] [--hours N]
-//!         [--mem-gate] [--spans-golden] [--init] [--note TEXT]
-//!         [FIXTURE...]
+//!         [--jobs J] [--hours N] [--init] [--note TEXT] [FIXTURE...]
 //!
 //! commands:
 //!   fig3        workload traces (Fig. 3a/3b)
@@ -22,56 +20,27 @@
 //!               (--scenario NAME for one; all of them by default)
 //!   trace       full-stack telemetry replay of a chaos scenario;
 //!               prints byte-stable trace JSONL, or with --out DIR
-//!               writes trace.jsonl + metrics.prom +
-//!               BENCH_telemetry.json (wall-clock solver timings)
+//!               writes trace.jsonl + metrics.prom
 //!   report      human-readable decision/forecast/drain explanation
 //!               of the same traced replay
 //!   sweep       deterministic policy × scenario × seed grid across
 //!               --jobs J workers; prints byte-stable per-run JSON
-//!               summaries, verifies they match a --jobs 1 pass, and
-//!               writes BENCH_sweep.json (wall-clock, speedup,
-//!               warm-vs-cold solver iterations) to --out DIR
+//!               summaries and exits non-zero unless they match a
+//!               --jobs 1 pass (digest and warm-vs-cold solver
+//!               iterations on stderr)
 //!   tournament  policy-zoo leaderboard: every registered policy ×
 //!               chaos scenario × tournament seed through the full
 //!               stack; prints the ranked table (normalized cost, SLO
 //!               violations, drops, revocation survival), verifies a
 //!               --jobs J pass matches --jobs 1 byte-for-byte, and
 //!               writes tournament_leaderboard.json (deterministic)
-//!               plus BENCH_tournament.json (wall-clock quarantined)
 //!               to --out DIR; --policy/--scenario restrict the grid
-//!   perf        request-level simulator throughput: replay every
-//!               trace scenario at high offered load, print byte-stable
-//!               per-scenario JSON summaries, and write
-//!               BENCH_runner.json (simulated-requests-per-wall-second,
-//!               wall-clock quarantined) to --out DIR; --full adds the
-//!               long-horizon 20 krps stress entry (--hours N simulated
-//!               hours, default 24) with a per-hour wall-clock series;
-//!               --mem-gate exits non-zero if the process peak RSS
-//!               exceeds the recorded bound (BENCH_runner.json is
-//!               still written first); --shards N runs the per-scenario
-//!               entries with N arrival shards (byte-identical report,
-//!               wall clock only)
-//!   shard       sharded-runner invariance gate: replay every trace
-//!               scenario at every shard count on the doubling ladder
-//!               1..=--shards (default 4), prove the RunnerReport JSON
-//!               byte-identical at every count (non-zero exit
-//!               otherwise), print the byte-stable per-scenario digest
-//!               lines, and write BENCH_shard.json (per-shard-count
-//!               wall clock, nproc, speedup — quarantined) to --out DIR
-//!   profile     self-profile the workspace's own hot paths: sweep
-//!               grid at --jobs 1 and --jobs J plus a full-stack
-//!               runner phase (--scenario, default revocation_storm)
-//!               under the prof span profiler; prints the
-//!               deterministic span structure (byte-identical across
-//!               runs — CI diffs a double run) and writes
-//!               BENCH_profile.json + flamegraph.folded (wall-clock,
-//!               lock waits, allocations — quarantined) to --out DIR;
-//!               --full adds a 20 krps day-scale phase (--hours N
-//!               scales it, default 24), --alloc adds heap accounting
-//!               (needs a build with --features prof-alloc);
-//!               --spans-golden prints only the short-runner span
-//!               structure (the tests/golden/profile_spans.json
-//!               document) and runs nothing else
+//!   soak        long-horizon run: --hours N simulated hours (default
+//!               24) of 20 krps through the full stack (--scenario,
+//!               default revocation-storm); prints the byte-stable run
+//!               summary, reports the per-hour requests-per-wall-second
+//!               series and the process peak RSS on stderr, and exits
+//!               non-zero if the peak exceeds the recorded bound
 //!   lint        run the spotweb-lint determinism analyzer over the
 //!               workspace; with --out DIR also writes the byte-stable
 //!               lint_report.json. Non-zero exit on unsuppressed
@@ -83,12 +52,14 @@
 //!               epoch, and appends the old→new digest pair to the
 //!               manifest history (--note records why). Refuses to run
 //!               while any *other* fixture disagrees with the manifest
-//!   all         everything above (except trace/report/sweep/
-//!               tournament/perf/shard/lint/bless)
+//!   all         everything above from fig3 to chaos
 //! ```
 //!
 //! `--jobs` is accepted by every subcommand so wrapper scripts can
-//! pass it uniformly; only `sweep` currently fans out.
+//! pass it uniformly; `sweep` and `tournament` fan out.
+//!
+//! How long anything takes is `benchmark/run.sh`'s to say (see
+//! `BENCHMARK.json`); nothing here writes a perf record.
 //!
 //! Default output is pretty-printed JSON (machine-readable series);
 //! `--summary` prints the headline numbers as text — the rows quoted in
@@ -96,19 +67,12 @@
 
 use std::process::ExitCode;
 
-// With the opt-in `prof-alloc` feature the whole binary runs on the
-// counting allocator, so `figures profile --alloc` can attribute heap
-// bytes per span (and assert live-bytes baselines).
-#[cfg(feature = "prof-alloc")]
-#[global_allocator]
-static COUNTING_ALLOC: spotweb_telemetry::prof::alloc::CountingAlloc =
-    spotweb_telemetry::prof::alloc::CountingAlloc;
-
 use spotweb_bench::fig6::Fig6bWorkload;
 use spotweb_bench::{
     ablations, discussion, fig3, fig4, fig5, fig6, fig7, DEFAULT_SEED, THREE_WEEKS_HOURS,
 };
 
+#[derive(Clone)]
 struct Args {
     command: String,
     seed: u64,
@@ -120,28 +84,12 @@ struct Args {
     policy: Option<String>,
     summary: bool,
     out: Option<String>,
-    /// Worker threads for `sweep`; accepted (and currently a no-op) on
-    /// the serial subcommands so scripts can pass it uniformly.
+    /// Worker threads for `sweep`/`tournament`; accepted (and a no-op)
+    /// on the serial subcommands so scripts can pass it uniformly.
     jobs: usize,
-    /// Arrival shards: `shard` uses it as the ladder maximum (default
-    /// 4), `perf` as the per-scenario shard count (default 1).
-    shards: Option<usize>,
-    /// `perf`/`profile`: also run the day-scale 20 krps stress entry.
-    full: bool,
-    /// `profile` only: request allocation accounting (requires a
-    /// binary built with `--features prof-alloc`).
-    alloc: bool,
-    /// `perf`/`profile`: simulated hours of the `--full` day-scale
-    /// phase (24 = the full day; 168 = a week; smaller values are
-    /// scaled probes).
+    /// `soak` only: simulated hours (24 = a day; 168 = a week; smaller
+    /// values are scaled probes).
     hours: usize,
-    /// `perf` only: fail (non-zero exit) if the process peak RSS
-    /// exceeds [`spotweb_bench::perf::MEM_GATE_BYTES`].
-    mem_gate: bool,
-    /// `profile` only: print the `tests/golden/profile_spans.json`
-    /// document (short runner phase span structure) instead of
-    /// running the full harness.
-    spans_golden: bool,
     /// `bless` only: fixture names to regenerate (positional).
     fixtures: Vec<String>,
     /// `bless` only: bootstrap/extend the manifest from on-disk bytes.
@@ -163,12 +111,7 @@ fn parse_args() -> Result<Args, String> {
         summary: false,
         out: None,
         jobs: 1,
-        shards: None,
-        full: false,
-        alloc: false,
         hours: 24,
-        mem_gate: false,
-        spans_golden: false,
         fixtures: Vec::new(),
         init: false,
         note: None,
@@ -207,10 +150,6 @@ fn parse_args() -> Result<Args, String> {
             "--note" => {
                 out.note = Some(args.next().ok_or("--note needs a value")?);
             }
-            "--full" => out.full = true,
-            "--alloc" => out.alloc = true,
-            "--mem-gate" => out.mem_gate = true,
-            "--spans-golden" => out.spans_golden = true,
             "--hours" => {
                 out.hours = args
                     .next()
@@ -233,17 +172,6 @@ fn parse_args() -> Result<Args, String> {
                 if out.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
-            }
-            "--shards" => {
-                let shards: usize = args
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad shards: {e}"))?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                out.shards = Some(shards);
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
             fixture => out.fixtures.push(fixture.to_string()),
@@ -469,22 +397,8 @@ fn run(args: &Args) -> Result<(), String> {
             emit(&d, Some(s), args.summary);
         }
         "chaos" => {
-            use spotweb_sim::{ChaosScenario, NAMED_SCENARIOS};
-            let names: Vec<&str> = match args.scenario.as_deref() {
-                Some(n) => {
-                    if !NAMED_SCENARIOS.contains(&n) {
-                        return Err(format!(
-                            "unknown chaos scenario {n:?}; known: {NAMED_SCENARIOS:?}"
-                        ));
-                    }
-                    vec![NAMED_SCENARIOS
-                        .iter()
-                        .copied()
-                        .find(|s| *s == n)
-                        .expect("validated above")]
-                }
-                None => NAMED_SCENARIOS.to_vec(),
-            };
+            use spotweb_sim::ChaosScenario;
+            let names = spotweb_bench::cell::scenario_axis(args.scenario.as_deref())?;
             for (i, name) in names.iter().enumerate() {
                 let mut scenario = ChaosScenario::named(name);
                 scenario.seed = seed;
@@ -530,9 +444,8 @@ fn run(args: &Args) -> Result<(), String> {
                     };
                     write("trace.jsonl", traced.sink.export_jsonl())?;
                     write("metrics.prom", traced.sink.render_prometheus())?;
-                    write("BENCH_telemetry.json", traced.sink.render_timings_json())?;
                     eprintln!(
-                        "wrote trace.jsonl ({} events), metrics.prom, BENCH_telemetry.json to {}",
+                        "wrote trace.jsonl ({} events), metrics.prom to {}",
                         traced.sink.events().len(),
                         dir.display()
                     );
@@ -549,38 +462,21 @@ fn run(args: &Args) -> Result<(), String> {
         "sweep" => {
             use spotweb_bench::sweep;
             let output = sweep::run_command(args.jobs, args.scenario.as_deref(), seed)?;
-            // Deterministic per-run summaries on stdout; wall-clock
-            // and digests on stderr + BENCH_sweep.json only.
             print!("{}", output.summary_lines);
-            if !output.digests_match {
-                return Err(format!(
-                    "sweep at --jobs {} diverged from --jobs 1 (determinism contract violated)",
-                    args.jobs
-                ));
-            }
-            let dir = std::path::Path::new(args.out.as_deref().unwrap_or("."));
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-            let path = dir.join("BENCH_sweep.json");
-            std::fs::write(&path, &output.bench_json)
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-            if output.nproc == 1 {
-                // A 1-core host timeshares the "parallel" pass against
-                // itself; quoting a speedup there would be noise
-                // dressed up as a verdict.
-                eprintln!(
-                    "sweep: digests match at --jobs {} vs --jobs 1; wrote {} \
-                     (nproc is 1: wall-clock speedup is not meaningful on this host)",
-                    args.jobs,
-                    path.display()
-                );
-            } else {
-                eprintln!(
-                    "sweep: digests match at --jobs {} vs --jobs 1; speedup {:.2}x; wrote {}",
-                    args.jobs,
-                    output.speedup,
-                    path.display()
-                );
-            }
+            // Iteration counts, not timings: deterministic, but not
+            // part of the per-run corpus stdout carries.
+            let warm = sweep::warm_start_probe();
+            eprintln!(
+                "sweep: digest {} at --jobs {} matches --jobs 1; warm start saves {:.0}% of \
+                 ADMM iterations ({:.1} vs {:.1} per solve, {} markets, H={})",
+                output.digest,
+                args.jobs,
+                100.0 * warm.saved_fraction(),
+                warm.warm_mean_iterations,
+                warm.cold_mean_iterations,
+                warm.markets,
+                warm.horizon
+            );
         }
         "tournament" => {
             use spotweb_bench::tournament;
@@ -589,136 +485,44 @@ fn run(args: &Args) -> Result<(), String> {
                 args.policy.as_deref(),
                 args.scenario.as_deref(),
             )?;
-            // Ranked table on stdout; wall-clock and digests on stderr
-            // + BENCH_tournament.json only.
             print!("{}", output.table);
-            if !output.digests_match {
-                return Err(format!(
-                    "tournament at --jobs {} diverged from --jobs 1 (determinism contract violated)",
-                    args.jobs
-                ));
-            }
             let dir = std::path::Path::new(args.out.as_deref().unwrap_or("."));
             std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
             let board_path = dir.join("tournament_leaderboard.json");
             std::fs::write(&board_path, &output.leaderboard_json)
                 .map_err(|e| format!("write {}: {e}", board_path.display()))?;
-            let bench_path = dir.join("BENCH_tournament.json");
-            std::fs::write(&bench_path, &output.bench_json)
-                .map_err(|e| format!("write {}: {e}", bench_path.display()))?;
             eprintln!(
-                "tournament: digests match at --jobs {} vs --jobs 1; speedup {:.2}x; wrote {} and {}",
+                "tournament: digest {} at --jobs {} matches --jobs 1; wrote {}",
+                output.digest,
                 args.jobs,
-                output.speedup,
-                board_path.display(),
-                bench_path.display()
+                board_path.display()
             );
         }
-        "perf" => {
-            use spotweb_bench::perf;
-            let shards = args.shards.unwrap_or(1);
-            let output = perf::run_command(seed, args.full, args.hours, args.mem_gate, shards)?;
-            if shards > 1 && output.nproc == 1 {
+        "soak" => {
+            use spotweb_bench::soak;
+            let scenario = args.scenario.as_deref().unwrap_or("revocation-storm");
+            let run = soak::run_hourly(scenario, seed, soak::SOAK_RPS, args.hours)?;
+            // Deterministic summary on stdout; everything the host's
+            // clock or allocator had a say in on stderr.
+            println!("{}", run.summary.to_json());
+            for h in &run.per_hour {
                 eprintln!(
-                    "perf: --shards {shards} on a 1-core host (nproc 1): the report stays \
-                     byte-identical but no wall-clock speedup is measurable here"
+                    "soak: hour {:>3}: {} arrivals in {:.2} s = {:.0} req/wall-s",
+                    h.hour,
+                    h.arrivals,
+                    h.wall_secs,
+                    h.requests_per_wall_second()
                 );
             }
-            // Deterministic per-scenario summaries on stdout;
-            // wall-clock on stderr + BENCH_runner.json only.
-            print!("{}", output.summary_lines);
-            let dir = std::path::Path::new(args.out.as_deref().unwrap_or("."));
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-            let path = dir.join("BENCH_runner.json");
-            std::fs::write(&path, &output.bench_json)
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-            if let Some(rss) = output.peak_rss_bytes {
+            let peak = soak::peak_rss_bytes();
+            if let Some(rss) = peak {
                 eprintln!(
-                    "perf: peak RSS {:.1} MiB (gate {:.1} MiB)",
+                    "soak: peak RSS {:.1} MiB (gate {:.1} MiB)",
                     rss as f64 / (1024.0 * 1024.0),
-                    perf::MEM_GATE_BYTES as f64 / (1024.0 * 1024.0),
+                    soak::MEM_GATE_BYTES as f64 / (1024.0 * 1024.0),
                 );
             }
-            eprintln!(
-                "perf: {:.0} simulated requests per wall-second (aggregate); wrote {}",
-                output.aggregate_rps,
-                path.display()
-            );
-            // The gate verdict comes after the record is on disk, so a
-            // failing run still leaves BENCH_runner.json to inspect.
-            if let Some(violation) = output.mem_gate_violation {
-                return Err(violation);
-            }
-        }
-        "shard" => {
-            use spotweb_bench::shard;
-            let max_shards = args.shards.unwrap_or(4);
-            let output = shard::run_command(seed, max_shards)?;
-            // Deterministic per-scenario digest lines on stdout;
-            // wall-clock on stderr + BENCH_shard.json only.
-            print!("{}", output.summary_lines);
-            let dir = std::path::Path::new(args.out.as_deref().unwrap_or("."));
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-            let path = dir.join("BENCH_shard.json");
-            std::fs::write(&path, &output.bench_json)
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-            if !output.all_match {
-                // The record is on disk first, so a failing run leaves
-                // the mismatching digests to inspect.
-                return Err(format!(
-                    "sharded runs diverged from --shards 1 bytes (determinism \
-                     contract violated); see {}",
-                    path.display()
-                ));
-            }
-            if output.nproc == 1 {
-                eprintln!(
-                    "shard: byte-identical up to --shards {max_shards}; wrote {} \
-                     (nproc is 1: wall-clock speedup is not measurable on this host)",
-                    path.display()
-                );
-            } else {
-                eprintln!(
-                    "shard: byte-identical up to --shards {max_shards}; speedup {:.2}x \
-                     at the ladder top; wrote {}",
-                    output.speedup_at_max,
-                    path.display()
-                );
-            }
-        }
-        "profile" => {
-            use spotweb_bench::profile;
-            if args.spans_golden {
-                let scenario = args.scenario.as_deref().unwrap_or("revocation_storm");
-                print!("{}", profile::runner_spans_golden_json(scenario, seed)?);
-                return Ok(());
-            }
-            let output = profile::run_command(
-                args.jobs,
-                args.scenario.as_deref(),
-                seed,
-                args.full,
-                args.hours,
-                args.alloc,
-            )?;
-            // Deterministic span structure on stdout; wall-clock,
-            // lock-wait seconds, and allocation figures on stderr +
-            // BENCH_profile.json / flamegraph.folded only.
-            print!("{}", output.spans_json);
-            let dir = std::path::Path::new(args.out.as_deref().unwrap_or("."));
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-            let bench_path = dir.join("BENCH_profile.json");
-            std::fs::write(&bench_path, &output.bench_json)
-                .map_err(|e| format!("write {}: {e}", bench_path.display()))?;
-            let folded_path = dir.join("flamegraph.folded");
-            std::fs::write(&folded_path, &output.folded)
-                .map_err(|e| format!("write {}: {e}", folded_path.display()))?;
-            eprint!("{}", output.human_summary);
-            eprintln!(
-                "profile: wrote {} and {}",
-                bench_path.display(),
-                folded_path.display()
-            );
+            soak::mem_gate(peak)?;
         }
         "lint" => {
             let cwd = std::env::current_dir().map_err(|e| format!("current dir: {e}"))?;
@@ -776,23 +580,8 @@ fn run(args: &Args) -> Result<(), String> {
             ] {
                 let sub = Args {
                     command: cmd.to_string(),
-                    seed: args.seed,
-                    intervals: args.intervals,
-                    workload: args.workload,
-                    scenario: args.scenario.clone(),
-                    policy: args.policy.clone(),
-                    summary: args.summary,
                     out: None,
-                    jobs: args.jobs,
-                    shards: None,
-                    full: false,
-                    alloc: false,
-                    hours: 24,
-                    mem_gate: false,
-                    spans_golden: false,
-                    fixtures: Vec::new(),
-                    init: false,
-                    note: None,
+                    ..args.clone()
                 };
                 eprintln!("=== {cmd} ===");
                 run(&sub)?;
@@ -807,7 +596,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\nusage: figures <fig3|fig4a|fig4bcd|fig5|fig6a|fig6b|fig7a|fig7b|ablations|discussion|chaos|trace|report|sweep|tournament|perf|shard|profile|lint|bless|all> [--seed N] [--intervals N] [--workload wikipedia|vod] [--scenario NAME] [--policy NAME] [--summary] [--out DIR] [--jobs J] [--shards N] [--full] [--alloc] [--hours N] [--mem-gate] [--spans-golden] [--init] [--note TEXT] [FIXTURE...]");
+            eprintln!("error: {e}\nusage: figures <fig3|fig4a|fig4bcd|fig5|fig6a|fig6b|fig7a|fig7b|ablations|discussion|chaos|trace|report|sweep|tournament|soak|lint|bless|all> [--seed N] [--intervals N] [--workload wikipedia|vod] [--scenario NAME] [--policy NAME] [--summary] [--out DIR] [--jobs J] [--hours N] [--init] [--note TEXT] [FIXTURE...]");
             return ExitCode::from(2);
         }
     };

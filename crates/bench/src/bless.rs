@@ -29,11 +29,9 @@ use std::path::{Path, PathBuf};
 
 use spotweb_lint::manifest::{self, FixtureEntry, HistoryEntry, Manifest};
 
-use crate::{fig4, fig6, profile, telem};
-use crate::{sweep::build_grid, sweep::run_grid};
-use crate::{
-    tournament::build_tournament_grid, tournament::leaderboard, tournament::render_leaderboard_json,
-};
+use crate::sweep::{build_grid, run_grid};
+use crate::tournament::{build_tournament_grid, leaderboard, render_leaderboard_json};
+use crate::{cell, fig4, fig6, profile, telem};
 
 /// Seeds the runner-equivalence golden is recorded at (mirrors
 /// `tests/runner_perf.rs`).
@@ -86,8 +84,8 @@ fn gen_runner_equivalence(_root: &Path) -> Result<String, String> {
     let mut out = String::new();
     for seed in GOLDEN_SEEDS {
         let grid = build_grid(None, seed)?;
-        for r in run_grid(1, grid) {
-            out.push_str(&r.summary.to_json());
+        for summary in run_grid(1, grid) {
+            out.push_str(&summary.to_json());
             out.push('\n');
         }
     }
@@ -95,16 +93,10 @@ fn gen_runner_equivalence(_root: &Path) -> Result<String, String> {
 }
 
 fn gen_tournament(_root: &Path) -> Result<String, String> {
-    let grid = build_tournament_grid(None, None)?;
-    let results = run_grid(4, grid);
-    let summaries: Vec<_> = results.iter().map(|r| r.summary.clone()).collect();
-    let scenarios: Vec<String> = telem::TRACE_SCENARIOS
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let summaries = run_grid(4, build_tournament_grid(None, None)?);
     Ok(render_leaderboard_json(
         &leaderboard(&summaries),
-        &scenarios,
+        cell::SCENARIOS,
     ))
 }
 
@@ -152,7 +144,7 @@ pub fn default_specs() -> Vec<FixtureSpec> {
         },
         FixtureSpec {
             name: "profile_spans.json",
-            command: "cargo run --release -p spotweb-bench --bin figures -- profile --spans-golden --scenario revocation_storm --seed 1234 > tests/golden/profile_spans.json",
+            command: "cargo run --release -p spotweb-bench --bin figures -- bless profile_spans.json",
             generate: gen_profile_spans,
         },
         FixtureSpec {

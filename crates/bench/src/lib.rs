@@ -15,28 +15,31 @@
 //! | [`fig7`]  | Fig. 7(a) — savings vs prediction error; Fig. 7(b) — optimizer scalability |
 //! | [`ablations`] | beyond-the-paper sweeps: churn γ, risk α, CI level, horizon |
 //! | [`discussion`] | §7 provider portability: EC2 vs GCP vs Azure profiles |
+//! | [`cell`] | the experiment cell: one (scenario, policy, seed) full-stack run — every command below that simulates requests goes through it |
 //! | [`telem`] | `figures trace`/`report` — full-stack telemetry replay of the chaos scenarios |
-//! | [`sweep`] | `figures sweep` — deterministic parallel policy × scenario × seed grid + `BENCH_sweep.json` |
-//! | [`tournament`] | `figures tournament` — policy-zoo leaderboard over the full grid + `BENCH_tournament.json` |
-//! | [`perf`] | `figures perf` — request-level simulator throughput record + `BENCH_runner.json` |
-//! | [`shard`] | `figures shard` — sharded-runner byte-equality gate + `BENCH_shard.json` |
-//! | [`profile`] | `figures profile` — self-profiling span trees + `BENCH_profile.json` / `flamegraph.folded` |
+//! | [`sweep`] | `figures sweep` — deterministic parallel policy × scenario × seed grid, jobs-1 ≡ jobs-J digest proof |
+//! | [`tournament`] | `figures tournament` — policy-zoo leaderboard over the full grid |
+//! | [`soak`] | `figures soak` — 20 krps long-horizon run: per-hour throughput series + peak-RSS gate |
+//! | [`profile`] | `prof`-session wrappers behind `tests/profile.rs` and the `profile_spans.json` golden |
 //! | [`bless`] | `figures bless` — audited golden regeneration against `tests/golden/MANIFEST.json` |
+//!
+//! How fast any of it runs is not recorded here: `benchmark/` (see
+//! `BENCHMARK.json`) is the repo's one perf record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod bless;
+pub mod cell;
 pub mod discussion;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod perf;
 pub mod profile;
-pub mod shard;
+pub mod soak;
 pub mod sweep;
 pub mod telem;
 pub mod tournament;

@@ -4,231 +4,38 @@
 //! export the byte-stable trace plus human-readable explanations.
 //!
 //! The chaos scenarios in `spotweb-sim` exercise a fixed cluster; the
-//! replay here instead drives [`spotweb_sim::run_full_stack`] with the
-//! real [`spotweb_core::SpotWebPolicy`] so the trace carries the whole
+//! replay here is the [`Cell`] with the real
+//! [`spotweb_core::SpotWebPolicy`], so the trace carries the whole
 //! decision story: one `decision` record per MPO solve, `forecast`
 //! records from the workload predictor, per-backend `drain` /
 //! `backend_death` / `replacement_started` timelines around the
 //! injected faults, and an `interval_summary` per control interval.
 //!
 //! Determinism contract (see DESIGN.md): the trace JSONL is a pure
-//! function of `(scenario, seed)` — wall-clock solver timings are
-//! kept in a separate store and exported only via
-//! `BENCH_telemetry.json`.
+//! function of `(scenario, seed)`.
 
-use spotweb_core::policy::{Policy, PolicyObservation};
-use spotweb_core::{SpotWebConfig, SpotWebPolicy};
-use spotweb_market::{estimate_correlation, Catalog, CloudSim};
-use spotweb_sim::runner::FleetPolicy;
-use spotweb_sim::{run_full_stack, FaultKind, FaultPlan, RunnerConfig, RunnerReport};
-use spotweb_telemetry::{TelemetrySink, TraceEvent};
-use spotweb_workload::Trace;
+use spotweb_telemetry::TraceEvent;
 
-/// Scenario names `figures trace` accepts (the `spotweb-sim` chaos
-/// names, replayed here against the full stack).
-pub const TRACE_SCENARIOS: &[&str] = &[
-    "revocation-storm",
-    "revocation-storm-vanilla",
-    "zero-warning",
-    "backend-flaps",
-    "slow-start-storm",
-];
+use crate::cell::{Cell, CellRun};
 
-/// Result of a traced full-stack replay: the shared telemetry sink
-/// (trace + metrics + timings) plus the runner's own report.
-pub struct TraceRun {
-    /// Normalized scenario name.
-    pub scenario: String,
-    /// Seed the replay ran with.
-    pub seed: u64,
-    /// The telemetry store the whole stack wrote into.
-    pub sink: TelemetrySink,
-    /// The runner's aggregate report.
-    pub report: RunnerReport,
-}
-
-/// Adapter driving any [`spotweb_core::Policy`] from runner
-/// observations — the same glue as the root crate's `PolicyBridge`,
-/// duplicated here because `spotweb-bench` sits below the facade crate
-/// in the dependency graph. Boxed so the factory-built zoo policies
-/// and the MPO policy all ride the same bridge.
-pub(crate) struct CorePolicyBridge {
-    pub(crate) policy: Box<dyn Policy + Send>,
-    pub(crate) catalog: Catalog,
-}
-
-impl FleetPolicy for CorePolicyBridge {
-    fn decide_fleet(
-        &mut self,
-        interval: usize,
-        observed_rps: f64,
-        prices: &[f64],
-        failure_probs: &[f64],
-        failure_history: &[Vec<f64>],
-    ) -> Vec<u32> {
-        let covariance = if failure_history.first().map_or(0, |s| s.len()) >= 2 {
-            estimate_correlation(failure_history, 0.1)
-        } else {
-            spotweb_linalg::Matrix::identity(self.catalog.len())
-        };
-        let obs = PolicyObservation {
-            interval,
-            current_workload: observed_rps,
-            prices,
-            failure_probs,
-            covariance: &covariance,
-            oracle: None,
-        };
-        self.policy.decide(&self.catalog, &obs)
-    }
-}
-
-/// Normalize a scenario name: accept `revocation_storm` for
-/// `revocation-storm` (the paper harness convention is hyphens).
-pub fn normalize_scenario(name: &str) -> String {
-    name.replace('_', "-")
-}
-
-/// What a named scenario compiles to: the fault timeline plus the
-/// balancer mode. Shared by `figures trace` and `figures sweep` so
-/// both commands replay exactly the same faults.
-pub struct ScenarioSetup {
-    /// Compiled fault timeline for a `markets`-market catalog.
-    pub plan: FaultPlan,
-    /// Whether the load balancer runs transiency-aware.
-    pub transiency_aware: bool,
-}
-
-/// Compile a **normalized** scenario name (one of [`TRACE_SCENARIOS`])
-/// into its fault plan for a catalog of `markets` markets. Returns
-/// `None` for unknown names — callers produce the helpful error.
-pub fn scenario_setup(name: &str, markets: usize) -> Option<ScenarioSetup> {
-    let all_markets: Vec<usize> = (0..markets).collect();
-    // The MPO policy concentrates the fleet wherever it is cheapest,
-    // so correlated storms hit every market to guarantee the serving
-    // capacity is actually revoked.
-    let mut plan = FaultPlan::new();
-    let mut transiency_aware = true;
-    match name {
-        "revocation-storm" | "revocation-storm-vanilla" => {
-            plan = plan.at(
-                400.0,
-                FaultKind::CorrelatedRevocation {
-                    markets: all_markets.clone(),
-                    warning_secs: None,
-                },
-            );
-            transiency_aware = name == "revocation-storm";
-        }
-        "zero-warning" => {
-            plan = plan.at(
-                400.0,
-                FaultKind::CorrelatedRevocation {
-                    markets: all_markets.clone(),
-                    warning_secs: Some(0.0),
-                },
-            );
-        }
-        "backend-flaps" => {
-            for &m in &all_markets {
-                plan = plan.at(
-                    400.0,
-                    FaultKind::BackendFlap {
-                        target: m,
-                        down_secs: 60.0,
-                    },
-                );
-            }
-        }
-        "slow-start-storm" => {
-            plan = plan
-                .at(200.0, FaultKind::StartupDelay { extra_secs: 120.0 })
-                .at(200.0, FaultKind::WarmupStall { extra_secs: 60.0 })
-                .at(
-                    400.0,
-                    FaultKind::CorrelatedRevocation {
-                        markets: all_markets.clone(),
-                        warning_secs: None,
-                    },
-                );
-        }
-        _ => return None,
-    }
-    Some(ScenarioSetup {
-        plan,
-        transiency_aware,
-    })
-}
-
-/// Replay `scenario` (any of [`TRACE_SCENARIOS`], underscores
-/// accepted) through the full stack with telemetry enabled.
-pub fn run_trace(scenario: &str, seed: u64) -> Result<TraceRun, String> {
-    let name = normalize_scenario(scenario);
-    let catalog = Catalog::fig4_testbed();
-    let Some(setup) = scenario_setup(&name, catalog.len()) else {
-        return Err(format!(
-            "unknown trace scenario {name:?}; known: {TRACE_SCENARIOS:?}"
-        ));
-    };
-    // Four 5-minute control intervals: long enough for the storm to
-    // land mid-run with warmed replacements before the end, short
-    // enough that a CI double-run stays cheap.
-    let interval_secs = 300.0;
-    let intervals = 4;
-    let ScenarioSetup {
-        plan,
-        transiency_aware,
-    } = setup;
-
-    let sink = TelemetrySink::enabled();
-    let config = RunnerConfig {
-        interval_secs,
-        intervals,
-        seed,
-        faults: Some(plan),
-        telemetry: sink.clone(),
-        lb: spotweb_lb::LoadBalancerConfig {
-            transiency_aware,
-            ..spotweb_lb::LoadBalancerConfig::default()
-        },
-        ..RunnerConfig::default()
-    };
-    let mut cloud = CloudSim::new(catalog.clone(), seed, 100);
-    cloud.warm_up(8);
-    let trace = Trace::new(interval_secs, vec![300.0; intervals + 2]);
-    let policy = SpotWebPolicy::new(
-        SpotWebConfig {
-            interval_secs,
-            ..SpotWebConfig::default()
-        },
-        catalog.len(),
-    )
-    .with_telemetry(sink.clone());
-    let mut bridge = CorePolicyBridge {
-        policy: Box::new(policy),
-        catalog,
-    };
-    let report = run_full_stack(&mut bridge, &mut cloud, &trace, &config);
-    Ok(TraceRun {
-        scenario: name,
-        seed,
-        sink,
-        report,
-    })
+/// Replay `scenario` (any of [`crate::cell::SCENARIOS`], leniently
+/// spelled) under the SpotWeb policy at the trace-default shape.
+pub fn run_trace(scenario: &str, seed: u64) -> Result<CellRun, String> {
+    Ok(Cell::trace_default(scenario, "spotweb", seed)?.run())
 }
 
 /// Render a traced run as a human-readable explanation: the decision
 /// story per interval, forecast accuracy, and the drain/replacement
 /// timeline around every injected fault.
-pub fn render_report(run: &TraceRun) -> String {
+pub fn render_report(run: &CellRun) -> String {
     let mut out = String::with_capacity(8192);
     let r = &run.report;
     out.push_str(&format!(
         "scenario {} (seed {})\n\
          served {} dropped {} ({:.2}% drops), p50 {:.0} ms, p99 {:.0} ms, cost ${:.2}\n\
          revocations {}, migrated sessions {}, trace events {} (dropped {})\n",
-        run.scenario,
-        run.seed,
+        run.cell.scenario,
+        run.cell.seed,
         r.served,
         r.dropped,
         100.0 * r.drop_fraction,
@@ -345,7 +152,7 @@ mod tests {
     fn trace_is_byte_identical_across_runs_and_tells_the_story() {
         let a = run_trace("revocation_storm", 1234).expect("runs");
         let b = run_trace("revocation-storm", 1234).expect("runs");
-        assert_eq!(a.scenario, "revocation-storm", "underscores normalize");
+        assert_eq!(a.cell.scenario, "revocation-storm", "underscores normalize");
         let jsonl_a = a.sink.export_jsonl();
         assert_eq!(jsonl_a, b.sink.export_jsonl(), "trace must be byte-stable");
         assert!(!jsonl_a.is_empty());
@@ -359,17 +166,11 @@ mod tests {
         assert!(count("replacement_started") > 0);
         assert_eq!(count("interval_summary"), 4);
 
-        // Wall-clock timings exist but never contaminate the trace.
-        assert!(a.sink.render_timings_json().contains("mpo_solve_secs"));
+        // Wall-clock never contaminates the trace.
         assert!(!jsonl_a.contains("solve_secs"));
 
         let report = render_report(&a);
         assert!(report.contains("decision #"));
         assert!(report.contains("FAULT correlated_revocation"));
-    }
-
-    #[test]
-    fn unknown_scenario_is_rejected() {
-        assert!(run_trace("kernel-panic", 1).is_err());
     }
 }

@@ -3,13 +3,12 @@
 //! byte-stable leaderboard.
 //!
 //! The tournament is the sweep grid widened to the whole zoo
-//! ([`TOURNAMENT_POLICIES`]) and deepened to several seeds
-//! ([`TOURNAMENT_SEEDS`]): one [`SweepSpec`] cell per policy ×
-//! scenario × seed, each replayed through the full stack by
-//! [`crate::sweep::run_one`] with nothing shared between cells. The
-//! command runs the grid at `--jobs 1` and again at `--jobs J` and
-//! proves both passes byte-identical before rendering anything — the
-//! same determinism contract as `figures sweep`.
+//! ([`POLICIES`]) and deepened to several seeds
+//! ([`TOURNAMENT_SEEDS`]): one [`Cell`] per policy × scenario × seed,
+//! each replayed through the full stack with nothing shared between
+//! cells. The command runs the grid at `--jobs 1` and again at
+//! `--jobs J` and proves both passes byte-identical before rendering
+//! anything — the same determinism contract as `figures sweep`.
 //!
 //! Leaderboard metrics per policy (aggregated over its cells):
 //!
@@ -28,28 +27,15 @@
 //!   comparable ~O(1) scale, and the point of the tournament is the
 //!   per-metric columns, not the scalar.
 //!
-//! Outputs: a fixed-precision human table (stdout), the deterministic
-//! `tournament_leaderboard.json` (golden-locked in
-//! `tests/tournament.rs`), and `BENCH_tournament.json` whose
-//! wall-clock fields are quarantined from the deterministic payload.
+//! Outputs: a fixed-precision human table (stdout) and the
+//! deterministic `tournament_leaderboard.json` (golden-locked in
+//! `tests/tournament.rs`).
 
-use spotweb_core::normalize_policy_name;
-use spotweb_sim::sweep::{digest, RunSummary};
+use spotweb_sim::sweep::RunSummary;
 use spotweb_telemetry::json::{json_f64, json_string};
 
-use crate::sweep::{run_grid, SweepSpec};
-use crate::telem::{normalize_scenario, TRACE_SCENARIOS};
-
-/// Every competitor the tournament ranks: the factory-built zoo
-/// (including SpotWeb itself) plus the runner's reactive baseline.
-pub const TOURNAMENT_POLICIES: &[&str] = &[
-    "spotweb",
-    "reactive",
-    "exosphere",
-    "index-tracking",
-    "het-spot-groups",
-    "randomized-market",
-];
+use crate::cell::{grid, resolve_policy, scenario_axis, Cell, POLICIES};
+use crate::sweep::run_grid_verified;
 
 /// Seeds each policy × scenario cell is replayed at.
 pub const TOURNAMENT_SEEDS: &[u64] = &[1234, 7, 99];
@@ -59,61 +45,19 @@ pub const TOURNAMENT_SEEDS: &[u64] = &[1234, 7, 99];
 /// collapse), so half a second cleanly separates the two regimes.
 pub const SLO_P99_SECS: f64 = 0.5;
 
-/// Resolve a (lenient) policy name against [`TOURNAMENT_POLICIES`]:
-/// trims, lowercases and folds underscores to hyphens, and on failure
-/// lists every registered name.
-pub fn resolve_policy(name: &str) -> Result<&'static str, String> {
-    let canonical = normalize_policy_name(name);
-    TOURNAMENT_POLICIES
-        .iter()
-        .copied()
-        .find(|p| *p == canonical)
-        .ok_or_else(|| {
-            format!(
-                "unknown policy '{name}'; registered policies: {}",
-                TOURNAMENT_POLICIES.join(", ")
-            )
-        })
-}
-
-/// Build the tournament grid: (one policy or all of
-/// [`TOURNAMENT_POLICIES`]) × (one scenario or all of
-/// [`TRACE_SCENARIOS`]) × every seed in [`TOURNAMENT_SEEDS`], in that
-/// nesting order. Errors helpfully on unknown names.
+/// Build the tournament grid: (one policy or all of [`POLICIES`]) ×
+/// (one scenario or all of [`crate::cell::SCENARIOS`]) × every seed in
+/// [`TOURNAMENT_SEEDS`], in that nesting order. Names are leniently
+/// spelled; unknown ones list the registry.
 pub fn build_tournament_grid(
     policy: Option<&str>,
     scenario: Option<&str>,
-) -> Result<Vec<SweepSpec>, String> {
-    let policies: Vec<&str> = match policy {
+) -> Result<Vec<Cell>, String> {
+    let policies = match policy {
         Some(raw) => vec![resolve_policy(raw)?],
-        None => TOURNAMENT_POLICIES.to_vec(),
+        None => POLICIES.to_vec(),
     };
-    let scenarios: Vec<String> = match scenario {
-        Some(raw) => {
-            let name = normalize_scenario(raw);
-            if !TRACE_SCENARIOS.contains(&name.as_str()) {
-                return Err(format!(
-                    "unknown tournament scenario '{name}'; known: {}",
-                    TRACE_SCENARIOS.join(", ")
-                ));
-            }
-            vec![name]
-        }
-        None => TRACE_SCENARIOS.iter().map(|s| s.to_string()).collect(),
-    };
-    let mut grid = Vec::with_capacity(policies.len() * scenarios.len() * TOURNAMENT_SEEDS.len());
-    for p in &policies {
-        for s in &scenarios {
-            for &seed in TOURNAMENT_SEEDS {
-                grid.push(SweepSpec {
-                    policy: p.to_string(),
-                    scenario: s.clone(),
-                    seed,
-                });
-            }
-        }
-    }
-    Ok(grid)
+    Ok(grid(&policies, &scenario_axis(scenario)?, TOURNAMENT_SEEDS))
 }
 
 /// One leaderboard row: a policy's aggregate standing over its cells.
@@ -238,7 +182,7 @@ pub fn leaderboard(summaries: &[RunSummary]) -> Vec<PolicyStanding> {
 /// Render the standings as the byte-stable
 /// `tournament_leaderboard.json`: pure function of the grid's
 /// deterministic summaries, fixed key order, canonical numbers.
-pub fn render_leaderboard_json(standings: &[PolicyStanding], scenarios: &[String]) -> String {
+pub fn render_leaderboard_json(standings: &[PolicyStanding], scenarios: &[&str]) -> String {
     let seeds = TOURNAMENT_SEEDS
         .iter()
         .map(|s| s.to_string())
@@ -315,19 +259,14 @@ pub fn render_table(standings: &[PolicyStanding]) -> String {
     out
 }
 
-/// Result of [`run_command`]: renderings plus the determinism verdict.
+/// Result of [`run_command`]: the renderings and the grid's digest.
 pub struct TournamentOutput {
     /// Human leaderboard table for stdout.
     pub table: String,
     /// The deterministic `tournament_leaderboard.json` contents.
     pub leaderboard_json: String,
-    /// The rendered `BENCH_tournament.json` contents (wall-clock
-    /// quarantined here, never in the leaderboard).
-    pub bench_json: String,
-    /// Whether the `--jobs 1` and `--jobs J` passes were byte-identical.
-    pub digests_match: bool,
-    /// Speedup of the parallel pass over the serial pass.
-    pub speedup: f64,
+    /// FNV digest over the per-cell summaries.
+    pub digest: String,
 }
 
 /// Execute the tournament: run the grid serially and at `jobs`
@@ -337,75 +276,12 @@ pub fn run_command(
     policy: Option<&str>,
     scenario: Option<&str>,
 ) -> Result<TournamentOutput, String> {
-    let grid = build_tournament_grid(policy, scenario)?;
-    let mut scenarios: Vec<String> = Vec::new();
-    for spec in &grid {
-        if !scenarios.contains(&spec.scenario) {
-            scenarios.push(spec.scenario.clone());
-        }
-    }
-
-    let started_serial = std::time::Instant::now();
-    let serial = run_grid(1, grid.clone());
-    let serial_elapsed = started_serial.elapsed().as_secs_f64();
-    let started_parallel = std::time::Instant::now();
-    let parallel = run_grid(jobs, grid);
-    let parallel_elapsed = started_parallel.elapsed().as_secs_f64();
-
-    let serial_summaries: Vec<RunSummary> = serial.iter().map(|r| r.summary.clone()).collect();
-    let parallel_summaries: Vec<RunSummary> = parallel.iter().map(|r| r.summary.clone()).collect();
-    let digest_serial = digest(&serial_summaries);
-    let digest_parallel = digest(&parallel_summaries);
-    let digests_match = digest_serial == digest_parallel
-        && serial_summaries
-            .iter()
-            .zip(&parallel_summaries)
-            .all(|(a, b)| a.to_json() == b.to_json());
-    let speedup = if parallel_elapsed > 0.0 {
-        serial_elapsed / parallel_elapsed
-    } else {
-        0.0
-    };
-
-    let standings = leaderboard(&parallel_summaries);
-    let leaderboard_json = render_leaderboard_json(&standings, &scenarios);
-    let table = render_table(&standings);
-
-    let mut cells_json = String::new();
-    for (i, r) in parallel.iter().enumerate() {
-        if i > 0 {
-            cells_json.push(',');
-        }
-        cells_json.push_str(&format!(
-            "\n    {{\"label\":{},\"wall_secs\":{},\"summary\":{}}}",
-            json_string(&r.summary.label()),
-            json_f64(r.wall_secs),
-            r.summary.to_json(),
-        ));
-    }
-    let bench_json = format!(
-        "{{\n  \"jobs\": {jobs},\n  \"cells\": [{cells_json}\n  ],\n  \
-         \"serial_wall_secs\": {},\n  \"parallel_wall_secs\": {},\n  \
-         \"speedup\": {},\n  \"digest_serial\": {},\n  \
-         \"digest_parallel\": {},\n  \"digests_match\": {digests_match},\n  \
-         \"leaderboard\": {}}}\n",
-        json_f64(serial_elapsed),
-        json_f64(parallel_elapsed),
-        json_f64(speedup),
-        json_string(&digest_serial),
-        json_string(&digest_parallel),
-        // Embed the deterministic leaderboard verbatim (indented under
-        // this key; the trailing newline of the standalone rendering is
-        // trimmed to keep the outer object well-formed).
-        leaderboard_json.trim_end(),
-    );
-
+    let run = run_grid_verified(jobs, build_tournament_grid(policy, scenario)?)?;
+    let standings = leaderboard(&run.summaries);
     Ok(TournamentOutput {
-        table,
-        leaderboard_json,
-        bench_json,
-        digests_match,
-        speedup,
+        table: render_table(&standings),
+        leaderboard_json: render_leaderboard_json(&standings, &scenario_axis(scenario)?),
+        digest: run.digest,
     })
 }
 
@@ -436,7 +312,7 @@ mod tests {
         let grid = build_tournament_grid(None, None).unwrap();
         assert_eq!(
             grid.len(),
-            TOURNAMENT_POLICIES.len() * TRACE_SCENARIOS.len() * TOURNAMENT_SEEDS.len()
+            POLICIES.len() * crate::cell::SCENARIOS.len() * TOURNAMENT_SEEDS.len()
         );
         // Restricting either axis restricts the product.
         let one = build_tournament_grid(Some("Index_Tracking"), Some("zero_warning")).unwrap();
@@ -444,17 +320,6 @@ mod tests {
         assert!(one
             .iter()
             .all(|s| s.policy == "index-tracking" && s.scenario == "zero-warning"));
-    }
-
-    #[test]
-    fn unknown_names_list_the_registry() {
-        let err = build_tournament_grid(Some("alphago"), None).unwrap_err();
-        assert!(err.contains("unknown policy 'alphago'"), "{err}");
-        for p in TOURNAMENT_POLICIES {
-            assert!(err.contains(p), "error lists {p}: {err}");
-        }
-        let err = build_tournament_grid(None, Some("full-moon")).unwrap_err();
-        assert!(err.contains("unknown tournament scenario"), "{err}");
     }
 
     #[test]
@@ -484,9 +349,8 @@ mod tests {
             cell("a", "s", 1, 10.0, 0.1, 0),
             cell("b", "s", 1, 20.0, 0.9, 3),
         ];
-        let scenarios = vec!["s".to_string()];
-        let json_a = render_leaderboard_json(&leaderboard(&cells), &scenarios);
-        let json_b = render_leaderboard_json(&leaderboard(&cells), &scenarios);
+        let json_a = render_leaderboard_json(&leaderboard(&cells), &["s"]);
+        let json_b = render_leaderboard_json(&leaderboard(&cells), &["s"]);
         assert_eq!(json_a, json_b);
         assert!(json_a.contains("\"rank\":1"));
         assert!(json_a.contains("\"slo_p99_secs\""));

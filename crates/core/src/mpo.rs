@@ -8,7 +8,7 @@
 //! from the previous solution, which is why re-optimizing every
 //! interval stays cheap (Fig. 7(b)).
 
-// spotweb-lint: allow(wall-clock-quarantine) -- solve wall-time feeds the quarantined MPO_SOLVE_SECS store; never enters decision logic
+// spotweb-lint: allow(wall-clock-quarantine) -- solve wall-time feeds only `PortfolioDecision.solve_secs`; never enters decision logic
 use std::time::Instant;
 
 use spotweb_linalg::Matrix;
@@ -129,7 +129,7 @@ impl MpoOptimizer {
 
     /// Enable or disable warm starting (on by default). Disabling
     /// forces every solve to the zero cold start — the knob behind the
-    /// warm-vs-cold numbers in `BENCH_sweep.json`.
+    /// warm-vs-cold iteration counts `figures sweep` reports.
     pub fn set_warm_start(&mut self, enabled: bool) {
         self.warm_start_enabled = enabled;
         if !enabled {
@@ -163,7 +163,7 @@ impl MpoOptimizer {
         covariance: &Matrix,
         prev_allocation: &[f64],
     ) -> Result<PortfolioDecision> {
-        // spotweb-lint: allow(wall-clock-quarantine) -- solve wall-time feeds the quarantined MPO_SOLVE_SECS store; never enters decision logic
+        // spotweb-lint: allow(wall-clock-quarantine) -- solve wall-time feeds only `PortfolioDecision.solve_secs`; never enters decision logic
         let started = Instant::now();
         prof::scope!(names::SPAN_MPO_SOLVE);
         let n = catalog.len();

@@ -182,7 +182,7 @@ impl SpotWebPolicy {
     /// Enable or disable the optimizer's interval-to-interval warm
     /// start (on by default). Disabling forces every MPO solve to a
     /// zero cold start — the knob `figures sweep` uses to measure the
-    /// warm-start iteration savings in `BENCH_sweep.json`.
+    /// warm-start iteration savings.
     pub fn set_warm_start(&mut self, enabled: bool) {
         self.optimizer.set_warm_start(enabled);
     }
@@ -235,10 +235,6 @@ impl Policy for SpotWebPolicy {
             {
                 Ok(decision) => {
                     self.prev_allocation = decision.first().to_vec();
-                    // Wall-clock solve time goes to the (non-deterministic)
-                    // timings store only — never into the trace.
-                    self.telemetry
-                        .time(names::MPO_SOLVE_SECS, decision.solve_secs);
                     self.telemetry.count(names::MPO_SOLVES_TOTAL, 1);
                     // Iterations-to-convergence: the number the
                     // warm-start fast path exists to shrink.
@@ -656,8 +652,7 @@ mod tests {
                 assert!(m.reason.contains("below min") || m.reason.contains("zero servers"));
             }
         }
-        // Wall-clock went to the timings store, not the trace.
-        assert!(sink.render_timings_json().contains("mpo_solve_secs"));
+        // Wall-clock never enters the trace.
         assert!(!sink.export_jsonl().contains("solve_secs"));
     }
 

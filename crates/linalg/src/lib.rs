@@ -17,8 +17,6 @@
 //! * [`qr`] — Householder QR, the numerically robust path for
 //!   least-squares spline fitting.
 //! * [`mod@lstsq`] — linear least squares built on QR.
-//! * [`tridiag`] — Thomas algorithm for tridiagonal systems (natural
-//!   cubic spline second-derivative solve).
 //! * [`sparse`] — CSR matrices: the QP's `P` and `A` from assembly
 //!   through equilibration to the per-iteration products.
 //! * [`vector`] — free functions on `&[f64]` (dot, norms, axpy…).
@@ -41,7 +39,6 @@ pub mod lstsq;
 pub mod matrix;
 pub mod qr;
 pub mod sparse;
-pub mod tridiag;
 pub mod vector;
 
 pub use block_tridiag::BlockTridiagCholesky;
@@ -51,7 +48,6 @@ pub use lstsq::lstsq;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use sparse::CsrMatrix;
-pub use tridiag::solve_tridiagonal;
 
 /// Errors reported by factorizations and solvers in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

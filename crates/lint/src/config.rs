@@ -9,8 +9,9 @@
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     /// Modules allowed to read the wall clock (`Instant`/`SystemTime`).
-    /// Their timings must only ever feed quarantined `BENCH_*` outputs,
-    /// never the byte-stable traces, reports, or goldens.
+    /// Their timings must only ever reach output that is declared
+    /// machine-dependent (a timing figure, a profile's timed tree,
+    /// stderr), never the byte-stable traces, reports, or goldens.
     pub wall_clock_quarantine: Vec<String>,
     /// Modules that render byte-stable output (JSON/JSONL/Prometheus
     /// text or inputs feeding it); hash-ordered collections and
@@ -61,32 +62,16 @@ impl LintConfig {
     pub fn spotweb() -> LintConfig {
         LintConfig {
             wall_clock_quarantine: vec![
-                // Sweep engine: wall_secs per run, rendered only into
-                // the quarantined BENCH_sweep.json.
-                "sim::sweep".to_string(),
-                "bench::sweep".to_string(),
-                // Telemetry replay harness: solver wall-times feed
-                // BENCH_telemetry.json.
-                "bench::telem".to_string(),
-                // Runner throughput harness: wall_secs per scenario,
-                // rendered only into the quarantined BENCH_runner.json.
-                "bench::perf".to_string(),
-                // Shard invariance harness: per-shard-count wall_secs,
-                // rendered only into the quarantined BENCH_shard.json
-                // (the digests it gates are byte-stable).
-                "bench::shard".to_string(),
-                // Tournament: serial/parallel pass wall-clock, rendered
-                // only into the quarantined BENCH_tournament.json (the
-                // leaderboard itself is a pure function of summaries).
-                "bench::tournament".to_string(),
                 // Fig. 7(b) optimizer scalability is a timing figure.
                 "bench::fig7".to_string(),
-                // Self-profiler: wall-clock spans, mutex waits, and
-                // (opt-in) heap bytes, rendered only into the
-                // quarantined BENCH_profile.json / flamegraph.folded.
-                // The span *structure* golden never carries timings.
+                // Self-profiler: wall-clock spans and mutex waits. The
+                // span *structure* golden never carries timings; the
+                // timed tree leaves only through `benchmark/`.
                 "telemetry::prof".to_string(),
-                "bench::profile".to_string(),
+                // Long-horizon soak: wall seconds per simulated hour,
+                // printed to stderr only (stdout is the byte-stable
+                // run summary).
+                "bench::soak".to_string(),
             ],
             renderers: vec![
                 // The telemetry crate renders traces, records, and
@@ -102,8 +87,7 @@ impl LintConfig {
                 // Session-table iteration order feeds drain records in
                 // the deterministic trace.
                 "lb::session".to_string(),
-                // Span-structure golden JSON + BENCH_profile.json /
-                // flamegraph.folded renderers.
+                // Span-structure golden JSON.
                 "bench::profile".to_string(),
                 // RunnerReport JSON + FNV digest renderer — the bytes
                 // the shard invariance gate compares.

@@ -38,7 +38,7 @@ pub struct RuleInfo {
 pub const RULES: [RuleInfo; 13] = [
     RuleInfo {
         id: "wall-clock-quarantine",
-        summary: "Instant/SystemTime only in registered quarantine modules (timings feed BENCH_* files, never byte-stable output)",
+        summary: "Instant/SystemTime only in registered quarantine modules (timings reach only output declared machine-dependent, never byte-stable output)",
         allowlistable: true,
     },
     RuleInfo {

@@ -79,4 +79,4 @@ pub use scenario::{FailoverReport, FailoverScenario};
 pub use service::ServiceModel;
 pub use shard::{nproc, report_digest, report_json};
 pub use spotweb_telemetry::{TelemetrySink, TraceEvent};
-pub use sweep::{parallel_map, run_sweep, RunSummary, SweepResult};
+pub use sweep::{parallel_map, RunSummary};

@@ -28,7 +28,7 @@
 //!    float accumulation order (histogram sums are not associative)
 //!    is invariant in the shard count.
 //!
-//! Byte-identity between `--shards 1` and `--shards K` is therefore
+//! Byte-identity between `shards = 1` and `shards = K` is therefore
 //! structural, not approximate: both paths execute the same draws, the
 //! same routing, and the same fold sequence. `tests/shard.rs` locks it
 //! in across all five chaos scenarios and three seeds, and
@@ -556,7 +556,7 @@ fn bucket_json(b: &BucketStats) -> String {
 /// Canonical single-line JSON rendering of a [`RunnerReport`] — every
 /// field, hand-rolled through the workspace's byte-stable float
 /// helpers. String equality of two renderings is the shard-invariance
-/// proof (`--shards 1` vs `--shards K`), so this is the only sanctioned
+/// proof (`shards = 1` vs `shards = K`), so this is the only sanctioned
 /// serialization of a report.
 pub fn report_json(r: &RunnerReport) -> String {
     let buckets: Vec<String> = r.buckets.iter().map(bucket_json).collect();

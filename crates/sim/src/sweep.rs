@@ -22,14 +22,12 @@
 //! at any `jobs` count — the property `figures sweep` checks on every
 //! invocation and the golden test `tests/sweep.rs` locks in.
 //!
-//! Wall-clock timings are collected *around* each run (for
-//! `BENCH_sweep.json`) but live outside [`RunSummary`], so they can
-//! never leak into the deterministic output — the same quarantine the
-//! telemetry crate applies to solver timings.
+//! Nothing here reads the wall clock: what a grid costs, and what
+//! `jobs` buys, is measured from outside by `benchmark/`
+//! (`sim.sweep.parallel_speedup_at_nproc`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use spotweb_telemetry::json::{fnv1a64_hex, json_f64, json_string};
 use spotweb_telemetry::{names, prof};
@@ -51,8 +49,8 @@ use spotweb_telemetry::{names, prof};
 /// When a [`prof`] session is active, each worker records a
 /// `sweep.worker` span (labelled `worker-0..`) containing one
 /// `sweep.task` span per task it claimed, so per-worker task counts
-/// and wall-time skew land in `BENCH_profile.json`; the inline path
-/// records the same structure on the calling thread. The merged span
+/// and wall-time skew show in the profile's per-thread trees; the
+/// inline path records the same structure on the calling thread. The merged span
 /// *structure* (worker count = workers spawned, task count = tasks)
 /// stays deterministic even though the task→worker split is not.
 ///
@@ -177,7 +175,7 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Grid label `policy/scenario/seed` used in logs and BENCH output.
+    /// Grid label `policy/scenario/seed` used in logs and assertion messages.
     pub fn label(&self) -> String {
         format!("{}/{}/{}", self.policy, self.scenario, self.seed)
     }
@@ -209,38 +207,6 @@ impl RunSummary {
             self.admm_iterations,
         )
     }
-}
-
-/// One sweep run's outcome: the deterministic summary plus the
-/// wall-clock seconds the run took (quarantined here, outside
-/// [`RunSummary`], so timing can never perturb deterministic output).
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// Deterministic per-run record.
-    pub summary: RunSummary,
-    /// Wall-clock duration of this run (seconds) — BENCH data only.
-    pub wall_secs: f64,
-}
-
-/// Run every spec in `specs` through `run` on up to `jobs` workers,
-/// timing each run, and return the results in input order.
-///
-/// `run` receives the run's grid index and spec; it must derive all
-/// of the run's state from the spec alone (see the module-level
-/// determinism contract).
-pub fn run_sweep<T, F>(jobs: usize, specs: Vec<T>, run: F) -> Vec<SweepResult>
-where
-    T: Send,
-    F: Fn(usize, T) -> RunSummary + Sync,
-{
-    parallel_map(jobs, specs, |i, spec| {
-        let started = Instant::now();
-        let summary = run(i, spec);
-        SweepResult {
-            summary,
-            wall_secs: started.elapsed().as_secs_f64(),
-        }
-    })
 }
 
 /// FNV-1a 64-bit digest (hex) over the rendered summaries — the cheap
@@ -362,20 +328,6 @@ mod tests {
             .map(|n| n.count)
             .sum();
         assert_eq!(total_tasks, 5);
-    }
-
-    #[test]
-    fn run_sweep_is_deterministic_across_job_counts() {
-        let run = |_: usize, seed: u64| summary(seed);
-        let one = run_sweep(1, (0..16).collect(), run);
-        let four = run_sweep(4, (0..16).collect(), run);
-        let s1: Vec<RunSummary> = one.into_iter().map(|r| r.summary).collect();
-        let s4: Vec<RunSummary> = four.into_iter().map(|r| r.summary).collect();
-        assert_eq!(s1, s4);
-        assert_eq!(digest(&s1), digest(&s4));
-        let j1: Vec<String> = s1.iter().map(RunSummary::to_json).collect();
-        let j4: Vec<String> = s4.iter().map(RunSummary::to_json).collect();
-        assert_eq!(j1, j4, "rendered summaries must be byte-identical");
     }
 
     #[test]

@@ -24,17 +24,11 @@
 //! disabled by default (every call a no-op), that all subsystems
 //! share when enabled.
 //!
-//! Wall-clock durations (solver timing) go through
-//! [`TelemetrySink::time`] into a separate store exported only as
-//! `BENCH_telemetry.json` — they never enter the deterministic trace.
+//! Nothing above reads the wall clock. The one host-side module is
+//! [`prof`] — scoped wall-clock span trees for attributing where a run
+//! spends its time — and only its span *structure* is deterministic.
 
-// The workspace forbids unsafe code. The one exception is the opt-in
-// `prof-alloc` counting global allocator (`prof::alloc`), whose
-// `GlobalAlloc` impl necessarily carries `unsafe`: with that feature on
-// we drop to `deny` and the impl carries a single scoped, documented
-// `allow`. Every other configuration stays at `forbid`.
-#![cfg_attr(not(feature = "prof-alloc"), forbid(unsafe_code))]
-#![cfg_attr(feature = "prof-alloc", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod hist;
@@ -49,5 +43,5 @@ pub mod trace;
 pub use hist::StreamingHistogram;
 pub use metrics::MetricsRegistry;
 pub use records::{DecisionRecord, DrainRecord, ForecastRecord, MarketEval};
-pub use sink::{CounterHandle, HistogramHandle, Telemetry, TelemetrySink, TimingStat};
+pub use sink::{CounterHandle, HistogramHandle, Telemetry, TelemetrySink};
 pub use trace::{StampedEvent, TraceEvent, Tracer};

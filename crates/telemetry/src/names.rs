@@ -38,10 +38,6 @@ pub const MPO_FACTOR_REUSE_TOTAL: &str = "spotweb_mpo_factor_reuse_total";
 /// Histogram: ADMM iterations-to-convergence per solve.
 pub const ADMM_ITERATIONS_HIST: &str = "spotweb_admm_iterations";
 
-/// Timing (wall-clock store only, never the deterministic trace):
-/// seconds per MPO solve including problem build.
-pub const MPO_SOLVE_SECS: &str = "mpo_solve_secs";
-
 /// Counter: decisions taken by a policy-zoo competitor (one per
 /// `decide` call of the factory-built non-MPO policies; the MPO policy
 /// reports [`MPO_SOLVES_TOTAL`] instead).
@@ -122,8 +118,8 @@ pub fn interned_hist_id(name: &str) -> Option<usize> {
 // Profiler span names (crate::prof).
 //
 // Host-side wall-clock spans, not sim-clock trace spans: these name the
-// phases of the *process* that `figures profile` attributes wall time,
-// lock waits, and heap bytes to. `spotweb-lint` requires spans opened
+// phases of the *process* that a `prof` session attributes wall time
+// and lock waits to. `spotweb-lint` requires spans opened
 // in `sim`/`lb`/`core` to use these constants (telemetry-name-constants
 // rule), so the golden-locked span structure cannot drift via an
 // inline-literal typo.

@@ -1,40 +1,34 @@
-//! Self-profiling: scoped wall-clock span trees, lock-wait hooks, and
-//! (opt-in) allocation accounting.
+//! Self-profiling: scoped wall-clock span trees and lock-wait hooks.
 //!
 //! This module family is the *host-side* counterpart of the sim-clock
 //! tracer in [`crate::trace`]: where trace spans are stamped with the
 //! simulation clock and are part of the deterministic output contract,
-//! `prof` spans measure **real wall time, mutex waits, and heap
-//! traffic** of the process itself, so the hot paths of the simulator
-//! can be attributed with evidence instead of guesses (ROADMAP items 1
-//! and 3).
+//! `prof` spans measure **real wall time and mutex waits** of the
+//! process itself, so the hot paths of the simulator can be attributed
+//! with evidence instead of guesses (ROADMAP items 1 and 3).
 //!
 //! Determinism contract (the quarantine boundary):
 //!
 //! * Span **structure** — names, nesting, call counts, lock-wait
 //!   counts — is a pure function of the simulated run and is therefore
 //!   golden-lockable ([`report::MergedNode::structure_json`]).
-//! * All **wall-clock seconds and byte figures** are quarantined: they
-//!   only ever appear in `BENCH_profile.json` and `flamegraph.folded`
-//!   ([`report::SpanTree::timed_json`], [`report::Profile::folded`]),
-//!   never in a byte-stable golden.
+//! * All **wall-clock seconds** are quarantined: they leave only
+//!   through [`report::MergedNode::timed_json`] (the
+//!   `*.traced.spans.json` files `benchmark/` writes), never through a
+//!   byte-stable golden.
 //!
 //! Layout:
 //!
 //! * [`span`] — the RAII scope guards ([`scope!`](crate::prof_scope)),
 //!   per-thread span trees, lock-wait timers, and the global
 //!   [`span::begin`]/[`span::Session::finish`] session control.
-//! * [`alloc`] — the `prof-alloc`-gated counting global allocator
-//!   (live/peak/cumulative bytes, allocation calls).
 //! * [`report`] — the [`report::Profile`] produced by a finished
-//!   session: per-thread trees, the deterministic merged tree, and the
-//!   collapsed-stack (`flamegraph.folded`) export.
+//!   session: per-thread trees and the deterministic merged tree.
 //!
 //! Disabled-by-default cost: one relaxed atomic load per
 //! [`scope!`](crate::prof_scope) entry and per [`span::lock_timer`]
 //! call — nothing else runs until a [`span::Session`] is active.
 
-pub mod alloc;
 pub mod report;
 pub mod span;
 

@@ -1,16 +1,15 @@
 //! Profile reports: per-thread span trees, the deterministic merged
-//! tree, and the quarantined timing/byte exports.
+//! tree, and the quarantined timed export.
 //!
 //! Two render surfaces, one per side of the quarantine boundary:
 //!
 //! * [`MergedNode::structure_json`] — names, nesting, call counts and
 //!   lock-wait counts only. Deterministic for a deterministic run
-//!   (same seed ⇒ byte-identical), so it is golden-lockable and is
-//!   what `figures profile` prints to stdout.
-//! * [`SpanTree::timed_json`] / [`MergedNode::timed_json`] /
-//!   [`Profile::folded`] — wall-clock seconds, lock-wait seconds, and
-//!   allocation figures. These are quarantined: they appear only in
-//!   `BENCH_profile.json` and `flamegraph.folded`.
+//!   (same seed ⇒ byte-identical), so it is golden-lockable
+//!   (`tests/golden/profile_spans.json`).
+//! * [`MergedNode::timed_json`] — wall-clock seconds and lock-wait
+//!   seconds on top. Quarantined: `benchmark/` writes it to
+//!   `<workload>.traced.spans.json`, nothing byte-stable carries it.
 //!
 //! All JSON is rendered through [`crate::json`] (no float `Display`
 //! shortcuts, no hash-ordered collections), keeping the telemetry
@@ -34,11 +33,6 @@ pub struct SpanNode {
     pub total_secs: f64,
     /// Wall seconds spent waiting on mutex acquisitions (quarantined).
     pub lock_wait_secs: f64,
-    /// Bytes allocated while this span was innermost (quarantined;
-    /// 0 without the `prof-alloc` feature).
-    pub alloc_bytes: u64,
-    /// Allocation calls while this span was innermost (quarantined).
-    pub alloc_calls: u64,
     /// Arena indices of child spans, in first-entry order.
     pub children: Vec<usize>,
 }
@@ -52,8 +46,6 @@ impl SpanNode {
             lock_waits: 0,
             total_secs: 0.0,
             lock_wait_secs: 0.0,
-            alloc_bytes: 0,
-            alloc_calls: 0,
             children: Vec::new(),
         }
     }
@@ -67,19 +59,6 @@ pub struct SpanTree {
     pub label: String,
     /// Node arena; index 0 is the synthetic root.
     pub nodes: Vec<SpanNode>,
-}
-
-impl SpanTree {
-    /// Quarantined per-thread JSON: full figures (seconds, bytes),
-    /// children sorted by name. For `BENCH_profile.json` only.
-    pub fn timed_json(&self) -> String {
-        let spans = merge_trees(std::slice::from_ref(self));
-        format!(
-            "{{\"label\":{},\"spans\":{}}}",
-            json_string(&self.label),
-            spans.timed_json()
-        )
-    }
 }
 
 /// A name-merged span node: the union of every thread's tree (or a
@@ -97,10 +76,6 @@ pub struct MergedNode {
     pub total_secs: f64,
     /// Summed lock-wait seconds (quarantined).
     pub lock_wait_secs: f64,
-    /// Summed allocated bytes (quarantined).
-    pub alloc_bytes: u64,
-    /// Summed allocation calls (quarantined).
-    pub alloc_calls: u64,
     /// Children sorted by name (recursively).
     pub children: Vec<MergedNode>,
 }
@@ -113,8 +88,6 @@ impl MergedNode {
             lock_waits: 0,
             total_secs: 0.0,
             lock_wait_secs: 0.0,
-            alloc_bytes: 0,
-            alloc_calls: 0,
             children: Vec::new(),
         }
     }
@@ -125,8 +98,6 @@ impl MergedNode {
         self.lock_waits += n.lock_waits;
         self.total_secs += n.total_secs;
         self.lock_wait_secs += n.lock_wait_secs;
-        self.alloc_bytes += n.alloc_bytes;
-        self.alloc_calls += n.alloc_calls;
         for &c in &n.children {
             let name = tree.nodes[c].name;
             let child = match self.children.iter_mut().find(|m| m.name == name) {
@@ -156,7 +127,7 @@ impl MergedNode {
     }
 
     /// Deterministic structure-only JSON: name, count, lock-wait
-    /// count, children — no seconds, no bytes. Byte-identical across
+    /// count, children — no seconds. Byte-identical across
     /// runs of the same deterministic workload; golden-lockable.
     pub fn structure_json(&self) -> String {
         let children: Vec<String> = self.children.iter().map(|c| c.structure_json()).collect();
@@ -170,15 +141,13 @@ impl MergedNode {
     }
 
     /// Quarantined JSON with the full figures (total/self wall
-    /// seconds, lock-wait seconds, allocation counters). For
-    /// `BENCH_profile.json` only.
+    /// seconds, lock-wait seconds); never part of a golden.
     pub fn timed_json(&self) -> String {
         let children: Vec<String> = self.children.iter().map(|c| c.timed_json()).collect();
         format!(
             concat!(
                 "{{\"name\":{},\"count\":{},\"total_secs\":{},\"self_secs\":{},",
-                "\"lock_waits\":{},\"lock_wait_secs\":{},",
-                "\"alloc_bytes\":{},\"alloc_calls\":{},\"children\":[{}]}}"
+                "\"lock_waits\":{},\"lock_wait_secs\":{},\"children\":[{}]}}"
             ),
             json_string(&self.name),
             self.count,
@@ -186,20 +155,9 @@ impl MergedNode {
             json_f64(self.self_secs()),
             self.lock_waits,
             json_f64(self.lock_wait_secs),
-            self.alloc_bytes,
-            self.alloc_calls,
             children.join(",")
         )
     }
-}
-
-fn merge_trees(trees: &[SpanTree]) -> MergedNode {
-    let mut root = MergedNode::new("");
-    for tree in trees {
-        root.absorb(tree, 0);
-    }
-    root.sort_recursive();
-    root
 }
 
 /// The result of a finished profiling session: one [`SpanTree`] per
@@ -217,58 +175,13 @@ impl Profile {
     /// *structure* is deterministic even when the per-thread split is
     /// not (e.g. work-stealing sweep workers).
     pub fn merged(&self) -> MergedNode {
-        merge_trees(&self.threads)
-    }
-
-    /// Quarantined per-thread JSON array for `BENCH_profile.json`.
-    pub fn threads_json(&self) -> String {
-        let parts: Vec<String> = self.threads.iter().map(|t| t.timed_json()).collect();
-        format!("[{}]", parts.join(","))
-    }
-
-    /// Collapsed-stack export (`flamegraph.folded`): one line per
-    /// stack, `prefix;span;child <self-microseconds>`, in depth-first
-    /// sorted order. `prefix` (e.g. a phase name) may be empty. Only
-    /// stacks with non-zero self time are emitted. Quarantined (the
-    /// values are wall-clock).
-    pub fn folded(&self, prefix: &str) -> String {
-        let merged = self.merged();
-        let mut out = String::new();
-        let mut stack: Vec<String> = if prefix.is_empty() {
-            Vec::new()
-        } else {
-            vec![prefix.to_string()]
-        };
-        for c in &merged.children {
-            fold_node(c, &mut stack, &mut out);
+        let mut root = MergedNode::new("");
+        for tree in &self.threads {
+            root.absorb(tree, 0);
         }
-        // Root-attributed lock waits (outside any span) get their own
-        // synthetic frame so the flamegraph accounts for them.
-        if merged.lock_waits > 0 {
-            let micros = (merged.lock_wait_secs * 1e6).round() as u64;
-            if micros > 0 {
-                let frame = if prefix.is_empty() {
-                    "(outside-spans)".to_string()
-                } else {
-                    format!("{prefix};(outside-spans)")
-                };
-                out.push_str(&format!("{frame} {micros}\n"));
-            }
-        }
-        out
+        root.sort_recursive();
+        root
     }
-}
-
-fn fold_node(node: &MergedNode, stack: &mut Vec<String>, out: &mut String) {
-    stack.push(node.name.clone());
-    let micros = (node.self_secs() * 1e6).round() as u64;
-    if micros > 0 {
-        out.push_str(&format!("{} {}\n", stack.join(";"), micros));
-    }
-    for c in &node.children {
-        fold_node(c, stack, out);
-    }
-    stack.pop();
 }
 
 #[cfg(test)]
@@ -319,31 +232,15 @@ mod tests {
         assert!(s.contains("\"name\":\"a\""));
         assert!(s.contains("\"count\":2"));
         assert!(!s.contains("secs"), "timing must be quarantined: {s}");
-        assert!(!s.contains("alloc"), "bytes must be quarantined: {s}");
-    }
-
-    #[test]
-    fn folded_emits_self_time_lines() {
-        let profile = Profile {
-            threads: vec![tree("main")],
-        };
-        let folded = profile.folded("phase");
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(
-            lines,
-            [
-                "phase;a 750000",
-                "phase;a;b 250000",
-                "phase;(outside-spans) 1000"
-            ]
-        );
     }
 
     #[test]
     fn timed_json_is_canonical() {
-        let t = tree("main");
-        let s = t.timed_json();
-        assert!(s.starts_with("{\"label\":\"main\",\"spans\":"));
+        let profile = Profile {
+            threads: vec![tree("main")],
+        };
+        let s = profile.merged().timed_json();
+        assert!(s.starts_with("{\"name\":\"\",\"count\":0,"));
         assert!(s.contains("\"total_secs\":1.0"));
         assert!(s.contains("\"self_secs\":0.75"));
     }

@@ -40,7 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use super::alloc as prof_alloc;
 use super::report::{Profile, SpanNode, SpanTree};
 
 /// Fast path: is a session active? One relaxed load per guard.
@@ -66,11 +65,6 @@ struct Frame {
     node: usize,
     /// Wall-clock entry time.
     started: Instant,
-    /// Cumulative allocated-bytes counter at entry (0 without the
-    /// `prof-alloc` feature).
-    alloc_bytes0: u64,
-    /// Cumulative allocation-call counter at entry.
-    alloc_calls0: u64,
 }
 
 /// Per-thread profiling state: a node arena (index 0 is the synthetic
@@ -224,8 +218,6 @@ impl ScopeGuard {
             local.stack.push(Frame {
                 node,
                 started: Instant::now(),
-                alloc_bytes0: prof_alloc::allocated_bytes(),
-                alloc_calls0: prof_alloc::alloc_calls(),
             });
         })
         .is_some();
@@ -246,12 +238,7 @@ impl Drop for ScopeGuard {
             // the tree flushed) while this guard was still open; the
             // partial span is simply not recorded.
             if let Some(frame) = local.stack.pop() {
-                let elapsed = frame.started.elapsed().as_secs_f64();
-                let node = &mut local.nodes[frame.node];
-                node.total_secs += elapsed;
-                node.alloc_bytes +=
-                    prof_alloc::allocated_bytes().saturating_sub(frame.alloc_bytes0);
-                node.alloc_calls += prof_alloc::alloc_calls().saturating_sub(frame.alloc_calls0);
+                local.nodes[frame.node].total_secs += frame.started.elapsed().as_secs_f64();
             }
         });
     }

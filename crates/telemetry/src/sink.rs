@@ -7,33 +7,14 @@
 //! clones, so the runner, balancer, market, predictor, and policy all
 //! write into the same trace and metrics registry.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::StreamingHistogram;
-use crate::json::json_f64;
 use crate::metrics::MetricsRegistry;
 use crate::names;
 use crate::trace::{StampedEvent, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
-
-/// Wall-clock timing aggregate for one named operation. Kept in a
-/// separate store from the trace/metrics because wall-clock values
-/// are non-deterministic and must never contaminate byte-stable
-/// output; they are exported only via [`TelemetrySink::render_timings_json`]
-/// (the `BENCH_telemetry.json` perf baseline).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimingStat {
-    /// Number of timed calls.
-    pub count: u64,
-    /// Total seconds across calls.
-    pub total_secs: f64,
-    /// Fastest call.
-    pub min_secs: f64,
-    /// Slowest call.
-    pub max_secs: f64,
-}
 
 /// The shared telemetry store behind an enabled sink.
 #[derive(Debug, Default)]
@@ -42,7 +23,6 @@ pub struct Telemetry {
     pub tracer: Tracer,
     /// Metrics registry.
     pub metrics: MetricsRegistry,
-    timings: BTreeMap<String, TimingStat>,
     clock: f64,
 }
 
@@ -356,24 +336,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Record a wall-clock duration for a named operation. Kept out
-    /// of the trace and Prometheus dump (non-deterministic); exported
-    /// only by [`render_timings_json`](Self::render_timings_json).
-    pub fn time(&self, name: &str, secs: f64) {
-        self.with(|tel| {
-            let stat = tel.timings.entry(name.to_string()).or_insert(TimingStat {
-                count: 0,
-                total_secs: 0.0,
-                min_secs: f64::INFINITY,
-                max_secs: f64::NEG_INFINITY,
-            });
-            stat.count += 1;
-            stat.total_secs += secs;
-            stat.min_secs = stat.min_secs.min(secs);
-            stat.max_secs = stat.max_secs.max(secs);
-        });
-    }
-
     /// Snapshot of the retained trace events, oldest first.
     pub fn events(&self) -> Vec<StampedEvent> {
         self.with(|tel| tel.tracer.events().cloned().collect())
@@ -402,39 +364,6 @@ impl TelemetrySink {
     /// disabled). For read access that needs more than one value.
     pub fn with_metrics<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> Option<R> {
         self.with_flushed(|tel| f(&tel.metrics))
-    }
-
-    /// Render the wall-clock timing aggregates as a JSON object
-    /// (`BENCH_telemetry.json`). This is the only exit for wall-clock
-    /// data; it is deliberately not part of the trace.
-    pub fn render_timings_json(&self) -> String {
-        self.with(|tel| {
-            let mut out = String::from("{\n");
-            let entries: Vec<String> = tel
-                .timings
-                .iter()
-                .map(|(name, s)| {
-                    let mean = if s.count == 0 {
-                        f64::NAN
-                    } else {
-                        s.total_secs / s.count as f64
-                    };
-                    format!(
-                        "  \"{name}\": {{\"count\": {}, \"total_secs\": {}, \
-                         \"mean_secs\": {}, \"min_secs\": {}, \"max_secs\": {}}}",
-                        s.count,
-                        json_f64(s.total_secs),
-                        json_f64(mean),
-                        json_f64(s.min_secs),
-                        json_f64(s.max_secs)
-                    )
-                })
-                .collect();
-            out.push_str(&entries.join(",\n"));
-            out.push_str("\n}\n");
-            out
-        })
-        .unwrap_or_else(|| "{}\n".to_string())
     }
 }
 
@@ -550,17 +479,5 @@ mod tests {
         let h = b.counter_handle(names::SIM_EVENTS_PROCESSED_TOTAL);
         h.add(2);
         assert_eq!(a.counter(names::SIM_EVENTS_PROCESSED_TOTAL), 2);
-    }
-
-    #[test]
-    fn timings_stay_out_of_trace_and_prometheus() {
-        let sink = TelemetrySink::enabled();
-        sink.time("mpo_solve_secs", 0.002);
-        sink.time("mpo_solve_secs", 0.004);
-        assert_eq!(sink.export_jsonl(), "");
-        assert_eq!(sink.render_prometheus(), "");
-        let json = sink.render_timings_json();
-        assert!(json.contains("\"mpo_solve_secs\""));
-        assert!(json.contains("\"count\": 2"));
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`linalg`] | `spotweb-linalg` | dense matrices, Cholesky/LDLᵀ/QR, least squares |
+//! | [`linalg`] | `spotweb-linalg` | dense matrices, Cholesky/LDLᵀ/QR, block-tridiagonal Cholesky, CSR kernels, least squares |
 //! | [`solver`] | `spotweb-solver` | ADMM quadratic-program solver |
 //! | [`market`] | `spotweb-market` | transient-cloud market simulator (catalog, prices, revocations) |
 //! | [`workload`] | `spotweb-workload` | synthetic Wikipedia/VoD workload traces |

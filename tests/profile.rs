@@ -3,16 +3,14 @@
 //! nesting, call counts, lock-wait counts — is a pure function of the
 //! simulated run, so it must be identical across runs and is pinned
 //! as a golden. Wall-clock seconds never appear in the structure
-//! document; they are quarantined into `BENCH_profile.json` and
-//! `flamegraph.folded`.
+//! document; the timed tree is what `benchmark/` writes to
+//! `<workload>.traced.spans.json`.
 //!
 //! Regenerate the golden (after an *intentional* change to the
 //! instrumentation or the simulated behaviour) with:
 //!
 //! ```text
-//! cargo run --release -p spotweb-bench --bin figures -- profile \
-//!     --spans-golden --scenario revocation_storm --seed 1234 \
-//!     > tests/golden/profile_spans.json
+//! cargo run --release -p spotweb-bench --bin figures -- bless profile_spans.json
 //! ```
 
 use spotweb_bench::profile::{runner_phase, runner_spans_golden_json, sweep_phase};
@@ -54,7 +52,7 @@ fn span_structure_matches_golden() {
 /// drain, the balancer route, the sweep workers, and the MPO solve,
 /// with counts consistent with the simulated run. The runner phase
 /// replays the reactive policy (it isolates the request path — see
-/// `bench::perf`), so the optimizer spans are asserted on a sweep
+/// `bench::profile`), so the optimizer spans are asserted on a sweep
 /// phase, which replays every policy.
 #[test]
 fn span_tree_covers_the_contracted_paths() {

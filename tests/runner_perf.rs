@@ -23,7 +23,7 @@
 
 use spotweb::sim::sweep::digest;
 use spotweb::sim::{ChaosScenario, NAMED_SCENARIOS};
-use spotweb_bench::perf;
+use spotweb_bench::cell::Cell;
 use spotweb_bench::sweep::{build_grid, run_grid};
 use spotweb_bench::DEFAULT_SEED;
 
@@ -49,14 +49,12 @@ fn sweep_grid_matches_pre_fastpath_golden_at_three_seeds() {
         let grid = build_grid(None, seed).expect("full grid builds");
         // `--jobs 4`: exercises the parallel path too; the golden was
         // recorded serially, so this doubles as a jobs-1 ≡ jobs-J check.
-        let results = run_grid(4, grid);
-        for r in &results {
-            let line = r.summary.to_json();
+        for summary in run_grid(4, grid) {
             assert_eq!(
-                line,
+                summary.to_json(),
                 golden[cursor],
                 "seed {seed}: run {} diverged from pre-fast-path golden",
-                r.summary.label()
+                summary.label()
             );
             cursor += 1;
         }
@@ -89,48 +87,59 @@ fn chaos_reports_match_pre_fastpath_golden() {
     );
 }
 
+/// A reactive-policy cell of the given shape.
+fn reactive_cell(
+    scenario: &str,
+    seed: u64,
+    rps: f64,
+    interval_secs: f64,
+    intervals: usize,
+) -> Cell {
+    Cell {
+        rps,
+        interval_secs,
+        intervals,
+        ..Cell::trace_default(scenario, "reactive", seed).expect("known names")
+    }
+}
+
 /// Week-scale smoke: one simulated week of the revocation-storm fault
 /// plan. Offered load is scaled down (the acceptance-scale 20 krps ×
-/// day run lives behind `figures perf --full`; at test scale the point
-/// is that the calendar queue, fixed-slot services and control-event
+/// day run lives behind `figures soak`; at test scale the point is
+/// that the calendar queue, fixed-slot services and control-event
 /// batching survive 168 intervals and ~1.2 M arrivals without drift).
 #[test]
 fn week_scale_smoke_run_stays_sane() {
-    let rps = 2.0;
-    let run = perf::run_one("revocation-storm", DEFAULT_SEED, rps, 3600.0, 168, 1)
-        .expect("known scenario");
-    assert_eq!(run.simulated_secs, 604_800.0, "one simulated week");
-    assert_eq!(
-        run.arrivals,
-        run.summary.served + run.summary.dropped,
-        "request conservation"
-    );
+    let cell = reactive_cell("revocation-storm", DEFAULT_SEED, 2.0, 3600.0, 168);
+    let summary = cell.run().summary();
+    let simulated_secs = cell.interval_secs * cell.intervals as f64;
+    assert_eq!(simulated_secs, 604_800.0, "one simulated week");
     // Poisson arrivals at rate λ over horizon T: within 5σ of λT.
-    let expected = rps * run.simulated_secs;
-    let sigma = expected.sqrt();
+    let arrivals = (summary.served + summary.dropped) as f64;
+    let expected = cell.rps * simulated_secs;
     assert!(
-        (run.arrivals as f64 - expected).abs() < 5.0 * sigma,
-        "arrival count {} implausible for Poisson mean {expected}",
-        run.arrivals
+        (arrivals - expected).abs() < 5.0 * expected.sqrt(),
+        "arrival count {arrivals} implausible for Poisson mean {expected}"
     );
     assert!(
-        run.summary.drop_fraction < 0.05,
+        summary.drop_fraction < 0.05,
         "storm with warnings must not collapse at week scale: {}",
-        run.summary.drop_fraction
+        summary.drop_fraction
     );
 }
 
 /// Determinism double-run at perf scale: two invocations produce the
-/// same summary bytes and the same digest (wall clock aside).
+/// same summary bytes and the same digest.
 #[test]
 fn perf_entries_are_deterministic_across_runs() {
-    let a = perf::run_one("backend-flaps", 99, 400.0, 120.0, 3, 1).expect("known scenario");
-    let b = perf::run_one("backend-flaps", 99, 400.0, 120.0, 3, 1).expect("known scenario");
-    assert_eq!(a.summary.to_json(), b.summary.to_json());
-    assert_eq!(a.arrivals, b.arrivals);
+    let cell = reactive_cell("backend-flaps", 99, 400.0, 120.0, 3);
+    let a = cell.run().summary();
+    let b = cell.run().summary();
+    assert_eq!(a.to_json(), b.to_json());
+    assert!(a.served > 0);
     assert_eq!(
-        digest(std::slice::from_ref(&a.summary)),
-        digest(std::slice::from_ref(&b.summary)),
+        digest(std::slice::from_ref(&a)),
+        digest(std::slice::from_ref(&b)),
         "digest must be a pure function of the summary"
     );
 }

@@ -8,7 +8,8 @@
 //! market simulator, load balancer, request-level runner, telemetry)
 //! must render a byte-identical `RunnerReport` (JSON and FNV digest)
 //! at `shards = 1` and `shards = 4`, for **all five** chaos scenarios
-//! at all three golden seeds.
+//! at all three golden seeds. How much wall time the shards buy is
+//! `benchmark/`'s `sim.shard.speedup_at_nproc`.
 //!
 //! The invariance holds by construction, not by luck: every arrival
 //! draw comes from the counter-based generator in `sim::rng`
@@ -20,55 +21,20 @@
 
 use proptest::prelude::*;
 
-use spotweb::bridge::PolicyBridge;
-use spotweb::core::{SpotWebConfig, SpotWebPolicy};
-use spotweb::market::{Catalog, CloudSim};
 use spotweb::sim::rng::{sample, stream_id, CounterStream, DOMAIN_ARRIVAL_GAP};
-use spotweb::sim::runner::{run_full_stack, RunnerConfig};
 use spotweb::sim::{report_digest, report_json};
-use spotweb::telemetry::TelemetrySink;
-use spotweb::workload::Trace;
-use spotweb_bench::telem::{scenario_setup, TRACE_SCENARIOS};
+use spotweb_bench::cell::{Cell, SCENARIOS};
 
 /// Same seeds as `tests/golden/runner_equivalence.jsonl`: three seeds
 /// so a divergence that cancels at one RNG stream still trips.
 const GOLDEN_SEEDS: [u64; 3] = [1234, 7, 99];
 
 /// Replay `scenario` through the full stack — the `figures trace`
-/// configuration (MPO policy, fig4 testbed, 4 × 5-minute intervals at
-/// 300 rps) — with `shards` arrival shards.
+/// cell (MPO policy, 4 × 5-minute intervals at 300 rps) — with
+/// `shards` arrival shards.
 fn full_stack_report(scenario: &str, seed: u64, shards: usize) -> spotweb::sim::RunnerReport {
-    let catalog = Catalog::fig4_testbed();
-    let setup = scenario_setup(scenario, catalog.len()).expect("known scenario");
-    let interval_secs = 300.0;
-    let intervals = 4;
-    let sink = TelemetrySink::enabled();
-    let config = RunnerConfig {
-        interval_secs,
-        intervals,
-        seed,
-        shards,
-        faults: Some(setup.plan),
-        telemetry: sink.clone(),
-        lb: spotweb::lb::LoadBalancerConfig {
-            transiency_aware: setup.transiency_aware,
-            ..spotweb::lb::LoadBalancerConfig::default()
-        },
-        ..RunnerConfig::default()
-    };
-    let mut cloud = CloudSim::new(catalog.clone(), seed, 100);
-    cloud.warm_up(8);
-    let trace = Trace::new(interval_secs, vec![300.0; intervals + 2]);
-    let policy = SpotWebPolicy::new(
-        SpotWebConfig {
-            interval_secs,
-            ..SpotWebConfig::default()
-        },
-        catalog.len(),
-    )
-    .with_telemetry(sink.clone());
-    let mut bridge = PolicyBridge::new(policy, catalog);
-    run_full_stack(&mut bridge, &mut cloud, &trace, &config)
+    let cell = Cell::trace_default(scenario, "spotweb", seed).expect("known names");
+    Cell { shards, ..cell }.run().report
 }
 
 /// The headline gate: shards 1 ≡ shards 4, byte for byte, for every
@@ -77,7 +43,7 @@ fn full_stack_report(scenario: &str, seed: u64, shards: usize) -> spotweb::sim::
 #[test]
 fn sharded_report_is_byte_identical_for_all_scenarios_and_seeds() {
     for seed in GOLDEN_SEEDS {
-        for scenario in TRACE_SCENARIOS {
+        for scenario in SCENARIOS {
             let serial = full_stack_report(scenario, seed, 1);
             let sharded = full_stack_report(scenario, seed, 4);
             assert_eq!(
@@ -108,6 +74,24 @@ fn uneven_shard_counts_also_match() {
             "shards {shards} diverged"
         );
     }
+}
+
+/// A small reactive-policy cell (the runner's own baseline instead of
+/// the bridge, one-minute intervals, two of them) is shard-invariant
+/// too: the summary a sweep would print and the report bytes.
+#[test]
+fn small_reactive_cell_is_shard_invariant() {
+    let cell = Cell {
+        rps: 200.0,
+        interval_secs: 60.0,
+        intervals: 2,
+        ..Cell::trace_default("zero_warning", "reactive", 7).expect("known names")
+    };
+    let serial = cell.run();
+    let sharded = Cell { shards: 4, ..cell }.run();
+    assert!(serial.report.served > 0);
+    assert_eq!(report_json(&serial.report), report_json(&sharded.report));
+    assert_eq!(serial.summary().to_json(), sharded.summary().to_json());
 }
 
 /// The documented reference values of `sim::rng::sample` — pinned in

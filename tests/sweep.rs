@@ -17,11 +17,8 @@ fn sweep_is_byte_identical_at_jobs_1_and_4() {
     let specs = build_grid(Some("revocation_storm"), DEFAULT_SEED).expect("known scenario");
     assert_eq!(specs.len(), SWEEP_POLICIES.len());
 
-    let serial = run_grid(1, specs.clone());
-    let parallel = run_grid(4, specs);
-
-    let serial_summaries: Vec<_> = serial.iter().map(|r| r.summary.clone()).collect();
-    let parallel_summaries: Vec<_> = parallel.iter().map(|r| r.summary.clone()).collect();
+    let serial_summaries = run_grid(1, specs.clone());
+    let parallel_summaries = run_grid(4, specs);
     for (s, p) in serial_summaries.iter().zip(&parallel_summaries) {
         assert_eq!(
             s.to_json(),
@@ -53,11 +50,8 @@ fn sweep_rejects_unknown_scenarios_with_a_helpful_error() {
 fn tournament_grid_is_byte_identical_at_jobs_1_and_4() {
     let specs = build_tournament_grid(None, Some("zero_warning")).expect("known scenario");
 
-    let serial = run_grid(1, specs.clone());
-    let parallel = run_grid(4, specs);
-
-    let serial_summaries: Vec<_> = serial.iter().map(|r| r.summary.clone()).collect();
-    let parallel_summaries: Vec<_> = parallel.iter().map(|r| r.summary.clone()).collect();
+    let serial_summaries = run_grid(1, specs.clone());
+    let parallel_summaries = run_grid(4, specs);
     for (s, p) in serial_summaries.iter().zip(&parallel_summaries) {
         assert_eq!(
             s.to_json(),
@@ -82,8 +76,7 @@ fn mpo_and_reactive_sweep_digests_survive_the_factory_refactor() {
     ];
     for &(seed, expected) in GOLDEN_DIGESTS {
         let specs = build_grid(None, seed).expect("full grid builds");
-        let results = run_grid(4, specs);
-        let summaries: Vec<_> = results.iter().map(|r| r.summary.clone()).collect();
+        let summaries = run_grid(4, specs);
         assert_eq!(
             digest(&summaries),
             expected,
@@ -93,8 +86,8 @@ fn mpo_and_reactive_sweep_digests_survive_the_factory_refactor() {
 }
 
 /// Warm-started receding-horizon solves converge in fewer mean ADMM
-/// iterations than cold ones (same fixed-covariance probe that feeds
-/// `BENCH_sweep.json`).
+/// iterations than cold ones (the fixed-covariance probe `figures
+/// sweep` reports on stderr).
 #[test]
 fn warm_started_admm_uses_fewer_iterations_than_cold() {
     let stats = warm_start_probe();

@@ -12,7 +12,8 @@
 //! ```
 
 use spotweb::telemetry::TraceEvent;
-use spotweb_bench::telem::{run_trace, TRACE_SCENARIOS};
+use spotweb_bench::cell::SCENARIOS;
+use spotweb_bench::telem::run_trace;
 use spotweb_bench::DEFAULT_SEED;
 
 #[test]
@@ -118,14 +119,13 @@ fn trace_explains_decisions_forecasts_and_drains() {
         assert!(ready_at > t, "replacements take startup + warmup time");
     }
 
-    // Wall-clock solver timings exist, but never leak into the trace.
-    assert!(traced.sink.render_timings_json().contains("mpo_solve_secs"));
+    // Wall-clock solver timings never leak into the trace.
     assert!(!traced.sink.export_jsonl().contains("solve_secs"));
 }
 
 #[test]
 fn every_trace_scenario_replays_cleanly() {
-    for name in TRACE_SCENARIOS {
+    for name in SCENARIOS {
         let traced = run_trace(name, DEFAULT_SEED).expect("trace runs");
         assert!(
             traced.report.invariant_violations.is_empty(),

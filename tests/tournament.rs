@@ -14,15 +14,11 @@
 //! `--jobs 4` passes are byte-identical, so the recorded file is
 //! jobs-count-independent by construction).
 
+use spotweb_bench::cell::{resolve_policy, POLICIES, SCENARIOS};
+use spotweb_bench::sweep::run_grid;
 use spotweb_bench::tournament::{
-    build_tournament_grid, leaderboard, render_leaderboard_json, render_table, resolve_policy,
-    TOURNAMENT_POLICIES, TOURNAMENT_SEEDS,
+    build_tournament_grid, leaderboard, render_leaderboard_json, render_table, TOURNAMENT_SEEDS,
 };
-use spotweb_bench::{sweep::run_grid, telem::TRACE_SCENARIOS};
-
-fn scenarios_in_grid_order() -> Vec<String> {
-    TRACE_SCENARIOS.iter().map(|s| s.to_string()).collect()
-}
 
 /// The tournament leaderboard over the full grid matches the recorded
 /// golden byte for byte. The grid runs at `--jobs 4`, and the golden
@@ -33,12 +29,11 @@ fn full_grid_leaderboard_matches_golden() {
     let grid = build_tournament_grid(None, None).expect("full grid builds");
     assert_eq!(
         grid.len(),
-        TOURNAMENT_POLICIES.len() * TRACE_SCENARIOS.len() * TOURNAMENT_SEEDS.len(),
+        POLICIES.len() * SCENARIOS.len() * TOURNAMENT_SEEDS.len(),
         "full cross product"
     );
-    let results = run_grid(4, grid);
-    let summaries: Vec<_> = results.iter().map(|r| r.summary.clone()).collect();
-    let rendered = render_leaderboard_json(&leaderboard(&summaries), &scenarios_in_grid_order());
+    let summaries = run_grid(4, grid);
+    let rendered = render_leaderboard_json(&leaderboard(&summaries), SCENARIOS);
     let golden = include_str!("golden/tournament_leaderboard.json");
     assert_eq!(
         rendered, golden,
@@ -54,12 +49,10 @@ fn leaderboard_double_run_is_byte_identical() {
     let pass = || {
         let grid =
             build_tournament_grid(None, Some("backend-flaps")).expect("known scenario builds");
-        let results = run_grid(4, grid);
-        let summaries: Vec<_> = results.iter().map(|r| r.summary.clone()).collect();
+        let summaries = run_grid(4, grid);
         let standings = leaderboard(&summaries);
-        let scenarios = vec!["backend-flaps".to_string()];
         (
-            render_leaderboard_json(&standings, &scenarios),
+            render_leaderboard_json(&standings, &["backend-flaps"]),
             render_table(&standings),
         )
     };
@@ -68,7 +61,7 @@ fn leaderboard_double_run_is_byte_identical() {
     assert_eq!(json_a, json_b, "leaderboard JSON must be double-run stable");
     assert_eq!(table_a, table_b, "human table must be double-run stable");
     // Every competitor appears exactly once in the slice's standings.
-    for p in TOURNAMENT_POLICIES {
+    for p in POLICIES {
         assert_eq!(
             json_a.matches(&format!("\"policy\":\"{p}\"")).count(),
             1,
@@ -91,7 +84,7 @@ fn policy_resolution_is_lenient_and_errors_list_the_registry() {
 
     let err = resolve_policy("quantum-annealer").expect_err("unknown names must not resolve");
     assert!(err.contains("unknown policy 'quantum-annealer'"), "{err}");
-    for p in TOURNAMENT_POLICIES {
+    for p in POLICIES {
         assert!(err.contains(p), "error must list {p}: {err}");
     }
 }
