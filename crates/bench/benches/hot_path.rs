@@ -26,7 +26,7 @@ fn bench_service_admit(c: &mut Criterion) {
 }
 
 /// Sticky-session routing with admission control — the exact call the
-/// runner makes per arrival (scratch-mask tier scans, no allocation).
+/// runner makes per arrival (route-epoch reads; the fleet is not scanned).
 fn bench_lb_route(c: &mut Criterion) {
     let mut group = c.benchmark_group("hot_route");
     for &n in &[8usize, 24] {

@@ -115,10 +115,22 @@ const RETIRED: usize = usize::MAX;
 /// (the ids the session table, telemetry, and the simulator use).
 /// Internally they live in a *dense* vector of only the non-retired
 /// backends, ordered by ascending external id; `slot_of` maps id →
-/// slot. Control-path loops (routing tiers, admission capacity sums,
+/// slot. Control-path loops (the route-epoch rebuild, the WRR walk,
 /// portfolio reweighting) iterate the dense vector, so their cost is
 /// O(live backends) — constant over a week-scale run — instead of
 /// O(every backend ever provisioned).
+///
+/// # The route epoch
+///
+/// Everything [`route`](Self::route) needs to know about the fleet as
+/// a whole — who accepts, who is a drain fallback, the admission
+/// capacity sum, each backend's saturation point — changes only at a
+/// backend's *lifecycle edges* (`ready_at`, `warm_until`, `deadline`,
+/// the start of the drain margin) and when a mutator runs. A private
+/// `RouteEpoch` holds those answers for the stretch of `now` between
+/// two edges; `route` reads it, and only re-scans the fleet when `now`
+/// leaves the stretch or a mutator invalidated it
+/// ([`epoch_rebuilds`](Self::epoch_rebuilds) counts the scans).
 pub struct LoadBalancer {
     config: LoadBalancerConfig,
     /// Dense vector of live (non-retired) backends, ascending by
@@ -138,10 +150,153 @@ pub struct LoadBalancer {
     /// [`CounterHandle`]); re-resolved whenever the sink changes.
     admission_rejections: CounterHandle,
     no_backend_drops: CounterHandle,
-    /// Reusable per-route eligibility mask (`scratch[slot]` = backend
-    /// in `slot` is healthy with headroom). Routing fills it in place
-    /// instead of collecting a fresh `Vec<bool>` on every tiered pick.
-    scratch: Vec<bool>,
+    /// What `route` knows about the fleet without scanning it.
+    epoch: RouteEpoch,
+    /// Times [`Self::scan_epoch`] rebuilt `epoch` (see
+    /// [`Self::epoch_rebuilds`]).
+    epoch_rebuilds: u64,
+    /// No `Starting` or `Draining` backend changes state in a
+    /// [`tick`](Self::tick) before this time (a lower bound: a backend
+    /// that died first leaves its time behind until the next walk).
+    next_flip: f64,
+}
+
+/// One slot's entry in the [`RouteEpoch`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct SlotEpoch {
+    /// [`Backend::accepts_new`]: routing tiers 1 and 1b.
+    accepting: bool,
+    /// Accepting, or a drain fallback: a backend a request could use.
+    /// Counts toward admission; tier 3 picks among these, tier 2 among
+    /// the ones that are not `accepting`.
+    usable: bool,
+    /// The backend is saturated exactly when it has this many requests
+    /// in flight or more (0: always, it has no capacity).
+    saturated_from: u64,
+}
+
+/// The fleet-wide facts `route` reads, valid while `from <= now <
+/// until` (see [`LoadBalancer`], "The route epoch"). An invalidated
+/// epoch has an empty window and no slots.
+#[derive(Debug, Clone, PartialEq)]
+struct RouteEpoch {
+    from: f64,
+    until: f64,
+    /// Parallel to `LoadBalancer::backends`.
+    slots: Vec<SlotEpoch>,
+    /// Admission: effective capacity of the usable backends, added in
+    /// slot order.
+    capacity_rps: f64,
+    /// Admission: requests in flight on the usable backends; `route`
+    /// and `complete` keep it current between rebuilds.
+    in_flight: u64,
+    /// Accepting slots below their saturation point: who tiers 1 and
+    /// 1b pick among. `route` and `complete` keep it current.
+    with_headroom: usize,
+    /// Drain-fallback slots below theirs: who tier 2 picks among.
+    fallbacks_with_headroom: usize,
+}
+
+impl RouteEpoch {
+    /// The epoch no `now` falls into.
+    fn invalid() -> Self {
+        RouteEpoch {
+            from: f64::INFINITY,
+            until: f64::NEG_INFINITY,
+            slots: Vec::new(),
+            capacity_rps: 0.0,
+            in_flight: 0,
+            with_headroom: 0,
+            fallbacks_with_headroom: 0,
+        }
+    }
+
+    /// Empty the window (a mutator ran); the slot buffer is kept for
+    /// the next scan.
+    fn invalidate(&mut self) {
+        self.from = f64::INFINITY;
+        self.until = f64::NEG_INFINITY;
+        self.slots.clear();
+    }
+
+    /// The headroom count a backend with `slot`'s flags belongs to
+    /// while it is below its saturation point, if any.
+    fn headroom_count(&mut self, slot: SlotEpoch) -> Option<&mut usize> {
+        if slot.accepting {
+            Some(&mut self.with_headroom)
+        } else if slot.usable {
+            Some(&mut self.fallbacks_with_headroom)
+        } else {
+            None
+        }
+    }
+}
+
+/// Smallest `k` in `lo..=hi` at which `holds(k)`, for a `holds` that
+/// fails up to some point of the range and holds from there on; `hi`
+/// when it holds nowhere below `hi`. Gallops outward from `guess`
+/// before bisecting, so a guess within a few steps of the answer costs
+/// a handful of evaluations and the worst one about 128.
+fn first_true(mut lo: u64, mut hi: u64, guess: u64, mut holds: impl FnMut(u64) -> bool) -> u64 {
+    // The answer stays within `lo..=hi` throughout.
+    let mut probe = guess.clamp(lo, hi);
+    let mut step = 1u64;
+    if holds(probe) {
+        loop {
+            hi = probe;
+            if probe == lo {
+                return lo;
+            }
+            probe = probe.saturating_sub(step).max(lo);
+            step = step.saturating_mul(2);
+            if !holds(probe) {
+                lo = probe + 1;
+                break;
+            }
+        }
+    } else {
+        loop {
+            if probe == hi {
+                return hi;
+            }
+            lo = probe + 1;
+            probe = probe.saturating_add(step).min(hi);
+            step = step.saturating_mul(2);
+            if holds(probe) {
+                hi = probe;
+                break;
+            }
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Map `x` to an integer that orders like it (`a < b` ⇒ `time_key(a) <
+/// time_key(b)`, −0.0 just below +0.0), so [`first_true`] can search
+/// the floats; [`key_time`] is the inverse.
+fn time_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+fn key_time(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 impl LoadBalancer {
@@ -160,7 +315,9 @@ impl LoadBalancer {
             telemetry: TelemetrySink::disabled(),
             admission_rejections: CounterHandle::default(),
             no_backend_drops: CounterHandle::default(),
-            scratch: Vec::new(),
+            epoch: RouteEpoch::invalid(),
+            epoch_rebuilds: 0,
+            next_flip: f64::INFINITY,
         }
     }
 
@@ -182,20 +339,31 @@ impl LoadBalancer {
         warmup_secs: f64,
     ) -> BackendId {
         let id = self.slot_of.len();
-        let b = Backend::starting(id, market, capacity_rps, now, startup_secs, warmup_secs);
-        self.wrr.push(b.weight);
-        self.slot_of.push(self.backends.len());
-        self.backends.push(b);
-        id
+        self.install(Backend::starting(
+            id,
+            market,
+            capacity_rps,
+            now,
+            startup_secs,
+            warmup_secs,
+        ))
     }
 
     /// Register an already-serving backend (cluster bootstrap).
     pub fn add_backend_up(&mut self, market: usize, capacity_rps: f64) -> BackendId {
         let id = self.slot_of.len();
-        let b = Backend::up(id, market, capacity_rps);
+        self.install(Backend::up(id, market, capacity_rps))
+    }
+
+    fn install(&mut self, b: Backend) -> BackendId {
+        let id = b.id;
+        if let BackendState::Starting { ready_at } = b.state {
+            self.next_flip = self.next_flip.min(ready_at);
+        }
         self.wrr.push(b.weight);
         self.slot_of.push(self.backends.len());
         self.backends.push(b);
+        self.epoch.invalidate();
         id
     }
 
@@ -211,16 +379,6 @@ impl LoadBalancer {
     /// Backend by external id; `None` once retired.
     pub fn backend(&self, id: BackendId) -> Option<&Backend> {
         self.backends.get(*self.slot_of.get(id)?)
-    }
-
-    /// Mutable backend access (simulator drives in-flight counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` has been retired — the simulator only mutates
-    /// live backends.
-    pub fn backend_mut(&mut self, id: BackendId) -> &mut Backend {
-        &mut self.backends[self.slot_of[id]]
     }
 
     /// Total backends ever registered, retired or not. External ids are
@@ -252,10 +410,38 @@ impl LoadBalancer {
             .sum()
     }
 
-    /// Advance backend lifecycle states to `now`.
+    /// Times the route epoch was rebuilt by a scan of the fleet. A run
+    /// rebuilds once per lifecycle edge crossed and once per batch of
+    /// mutations, never once per request — the count is exact and
+    /// deterministic, so tests gate on it.
+    pub fn epoch_rebuilds(&self) -> u64 {
+        self.epoch_rebuilds
+    }
+
+    /// Advance backend lifecycle states to `now`. O(1) until `now`
+    /// reaches the earliest `ready_at` or `deadline` still pending.
     pub fn tick(&mut self, now: f64) {
+        if now < self.next_flip {
+            return;
+        }
+        let mut flipped = false;
+        self.next_flip = f64::INFINITY;
         for b in &mut self.backends {
+            let before = b.state;
             b.tick(now);
+            flipped |= b.state != before;
+            match b.state {
+                BackendState::Starting { ready_at: at }
+                | BackendState::Draining { deadline: at } => {
+                    self.next_flip = self.next_flip.min(at)
+                }
+                BackendState::Up | BackendState::Down => {}
+            }
+        }
+        // `Up` accepts at every `now`, `Starting` only from `ready_at`:
+        // the same backend answers differently for an earlier `now`.
+        if flipped {
+            self.epoch.invalidate();
         }
     }
 
@@ -312,22 +498,154 @@ impl LoadBalancer {
         self.backends[slot].utilization(now, self.config.service_secs) > Self::OVERLOAD_FACTOR
     }
 
-    /// Take the scratch mask, filled so `mask[i]` holds exactly when
-    /// backend `i` is accepting and unsaturated at `now` (routing
-    /// tier 1). The caller returns it via [`Self::put_tier1_mask`] so
-    /// the buffer is reused across routes instead of reallocated.
-    fn take_tier1_mask(&mut self, now: f64) -> Vec<bool> {
-        let mut mask = std::mem::take(&mut self.scratch);
-        mask.clear();
-        mask.extend(
-            (0..self.backends.len())
-                .map(|i| self.backends[i].accepts_new(now) && !self.is_saturated(i, now)),
-        );
-        mask
+    /// Scan the fleet for the [`RouteEpoch`] that holds at `now`: every
+    /// flag and sum is the routing predicate itself evaluated at `now`,
+    /// and the window ends at the nearest lifecycle edge either side of
+    /// it. This is the only loop over the fleet that `route` can reach,
+    /// apart from the WRR walk and the fallback tiers' search. `slots`
+    /// is the outgoing epoch's buffer, reused.
+    fn scan_epoch(&self, now: f64, mut slots: Vec<SlotEpoch>) -> RouteEpoch {
+        let service = self.config.service_secs;
+        slots.clear();
+        let mut epoch = RouteEpoch {
+            from: f64::NEG_INFINITY,
+            until: f64::INFINITY,
+            slots,
+            ..RouteEpoch::invalid()
+        };
+        for (slot, b) in self.backends.iter().enumerate() {
+            let accepting = b.accepts_new(now);
+            let usable = accepting || self.drain_fallback_ok(slot, now);
+            let capacity_rps = b.effective_capacity(now);
+            if usable {
+                epoch.capacity_rps += capacity_rps;
+                epoch.in_flight += b.in_flight;
+            }
+            // Utilization only grows with the in-flight count, so the
+            // float predicate flips once; ask it where.
+            let mut probe = b.clone();
+            let guess = (Self::OVERLOAD_FACTOR * capacity_rps * service) as u64;
+            let saturated_from = first_true(0, u64::MAX, guess, |in_flight| {
+                probe.in_flight = in_flight;
+                probe.utilization(now, service) > Self::OVERLOAD_FACTOR
+            });
+            let entry = SlotEpoch {
+                accepting,
+                usable,
+                saturated_from,
+            };
+            if b.in_flight < saturated_from {
+                if let Some(count) = epoch.headroom_count(entry) {
+                    *count += 1;
+                }
+            }
+            epoch.slots.push(entry);
+
+            // (A NaN edge is on neither side.)
+            let mut edge = |at: f64| {
+                if at <= now {
+                    epoch.from = epoch.from.max(at);
+                } else if at > now {
+                    epoch.until = epoch.until.min(at);
+                }
+            };
+            match b.state {
+                BackendState::Starting { ready_at } => {
+                    edge(ready_at);
+                    edge(b.warm_until);
+                }
+                BackendState::Up => edge(b.warm_until),
+                BackendState::Draining { deadline } => {
+                    edge(deadline);
+                    edge(b.warm_until);
+                    // `deadline - now` only shrinks as `now` grows, so
+                    // the margin test fails from one float on; find it
+                    // with the test itself rather than restate its
+                    // rounding.
+                    let margin = Self::DRAIN_MARGIN_SERVICES * service;
+                    edge(key_time(first_true(
+                        time_key(f64::NEG_INFINITY),
+                        time_key(f64::INFINITY),
+                        time_key(deadline - margin),
+                        |key| !self.drain_fallback_ok(slot, key_time(key)),
+                    )));
+                }
+                BackendState::Down => {}
+            }
+        }
+        epoch
     }
 
-    fn put_tier1_mask(&mut self, mask: Vec<bool>) {
-        self.scratch = mask;
+    /// Make `self.epoch` the one that holds at `now`.
+    fn enter_epoch(&mut self, now: f64) {
+        if !(self.epoch.from <= now && now < self.epoch.until) {
+            let slots = std::mem::take(&mut self.epoch.slots);
+            self.epoch = self.scan_epoch(now, slots);
+            self.epoch_rebuilds += 1;
+        }
+        #[cfg(debug_assertions)]
+        self.assert_epoch_matches_scan(now);
+    }
+
+    /// Debug builds re-derive, with the predicates themselves, what
+    /// `route` is about to read from the epoch — so every test that
+    /// routes is a differential test of the epoch bookkeeping.
+    #[cfg(debug_assertions)]
+    fn assert_epoch_matches_scan(&self, now: f64) {
+        assert_eq!(self.epoch.slots.len(), self.backends.len());
+        let (mut capacity_rps, mut in_flight) = (0.0, 0);
+        let (mut with_headroom, mut fallbacks_with_headroom) = (0, 0);
+        for (slot, (b, kept)) in self.backends.iter().zip(&self.epoch.slots).enumerate() {
+            let accepts = b.accepts_new(now);
+            let usable = accepts || self.drain_fallback_ok(slot, now);
+            if usable {
+                capacity_rps += b.effective_capacity(now);
+                in_flight += b.in_flight;
+            }
+            let saturated = self.is_saturated(slot, now);
+            with_headroom += usize::from(accepts && !saturated);
+            fallbacks_with_headroom += usize::from(usable && !accepts && !saturated);
+            assert_eq!(
+                (
+                    kept.accepting,
+                    kept.usable,
+                    b.in_flight >= kept.saturated_from
+                ),
+                (accepts, usable, saturated),
+                "slot {slot} of the route epoch is stale at t={now}"
+            );
+        }
+        assert_eq!(
+            (
+                self.epoch.capacity_rps.to_bits(),
+                self.epoch.in_flight,
+                self.epoch.with_headroom,
+                self.epoch.fallbacks_with_headroom
+            ),
+            (
+                f64::to_bits(capacity_rps),
+                in_flight,
+                with_headroom,
+                fallbacks_with_headroom
+            ),
+            "route epoch sums are stale at t={now}"
+        );
+    }
+
+    /// Send one more request to the backend in `slot`.
+    fn dispatch(&mut self, slot: usize) -> RouteOutcome {
+        let entry = self.epoch.slots[slot];
+        debug_assert!(entry.usable, "routed to an unusable slot");
+        self.backends[slot].in_flight += 1;
+        self.epoch.in_flight += 1;
+        // This request used up the backend's headroom.
+        if self.backends[slot].in_flight == entry.saturated_from {
+            if let Some(count) = self.epoch.headroom_count(entry) {
+                *count -= 1;
+            }
+        }
+        self.stats.routed += 1;
+        RouteOutcome::Routed(self.backends[slot].id)
     }
 
     /// Route one request. `session` pins/uses stickiness when given.
@@ -342,28 +660,19 @@ impl LoadBalancer {
         // Hottest profiling span in the stack: one enter per simulated
         // request (a single relaxed atomic load when no session runs).
         prof::scope!(names::SPAN_LB_ROUTE);
-        if self.config.admission_control {
-            // Capacity and load over every backend a request could use.
-            let mut cap = 0.0;
-            let mut in_flight = 0u64;
-            for slot in 0..self.backends.len() {
-                let b = &self.backends[slot];
-                let usable = b.accepts_new(now) || self.drain_fallback_ok(slot, now);
-                if usable {
-                    cap += b.effective_capacity(now);
-                    in_flight += b.in_flight;
-                }
-            }
-            if self
-                .admission
-                .decide(in_flight, cap, self.config.service_secs)
-                == AdmissionDecision::Drop
-            {
-                self.stats.dropped += 1;
-                self.stats.admission_rejections += 1;
-                self.admission_rejections.inc();
-                return RouteOutcome::Dropped;
-            }
+        self.enter_epoch(now);
+        // Capacity and load over every backend a request could use.
+        if self.config.admission_control
+            && self.admission.decide(
+                self.epoch.in_flight,
+                self.epoch.capacity_rps,
+                self.config.service_secs,
+            ) == AdmissionDecision::Drop
+        {
+            self.stats.dropped += 1;
+            self.stats.admission_rejections += 1;
+            self.admission_rejections.inc();
+            return RouteOutcome::Dropped;
         }
         // Sticky sessions: return to the pinned backend while it is
         // healthy; re-pin (capacity-seeking) when it is saturated,
@@ -371,62 +680,57 @@ impl LoadBalancer {
         if let Some(s) = session {
             if let Some(b) = self.sessions.lookup(s) {
                 // Resolve the pinned external id to its slot; a retired
-                // backend behaves exactly like a Down one here (serves
-                // nothing, no fallback) and the saturation check is
-                // short-circuited away just as it was for Down.
+                // backend behaves exactly like a Down one here: serves
+                // nothing, is no fallback, and (not being usable) is
+                // never asked whether it is saturated.
                 let bslot = self.slot_of[b];
-                let serves = bslot != RETIRED && self.backend_serves(bslot, now);
-                let on_draining_fallback =
-                    !serves && bslot != RETIRED && self.drain_fallback_ok(bslot, now);
-                let healthy = (serves || on_draining_fallback) && !self.is_saturated(bslot, now);
-                let prefer_repin = !healthy || on_draining_fallback;
-                if prefer_repin {
+                let pinned = if bslot == RETIRED {
+                    SlotEpoch::default()
+                } else {
+                    self.epoch.slots[bslot]
+                };
+                // Sticky traffic continues to an accepting backend, or
+                // (until it re-pins) to a drain fallback. `Draining`
+                // exists only in transiency-aware mode: vanilla never
+                // enters it.
+                let serves = pinned.accepting;
+                let on_draining_fallback = pinned.usable && !pinned.accepting;
+                let healthy =
+                    pinned.usable && self.backends[bslot].in_flight < pinned.saturated_from;
+                if !healthy || on_draining_fallback {
                     // Seek capacity: healthy backends first, then
                     // still-alive draining ones (the paper's "load stays
                     // on the revoked servers until replacements start").
-                    let t1 = self.take_tier1_mask(now);
                     let target = self
-                        .wrr
-                        .pick(|i| t1[i])
-                        .or_else(|| self.pick_least_utilized(now, |i| t1[i]))
-                        .or_else(|| {
-                            self.pick_least_utilized(now, |i| {
-                                self.backends[i].id != b
-                                    && self.drain_fallback_ok(i, now)
-                                    && !self.is_saturated(i, now)
-                            })
-                        });
-                    self.put_tier1_mask(t1);
+                        .pick_with_headroom(now)
+                        .or_else(|| self.pick_fallback_with_headroom(now, Some(b)));
                     if let Some(nb) = target {
-                        let nb_id = self.backends[nb].id;
-                        self.sessions.assign(s, nb_id);
-                        self.backends[nb].in_flight += 1;
-                        self.stats.routed += 1;
-                        if on_draining_fallback || !serves {
+                        self.sessions.assign(s, self.backends[nb].id);
+                        if !serves {
                             self.stats.migrations += 1;
                         }
-                        return RouteOutcome::Routed(nb_id);
+                        return self.dispatch(nb);
                     }
                 }
-                if serves || on_draining_fallback {
-                    self.backends[bslot].in_flight += 1;
-                    self.stats.routed += 1;
-                    return RouteOutcome::Routed(b);
+                if pinned.usable {
+                    return self.dispatch(bslot);
                 }
                 // Pinned backend is gone and nothing has headroom: fall
                 // through to the tiered pick below.
             }
         }
-        let pick = self.pick_tiered(now);
+        // Tier 3: anything serving, saturated or not (admission has
+        // already bounded the queue we are about to join).
+        let pick = self
+            .pick_with_headroom(now)
+            .or_else(|| self.pick_fallback_with_headroom(now, None))
+            .or_else(|| self.pick_least_utilized(now, |i| self.epoch.slots[i].usable));
         match pick {
             Some(slot) => {
-                let b = self.backends[slot].id;
                 if let Some(s) = session {
-                    self.sessions.assign(s, b);
+                    self.sessions.assign(s, self.backends[slot].id);
                 }
-                self.backends[slot].in_flight += 1;
-                self.stats.routed += 1;
-                RouteOutcome::Routed(b)
+                self.dispatch(slot)
             }
             None => {
                 self.stats.dropped += 1;
@@ -434,6 +738,37 @@ impl LoadBalancer {
                 RouteOutcome::Dropped
             }
         }
+    }
+
+    /// Tiers 1 and 1b, as a slot: among the accepting backends with
+    /// headroom, the weighted round robin's pick, or the least utilized
+    /// when they all carry zero weight (the portfolio just changed).
+    fn pick_with_headroom(&mut self, now: f64) -> Option<usize> {
+        // With no candidate both tiers come up empty, and a
+        // `SmoothWrr::pick` without one leaves its counters alone —
+        // skipping it changes no later pick.
+        if self.epoch.with_headroom == 0 {
+            return None;
+        }
+        let (slots, backends) = (&self.epoch.slots, &self.backends);
+        let headroom =
+            |i: usize| slots[i].accepting && backends[i].in_flight < slots[i].saturated_from;
+        self.wrr
+            .pick(headroom)
+            .or_else(|| self.pick_least_utilized(now, headroom))
+    }
+
+    /// Tier 2, as a slot: the least utilized draining-but-alive backend
+    /// with headroom, other than `except`.
+    fn pick_fallback_with_headroom(&self, now: f64, except: Option<BackendId>) -> Option<usize> {
+        if self.epoch.fallbacks_with_headroom == 0 {
+            return None;
+        }
+        self.pick_least_utilized(now, |i| {
+            let s = self.epoch.slots[i];
+            let b = &self.backends[i];
+            s.usable && !s.accepting && b.in_flight < s.saturated_from && Some(b.id) != except
+        })
     }
 
     /// Slot of the least-utilized backend among those where
@@ -445,41 +780,9 @@ impl LoadBalancer {
         let service = self.config.service_secs;
         (0..self.backends.len())
             .filter(|&i| eligible(i))
-            .min_by(|&a, &b| {
-                self.backends[a]
-                    .utilization(now, service)
-                    .partial_cmp(&self.backends[b].utilization(now, service))
-                    .expect("finite utilizations")
-            })
-    }
-
-    /// Tiered pick; returns a *slot* into the dense backend vector.
-    fn pick_tiered(&mut self, now: f64) -> Option<usize> {
-        // Tier 1: healthy backends with headroom, via weighted RR.
-        let t1 = self.take_tier1_mask(now);
-        if let Some(b) = self.wrr.pick(|i| t1[i]) {
-            self.put_tier1_mask(t1);
-            return Some(b);
-        }
-        // Tier 1b: healthy but currently zero-weighted (portfolio just
-        // changed); least-utilized. The mask already holds exactly the
-        // accepting-and-unsaturated predicate at this `now`.
-        let tier1b = self.pick_least_utilized(now, |i| t1[i]);
-        self.put_tier1_mask(t1);
-        if let Some(b) = tier1b {
-            return Some(b);
-        }
-        // Tier 2: draining-but-alive backends with headroom.
-        if let Some(b) = self.pick_least_utilized(now, |i| {
-            self.drain_fallback_ok(i, now) && !self.is_saturated(i, now)
-        }) {
-            return Some(b);
-        }
-        // Tier 3: anything serving, saturated or not (admission has
-        // already bounded the queue we are about to join).
-        self.pick_least_utilized(now, |i| {
-            self.backends[i].accepts_new(now) || self.drain_fallback_ok(i, now)
-        })
+            .map(|i| (i, self.backends[i].utilization(now, service)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite utilizations"))
+            .map(|(i, _)| i)
     }
 
     /// A request on `backend` finished; `session_done` removes the
@@ -493,9 +796,19 @@ impl LoadBalancer {
     /// lives now.
     pub fn complete(&mut self, backend: BackendId, session_done: Option<u64>) {
         let slot = self.slot_of[backend];
-        if slot != RETIRED {
-            let b = &mut self.backends[slot];
-            b.in_flight = b.in_flight.saturating_sub(1);
+        if slot != RETIRED && self.backends[slot].in_flight > 0 {
+            self.backends[slot].in_flight -= 1;
+            if let Some(&entry) = self.epoch.slots.get(slot) {
+                if entry.usable {
+                    self.epoch.in_flight -= 1;
+                }
+                // This completion gave the backend headroom again.
+                if self.backends[slot].in_flight + 1 == entry.saturated_from {
+                    if let Some(count) = self.epoch.headroom_count(entry) {
+                        *count += 1;
+                    }
+                }
+            }
         }
         if let Some(s) = session_done {
             self.sessions.remove(s);
@@ -546,6 +859,8 @@ impl LoadBalancer {
             };
         }
         self.backends[bslot].state = BackendState::Draining { deadline };
+        self.next_flip = self.next_flip.min(deadline);
+        self.epoch.invalidate();
         // Weight stays: the draining backend may still serve as a tier-2
         // fallback until the cluster has replacement capacity.
         // Migrate sessions to the least-utilized *unsaturated* accepting
@@ -622,6 +937,7 @@ impl LoadBalancer {
         }
         self.stats.sessions_lost += lost.len() as u64;
         self.backends[slot].in_flight = 0;
+        self.epoch.invalidate();
         self.telemetry.emit_at(
             now,
             TraceEvent::BackendDeath {
@@ -664,6 +980,7 @@ impl LoadBalancer {
         *self.retired.per_market.entry(b.market).or_insert(0) += 1;
         self.backends.remove(slot);
         self.wrr.remove(slot);
+        self.epoch.invalidate();
         self.slot_of[backend] = RETIRED;
         // Every backend after the vacated slot shifted down by one.
         for moved in &self.backends[slot..] {
@@ -693,6 +1010,7 @@ impl LoadBalancer {
         b.warm_until = now + warmup_secs;
         let w = b.weight;
         self.wrr.set_weight(slot, w);
+        self.epoch.invalidate();
         self.telemetry.emit_at(
             now,
             TraceEvent::BackendRestore {
@@ -708,17 +1026,6 @@ impl LoadBalancer {
     /// new requests) and migrate its sessions.
     pub fn decommission(&mut self, backend: BackendId, now: f64) -> WarningReport {
         self.revocation_warning(backend, now, f64::INFINITY)
-    }
-
-    fn backend_serves(&self, slot: usize, now: f64) -> bool {
-        match self.backends[slot].state {
-            BackendState::Up => true,
-            BackendState::Starting { ready_at } => now >= ready_at,
-            // Sticky traffic may continue to a draining backend only in
-            // vanilla mode (transiency-aware re-pins immediately).
-            BackendState::Draining { deadline } => !self.config.transiency_aware && now < deadline,
-            BackendState::Down => false,
-        }
     }
 }
 
@@ -826,7 +1133,13 @@ mod tests {
         let a = lb.add_backend_up(0, 100.0);
         let busy = lb.add_backend_up(0, 100.0);
         let idle = lb.add_backend_up(0, 100.0);
-        lb.backend_mut(busy).in_flight = 40;
+        // 40 requests in flight on `busy`: a sticky session stays put
+        // while its backend has headroom.
+        lb.sessions.assign(99, busy);
+        for _ in 0..40 {
+            assert_eq!(lb.route(Some(99), 0.0), RouteOutcome::Routed(busy));
+        }
+        lb.sessions.remove(99);
         for s in 0..4 {
             lb.sessions.assign(s, a);
         }
@@ -1055,6 +1368,157 @@ mod tests {
             keep.effective_capacity(20.0),
             compact.effective_capacity(20.0)
         );
+    }
+
+    #[test]
+    fn first_true_agrees_with_a_linear_search() {
+        for lo in 0..4u64 {
+            for hi in lo..lo + 12 {
+                // `answer == hi + 1`: holds nowhere, reported as `hi`.
+                for answer in lo..=hi + 1 {
+                    for guess in 0..hi + 3 {
+                        let found = first_true(lo, hi, guess, |k| k >= answer);
+                        assert_eq!(found, answer.min(hi), "{lo}..={hi} from {guess}");
+                    }
+                }
+            }
+        }
+        // Far guesses still bracket: the full range, both directions.
+        assert_eq!(first_true(0, u64::MAX, u64::MAX, |k| k >= 7), 7);
+        assert_eq!(
+            first_true(0, u64::MAX, 0, |k| k >= u64::MAX - 7),
+            u64::MAX - 7
+        );
+        assert_eq!(first_true(0, u64::MAX, 1 << 40, |_| false), u64::MAX);
+    }
+
+    #[test]
+    fn time_keys_order_like_the_floats_and_round_trip() {
+        let times = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            0.25,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for pair in times.windows(2) {
+            assert!(time_key(pair[0]) < time_key(pair[1]), "{pair:?}");
+        }
+        for t in times {
+            assert_eq!(key_time(time_key(t)).to_bits(), t.to_bits());
+        }
+    }
+
+    /// The epoch's window must end on the very float at which
+    /// `deadline - now > margin` turns false. Where the deadline is
+    /// small beside the margin that is several floats *before*
+    /// `deadline - margin`, because the subtraction rounds them away.
+    #[test]
+    fn epoch_window_ends_where_the_drain_margin_test_flips() {
+        // (warned at, warning): the margin is 20 × 0.25 s = 5 s.
+        for (warned_at, warning) in [
+            (0.0, 5.0),
+            (0.5, 5.0),
+            (0.1, 5.3),
+            (100.3, 12.7),
+            (3.0, 2.0),
+        ] {
+            let mut lb = aware();
+            let victim = lb.add_backend_up(0, 100.0);
+            lb.add_backend_up(0, 100.0);
+            lb.revocation_warning(victim, warned_at, warning);
+            let naive = warned_at + warning - 5.0;
+            let edge = key_time(first_true(
+                time_key(f64::NEG_INFINITY),
+                time_key(f64::INFINITY),
+                time_key(naive),
+                |key| !lb.drain_fallback_ok(victim, key_time(key)),
+            ));
+            // Far side, near side, far side again: non-monotone, so
+            // every query near the edge meets an epoch built elsewhere.
+            for around in [naive, edge] {
+                for step in -24i64..=24 {
+                    let far = if step % 2 == 0 {
+                        around - 1.0
+                    } else {
+                        around + 1.0
+                    };
+                    let near = key_time(time_key(around).wrapping_add_signed(step));
+                    for now in [far, near] {
+                        lb.enter_epoch(now);
+                        assert_eq!(
+                            lb.epoch.slots[victim].usable,
+                            lb.drain_fallback_ok(victim, now),
+                            "warned at {warned_at} for {warning}: t={now:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_is_rebuilt_per_edge_and_mutation_not_per_route() {
+        let mut lb = aware();
+        let a = lb.add_backend_up(0, 100.0);
+        let b = lb.add_backend_up(0, 100.0);
+        let c = lb.add_backend(0, 100.0, 0.0, 10.0, 5.0);
+        let route_some = |lb: &mut LoadBalancer, now: f64| {
+            (0..20)
+                .map(|_| match lb.route(None, now) {
+                    RouteOutcome::Routed(x) => {
+                        lb.complete(x, None);
+                        x
+                    }
+                    RouteOutcome::Dropped => panic!("must route"),
+                })
+                .collect::<Vec<_>>()
+        };
+        // One scan serves every route until an edge is crossed...
+        route_some(&mut lb, 1.0);
+        route_some(&mut lb, 9.0);
+        route_some(&mut lb, 2.0);
+        assert_eq!(lb.epoch_rebuilds(), 1);
+        // ...`ready_at`, then `warm_until`, then back again.
+        assert!(route_some(&mut lb, 10.0).contains(&c));
+        assert_eq!(lb.epoch_rebuilds(), 2);
+        route_some(&mut lb, 15.0);
+        assert_eq!(lb.epoch_rebuilds(), 3);
+        assert!(!route_some(&mut lb, 9.5).contains(&c));
+        assert_eq!(lb.epoch_rebuilds(), 4);
+
+        // A tick that flips nothing leaves the epoch alone; one that
+        // promotes `c` to `Up` does not (it now accepts at every `now`).
+        lb.tick(9.9);
+        route_some(&mut lb, 9.5);
+        assert_eq!(lb.epoch_rebuilds(), 4);
+        lb.tick(20.0);
+        assert!(route_some(&mut lb, 9.5).contains(&c));
+        assert_eq!(lb.epoch_rebuilds(), 5);
+
+        // `retire` shifts every later slot down by one.
+        lb.server_died(a, 20.0);
+        route_some(&mut lb, 20.0);
+        assert_eq!(lb.epoch_rebuilds(), 6);
+        lb.retire(a);
+        let after = route_some(&mut lb, 20.0);
+        assert_eq!(lb.epoch_rebuilds(), 7);
+        assert_eq!(lb.epoch.slots.len(), 2);
+        assert!(after.contains(&b) && after.contains(&c) && !after.contains(&a));
+
+        // `restore_backend` brings a slot back into the flags.
+        lb.server_died(b, 21.0);
+        assert!(!route_some(&mut lb, 21.0).contains(&b));
+        lb.restore_backend(b, 22.0, 0.0);
+        let rebuilds = lb.epoch_rebuilds();
+        assert!(route_some(&mut lb, 22.0).contains(&b));
+        assert_eq!(lb.epoch_rebuilds(), rebuilds + 1);
     }
 
     #[test]

@@ -108,7 +108,9 @@ fn warming_backend_reports_higher_utilization() {
     let backend = lb.add_backend_up(0, 100.0);
     lb.server_died(backend, 10.0);
     lb.restore_backend(backend, 20.0, 10.0);
-    lb.backend_mut(backend).in_flight = 3;
+    for _ in 0..3 {
+        assert_eq!(lb.route(None, 20.0), RouteOutcome::Routed(backend));
+    }
     let warming = lb.backends()[backend].utilization(21.0, SERVICE_SECS);
     let warm = lb.backends()[backend].utilization(31.0, SERVICE_SECS);
     assert!(

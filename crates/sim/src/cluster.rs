@@ -305,6 +305,11 @@ impl Cluster {
         self.lb.stats()
     }
 
+    /// Times the balancer re-scanned the fleet for `route`.
+    pub fn epoch_rebuilds(&self) -> u64 {
+        self.lb.epoch_rebuilds()
+    }
+
     /// End of run: check nothing is left in flight; yield the audit.
     pub fn finish(mut self) -> (LbStats, InvariantChecker) {
         self.checker.check_drained();

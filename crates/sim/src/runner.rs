@@ -167,6 +167,10 @@ pub struct RunnerReport {
     /// Invariant violations the checker observed (empty on a healthy
     /// run; see [`crate::faults::InvariantChecker`]).
     pub invariant_violations: Vec<String>,
+    /// Times the balancer re-scanned the fleet for `route`
+    /// ([`spotweb_lb::LoadBalancer::epoch_rebuilds`]): work done, not a
+    /// simulated outcome, so [`crate::shard::report_json`] leaves it out.
+    pub route_epoch_rebuilds: u64,
 }
 
 /// Run `policy` against `cloud` dynamics and `trace` arrivals.
@@ -726,6 +730,7 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
     }
 
     fn finish(self) -> RunnerReport {
+        let route_epoch_rebuilds = self.cluster.epoch_rebuilds();
         let (stats, checker) = self.cluster.finish();
         let recorder = self.obs.finish();
         let (served, dropped) = recorder.totals();
@@ -744,6 +749,7 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
             buckets: recorder.all_stats(),
             faults_fired: self.fault_cursor,
             invariant_violations: checker.violations().to_vec(),
+            route_epoch_rebuilds,
         }
     }
 }

@@ -711,6 +711,7 @@ mod tests {
             buckets: Vec::new(),
             faults_fired: 1,
             invariant_violations: vec!["x".to_string()],
+            route_epoch_rebuilds: 7,
         };
         let a = report_json(&r);
         assert_eq!(a, report_json(&r.clone()));

@@ -111,7 +111,8 @@ fn reactive_cell(
 #[test]
 fn week_scale_smoke_run_stays_sane() {
     let cell = reactive_cell("revocation-storm", DEFAULT_SEED, 2.0, 3600.0, 168);
-    let summary = cell.run().summary();
+    let run = cell.run();
+    let summary = run.summary();
     let simulated_secs = cell.interval_secs * cell.intervals as f64;
     assert_eq!(simulated_secs, 604_800.0, "one simulated week");
     // Poisson arrivals at rate λ over horizon T: within 5σ of λT.
@@ -125,6 +126,14 @@ fn week_scale_smoke_run_stays_sane() {
         summary.drop_fraction < 0.05,
         "storm with warnings must not collapse at week scale: {}",
         summary.drop_fraction
+    );
+    // Fleet scans for `lb.route` stay a handful per interval however
+    // long the run is (see the storm gate below).
+    let rebuilds = run.report.route_epoch_rebuilds;
+    assert!(
+        rebuilds <= 6 * cell.intervals as u64,
+        "{rebuilds} fleet scans over {} intervals",
+        cell.intervals
     );
 }
 
@@ -141,5 +150,29 @@ fn perf_entries_are_deterministic_across_runs() {
         digest(std::slice::from_ref(&a)),
         digest(std::slice::from_ref(&b)),
         "digest must be a pure function of the summary"
+    );
+}
+
+/// Exact work-count gate on `lb.route`: the balancer re-scans the fleet
+/// once per lifecycle edge crossed (a replacement turning ready, then
+/// warm; a victim entering its drain margin, then dying) and once per
+/// batch of control events — a handful per interval, never once per
+/// request. The count is a pure function of the seed, so a regression
+/// to per-request scanning fails here on a number with no noise in it.
+#[test]
+fn storm_run_rescans_the_fleet_per_edge_not_per_request() {
+    let cell = reactive_cell("revocation-storm", DEFAULT_SEED, 400.0, 120.0, 6);
+    let report = cell.run().report;
+    let requests = report.served as u64 + report.dropped;
+    assert!(
+        requests > 250_000,
+        "the storm run routes {requests} requests"
+    );
+    assert!(report.revocations > 0, "the storm must revoke something");
+    let rebuilds = report.route_epoch_rebuilds;
+    assert!(
+        (1..=6 * cell.intervals as u64).contains(&rebuilds),
+        "{rebuilds} fleet scans over {} intervals and {requests} requests",
+        cell.intervals
     );
 }
