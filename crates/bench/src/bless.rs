@@ -28,6 +28,7 @@
 use std::path::{Path, PathBuf};
 
 use spotweb_lint::manifest::{self, FixtureEntry, HistoryEntry, Manifest};
+use spotweb_telemetry::json::fnv1a64_hex;
 
 use crate::sweep::{build_grid, run_grid};
 use crate::tournament::{build_tournament_grid, leaderboard, render_leaderboard_json};
@@ -216,7 +217,7 @@ fn init_manifest(
         if m.entry(name).is_some() {
             continue;
         }
-        let digest = manifest::fnv64(bytes);
+        let digest = fnv1a64_hex(bytes);
         let command = specs
             .iter()
             .find(|s| s.name == name)
@@ -305,7 +306,7 @@ pub fn run_bless(
             continue;
         }
         let content = (spec.generate)(root)?;
-        let new_digest = manifest::fnv64(content.as_bytes());
+        let new_digest = fnv1a64_hex(content.as_bytes());
         let (old_epoch, old_digest) = m
             .entry(spec.name)
             .map_or((0, "-".to_string()), |e| (e.epoch, e.digest.clone()));

@@ -8,9 +8,6 @@
 //! from the previous solution, which is why re-optimizing every
 //! interval stays cheap (Fig. 7(b)).
 
-// spotweb-lint: allow(wall-clock-quarantine) -- solve wall-time feeds only `PortfolioDecision.solve_secs`; never enters decision logic
-use std::time::Instant;
-
 use spotweb_linalg::Matrix;
 use spotweb_market::Catalog;
 use spotweb_solver::{AdmmSolver, QpStatus, Settings};
@@ -32,8 +29,6 @@ pub struct PortfolioDecision {
     pub iterations: usize,
     /// Whether the solver reached full tolerance.
     pub solved: bool,
-    /// Wall-clock solve time in seconds (problem build + solve).
-    pub solve_secs: f64,
     /// Whether the solve started from the previous interval's
     /// primal/dual iterate (vs the zero cold start).
     pub warm_started: bool,
@@ -163,8 +158,6 @@ impl MpoOptimizer {
         covariance: &Matrix,
         prev_allocation: &[f64],
     ) -> Result<PortfolioDecision> {
-        // spotweb-lint: allow(wall-clock-quarantine) -- solve wall-time feeds only `PortfolioDecision.solve_secs`; never enters decision logic
-        let started = Instant::now();
         prof::scope!(names::SPAN_MPO_SOLVE);
         let n = catalog.len();
         let h = self.config.horizon;
@@ -221,7 +214,6 @@ impl MpoOptimizer {
             objective: sol.objective,
             iterations: sol.iterations,
             solved: sol.status == QpStatus::Solved,
-            solve_secs: started.elapsed().as_secs_f64(),
             warm_started,
             factor_reused,
         })
@@ -514,16 +506,5 @@ mod tests {
             ),
             "got {reused:?}"
         );
-    }
-
-    #[test]
-    fn reports_solve_time() {
-        let catalog = Catalog::fig5_three_markets();
-        let forecast = flat_forecast(&[2.0, 1.0, 1.2], 4);
-        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
-        let d = opt
-            .optimize(&catalog, &forecast, &identity_cov(3), &[0.0; 3])
-            .unwrap();
-        assert!(d.solve_secs > 0.0 && d.solve_secs < 10.0);
     }
 }

@@ -32,17 +32,11 @@ pub struct LintConfig {
     /// span tree is golden-locked, so producers and the golden must
     /// not be able to fork a span name (ISSUE 7).
     pub span_crates: Vec<String>,
-    /// Crates whose non-test library code must not *reach* a
-    /// wall-clock or unseeded-RNG symbol through any call chain
-    /// (`determinism-taint`, cross-file). These are the crates whose
-    /// outputs are golden-locked: a single tainted call chain breaks
-    /// same-seed replay even when the offending token lives in
-    /// another crate (ISSUE 9).
-    pub taint_protected: Vec<String>,
-    /// Module-path prefixes that may combine golden-directory path
-    /// literals with filesystem writes (`golden-write-outside-bless`).
-    /// Everything else regenerates fixtures through `figures bless`,
-    /// which bumps epochs and records digests in the manifest.
+    /// Module-path prefixes whose non-test code may name a
+    /// golden-directory path in a string literal
+    /// (`golden-write-outside-bless`). Everything else regenerates
+    /// fixtures through `figures bless`, which bumps epochs and records
+    /// digests in the manifest.
     pub golden_writers: Vec<String>,
     /// Shard-parallel arrival-path modules: stateful sequential RNGs
     /// (`ChaCha8Rng`) are banned here even when seeded, because their
@@ -114,19 +108,14 @@ impl LintConfig {
                 "lb".to_string(),
                 "core".to_string(),
             ],
-            taint_protected: vec![
-                // The deterministic engine: every byte-stable golden
-                // is a function of these crates plus the run seed.
-                "sim".to_string(),
-                "lb".to_string(),
-                "core".to_string(),
-                "market".to_string(),
-            ],
             golden_writers: vec![
                 // The bless flow is the only production path allowed
                 // to rewrite golden fixtures (tests may write their
                 // own scratch copies).
                 "bench::bless".to_string(),
+                // Owner of the `GOLDEN_DIR` constant the manifest
+                // checks, the bless flow and this rule itself read.
+                "lint::manifest".to_string(),
             ],
             shard_parallel: vec![
                 // The sharded arrival path: per-interval windows are

@@ -12,11 +12,11 @@
 //!
 //! Design constraints:
 //!
-//! * **Dependency-free.** The build environment has no registry
-//!   access, so the analyzer hand-rolls a small Rust lexer
-//!   ([`lexer`]) — strings, raw strings, and nested comments handled
-//!   correctly — instead of pulling in `syn`. Token-level analysis is
-//!   all the rules need; none require a syntax tree.
+//! * **Token-level.** The build environment has no registry access,
+//!   so the analyzer hand-rolls a small Rust lexer ([`lexer`]) —
+//!   strings, raw strings, and nested comments handled correctly —
+//!   instead of pulling in `syn`. Every rule is a scan over one file's
+//!   token stream; none need a syntax tree or a second file.
 //! * **Byte-stable output.** The JSON report sorts every section and
 //!   uses a fixed field order, so it can be golden-tested like every
 //!   other artifact in the workspace ([`report`]).
@@ -28,11 +28,14 @@
 //! quarantine and renderer registries in [`config::LintConfig::spotweb`].
 //! Suppressions use an in-source pragma that the tool counts and
 //! reports (see [`rules`]); run the binary with `--list-allows` to
-//! audit the full suppression surface. Since ISSUE 9 the engine is
-//! also cross-file: a module-level call graph ([`graph`]) backs the
-//! `determinism-taint` and `golden-write-outside-bless` rules, and the
-//! golden fixture manifest ([`manifest`]) is checked for consistency
-//! on every run.
+//! audit the full suppression surface. The golden fixture manifest
+//! ([`manifest`]) is checked for consistency on every run.
+//!
+//! There is no call graph: a function can only reach the wall clock or
+//! OS entropy through *some* token naming it, that token is a per-file
+//! finding wherever it sits (every crate, test code included for
+//! RNGs), and so a tree with no per-file findings has no tainted call
+//! chain either (DESIGN.md, "Why there is no call graph").
 //!
 //! ```
 //! use spotweb_lint::{files::SourceFile, config::LintConfig, rules::lint_files};
@@ -42,10 +45,10 @@
 //!     "fn f() { let t = std::time::Instant::now(); }".to_string(),
 //! );
 //! let report = lint_files(&LintConfig::spotweb(), &[file]);
-//! // `core` is a taint-protected crate, so the unsanctioned Instant
-//! // trips both the per-file rule and the cross-file taint rule.
+//! // `core::lib` is not a registered quarantine module, so the
+//! // Instant is a finding at the token itself.
 //! let rules: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
-//! assert_eq!(rules, ["determinism-taint", "wall-clock-quarantine"]);
+//! assert_eq!(rules, ["wall-clock-quarantine"]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +56,6 @@
 
 pub mod config;
 pub mod files;
-pub mod graph;
 pub mod lexer;
 pub mod manifest;
 pub mod report;

@@ -81,9 +81,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Run the `--bless-check` gate. Uses the manifest module's path
-/// constants throughout so no golden-directory literal appears in a
-/// function body (the analyzer's own `golden-write-outside-bless`
-/// rule scans this crate too).
+/// constants throughout so no golden-directory literal appears here
+/// (the analyzer's own `golden-write-outside-bless` rule scans this
+/// crate too).
 fn run_bless_check(root: &std::path::Path, args: &Args) -> ExitCode {
     let input = match manifest::load_input(root) {
         Ok(Some(input)) => input,

@@ -9,12 +9,15 @@
 //! a golden whose on-disk digest disagrees with its manifest entry is
 //! a hard `manifest-consistency` finding.
 //!
-//! Like the rest of the analyzer this module is dependency-free: it
-//! hand-rolls a small JSON reader and a byte-stable writer
-//! (`parse` ∘ `render` is the identity on rendered manifests).
+//! The writer is hand-laid-out so the document is byte-stable
+//! (`parse` ∘ `render` is the identity on rendered manifests); the
+//! reader is the workspace's `serde_json` shim.
 
 use std::io;
 use std::path::Path;
+
+use serde_json::Value;
+use spotweb_telemetry::json::{fnv1a64_hex, json_string};
 
 use crate::report::Finding;
 
@@ -90,15 +93,15 @@ impl Manifest {
         use std::fmt::Write as _;
         let mut o = String::new();
         o.push_str("{\n");
-        let _ = writeln!(o, "  \"schema\": {},", json_str(SCHEMA));
+        let _ = writeln!(o, "  \"schema\": {},", json_string(SCHEMA));
         o.push_str("  \"fixtures\": [");
         for (k, f) in self.fixtures.iter().enumerate() {
             o.push_str(if k == 0 { "\n" } else { ",\n" });
             o.push_str("    {\n");
-            let _ = writeln!(o, "      \"name\": {},", json_str(&f.name));
+            let _ = writeln!(o, "      \"name\": {},", json_string(&f.name));
             let _ = writeln!(o, "      \"epoch\": {},", f.epoch);
-            let _ = writeln!(o, "      \"digest\": {},", json_str(&f.digest));
-            let _ = writeln!(o, "      \"command\": {},", json_str(&f.command));
+            let _ = writeln!(o, "      \"digest\": {},", json_string(&f.digest));
+            let _ = writeln!(o, "      \"command\": {},", json_string(&f.command));
             o.push_str("      \"history\": [");
             for (h, e) in f.history.iter().enumerate() {
                 o.push_str(if h == 0 { "\n" } else { ",\n" });
@@ -106,9 +109,9 @@ impl Manifest {
                     o,
                     "        {{\"epoch\": {}, \"old\": {}, \"new\": {}, \"note\": {}}}",
                     e.epoch,
-                    json_str(&e.old),
-                    json_str(&e.new),
-                    json_str(&e.note)
+                    json_string(&e.old),
+                    json_string(&e.new),
+                    json_string(&e.note)
                 );
             }
             o.push_str(if f.history.is_empty() {
@@ -129,63 +132,39 @@ impl Manifest {
 
     /// Parse a manifest document, validating schema and shape.
     pub fn parse(text: &str) -> Result<Manifest, String> {
-        let root = parse_json(text)?;
-        let obj = root.as_obj().ok_or("manifest root must be an object")?;
-        let schema = get(obj, "schema")
-            .and_then(Json::as_str)
+        let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let schema = root["schema"]
+            .as_str()
             .ok_or("manifest is missing the \"schema\" string")?;
         if schema != SCHEMA {
             return Err(format!(
                 "unsupported manifest schema {schema:?} (expected {SCHEMA:?})"
             ));
         }
-        let fixtures = get(obj, "fixtures")
-            .and_then(Json::as_arr)
+        let fixtures = root["fixtures"]
+            .as_array()
             .ok_or("manifest is missing the \"fixtures\" array")?;
         let mut out = Manifest::default();
         for (k, f) in fixtures.iter().enumerate() {
-            let fo = f
-                .as_obj()
-                .ok_or_else(|| format!("fixtures[{k}] is not an object"))?;
-            let str_field = |key: &str| -> Result<String, String> {
-                get(fo, key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("fixtures[{k}] is missing the {key:?} string"))
-            };
-            let epoch = get(fo, "epoch")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("fixtures[{k}] is missing the \"epoch\" integer"))?;
+            let at = format!("fixtures[{k}]");
+            let hist = f["history"]
+                .as_array()
+                .ok_or_else(|| format!("{at} is missing the \"history\" array"))?;
             let mut history = Vec::new();
-            let hist = get(fo, "history")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("fixtures[{k}] is missing the \"history\" array"))?;
             for (h, e) in hist.iter().enumerate() {
-                let eo = e
-                    .as_obj()
-                    .ok_or_else(|| format!("fixtures[{k}].history[{h}] is not an object"))?;
-                let hstr = |key: &str| -> Result<String, String> {
-                    get(eo, key)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| {
-                            format!("fixtures[{k}].history[{h}] is missing the {key:?} string")
-                        })
-                };
+                let at = format!("{at}.history[{h}]");
                 history.push(HistoryEntry {
-                    epoch: get(eo, "epoch").and_then(Json::as_u64).ok_or_else(|| {
-                        format!("fixtures[{k}].history[{h}] is missing the \"epoch\" integer")
-                    })?,
-                    old: hstr("old")?,
-                    new: hstr("new")?,
-                    note: hstr("note")?,
+                    epoch: u64_field(e, "epoch", &at)?,
+                    old: str_field(e, "old", &at)?,
+                    new: str_field(e, "new", &at)?,
+                    note: str_field(e, "note", &at)?,
                 });
             }
             out.fixtures.push(FixtureEntry {
-                name: str_field("name")?,
-                epoch,
-                digest: str_field("digest")?,
-                command: str_field("command")?,
+                name: str_field(f, "name", &at)?,
+                epoch: u64_field(f, "epoch", &at)?,
+                digest: str_field(f, "digest", &at)?,
+                command: str_field(f, "command", &at)?,
                 history,
             });
         }
@@ -194,16 +173,17 @@ impl Manifest {
     }
 }
 
-/// FNV-1a 64 digest of raw bytes, rendered as 16 lowercase hex digits
-/// — the same construction `sim::sweep::digest` uses for run
-/// summaries, applied here to fixture files.
-pub fn fnv64(bytes: &[u8]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+fn str_field(obj: &Value, key: &str, at: &str) -> Result<String, String> {
+    obj[key]
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("{at} is missing the {key:?} string"))
+}
+
+fn u64_field(obj: &Value, key: &str, at: &str) -> Result<u64, String> {
+    obj[key]
+        .as_u64()
+        .ok_or_else(|| format!("{at} is missing the {key:?} integer"))
 }
 
 /// Everything the `manifest-consistency` rule needs, detached from the
@@ -308,7 +288,7 @@ pub fn check_input(input: &ManifestInput) -> Vec<Finding> {
                 ),
             }),
             Some((_, bytes)) => {
-                let disk = fnv64(bytes);
+                let disk = fnv1a64_hex(bytes);
                 if disk != entry.digest {
                     out.push(Finding {
                         rule: rule.clone(),
@@ -409,247 +389,6 @@ pub fn check_epoch_bumps(current: &Manifest, base: &Manifest, changed: &[String]
     out
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (objects, arrays, strings, non-negative
-// integers, bool/null) — just enough for manifest documents.
-// ---------------------------------------------------------------------------
-
-/// Parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (stored as f64; manifest epochs are small integers).
-    Num(f64),
-    /// String with escapes decoded.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object as ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Parse one JSON document (trailing whitespace allowed, nothing else).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let b = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && (b[*pos] as char).is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_str(b, pos).map(Json::Str),
-        Some(b't') => parse_lit(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null").map(|()| Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
-        _ => Err(format!("unexpected content at byte {}", *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs are not needed for manifest
-                        // content; map unpaired surrogates to U+FFFD.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Multi-byte UTF-8 passes through unchanged.
-                let s = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(out));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        out.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(out));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(out));
-    }
-    loop {
-        out.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(out));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-/// JSON string escaping (same policy as the report writer).
-fn json_str(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,19 +399,19 @@ mod tests {
                 FixtureEntry {
                     name: "a.json".to_string(),
                     epoch: 2,
-                    digest: fnv64(b"v2\n"),
+                    digest: fnv1a64_hex(b"v2\n"),
                     command: "figures a > tests/golden/a.json".to_string(),
                     history: vec![
                         HistoryEntry {
                             epoch: 1,
                             old: "-".to_string(),
-                            new: fnv64(b"v1\n"),
+                            new: fnv1a64_hex(b"v1\n"),
                             note: "initial import".to_string(),
                         },
                         HistoryEntry {
                             epoch: 2,
-                            old: fnv64(b"v1\n"),
-                            new: fnv64(b"v2\n"),
+                            old: fnv1a64_hex(b"v1\n"),
+                            new: fnv1a64_hex(b"v2\n"),
                             note: "deliberate change".to_string(),
                         },
                     ],
@@ -680,12 +419,12 @@ mod tests {
                 FixtureEntry {
                     name: "b.jsonl".to_string(),
                     epoch: 1,
-                    digest: fnv64(b"lines\n"),
+                    digest: fnv1a64_hex(b"lines\n"),
                     command: "figures b > tests/golden/b.jsonl".to_string(),
                     history: vec![HistoryEntry {
                         epoch: 1,
                         old: "-".to_string(),
-                        new: fnv64(b"lines\n"),
+                        new: fnv1a64_hex(b"lines\n"),
                         note: "initial import".to_string(),
                     }],
                 },
@@ -701,13 +440,6 @@ mod tests {
                 .map(|(n, b)| (n.to_string(), b.to_vec()))
                 .collect(),
         }
-    }
-
-    #[test]
-    fn fnv64_matches_known_vectors() {
-        // FNV-1a 64 reference values.
-        assert_eq!(fnv64(b""), "cbf29ce484222325");
-        assert_eq!(fnv64(b"a"), "af63dc4c8601ec8c");
     }
 
     #[test]
@@ -806,12 +538,12 @@ mod tests {
         cur.upsert(FixtureEntry {
             name: "new.json".to_string(),
             epoch: 1,
-            digest: fnv64(b"new\n"),
+            digest: fnv1a64_hex(b"new\n"),
             command: "figures new > tests/golden/new.json".to_string(),
             history: vec![HistoryEntry {
                 epoch: 1,
                 old: "-".to_string(),
-                new: fnv64(b"new\n"),
+                new: fnv1a64_hex(b"new\n"),
                 note: "initial import".to_string(),
             }],
         });
@@ -821,28 +553,5 @@ mod tests {
         let findings = check_epoch_bumps(&cur, &base, &["untracked.json".to_string()]);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("no manifest entry"));
-    }
-
-    #[test]
-    fn json_reader_handles_escapes_and_nesting() {
-        let v = parse_json("{\"k\": [1, {\"s\": \"a\\n\\\"b\\\"\"}, true, null]}").expect("parses");
-        let Json::Obj(o) = v else {
-            panic!("not an object")
-        };
-        let Json::Arr(a) = &o[0].1 else {
-            panic!("not an array")
-        };
-        assert_eq!(a[0], Json::Num(1.0));
-        assert_eq!(a[2], Json::Bool(true));
-        let Json::Obj(inner) = &a[1] else {
-            panic!("not an object")
-        };
-        assert_eq!(inner[0].1, Json::Str("a\n\"b\"".to_string()));
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        assert!(parse_json("{} extra").is_err());
-        assert!(parse_json("[1,]").is_err());
     }
 }

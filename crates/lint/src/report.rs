@@ -2,10 +2,12 @@
 //!
 //! The report is itself a determinism artifact: two runs over the same
 //! tree must render byte-identical JSON, so everything is sorted by
-//! `(file, line, rule)` and the writer is hand-rolled with a fixed
-//! field order (the analyzer is dependency-free by design).
+//! `(file, line, rule)` and the writer lays fields out in a fixed
+//! order.
 
 use std::fmt::Write as _;
+
+use spotweb_telemetry::json::json_string;
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,10 +101,10 @@ impl Report {
             let _ = write!(
                 o,
                 "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_str(&f.rule),
-                json_str(&f.file),
+                json_string(&f.rule),
+                json_string(&f.file),
                 f.line,
-                json_str(&f.message)
+                json_string(&f.message)
             );
         }
         o.push_str(if self.findings.is_empty() {
@@ -117,10 +119,10 @@ impl Report {
             let _ = write!(
                 o,
                 "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}}}",
-                json_str(&s.rule),
-                json_str(&s.file),
+                json_string(&s.rule),
+                json_string(&s.file),
                 s.line,
-                json_str(&s.reason)
+                json_string(&s.reason)
             );
         }
         o.push_str(if self.suppressed.is_empty() {
@@ -132,14 +134,14 @@ impl Report {
         o.push_str("  \"allows\": [");
         for (k, a) in self.allows.iter().enumerate() {
             o.push_str(if k == 0 { "\n" } else { ",\n" });
-            let rules: Vec<String> = a.rules.iter().map(|r| json_str(r)).collect();
+            let rules: Vec<String> = a.rules.iter().map(|r| json_string(r)).collect();
             let _ = write!(
                 o,
                 "    {{\"file\": {}, \"line\": {}, \"rules\": [{}], \"reason\": {}, \"used\": {}}}",
-                json_str(&a.file),
+                json_string(&a.file),
                 a.line,
                 rules.join(", "),
-                json_str(&a.reason),
+                json_string(&a.reason),
                 a.used
             );
         }
@@ -189,29 +191,6 @@ impl Report {
         let _ = writeln!(o, "{} allow pragma(s)", self.allows.len());
         o
     }
-}
-
-/// Minimal JSON string escaping (ASCII controls, quote, backslash) —
-/// mirrors `telemetry::json::json_string`, re-rolled here to keep the
-/// analyzer dependency-free.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

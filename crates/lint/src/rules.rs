@@ -1,6 +1,5 @@
-//! The rule engine: the checkable invariant rules (per-file and
-//! cross-file), the allow-pragma grammar, and the driver that applies
-//! both to a file set.
+//! The rule engine: the per-file invariant rules, the allow-pragma
+//! grammar, and the driver that applies both to a file set.
 //!
 //! Every rule is named and allowlistable. A violation is suppressed
 //! only by an in-source pragma on the same line (or, for a pragma on
@@ -17,7 +16,6 @@
 
 use crate::config::LintConfig;
 use crate::files::{module_matches, SourceFile, Target};
-use crate::graph::{CallGraph, Reach};
 use crate::lexer::TokenKind;
 use crate::manifest::{self, ManifestInput};
 use crate::report::{AllowRecord, Finding, Report, Suppressed};
@@ -35,7 +33,7 @@ pub struct RuleInfo {
 }
 
 /// Catalog of every rule the analyzer knows, checkable and meta.
-pub const RULES: [RuleInfo; 13] = [
+pub const RULES: [RuleInfo; 12] = [
     RuleInfo {
         id: "wall-clock-quarantine",
         summary: "Instant/SystemTime only in registered quarantine modules (timings reach only output declared machine-dependent, never byte-stable output)",
@@ -67,13 +65,8 @@ pub const RULES: [RuleInfo; 13] = [
         allowlistable: true,
     },
     RuleInfo {
-        id: "determinism-taint",
-        summary: "non-test code in protected crates (sim/lb/core/market) must not reach wall-clock or unseeded-RNG symbols through any call chain (cross-file; subsumes wall-clock-quarantine transitively)",
-        allowlistable: true,
-    },
-    RuleInfo {
         id: "golden-write-outside-bless",
-        summary: "only registered bless modules and test code may combine golden-directory path literals with filesystem writes; fixtures regenerate through `figures bless`",
+        summary: "only registered bless modules and test code may name a golden-directory path in a string literal; fixtures regenerate through `figures bless`",
         allowlistable: true,
     },
     RuleInfo {
@@ -83,7 +76,7 @@ pub const RULES: [RuleInfo; 13] = [
     },
     RuleInfo {
         id: "stale-allow",
-        summary: "allow pragma no longer suppresses any finding or sanctions any taint source — delete it so the suppression surface cannot rot",
+        summary: "allow pragma no longer suppresses any finding — delete it so the suppression surface cannot rot",
         allowlistable: false,
     },
     RuleInfo {
@@ -243,7 +236,8 @@ fn rule_wall_clock(file: &SourceFile, cfg: &LintConfig, out: &mut Vec<Finding>) 
                 message: format!(
                     "`{}` outside the wall-clock quarantine (module `{}` is not registered); \
                      wall time breaks same-seed replay — derive timing from the sim clock, or \
-                     register the module if it only feeds BENCH_* output",
+                     register the module if its timings only reach output declared \
+                     machine-dependent",
                     file.text(i),
                     file.module_path
                 ),
@@ -614,223 +608,35 @@ fn bad_format_specs(literal: &str) -> Vec<String> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Cross-file rules. These run over the whole file set at once, using
-// the call graph built from the same token streams.
-// ---------------------------------------------------------------------------
-
-/// The golden-directory path fragment the `golden-write-outside-bless`
-/// rule looks for inside string literals. Kept as a module-level
-/// constant so the analyzer's own function bodies never contain the
-/// literal (the rule would otherwise flag the analyzer).
-const GOLDEN_PATH_FRAGMENT: &str = "tests/golden";
-
-/// Function-call names that look like filesystem writes. Name-based
-/// and over-approximate by design (see [`crate::graph`]): `write` also
-/// matches `io::Write::write`, which is the safe direction — a def
-/// only fires when it *additionally* mentions the golden directory.
-const WRITE_CALLS: [&str; 4] = ["write", "write_all", "create", "create_dir_all"];
-
-/// Mark every pragma targeting `line` that names one of `rules` as
-/// used, returning whether any did. Used for taint-source sanctioning:
-/// a pragma that quarantines a wall-clock token also stops the token
-/// from seeding the cross-file taint propagation.
-fn sanctioned_by_pragma(allows: &mut [AllowRecord], line: u32, rules: &[&str]) -> bool {
-    let mut hit = false;
-    for a in allows.iter_mut() {
-        if a.target_line == line && rules.iter().any(|r| a.rules.iter().any(|ar| ar == r)) {
-            a.used = true;
-            hit = true;
-        }
+/// `golden-write-outside-bless`: a string literal naming the golden
+/// directory in non-test `Lib|Bin` code must live in a registered
+/// bless module. Everything else regenerates fixtures through
+/// `figures bless`, which records the epoch bump; code that has no
+/// golden path to hand cannot rewrite a fixture behind its back.
+fn rule_golden_path(file: &SourceFile, cfg: &LintConfig, out: &mut Vec<Finding>) {
+    if !matches!(file.target, Target::Lib | Target::Bin) {
+        return;
     }
-    hit
-}
-
-/// `determinism-taint`: non-test code in protected crates must not
-/// reach a wall-clock or unseeded-RNG symbol through any call chain.
-///
-/// A *source* is a wall-clock/RNG token that nothing sanctions: not in
-/// a quarantined module, not suppressed by a pragma naming the
-/// per-file rule (or this one), not test code. Sources in protected
-/// crates fire directly at the token line — exactly where
-/// `wall-clock-quarantine` fires, so this rule subsumes it there — and
-/// every non-test function in a protected crate that *reaches* a
-/// source through the call graph fires at its definition line with a
-/// witness chain, which the per-file rule cannot see.
-fn rule_determinism_taint(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    cfg: &LintConfig,
-    allows_per_file: &mut [Vec<AllowRecord>],
-    out: &mut [Vec<Finding>],
-) {
-    // 1. Collect sources: token-level findings plus the defs that
-    //    contain them (the seeds of the reverse reachability pass).
-    let mut source_symbol: std::collections::BTreeMap<usize, String> =
-        std::collections::BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        if !matches!(file.target, Target::Lib | Target::Bin) {
-            continue;
-        }
-        let quarantined = cfg
-            .wall_clock_quarantine
-            .iter()
-            .any(|q| module_matches(&file.module_path, q));
-        let shard_parallel = cfg
-            .shard_parallel
-            .iter()
-            .any(|m| module_matches(&file.module_path, m));
-        for i in file.code_indices() {
-            let t = file.tokens[i];
-            if t.kind != TokenKind::Ident || file.in_test[i] {
-                continue;
-            }
-            let text = file.text(i);
-            let is_wall = WALL_CLOCK_IDENTS.contains(&text);
-            // Stateful sequential RNGs taint only the shard-parallel
-            // arrival path: elsewhere a seeded ChaCha8Rng replays fine.
-            let is_rng = RNG_IDENTS.contains(&text)
-                || (shard_parallel && STATEFUL_RNG_IDENTS.contains(&text));
-            if !is_wall && !is_rng {
-                continue;
-            }
-            if is_wall && quarantined {
-                continue;
-            }
-            let sanction: &[&str] = if is_wall {
-                &["wall-clock-quarantine", "determinism-taint"]
-            } else {
-                &["seeded-rng-only", "determinism-taint"]
-            };
-            if sanctioned_by_pragma(&mut allows_per_file[fi], t.line, sanction) {
-                continue;
-            }
-            if cfg.taint_protected.contains(&file.crate_name) {
-                out[fi].push(Finding {
-                    rule: "determinism-taint".to_string(),
-                    file: file.path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "`{text}` is a determinism-taint source in protected crate `{}`; \
-                         golden-locked output is a function of these crates plus the run \
-                         seed, so derive the value from the sim clock or a seeded stream",
-                        file.crate_name
-                    ),
-                });
-            }
-            if let Some(d) = graph.def_containing(fi, i) {
-                source_symbol.entry(d).or_insert_with(|| text.to_string());
-            }
-        }
+    if cfg
+        .golden_writers
+        .iter()
+        .any(|w| module_matches(&file.module_path, w))
+    {
+        return;
     }
-
-    // 2. Propagate: any function that can reach a source is tainted.
-    let sources: Vec<usize> = source_symbol.keys().copied().collect();
-    let reach = graph.reach_from(&sources);
-    for (d, def) in graph.defs.iter().enumerate() {
-        // Direct sources already fired at the token line above.
-        if !matches!(reach[d], Reach::Via(_)) {
-            continue;
-        }
-        let file = &files[def.file];
-        if !cfg.taint_protected.contains(&file.crate_name)
-            || def.in_test
-            || !matches!(file.target, Target::Lib | Target::Bin)
-        {
-            continue;
-        }
-        let chain = graph.chain(d, &reach);
-        let src = chain.last().copied().unwrap_or(d);
-        let symbol = source_symbol.get(&src).map_or("?", String::as_str);
-        out[def.file].push(Finding {
-            rule: "determinism-taint".to_string(),
-            file: file.path.clone(),
-            line: def.line,
-            message: format!(
-                "fn `{}` in protected crate `{}` reaches determinism source `{symbol}` \
-                 through the call chain {}; no wall-clock/RNG token appears in this file, \
-                 so only cross-file analysis sees it — break the chain or quarantine the \
-                 callee",
-                def.name,
-                file.crate_name,
-                graph.chain_names(&chain)
-            ),
-        });
-    }
-}
-
-/// `golden-write-outside-bless`: a non-test function that mentions the
-/// golden directory in a string literal *and* reaches a
-/// filesystem-write call through the call graph must live in a
-/// registered bless module. Everything else regenerates fixtures
-/// through `figures bless`, which records the epoch bump.
-fn rule_golden_write(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    cfg: &LintConfig,
-    out: &mut [Vec<Finding>],
-) {
-    // Defs that issue a write-looking call directly.
-    let mut writer_defs: Vec<usize> = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for i in file.code_indices() {
-            if file.tokens[i].kind != TokenKind::Ident || !WRITE_CALLS.contains(&file.text(i)) {
-                continue;
-            }
-            if file.next_code(i).map(|j| file.text(j)) != Some("(") {
-                continue;
-            }
-            if file.prev_code(i).map(|p| file.text(p)) == Some("fn") {
-                continue;
-            }
-            if let Some(d) = graph.def_containing(fi, i) {
-                writer_defs.push(d);
-            }
-        }
-    }
-    writer_defs.sort_unstable();
-    writer_defs.dedup();
-    let reach = graph.reach_from(&writer_defs);
-
-    for (fi, file) in files.iter().enumerate() {
-        if !matches!(file.target, Target::Lib | Target::Bin) {
-            continue;
-        }
-        if cfg
-            .golden_writers
-            .iter()
-            .any(|w| module_matches(&file.module_path, w))
-        {
-            continue;
-        }
-        for i in file.code_indices() {
-            let t = file.tokens[i];
-            if !t.kind.is_string() || file.in_test[i] {
-                continue;
-            }
-            if !file.text(i).contains(GOLDEN_PATH_FRAGMENT) {
-                continue;
-            }
-            let Some(d) = graph.def_containing(fi, i) else {
-                // Module-level consts (e.g. the manifest module's own
-                // path constants) are not write sites.
-                continue;
-            };
-            if graph.defs[d].in_test || reach[d] == Reach::No {
-                continue;
-            }
-            let chain = graph.chain(d, &reach);
-            out[fi].push(Finding {
+    for i in file.code_indices() {
+        let t = file.tokens[i];
+        if t.kind.is_string() && !file.in_test[i] && file.text(i).contains(manifest::GOLDEN_DIR) {
+            out.push(Finding {
                 rule: "golden-write-outside-bless".to_string(),
                 file: file.path.clone(),
                 line: t.line,
                 message: format!(
-                    "fn `{}` mentions a golden-directory path and reaches a filesystem \
-                     write ({}); only registered bless modules may rewrite fixtures — \
-                     route regeneration through `figures bless` so the epoch bump and \
-                     old→new digests are recorded in the manifest",
-                    graph.defs[d].name,
-                    graph.chain_names(&chain)
+                    "golden-directory path {} in module `{}`; only registered bless modules \
+                     may name fixture paths — route regeneration through `figures bless` so \
+                     the epoch bump and old→new digests are recorded in the manifest",
+                    file.text(i),
+                    file.module_path
                 ),
             });
         }
@@ -911,9 +717,9 @@ pub fn lint_files(cfg: &LintConfig, files: &[SourceFile]) -> Report {
     lint_files_with_manifest(cfg, files, None)
 }
 
-/// Run every rule — per-file, cross-file, and (when `manifest` is
-/// given) the golden-manifest consistency checks — apply allow
-/// pragmas, and return the canonicalized report.
+/// Run every per-file rule and (when `manifest` is given) the
+/// golden-manifest consistency checks, apply allow pragmas, and return
+/// the canonicalized report.
 pub fn lint_files_with_manifest(
     cfg: &LintConfig,
     files: &[SourceFile],
@@ -924,37 +730,21 @@ pub fn lint_files_with_manifest(
         ..Report::default()
     };
 
-    // 1. Pragmas first: the cross-file taint rule consults them when
-    //    deciding what counts as a sanctioned source.
-    let mut allows_per_file: Vec<Vec<AllowRecord>> = files
-        .iter()
-        .map(|file| collect_pragmas(file, &mut report.findings))
-        .collect();
+    for file in files {
+        let mut allows = collect_pragmas(file, &mut report.findings);
 
-    // 2. Per-file rules.
-    let mut raw_per_file: Vec<Vec<Finding>> = files
-        .iter()
-        .map(|file| {
-            let mut raw: Vec<Finding> = Vec::new();
-            rule_wall_clock(file, cfg, &mut raw);
-            rule_ordered_serialization(file, cfg, &mut raw);
-            rule_seeded_rng(file, cfg, &mut raw);
-            rule_no_unwrap(file, cfg, &mut raw);
-            rule_telemetry_names(file, cfg, &mut raw);
-            rule_float_display(file, cfg, &mut raw);
-            raw
-        })
-        .collect();
+        let mut raw: Vec<Finding> = Vec::new();
+        rule_wall_clock(file, cfg, &mut raw);
+        rule_ordered_serialization(file, cfg, &mut raw);
+        rule_seeded_rng(file, cfg, &mut raw);
+        rule_no_unwrap(file, cfg, &mut raw);
+        rule_telemetry_names(file, cfg, &mut raw);
+        rule_float_display(file, cfg, &mut raw);
+        rule_golden_path(file, cfg, &mut raw);
 
-    // 3. Cross-file rules over the call graph.
-    let graph = CallGraph::build(files);
-    rule_determinism_taint(files, &graph, cfg, &mut allows_per_file, &mut raw_per_file);
-    rule_golden_write(files, &graph, cfg, &mut raw_per_file);
-
-    // 4. Apply allows line-by-line, per file.
-    for (fi, raw) in raw_per_file.into_iter().enumerate() {
+        // Apply allows line-by-line.
         for f in raw {
-            let hit = allows_per_file[fi]
+            let hit = allows
                 .iter_mut()
                 .find(|a| a.target_line == f.line && a.rules.contains(&f.rule));
             match hit {
@@ -970,30 +760,25 @@ pub fn lint_files_with_manifest(
                 None => report.findings.push(f),
             }
         }
-    }
 
-    // 5. Stale allows: a pragma that neither suppressed a finding nor
-    //    sanctioned a taint source is drift and must go.
-    for allows in &mut allows_per_file {
-        for a in allows.iter() {
-            if !a.used {
-                report.findings.push(Finding {
-                    rule: "stale-allow".to_string(),
-                    file: a.file.clone(),
-                    line: a.line,
-                    message: format!(
-                        "allow({}) suppresses nothing — the violation it silenced is gone; \
-                         delete the pragma so the suppression surface tracks reality",
-                        a.rules.join(", ")
-                    ),
-                });
-            }
+        // Stale allows: a pragma that suppressed nothing is drift and
+        // must go.
+        for a in allows.iter().filter(|a| !a.used) {
+            report.findings.push(Finding {
+                rule: "stale-allow".to_string(),
+                file: a.file.clone(),
+                line: a.line,
+                message: format!(
+                    "allow({}) suppresses nothing — the violation it silenced is gone; \
+                     delete the pragma so the suppression surface tracks reality",
+                    a.rules.join(", ")
+                ),
+            });
         }
-        report.allows.append(allows);
+        report.allows.append(&mut allows);
     }
 
-    // 6. Golden-manifest consistency (hard findings, never
-    //    allowlistable).
+    // Golden-manifest consistency (hard findings, never allowlistable).
     if let Some(input) = manifest {
         report.findings.append(&mut manifest::check_input(input));
     }
@@ -1014,10 +799,7 @@ mod tests {
             telemetry_crate: "telemetry".to_string(),
             hot_paths: vec!["app::hot".to_string()],
             span_crates: vec!["app".to_string()],
-            // Namespaces deliberately disjoint from "app" so the
-            // cross-file rules stay quiet in the per-file tests above.
-            taint_protected: vec!["det".to_string()],
-            golden_writers: vec!["det::blessed".to_string()],
+            golden_writers: vec!["app::blessed".to_string()],
             shard_parallel: vec!["app::arrivals".to_string()],
         }
     }
@@ -1371,144 +1153,23 @@ mod tests {
         assert!(r.is_clean());
     }
 
-    // -- cross-file rules ---------------------------------------------------
-
-    fn lint_many(sources: &[(&str, &str)]) -> Report {
-        let files: Vec<SourceFile> = sources
-            .iter()
-            .map(|(p, s)| SourceFile::from_source(p, s.to_string()))
-            .collect();
-        lint_files(&cfg(), &files)
-    }
-
     #[test]
-    fn taint_fires_at_source_tokens_in_protected_crates() {
-        // Same file:line as wall-clock-quarantine — the subsumption
-        // the per-file rule's retirement depends on.
-        let r = lint_many(&[(
-            "crates/det/src/lib.rs",
-            "use std::time::Instant;\nfn f() { let t = Instant::now(); }\n",
-        )]);
-        let rules = rules_of(&r);
-        assert_eq!(
-            rules.iter().filter(|r| **r == "determinism-taint").count(),
-            2
+    fn golden_path_literal_flagged_outside_registered_writers() {
+        let dir = manifest::GOLDEN_DIR;
+        let src = format!(
+            "pub fn dump(b: &[u8]) {{ save(\"{dir}/x.json\", b); }}\n\
+             #[cfg(test)]\nmod t {{ const P: &str = \"{dir}/y.json\"; }}\n"
         );
-        let taint: Vec<u32> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == "determinism-taint")
-            .map(|f| f.line)
-            .collect();
-        let wall: Vec<u32> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == "wall-clock-quarantine")
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(taint, wall, "token-level taint mirrors the per-file rule");
-    }
+        let r = lint_one("crates/app/src/export.rs", &src);
+        assert_eq!(rules_of(&r), ["golden-write-outside-bless"]);
+        assert_eq!(r.findings[0].line, 1);
+        assert!(r.findings[0].message.contains("x.json"));
 
-    #[test]
-    fn taint_propagates_across_files_with_witness_chain() {
-        // No wall-clock token in decide.rs at all: only the call graph
-        // can see the taint.
-        let r = lint_many(&[
-            (
-                "crates/det/src/decide.rs",
-                "pub fn decide(load: u64) -> u64 { load + now_ms() }\n",
-            ),
-            (
-                "crates/other/src/clock.rs",
-                "pub fn now_ms() -> u64 { SystemTime::now_raw() }\n",
-            ),
-        ]);
-        let taint: Vec<&Finding> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == "determinism-taint")
-            .collect();
-        assert_eq!(taint.len(), 1, "{:?}", r.findings);
-        assert_eq!(taint[0].file, "crates/det/src/decide.rs");
-        assert_eq!(taint[0].line, 1);
-        assert!(taint[0].message.contains("decide -> now_ms"));
-        assert!(taint[0].message.contains("SystemTime"));
-    }
-
-    #[test]
-    fn quarantined_and_pragma_sanctioned_sources_do_not_taint() {
-        let r = lint_many(&[
-            (
-                "crates/det/src/caller.rs",
-                "pub fn run() -> u64 { quarantined_time() + allowed_time() }\n",
-            ),
-            (
-                "crates/app/src/quarantined.rs",
-                "pub fn quarantined_time() -> u64 { Instant::stamp() }\n",
-            ),
-            (
-                "crates/app/src/timing.rs",
-                "pub fn allowed_time() -> u64 {\n    \
-                 // spotweb-lint: allow(wall-clock-quarantine) -- BENCH-only timing\n    \
-                 Instant::stamp()\n}\n",
-            ),
-        ]);
-        assert!(
-            !rules_of(&r).contains(&"determinism-taint"),
-            "{:?}",
-            r.findings
-        );
-        assert!(r.allows[0].used, "sanctioning counts as use");
-    }
-
-    #[test]
-    fn taint_finding_is_allowlistable_at_the_def_line() {
-        let r = lint_many(&[
-            (
-                "crates/det/src/decide.rs",
-                "// spotweb-lint: allow(determinism-taint) -- feeds BENCH output only\n\
-                 pub fn decide(load: u64) -> u64 { load + now_ms() }\n",
-            ),
-            (
-                "crates/other/src/clock.rs",
-                "pub fn now_ms() -> u64 { SystemTime::now_raw() }\n",
-            ),
-        ]);
-        assert!(
-            !rules_of(&r).contains(&"determinism-taint"),
-            "{:?}",
-            r.findings
-        );
-        assert_eq!(r.suppressed.len(), 1);
-    }
-
-    #[test]
-    fn golden_write_needs_both_literal_and_write_reachability() {
-        let path = format!("{GOLDEN_PATH_FRAGMENT}/x.json");
-        // Mentions the path AND reaches fs::write two hops away.
-        let writer = format!(
-            "pub fn dump(b: &[u8]) {{ save(\"{path}\", b); }}\n\
-             fn save(p: &str, b: &[u8]) {{ raw(p, b); }}\n\
-             fn raw(p: &str, b: &[u8]) {{ std::fs::write(p, b).expect(\"io\"); }}\n"
-        );
-        let r = lint_many(&[("crates/app/src/export.rs", &writer)]);
-        let hits: Vec<&Finding> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == "golden-write-outside-bless")
-            .collect();
-        assert_eq!(hits.len(), 1, "{:?}", r.findings);
-        assert_eq!(hits[0].line, 1);
-        assert!(hits[0].message.contains("dump -> save -> raw"));
-
-        // The literal alone (a reader) is fine…
-        let reader =
-            format!("pub fn read() -> Vec<u8> {{ std::fs::read(\"{path}\").expect(\"io\") }}\n");
-        let r = lint_many(&[("crates/app/src/import.rs", &reader)]);
+        // A registered bless module, and integration tests, may name
+        // the directory.
+        let r = lint_one("crates/app/src/blessed.rs", &src);
         assert!(r.is_clean(), "{:?}", r.findings);
-
-        // …and so is a registered bless module doing the real thing.
-        let r = lint_many(&[("crates/det/src/blessed.rs", &writer)]);
+        let r = lint_one("crates/app/tests/golden.rs", &src);
         assert!(r.is_clean(), "{:?}", r.findings);
     }
 

@@ -1,8 +1,8 @@
 //! Lexer span soundness, property-tested.
 //!
-//! Everything downstream — pragma matching, the call graph, the taint
-//! analysis — indexes the source through token spans, so the spans
-//! must tile the file: strictly increasing, non-overlapping, on char
+//! Everything downstream — pragma matching and every rule — indexes
+//! the source through token spans, so the spans must tile the file:
+//! strictly increasing, non-overlapping, on char
 //! boundaries, with nothing between tokens but whitespace or the
 //! stripped `r#` raw-identifier prefix. Re-emitting the spans plus
 //! their gaps must reproduce the source byte-for-byte.
@@ -12,12 +12,14 @@
 //! nested block comments, byte strings, lifetimes, exponent literals)
 //! and (b) every real source file in this crate. Deterministic
 //! regression cases pin the raw-string and nested-comment handling the
-//! call-graph builder depends on.
+//! rules depend on: code after a raw string is still scanned, code
+//! inside a nested comment is not.
 
 use proptest::prelude::*;
 use spotweb_lint::files::SourceFile;
-use spotweb_lint::graph::CallGraph;
 use spotweb_lint::lexer::{lex, Token};
+use spotweb_lint::rules::lint_files;
+use spotweb_lint::LintConfig;
 
 /// Check every span invariant and return the re-emitted source.
 fn reemit(src: &str, tokens: &[Token]) -> Result<String, String> {
@@ -125,58 +127,35 @@ fn every_workspace_source_round_trips() {
     }
 }
 
+/// Lines of the `wall-clock-quarantine` findings in `src`, linted as an
+/// unquarantined library file.
+fn wall_clock_lines(src: &str) -> Vec<u32> {
+    let file = SourceFile::from_source("crates/core/src/lib.rs", src.to_string());
+    lint_files(&LintConfig::spotweb(), &[file])
+        .findings
+        .iter()
+        .filter(|f| f.rule == "wall-clock-quarantine")
+        .map(|f| f.line)
+        .collect()
+}
+
 #[test]
 fn raw_strings_with_hashes_do_not_swallow_code() {
     // Regression: a raw string containing `"#` must end at the right
     // delimiter, or everything after it would lex as string content
-    // and vanish from the call graph.
-    let src = "fn a() { b(r##\"x \"# y\"##); }\nfn b(s: &str) { c(); }\nfn c() {}\n";
+    // and vanish from every rule's view.
+    let src = "fn a() { b(r##\"x \"# y\"##); }\nfn b(s: &str) { Instant::now(); }\n";
     assert_round_trips(src);
-    let file = SourceFile::from_source("crates/det/src/lib.rs", src.to_string());
-    let files = [file];
-    let graph = CallGraph::build(&files);
-    let names: Vec<&str> = graph.defs.iter().map(|d| d.name.as_str()).collect();
-    assert_eq!(
-        names,
-        ["a", "b", "c"],
-        "defs after the raw string must survive"
-    );
-    let a = graph.defs.iter().position(|d| d.name == "a").expect("a");
-    let b = graph.defs.iter().position(|d| d.name == "b").expect("b");
-    assert!(
-        graph.calls[a].contains(&b),
-        "a -> b edge through the raw-string argument"
-    );
+    assert_eq!(wall_clock_lines(src), [2], "code after the raw string");
 }
 
 #[test]
-fn nested_block_comments_do_not_hide_or_invent_calls() {
+fn nested_block_comments_do_not_hide_or_invent_code() {
     // Regression: `/* outer /* inner */ still comment */` — a naive
-    // lexer ends the comment at the first `*/` and then "sees" calls
-    // that are actually commented out.
-    let src = "fn live() { real(); /* dead(); /* nested */ also_dead(); */ }\nfn real() {}\nfn dead() {}\n";
+    // lexer ends the comment at the first `*/` and then "sees" code
+    // that is actually commented out.
+    let src = "fn live() { /* Instant::now(); /* nested */ SystemTime::now(); */ }\n\
+               fn real() { Instant::now(); }\n";
     assert_round_trips(src);
-    let file = SourceFile::from_source("crates/det/src/lib.rs", src.to_string());
-    let files = [file];
-    let graph = CallGraph::build(&files);
-    let live = graph
-        .defs
-        .iter()
-        .position(|d| d.name == "live")
-        .expect("live");
-    let real = graph
-        .defs
-        .iter()
-        .position(|d| d.name == "real")
-        .expect("real");
-    let dead = graph
-        .defs
-        .iter()
-        .position(|d| d.name == "dead")
-        .expect("dead");
-    assert!(graph.calls[live].contains(&real));
-    assert!(
-        !graph.calls[live].contains(&dead),
-        "commented-out call must not create an edge"
-    );
+    assert_eq!(wall_clock_lines(src), [2], "only the live token fires");
 }

@@ -7,7 +7,7 @@
 //! trace generators sit *below* the simulator in the dependency graph
 //! and draw from the same keyspace; `sim::rng` is the import path the
 //! simulator's own modules (and the `spotweb-lint` `seeded-rng-only`
-//! / `determinism-taint` rules) treat as canonical.
+//! rule) treat as canonical.
 //!
 //! # Why not `ChaCha8Rng` here?
 //!

@@ -59,9 +59,8 @@ pub fn json_u32_array(xs: &[u32]) -> String {
 }
 
 /// FNV-1a 64 digest of `bytes`, rendered as 16 lowercase hex digits —
-/// the one fingerprint the sweep, shard and bench digests share.
-/// (`spotweb_lint::manifest::fnv64` keeps its own copy because the lint
-/// crate is dependency-free; a root test holds the two equal.)
+/// the one fingerprint the sweep, shard, bench and golden-manifest
+/// digests share.
 pub fn fnv1a64_hex(bytes: &[u8]) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -9,8 +9,9 @@
 
 use std::path::{Path, PathBuf};
 
+use spotweb::telemetry::json::fnv1a64_hex;
 use spotweb_bench::bless::{default_specs, run_bless, FixtureSpec};
-use spotweb_lint::manifest::{self, fnv64, Manifest};
+use spotweb_lint::manifest::{self, Manifest};
 
 fn scratch_root(test: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("spotweb-bless-{}-{test}", std::process::id()));
@@ -66,11 +67,11 @@ fn bless_round_trip_records_matching_old_new_digests() {
     let m = read_manifest(&root);
     let e = m.entry("scratch.json").expect("tracked");
     assert_eq!(e.epoch, 1);
-    assert_eq!(e.digest, fnv64(b"v1\n"));
+    assert_eq!(e.digest, fnv1a64_hex(b"v1\n"));
     assert_eq!(disk_bytes(&root, "scratch.json"), b"v1\n");
     assert_eq!(e.history.len(), 1);
     assert_eq!(e.history[0].old, "-");
-    assert_eq!(e.history[0].new, fnv64(b"v1\n"));
+    assert_eq!(e.history[0].new, fnv1a64_hex(b"v1\n"));
     assert_eq!(e.history[0].note, "first");
 
     // Regenerate with changed content: the acceptance round-trip. The
@@ -83,15 +84,18 @@ fn bless_round_trip_records_matching_old_new_digests() {
     assert_eq!(e.history.len(), 2);
     assert_eq!(
         e.history[1].old,
-        fnv64(b"v1\n"),
+        fnv1a64_hex(b"v1\n"),
         "old = previous on-disk digest"
     );
     assert_eq!(
         e.history[1].new,
-        fnv64(b"v2\n"),
+        fnv1a64_hex(b"v2\n"),
         "new = current on-disk digest"
     );
-    assert_eq!(fnv64(&disk_bytes(&root, "scratch.json")), e.history[1].new);
+    assert_eq!(
+        fnv1a64_hex(&disk_bytes(&root, "scratch.json")),
+        e.history[1].new
+    );
 
     // The tree is manifest-consistent after every bless.
     let input = manifest::load_input(&root)
@@ -120,7 +124,7 @@ fn init_imports_on_disk_bytes_at_epoch_one() {
     let m = read_manifest(&root);
     let e = m.entry("legacy.json").expect("imported");
     assert_eq!(e.epoch, 1);
-    assert_eq!(e.digest, fnv64(b"legacy\n"));
+    assert_eq!(e.digest, fnv1a64_hex(b"legacy\n"));
     assert_eq!(e.history[0].old, "-");
     assert_eq!(
         disk_bytes(&root, "legacy.json"),
@@ -227,18 +231,5 @@ fn generators_reproduce_the_on_disk_goldens() {
             on_disk.as_slice(),
             "{name}: bless generator diverged from the on-disk golden"
         );
-    }
-}
-
-/// The workspace has two FNV-1a 64 implementations on purpose: the
-/// dependency-free lint crate keeps its own, everything else shares
-/// `telemetry::json::fnv1a64_hex`. They must never drift apart.
-#[test]
-fn the_two_fnv_digests_agree() {
-    use spotweb::telemetry::json::fnv1a64_hex;
-    assert_eq!(fnv64(b""), "cbf29ce484222325");
-    let long: Vec<u8> = (0..=255u8).cycle().take(4099).collect();
-    for bytes in [&b""[..], b"{\"served\":10,\"dropped\":2}\n", &long] {
-        assert_eq!(fnv64(bytes), fnv1a64_hex(bytes));
     }
 }

@@ -1,8 +1,8 @@
-//! No wall-clock token appears in this file, so the per-file
-//! quarantine rule sees nothing — but `decide_scale` reaches the wall
-//! clock through `now_epoch_ms` (crates/lb/src/clock.rs), and the
-//! cross-file determinism-taint rule flags it with a witness chain.
-//! This is the transitive case the shallow rule provably misses.
+//! No wall-clock token appears in this file, so it is clean — even
+//! though `decide_scale` reaches the wall clock through
+//! `now_epoch_ms` (crates/lb/src/clock.rs). The analyzer has no call
+//! graph and needs none: the callee's own file carries the findings
+//! that fail the run, so a caller can never hide a dirty tree.
 
 pub fn decide_scale(demand: f64) -> u64 {
     let stamp = now_epoch_ms();

@@ -1,6 +1,6 @@
 //! Writes under the golden directory outside `figures bless`: the
-//! cross-file golden-write rule links the path literal in
-//! `dump_debug_golden` to the `fs::write` it reaches via `save_bytes`.
+//! golden-write rule fires on the path literal in
+//! `dump_debug_golden` — whatever it then does with it via `save_bytes`.
 //! `sim` is not a registered golden writer, so this is a finding.
 
 pub fn dump_debug_golden(report: &str) -> std::io::Result<()> {

@@ -2,8 +2,8 @@
 //! arrival windows are generated concurrently, so every draw must be a
 //! pure function of (seed, stream, counter). A seeded `ChaCha8Rng`
 //! here is *stateful sequential* — its draws depend on draw order —
-//! and both `seeded-rng-only` and (sim being a protected crate)
-//! `determinism-taint` must flag it, line-for-line.
+//! and `seeded-rng-only` must flag it at the token, while the same
+//! type in the `#[cfg(test)]` module below stays clean.
 
 pub fn generate_arrivals(seed: u64, count: usize) -> Vec<f64> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
