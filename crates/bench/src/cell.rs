@@ -13,7 +13,7 @@
 
 use spotweb_core::policy::{Policy, PolicyObservation};
 use spotweb_core::{build_policy, normalize_policy_name, SpotWebConfig, ZooConfig};
-use spotweb_market::{estimate_correlation, Catalog, CloudSim};
+use spotweb_market::{estimate_correlation, Catalog, CloudSim, DEFAULT_SHRINKAGE};
 use spotweb_sim::runner::{FleetPolicy, ReactiveCheapestPolicy};
 use spotweb_sim::sweep::RunSummary;
 use spotweb_sim::{run_full_stack_observed, FaultKind, FaultPlan, RunnerConfig, RunnerReport};
@@ -247,7 +247,7 @@ impl FleetPolicy for CorePolicyBridge {
         failure_history: &[Vec<f64>],
     ) -> Vec<u32> {
         let covariance = if failure_history.first().map_or(0, |s| s.len()) >= 2 {
-            estimate_correlation(failure_history, 0.1)
+            estimate_correlation(failure_history, DEFAULT_SHRINKAGE)
         } else {
             spotweb_linalg::Matrix::identity(self.catalog.len())
         };

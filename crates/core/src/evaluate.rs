@@ -17,7 +17,7 @@
 //!    for requests beyond the surviving capacity.
 
 use spotweb_linalg::Matrix;
-use spotweb_market::{estimate_correlation, Catalog, CloudSim, Provider};
+use spotweb_market::{estimate_correlation, Catalog, CloudSim, Provider, DEFAULT_SHRINKAGE};
 use spotweb_workload::Trace;
 
 use crate::policy::{OracleView, Policy, PolicyObservation};
@@ -174,10 +174,7 @@ pub fn simulate_costs(
 
     for t in 0..intervals {
         let tick = cloud.step();
-        // §6: "M is chosen based on correlation between the failure
-        // probabilities" — scale-free, so the paper's α = 5 is
-        // commensurate with the O(1) cost terms.
-        let covariance = estimate_correlation(&cloud.history().failure_matrix(), 0.1);
+        let covariance = covariance_from_cloud(&cloud);
         let current_workload = trace.get(t);
 
         // Oracle: clone the cloud to peek at the true future prices.
@@ -306,10 +303,12 @@ pub fn simulate_costs(
     }
 }
 
-/// Risk-matrix helper re-exported for policies/tests that need the same
-/// estimator the harness uses (§6: correlation of failure probabilities).
+/// The risk matrix the harness hands every policy, for policies/tests
+/// that need the same estimator. §6: "M is chosen based on correlation
+/// between the failure probabilities" — scale-free, so the paper's
+/// α = 5 is commensurate with the O(1) cost terms.
 pub fn covariance_from_cloud(cloud: &CloudSim) -> Matrix {
-    estimate_correlation(&cloud.history().failure_matrix(), 0.1)
+    estimate_correlation(&cloud.history().failure_matrix(), DEFAULT_SHRINKAGE)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub fn lstsq_ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
     }
     let mut rhs = b.to_vec();
     rhs.resize(m + n, 0.0);
-    lstsq(&stacked, &rhs)
+    Qr::factor_owned(stacked)?.solve_lstsq(&rhs)
 }
 
 #[cfg(test)]

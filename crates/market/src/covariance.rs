@@ -10,8 +10,70 @@
 
 use spotweb_linalg::{vector, Matrix};
 
-/// Shrinkage intensity used when the caller does not specify one.
+/// The shrinkage intensity every in-tree estimate of the risk matrix
+/// uses (the evaluator, both policy bridges, the examples).
 pub const DEFAULT_SHRINKAGE: f64 = 0.1;
+
+/// Sample covariance `S` of the series (denominator `T − 1`).
+///
+/// Every entry is the expression tree of the two-series sample
+/// covariance in `spotweb_linalg::vector` — the mean by one ascending
+/// sum, then `Σ_k (x_i[k] − x̄_i)·(x_j[k] − x̄_j)` ascending in `k` — so
+/// the result is bit-identical to calling that per pair. What differs
+/// is the work: each series is centred once instead of once per pair,
+/// and four pairs `(i, j..j+4)` run as four separate accumulators (one
+/// chain is bound by the add latency).
+///
+/// # Panics
+/// Panics if no series is supplied, lengths differ, or the shared
+/// length is < 2.
+fn sample_covariance(series: &[Vec<f64>]) -> Matrix {
+    assert!(!series.is_empty(), "need at least one market series");
+    let t = series[0].len();
+    assert!(t >= 2, "need at least two observations");
+    assert!(
+        series.iter().all(|s| s.len() == t),
+        "all series must share one length"
+    );
+    let n = series.len();
+    let mut centred = vec![0.0; n * t];
+    for (row, s) in centred.chunks_exact_mut(t).zip(series) {
+        let mean = vector::mean(s);
+        for (c, x) in row.iter_mut().zip(s) {
+            *c = x - mean;
+        }
+    }
+    let row = |i: usize| &centred[i * t..(i + 1) * t];
+    let denom = (t - 1) as f64;
+    let mut m = Matrix::zeros(n, n);
+    for i in 0..n {
+        let ci = row(i);
+        let mut j = i;
+        while j + 4 <= n {
+            let (c0, c1, c2, c3) = (row(j), row(j + 1), row(j + 2), row(j + 3));
+            // `f64::sum` starts from −0.0; so do the lanes.
+            let (mut s0, mut s1, mut s2, mut s3) = (-0.0, -0.0, -0.0, -0.0);
+            for ((((x, y0), y1), y2), y3) in ci.iter().zip(c0).zip(c1).zip(c2).zip(c3) {
+                s0 += x * y0;
+                s1 += x * y1;
+                s2 += x * y2;
+                s3 += x * y3;
+            }
+            for (lane, sum) in [s0, s1, s2, s3].into_iter().enumerate() {
+                let c = sum / denom;
+                m[(i, j + lane)] = c;
+                m[(j + lane, i)] = c;
+            }
+            j += 4;
+        }
+        for j in j..n {
+            let c = vector::dot(ci, row(j)) / denom;
+            m[(i, j)] = c;
+            m[(j, i)] = c;
+        }
+    }
+    m
+}
 
 /// Estimate a shrunk covariance matrix from per-market series.
 ///
@@ -23,27 +85,12 @@ pub const DEFAULT_SHRINKAGE: f64 = 0.1;
 /// short windows.
 ///
 /// # Panics
-/// Panics if fewer than one series is supplied, lengths differ, or the
-/// shared length is < 2.
+/// Panics if fewer than one series is supplied, lengths differ, the
+/// shared length is < 2, or `shrinkage` is outside `[0, 1]`.
 pub fn estimate_covariance(series: &[Vec<f64>], shrinkage: f64) -> Matrix {
-    assert!(!series.is_empty(), "need at least one market series");
-    let t = series[0].len();
-    assert!(t >= 2, "need at least two observations");
-    assert!(
-        series.iter().all(|s| s.len() == t),
-        "all series must share one length"
-    );
     assert!((0.0..=1.0).contains(&shrinkage), "shrinkage in [0,1]");
-
-    let n = series.len();
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in i..n {
-            let c = vector::covariance(&series[i], &series[j]);
-            m[(i, j)] = c;
-            m[(j, i)] = c;
-        }
-    }
+    let mut m = sample_covariance(series);
+    let n = m.rows();
     // Shrink off-diagonals toward zero.
     for i in 0..n {
         for j in 0..n {
@@ -58,11 +105,6 @@ pub fn estimate_covariance(series: &[Vec<f64>], shrinkage: f64) -> Matrix {
     m
 }
 
-/// Convenience wrapper with [`DEFAULT_SHRINKAGE`].
-pub fn estimate_covariance_default(series: &[Vec<f64>]) -> Matrix {
-    estimate_covariance(series, DEFAULT_SHRINKAGE)
-}
-
 /// Estimate a shrunk **correlation** matrix from per-market series.
 ///
 /// §6 of the paper: "M is chosen based on correlation between the
@@ -71,20 +113,22 @@ pub fn estimate_covariance_default(series: &[Vec<f64>]) -> Matrix {
 /// `α = 5` meaningful against O(1) cost terms. Markets with constant
 /// histories (on-demand, or perfectly calm spot pools) get a unit
 /// diagonal and zero off-diagonals.
+///
+/// # Panics
+/// As [`estimate_covariance`].
 pub fn estimate_correlation(series: &[Vec<f64>], shrinkage: f64) -> Matrix {
-    assert!(!series.is_empty(), "need at least one market series");
-    let t = series[0].len();
-    assert!(t >= 2, "need at least two observations");
-    assert!(
-        series.iter().all(|s| s.len() == t),
-        "all series must share one length"
-    );
     assert!((0.0..=1.0).contains(&shrinkage), "shrinkage in [0,1]");
-    let n = series.len();
-    let mut m = Matrix::identity(n);
+    let mut m = sample_covariance(series);
+    let n = m.rows();
+    let sd: Vec<f64> = (0..n).map(|i| m[(i, i)].sqrt()).collect();
     for i in 0..n {
+        m[(i, i)] = 1.0;
         for j in (i + 1)..n {
-            let c = vector::correlation(&series[i], &series[j]) * (1.0 - shrinkage);
+            let c = if sd[i] == 0.0 || sd[j] == 0.0 {
+                0.0
+            } else {
+                m[(i, j)] / (sd[i] * sd[j]) * (1.0 - shrinkage)
+            };
             m[(i, j)] = c;
             m[(j, i)] = c;
         }
@@ -156,7 +200,112 @@ pub fn correlation_groups(corr: &Matrix, threshold: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spotweb_linalg::Cholesky;
+    use std::ops::RangeInclusive;
+
+    /// The pairwise `vector::covariance` loop `estimate_covariance`
+    /// replaced, kept as the bitwise reference.
+    fn covariance_by_pairs(series: &[Vec<f64>], shrinkage: f64) -> Matrix {
+        let n = series.len();
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let c = vector::covariance(&series[i], &series[j]);
+                m[(i, j)] = c;
+                m[(j, i)] = c;
+            }
+        }
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    m[(i, j)] *= 1.0 - shrinkage;
+                }
+            }
+        }
+        m.add_diag_mut(1e-8);
+        m
+    }
+
+    /// The pairwise `vector::correlation` loop `estimate_correlation`
+    /// replaced, kept as the bitwise reference.
+    fn correlation_by_pairs(series: &[Vec<f64>], shrinkage: f64) -> Matrix {
+        let n = series.len();
+        let mut m = Matrix::identity(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let c = vector::correlation(&series[i], &series[j]) * (1.0 - shrinkage);
+                m[(i, j)] = c;
+                m[(j, i)] = c;
+            }
+        }
+        m.add_diag_mut(1e-8);
+        m
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_matches_pairwise(series: &[Vec<f64>]) {
+        for shrinkage in [0.0, DEFAULT_SHRINKAGE, 1.0] {
+            assert_eq!(
+                bits(&estimate_covariance(series, shrinkage)),
+                bits(&covariance_by_pairs(series, shrinkage)),
+                "covariance, shrinkage {shrinkage}"
+            );
+            assert_eq!(
+                bits(&estimate_correlation(series, shrinkage)),
+                bits(&correlation_by_pairs(series, shrinkage)),
+                "correlation, shrinkage {shrinkage}"
+            );
+        }
+    }
+
+    /// `n` failure-probability series of one drawn length; about one in
+    /// four is constant (σ = 0, or a mean that rounds off the value).
+    fn histories(
+        markets: RangeInclusive<usize>,
+        length: RangeInclusive<usize>,
+    ) -> impl Strategy<Value = Vec<Vec<f64>>> {
+        proptest::FnStrategy(move |rng: &mut proptest::TestRng| {
+            let n = markets.sample(rng);
+            let t = length.sample(rng);
+            (0..n)
+                .map(|_| {
+                    if prop::bool::weighted(0.25).sample(rng) {
+                        vec![(0.0f64..0.3).sample(rng); t]
+                    } else {
+                        prop::collection::vec(0.0f64..0.3, t).sample(rng)
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn estimators_are_bitwise_the_pairwise_loops_small(series in histories(1..=9, 2..=12)) {
+            assert_matches_pairwise(&series);
+        }
+
+        /// Every lane remainder (`n mod 4`) at window lengths up to the
+        /// benchmark's.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn estimators_are_bitwise_the_pairwise_loops(series in histories(1..=40, 2..=600)) {
+            assert_matches_pairwise(&series);
+        }
+    }
+
+    #[test]
+    fn on_demand_and_calm_markets_match_the_pairwise_loops() {
+        // f ≡ 0, a constant whose mean rounds (0.1 summed 7 times), and
+        // two moving series: the zero-σ short-circuit and signed zeros.
+        let moving: Vec<f64> = (0..7).map(|k| 0.05 + 0.01 * f64::from(k % 3)).collect();
+        let falling: Vec<f64> = moving.iter().map(|v| 0.2 - v).collect();
+        assert_matches_pairwise(&[vec![0.0; 7], vec![0.1; 7], moving, falling, vec![0.3; 7]]);
+    }
 
     #[test]
     fn diagonal_is_variance() {

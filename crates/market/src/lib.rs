@@ -49,7 +49,9 @@ pub mod revocation;
 pub use billing::{BillingLedger, BillingModel, CostMeter};
 pub use catalog::{Catalog, InstanceType, Market, MarketId, MarketKind};
 pub use cloud::CloudSim;
-pub use covariance::{correlation_groups, estimate_correlation, estimate_covariance};
+pub use covariance::{
+    correlation_groups, estimate_correlation, estimate_covariance, DEFAULT_SHRINKAGE,
+};
 pub use history::MarketHistory;
 pub use index::{index_price, spot_index_weights};
 pub use price::SpotPriceProcess;

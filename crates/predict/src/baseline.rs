@@ -20,21 +20,36 @@ use spotweb_telemetry::{ForecastRecord, TelemetrySink, TraceEvent};
 #[derive(Debug, Clone)]
 pub struct AliEldinPredictor {
     spline: SplineModel,
+    /// AR(1) fit of the spline's in-window residuals and the newest of
+    /// them, refreshed by every `observe` so that the `1 + H` point
+    /// forecasts of an interval share one fit.
+    ar: Ar1,
+    last_residual: f64,
 }
 
 impl AliEldinPredictor {
     /// Default two-week window configuration.
     pub fn new() -> Self {
-        AliEldinPredictor {
-            spline: SplineModel::new(),
-        }
+        Self::over(SplineModel::new())
     }
 
     /// Custom window/knots/ridge.
     pub fn with_config(window: usize, knots: usize, ridge: f64) -> Self {
+        Self::over(SplineModel::with_config(window, knots, ridge))
+    }
+
+    fn over(spline: SplineModel) -> Self {
         AliEldinPredictor {
-            spline: SplineModel::with_config(window, knots, ridge),
+            spline,
+            ar: Ar1::fit(&[]),
+            last_residual: 0.0,
         }
+    }
+
+    fn refresh_ar(&mut self) {
+        let residuals = self.spline.residuals();
+        self.ar = Ar1::fit(residuals);
+        self.last_residual = residuals.last().copied().unwrap_or(0.0);
     }
 
     /// Point forecast `h` steps ahead (h ≥ 1): spline profile plus the
@@ -44,12 +59,7 @@ impl AliEldinPredictor {
             .spline
             .fitted_at(self.spline.next_hour() + (h - 1) as f64)
         {
-            Some(base) => {
-                let residuals = self.spline.residuals();
-                let ar = Ar1::fit(&residuals);
-                let last_r = residuals.last().copied().unwrap_or(0.0);
-                (base + ar.forecast(last_r, h)).max(0.0)
-            }
+            Some(base) => (base + self.ar.forecast(self.last_residual, h)).max(0.0),
             // Persistence fallback until the window fills.
             None => self.spline.last_value().unwrap_or(0.0),
         }
@@ -65,6 +75,7 @@ impl Default for AliEldinPredictor {
 impl SeriesPredictor for AliEldinPredictor {
     fn observe(&mut self, value: f64) {
         self.spline.push(value);
+        self.refresh_ar();
     }
 
     fn predict(&self, horizon: usize) -> Vec<f64> {
@@ -316,6 +327,46 @@ impl SeriesPredictor for SeasonalNaivePredictor {
 mod tests {
     use super::*;
     use spotweb_workload::wikipedia_like;
+
+    impl AliEldinPredictor {
+        /// `point` as it was before the AR fit was cached: residuals
+        /// re-evaluated and re-fitted on every call.
+        fn point_recomputed(&self, h: usize) -> f64 {
+            match self
+                .spline
+                .fitted_at(self.spline.next_hour() + (h - 1) as f64)
+            {
+                Some(base) => {
+                    let residuals = self.spline.residuals_recomputed();
+                    let ar = Ar1::fit(&residuals);
+                    let last_r = residuals.last().copied().unwrap_or(0.0);
+                    (base + ar.forecast(last_r, h)).max(0.0)
+                }
+                None => self.spline.last_value().unwrap_or(0.0),
+            }
+        }
+    }
+
+    #[test]
+    fn cached_ar_forecasts_are_bitwise_the_recomputed_ones() {
+        // Persistence, first fit, eviction, then a stretch of refits
+        // that fail (the window moves under the last good fit).
+        let trace = wikipedia_like(150, 11);
+        let mut p = AliEldinPredictor::with_config(48, 8, 1e-6);
+        for (k, v) in trace.values.iter().enumerate() {
+            if k == 100 {
+                p.spline.degenerate_window();
+            }
+            p.observe(*v);
+            for h in 1..=4 {
+                assert_eq!(
+                    p.point(h).to_bits(),
+                    p.point_recomputed(h).to_bits(),
+                    "observation {k}, h = {h}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn reactive_is_persistence() {

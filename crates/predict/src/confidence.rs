@@ -76,8 +76,13 @@ impl ErrorTracker {
 
     /// Standard deviation of recorded errors (0 when < 2 samples).
     pub fn error_sd(&self) -> f64 {
-        let v: Vec<f64> = self.errors.iter().copied().collect();
-        spotweb_linalg::vector::std_dev(&v)
+        let n = self.errors.len();
+        if n < 2 {
+            return 0.0;
+        }
+        let m = self.bias();
+        let squares: f64 = self.errors.iter().map(|e| (e - m) * (e - m)).sum();
+        (squares / (n - 1) as f64).sqrt()
     }
 
     /// Mean absolute error over the window (the paper's tracked metric).
@@ -90,8 +95,10 @@ impl ErrorTracker {
 
     /// Mean error (bias); positive = systematic under-prediction.
     pub fn bias(&self) -> f64 {
-        let v: Vec<f64> = self.errors.iter().copied().collect();
-        spotweb_linalg::vector::mean(&v)
+        if self.errors.is_empty() {
+            return 0.0;
+        }
+        self.errors.iter().sum::<f64>() / self.errors.len() as f64
     }
 
     /// Upper bound of the confidence interval around `prediction` for a
@@ -162,6 +169,19 @@ mod tests {
             biased.upper_bound(100.0, 1, ConfidenceLevel::P99)
                 > unbiased.upper_bound(100.0, 1, ConfidenceLevel::P99)
         );
+    }
+
+    #[test]
+    fn deque_folds_are_bitwise_the_vector_kernels() {
+        use spotweb_linalg::vector;
+        // Capacity 5 over 12 records: empty, filling and wrapped deques.
+        let mut t = ErrorTracker::new(5);
+        for k in 0..12 {
+            let v: Vec<f64> = t.errors.iter().copied().collect();
+            assert_eq!(t.error_sd().to_bits(), vector::std_dev(&v).to_bits());
+            assert_eq!(t.bias().to_bits(), vector::mean(&v).to_bits());
+            t.record(f64::from(k * 37 % 11 - 5) * 0.3);
+        }
     }
 
     #[test]

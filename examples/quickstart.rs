@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use spotweb::core::{to_server_counts, ForecastBundle, MpoOptimizer, SpotWebConfig};
-use spotweb::market::{estimate_covariance, Catalog, CloudSim};
+use spotweb::market::{estimate_covariance, Catalog, CloudSim, DEFAULT_SHRINKAGE};
 
 fn main() {
     // 1. A catalog of 9 EC2-style spot markets.
@@ -33,7 +33,7 @@ fn main() {
     let mut cloud = CloudSim::new(catalog.clone(), 42, 24 * 14);
     cloud.warm_up(48);
     let tick = cloud.current();
-    let covariance = estimate_covariance(&cloud.history().failure_matrix(), 0.1);
+    let covariance = estimate_covariance(&cloud.history().failure_matrix(), DEFAULT_SHRINKAGE);
 
     // 3. Forecast: 5 000 req/s now, rising over the next 4 hours
     //    (plug in `spotweb::predict::SpotWebPredictor` for real traces).

@@ -10,8 +10,7 @@
 //! does.
 
 use spotweb_core::policy::{Policy, PolicyObservation};
-use spotweb_market::estimate_correlation;
-use spotweb_market::Catalog;
+use spotweb_market::{estimate_correlation, Catalog, DEFAULT_SHRINKAGE};
 use spotweb_sim::runner::FleetPolicy;
 
 /// Adapter: drive a provisioning [`Policy`] from the request-level
@@ -43,7 +42,7 @@ impl<P: Policy> FleetPolicy for PolicyBridge<P> {
         failure_history: &[Vec<f64>],
     ) -> Vec<u32> {
         let covariance = if failure_history.first().map_or(0, |s| s.len()) >= 2 {
-            estimate_correlation(failure_history, 0.1)
+            estimate_correlation(failure_history, DEFAULT_SHRINKAGE)
         } else {
             spotweb_linalg::Matrix::identity(self.catalog.len())
         };

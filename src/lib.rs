@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use spotweb::core::{MpoOptimizer, SpotWebConfig, ForecastBundle, to_server_counts};
-//! use spotweb::market::{Catalog, CloudSim, estimate_correlation};
+//! use spotweb::market::{Catalog, CloudSim, estimate_correlation, DEFAULT_SHRINKAGE};
 //!
 //! // A cloud of 9 EC2-style spot markets, warmed up for two days.
 //! let catalog = Catalog::ec2_subset(9);
@@ -40,7 +40,7 @@
 //!     prices: vec![tick.prices.clone(); 4],
 //!     failures: vec![tick.failure_probs.clone(); 4],
 //! };
-//! let m = estimate_correlation(&cloud.history().failure_matrix(), 0.1);
+//! let m = estimate_correlation(&cloud.history().failure_matrix(), DEFAULT_SHRINKAGE);
 //!
 //! let mut optimizer = MpoOptimizer::new(SpotWebConfig::default());
 //! let decision = optimizer

@@ -6,7 +6,7 @@ use spotweb::core::evaluate::EvalOptions;
 use spotweb::core::{
     simulate_costs, ExoSpherePolicy, OnDemandPolicy, SpotWebConfig, SpotWebPolicy,
 };
-use spotweb::market::{estimate_correlation, Catalog, CloudSim};
+use spotweb::market::{estimate_correlation, Catalog, CloudSim, DEFAULT_SHRINKAGE};
 use spotweb::predict::{SeriesPredictor, SpotWebPredictor};
 use spotweb::workload::wikipedia_like;
 
@@ -84,7 +84,7 @@ fn predictor_feeds_optimizer_shapes() {
     assert_eq!(forecast_workload.len(), 4);
 
     let tick = cloud.current();
-    let m = estimate_correlation(&cloud.history().failure_matrix(), 0.1);
+    let m = estimate_correlation(&cloud.history().failure_matrix(), DEFAULT_SHRINKAGE);
     let bundle = spotweb::core::ForecastBundle {
         workload: forecast_workload,
         prices: vec![tick.prices.clone(); 4],
@@ -181,4 +181,42 @@ fn admm_iteration_counts_are_pinned_on_the_benchmark_cells() {
         assert!(decision.solved, "{n} × {horizon} must converge");
         assert_eq!(decision.iterations, pinned, "{n} × {horizon}");
     }
+}
+
+/// Byte-exact pin of the control plane the benchmark's `control_plane`
+/// workload runs (same catalog, horizon, load and seed; its first 72
+/// hours — persistence, then 40 refits): every fleet plus the bits of
+/// each interval's costs. Recorded at the commit before the risk-matrix
+/// kernel, the row-sweep QR and the predictor's caches, none of which
+/// may move a bit of it.
+#[test]
+fn control_plane_decisions_are_pinned() {
+    use spotweb::telemetry::json::fnv1a64_hex;
+
+    let catalog = Catalog::ec2_subset(36);
+    let trace = wikipedia_like(72 + 16, 1234).with_mean(20_000.0);
+    let opts = EvalOptions {
+        intervals: 72,
+        seed: 1234,
+        revocations: true,
+        ..EvalOptions::default()
+    };
+    let mut policy = SpotWebPolicy::new(SpotWebConfig::default().with_horizon(4), catalog.len());
+    let report = simulate_costs(&mut policy, &catalog, &trace, &opts);
+    assert_eq!(report.records.len(), 72);
+    let mut bytes = Vec::new();
+    for record in &report.records {
+        for &servers in &record.fleet {
+            bytes.extend_from_slice(&servers.to_le_bytes());
+        }
+        for cost in [
+            record.provisioning_cost,
+            record.penalty_cost,
+            record.dropped_requests,
+        ] {
+            bytes.extend_from_slice(&cost.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(fnv1a64_hex(&bytes), "dff027101f11f369");
+    assert_eq!(report.total_cost(), 1109.9225060883155);
 }
