@@ -12,7 +12,7 @@
 //! the runner's report plus the telemetry the whole stack wrote.
 
 use spotweb_core::policy::{Policy, PolicyObservation};
-use spotweb_core::{build_policy, normalize_policy_name, SpotWebConfig, ZooConfig};
+use spotweb_core::{build_policy, normalize_policy_name, SpotWebConfig};
 use spotweb_market::{estimate_correlation, Catalog, CloudSim, DEFAULT_SHRINKAGE};
 use spotweb_sim::runner::{FleetPolicy, ReactiveCheapestPolicy};
 use spotweb_sim::sweep::RunSummary;
@@ -174,7 +174,6 @@ impl Cell {
                     interval_secs: self.interval_secs,
                     ..SpotWebConfig::default()
                 },
-                &ZooConfig::default(),
                 catalog.len(),
                 self.seed,
                 &sink,

@@ -47,12 +47,6 @@ pub fn total_capacity_rps(catalog: &Catalog, counts: &[u32]) -> f64 {
         .sum()
 }
 
-/// Hourly cost ($) of a fleet at the given per-market prices.
-pub fn fleet_cost_per_hour(counts: &[u32], prices: &[f64]) -> f64 {
-    assert_eq!(counts.len(), prices.len());
-    counts.iter().zip(prices).map(|(&n, &p)| n as f64 * p).sum()
-}
-
 /// Effective weighted-round-robin weights for a fleet: each market's
 /// share of total capacity. Used to program the load balancer (§4.4:
 /// "The weights are set to be equal to the relative weight of a market
@@ -111,11 +105,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_and_cost() {
+    fn capacity_sums_per_market_servers() {
         let c = Catalog::fig5_three_markets();
-        let counts = vec![1u32, 2, 0];
-        assert_eq!(total_capacity_rps(&c, &counts), 1920.0 + 640.0);
-        assert_eq!(fleet_cost_per_hour(&counts, &[2.0, 1.0, 9.0]), 4.0);
+        assert_eq!(total_capacity_rps(&c, &[1, 2, 0]), 1920.0 + 640.0);
     }
 
     #[test]

@@ -55,24 +55,42 @@ impl Default for SpotWebConfig {
 }
 
 impl SpotWebConfig {
-    /// Validate invariants; call after hand-building a config.
+    /// Validate invariants; call after hand-building a config. Every
+    /// `f64` field must be finite and non-negative (a NaN would
+    /// otherwise slip through every `<` test below and, downstream,
+    /// silently switch off the term it weights); the error names the
+    /// offending field.
     pub fn validate(&self) -> Result<(), String> {
         if self.horizon == 0 {
             return Err("horizon must be >= 1".into());
         }
-        if self.alpha < 0.0 || self.churn_gamma < 0.0 {
-            return Err("alpha and churn_gamma must be non-negative".into());
+        for (name, value) in [
+            ("alpha", self.alpha),
+            ("penalty_per_request", self.penalty_per_request),
+            ("long_running_fraction", self.long_running_fraction),
+            ("a_min", self.a_min),
+            ("a_max_total", self.a_max_total),
+            ("a_max_per_market", self.a_max_per_market),
+            ("churn_gamma", self.churn_gamma),
+            ("interval_secs", self.interval_secs),
+            ("min_allocation", self.min_allocation),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!(
+                    "{name} must be finite and non-negative, got {value}"
+                ));
+            }
         }
-        if !(self.a_min >= 0.0 && self.a_min <= self.a_max_total) {
+        if self.a_min > self.a_max_total {
             return Err("need 0 <= a_min <= a_max_total".into());
         }
         if !(self.a_max_per_market > 0.0 && self.a_max_per_market <= self.a_max_total) {
             return Err("need 0 < a_max_per_market <= a_max_total".into());
         }
-        if self.interval_secs <= 0.0 {
+        if self.interval_secs == 0.0 {
             return Err("interval_secs must be positive".into());
         }
-        if !(0.0..=1.0).contains(&self.long_running_fraction) {
+        if self.long_running_fraction > 1.0 {
             return Err("long_running_fraction in [0,1]".into());
         }
         Ok(())
@@ -84,74 +102,6 @@ impl SpotWebConfig {
             horizon,
             ..self.clone()
         }
-    }
-}
-
-/// Tunables of the policy-zoo competitors (the related-work strategies
-/// the tournament ranks against SpotWeb). Grouped separately from
-/// [`SpotWebConfig`] because none of them feed the MPO; they
-/// parameterize the zoo policies built by
-/// [`crate::policy::factory::build_policy`].
-#[derive(Debug, Clone)]
-pub struct ZooConfig {
-    /// EWMA gain for the index-tracking policy's smoothed target
-    /// weights (see `spotweb_predict::index::IndexWeightTracker`).
-    pub index_ewma_beta: f64,
-    /// Capacity headroom multiplier the index tracker provisions above
-    /// the target rate (it does not over-provision per the CI like the
-    /// MPO, so it carries a flat margin instead).
-    pub index_headroom: f64,
-    /// Absolute-correlation threshold above which two markets share a
-    /// failure-domain group (het-spot-groups policy).
-    pub group_corr_threshold: f64,
-    /// Number of whole correlation groups the het-spot-groups policy
-    /// over-provisions to survive losing simultaneously.
-    pub group_fault_tolerance: usize,
-    /// Number of distinct markets the randomized-market policy samples
-    /// each interval.
-    pub random_subset: usize,
-    /// Cheapness exponent of the randomized selection distribution:
-    /// selection weight ∝ (cheapest_cost / cost)^β · (1 − failure).
-    /// Integer so the weight is computed by exact multiplications
-    /// (`powi`) — byte-stable on every platform, no `exp`.
-    pub random_beta: i32,
-    /// Capacity headroom multiplier for the randomized policy.
-    pub random_headroom: f64,
-}
-
-impl Default for ZooConfig {
-    fn default() -> Self {
-        ZooConfig {
-            index_ewma_beta: 0.2,
-            index_headroom: 1.1,
-            group_corr_threshold: 0.5,
-            group_fault_tolerance: 1,
-            random_subset: 2,
-            random_beta: 4,
-            random_headroom: 1.15,
-        }
-    }
-}
-
-impl ZooConfig {
-    /// Validate invariants; call after hand-building a config.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.index_ewma_beta > 0.0 && self.index_ewma_beta <= 1.0) {
-            return Err("index_ewma_beta in (0,1]".into());
-        }
-        if self.index_headroom < 1.0 || self.random_headroom < 1.0 {
-            return Err("headroom multipliers must be >= 1".into());
-        }
-        if !(0.0..=1.0).contains(&self.group_corr_threshold) {
-            return Err("group_corr_threshold in [0,1]".into());
-        }
-        if self.random_subset == 0 {
-            return Err("random_subset must be >= 1".into());
-        }
-        if self.random_beta < 0 {
-            return Err("random_beta must be non-negative".into());
-        }
-        Ok(())
     }
 }
 
@@ -188,42 +138,38 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_non_finite_and_negative_fields() {
+        type Set = fn(&mut SpotWebConfig, f64);
+        let fields: [(&str, Set); 9] = [
+            ("alpha", |c, v| c.alpha = v),
+            ("penalty_per_request", |c, v| c.penalty_per_request = v),
+            ("long_running_fraction", |c, v| c.long_running_fraction = v),
+            ("a_min", |c, v| c.a_min = v),
+            ("a_max_total", |c, v| c.a_max_total = v),
+            ("a_max_per_market", |c, v| c.a_max_per_market = v),
+            ("churn_gamma", |c, v| c.churn_gamma = v),
+            ("interval_secs", |c, v| c.interval_secs = v),
+            ("min_allocation", |c, v| c.min_allocation = v),
+        ];
+        for (name, set) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                let mut c = SpotWebConfig::default();
+                set(&mut c, bad);
+                let err = c
+                    .validate()
+                    .expect_err(&format!("{name} = {bad} must be rejected"));
+                assert!(
+                    err.contains(name),
+                    "{name} = {bad}: error must name it: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn with_horizon_preserves_rest() {
         let c = SpotWebConfig::default().with_horizon(10);
         assert_eq!(c.horizon, 10);
         assert_eq!(c.alpha, SpotWebConfig::default().alpha);
-    }
-
-    #[test]
-    fn zoo_default_validates() {
-        assert!(ZooConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn zoo_validation_catches_bad_values() {
-        for bad in [
-            ZooConfig {
-                index_ewma_beta: 0.0,
-                ..ZooConfig::default()
-            },
-            ZooConfig {
-                index_headroom: 0.9,
-                ..ZooConfig::default()
-            },
-            ZooConfig {
-                group_corr_threshold: 1.5,
-                ..ZooConfig::default()
-            },
-            ZooConfig {
-                random_subset: 0,
-                ..ZooConfig::default()
-            },
-            ZooConfig {
-                random_beta: -1,
-                ..ZooConfig::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} must be rejected");
-        }
     }
 }

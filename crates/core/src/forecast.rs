@@ -5,9 +5,7 @@
 //! probabilities. §5.1: "When the optimizer runs, it polls the
 //! predictors, to get new predictions for the future request arrival
 //! rates, failure rates, and the future per request price" —
-//! [`ForecastBundle::poll`] is that call.
-
-use spotweb_predict::SeriesPredictor;
+//! `SpotWebPolicy::decide` does that polling and fills a bundle.
 
 /// Forecasts over a horizon `H` for `N` markets.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,39 +53,6 @@ impl ForecastBundle {
         Ok(())
     }
 
-    /// Poll a workload predictor and per-market price & failure
-    /// predictors for an `h`-step bundle.
-    pub fn poll(
-        workload: &dyn SeriesPredictor,
-        prices: &[Box<dyn SeriesPredictor>],
-        failures: &[Box<dyn SeriesPredictor>],
-        h: usize,
-    ) -> ForecastBundle {
-        assert_eq!(
-            prices.len(),
-            failures.len(),
-            "one predictor pair per market"
-        );
-        let n = prices.len();
-        let lam = workload.predict(h);
-        let per_market_prices: Vec<Vec<f64>> = prices.iter().map(|p| p.predict(h)).collect();
-        let per_market_failures: Vec<Vec<f64>> = failures.iter().map(|p| p.predict(h)).collect();
-        // Transpose to τ-major.
-        let mut price_rows = vec![vec![0.0; n]; h];
-        let mut failure_rows = vec![vec![0.0; n]; h];
-        for i in 0..n {
-            for tau in 0..h {
-                price_rows[tau][i] = per_market_prices[i][tau];
-                failure_rows[tau][i] = per_market_failures[i][tau].clamp(0.0, 1.0);
-            }
-        }
-        ForecastBundle {
-            workload: lam,
-            prices: price_rows,
-            failures: failure_rows,
-        }
-    }
-
     /// Build a *flat* bundle: the same workload/prices/failures repeated
     /// across the horizon (the reactive-predictor configuration, and the
     /// natural input for SPO).
@@ -126,7 +91,6 @@ impl ForecastBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotweb_predict::ReactivePredictor;
 
     #[test]
     fn flat_bundle_shape() {
@@ -135,27 +99,6 @@ mod tests {
         assert_eq!(b.markets(), 2);
         assert!(b.validate().is_ok());
         assert_eq!(b.prices[2], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn poll_transposes() {
-        let mut w = ReactivePredictor::new();
-        w.observe(500.0);
-        let mut p0 = ReactivePredictor::new();
-        p0.observe(1.0);
-        let mut p1 = ReactivePredictor::new();
-        p1.observe(2.0);
-        let mut f0 = ReactivePredictor::new();
-        f0.observe(0.05);
-        let mut f1 = ReactivePredictor::new();
-        f1.observe(0.10);
-        let prices: Vec<Box<dyn SeriesPredictor>> = vec![Box::new(p0), Box::new(p1)];
-        let fails: Vec<Box<dyn SeriesPredictor>> = vec![Box::new(f0), Box::new(f1)];
-        let b = ForecastBundle::poll(&w, &prices, &fails, 2);
-        assert_eq!(b.workload, vec![500.0, 500.0]);
-        assert_eq!(b.prices[0], vec![1.0, 2.0]);
-        assert_eq!(b.failures[1], vec![0.05, 0.10]);
-        assert!(b.validate().is_ok());
     }
 
     #[test]

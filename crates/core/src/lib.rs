@@ -29,7 +29,7 @@
 //!   in-a-loop, constant portfolio + autoscaler, on-demand only.
 //! * [`evaluate`] — the coarse-grained (interval-level) cost evaluation
 //!   harness behind Figs. 5–7.
-//! * [`risk`] — portfolio risk and diversification diagnostics.
+//! * [`risk`] — the Herfindahl concentration diagnostic.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -45,7 +45,7 @@ pub mod risk;
 pub mod spo;
 
 pub use allocation::{to_server_counts, total_capacity_rps};
-pub use config::{SpotWebConfig, ZooConfig};
+pub use config::SpotWebConfig;
 pub use evaluate::{simulate_costs, CostReport};
 pub use forecast::ForecastBundle;
 pub use mpo::{MpoOptimizer, PortfolioDecision};
@@ -56,7 +56,7 @@ pub use policy::index_tracking::IndexTrackingPolicy;
 pub use policy::randomized_market::RandomizedMarketPolicy;
 pub use policy::{
     ConstantPortfolioPolicy, ExoSpherePolicy, OnDemandPolicy, Policy, PolicyObservation,
-    QuThresholdPolicy, SpotWebPolicy,
+    SpotWebPolicy,
 };
 pub use spo::SpoOptimizer;
 

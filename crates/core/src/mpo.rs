@@ -42,11 +42,6 @@ impl PortfolioDecision {
     pub fn first(&self) -> &[f64] {
         &self.plan[0]
     }
-
-    /// Total fractional allocation of the first interval.
-    pub fn first_total(&self) -> f64 {
-        self.plan[0].iter().sum()
-    }
 }
 
 /// A solver kept alive across [`MpoOptimizer::optimize`] calls, with
@@ -130,13 +125,6 @@ impl MpoOptimizer {
         if !enabled {
             self.warm = None;
         }
-    }
-
-    /// Drop the warm-start iterate and the cached solver (when the
-    /// catalog or horizon changes).
-    pub fn reset_warm_start(&mut self) {
-        self.warm = None;
-        self.cache = None;
     }
 
     /// Run one optimization. `prev_allocation` is the currently
@@ -245,7 +233,7 @@ mod tests {
             .optimize(&catalog, &forecast, &identity_cov(3), &[0.0; 3])
             .unwrap();
         assert!(d.solved);
-        let total = d.first_total();
+        let total: f64 = d.first().iter().sum();
         assert!(
             (0.99..=1.61).contains(&total),
             "total allocation {total} outside [A_min, A_max]"

@@ -86,11 +86,6 @@ impl ExoSphereMarkowitzPolicy {
         self
     }
 
-    /// The fractional allocation of the last decision.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Solve `min cᵀa + α·aᵀMa` over the capped simplex at total
     /// allocation `target`.
     fn solve(&self, cost: &[f64], obs: &PolicyObservation<'_>, target: f64) -> Vec<f64> {
@@ -193,7 +188,7 @@ mod tests {
         let cov = Matrix::identity(3).scaled(1e-4);
         let mut p = ExoSphereMarkowitzPolicy::new(&SpotWebConfig::default(), 3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
-        let w = p.weights();
+        let w = &p.weights;
         assert!(
             w[1] > w[0] && w[1] > w[2],
             "cheapest market dominates: {w:?}"
@@ -226,9 +221,9 @@ mod tests {
         };
         let mut p = ExoSphereMarkowitzPolicy::new(&config, 3);
         p.decide(&catalog, &obs(&prices, &failures, &independent));
-        let w_ind = p.weights().to_vec();
+        let w_ind = p.weights.clone();
         p.decide(&catalog, &obs(&prices, &failures, &correlated));
-        let w_cor = p.weights().to_vec();
+        let w_cor = p.weights.clone();
         // Correlated 0/1 pair loses combined share to the independent 2.
         assert!(
             w_cor[2] > w_ind[2] + 1e-6,

@@ -5,7 +5,7 @@
 
 use spotweb_telemetry::TelemetrySink;
 
-use crate::config::{SpotWebConfig, ZooConfig};
+use crate::config::SpotWebConfig;
 use crate::policy::exosphere::ExoSphereMarkowitzPolicy;
 use crate::policy::het_spot_groups::HetSpotGroupsPolicy;
 use crate::policy::index_tracking::IndexTrackingPolicy;
@@ -38,7 +38,6 @@ pub fn normalize_policy_name(name: &str) -> String {
 pub fn build_policy(
     name: &str,
     config: &SpotWebConfig,
-    zoo: &ZooConfig,
     markets: usize,
     seed: u64,
     sink: &TelemetrySink,
@@ -53,13 +52,13 @@ pub fn build_policy(
             ExoSphereMarkowitzPolicy::new(config, markets).with_telemetry(sink.clone()),
         )),
         "index-tracking" => Ok(Box::new(
-            IndexTrackingPolicy::new(zoo, min_alloc, markets).with_telemetry(sink.clone()),
+            IndexTrackingPolicy::new(min_alloc, markets).with_telemetry(sink.clone()),
         )),
         "het-spot-groups" => Ok(Box::new(
-            HetSpotGroupsPolicy::new(zoo, min_alloc, markets).with_telemetry(sink.clone()),
+            HetSpotGroupsPolicy::new(min_alloc, markets).with_telemetry(sink.clone()),
         )),
         "randomized-market" => Ok(Box::new(
-            RandomizedMarketPolicy::new(zoo, min_alloc, markets, seed).with_telemetry(sink.clone()),
+            RandomizedMarketPolicy::new(min_alloc, markets, seed).with_telemetry(sink.clone()),
         )),
         _ => Err(format!(
             "unknown policy '{name}'; registered policies: {}",
@@ -75,10 +74,9 @@ mod tests {
     #[test]
     fn every_registered_name_builds() {
         let config = SpotWebConfig::default();
-        let zoo = ZooConfig::default();
         let sink = TelemetrySink::disabled();
         for name in ZOO_POLICIES {
-            let p = build_policy(name, &config, &zoo, 3, 1234, &sink)
+            let p = build_policy(name, &config, 3, 1234, &sink)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(!p.name().is_empty());
         }
@@ -87,11 +85,10 @@ mod tests {
     #[test]
     fn name_resolution_is_lenient() {
         let config = SpotWebConfig::default();
-        let zoo = ZooConfig::default();
         let sink = TelemetrySink::disabled();
         for lenient in ["Index_Tracking", " het_spot_groups ", "RANDOMIZED-MARKET"] {
             assert!(
-                build_policy(lenient, &config, &zoo, 3, 1, &sink).is_ok(),
+                build_policy(lenient, &config, 3, 1, &sink).is_ok(),
                 "'{lenient}' should resolve"
             );
         }
@@ -100,9 +97,8 @@ mod tests {
     #[test]
     fn unknown_name_lists_the_registry() {
         let config = SpotWebConfig::default();
-        let zoo = ZooConfig::default();
         let sink = TelemetrySink::disabled();
-        let err = match build_policy("nope", &config, &zoo, 3, 1, &sink) {
+        let err = match build_policy("nope", &config, 3, 1, &sink) {
             Err(e) => e,
             Ok(_) => panic!("unknown name must not build"),
         };
@@ -115,10 +111,9 @@ mod tests {
     #[test]
     fn factory_names_match_policy_self_reports() {
         let config = SpotWebConfig::default();
-        let zoo = ZooConfig::default();
         let sink = TelemetrySink::disabled();
         for name in ZOO_POLICIES {
-            let p = build_policy(name, &config, &zoo, 3, 1234, &sink).unwrap();
+            let p = build_policy(name, &config, 3, 1234, &sink).unwrap();
             if *name == "spotweb" {
                 // The MPO policy embeds its horizon in the name.
                 assert!(p.name().starts_with("spotweb"), "{}", p.name());

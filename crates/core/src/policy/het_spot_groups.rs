@@ -11,36 +11,32 @@
 //! capacity so that losing any `fault_tolerance` whole groups
 //! simultaneously still leaves the workload covered — a fixed-threshold
 //! alternative to SpotWeb's probability-weighted risk term.
-//!
-//! Contrast with [`crate::QuThresholdPolicy`] (the paper's Fig. 6
-//! baseline): that variant spreads over the k cheapest markets blind to
-//! correlation; this one derives its spread from the estimated
-//! correlation structure, which is what the 2015 paper actually calls
-//! for.
 
 use spotweb_market::{correlation_groups, Catalog};
 use spotweb_telemetry::{names, TelemetrySink};
 
 use crate::allocation::to_server_counts;
-use crate::config::ZooConfig;
 use crate::policy::{Policy, PolicyObservation};
+
+/// Absolute-correlation threshold above which two markets share a
+/// failure-domain group.
+const CORR_THRESHOLD: f64 = 0.5;
+/// Number of whole correlation groups the policy over-provisions to
+/// survive losing simultaneously.
+const FAULT_TOLERANCE: usize = 1;
 
 /// The fault-tolerance-aware heterogeneous-groups competitor.
 pub struct HetSpotGroupsPolicy {
-    corr_threshold: f64,
-    fault_tolerance: usize,
     min_allocation: f64,
     weights: Vec<f64>,
     telemetry: TelemetrySink,
 }
 
 impl HetSpotGroupsPolicy {
-    /// Build with the zoo config's correlation threshold and group
-    /// fault tolerance.
-    pub fn new(zoo: &ZooConfig, min_allocation: f64, markets: usize) -> Self {
+    /// Build for `markets` markets, dropping shares below
+    /// `min_allocation` when converting to servers.
+    pub fn new(min_allocation: f64, markets: usize) -> Self {
         HetSpotGroupsPolicy {
-            corr_threshold: zoo.group_corr_threshold,
-            fault_tolerance: zoo.group_fault_tolerance,
             min_allocation,
             weights: vec![0.0; markets],
             telemetry: TelemetrySink::disabled(),
@@ -51,11 +47,6 @@ impl HetSpotGroupsPolicy {
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
         self.telemetry = sink;
         self
-    }
-
-    /// The fractional allocation of the last decision.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
     }
 }
 
@@ -70,7 +61,7 @@ impl Policy for HetSpotGroupsPolicy {
         // The observation's covariance slot carries the shrunk
         // correlation estimate (see the runner bridge) — exactly the
         // statistic the grouping needs.
-        let groups = correlation_groups(obs.covariance, self.corr_threshold);
+        let groups = correlation_groups(obs.covariance, CORR_THRESHOLD);
         let group_count = groups.iter().copied().max().map_or(0, |g| g + 1);
 
         // Cheapest per-request market of each group represents it.
@@ -89,10 +80,10 @@ impl Policy for HetSpotGroupsPolicy {
         let reps: Vec<usize> = representative.into_iter().flatten().collect();
 
         // Even spread over the groups, inflated so any
-        // `fault_tolerance` of them can vanish at once: the surviving
+        // `FAULT_TOLERANCE` of them can vanish at once: the surviving
         // `g − f` groups must still cover the full workload.
         let g = reps.len();
-        let f = self.fault_tolerance.min(g.saturating_sub(1));
+        let f = FAULT_TOLERANCE.min(g.saturating_sub(1));
         let survivors = (g - f).max(1) as f64;
         let share = 1.0 / survivors;
         self.weights = vec![0.0; n];
@@ -130,11 +121,11 @@ mod tests {
         let prices = [0.06, 0.12, 0.24];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = HetSpotGroupsPolicy::new(&ZooConfig::default(), 1e-3, 3);
+        let mut p = HetSpotGroupsPolicy::new(1e-3, 3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
         // 3 independent groups, tolerate 1: each carries 1/2 of λ.
         assert_eq!(counts.iter().filter(|&&c| c > 0).count(), 3);
-        for &w in p.weights() {
+        for &w in &p.weights {
             assert!((w - 0.5).abs() < 1e-12, "share 1/(3-1) per group");
         }
         // Losing any one market leaves λ covered.
@@ -158,7 +149,7 @@ mod tests {
         let mut cov = Matrix::identity(3);
         cov[(0, 1)] = 0.9;
         cov[(1, 0)] = 0.9;
-        let mut p = HetSpotGroupsPolicy::new(&ZooConfig::default(), 1e-3, 3);
+        let mut p = HetSpotGroupsPolicy::new(1e-3, 3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
         // Group {0,1} is represented by exactly one of its markets.
         assert!(
@@ -186,12 +177,12 @@ mod tests {
                 }
             }
         }
-        let mut p = HetSpotGroupsPolicy::new(&ZooConfig::default(), 1e-3, 3);
+        let mut p = HetSpotGroupsPolicy::new(1e-3, 3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
         // Everything is one failure domain: no spread can help, so one
         // market carries the whole load at share 1.
         assert_eq!(counts.iter().filter(|&&c| c > 0).count(), 1);
-        assert!((p.weights().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!((p.weights.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -203,7 +194,7 @@ mod tests {
         cov[(1, 2)] = 0.7;
         cov[(2, 1)] = 0.7;
         let run = || {
-            let mut p = HetSpotGroupsPolicy::new(&ZooConfig::default(), 1e-3, 3);
+            let mut p = HetSpotGroupsPolicy::new(1e-3, 3);
             p.decide(&catalog, &obs(&prices, &failures, &cov))
         };
         assert_eq!(run(), run());

@@ -20,24 +20,34 @@ use spotweb_predict::index::IndexWeightTracker;
 use spotweb_telemetry::{names, TelemetrySink};
 
 use crate::allocation::to_server_counts;
-use crate::config::ZooConfig;
 use crate::policy::{Policy, PolicyObservation};
+
+/// EWMA gain of the smoothed target weights (see
+/// [`IndexWeightTracker`]).
+const EWMA_BETA: f64 = 0.2;
+/// Capacity headroom multiplier provisioned above the target rate: the
+/// tracker does not over-provision per the CI like the MPO, so it
+/// carries a flat margin instead.
+const HEADROOM: f64 = 1.1;
 
 /// The index-tracking competitor.
 pub struct IndexTrackingPolicy {
     tracker: IndexWeightTracker,
-    headroom: f64,
     min_allocation: f64,
     weights: Vec<f64>,
     telemetry: TelemetrySink,
 }
 
 impl IndexTrackingPolicy {
-    /// Build with the zoo config's EWMA gain and headroom.
-    pub fn new(zoo: &ZooConfig, min_allocation: f64, markets: usize) -> Self {
+    /// Build for `markets` markets, dropping shares below
+    /// `min_allocation` when converting to servers.
+    pub fn new(min_allocation: f64, markets: usize) -> Self {
+        Self::with_ewma_beta(EWMA_BETA, min_allocation, markets)
+    }
+
+    fn with_ewma_beta(beta: f64, min_allocation: f64, markets: usize) -> Self {
         IndexTrackingPolicy {
-            tracker: IndexWeightTracker::new(zoo.index_ewma_beta),
-            headroom: zoo.index_headroom,
+            tracker: IndexWeightTracker::new(beta),
             min_allocation,
             weights: vec![0.0; markets],
             telemetry: TelemetrySink::disabled(),
@@ -48,12 +58,6 @@ impl IndexTrackingPolicy {
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
         self.telemetry = sink;
         self
-    }
-
-    /// The fractional allocation of the last decision (already scaled
-    /// by the headroom, so it sums to `headroom`).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
     }
 }
 
@@ -91,7 +95,7 @@ impl Policy for IndexTrackingPolicy {
         };
         self.tracker.observe(&instant);
         let smoothed = self.tracker.weights();
-        self.weights = smoothed.iter().map(|w| w * self.headroom).collect();
+        self.weights = smoothed.iter().map(|w| w * HEADROOM).collect();
 
         let lambda = obs
             .oracle
@@ -123,7 +127,7 @@ mod tests {
         let prices = [0.06, 0.12, 0.24];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = IndexTrackingPolicy::new(&ZooConfig::default(), 1e-3, 3);
+        let mut p = IndexTrackingPolicy::new(1e-3, 3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
         assert!(
             counts.iter().all(|&c| c > 0),
@@ -149,12 +153,11 @@ mod tests {
             .collect();
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = IndexTrackingPolicy::new(&ZooConfig::default(), 1e-3, 3);
+        let mut p = IndexTrackingPolicy::new(1e-3, 3);
         p.decide(&catalog, &obs(&prices, &failures, &cov));
         let index = spot_index_weights(&catalog);
-        let headroom = ZooConfig::default().index_headroom;
-        for (w, i) in p.weights().iter().zip(&index) {
-            assert!((w - i * headroom).abs() < 1e-12, "{w} vs index {i}");
+        for (w, i) in p.weights.iter().zip(&index) {
+            assert!((w - i * HEADROOM).abs() < 1e-12, "{w} vs index {i}");
         }
     }
 
@@ -166,9 +169,9 @@ mod tests {
         let prices = [2.0, 0.5, 1.0];
         let failures = [0.04; 3];
         let cov = Matrix::identity(3);
-        let mut p = IndexTrackingPolicy::new(&ZooConfig::default(), 1e-3, 3);
+        let mut p = IndexTrackingPolicy::new(1e-3, 3);
         p.decide(&catalog, &obs(&prices, &failures, &cov));
-        let w = p.weights();
+        let w = &p.weights;
         let index = spot_index_weights(&catalog);
         assert!(
             w[1] / index[1] > w[2] / index[2],
@@ -182,32 +185,25 @@ mod tests {
         let failures = [0.04; 3];
         let cov = Matrix::identity(3);
         let calm = [1.0, 1.0, 1.0];
-        let mut p = IndexTrackingPolicy::new(&ZooConfig::default(), 1e-3, 3);
+        let mut p = IndexTrackingPolicy::new(1e-3, 3);
         let mut o = obs(&calm, &failures, &cov);
         for k in 0..5 {
             o.interval = k;
             p.decide(&catalog, &o);
         }
-        let before = p.weights().to_vec();
+        let before = p.weights.to_vec();
         // Market 0's price spikes 10×; one interval later the target
         // has moved, but only by the EWMA gain, not all the way.
         let spiked = [10.0, 1.0, 1.0];
         o.prices = &spiked;
         o.interval = 5;
         p.decide(&catalog, &o);
-        let after = p.weights().to_vec();
+        let after = p.weights.to_vec();
         assert!(after[0] < before[0], "weight shifts away from the spike");
-        let mut instant = IndexTrackingPolicy::new(
-            &ZooConfig {
-                index_ewma_beta: 1.0,
-                ..ZooConfig::default()
-            },
-            1e-3,
-            3,
-        );
+        let mut instant = IndexTrackingPolicy::with_ewma_beta(1.0, 1e-3, 3);
         instant.decide(&catalog, &obs(&spiked, &failures, &cov));
         assert!(
-            after[0] > instant.weights()[0],
+            after[0] > instant.weights[0],
             "smoothed target stays above the instantaneous one"
         );
     }
@@ -219,7 +215,7 @@ mod tests {
         let failures = [0.03; 3];
         let cov = Matrix::identity(3);
         let run = || {
-            let mut p = IndexTrackingPolicy::new(&ZooConfig::default(), 1e-3, 3);
+            let mut p = IndexTrackingPolicy::new(1e-3, 3);
             (0..3)
                 .map(|k| {
                     let mut o = obs(&prices, &failures, &cov);

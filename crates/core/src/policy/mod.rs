@@ -120,8 +120,6 @@ pub struct SpotWebPolicy {
     /// Per-market mean-reverting price predictors (§4.2: "if a price
     /// predictor is available, priceᵢₜ will vary over the horizon H").
     price_predictors: Vec<MeanRevertingPricePredictor>,
-    /// Disable to fall back to flat (reactive) price forecasts.
-    use_price_prediction: bool,
     prev_allocation: Vec<f64>,
     name: String,
     telemetry: TelemetrySink,
@@ -156,7 +154,6 @@ impl SpotWebPolicy {
             price_predictors: (0..markets)
                 .map(|_| MeanRevertingPricePredictor::new(PRICE_WINDOW))
                 .collect(),
-            use_price_prediction: true,
             prev_allocation: vec![0.0; markets],
             name: format!("spotweb(H={h})"),
             telemetry: TelemetrySink::disabled(),
@@ -173,23 +170,12 @@ impl SpotWebPolicy {
         self
     }
 
-    /// Turn per-market price prediction off (flat-at-current forecasts).
-    pub fn without_price_prediction(mut self) -> Self {
-        self.use_price_prediction = false;
-        self
-    }
-
     /// Enable or disable the optimizer's interval-to-interval warm
     /// start (on by default). Disabling forces every MPO solve to a
     /// zero cold start — the knob `figures sweep` uses to measure the
     /// warm-start iteration savings.
     pub fn set_warm_start(&mut self, enabled: bool) {
         self.optimizer.set_warm_start(enabled);
-    }
-
-    /// The executed allocation of the last decision.
-    pub fn last_allocation(&self) -> &[f64] {
-        &self.prev_allocation
     }
 }
 
@@ -210,16 +196,12 @@ impl Policy for SpotWebPolicy {
             }
             None => {
                 let workload = self.workload_predictor.predict(h);
-                let prices = if self.use_price_prediction {
-                    // τ-major transpose of per-market forecasts.
-                    let per_market: Vec<Vec<f64>> =
-                        self.price_predictors.iter().map(|p| p.predict(h)).collect();
-                    (0..h)
-                        .map(|tau| per_market.iter().map(|f| f[tau]).collect())
-                        .collect()
-                } else {
-                    vec![obs.prices.to_vec(); h]
-                };
+                // τ-major transpose of per-market forecasts.
+                let per_market: Vec<Vec<f64>> =
+                    self.price_predictors.iter().map(|p| p.predict(h)).collect();
+                let prices = (0..h)
+                    .map(|tau| per_market.iter().map(|f| f[tau]).collect())
+                    .collect();
                 ForecastBundle {
                     workload,
                     prices,
@@ -402,11 +384,6 @@ impl ConstantPortfolioPolicy {
             last_allocation: vec![0.0; markets],
         }
     }
-
-    /// The frozen weights, once set.
-    pub fn weights(&self) -> Option<&[f64]> {
-        self.frozen_weights.as_deref()
-    }
 }
 
 impl Policy for ConstantPortfolioPolicy {
@@ -455,90 +432,21 @@ impl Policy for ConstantPortfolioPolicy {
     }
 }
 
-/// Qu et al. (JNCA'16) style baseline: heterogeneous spot servers with
-/// over-provisioning driven by a *user-specified* number of concurrent
-/// market failures to tolerate (Table 1's "indirect" SLO-awareness).
-///
-/// The policy spreads the load evenly over the `k_spread` cheapest
-/// per-request markets and then adds enough extra capacity that losing
-/// any `fault_tolerance` of those markets simultaneously still leaves
-/// the full workload covered — the fixed-threshold alternative to
-/// SpotWeb's probability-driven provisioning.
-pub struct QuThresholdPolicy {
-    /// Number of markets the load is spread across.
-    pub k_spread: usize,
-    /// Number of concurrent market failures to survive.
-    pub fault_tolerance: usize,
-    min_allocation: f64,
-}
-
-impl QuThresholdPolicy {
-    /// Spread across `k_spread` markets, tolerate `fault_tolerance`
-    /// concurrent market losses (must be < `k_spread`).
-    pub fn new(k_spread: usize, fault_tolerance: usize) -> Self {
-        assert!(k_spread >= 1, "need at least one market");
-        assert!(
-            fault_tolerance < k_spread,
-            "cannot tolerate losing every market used"
-        );
-        QuThresholdPolicy {
-            k_spread,
-            fault_tolerance,
-            min_allocation: 1e-3,
-        }
-    }
-}
-
-impl Policy for QuThresholdPolicy {
-    fn name(&self) -> &str {
-        "qu-threshold"
-    }
-
-    fn decide(&mut self, catalog: &Catalog, obs: &PolicyObservation<'_>) -> Vec<u32> {
-        let lambda = obs
-            .oracle
-            .and_then(|v| v.workload.first().copied())
-            .unwrap_or(obs.current_workload);
-        // Rank markets by current per-request price.
-        let mut ranked: Vec<usize> = (0..catalog.len()).collect();
-        ranked.sort_by(|&a, &b| {
-            let pa = obs.prices[a] / catalog.market(a).capacity_rps();
-            let pb = obs.prices[b] / catalog.market(b).capacity_rps();
-            pa.partial_cmp(&pb).expect("finite prices")
-        });
-        let k = self.k_spread.min(catalog.len());
-        let chosen = &ranked[..k];
-        // Even spread, inflated so any `fault_tolerance` markets can
-        // vanish: surviving k − f markets must cover λ.
-        let survivors = (k - self.fault_tolerance.min(k - 1)) as f64;
-        let per_market_share = 1.0 / survivors;
-        let mut alloc = vec![0.0; catalog.len()];
-        for &m in chosen {
-            alloc[m] = per_market_share;
-        }
-        to_server_counts(catalog, &alloc, lambda, self.min_allocation)
-    }
-}
+/// Head-room multiplier [`OnDemandPolicy`] applies to the target rate
+/// (on-demand deployments over-provision too; 1.2 is a
+/// generous-but-typical utilization target of ~83%).
+const ON_DEMAND_HEADROOM: f64 = 1.2;
 
 /// Conventional on-demand provisioning: cheapest-per-request on-demand
-/// configuration, scaled to the load (reactive or oracle).
-pub struct OnDemandPolicy {
-    /// Head-room multiplier applied to the target rate (on-demand
-    /// deployments over-provision too; 1.2 is a generous-but-typical
-    /// utilization target of ~83%).
-    pub headroom: f64,
-}
+/// configuration, scaled to the load (reactive or oracle) plus 20%
+/// headroom.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OnDemandPolicy;
 
 impl OnDemandPolicy {
-    /// Default 20% headroom.
+    /// The policy has no state.
     pub fn new() -> Self {
-        OnDemandPolicy { headroom: 1.2 }
-    }
-}
-
-impl Default for OnDemandPolicy {
-    fn default() -> Self {
-        Self::new()
+        OnDemandPolicy
     }
 }
 
@@ -552,7 +460,7 @@ impl Policy for OnDemandPolicy {
             .oracle
             .and_then(|v| v.workload.first().copied())
             .unwrap_or(obs.current_workload)
-            * self.headroom;
+            * ON_DEMAND_HEADROOM;
         // Cheapest per-request among *on-demand* markets; when the
         // catalog is spot-only (some experiments), fall back to any
         // market but note the billed price will then be the spot price.
@@ -685,14 +593,14 @@ mod tests {
         p.decide(&catalog, &obs);
         obs.interval = 1;
         p.decide(&catalog, &obs);
-        assert!(p.weights().is_some(), "weights frozen after interval 2");
-        let frozen = p.weights().unwrap().to_vec();
+        let frozen = p.frozen_weights.clone();
+        assert!(frozen.is_some(), "weights frozen after interval 2");
         // Prices flip; the frozen policy must not change its mix.
         let prices2 = [9.0, 0.2, 5.0];
         obs.interval = 2;
         obs.prices = &prices2;
         p.decide(&catalog, &obs);
-        assert_eq!(p.weights().unwrap(), frozen.as_slice());
+        assert_eq!(p.frozen_weights, frozen);
     }
 
     #[test]
@@ -711,49 +619,6 @@ mod tests {
             .map(|(i, &n)| n as f64 * catalog.market(i).capacity_rps())
             .sum();
         assert!(cap >= 1200.0);
-    }
-
-    #[test]
-    fn qu_threshold_survives_k_failures() {
-        let catalog = Catalog::ec2_subset(9);
-        let prices: Vec<f64> = catalog
-            .markets()
-            .iter()
-            .map(|m| m.instance.on_demand_price * 0.3)
-            .collect();
-        let failures = vec![0.05; 9];
-        let cov = Matrix::identity(9).scaled(1e-4);
-        let mut p = QuThresholdPolicy::new(3, 1);
-        let counts = p.decide(&catalog, &obs_fixture(&prices, &failures, &cov));
-        let used: Vec<usize> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(used.len(), 3, "spreads over k markets");
-        // Losing the largest-capacity used market still covers λ.
-        let cap = |skip: Option<usize>| -> f64 {
-            counts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| Some(*i) != skip)
-                .map(|(i, &n)| n as f64 * catalog.market(i).capacity_rps())
-                .sum()
-        };
-        for &m in &used {
-            assert!(
-                cap(Some(m)) >= 1000.0,
-                "losing market {m} leaves {} < λ",
-                cap(Some(m))
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot tolerate")]
-    fn qu_threshold_rejects_degenerate_tolerance() {
-        QuThresholdPolicy::new(2, 2);
     }
 
     #[test]

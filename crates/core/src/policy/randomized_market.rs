@@ -23,7 +23,6 @@ use spotweb_market::Catalog;
 use spotweb_telemetry::{names, TelemetrySink};
 
 use crate::allocation::to_server_counts;
-use crate::config::ZooConfig;
 use crate::policy::{Policy, PolicyObservation};
 
 /// One step of the splitmix64 generator: advances the state and
@@ -42,26 +41,31 @@ fn unit_f64(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Number of distinct markets sampled each interval.
+const SUBSET: usize = 2;
+/// Cheapness exponent of the selection distribution: selection weight
+/// ∝ (cheapest_cost / cost)^β · (1 − failure). Integer so the weight is
+/// computed by exact multiplications (`powi`) — byte-stable on every
+/// platform, no `exp`.
+const BETA: i32 = 4;
+/// Capacity headroom multiplier.
+const HEADROOM: f64 = 1.15;
+
 /// The randomized-selection competitor.
 pub struct RandomizedMarketPolicy {
     seed: u64,
-    subset: usize,
-    beta: i32,
-    headroom: f64,
     min_allocation: f64,
     weights: Vec<f64>,
     telemetry: TelemetrySink,
 }
 
 impl RandomizedMarketPolicy {
-    /// Build with the zoo config's subset size, cheapness exponent and
-    /// headroom, drawing from the stream keyed by `seed`.
-    pub fn new(zoo: &ZooConfig, min_allocation: f64, markets: usize, seed: u64) -> Self {
+    /// Build for `markets` markets, drawing from the stream keyed by
+    /// `seed` and dropping shares below `min_allocation` when
+    /// converting to servers.
+    pub fn new(min_allocation: f64, markets: usize, seed: u64) -> Self {
         RandomizedMarketPolicy {
             seed,
-            subset: zoo.random_subset,
-            beta: zoo.random_beta,
-            headroom: zoo.random_headroom,
             min_allocation,
             weights: vec![0.0; markets],
             telemetry: TelemetrySink::disabled(),
@@ -74,14 +78,9 @@ impl RandomizedMarketPolicy {
         self
     }
 
-    /// The fractional allocation of the last decision.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Selection weight of each market:
     /// `(min_cost / costᵢ)^β · (1 − failureᵢ)`, clamped non-negative.
-    fn selection_weights(&self, catalog: &Catalog, obs: &PolicyObservation<'_>) -> Vec<f64> {
+    fn selection_weights(catalog: &Catalog, obs: &PolicyObservation<'_>) -> Vec<f64> {
         let n = catalog.len();
         let per_req: Vec<f64> = (0..n)
             .map(|i| obs.prices[i] / catalog.market(i).capacity_rps())
@@ -98,7 +97,7 @@ impl RandomizedMarketPolicy {
                 if c <= 0.0 || !min_cost.is_finite() {
                     return 0.0;
                 }
-                (min_cost / c).powi(self.beta) * (1.0 - f).max(0.0)
+                (min_cost / c).powi(BETA) * (1.0 - f).max(0.0)
             })
             .collect()
     }
@@ -112,7 +111,7 @@ impl Policy for RandomizedMarketPolicy {
     fn decide(&mut self, catalog: &Catalog, obs: &PolicyObservation<'_>) -> Vec<u32> {
         self.telemetry.count(names::POLICY_DECISIONS_TOTAL, 1);
         let n = catalog.len();
-        let mut p = self.selection_weights(catalog, obs);
+        let mut p = Self::selection_weights(catalog, obs);
 
         // Dedicated stream for this (seed, interval) pair: interval is
         // folded in through one mix step so consecutive intervals land
@@ -123,7 +122,7 @@ impl Policy for RandomizedMarketPolicy {
         // Weighted sampling without replacement: k sequential roulette
         // draws, zeroing each winner. Falls back to "everything left
         // equally likely" if all remaining weight is zero.
-        let k = self.subset.min(n).max(1);
+        let k = SUBSET.min(n).max(1);
         let mut chosen: Vec<usize> = Vec::with_capacity(k);
         for _ in 0..k {
             let total: f64 = p.iter().sum();
@@ -155,7 +154,7 @@ impl Policy for RandomizedMarketPolicy {
         // Split the headroom-inflated load across the drawn markets in
         // proportion to their selection weight (recomputed; the roulette
         // zeroed the working copy).
-        let q = self.selection_weights(catalog, obs);
+        let q = Self::selection_weights(catalog, obs);
         let drawn_total: f64 = chosen.iter().map(|&i| q[i]).sum();
         self.weights = vec![0.0; n];
         for &i in &chosen {
@@ -164,7 +163,7 @@ impl Policy for RandomizedMarketPolicy {
             } else {
                 1.0 / chosen.len() as f64
             };
-            self.weights[i] = share * self.headroom;
+            self.weights[i] = share * HEADROOM;
         }
 
         let lambda = obs
@@ -202,13 +201,13 @@ mod tests {
         let prices = [0.06, 0.12, 0.24];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = RandomizedMarketPolicy::new(&ZooConfig::default(), 1e-3, 3, 42);
+        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 42);
         p.decide(&catalog, &obs(0, &prices, &failures, &cov));
-        let held = p.weights().iter().filter(|&&w| w > 0.0).count();
-        assert_eq!(held, ZooConfig::default().random_subset);
-        let total: f64 = p.weights().iter().sum();
+        let held = p.weights.iter().filter(|&&w| w > 0.0).count();
+        assert_eq!(held, SUBSET);
+        let total: f64 = p.weights.iter().sum();
         assert!(
-            (total - ZooConfig::default().random_headroom).abs() < 1e-12,
+            (total - HEADROOM).abs() < 1e-12,
             "weights sum to the headroom: {total}"
         );
     }
@@ -220,7 +219,7 @@ mod tests {
         let failures = [0.04, 0.08, 0.02];
         let cov = Matrix::identity(3);
         let run = |seed: u64| {
-            let mut p = RandomizedMarketPolicy::new(&ZooConfig::default(), 1e-3, 3, seed);
+            let mut p = RandomizedMarketPolicy::new(1e-3, 3, seed);
             (0..6)
                 .map(|k| p.decide(&catalog, &obs(k, &prices, &failures, &cov)))
                 .collect::<Vec<_>>()
@@ -229,7 +228,7 @@ mod tests {
         // Stateless in call order too: re-deciding interval 3 alone
         // matches its value inside the full sequence.
         let full = run(7);
-        let mut p = RandomizedMarketPolicy::new(&ZooConfig::default(), 1e-3, 3, 7);
+        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 7);
         let lone = p.decide(&catalog, &obs(3, &prices, &failures, &cov));
         assert_eq!(
             lone, full[3],
@@ -245,12 +244,12 @@ mod tests {
         let prices = [0.105, 0.2, 0.42];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = RandomizedMarketPolicy::new(&ZooConfig::default(), 1e-3, 3, 1234);
+        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 1234);
         let mut selections = std::collections::BTreeSet::new();
         for k in 0..32 {
             p.decide(&catalog, &obs(k, &prices, &failures, &cov));
             let held: Vec<usize> = p
-                .weights()
+                .weights
                 .iter()
                 .enumerate()
                 .filter(|(_, &w)| w > 0.0)
@@ -272,11 +271,11 @@ mod tests {
         let prices = [0.0263, 0.2, 0.42];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = RandomizedMarketPolicy::new(&ZooConfig::default(), 1e-3, 3, 9);
+        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 9);
         let mut market0_held = 0;
         for k in 0..64 {
             p.decide(&catalog, &obs(k, &prices, &failures, &cov));
-            if p.weights()[0] > 0.0 {
+            if p.weights[0] > 0.0 {
                 market0_held += 1;
             }
         }
@@ -292,7 +291,7 @@ mod tests {
         let prices = [0.06, 0.12, 0.24];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = RandomizedMarketPolicy::new(&ZooConfig::default(), 1e-3, 3, 5);
+        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 5);
         for k in 0..8 {
             let counts = p.decide(&catalog, &obs(k, &prices, &failures, &cov));
             let cap: f64 = counts

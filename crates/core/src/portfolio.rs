@@ -58,12 +58,6 @@ impl PortfolioProblem {
             horizon: config.horizon,
         })
     }
-
-    /// Split a flat QP solution into per-interval allocation rows
-    /// (`result[τ][i] = A[τ][i]`), clamping solver jitter into bounds.
-    pub fn unpack(&self, x: &[f64]) -> Vec<Vec<f64>> {
-        unpack_plan(x, self.markets, self.horizon)
-    }
 }
 
 /// Assemble the portfolio QP directly in CSR — `(N·H)²` zeros are
@@ -399,11 +393,26 @@ mod tests {
     }
 
     #[test]
+    fn nan_gamma_is_an_error_not_a_churn_free_qp() {
+        // `g > 0.0` is false for NaN, so without the config check this
+        // built (and solved) the problem with the churn term dropped.
+        let (c, f, m, cfg) = setup();
+        let cfg = SpotWebConfig {
+            churn_gamma: f64::NAN,
+            ..cfg
+        };
+        match build_sparse_qp(&c, &f, &m, &[0.0; 3], &cfg) {
+            Err(CoreError::Dimension(msg)) => assert!(msg.contains("churn_gamma"), "{msg}"),
+            other => panic!("NaN churn_gamma must be a CoreError, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn unpack_round_trips() {
         let (c, f, m, cfg) = setup();
         let p = PortfolioProblem::build(&c, &f, &m, &[0.0; 3], &cfg).unwrap();
         let x: Vec<f64> = (0..12).map(|i| i as f64 / 12.0).collect();
-        let rows = p.unpack(&x);
+        let rows = unpack_plan(&x, p.markets, p.horizon);
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[1][0], 3.0 / 12.0);
     }

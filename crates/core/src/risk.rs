@@ -1,17 +1,8 @@
-//! Portfolio risk and diversification diagnostics.
-
-use spotweb_linalg::Matrix;
-
-/// Quadratic portfolio risk `AᵀMA` (Eq. 5, without the α factor).
-pub fn portfolio_risk(allocation: &[f64], covariance: &Matrix) -> f64 {
-    covariance
-        .quadratic_form(allocation)
-        .expect("allocation/covariance dimension mismatch")
-}
+//! Portfolio diversification diagnostic.
 
 /// Herfindahl–Hirschman index of an allocation: 1.0 = everything in one
-/// market, `1/N` = perfectly spread. The diversification metric used in
-/// tests and the ablation benches.
+/// market, `1/N` = perfectly spread. The diversification metric of the
+/// `figures ablations` table.
 pub fn herfindahl(allocation: &[f64]) -> f64 {
     let total: f64 = allocation.iter().sum();
     if total <= 0.0 {
@@ -26,58 +17,14 @@ pub fn herfindahl(allocation: &[f64]) -> f64 {
         .sum()
 }
 
-/// Effective number of markets `1 / HHI` (0 for an empty allocation).
-pub fn effective_markets(allocation: &[f64]) -> f64 {
-    let h = herfindahl(allocation);
-    if h == 0.0 {
-        0.0
-    } else {
-        1.0 / h
-    }
-}
-
-/// Expected fraction of allocation lost to a single revocation event,
-/// assuming whole-market reclaims: `Σ_i f_i · share_i`.
-pub fn expected_loss_fraction(allocation: &[f64], failure_probs: &[f64]) -> f64 {
-    assert_eq!(allocation.len(), failure_probs.len());
-    let total: f64 = allocation.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    allocation
-        .iter()
-        .zip(failure_probs)
-        .map(|(a, f)| (a / total) * f)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn risk_of_identity_cov_is_sum_of_squares() {
-        let m = Matrix::identity(3);
-        assert_eq!(portfolio_risk(&[1.0, 2.0, 3.0], &m), 14.0);
-    }
 
     #[test]
     fn hhi_extremes() {
         assert_eq!(herfindahl(&[1.0, 0.0, 0.0]), 1.0);
         assert!((herfindahl(&[0.25; 4]) - 0.25).abs() < 1e-12);
         assert_eq!(herfindahl(&[0.0; 3]), 0.0);
-    }
-
-    #[test]
-    fn effective_markets_counts() {
-        assert!((effective_markets(&[0.5, 0.5]) - 2.0).abs() < 1e-12);
-        assert_eq!(effective_markets(&[0.0]), 0.0);
-    }
-
-    #[test]
-    fn expected_loss_weights_by_share() {
-        let loss = expected_loss_fraction(&[0.8, 0.2], &[0.1, 0.5]);
-        assert!((loss - (0.8 * 0.1 + 0.2 * 0.5)).abs() < 1e-12);
-        assert_eq!(expected_loss_fraction(&[0.0, 0.0], &[0.1, 0.5]), 0.0);
     }
 }

@@ -128,6 +128,6 @@ mod tests {
             .optimize(&catalog, 2000.0, &prices, &failures, &cov)
             .unwrap();
         assert!(d.solved);
-        assert!(d.first_total() >= 0.99);
+        assert!(d.first().iter().sum::<f64>() >= 0.99);
     }
 }

@@ -87,22 +87,6 @@ pub struct LbStats {
     pub admission_rejections: u64,
 }
 
-/// Aggregate summary of backends compacted out of the balancer.
-///
-/// When a dead backend is fully settled (state [`BackendState::Down`],
-/// sessions removed, billing closed) the runner retires it via
-/// [`LoadBalancer::retire`]; its row leaves the dense backend vector
-/// and only these counters remain. External [`BackendId`]s are
-/// allocated monotonically and never reused, so a retired id stays
-/// distinguishable from every future backend forever.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RetiredSummary {
-    /// Backends compacted so far.
-    pub count: usize,
-    /// Retired-backend count per market id (deterministic order).
-    pub per_market: std::collections::BTreeMap<usize, usize>,
-}
-
 /// Sentinel in `slot_of` marking an external id whose backend has been
 /// compacted away.
 const RETIRED: usize = usize::MAX;
@@ -139,8 +123,6 @@ pub struct LoadBalancer {
     /// External [`BackendId`] → slot in `backends`; [`RETIRED`] once
     /// compacted. Also the id allocator: ids are `0..slot_of.len()`.
     slot_of: Vec<usize>,
-    /// Summary of compacted backends (see [`RetiredSummary`]).
-    retired: RetiredSummary,
     wrr: SmoothWrr,
     sessions: SessionTable,
     admission: AdmissionController,
@@ -307,7 +289,6 @@ impl LoadBalancer {
             config,
             backends: Vec::new(),
             slot_of: Vec::new(),
-            retired: RetiredSummary::default(),
             wrr: SmoothWrr::new(Vec::new()),
             sessions: SessionTable::new(),
             admission,
@@ -379,17 +360,6 @@ impl LoadBalancer {
     /// Backend by external id; `None` once retired.
     pub fn backend(&self, id: BackendId) -> Option<&Backend> {
         self.backends.get(*self.slot_of.get(id)?)
-    }
-
-    /// Total backends ever registered, retired or not. External ids are
-    /// exactly `0..ever_count()` and are never reused.
-    pub fn ever_count(&self) -> usize {
-        self.slot_of.len()
-    }
-
-    /// Summary of backends compacted out of the dense vector.
-    pub fn retired(&self) -> &RetiredSummary {
-        &self.retired
     }
 
     /// Counters so far.
@@ -949,8 +919,7 @@ impl LoadBalancer {
         lost.len()
     }
 
-    /// Compact a permanently dead backend out of the dense vector,
-    /// leaving only its [`RetiredSummary`] contribution behind. The
+    /// Compact a permanently dead backend out of the dense vector. The
     /// external id stays allocated forever — [`backend`](Self::backend)
     /// returns `None`, [`restore_backend`](Self::restore_backend)
     /// panics — so a later backend bought in the same market can never
@@ -976,8 +945,6 @@ impl LoadBalancer {
             b.state == BackendState::Down,
             "only a dead backend can be retired"
         );
-        self.retired.count += 1;
-        *self.retired.per_market.entry(b.market).or_insert(0) += 1;
         self.backends.remove(slot);
         self.wrr.remove(slot);
         self.epoch.invalidate();
@@ -1273,10 +1240,7 @@ mod tests {
         lb.retire(b);
         // The corpse is gone from the dense vector...
         assert_eq!(lb.backends().len(), 2);
-        assert_eq!(lb.ever_count(), 3);
         assert!(lb.backend(b).is_none());
-        assert_eq!(lb.retired().count, 1);
-        assert_eq!(lb.retired().per_market.get(&1), Some(&1));
         // ...but external ids keep resolving and routing still works.
         assert_eq!(lb.backend(a).unwrap().id, a);
         assert_eq!(lb.backend(c).unwrap().id, c);

@@ -38,9 +38,7 @@ pub mod wrr;
 
 pub use admission::AdmissionController;
 pub use backend::{Backend, BackendId, BackendState};
-pub use balancer::{
-    LbStats, LoadBalancer, LoadBalancerConfig, RetiredSummary, RouteOutcome, WarningReport,
-};
+pub use balancer::{LbStats, LoadBalancer, LoadBalancerConfig, RouteOutcome, WarningReport};
 pub use monitor::{MonitorRates, MonitorSnapshot, MonitorWindow};
 pub use session::SessionTable;
 pub use spotweb_telemetry::{TelemetrySink, TraceEvent};

@@ -46,15 +46,8 @@ impl SmoothWrr {
         self.weights.is_empty()
     }
 
-    /// Replace all weights (counters are kept, so traffic shifts
-    /// smoothly rather than restarting the cycle).
-    pub fn set_weights(&mut self, weights: Vec<f64>) {
-        assert_eq!(weights.len(), self.current.len(), "candidate count fixed");
-        assert!(weights.iter().all(|w| *w >= 0.0));
-        self.weights = weights;
-    }
-
-    /// Update one candidate's weight.
+    /// Update one candidate's weight (counters are kept, so traffic
+    /// shifts smoothly rather than restarting the cycle).
     pub fn set_weight(&mut self, idx: usize, weight: f64) {
         assert!(weight >= 0.0);
         self.weights[idx] = weight;
@@ -164,7 +157,7 @@ mod tests {
         let mut wrr = SmoothWrr::new(vec![1.0, 1.0]);
         let before = count_picks(&mut wrr, 100);
         assert_eq!(before, vec![50, 50]);
-        wrr.set_weights(vec![4.0, 1.0]);
+        wrr.set_weight(0, 4.0);
         let after = count_picks(&mut wrr, 100);
         assert_eq!(after, vec![80, 20]);
     }

@@ -84,11 +84,6 @@ impl Cholesky {
         self.backward_solve_in_place(x)
     }
 
-    /// log-determinant of `A` (numerically stable via the factor).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
     /// Forward substitution only: solve `L y = b` in place.
     ///
     /// Building block for structured (block-wise) factorizations that
@@ -213,13 +208,6 @@ mod tests {
     fn rejects_non_square() {
         let a = Matrix::zeros(2, 3);
         assert!(Cholesky::factor(&a).is_err());
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.log_det() - (24.0_f64).ln()).abs() < 1e-12);
     }
 
     /// Deterministic SPD matrix `B Bᵀ + (2 + seed) I`.

@@ -12,8 +12,6 @@
 //!   definite systems (the ADMM solver's cached factorization).
 //! * [`block_tridiag`] — block-tridiagonal Cholesky for the
 //!   multi-period KKT structure (`O(H·N³)` instead of `O((HN)³)`).
-//! * [`ldlt`] — LDLᵀ factorization for symmetric *quasi-definite*
-//!   systems (KKT matrices with a negative-definite lower-right block).
 //! * [`qr`] — Householder QR, the numerically robust path for
 //!   least-squares spline fitting.
 //! * [`mod@lstsq`] — linear least squares built on QR.
@@ -34,7 +32,6 @@
 
 pub mod block_tridiag;
 pub mod cholesky;
-pub mod ldlt;
 pub mod lstsq;
 pub mod matrix;
 pub mod qr;
@@ -43,7 +40,6 @@ pub mod vector;
 
 pub use block_tridiag::BlockTridiagCholesky;
 pub use cholesky::Cholesky;
-pub use ldlt::Ldlt;
 pub use lstsq::lstsq;
 pub use matrix::Matrix;
 pub use qr::Qr;

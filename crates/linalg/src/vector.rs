@@ -27,51 +27,12 @@ pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
 
-/// ℓ1 norm (sum of absolute values).
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).sum()
-}
-
 /// `y ← y + alpha * x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
-    }
-}
-
-/// `y ← x` (copy).
-#[inline]
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    y.copy_from_slice(x);
-}
-
-/// Scale in place: `x ← alpha * x`.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= alpha;
-    }
-}
-
-/// Elementwise difference into a buffer: `out ← a - b`.
-#[inline]
-pub fn sub_into(a: &[f64], b: &[f64], out: &mut [f64]) {
-    debug_assert!(a.len() == b.len() && b.len() == out.len());
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x - y;
-    }
-}
-
-/// Elementwise sum into a buffer: `out ← a + b`.
-#[inline]
-pub fn add_into(a: &[f64], b: &[f64], out: &mut [f64]) {
-    debug_assert!(a.len() == b.len() && b.len() == out.len());
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x + y;
     }
 }
 
@@ -132,18 +93,6 @@ pub fn correlation(a: &[f64], b: &[f64]) -> f64 {
     covariance(a, b) / (sa * sb)
 }
 
-/// Linearly interpolated percentile of an *unsorted* slice.
-///
-/// `p` is in `[0, 100]`. Returns `f64::NAN` for an empty slice.
-pub fn percentile(a: &[f64], p: f64) -> f64 {
-    if a.is_empty() {
-        return f64::NAN;
-    }
-    let mut sorted = a.to_vec();
-    sorted.sort_by(|x, y| x.partial_cmp(y).expect("NaN in percentile input"));
-    percentile_sorted(&sorted, p)
-}
-
 /// Linearly interpolated percentile of an already-sorted slice.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -170,7 +119,6 @@ mod tests {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-        assert_eq!(norm1(&[-1.0, 2.0]), 3.0);
     }
 
     #[test]
@@ -181,12 +129,7 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_helpers() {
-        let mut out = vec![0.0; 2];
-        sub_into(&[3.0, 5.0], &[1.0, 2.0], &mut out);
-        assert_eq!(out, vec![2.0, 3.0]);
-        add_into(&[3.0, 5.0], &[1.0, 2.0], &mut out);
-        assert_eq!(out, vec![4.0, 7.0]);
+    fn clamp_box_clamps_each_element() {
         let mut x = vec![-2.0, 0.5, 9.0];
         clamp_box(&mut x, &[0.0, 0.0, 0.0], &[1.0, 1.0, 5.0]);
         assert_eq!(x, vec![0.0, 0.5, 5.0]);
@@ -214,9 +157,9 @@ mod tests {
     #[test]
     fn percentile_interpolates() {
         let a = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&a, 0.0), 1.0);
-        assert_eq!(percentile(&a, 100.0), 4.0);
-        assert_eq!(percentile(&a, 50.0), 2.5);
-        assert!(percentile(&[], 50.0).is_nan());
+        assert_eq!(percentile_sorted(&a, 0.0), 1.0);
+        assert_eq!(percentile_sorted(&a, 100.0), 4.0);
+        assert_eq!(percentile_sorted(&a, 50.0), 2.5);
+        assert!(percentile_sorted(&[], 50.0).is_nan());
     }
 }

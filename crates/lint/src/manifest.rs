@@ -74,11 +74,6 @@ impl Manifest {
         self.fixtures.iter().find(|f| f.name == name)
     }
 
-    /// Mutable entry for `name`, if tracked.
-    pub fn entry_mut(&mut self, name: &str) -> Option<&mut FixtureEntry> {
-        self.fixtures.iter_mut().find(|f| f.name == name)
-    }
-
     /// Insert or replace an entry, keeping the list sorted by name.
     pub fn upsert(&mut self, entry: FixtureEntry) {
         match self.fixtures.iter_mut().find(|f| f.name == entry.name) {
@@ -500,7 +495,7 @@ mod tests {
     #[test]
     fn broken_history_chain_is_a_finding() {
         let mut m = sample();
-        if let Some(entry) = m.entry_mut("a.json") {
+        if let Some(entry) = m.fixtures.iter_mut().find(|f| f.name == "a.json") {
             entry.history[1].old = "0000000000000000".to_string();
         }
         let findings = check_input(&input(&m, &[("a.json", b"v2\n"), ("b.jsonl", b"lines\n")]));
@@ -529,7 +524,7 @@ mod tests {
 
         // A blessed change (epoch 2 → 3) passes.
         let mut cur = base.clone();
-        if let Some(entry) = cur.entry_mut("a.json") {
+        if let Some(entry) = cur.fixtures.iter_mut().find(|f| f.name == "a.json") {
             entry.epoch = 3;
         }
         assert!(check_epoch_bumps(&cur, &base, &["a.json".to_string()]).is_empty());

@@ -1,23 +1,12 @@
 //! Cost accounting.
 //!
 //! Most clouds bill per second today (§5.1 of the paper notes Azure is
-//! the holdout with hourly billing). The meter supports both
-//! granularities so the billing-model ablation can quantify the
-//! difference.
-
-/// Billing granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BillingModel {
-    /// Pay exactly for the seconds used (EC2, GCP).
-    PerSecond,
-    /// Every started hour is charged in full (classic Azure).
-    Hourly,
-}
+//! the holdout with hourly billing), and per-second is what the meter
+//! charges: exactly the seconds used.
 
 /// Accumulates spend for a fleet over simulated time.
 #[derive(Debug, Clone)]
 pub struct CostMeter {
-    model: BillingModel,
     total: f64,
     /// Per-market cumulative spend.
     per_market: Vec<f64>,
@@ -25,9 +14,8 @@ pub struct CostMeter {
 
 impl CostMeter {
     /// New meter for `markets` markets.
-    pub fn new(markets: usize, model: BillingModel) -> Self {
+    pub fn new(markets: usize) -> Self {
         CostMeter {
-            model,
             total: 0.0,
             per_market: vec![0.0; markets],
         }
@@ -37,11 +25,7 @@ impl CostMeter {
     /// ($/hour) for `duration_secs` seconds.
     pub fn charge(&mut self, id: usize, count: u32, price_per_hour: f64, duration_secs: f64) {
         assert!(duration_secs >= 0.0 && price_per_hour >= 0.0);
-        let hours = match self.model {
-            BillingModel::PerSecond => duration_secs / 3600.0,
-            BillingModel::Hourly => (duration_secs / 3600.0).ceil(),
-        };
-        let cost = count as f64 * price_per_hour * hours;
+        let cost = count as f64 * price_per_hour * (duration_secs / 3600.0);
         self.total += cost;
         self.per_market[id] += cost;
     }
@@ -49,11 +33,6 @@ impl CostMeter {
     /// Total spend so far ($).
     pub fn total(&self) -> f64 {
         self.total
-    }
-
-    /// Spend attributed to market `id` ($).
-    pub fn market_total(&self, id: usize) -> f64 {
-        self.per_market[id]
     }
 
     /// Per-market spends ($), indexed by market id.
@@ -91,11 +70,11 @@ impl CostMeter {
 ///   at settle, so a corpse is never walked again.
 ///
 /// ```
-/// use spotweb_market::billing::{BillingLedger, BillingModel, CostMeter};
+/// use spotweb_market::billing::{BillingLedger, CostMeter};
 ///
 /// let prices = [1.2, 0.8];
 /// let mut ledger = BillingLedger::new();
-/// let mut meter = CostMeter::new(2, BillingModel::PerSecond);
+/// let mut meter = CostMeter::new(2);
 /// ledger.add(0, 0); // backend 0 in market 0
 /// ledger.add(1, 1); // backend 1 in market 1
 /// ledger.mark_died(1, 300.0); // dies halfway through [0, 600)
@@ -103,8 +82,9 @@ impl CostMeter {
 /// // Backend 0: full 600 s; backend 1: 300 s at $0.8/h.
 /// assert!((meter.total() - (1.2 * 600.0 / 3600.0 + 0.8 * 300.0 / 3600.0)).abs() < 1e-12);
 /// // The corpse is gone: the next interval bills only backend 0.
+/// let before = meter.total();
 /// ledger.settle(600.0, 600.0, &prices, &mut meter);
-/// assert_eq!(ledger.live_count(), 1);
+/// assert!((meter.total() - before - 1.2 * 600.0 / 3600.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BillingLedger {
@@ -119,11 +99,6 @@ impl BillingLedger {
     /// Empty ledger.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of live (full-interval-billable) backends.
-    pub fn live_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Start billing `backend` (in `market`) from the next settle on.
@@ -212,33 +187,23 @@ mod tests {
 
     #[test]
     fn per_second_is_proportional() {
-        let mut m = CostMeter::new(1, BillingModel::PerSecond);
+        let mut m = CostMeter::new(1);
         m.charge(0, 2, 1.0, 1800.0); // 2 servers × $1/h × 0.5 h
         assert!((m.total() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn hourly_rounds_up() {
-        let mut m = CostMeter::new(1, BillingModel::Hourly);
-        m.charge(0, 1, 1.0, 61.0); // just over a minute → a full hour
-        assert_eq!(m.total(), 1.0);
-        m.charge(0, 1, 1.0, 3600.0);
-        assert_eq!(m.total(), 2.0);
-    }
-
-    #[test]
     fn per_market_attribution() {
-        let mut m = CostMeter::new(2, BillingModel::PerSecond);
+        let mut m = CostMeter::new(2);
         m.charge(0, 1, 2.0, 3600.0);
         m.charge(1, 1, 3.0, 3600.0);
-        assert_eq!(m.market_total(0), 2.0);
-        assert_eq!(m.market_total(1), 3.0);
+        assert_eq!(m.per_market(), &[2.0, 3.0]);
         assert_eq!(m.total(), 5.0);
     }
 
     #[test]
     fn zero_duration_is_free() {
-        let mut m = CostMeter::new(1, BillingModel::PerSecond);
+        let mut m = CostMeter::new(1);
         m.charge(0, 10, 5.0, 0.0);
         assert_eq!(m.total(), 0.0);
     }
@@ -246,7 +211,7 @@ mod tests {
     #[test]
     fn ledger_bills_partial_interval_at_death() {
         let mut ledger = BillingLedger::new();
-        let mut meter = CostMeter::new(1, BillingModel::PerSecond);
+        let mut meter = CostMeter::new(1);
         ledger.add(0, 0);
         ledger.mark_died(0, 450.0);
         ledger.settle(0.0, 600.0, &[3600.0], &mut meter);
@@ -254,7 +219,7 @@ mod tests {
         // Nothing left to bill.
         ledger.settle(600.0, 600.0, &[3600.0], &mut meter);
         assert!((meter.total() - 450.0).abs() < 1e-9);
-        assert_eq!(ledger.live_count(), 0);
+        assert!(ledger.entries.is_empty());
     }
 
     #[test]
@@ -265,7 +230,7 @@ mod tests {
         // ledger replicates the quirk because `mark_died` happens at
         // fire time.
         let mut ledger = BillingLedger::new();
-        let mut meter = CostMeter::new(1, BillingModel::PerSecond);
+        let mut meter = CostMeter::new(1);
         ledger.add(0, 0);
         ledger.settle(0.0, 600.0, &[3600.0], &mut meter); // deadline 599.9 not fired yet
         assert!((meter.total() - 600.0).abs() < 1e-9);
@@ -280,7 +245,7 @@ mod tests {
     #[test]
     fn ledger_same_interval_flap_restore_bills_full() {
         let mut ledger = BillingLedger::new();
-        let mut meter = CostMeter::new(1, BillingModel::PerSecond);
+        let mut meter = CostMeter::new(1);
         ledger.add(0, 0);
         ledger.mark_died(0, 100.0);
         ledger.restore(0, 0); // back before the settle
@@ -294,7 +259,7 @@ mod tests {
     #[test]
     fn ledger_cross_interval_flap_bills_partial_then_full() {
         let mut ledger = BillingLedger::new();
-        let mut meter = CostMeter::new(1, BillingModel::PerSecond);
+        let mut meter = CostMeter::new(1);
         ledger.add(0, 0);
         ledger.mark_died(0, 500.0);
         ledger.settle(0.0, 600.0, &[3600.0], &mut meter);
@@ -344,8 +309,8 @@ mod tests {
             let prices = [1.3, 0.7, 2.1];
             let interval = 600.0;
             let mut ledger = BillingLedger::new();
-            let mut ledger_meter = CostMeter::new(n_markets, BillingModel::PerSecond);
-            let mut scan_meter = CostMeter::new(n_markets, BillingModel::PerSecond);
+            let mut ledger_meter = CostMeter::new(n_markets);
+            let mut scan_meter = CostMeter::new(n_markets);
             let mut markets: Vec<usize> = Vec::new();
             let mut death_time: Vec<Option<f64>> = Vec::new();
             for k in 0..40usize {
@@ -396,10 +361,15 @@ mod tests {
                     scan_meter.total().to_bits(),
                     "seed {seed} interval {k}"
                 );
-                for m in 0..n_markets {
+                for (m, (l, s)) in ledger_meter
+                    .per_market()
+                    .iter()
+                    .zip(scan_meter.per_market())
+                    .enumerate()
+                {
                     assert_eq!(
-                        ledger_meter.market_total(m).to_bits(),
-                        scan_meter.market_total(m).to_bits(),
+                        l.to_bits(),
+                        s.to_bits(),
                         "seed {seed} interval {k} market {m}"
                     );
                 }

@@ -101,7 +101,7 @@ impl CloudSim {
             prices: self.prices.prices(),
             failure_probs: self.revocations.probabilities().to_vec(),
         };
-        self.history.record(&tick.prices, &tick.failure_probs);
+        self.history.record(&tick.failure_probs);
         self.steps += 1;
         self.telemetry.count(names::MARKET_STEPS_TOTAL, 1);
         self.telemetry.emit(TraceEvent::MarketTick {
@@ -131,7 +131,7 @@ impl CloudSim {
     /// Sample revocation events for this interval given a fleet
     /// (`fleet[i]` = running servers in market `i`).
     pub fn sample_revocations(&mut self, fleet: &[u32]) -> Vec<RevocationEvent> {
-        let events = self.revocations.sample_events(fleet, 1.0);
+        let events = self.revocations.sample_events(fleet);
         if !events.is_empty() {
             self.telemetry
                 .count(names::MARKET_REVOCATIONS_TOTAL, events.len() as u64);
@@ -160,30 +160,6 @@ impl CloudSim {
                 None => format!("all spot markets x{multiplier} for {hold_steps} steps"),
             },
         });
-    }
-
-    /// Fault-injection hook: override the provider's revocation warning
-    /// window (e.g. zero for no-warning chaos scenarios). Applies to
-    /// every revocation issued from now on.
-    pub fn set_warning_secs(&mut self, secs: f64) {
-        assert!(secs.is_finite() && secs >= 0.0, "warning must be >= 0");
-        self.revocations.warning_secs = secs;
-    }
-
-    /// Fault-injection hook: force-revoke every server the fleet holds
-    /// in each of `markets` (a correlated capacity-loss event),
-    /// bypassing the stochastic sampler. Returns one event per doomed
-    /// server, exactly like [`CloudSim::sample_revocations`].
-    pub fn force_revocations(&mut self, markets: &[usize], fleet: &[u32]) -> Vec<RevocationEvent> {
-        let mut events = Vec::new();
-        for &m in markets {
-            events.extend(self.revocations.induce(m, fleet));
-        }
-        if !events.is_empty() {
-            self.telemetry
-                .count(names::MARKET_REVOCATIONS_TOTAL, events.len() as u64);
-        }
-        events
     }
 }
 
@@ -227,24 +203,6 @@ mod tests {
         c.warm_up(5);
         let fleet = vec![0u32; 36];
         assert!(c.sample_revocations(&fleet).is_empty());
-    }
-
-    #[test]
-    fn forced_revocations_hit_every_server_in_the_markets() {
-        let mut c = CloudSim::new(Catalog::fig5_three_markets(), 4, 10);
-        c.warm_up(5);
-        let fleet = vec![2u32, 3, 1];
-        let events = c.force_revocations(&[0, 2], &fleet);
-        assert_eq!(events.len(), 3, "2 servers in market 0 + 1 in market 2");
-        assert!(events.iter().all(|e| e.market == 0 || e.market == 2));
-    }
-
-    #[test]
-    fn warning_override_applies() {
-        let mut c = CloudSim::new(Catalog::fig5_three_markets(), 4, 10);
-        assert!(c.warning_secs() > 0.0);
-        c.set_warning_secs(0.0);
-        assert_eq!(c.warning_secs(), 0.0);
     }
 
     #[test]

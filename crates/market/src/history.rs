@@ -1,17 +1,16 @@
-//! Rolling per-market history of prices and revocation probabilities.
+//! Rolling per-market history of revocation probabilities.
 //!
 //! The monitoring component of SpotWeb (§5.2) keeps time series of
-//! market prices and failure probabilities and exposes them to the
-//! predictors and the covariance estimator. `MarketHistory` is that
-//! record: a bounded window per market, O(1) append, slice access for
-//! estimation.
+//! failure probabilities and exposes them to the covariance estimator
+//! (prices go straight to the policy's price predictors, which keep
+//! their own windows). `MarketHistory` is that record: a bounded window
+//! per market, O(1) append, row access for estimation.
 
 use std::collections::VecDeque;
 
 /// Bounded time-series history for `n` markets.
 #[derive(Debug, Clone)]
 pub struct MarketHistory {
-    prices: Vec<VecDeque<f64>>,
     failure_probs: Vec<VecDeque<f64>>,
     capacity: usize,
 }
@@ -22,9 +21,6 @@ impl MarketHistory {
     pub fn new(markets: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "history capacity must be positive");
         MarketHistory {
-            prices: (0..markets)
-                .map(|_| VecDeque::with_capacity(capacity))
-                .collect(),
             failure_probs: (0..markets)
                 .map(|_| VecDeque::with_capacity(capacity))
                 .collect(),
@@ -34,12 +30,12 @@ impl MarketHistory {
 
     /// Number of markets tracked.
     pub fn markets(&self) -> usize {
-        self.prices.len()
+        self.failure_probs.len()
     }
 
     /// Number of recorded intervals (same for all markets).
     pub fn len(&self) -> usize {
-        self.prices.first().map_or(0, |q| q.len())
+        self.failure_probs.first().map_or(0, |q| q.len())
     }
 
     /// `true` before the first record.
@@ -51,19 +47,12 @@ impl MarketHistory {
     ///
     /// # Panics
     /// Panics if slice lengths don't match the market count.
-    pub fn record(&mut self, prices: &[f64], failure_probs: &[f64]) {
-        assert_eq!(prices.len(), self.markets(), "price per market");
+    pub fn record(&mut self, failure_probs: &[f64]) {
         assert_eq!(
             failure_probs.len(),
             self.markets(),
             "failure prob per market"
         );
-        for (q, &v) in self.prices.iter_mut().zip(prices) {
-            if q.len() == self.capacity {
-                q.pop_front();
-            }
-            q.push_back(v);
-        }
         for (q, &v) in self.failure_probs.iter_mut().zip(failure_probs) {
             if q.len() == self.capacity {
                 q.pop_front();
@@ -72,24 +61,9 @@ impl MarketHistory {
         }
     }
 
-    /// Price series of market `id`, oldest first.
-    pub fn price_series(&self, id: usize) -> Vec<f64> {
-        self.prices[id].iter().copied().collect()
-    }
-
     /// Failure-probability series of market `id`, oldest first.
     pub fn failure_series(&self, id: usize) -> Vec<f64> {
         self.failure_probs[id].iter().copied().collect()
-    }
-
-    /// Latest price of market `id`, if any interval was recorded.
-    pub fn latest_price(&self, id: usize) -> Option<f64> {
-        self.prices[id].back().copied()
-    }
-
-    /// Latest failure probability of market `id`.
-    pub fn latest_failure(&self, id: usize) -> Option<f64> {
-        self.failure_probs[id].back().copied()
     }
 
     /// All failure series as rows (market-major) — the covariance
@@ -108,44 +82,36 @@ mod tests {
     #[test]
     fn record_and_read() {
         let mut h = MarketHistory::new(2, 10);
-        h.record(&[1.0, 2.0], &[0.1, 0.2]);
-        h.record(&[1.5, 2.5], &[0.15, 0.25]);
+        assert!(h.is_empty());
+        h.record(&[0.1, 0.2]);
+        h.record(&[0.15, 0.25]);
         assert_eq!(h.len(), 2);
-        assert_eq!(h.price_series(0), vec![1.0, 1.5]);
+        assert_eq!(h.failure_series(0), vec![0.1, 0.15]);
         assert_eq!(h.failure_series(1), vec![0.2, 0.25]);
-        assert_eq!(h.latest_price(1), Some(2.5));
     }
 
     #[test]
     fn window_evicts_oldest() {
         let mut h = MarketHistory::new(1, 3);
         for i in 0..5 {
-            h.record(&[i as f64], &[0.0]);
+            h.record(&[i as f64]);
         }
         assert_eq!(h.len(), 3);
-        assert_eq!(h.price_series(0), vec![2.0, 3.0, 4.0]);
+        assert_eq!(h.failure_series(0), vec![2.0, 3.0, 4.0]);
     }
 
     #[test]
-    fn empty_latest_is_none() {
-        let h = MarketHistory::new(1, 3);
-        assert!(h.is_empty());
-        assert_eq!(h.latest_price(0), None);
-        assert_eq!(h.latest_failure(0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "price per market")]
+    #[should_panic(expected = "failure prob per market")]
     fn mismatched_record_panics() {
         let mut h = MarketHistory::new(2, 3);
-        h.record(&[1.0], &[0.1, 0.2]);
+        h.record(&[0.1]);
     }
 
     #[test]
     fn failure_matrix_layout() {
         let mut h = MarketHistory::new(2, 4);
-        h.record(&[1.0, 1.0], &[0.1, 0.3]);
-        h.record(&[1.0, 1.0], &[0.2, 0.4]);
+        h.record(&[0.1, 0.3]);
+        h.record(&[0.2, 0.4]);
         let m = h.failure_matrix();
         assert_eq!(m, vec![vec![0.1, 0.2], vec![0.3, 0.4]]);
     }

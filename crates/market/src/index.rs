@@ -47,21 +47,6 @@ pub fn spot_index_weights(catalog: &Catalog) -> Vec<f64> {
         .collect()
 }
 
-/// Capacity-weighted average price of the index ($/hour per unit of
-/// index weight): what one "share" of the spot index costs right now.
-/// This is the series a tracking policy's spend follows.
-///
-/// # Panics
-/// Panics if `prices.len() != catalog.len()`.
-pub fn index_price(catalog: &Catalog, prices: &[f64]) -> f64 {
-    assert_eq!(prices.len(), catalog.len(), "one price per market");
-    spot_index_weights(catalog)
-        .iter()
-        .zip(prices)
-        .map(|(w, p)| w * p)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,13 +97,5 @@ mod tests {
         let c = Catalog::from_markets(od);
         let w = spot_index_weights(&c);
         assert!(w.iter().all(|&x| (x - 1.0 / n as f64).abs() < 1e-12));
-    }
-
-    #[test]
-    fn index_price_is_the_weighted_average() {
-        let c = Catalog::fig5_three_markets();
-        let prices = vec![2.0; c.len()];
-        // All prices equal → index price equals that price exactly.
-        assert!((index_price(&c, &prices) - 2.0).abs() < 1e-12);
     }
 }

@@ -24,7 +24,8 @@
 //!   grouping of markets into failure domains.
 //! * [`index`] — the capacity-weighted "spot index" that Cloud Index
 //!   Tracking style policies rebalance toward.
-//! * [`history`] — rolling per-market records the predictors read.
+//! * [`history`] — rolling per-market failure-probability record the
+//!   covariance estimator reads.
 //! * [`cloud`] — a stepped façade combining all of the above, which the
 //!   discrete-event simulator and the benchmark harness drive.
 //! * [`billing`] — cost accounting (per-second billing, as on EC2).
@@ -46,14 +47,14 @@ pub mod price;
 pub mod providers;
 pub mod revocation;
 
-pub use billing::{BillingLedger, BillingModel, CostMeter};
+pub use billing::{BillingLedger, CostMeter};
 pub use catalog::{Catalog, InstanceType, Market, MarketId, MarketKind};
 pub use cloud::CloudSim;
 pub use covariance::{
     correlation_groups, estimate_correlation, estimate_covariance, DEFAULT_SHRINKAGE,
 };
 pub use history::MarketHistory;
-pub use index::{index_price, spot_index_weights};
+pub use index::spot_index_weights;
 pub use price::SpotPriceProcess;
 pub use providers::Provider;
 pub use revocation::RevocationModel;

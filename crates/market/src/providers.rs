@@ -7,10 +7,13 @@
 //! "since all instances are terminated after running for 24 hours …
 //! SpotWeb can utilize its transiency-aware load-balancer to relinquish
 //! the resources". Azure's low-priority VMs add hourly billing and a
-//! 30 s warning. A [`Provider`] bundles those differences so any
-//! experiment can swap clouds with one argument.
+//! 30 s warning. A [`Provider`] bundles the differences the market
+//! substrate models — price process, warning period, preemption rates —
+//! so any experiment can swap clouds with one argument. (The 24 h cap
+//! is the simulator's `RunnerConfig.max_lifetime_secs`; billing is per
+//! second everywhere, which equals hourly billing at the hourly
+//! decision interval the §7 comparison runs at.)
 
-use crate::billing::BillingModel;
 use crate::catalog::Catalog;
 use crate::cloud::CloudSim;
 use crate::price::{PriceParams, SpotPriceProcess};
@@ -19,14 +22,12 @@ use crate::revocation::RevocationModel;
 /// A transient-capacity provider model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provider {
-    /// Amazon EC2 Spot: market-driven prices, 120 s warning,
-    /// per-second billing, no lifetime cap.
+    /// Amazon EC2 Spot: market-driven prices, 120 s warning.
     Ec2Spot,
     /// Google Cloud preemptible VMs: fixed ~70%-off prices, 30 s
-    /// warning, per-second billing, hard 24 h lifetime.
+    /// warning, 0.05–0.15 preemption probability.
     GcpPreemptible,
-    /// Azure low-priority VMs: fixed ~60%-off prices, 30 s warning,
-    /// hourly billing, no lifetime cap.
+    /// Azure low-priority VMs: fixed ~60%-off prices, 30 s warning.
     AzureLowPriority,
 }
 
@@ -36,22 +37,6 @@ impl Provider {
         match self {
             Provider::Ec2Spot => 120.0,
             Provider::GcpPreemptible | Provider::AzureLowPriority => 30.0,
-        }
-    }
-
-    /// Billing granularity.
-    pub fn billing(self) -> BillingModel {
-        match self {
-            Provider::AzureLowPriority => BillingModel::Hourly,
-            _ => BillingModel::PerSecond,
-        }
-    }
-
-    /// Maximum instance lifetime, when the provider imposes one.
-    pub fn max_lifetime_secs(self) -> Option<f64> {
-        match self {
-            Provider::GcpPreemptible => Some(24.0 * 3600.0),
-            _ => None,
         }
     }
 
@@ -163,8 +148,5 @@ mod tests {
     fn provider_metadata() {
         assert_eq!(Provider::Ec2Spot.warning_secs(), 120.0);
         assert_eq!(Provider::GcpPreemptible.warning_secs(), 30.0);
-        assert_eq!(Provider::GcpPreemptible.max_lifetime_secs(), Some(86_400.0));
-        assert_eq!(Provider::Ec2Spot.max_lifetime_secs(), None);
-        assert_eq!(Provider::AzureLowPriority.billing(), BillingModel::Hourly);
     }
 }

@@ -132,24 +132,17 @@ impl RevocationModel {
         }
     }
 
-    /// Current revocation probability of market `id` for this interval.
-    pub fn probability(&self, id: usize) -> f64 {
-        self.current[id]
-    }
-
-    /// All current probabilities.
+    /// Current per-market revocation probabilities for this interval.
     pub fn probabilities(&self) -> &[f64] {
         &self.current
     }
 
     /// Sample revocation events for a fleet: `fleet[i]` is the number
-    /// of running servers in market `i`. Each server is revoked
-    /// independently with its market's probability — but when a market
-    /// is revoked under surge pressure, the provider typically reclaims
-    /// *the whole pool*; we model that by drawing one market-level coin
-    /// first and, on revocation, taking all servers with probability
-    /// `pool_fraction` each (default 1.0 → whole-pool reclaim).
-    pub fn sample_events(&mut self, fleet: &[u32], pool_fraction: f64) -> Vec<RevocationEvent> {
+    /// of running servers in market `i`. When a market is revoked under
+    /// surge pressure the provider typically reclaims *the whole pool*;
+    /// we model that by drawing one market-level coin and, on
+    /// revocation, taking every server in the market.
+    pub fn sample_events(&mut self, fleet: &[u32]) -> Vec<RevocationEvent> {
         assert_eq!(fleet.len(), self.len(), "fleet sizes per market");
         let mut events = Vec::new();
         for (i, &n) in fleet.iter().enumerate() {
@@ -157,28 +150,13 @@ impl RevocationModel {
                 continue;
             }
             if self.rng.gen::<f64>() < self.current[i] {
-                for s in 0..n {
-                    if pool_fraction >= 1.0 || self.rng.gen::<f64>() < pool_fraction {
-                        events.push(RevocationEvent {
-                            market: i,
-                            server_index: s as usize,
-                        });
-                    }
-                }
+                events.extend((0..n).map(|s| RevocationEvent {
+                    market: i,
+                    server_index: s as usize,
+                }));
             }
         }
         events
-    }
-
-    /// Force a revocation of every server in `market` (used by the
-    /// Fig. 4(a) experiment, which *induces* correlated failures).
-    pub fn induce(&self, market: usize, fleet: &[u32]) -> Vec<RevocationEvent> {
-        (0..fleet[market])
-            .map(|s| RevocationEvent {
-                market,
-                server_index: s as usize,
-            })
-            .collect()
     }
 }
 
@@ -200,11 +178,11 @@ mod tests {
         }
         for mk in c.markets() {
             if mk.kind == MarketKind::OnDemand {
-                assert_eq!(m.probability(mk.id), 0.0);
+                assert_eq!(m.probabilities()[mk.id], 0.0);
             }
         }
         let fleet = vec![5u32; c.len()];
-        let events = m.sample_events(&fleet, 1.0);
+        let events = m.sample_events(&fleet);
         assert!(events.iter().all(|e| c.market(e.market).is_transient()));
     }
 
@@ -216,8 +194,8 @@ mod tests {
         let mut max_p: f64 = 0.0;
         for _ in 0..200 {
             m.step(&calm(c.len()));
-            min_p = min_p.min(m.probability(0));
-            max_p = max_p.max(m.probability(0));
+            min_p = min_p.min(m.probabilities()[0]);
+            max_p = max_p.max(m.probabilities()[0]);
         }
         let base = c.market(0).base_revocation_prob;
         assert!(
@@ -231,13 +209,16 @@ mod tests {
         let c = Catalog::ec2_us_east_36();
         let mut m = RevocationModel::new(&c, 3);
         m.step(&calm(c.len()));
-        let calm_p = m.probability(0);
+        let calm_p = m.probabilities()[0];
         let mut surging = calm(c.len());
         surging[0] = true;
         for _ in 0..5 {
             m.step(&surging);
         }
-        assert!(m.probability(0) > 2.0 * calm_p, "surge should raise risk");
+        assert!(
+            m.probabilities()[0] > 2.0 * calm_p,
+            "surge should raise risk"
+        );
     }
 
     #[test]
@@ -252,23 +233,16 @@ mod tests {
             .position(|mk| mk.instance.family == fam0 && mk.id != 0)
             .unwrap();
         m.step(&calm(c.len()));
-        let before = m.probability(sibling);
+        let before = m.probabilities()[sibling];
         let mut surging = calm(c.len());
         surging[0] = true;
         for _ in 0..5 {
             m.step(&surging);
         }
-        assert!(m.probability(sibling) > before, "family members co-move");
-    }
-
-    #[test]
-    fn induced_revocation_takes_whole_market() {
-        let c = Catalog::fig4_testbed();
-        let m = RevocationModel::new(&c, 5);
-        let fleet = vec![2u32, 2, 2];
-        let events = m.induce(1, &fleet);
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.market == 1));
+        assert!(
+            m.probabilities()[sibling] > before,
+            "family members co-move"
+        );
     }
 
     #[test]
@@ -280,7 +254,7 @@ mod tests {
             let mut all = Vec::new();
             for _ in 0..50 {
                 m.step(&calm(c.len()));
-                all.extend(m.sample_events(&fleet, 1.0));
+                all.extend(m.sample_events(&fleet));
             }
             all
         };

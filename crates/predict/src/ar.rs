@@ -12,8 +12,6 @@ use spotweb_linalg::vector;
 pub struct Ar1 {
     /// Estimated persistence coefficient, clamped to `[-0.99, 0.99]`.
     pub phi: f64,
-    /// Innovation standard deviation (residual of the AR fit).
-    pub innovation_sd: f64,
 }
 
 impl Ar1 {
@@ -21,26 +19,16 @@ impl Ar1 {
     /// (φ = 0) when fewer than 3 points or a degenerate series is given.
     pub fn fit(residuals: &[f64]) -> Ar1 {
         if residuals.len() < 3 {
-            return Ar1 {
-                phi: 0.0,
-                innovation_sd: vector::std_dev(residuals),
-            };
+            return Ar1 { phi: 0.0 };
         }
         let x = &residuals[..residuals.len() - 1];
         let y = &residuals[1..];
         let denom = vector::dot(x, x);
         if denom < 1e-12 {
-            return Ar1 {
-                phi: 0.0,
-                innovation_sd: 0.0,
-            };
+            return Ar1 { phi: 0.0 };
         }
-        let phi = (vector::dot(x, y) / denom).clamp(-0.99, 0.99);
-        // Innovations e_t = y_t − φ x_t.
-        let innovations: Vec<f64> = x.iter().zip(y).map(|(xi, yi)| yi - phi * xi).collect();
         Ar1 {
-            phi,
-            innovation_sd: vector::std_dev(&innovations),
+            phi: (vector::dot(x, y) / denom).clamp(-0.99, 0.99),
         }
     }
 
@@ -48,17 +36,6 @@ impl Ar1 {
     /// residual `r_t`: `φʰ · r_t`.
     pub fn forecast(&self, last_residual: f64, h: usize) -> f64 {
         self.phi.powi(h as i32) * last_residual
-    }
-
-    /// Forecast-error standard deviation `h` steps ahead:
-    /// `sd·√(Σ_{k<h} φ^{2k})` — grows with the horizon, which is what
-    /// makes longer look-aheads less trustworthy (paper §6.4).
-    pub fn forecast_sd(&self, h: usize) -> f64 {
-        let mut var_mult = 0.0;
-        for k in 0..h {
-            var_mult += self.phi.powi(2 * k as i32);
-        }
-        self.innovation_sd * var_mult.sqrt()
     }
 }
 
@@ -75,27 +52,13 @@ mod tests {
         }
         let m = Ar1::fit(&r);
         assert!((m.phi - 0.7).abs() < 1e-9, "phi {}", m.phi);
-        assert!(m.innovation_sd < 1e-9);
     }
 
     #[test]
     fn forecast_decays() {
-        let m = Ar1 {
-            phi: 0.5,
-            innovation_sd: 1.0,
-        };
+        let m = Ar1 { phi: 0.5 };
         assert_eq!(m.forecast(8.0, 1), 4.0);
         assert_eq!(m.forecast(8.0, 3), 1.0);
-    }
-
-    #[test]
-    fn forecast_sd_grows_with_horizon() {
-        let m = Ar1 {
-            phi: 0.8,
-            innovation_sd: 1.0,
-        };
-        assert!(m.forecast_sd(1) < m.forecast_sd(4));
-        assert!((m.forecast_sd(1) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -109,12 +109,6 @@ impl ErrorTracker {
         let sd = self.error_sd();
         prediction + level.z() * sd * (h.max(1) as f64).sqrt() + self.bias().max(0.0)
     }
-
-    /// Lower bound counterpart (used by tests and the admission logic).
-    pub fn lower_bound(&self, prediction: f64, h: usize, level: ConfidenceLevel) -> f64 {
-        let sd = self.error_sd();
-        prediction - level.z() * sd * (h.max(1) as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -189,18 +183,5 @@ mod tests {
         let t = ErrorTracker::new(5);
         assert_eq!(t.upper_bound(50.0, 1, ConfidenceLevel::P99), 50.0);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn lower_bound_symmetric_without_bias() {
-        let mut t = ErrorTracker::new(10);
-        for e in [-1.0, 1.0, -1.0, 1.0] {
-            t.record(e);
-        }
-        let p = 10.0;
-        let u = t.upper_bound(p, 1, ConfidenceLevel::P95);
-        let l = t.lower_bound(p, 1, ConfidenceLevel::P95);
-        assert!((u - p) > 0.0);
-        assert!(((u - p) - (p - l)).abs() < 1e-12);
     }
 }

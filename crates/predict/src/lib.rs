@@ -21,13 +21,9 @@
 //!   Fig. 4(c) baseline), plus reactive / moving-average /
 //!   seasonal-naive predictors ("SpotWeb can integrate any other
 //!   predictors out-of-the-box").
-//! * [`price`] — mean-reverting price forecaster and an oracle (the
-//!   paper's Fig. 5/6(a) experiments assume an oracle predictor).
-//! * [`failure`] — the reactive revocation-probability predictor the
-//!   paper uses (§5.1: failure prediction "is done reactively").
-//! * [`holt_winters`] — triple exponential smoothing, the classic
-//!   seasonal alternative ("SpotWeb can integrate any other predictors
-//!   out-of-the-box").
+//! * [`price`] — the mean-reverting per-market price forecaster.
+//!   (Failure probabilities need no predictor: as in §5.1 of the paper
+//!   the policy repeats the measured probability over the horizon.)
 //! * [`noisy`] — controlled error injection around any predictor, the
 //!   instrument behind the Fig. 7(a) accuracy-sensitivity sweep.
 //! * [`index`] — EWMA smoothing of spot-index weights, the input the
@@ -41,8 +37,6 @@
 pub mod ar;
 pub mod baseline;
 pub mod confidence;
-pub mod failure;
-pub mod holt_winters;
 pub mod index;
 pub mod metrics;
 pub mod noisy;
@@ -53,7 +47,6 @@ pub use baseline::{
     AliEldinPredictor, MovingAveragePredictor, ReactivePredictor, SeasonalNaivePredictor,
     SpotWebPredictor,
 };
-pub use holt_winters::HoltWintersPredictor;
 pub use noisy::NoisyPredictor;
 
 /// A streaming multi-horizon forecaster of a scalar series.

@@ -31,39 +31,6 @@ pub fn backtest<P: SeriesPredictor + ?Sized>(
     errors
 }
 
-/// Multi-horizon variant: relative error of the `h`-step-ahead forecast
-/// (the prediction made `h` steps before each observation).
-pub fn backtest_horizon<P: SeriesPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    warmup: usize,
-    h: usize,
-) -> Vec<f64> {
-    assert!(h >= 1);
-    assert!(warmup + h < trace.len());
-    for v in &trace.values[..warmup] {
-        predictor.observe(*v);
-    }
-    let mut pending: Vec<(usize, f64)> = Vec::new(); // (target index, forecast)
-    let mut errors = Vec::new();
-    for (i, v) in trace.values[warmup..].iter().enumerate() {
-        let idx = warmup + i;
-        // Resolve any forecast that targeted this index.
-        pending.retain(|(target, pred)| {
-            if *target == idx {
-                errors.push((pred - v) / v.max(1e-9));
-                false
-            } else {
-                true
-            }
-        });
-        let f = predictor.predict(h);
-        pending.push((idx + h, f[h - 1]));
-        predictor.observe(*v);
-    }
-    errors
-}
-
 /// Summary of a relative-error series — the quantities the paper quotes
 /// for Fig. 4 (§6.2): average/max over-provisioning, max
 /// under-provisioning, and the fraction of under-provisioned steps.
@@ -132,7 +99,7 @@ pub fn histogram(values: &[f64], lo: f64, hi: f64, bins: usize) -> (Vec<f64>, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{AliEldinPredictor, ReactivePredictor, SpotWebPredictor};
+    use crate::baseline::{AliEldinPredictor, SpotWebPredictor};
     use spotweb_workload::wikipedia_like;
 
     #[test]
@@ -184,23 +151,5 @@ mod tests {
             sw.mean_over > base.mean_over,
             "CI padding raises over-provisioning"
         );
-    }
-
-    #[test]
-    fn backtest_horizon_returns_expected_count() {
-        let trace = wikipedia_like(400, 2);
-        let errs = backtest_horizon(&mut ReactivePredictor::new(), &trace, 100, 3);
-        // Forecasts target indices 103..400 → 297 resolved.
-        assert_eq!(errs.len(), 400 - 100 - 3);
-    }
-
-    #[test]
-    fn reactive_errors_grow_with_horizon() {
-        let trace = wikipedia_like(600, 8);
-        let mae = |h: usize| {
-            let errs = backtest_horizon(&mut ReactivePredictor::new(), &trace, 336, h);
-            ErrorSummary::of(&errs).mae
-        };
-        assert!(mae(6) > mae(1), "persistence degrades with horizon");
     }
 }

@@ -31,16 +31,6 @@ impl<P: SeriesPredictor> NoisyPredictor<P> {
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
-
-    /// The configured error level.
-    pub fn error_level(&self) -> f64 {
-        self.error_level
-    }
-
-    /// Access the wrapped predictor.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
 }
 
 impl<P: SeriesPredictor> SeriesPredictor for NoisyPredictor<P> {

@@ -2,17 +2,11 @@
 //!
 //! The paper (§4.2): "If a price predictor is available, then priceᵢₜ
 //! will vary over the time horizon H. If price prediction is
-//! unavailable, a fixed priceᵢₜ may be used." We provide three:
-//!
-//! * [`MeanRevertingPricePredictor`] — fits the mean-reversion level
-//!   and speed of a market's recent price window and forecasts decay
-//!   toward that level. Spot prices genuinely mean-revert, so this is
-//!   the realistic "a price predictor is available" configuration.
-//! * [`ReactivePricePredictor`] — flat at the current price (the
-//!   "fixed price over H" fallback).
-//! * [`OraclePricePredictor`] — perfect future knowledge from a
-//!   pre-generated price matrix; the Fig. 5 / Fig. 6(a) experiments
-//!   assume an oracle.
+//! unavailable, a fixed priceᵢₜ may be used."
+//! [`MeanRevertingPricePredictor`] fits the mean-reversion level and
+//! speed of a market's recent price window and forecasts decay toward
+//! that level. Spot prices genuinely mean-revert, so this is the
+//! realistic "a price predictor is available" configuration.
 
 use std::collections::VecDeque;
 
@@ -92,52 +86,6 @@ impl SeriesPredictor for MeanRevertingPricePredictor {
     }
 }
 
-/// Flat-at-current price forecast.
-pub type ReactivePricePredictor = crate::baseline::ReactivePredictor;
-
-/// Oracle: replays a known future.
-///
-/// Holds the full series; [`SeriesPredictor::observe`] advances the
-/// cursor (the observed value is checked against the series in debug
-/// builds), and `predict` returns the *true* next values.
-#[derive(Debug, Clone)]
-pub struct OraclePricePredictor {
-    series: Vec<f64>,
-    cursor: usize,
-}
-
-impl OraclePricePredictor {
-    /// Wrap the full (future-inclusive) series.
-    pub fn new(series: Vec<f64>) -> Self {
-        OraclePricePredictor { series, cursor: 0 }
-    }
-}
-
-impl SeriesPredictor for OraclePricePredictor {
-    fn observe(&mut self, value: f64) {
-        debug_assert!(
-            self.cursor >= self.series.len()
-                || (self.series[self.cursor] - value).abs() <= 1e-9 * (1.0 + value.abs()),
-            "oracle fed a value that contradicts its series"
-        );
-        let _ = value;
-        self.cursor += 1;
-    }
-
-    fn predict(&self, horizon: usize) -> Vec<f64> {
-        (0..horizon)
-            .map(|h| {
-                let idx = (self.cursor + h).min(self.series.len().saturating_sub(1));
-                self.series.get(idx).copied().unwrap_or(0.0)
-            })
-            .collect()
-    }
-
-    fn observations(&self) -> usize {
-        self.cursor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,23 +124,5 @@ mod tests {
             p.observe(3.0);
         }
         assert_eq!(p.predict(4), vec![3.0; 4]);
-    }
-
-    #[test]
-    fn oracle_returns_truth() {
-        let series = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut o = OraclePricePredictor::new(series);
-        o.observe(1.0);
-        assert_eq!(o.predict(3), vec![2.0, 3.0, 4.0]);
-        o.observe(2.0);
-        assert_eq!(o.predict(2), vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn oracle_clamps_at_end() {
-        let mut o = OraclePricePredictor::new(vec![1.0, 2.0]);
-        o.observe(1.0);
-        o.observe(2.0);
-        assert_eq!(o.predict(3), vec![2.0, 2.0, 2.0]);
     }
 }

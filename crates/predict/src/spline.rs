@@ -173,11 +173,6 @@ impl SplineModel {
         self.total_observed as f64
     }
 
-    /// `true` when enough data is in the window to fit.
-    pub fn is_fit(&self) -> bool {
-        self.fit.is_some()
-    }
-
     /// Push the observation for the current hour and refit.
     pub fn push(&mut self, value: f64) {
         let t = self.total_observed as f64;
@@ -336,7 +331,7 @@ mod tests {
                 }
                 m.push(*v);
                 prop_assert_eq!(bits(m.residuals()), bits(&m.residuals_recomputed()));
-                prop_assert_eq!(m.residuals().len(), if m.is_fit() { m.window.len() } else { 0 });
+                prop_assert_eq!(m.residuals().len(), if m.fit.is_some() { m.window.len() } else { 0 });
             }
         }
     }
@@ -371,7 +366,7 @@ mod tests {
         for t in 0..336 {
             m.push(diurnal(t as f64));
         }
-        assert!(m.is_fit());
+        assert!(m.fit.is_some());
         // Predict the next 24 hours: should track the sinusoid closely.
         for h in 0..24 {
             let t = 336.0 + h as f64;
@@ -418,7 +413,7 @@ mod tests {
         for t in 0..10 {
             m.push(diurnal(t as f64));
         }
-        assert!(!m.is_fit());
+        assert!(m.fit.is_none());
         assert!(m.fitted_at(11.0).is_none());
         assert!(m.residuals().is_empty());
         assert_eq!(m.last_value(), Some(diurnal(9.0)));

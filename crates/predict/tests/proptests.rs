@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use spotweb_predict::{
-    AliEldinPredictor, HoltWintersPredictor, MovingAveragePredictor, NoisyPredictor,
-    ReactivePredictor, SeasonalNaivePredictor, SeriesPredictor, SpotWebPredictor,
+    AliEldinPredictor, MovingAveragePredictor, NoisyPredictor, ReactivePredictor,
+    SeasonalNaivePredictor, SeriesPredictor, SpotWebPredictor,
 };
 
 /// Random non-negative series with occasional spikes.
@@ -24,7 +24,6 @@ fn all_predictors() -> Vec<(&'static str, Box<dyn SeriesPredictor>)> {
         ("reactive", Box::new(ReactivePredictor::new())),
         ("moving-avg", Box::new(MovingAveragePredictor::new(24))),
         ("seasonal", Box::new(SeasonalNaivePredictor::new(24))),
-        ("holt-winters", Box::new(HoltWintersPredictor::daily())),
         (
             "noisy",
             Box::new(NoisyPredictor::new(ReactivePredictor::new(), 0.3, 1)),

@@ -34,7 +34,7 @@
 //! and the invariance argument).
 
 use spotweb_lb::{LoadBalancerConfig, MonitorWindow};
-use spotweb_market::billing::{BillingLedger, BillingModel, CostMeter};
+use spotweb_market::billing::{BillingLedger, CostMeter};
 use spotweb_market::CloudSim;
 use spotweb_telemetry::{names, prof, TelemetrySink, TraceEvent};
 use spotweb_workload::Trace;
@@ -372,7 +372,7 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
             obs,
             alive: vec![Vec::new(); n_markets],
             born_at: Vec::new(),
-            meter: CostMeter::new(n_markets, BillingModel::PerSecond),
+            meter: CostMeter::new(n_markets),
             billing: BillingLedger::new(),
             monitor: MonitorWindow::new(config.interval_secs),
             // Bucket width: half a base service time, comfortably under

@@ -108,23 +108,6 @@ impl ServiceModel {
         }
     }
 
-    /// Worker-slot count.
-    pub fn concurrency(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Requests queued or in service as of `now`.
-    pub fn in_system_at(&mut self, now: f64) -> usize {
-        self.drain_outstanding(now);
-        self.outstanding.len()
-    }
-
-    /// Requests not yet known finished (upper bound; see
-    /// [`ServiceModel::in_system_at`] for the time-accurate count).
-    pub fn in_system(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// Admit a request at `now`; returns its completion time.
     pub fn admit(&mut self, now: f64) -> f64 {
         // A free slot (free-time ≤ now, including the never-used
@@ -182,9 +165,9 @@ mod tests {
     #[test]
     fn concurrency_derives_from_capacity() {
         let s = ServiceModel::new(100.0, 0.25, 0.0);
-        assert_eq!(s.concurrency(), 25);
+        assert_eq!(s.slots.len(), 25);
         // A tiny server still has one slot.
-        assert_eq!(ServiceModel::new(1.0, 0.1, 0.0).concurrency(), 1);
+        assert_eq!(ServiceModel::new(1.0, 0.1, 0.0).slots.len(), 1);
     }
 
     #[test]
@@ -225,7 +208,7 @@ mod tests {
         }
         // At t = 0.5 all five are still in flight.
         assert_eq!(s.kill(0.5), 5);
-        assert_eq!(s.in_system(), 0);
+        assert!(s.outstanding.is_empty());
     }
 
     #[test]
@@ -235,7 +218,7 @@ mod tests {
         for _ in 0..12 {
             s.admit(0.0);
         }
-        assert_eq!(s.in_system_at(0.05), 12);
+        assert_eq!(s.outstanding.len(), 12);
         assert_eq!(s.kill(0.15), 11, "one completed at 0.1, rest dropped");
     }
 

@@ -143,20 +143,6 @@ impl StreamingHistogram {
         }
     }
 
-    /// A histogram over a custom geometric layout. `floor` is the
-    /// lowest resolvable value, `ceiling` the top boundary, `growth`
-    /// the per-bucket ratio (worst-case relative error ≈ `growth/2 - 0.5`).
-    pub fn with_layout(floor: f64, ceiling: f64, growth: f64) -> Self {
-        StreamingHistogram {
-            layout: Layout::new(floor, ceiling, growth),
-            counts: Vec::new(),
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Fold one sample in. NaN samples are ignored; out-of-range
     /// samples clamp into the first/last bucket (exact `min`/`max`
     /// still track the true values).

@@ -25,9 +25,7 @@ pub const ADMM_ITERATIONS_TOTAL: &str = "spotweb_admm_iterations_total";
 pub const MPO_WARM_SOLVES_TOTAL: &str = "spotweb_mpo_warm_solves_total";
 
 /// Counter: solves that cold-started from the zero iterate (first
-/// interval, or after [`reset_warm_start`]).
-///
-/// [`reset_warm_start`]: https://docs.rs/spotweb-core
+/// interval, a changed problem dimension, or warm starting disabled).
 pub const MPO_COLD_SOLVES_TOTAL: &str = "spotweb_mpo_cold_solves_total";
 
 /// Counter: solves that reused the cached KKT factorization because

@@ -312,11 +312,6 @@ impl Tracer {
         self.dropped
     }
 
-    /// Total events ever recorded (retained + dropped).
-    pub fn total_recorded(&self) -> u64 {
-        self.seq
-    }
-
     /// Export the retained events as byte-stable JSONL (one event per
     /// line, trailing newline).
     pub fn export_jsonl(&self) -> String {
@@ -346,7 +341,7 @@ mod tests {
             );
         }
         assert_eq!(tr.dropped(), 3);
-        assert_eq!(tr.total_recorded(), 5);
+        assert_eq!(tr.seq, 5);
         let seqs: Vec<u64> = tr.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![3, 4]);
     }

@@ -50,11 +50,6 @@ impl Trace {
         self.values.is_empty()
     }
 
-    /// Total covered duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        self.interval_secs * self.len() as f64
-    }
-
     /// Value at sample `i`.
     pub fn get(&self, i: usize) -> f64 {
         self.values[i]
@@ -73,14 +68,6 @@ impl Trace {
         }
         let w = pos - i as f64;
         self.values[i] * (1.0 - w) + self.values[i + 1] * w
-    }
-
-    /// Sub-trace `[start, end)` by sample index.
-    pub fn slice(&self, start: usize, end: usize) -> Trace {
-        Trace {
-            interval_secs: self.interval_secs,
-            values: self.values[start..end].to_vec(),
-        }
     }
 
     /// Peak rate.
@@ -135,7 +122,6 @@ mod tests {
     fn construction_validates() {
         let t = Trace::new(3600.0, vec![1.0, 2.0]);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.duration_secs(), 7200.0);
     }
 
     #[test]
@@ -154,10 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_peak() {
+    fn peak_and_mean() {
         let t = Trace::new(1.0, vec![1.0, 5.0, 3.0, 2.0]);
-        let s = t.slice(1, 3);
-        assert_eq!(s.values, vec![5.0, 3.0]);
         assert_eq!(t.peak(), 5.0);
         assert_eq!(t.mean(), 2.75);
     }

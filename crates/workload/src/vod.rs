@@ -5,57 +5,34 @@
 //! local), near-idle early mornings, and "multiple, hard to predict
 //! spikes" — premieres and sports events that multiply load within an
 //! hour. That spikiness is what limits SpotWeb's savings to ~25% on
-//! this trace (vs ~50% on Wikipedia), so the generator makes it a
-//! first-class parameter.
+//! this trace (vs ~50% on Wikipedia), so the generator names it
+//! (`SPIKE_RATE`, `SPIKE_MAGNITUDE`).
 
 use crate::rng::{stream_id, CounterStream, DOMAIN_NOISE};
 use crate::spikes::{inject_spikes, random_spikes};
 use crate::trace::Trace;
 
-/// Parameters of the VoD generator.
-#[derive(Debug, Clone)]
-pub struct VodParams {
-    /// Mean request rate (req/s).
-    pub mean_rate: f64,
-    /// Prime-time concentration: peak-hour demand as a multiple of the
-    /// daily mean (2.2 ≈ strongly evening-skewed).
-    pub prime_time_boost: f64,
-    /// Night floor as a fraction of the mean.
-    pub night_floor: f64,
-    /// Weekend evenings are busier by this fraction.
-    pub weekend_boost: f64,
-    /// AR(1) noise standard deviation.
-    pub noise_sd: f64,
-    /// AR(1) noise persistence.
-    pub noise_phi: f64,
-    /// Flash-spike arrival rate per hour.
-    pub spike_rate: f64,
-    /// Flash-spike magnitude range (multiples of current level).
-    pub spike_magnitude: (f64, f64),
-}
+/// Mean request rate (req/s).
+const MEAN_RATE: f64 = 1500.0;
+/// Prime-time concentration: peak-hour demand as a multiple of the
+/// daily mean (2.2 ≈ strongly evening-skewed).
+const PRIME_TIME_BOOST: f64 = 2.2;
+/// Night floor as a fraction of the mean.
+const NIGHT_FLOOR: f64 = 0.15;
+/// Weekend evenings are busier by this fraction.
+const WEEKEND_BOOST: f64 = 0.2;
+/// AR(1) noise standard deviation.
+const NOISE_SD: f64 = 0.05;
+/// AR(1) noise persistence.
+const NOISE_PHI: f64 = 0.5;
+/// Flash-spike arrival rate per hour (≈ 4 spikes per three-week trace).
+const SPIKE_RATE: f64 = 0.008;
+/// Flash-spike magnitude range (multiples of current level).
+const SPIKE_MAGNITUDE: (f64, f64) = (0.8, 2.5);
 
-impl Default for VodParams {
-    fn default() -> Self {
-        VodParams {
-            mean_rate: 1500.0,
-            prime_time_boost: 2.2,
-            night_floor: 0.15,
-            weekend_boost: 0.2,
-            noise_sd: 0.05,
-            noise_phi: 0.5,
-            spike_rate: 0.008, // ≈ 4 spikes per three-week trace
-            spike_magnitude: (0.8, 2.5),
-        }
-    }
-}
-
-/// Generate an hourly VoD-like trace of `hours` samples.
+/// Generate an hourly VoD-like trace of `hours` samples with mean
+/// 1 500 req/s; re-base it with [`Trace::with_mean`].
 pub fn vod_like(hours: usize, seed: u64) -> Trace {
-    vod_with(hours, seed, &VodParams::default())
-}
-
-/// Generate with explicit parameters.
-pub fn vod_with(hours: usize, seed: u64, p: &VodParams) -> Trace {
     // Counter-based draws keyed by hour (see `crate::rng`).
     let noise_draws = CounterStream::new(seed, stream_id(DOMAIN_NOISE, 0));
     let mut noise = 0.0_f64;
@@ -67,27 +44,26 @@ pub fn vod_with(hours: usize, seed: u64, p: &VodParams) -> Trace {
         // shoulder from ~18:00, floored at `night_floor`.
         let prime = (-((hod - 21.0) * (hod - 21.0)) / (2.0 * 3.0 * 3.0)).exp();
         let shoulder = (-((hod - 18.0) * (hod - 18.0)) / (2.0 * 4.0 * 4.0)).exp();
-        let mut shape =
-            p.night_floor + (p.prime_time_boost - p.night_floor) * prime.max(0.6 * shoulder);
+        let mut shape = NIGHT_FLOOR + (PRIME_TIME_BOOST - NIGHT_FLOOR) * prime.max(0.6 * shoulder);
         if day % 7 >= 5 && (18.0..=23.0).contains(&hod) {
-            shape *= 1.0 + p.weekend_boost;
+            shape *= 1.0 + WEEKEND_BOOST;
         }
         let eps: f64 = noise_draws.unit_f64_at(h as u64) * 2.0 - 1.0;
-        noise = p.noise_phi * noise + p.noise_sd * eps;
-        values.push((p.mean_rate * shape * (1.0 + noise)).max(0.0));
+        noise = NOISE_PHI * noise + NOISE_SD * eps;
+        values.push((MEAN_RATE * shape * (1.0 + noise)).max(0.0));
     }
     let base = Trace::new(3600.0, values);
     // Inject hard-to-predict flash spikes with an independent stream.
     let spikes = random_spikes(
         hours,
-        p.spike_rate,
-        p.spike_magnitude.0,
-        p.spike_magnitude.1,
+        SPIKE_RATE,
+        SPIKE_MAGNITUDE.0,
+        SPIKE_MAGNITUDE.1,
         seed.wrapping_add(0x51CE5),
     );
     let spiked = inject_spikes(&base, &spikes);
     // Re-center on the requested mean (spikes raise it slightly).
-    spiked.with_mean(p.mean_rate)
+    spiked.with_mean(MEAN_RATE)
 }
 
 #[cfg(test)]
@@ -159,19 +135,5 @@ mod tests {
             "mean {}",
             t.mean()
         );
-    }
-
-    #[test]
-    fn custom_params_respected() {
-        let p = VodParams {
-            spike_rate: 0.0,
-            noise_sd: 0.0,
-            ..VodParams::default()
-        };
-        let t = vod_with(48, 7, &p);
-        // Without spikes/noise two identical days repeat exactly.
-        for h in 0..24 {
-            assert!((t.values[h] - t.values[h + 24]).abs() < 1e-9);
-        }
     }
 }

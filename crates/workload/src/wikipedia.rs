@@ -14,46 +14,24 @@
 use crate::rng::{stream_id, CounterStream, DOMAIN_BUMP, DOMAIN_NOISE};
 use crate::trace::Trace;
 
-/// Parameters of the Wikipedia-like generator.
-#[derive(Debug, Clone)]
-pub struct WikipediaParams {
-    /// Mean request rate (req/s) the trace is centered on.
-    pub mean_rate: f64,
-    /// Diurnal swing as a fraction of the mean (peak-to-mean).
-    pub diurnal_amplitude: f64,
-    /// Weekend damping (0.1 = weekends 10% quieter).
-    pub weekend_dip: f64,
-    /// Total growth across the trace as a fraction (0.05 = +5%).
-    pub growth: f64,
-    /// AR(1) noise standard deviation (fraction of level).
-    pub noise_sd: f64,
-    /// AR(1) noise persistence in [0, 1).
-    pub noise_phi: f64,
-    /// Probability per hour of a mild news bump.
-    pub bump_prob: f64,
-}
+/// Mean request rate (req/s) the trace is centered on.
+const MEAN_RATE: f64 = 3000.0;
+/// Diurnal swing as a fraction of the mean (peak-to-mean).
+const DIURNAL_AMPLITUDE: f64 = 0.35;
+/// Weekend damping (0.1 = weekends 10% quieter).
+const WEEKEND_DIP: f64 = 0.10;
+/// Total growth across the trace as a fraction (0.05 = +5%).
+const GROWTH: f64 = 0.05;
+/// AR(1) noise standard deviation (fraction of level).
+const NOISE_SD: f64 = 0.02;
+/// AR(1) noise persistence in [0, 1).
+const NOISE_PHI: f64 = 0.6;
+/// Probability per hour of a mild news bump.
+const BUMP_PROB: f64 = 0.002;
 
-impl Default for WikipediaParams {
-    fn default() -> Self {
-        WikipediaParams {
-            mean_rate: 3000.0,
-            diurnal_amplitude: 0.35,
-            weekend_dip: 0.10,
-            growth: 0.05,
-            noise_sd: 0.02,
-            noise_phi: 0.6,
-            bump_prob: 0.002,
-        }
-    }
-}
-
-/// Generate an hourly Wikipedia-like trace of `hours` samples.
+/// Generate an hourly Wikipedia-like trace of `hours` samples, centered
+/// on 3 000 req/s; re-base it with [`Trace::with_mean`].
 pub fn wikipedia_like(hours: usize, seed: u64) -> Trace {
-    wikipedia_with(hours, seed, &WikipediaParams::default())
-}
-
-/// Generate with explicit parameters.
-pub fn wikipedia_with(hours: usize, seed: u64, p: &WikipediaParams) -> Trace {
     // Counter-based draws keyed by hour: the AR(1) recursion is still
     // sequential, but the underlying draws are order-free (`crate::rng`).
     let noise_draws = CounterStream::new(seed, stream_id(DOMAIN_NOISE, 0));
@@ -66,28 +44,24 @@ pub fn wikipedia_with(hours: usize, seed: u64, p: &WikipediaParams) -> Trace {
         let day = h / 24;
         // Diurnal: trough 04:00, peak 15:00 → phase shift.
         let diurnal =
-            1.0 + p.diurnal_amplitude * ((hour_of_day - 15.0) / 24.0 * std::f64::consts::TAU).cos();
+            1.0 + DIURNAL_AMPLITUDE * ((hour_of_day - 15.0) / 24.0 * std::f64::consts::TAU).cos();
         // Weekly: days 5, 6 of each week are weekend.
-        let weekly = if day % 7 >= 5 {
-            1.0 - p.weekend_dip
-        } else {
-            1.0
-        };
+        let weekly = if day % 7 >= 5 { 1.0 - WEEKEND_DIP } else { 1.0 };
         // Growth across the window.
         let trend = if hours > 1 {
-            1.0 + p.growth * h as f64 / (hours - 1) as f64
+            1.0 + GROWTH * h as f64 / (hours - 1) as f64
         } else {
             1.0
         };
         // AR(1) multiplicative noise.
         let eps: f64 = noise_draws.unit_f64_at(h as u64) * 2.0 - 1.0;
-        noise = p.noise_phi * noise + p.noise_sd * eps;
+        noise = NOISE_PHI * noise + NOISE_SD * eps;
         // Rare mild bump (news event), +20%, decaying over ~6 h.
-        if bump_draws.unit_f64_at(h as u64) < p.bump_prob {
+        if bump_draws.unit_f64_at(h as u64) < BUMP_PROB {
             bump = 0.2;
         }
         bump *= 0.85;
-        let rate = p.mean_rate * diurnal * weekly * trend * (1.0 + noise + bump);
+        let rate = MEAN_RATE * diurnal * weekly * trend * (1.0 + noise + bump);
         values.push(rate.max(0.0));
     }
     Trace::new(3600.0, values)
@@ -175,8 +149,8 @@ mod tests {
     #[test]
     fn growth_trend_present() {
         let t = wikipedia_like(THREE_WEEKS, 7);
-        let first_week = t.slice(0, 7 * 24).mean();
-        let last_week = t.slice(14 * 24, 21 * 24).mean();
+        let first_week = spotweb_linalg::vector::mean(&t.values[..7 * 24]);
+        let last_week = spotweb_linalg::vector::mean(&t.values[14 * 24..]);
         assert!(last_week > first_week, "growth should raise later weeks");
     }
 }

@@ -25,11 +25,6 @@ impl<P: Policy> PolicyBridge<P> {
     pub fn new(policy: P, catalog: Catalog) -> Self {
         PolicyBridge { policy, catalog }
     }
-
-    /// Access the wrapped policy.
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
 }
 
 impl<P: Policy> FleetPolicy for PolicyBridge<P> {

@@ -10,7 +10,7 @@
 //!   byte-identical decision sequences.
 
 use spotweb::core::policy::{OracleView, Policy, PolicyObservation};
-use spotweb::core::{build_policy, SpotWebConfig, ZooConfig, ZOO_POLICIES};
+use spotweb::core::{build_policy, SpotWebConfig, ZOO_POLICIES};
 use spotweb::linalg::Matrix;
 use spotweb::market::Catalog;
 use spotweb::telemetry::TelemetrySink;
@@ -62,7 +62,6 @@ fn drive(name: &str, seed: u64, catalog: &Catalog, path: &ObsPath) -> Vec<Vec<u3
     let policy = build_policy(
         name,
         &SpotWebConfig::default(),
-        &ZooConfig::default(),
         catalog.len(),
         seed,
         &TelemetrySink::disabled(),
@@ -162,7 +161,6 @@ fn oracle_workload_overrides_the_reactive_target() {
         let mut policy = build_policy(
             name,
             &SpotWebConfig::default(),
-            &ZooConfig::default(),
             catalog.len(),
             1234,
             &TelemetrySink::disabled(),
