@@ -3,7 +3,8 @@
 //! ```text
 //! figures <command> [--seed N] [--intervals N] [--workload wikipedia|vod]
 //!         [--scenario NAME] [--policy NAME] [--summary] [--out DIR]
-//!         [--jobs J] [--hours N] [--init] [--note TEXT] [FIXTURE...]
+//!         [--jobs J] [--hours N] [--init] [--note TEXT] [--check]
+//!         [--base-manifest FILE] [FIXTURE...]
 //!
 //! commands:
 //!   fig3        workload traces (Fig. 3a/3b)
@@ -41,17 +42,18 @@
 //!               summary, reports the per-hour requests-per-wall-second
 //!               series and the process peak RSS on stderr, and exits
 //!               non-zero if the peak exceeds the recorded bound
-//!   lint        run the spotweb-lint determinism analyzer over the
-//!               workspace; with --out DIR also writes the byte-stable
-//!               lint_report.json. Non-zero exit on unsuppressed
-//!               findings (same engine as `cargo run -p spotweb-lint`)
 //!   bless       audited golden regeneration: `bless --init` imports
 //!               every untracked tests/golden/ fixture into
 //!               MANIFEST.json at epoch 1; `bless <fixture...>`
 //!               regenerates the named fixtures in-process, bumps each
 //!               epoch, and appends the old→new digest pair to the
 //!               manifest history (--note records why). Refuses to run
-//!               while any *other* fixture disagrees with the manifest
+//!               while any *other* fixture disagrees with the manifest.
+//!               `bless --check` writes nothing: it exits non-zero if
+//!               any fixture disagrees with the manifest, or — given
+//!               --base-manifest FILE (the merge base's MANIFEST.json)
+//!               and the golden paths the diff touched — if one
+//!               changed without an epoch bump
 //!   all         everything above from fig3 to chaos
 //! ```
 //!
@@ -96,6 +98,11 @@ struct Args {
     init: bool,
     /// `bless` only: history note recorded with each epoch bump.
     note: Option<String>,
+    /// `bless` only: verify instead of regenerating.
+    check: bool,
+    /// `bless --check` only: the merge base's manifest, for the
+    /// epoch-bump check over the positional (changed) fixtures.
+    base_manifest: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -115,6 +122,8 @@ fn parse_args() -> Result<Args, String> {
         fixtures: Vec::new(),
         init: false,
         note: None,
+        check: false,
+        base_manifest: None,
     };
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -149,6 +158,10 @@ fn parse_args() -> Result<Args, String> {
             "--init" => out.init = true,
             "--note" => {
                 out.note = Some(args.next().ok_or("--note needs a value")?);
+            }
+            "--check" => out.check = true,
+            "--base-manifest" => {
+                out.base_manifest = Some(args.next().ok_or("--base-manifest needs a file")?);
             }
             "--hours" => {
                 out.hours = args
@@ -191,7 +204,21 @@ fn parse_args() -> Result<Args, String> {
             return Err("--note is only valid with `bless`".to_string());
         }
     }
+    if out.check && (out.command != "bless" || out.init || out.note.is_some()) {
+        return Err("--check is only valid with `bless`, without --init or --note".to_string());
+    }
+    if out.base_manifest.is_some() && !out.check {
+        return Err("--base-manifest is only valid with `bless --check`".to_string());
+    }
     Ok(out)
+}
+
+/// Nearest directory at or above `start` whose `Cargo.toml` declares a
+/// `[workspace]` — the root `bless` resolves the golden directory from.
+fn find_workspace_root(start: &std::path::Path) -> Option<&std::path::Path> {
+    start.ancestors().find(|d| {
+        std::fs::read_to_string(d.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+    })
 }
 
 fn emit<T: serde::Serialize>(value: &T, summary: Option<String>, want_summary: bool) {
@@ -524,42 +551,23 @@ fn run(args: &Args) -> Result<(), String> {
             }
             soak::mem_gate(peak)?;
         }
-        "lint" => {
-            let cwd = std::env::current_dir().map_err(|e| format!("current dir: {e}"))?;
-            let root = spotweb_lint::find_workspace_root(&cwd)
-                .ok_or("no workspace Cargo.toml above the current directory")?;
-            let report = spotweb_lint::lint_workspace(&root, &spotweb_lint::LintConfig::spotweb())
-                .map_err(|e| format!("lint walk failed: {e}"))?;
-            print!("{}", report.render_human());
-            if let Some(dir) = &args.out {
-                let dir = std::path::Path::new(dir);
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("create {}: {e}", dir.display()))?;
-                let path = dir.join("lint_report.json");
-                std::fs::write(&path, report.to_json())
-                    .map_err(|e| format!("write {}: {e}", path.display()))?;
-                eprintln!("wrote {}", path.display());
-            }
-            if !report.is_clean() {
-                return Err(format!(
-                    "{} unsuppressed lint finding(s); see diagnostics above",
-                    report.findings.len()
-                ));
-            }
-        }
         "bless" => {
             use spotweb_bench::bless;
             let cwd = std::env::current_dir().map_err(|e| format!("current dir: {e}"))?;
-            let root = spotweb_lint::find_workspace_root(&cwd)
+            let root = find_workspace_root(&cwd)
                 .ok_or("no workspace Cargo.toml above the current directory")?;
-            let specs = bless::default_specs();
-            let log = bless::run_bless(
-                &root,
-                &specs,
-                &args.fixtures,
-                args.init,
-                args.note.as_deref().unwrap_or("blessed regeneration"),
-            )?;
+            let log = if args.check {
+                let base = args.base_manifest.as_deref().map(std::path::Path::new);
+                bless::run_check(root, base, &args.fixtures)?
+            } else {
+                bless::run_bless(
+                    root,
+                    &bless::default_specs(),
+                    &args.fixtures,
+                    args.init,
+                    args.note.as_deref().unwrap_or("blessed regeneration"),
+                )?
+            };
             // Human audit log on stderr (stdout stays reserved for
             // byte-stable artifacts across the whole binary).
             eprint!("{log}");
@@ -596,7 +604,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\nusage: figures <fig3|fig4a|fig4bcd|fig5|fig6a|fig6b|fig7a|fig7b|ablations|discussion|chaos|trace|report|sweep|tournament|soak|lint|bless|all> [--seed N] [--intervals N] [--workload wikipedia|vod] [--scenario NAME] [--policy NAME] [--summary] [--out DIR] [--jobs J] [--hours N] [--init] [--note TEXT] [FIXTURE...]");
+            eprintln!("error: {e}\nusage: figures <fig3|fig4a|fig4bcd|fig5|fig6a|fig6b|fig7a|fig7b|ablations|discussion|chaos|trace|report|sweep|tournament|soak|bless|all> [--seed N] [--intervals N] [--workload wikipedia|vod] [--scenario NAME] [--policy NAME] [--summary] [--out DIR] [--jobs J] [--hours N] [--init] [--note TEXT] [--check] [--base-manifest FILE] [FIXTURE...]");
             return ExitCode::from(2);
         }
     };

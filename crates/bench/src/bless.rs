@@ -1,12 +1,10 @@
 //! `figures bless` — audited regeneration of golden fixtures.
 //!
 //! Every byte-stable golden under the workspace's golden directory is
-//! tracked by `MANIFEST.json` (see `spotweb_lint::manifest`): per
-//! fixture an epoch, the FNV-1a 64 digest of its bytes, the producing
-//! command, and the full old→new digest history. This module is the
-//! *only* production code allowed to rewrite those files — it is the
-//! registered `golden_writers` entry in the lint config, and the
-//! `golden-write-outside-bless` rule holds everything else to that.
+//! tracked by `MANIFEST.json` (see [`crate::manifest`]): per fixture an
+//! epoch, the FNV-1a 64 digest of its bytes, the producing command,
+//! and the full old→new digest history. A fixture rewritten any other
+//! way is a `git diff` whose digest no longer matches the manifest.
 //!
 //! The flow:
 //!
@@ -17,19 +15,15 @@
 //!    unaudited edit happened), regenerates the named fixtures
 //!    in-process with the same entry points the tests use, bumps each
 //!    epoch, and appends the old→new digest pair to the history.
-//! 3. `spotweb-lint`'s `manifest-consistency` rule (and the CI
-//!    `bless-check` step) fail any tree or diff whose fixtures changed
+//! 3. `figures bless --check` ([`run_check`]; a CI step, and in-process
+//!    `tests/bless.rs`) fails any tree or diff whose fixtures changed
 //!    without this ceremony.
-//!
-//! Fixtures regenerate in registry order, with the workspace lint
-//! report last: its content reflects manifest consistency, so every
-//! other entry must already be settled when it renders.
 
 use std::path::{Path, PathBuf};
 
-use spotweb_lint::manifest::{self, FixtureEntry, HistoryEntry, Manifest};
 use spotweb_telemetry::json::fnv1a64_hex;
 
+use crate::manifest::{self, FixtureEntry, HistoryEntry, Manifest};
 use crate::sweep::{build_grid, run_grid};
 use crate::tournament::{build_tournament_grid, leaderboard, render_leaderboard_json};
 use crate::{cell, fig4, fig6, profile, telem};
@@ -105,27 +99,13 @@ fn gen_profile_spans(_root: &Path) -> Result<String, String> {
     profile::runner_spans_golden_json("revocation_storm", crate::DEFAULT_SEED)
 }
 
-fn gen_lint_fixture_report(root: &Path) -> Result<String, String> {
-    let fixture_root = root.join("tests").join("fixtures").join("lint");
-    let report = spotweb_lint::lint_workspace(&fixture_root, &spotweb_lint::LintConfig::spotweb())
-        .map_err(|e| format!("fixture lint walk: {e}"))?;
-    Ok(report.to_json())
-}
-
-fn gen_lint_report(root: &Path) -> Result<String, String> {
-    let report = spotweb_lint::lint_workspace(root, &spotweb_lint::LintConfig::spotweb())
-        .map_err(|e| format!("lint walk: {e}"))?;
-    Ok(report.to_json())
-}
-
 fn pretty<T: serde::Serialize>(value: &T) -> Result<String, String> {
     serde_json::to_string_pretty(value)
         .map(|s| s + "\n")
         .map_err(|e| format!("serialize: {e}"))
 }
 
-/// The registry of every tracked golden, in regeneration order. The
-/// workspace lint report is deliberately last (see the module docs).
+/// The registry of every tracked golden, in regeneration order.
 pub fn default_specs() -> Vec<FixtureSpec> {
     vec![
         FixtureSpec {
@@ -162,16 +142,6 @@ pub fn default_specs() -> Vec<FixtureSpec> {
             name: "trace_revocation_storm.jsonl",
             command: "cargo run --release -p spotweb-bench --bin figures -- trace --scenario revocation_storm --seed 1234 > tests/golden/trace_revocation_storm.jsonl",
             generate: gen_trace,
-        },
-        FixtureSpec {
-            name: "lint_fixture_report.json",
-            command: "cargo run --release -p spotweb-lint -- --root tests/fixtures/lint --json tests/golden/lint_fixture_report.json",
-            generate: gen_lint_fixture_report,
-        },
-        FixtureSpec {
-            name: "lint_report.json",
-            command: "cargo run --release -p spotweb-lint -- --json tests/golden/lint_report.json",
-            generate: gen_lint_report,
         },
     ]
 }
@@ -281,19 +251,16 @@ pub fn run_bless(
     // Dirty-tree refusal: every fixture we are NOT about to regenerate
     // must agree with the manifest, otherwise an unaudited edit would
     // be silently legitimized by the upcoming manifest write.
-    let input = manifest::ManifestInput {
-        manifest_text: Some(m.render()),
-        files: files.clone(),
-    };
-    let dirty: Vec<String> = manifest::check_input(&input)
-        .into_iter()
-        .filter(|f| {
-            !names
-                .iter()
-                .any(|n| f.file == format!("{}/{n}", manifest::GOLDEN_DIR))
-        })
-        .map(|f| format!("{}: {}", f.file, f.message))
-        .collect();
+    let mut others = m.clone();
+    others.fixtures.retain(|f| !names.contains(&f.name));
+    let dirty = manifest::check_input(&manifest::ManifestInput {
+        manifest_text: Some(others.render()),
+        files: files
+            .iter()
+            .filter(|(n, _)| !names.contains(n))
+            .cloned()
+            .collect(),
+    });
     if !dirty.is_empty() {
         return Err(format!(
             "refusing to bless over a dirty manifest; resolve these first (or bless them too):\n{}",
@@ -360,8 +327,8 @@ pub fn run_bless(
             command: spec.command.to_string(),
             history,
         });
-        // Persist after every fixture so a later generator (the lint
-        // report) sees a consistent manifest on disk.
+        // Persist after every fixture so a later generator that fails
+        // leaves the manifest consistent with what is on disk.
         persist(root, &m)?;
         let _ = writeln!(
             log,
@@ -370,4 +337,56 @@ pub fn run_bless(
         );
     }
     Ok(log)
+}
+
+/// Run the `figures bless --check` gate: the manifest-consistency
+/// checks over `root`'s golden directory, plus — given the merge
+/// base's manifest and the golden paths a diff touched — the
+/// epoch-bump check that fails a fixture changed without a bless.
+/// `changed` takes fixture names or repo-relative golden paths as
+/// `git diff --name-only` prints them; the manifest itself and nested
+/// paths are skipped. `Err` carries one finding per line.
+pub fn run_check(
+    root: &Path,
+    base_manifest: Option<&Path>,
+    changed: &[String],
+) -> Result<String, String> {
+    let input = manifest::load_input(root)
+        .map_err(|e| format!("reading {}: {e}", manifest::GOLDEN_DIR))?
+        .ok_or_else(|| {
+            format!(
+                "{} has no {} directory",
+                root.display(),
+                manifest::GOLDEN_DIR
+            )
+        })?;
+    let mut findings = manifest::check_input(&input);
+    if let Some(base_path) = base_manifest {
+        let base_text = std::fs::read_to_string(base_path)
+            .map_err(|e| format!("reading {}: {e}", base_path.display()))?;
+        let base = Manifest::parse(&base_text).map_err(|e| format!("base manifest: {e}"))?;
+        let current = input
+            .manifest_text
+            .as_deref()
+            .and_then(|t| Manifest::parse(t).ok())
+            .unwrap_or_default();
+        let prefix = format!("{}/", manifest::GOLDEN_DIR);
+        let changed: Vec<String> = changed
+            .iter()
+            .map(|p| p.strip_prefix(&prefix).unwrap_or(p))
+            .filter(|n| *n != manifest::MANIFEST_NAME && !n.contains('/'))
+            .map(str::to_string)
+            .collect();
+        findings.append(&mut manifest::check_epoch_bumps(&current, &base, &changed));
+    }
+    if findings.is_empty() {
+        Ok(format!(
+            "bless --check: {} fixture(s) consistent with {}\n",
+            input.files.len(),
+            manifest::MANIFEST_NAME
+        ))
+    } else {
+        findings.sort();
+        Err(findings.join("\n"))
+    }
 }

@@ -115,7 +115,7 @@ mod tests {
                 .unwrap()
                 .0
         };
-        let mins: std::collections::HashSet<usize> =
+        let mins: std::collections::BTreeSet<usize> =
             f.per_request_prices.iter().map(argmin).collect();
         assert!(mins.len() >= 2, "cheapest market never changed");
 
@@ -141,7 +141,7 @@ mod tests {
         );
         // MPO: the market mix changes over the run.
         let mpo_used = used(&f.mpo_fleet[4..]);
-        let distinct: std::collections::HashSet<_> = mpo_used.iter().cloned().collect();
+        let distinct: std::collections::BTreeSet<_> = mpo_used.iter().cloned().collect();
         assert!(distinct.len() >= 2, "MPO should shift across markets");
         // And MPO is cheaper.
         assert!(f.mpo_cost < f.constant_cost);

@@ -21,12 +21,14 @@
 //! | [`tournament`] | `figures tournament` — policy-zoo leaderboard over the full grid |
 //! | [`soak`] | `figures soak` — 20 krps long-horizon run: per-hour throughput series + peak-RSS gate |
 //! | [`profile`] | `prof`-session wrappers behind `tests/profile.rs` and the `profile_spans.json` golden |
-//! | [`bless`] | `figures bless` — audited golden regeneration against `tests/golden/MANIFEST.json` |
+//! | [`bless`] | `figures bless` — audited golden regeneration against `tests/golden/MANIFEST.json`, and its `--check` gate |
+//! | [`manifest`] | the golden manifest: parser, byte-stable writer, consistency and epoch-bump checks |
 //!
 //! How fast any of it runs is not recorded here: `benchmark/` (see
 //! `BENCHMARK.json`) is the repo's one perf record.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod ablations;
@@ -38,6 +40,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
+pub mod manifest;
 pub mod profile;
 pub mod soak;
 pub mod sweep;

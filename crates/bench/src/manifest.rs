@@ -4,10 +4,12 @@
 //! carrying its **epoch** (bumped on every deliberate regeneration),
 //! the FNV-1a 64 digest of its current bytes, the command that
 //! produces it, and the full old→new digest history. Regeneration is
-//! an audited event: `figures bless <fixture…>` (see `bench::bless`)
+//! an audited event: `figures bless <fixture…>` (see [`crate::bless`])
 //! rewrites the fixture, bumps the epoch, and appends to the history;
-//! a golden whose on-disk digest disagrees with its manifest entry is
-//! a hard `manifest-consistency` finding.
+//! a golden whose on-disk digest disagrees with its manifest entry
+//! fails [`check_input`] — `figures bless --check`, and in-process
+//! `tests/bless.rs`. A finding is one line of text that starts with
+//! the path it is about.
 //!
 //! The writer is hand-laid-out so the document is byte-stable
 //! (`parse` ∘ `render` is the identity on rendered manifests); the
@@ -18,8 +20,6 @@ use std::path::Path;
 
 use serde_json::Value;
 use spotweb_telemetry::json::{fnv1a64_hex, json_string};
-
-use crate::report::Finding;
 
 /// Manifest schema identifier (first line of the document).
 pub const SCHEMA: &str = "spotweb-golden-manifest/1";
@@ -181,8 +181,8 @@ fn u64_field(obj: &Value, key: &str, at: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{at} is missing the {key:?} integer"))
 }
 
-/// Everything the `manifest-consistency` rule needs, detached from the
-/// filesystem so the rule is unit-testable: the manifest text (or
+/// Everything [`check_input`] needs, detached from the filesystem so
+/// the checks are unit-testable: the manifest text (or
 /// `None` when fixtures exist but no manifest does) and the on-disk
 /// fixture bytes, sorted by name.
 #[derive(Debug, Clone)]
@@ -225,77 +225,50 @@ pub fn load_input(root: &Path) -> io::Result<Option<ManifestInput>> {
     }))
 }
 
-/// Run the `manifest-consistency` checks over an input. Every finding
-/// is hard (the rule is not allowlistable): mismatched digests, files
-/// missing on either side, a missing or malformed manifest, and
-/// internally inconsistent histories.
-pub fn check_input(input: &ManifestInput) -> Vec<Finding> {
-    let rule = "manifest-consistency".to_string();
+/// Check an input for consistency: mismatched digests, files missing
+/// on either side, a missing or malformed manifest, and internally
+/// inconsistent histories are one finding each.
+pub fn check_input(input: &ManifestInput) -> Vec<String> {
     let manifest_path = format!("{GOLDEN_DIR}/{MANIFEST_NAME}");
-    let mut out = Vec::new();
     let Some(text) = &input.manifest_text else {
-        out.push(Finding {
-            rule,
-            file: manifest_path,
-            line: 1,
-            message: format!(
-                "{} golden fixture(s) present but no manifest; bootstrap it with `{BLESS_CMD} \
-                 --init` so every future regeneration is an audited epoch bump",
-                input.files.len()
-            ),
-        });
-        return out;
+        return vec![format!(
+            "{manifest_path}: {} golden fixture(s) present but no manifest; bootstrap it with \
+             `{BLESS_CMD} --init` so every future regeneration is an audited epoch bump",
+            input.files.len()
+        )];
     };
     let manifest = match Manifest::parse(text) {
         Ok(m) => m,
-        Err(e) => {
-            out.push(Finding {
-                rule,
-                file: manifest_path,
-                line: 1,
-                message: format!("manifest does not parse: {e}"),
-            });
-            return out;
-        }
+        Err(e) => return vec![format!("{manifest_path}: manifest does not parse: {e}")],
     };
+    let mut out = Vec::new();
     for pair in manifest.fixtures.windows(2) {
         if pair[0].name == pair[1].name {
-            out.push(Finding {
-                rule: rule.clone(),
-                file: manifest_path.clone(),
-                line: 1,
-                message: format!("duplicate manifest entry for {:?}", pair[0].name),
-            });
+            out.push(format!(
+                "{manifest_path}: duplicate manifest entry for {:?}",
+                pair[0].name
+            ));
         }
     }
     for entry in &manifest.fixtures {
         let file_path = format!("{GOLDEN_DIR}/{}", entry.name);
         let on_disk = input.files.iter().find(|(n, _)| *n == entry.name);
         match on_disk {
-            None => out.push(Finding {
-                rule: rule.clone(),
-                file: file_path.clone(),
-                line: 1,
-                message: format!(
-                    "manifest lists {} at epoch {} but the fixture is missing on disk; \
-                     restore it or remove the entry with a blessed manifest edit",
-                    entry.name, entry.epoch
-                ),
-            }),
+            None => out.push(format!(
+                "{file_path}: manifest lists {} at epoch {} but the fixture is missing on \
+                 disk; restore it, or retire it by deleting its {MANIFEST_NAME} entry in the \
+                 same diff",
+                entry.name, entry.epoch
+            )),
             Some((_, bytes)) => {
                 let disk = fnv1a64_hex(bytes);
                 if disk != entry.digest {
-                    out.push(Finding {
-                        rule: rule.clone(),
-                        file: file_path.clone(),
-                        line: 1,
-                        message: format!(
-                            "on-disk digest {disk} does not match manifest digest {} (epoch {}); \
-                             the golden changed without a bless — run `{BLESS_CMD} {}` to \
-                             regenerate it, bump the epoch, and record the old→new digest pair",
-                            entry.digest, entry.epoch, entry.name
-                        ),
-                    });
+                    out.push(format!(
+                        "{file_path}: on-disk digest {disk} does not match manifest digest {} \
+                         (epoch {}); the golden changed without a bless — run `{BLESS_CMD} {}` \
+                         to regenerate it, bump the epoch, and record the old→new digest pair",
+                        entry.digest, entry.epoch, entry.name
+                    ));
                 }
             }
         }
@@ -313,72 +286,46 @@ pub fn check_input(input: &ManifestInput) -> Vec<Finding> {
             }
         };
         if !consistent {
-            out.push(Finding {
-                rule: rule.clone(),
-                file: file_path,
-                line: 1,
-                message: format!(
-                    "manifest history for {} is inconsistent: it must be a strictly \
-                     increasing epoch chain whose digests link old→new and end at \
-                     epoch {} / digest {}",
-                    entry.name, entry.epoch, entry.digest
-                ),
-            });
+            out.push(format!(
+                "{file_path}: manifest history for {} is inconsistent: it must be a strictly \
+                 increasing epoch chain whose digests link old→new and end at epoch {} / \
+                 digest {}",
+                entry.name, entry.epoch, entry.digest
+            ));
         }
     }
     for (name, _) in &input.files {
         if manifest.entry(name).is_none() {
-            out.push(Finding {
-                rule: rule.clone(),
-                file: format!("{GOLDEN_DIR}/{name}"),
-                line: 1,
-                message: format!(
-                    "fixture {name} is on disk but not in the manifest; import it with \
-                     `{BLESS_CMD} --init` (records the current bytes as epoch 1)"
-                ),
-            });
+            out.push(format!(
+                "{GOLDEN_DIR}/{name}: fixture {name} is on disk but not in the manifest; import \
+                 it with `{BLESS_CMD} --init` (records the current bytes as epoch 1)"
+            ));
         }
     }
     out
 }
 
-/// The CI diff check (`spotweb-lint --bless-check`): every fixture
-/// named in `changed` (golden files touched by a PR, manifest
-/// excluded) must have a manifest entry whose epoch is strictly
+/// The CI diff check (`figures bless --check --base-manifest F`): every
+/// fixture named in `changed` (golden files touched by a PR, manifest
+/// excluded) that the manifest tracks must have an epoch strictly
 /// greater than the merge base's — i.e. the change went through
 /// `figures bless`. Fixtures absent from the base manifest are new
-/// imports and pass as long as they are tracked now.
-pub fn check_epoch_bumps(current: &Manifest, base: &Manifest, changed: &[String]) -> Vec<Finding> {
-    let rule = "manifest-consistency".to_string();
+/// imports and pass. A changed fixture the manifest no longer tracks
+/// is not this check's business: gone from disk too it is a
+/// retirement, still on disk it is already a [`check_input`] finding.
+pub fn check_epoch_bumps(current: &Manifest, base: &Manifest, changed: &[String]) -> Vec<String> {
     let mut out = Vec::new();
     for name in changed {
-        let file = format!("{GOLDEN_DIR}/{name}");
-        let Some(cur) = current.entry(name) else {
-            out.push(Finding {
-                rule: rule.clone(),
-                file,
-                line: 1,
-                message: format!(
-                    "{name} changed in this diff but has no manifest entry; run \
-                     `{BLESS_CMD} --init` (new fixture) or `{BLESS_CMD} {name}`"
-                ),
-            });
+        let (Some(cur), Some(old)) = (current.entry(name), base.entry(name)) else {
             continue;
         };
-        if let Some(old) = base.entry(name) {
-            if cur.epoch <= old.epoch {
-                out.push(Finding {
-                    rule: rule.clone(),
-                    file,
-                    line: 1,
-                    message: format!(
-                        "{name} changed in this diff but its manifest epoch did not bump \
-                         (still {}, base had {}); regenerate through `{BLESS_CMD} {name}` \
-                         so the old→new digest pair is recorded",
-                        cur.epoch, old.epoch
-                    ),
-                });
-            }
+        if cur.epoch <= old.epoch {
+            out.push(format!(
+                "{GOLDEN_DIR}/{name}: {name} changed in this diff but its manifest epoch did \
+                 not bump (still {}, base had {}); regenerate through `{BLESS_CMD} {name}` so \
+                 the old→new digest pair is recorded",
+                cur.epoch, old.epoch
+            ));
         }
     }
     out
@@ -461,10 +408,9 @@ mod tests {
             &[("a.json", b"hand-edited\n"), ("b.jsonl", b"lines\n")],
         ));
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "manifest-consistency");
-        assert_eq!(findings[0].file, "tests/golden/a.json");
-        assert!(findings[0].message.contains("figures -- bless a.json"));
-        assert!(findings[0].message.contains("without a bless"));
+        assert!(findings[0].starts_with("tests/golden/a.json: "));
+        assert!(findings[0].contains("figures -- bless a.json"));
+        assert!(findings[0].contains("without a bless"));
     }
 
     #[test]
@@ -474,12 +420,10 @@ mod tests {
             &m,
             &[("b.jsonl", b"lines\n"), ("stray.json", b"{}\n")],
         ));
-        let rules: Vec<(&str, &str)> = findings
-            .iter()
-            .map(|f| (f.file.as_str(), f.rule.as_str()))
-            .collect();
-        assert!(rules.contains(&("tests/golden/a.json", "manifest-consistency")));
-        assert!(rules.contains(&("tests/golden/stray.json", "manifest-consistency")));
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings[0].starts_with("tests/golden/a.json: "));
+        assert!(findings[0].contains("retire it"));
+        assert!(findings[1].starts_with("tests/golden/stray.json: "));
     }
 
     #[test]
@@ -489,7 +433,7 @@ mod tests {
             files: vec![("a.json".to_string(), b"x".to_vec())],
         });
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("--init"));
+        assert!(findings[0].contains("--init"));
     }
 
     #[test]
@@ -500,7 +444,7 @@ mod tests {
         }
         let findings = check_input(&input(&m, &[("a.json", b"v2\n"), ("b.jsonl", b"lines\n")]));
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("history"));
+        assert!(findings[0].contains("history"));
     }
 
     #[test]
@@ -510,7 +454,7 @@ mod tests {
             files: vec![],
         });
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("does not parse"));
+        assert!(findings[0].contains("does not parse"));
     }
 
     #[test]
@@ -519,8 +463,8 @@ mod tests {
         // Same epochs as base: a changed fixture must fail.
         let findings = check_epoch_bumps(&base, &base, &["a.json".to_string()]);
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("did not bump"));
-        assert!(findings[0].message.contains("figures -- bless a.json"));
+        assert!(findings[0].contains("did not bump"));
+        assert!(findings[0].contains("figures -- bless a.json"));
 
         // A blessed change (epoch 2 → 3) passes.
         let mut cur = base.clone();
@@ -544,9 +488,9 @@ mod tests {
         });
         assert!(check_epoch_bumps(&cur, &base, &["new.json".to_string()]).is_empty());
 
-        // Changed but tracked nowhere → finding.
-        let findings = check_epoch_bumps(&cur, &base, &["untracked.json".to_string()]);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("no manifest entry"));
+        // Retired fixture: in the base, tracked nowhere now → ok (were
+        // it still on disk, `check_input` would say so).
+        cur.fixtures.retain(|f| f.name != "b.jsonl");
+        assert!(check_epoch_bumps(&cur, &base, &["b.jsonl".to_string()]).is_empty());
     }
 }

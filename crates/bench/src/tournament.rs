@@ -242,17 +242,11 @@ pub fn render_table(standings: &[PolicyStanding]) -> String {
             rank + 1,
             s.policy,
             s.cells,
-            // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision human table, deterministic and golden-locked
             format!("${:.2}", s.mean_cost),
-            // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision human table, deterministic and golden-locked
             format!("{:.3}", s.normalized_cost),
-            // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision human table, deterministic and golden-locked
             format!("{:.1}", 100.0 * s.slo_violation_rate),
-            // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision human table, deterministic and golden-locked
             format!("{:.2}", 100.0 * s.drop_rate),
-            // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision human table, deterministic and golden-locked
             format!("{:.2}", 100.0 * s.revocation_survival),
-            // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision human table, deterministic and golden-locked
             format!("{:.3}", s.score),
         ));
     }

@@ -32,6 +32,7 @@
 //! * [`risk`] — the Herfindahl concentration diagnostic.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![deny(missing_docs)]
 
 pub mod allocation;

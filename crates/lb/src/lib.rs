@@ -27,6 +27,7 @@
 //!   warnings and keeps routing to a revoked server until it dies.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![deny(missing_docs)]
 
 pub mod admission;

@@ -8,7 +8,10 @@
 //! front-end tier is stateless — session state lives in the back-end
 //! tier — so re-pinning is safe (§4.4).
 
-// spotweb-lint: allow(ordered-serialization) -- assignment map is probed by key only, never iterated; rendered output walks per_backend (BTreeMap + insertion-ordered Vecs)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the assignment map is probed by key only, never iterated; rendered output walks per_backend (BTreeMap + insertion-ordered Vecs)"
+)]
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -52,7 +55,10 @@ impl Hasher for SessionIdHasher {
 /// whose `Vec`s preserve insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct SessionTable {
-    // spotweb-lint: allow(ordered-serialization) -- probed by key only, never iterated; fixed SessionIdHasher keeps the table run-deterministic anyway
+    #[expect(
+        clippy::disallowed_types,
+        reason = "probed by key only, never iterated; the fixed SessionIdHasher keeps the table run-deterministic anyway"
+    )]
     assignments: HashMap<u64, BackendId, BuildHasherDefault<SessionIdHasher>>,
     /// Reverse index: backend → session count (cheap migration scans).
     per_backend: BTreeMap<BackendId, Vec<u64>>,

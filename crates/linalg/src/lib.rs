@@ -24,10 +24,11 @@
 //! loops (ADMM iterations) can reuse buffers.
 
 #![forbid(unsafe_code)]
-// Numeric kernels use explicit index loops throughout: the dual-array
-// access patterns (L[(i,k)]·x[k], row/col scalings) read far clearer
-// with indices than with zipped iterator chains.
-#![allow(clippy::needless_range_loop)]
+#![deny(clippy::unwrap_used)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "numeric kernels use explicit index loops throughout: the dual-array access patterns (L[(i,k)]·x[k], row/col scalings) read far clearer with indices than with zipped iterator chains"
+)]
 #![warn(missing_docs)]
 
 pub mod block_tridiag;

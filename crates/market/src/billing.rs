@@ -55,8 +55,9 @@ impl CostMeter {
 ///
 /// # Invariants (the "same dollars" argument)
 ///
-/// Both internal lists are kept ascending by backend id, and settle
-/// merge-walks them, so the [`CostMeter::charge`] call sequence —
+/// Both internal lists are kept ascending by backend id and disjoint
+/// (an id is live, or died since the last settle, never both), and
+/// settle merge-walks them, so the [`CostMeter::charge`] call sequence —
 /// and therefore the order-sensitive floating-point accumulation — is
 /// identical to the old ascending-id scan:
 ///
@@ -105,8 +106,13 @@ impl BillingLedger {
     ///
     /// # Panics
     ///
-    /// Panics if `backend` is already live.
+    /// Panics if `backend` is already live, or died since the last
+    /// settle (a flap comes back through [`restore`](Self::restore)).
     pub fn add(&mut self, backend: usize, market: usize) {
+        assert!(
+            self.died.binary_search_by_key(&backend, |d| d.0).is_err(),
+            "backend {backend} has an unsettled death in the billing ledger"
+        );
         match self.entries.binary_search_by_key(&backend, |e| e.0) {
             Ok(_) => panic!("backend {backend} already in the billing ledger"),
             Err(pos) => self.entries.insert(pos, (backend, market)),
@@ -129,7 +135,7 @@ impl BillingLedger {
         let at_pos = self
             .died
             .binary_search_by_key(&backend, |d| d.0)
-            .unwrap_err();
+            .expect_err("live and died lists are disjoint: `add` rejects an unsettled death");
         self.died.insert(at_pos, (id, market, at));
     }
 
@@ -267,6 +273,17 @@ mod tests {
         ledger.restore(0, 0); // restores during the next interval
         ledger.settle(600.0, 600.0, &[3600.0], &mut meter);
         assert!((meter.total() - 1100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "backend 0 has an unsettled death")]
+    fn ledger_rejects_a_second_life_before_the_death_settles() {
+        // Unchecked, the next `mark_died(0, _)` would find id 0 in the
+        // died list already and settle would bill the one server twice.
+        let mut ledger = BillingLedger::new();
+        ledger.add(0, 0);
+        ledger.mark_died(0, 100.0);
+        ledger.add(0, 0);
     }
 
     /// Reference implementation: the old all-backends scan over

@@ -34,6 +34,7 @@
 //! EXPERIMENTS.md is exactly reproducible.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![deny(missing_docs)]
 
 pub mod billing;

@@ -381,7 +381,7 @@ mod tests {
         let c = Catalog::fig5_three_markets();
         let mut p = SpotPriceProcess::new(&c, 5);
         let caps: Vec<f64> = c.markets().iter().map(|m| m.capacity_rps()).collect();
-        let mut argmins = std::collections::HashSet::new();
+        let mut argmins = std::collections::BTreeSet::new();
         for _ in 0..2000 {
             p.step();
             let per_req: Vec<f64> = (0..c.len()).map(|i| p.price(i) / caps[i]).collect();

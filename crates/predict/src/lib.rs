@@ -32,6 +32,7 @@
 //!   over/under-provisioning summaries (Fig. 4(c)/(d)).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod ar;

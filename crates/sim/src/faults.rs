@@ -236,24 +236,20 @@ impl InvariantChecker {
             // A retired backend is deader than Down: routing to it is
             // impossible by construction, so treat it as the same
             // violation if it ever happens.
-            // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision diagnostic, deterministic and golden-locked
             self.violate(format!("t={now:.3}: routed to retired backend {backend}"));
             return;
         };
         match b.state {
             BackendState::Down => {
-                // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision diagnostic, deterministic and golden-locked
                 self.violate(format!("t={now:.3}: routed to down backend {backend}"));
             }
             BackendState::Draining { deadline } if now >= deadline => {
                 self.violate(format!(
-                    // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision diagnostic, deterministic and golden-locked
                     "t={now:.3}: routed to backend {backend} past drain deadline {deadline:.3}"
                 ));
             }
             BackendState::Starting { ready_at } if now < ready_at => {
                 self.violate(format!(
-                    // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision diagnostic, deterministic and golden-locked
                     "t={now:.3}: routed to backend {backend} before ready_at {ready_at:.3}"
                 ));
             }
@@ -282,13 +278,11 @@ impl InvariantChecker {
     /// the balancer's counters.
     pub fn check_tick(&mut self, lb: &LoadBalancer, now: f64) {
         if self.in_flight < 0 {
-            // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision diagnostic, deterministic and golden-locked
             self.violate(format!("t={now:.3}: negative in-flight {}", self.in_flight));
         }
         let accounted = self.served + self.dropped + self.in_flight.max(0) as u64;
         if self.arrived != accounted {
             self.violate(format!(
-                // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision diagnostic, deterministic and golden-locked
                 "t={now:.3}: conservation broken: arrived {} != served {} + dropped {} + in-flight {}",
                 self.arrived, self.served, self.dropped, self.in_flight
             ));
@@ -296,7 +290,6 @@ impl InvariantChecker {
         let stats = lb.stats();
         if stats.routed + stats.dropped != self.arrived {
             self.violate(format!(
-                // spotweb-lint: allow(no-float-display-in-renderers) -- fixed-precision diagnostic, deterministic and golden-locked
                 "t={now:.3}: balancer ledger disagrees: routed {} + dropped {} != arrived {}",
                 stats.routed, stats.dropped, self.arrived
             ));

@@ -51,6 +51,7 @@
 //!   renderings that invariance proofs compare.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![deny(missing_docs)]
 
 pub mod calendar;

@@ -6,8 +6,7 @@
 //! function). The primitive lives in the workload crate because the
 //! trace generators sit *below* the simulator in the dependency graph
 //! and draw from the same keyspace; `sim::rng` is the import path the
-//! simulator's own modules (and the `spotweb-lint` `seeded-rng-only`
-//! rule) treat as canonical.
+//! simulator's own modules treat as canonical.
 //!
 //! # Why not `ChaCha8Rng` here?
 //!
@@ -17,10 +16,10 @@
 //! the sharded runner (`sim::runner` with `RunnerConfig::shards > 1`)
 //! that is a correctness bug, not a style choice — per-window workers
 //! would race for the shared stream and the run would stop being
-//! deterministic. `spotweb-lint` therefore flags stateful sequential
-//! RNG types in shard-parallel modules (`shard-parallel` registry in
-//! `LintConfig`); [`CounterStream`] and [`sample`] are the only
-//! sanctioned draws there.
+//! deterministic. [`CounterStream`] and [`sample`] are the only
+//! sanctioned draws there: this crate imports no stateful generator,
+//! and `tests/shard.rs` holds every report byte-identical across
+//! shard counts.
 //!
 //! Stream keys are built with [`stream_id`] from the `DOMAIN_*`
 //! registry documented in [`spotweb_workload::rng`]; the per-domain

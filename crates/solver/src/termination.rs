@@ -22,7 +22,10 @@ impl Residuals {
     ///
     /// Scratch buffers (`ax`, `px`, `aty`) must be sized `m`, `n`, `n`;
     /// they are overwritten.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the ADMM iterate (x, z, y), the problem (P, q, A) and three caller-owned scratch buffers"
+    )]
     pub fn compute(
         p: &CsrMatrix,
         q: &[f64],

@@ -29,6 +29,7 @@
 //! spends its time — and only its span *structure* is deterministic.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![deny(missing_docs)]
 
 pub mod hist;

@@ -117,9 +117,9 @@ pub fn interned_hist_id(name: &str) -> Option<usize> {
 //
 // Host-side wall-clock spans, not sim-clock trace spans: these name the
 // phases of the *process* that a `prof` session attributes wall time
-// and lock waits to. `spotweb-lint` requires spans opened
-// in `sim`/`lb`/`core` to use these constants (telemetry-name-constants
-// rule), so the golden-locked span structure cannot drift via an
+// and lock waits to. Every span a traced run records must be one of
+// these constants (`tests/telemetry.rs` greps this file for the names
+// it saw), so the golden-locked span structure cannot drift via an
 // inline-literal typo.
 // ---------------------------------------------------------------------------
 

@@ -11,9 +11,9 @@
 //!   seconds on top. Quarantined: `benchmark/` writes it to
 //!   `<workload>.traced.spans.json`, nothing byte-stable carries it.
 //!
-//! All JSON is rendered through [`crate::json`] (no float `Display`
-//! shortcuts, no hash-ordered collections), keeping the telemetry
-//! crate's renderer obligations under `spotweb-lint`.
+//! All JSON is rendered through [`crate::json`]: no float `Display`
+//! shortcuts, and no hash-ordered collections (`clippy.toml` bans
+//! them workspace-wide).
 
 use crate::json::{json_f64, json_string};
 

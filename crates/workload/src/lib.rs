@@ -22,6 +22,7 @@
 //! crate and the simulator's sharded arrival loop).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
 pub mod io;

@@ -58,6 +58,8 @@
 //! See `examples/` for larger walkthroughs (`quickstart`,
 //! `cost_showdown`, `failover_drill`, `forecasting`, `full_stack`).
 
+#![deny(clippy::unwrap_used)]
+
 pub mod bridge;
 
 pub use spotweb_core as core;

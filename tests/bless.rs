@@ -1,5 +1,6 @@
 //! The `figures bless` flow: manifest bootstrap, audited epoch bumps,
-//! dirty-tree refusal, and generator fidelity.
+//! dirty-tree refusal, the `--check` gate (over the real tree and over
+//! tampered, unbumped and retired fixtures), and generator fidelity.
 //!
 //! The round-trip tests run against a scratch golden directory under
 //! the OS temp dir so they never touch the real manifest; the fidelity
@@ -10,8 +11,8 @@
 use std::path::{Path, PathBuf};
 
 use spotweb::telemetry::json::fnv1a64_hex;
-use spotweb_bench::bless::{default_specs, run_bless, FixtureSpec};
-use spotweb_lint::manifest::{self, Manifest};
+use spotweb_bench::bless::{default_specs, run_bless, run_check, FixtureSpec};
+use spotweb_bench::manifest::{self, Manifest};
 
 fn scratch_root(test: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("spotweb-bless-{}-{test}", std::process::id()));
@@ -200,9 +201,89 @@ fn registry_covers_exactly_the_tracked_goldens() {
         sorted, on_disk,
         "every golden fixture needs a bless generator and vice versa"
     );
-    // The workspace lint report regenerates last: its content reflects
-    // manifest consistency, so every other entry must settle first.
-    assert_eq!(names.last(), Some(&"lint_report.json"));
+}
+
+#[test]
+fn manifest_matches_every_golden_on_disk() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    if let Err(findings) = run_check(root, None, &[]) {
+        panic!("tests/golden/ disagrees with its manifest:\n{findings}");
+    }
+    // The committed manifest is in the writer's own layout, so a bless
+    // rewrites only the entries it bumps.
+    let text = std::fs::read_to_string(
+        root.join(manifest::GOLDEN_DIR)
+            .join(manifest::MANIFEST_NAME),
+    )
+    .expect("manifest on disk");
+    assert_eq!(Manifest::parse(&text).expect("parses").render(), text);
+}
+
+/// A scratch root with both scratch fixtures blessed at epoch 1:
+/// `(root, golden dir, copy of the manifest as the merge base's)`.
+fn blessed_scratch_tree(test: &str) -> (PathBuf, PathBuf, PathBuf) {
+    let root = scratch_root(test);
+    std::fs::write(root.join("input.txt"), "v1\n").expect("seed input");
+    let both = ["scratch.json".to_string(), "other.json".to_string()];
+    run_bless(&root, &scratch_specs(), &both, false, "first").expect("first bless");
+    let dir = root.join(manifest::GOLDEN_DIR);
+    let base = root.join("base-manifest.json");
+    std::fs::copy(dir.join(manifest::MANIFEST_NAME), &base).expect("keep the base manifest");
+    (root, dir, base)
+}
+
+#[test]
+fn tampered_golden_without_epoch_bump_is_a_manifest_finding() {
+    let (root, dir, base) = blessed_scratch_tree("tampered");
+    run_check(&root, Some(&base), &[]).expect("a blessed tree is clean");
+
+    // A hand edit: the digest check fires, names the bless command, and
+    // leaves the consistent sibling alone.
+    std::fs::write(dir.join("scratch.json"), "hand-edited\n").expect("tamper");
+    let findings = run_check(&root, None, &[]).expect_err("tampered fixture");
+    assert_eq!(findings.lines().count(), 1, "{findings}");
+    assert!(
+        findings.starts_with("tests/golden/scratch.json: "),
+        "{findings}"
+    );
+    assert!(
+        findings.contains("figures -- bless scratch.json"),
+        "{findings}"
+    );
+    assert!(findings.contains("without a bless"), "{findings}");
+
+    // A hand edit that also patches the manifest digest still fails the
+    // diff gate: the epoch did not move past the merge base's.
+    let mut m = read_manifest(&root);
+    let mut entry = m.entry("scratch.json").expect("tracked").clone();
+    entry.digest = fnv1a64_hex(b"hand-edited\n");
+    entry.history[0].new = entry.digest.clone();
+    m.upsert(entry);
+    std::fs::write(dir.join(manifest::MANIFEST_NAME), m.render()).expect("patch manifest");
+    run_check(&root, None, &[]).expect("digests agree again");
+    let changed = ["tests/golden/scratch.json".to_string()];
+    let findings = run_check(&root, Some(&base), &changed).expect_err("unbumped epoch");
+    assert!(findings.contains("did not bump"), "{findings}");
+}
+
+#[test]
+fn a_fixture_gone_from_disk_and_manifest_is_a_retirement() {
+    let (root, dir, base) = blessed_scratch_tree("retire");
+    let changed = [
+        "tests/golden/other.json".to_string(),
+        "tests/golden/MANIFEST.json".to_string(),
+    ];
+
+    // Half a retirement — the file deleted, the entry kept — names the
+    // other half.
+    std::fs::remove_file(dir.join("other.json")).expect("delete fixture");
+    let findings = run_check(&root, Some(&base), &changed).expect_err("entry left behind");
+    assert!(findings.contains("retire it by deleting"), "{findings}");
+
+    let mut m = read_manifest(&root);
+    m.fixtures.retain(|f| f.name != "other.json");
+    std::fs::write(dir.join(manifest::MANIFEST_NAME), m.render()).expect("drop the entry");
+    run_check(&root, Some(&base), &changed).expect("absent on both sides passes");
 }
 
 #[test]
@@ -210,7 +291,7 @@ fn generators_reproduce_the_on_disk_goldens() {
     // Byte-fidelity for the cheap generators: blessing an unchanged
     // fixture must be a digest no-op. (The sweep/tournament generators
     // are exercised end-to-end by tests/runner_perf.rs and
-    // tests/tournament.rs; the lint reports by tests/lint.rs.)
+    // tests/tournament.rs.)
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for name in [
         "fig4a.json",

@@ -11,7 +11,7 @@
 //!     > tests/golden/trace_revocation_storm.jsonl
 //! ```
 
-use spotweb::telemetry::TraceEvent;
+use spotweb::telemetry::{prof, TraceEvent};
 use spotweb_bench::cell::SCENARIOS;
 use spotweb_bench::telem::run_trace;
 use spotweb_bench::DEFAULT_SEED;
@@ -135,5 +135,45 @@ fn every_trace_scenario_replays_cleanly() {
             0,
             "{name}: trace ring buffer must hold the whole scenario"
         );
+    }
+}
+
+/// Every series a traced run emits and every span it opens is named by
+/// a `telemetry::names` constant: the name must appear as a quoted
+/// literal in that file. Checked on what the run *emitted*, so a name
+/// spelled inline anywhere on the way to the sink — a literal at the
+/// call site, a local `let`, a `format!` — fails here.
+#[test]
+fn every_emitted_series_and_span_is_a_names_constant() {
+    fn span_names(node: &prof::MergedNode, out: &mut Vec<String>) {
+        for child in &node.children {
+            out.push(child.name.clone());
+            span_names(child, out);
+        }
+    }
+
+    let names_rs = include_str!("../crates/telemetry/src/names.rs");
+    for scenario in SCENARIOS {
+        let session = prof::begin();
+        let traced = run_trace(scenario, DEFAULT_SEED).expect("trace runs");
+        let profile = session.finish();
+
+        let prometheus = traced.sink.render_prometheus();
+        let series: Vec<&str> = prometheus
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        assert!(!series.is_empty(), "{scenario}: no series exported");
+        let mut spans = Vec::new();
+        span_names(&profile.merged(), &mut spans);
+        assert!(!spans.is_empty(), "{scenario}: no span recorded");
+
+        for name in series.into_iter().chain(spans.iter().map(String::as_str)) {
+            assert!(
+                names_rs.contains(&format!("\"{name}\"")),
+                "{scenario}: `{name}` is emitted but is not a constant in telemetry::names"
+            );
+        }
     }
 }
