@@ -213,7 +213,7 @@ impl Cluster {
     /// backend keeps its row until [`retire`](Self::retire).
     pub fn kill(&mut self, id: BackendId, at: f64) {
         self.lb.server_died(id, at);
-        self.services[id].kill(at);
+        self.services[id].kill();
         self.last_death[id] = Some(at);
     }
 
@@ -319,6 +319,8 @@ impl Cluster {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// Three warm 100 req/s backends, one per market; replacements boot
@@ -417,6 +419,53 @@ mod tests {
         assert_eq!(c.complete(1, at + 1.0, done), None);
         assert_eq!(c.sink.counter(names::REQUESTS_KILLED_IN_FLIGHT_TOTAL), 1);
         assert_eq!(c.sink.counter(names::REQUESTS_SERVED_TOTAL), 2);
+    }
+
+    proptest! {
+        /// The kill rule does the accounting `ServiceModel::kill` used
+        /// to return a count for: of everything admitted around one
+        /// death, exactly the requests on the victim that were admitted
+        /// by the death and due after it resolve as killed — queued
+        /// ones included, finished ones spared — and the dead server's
+        /// slots are all free.
+        #[test]
+        #[cfg_attr(miri, ignore = "a hundred routed admits a case; the unit tests above cover the verbs")]
+        fn kill_takes_exactly_the_work_in_flight_at_the_death(
+            arrivals in prop::collection::vec((0.0f64..2.0, 0u64..40), 1..120),
+            death in 0.0f64..2.5,
+            victim in 0usize..3,
+        ) {
+            let mut c = cluster();
+            let mut arrivals = arrivals;
+            arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+            let admit_all = |c: &mut Cluster, batch: &[(f64, u64)]| -> Vec<_> {
+                batch
+                    .iter()
+                    .filter_map(|&(at, session)| {
+                        c.admit(session, at).map(|(backend, done)| (backend, at, done))
+                    })
+                    .collect()
+            };
+            let (before, after) = arrivals.split_at(arrivals.partition_point(|a| a.0 <= death));
+            let mut admitted = admit_all(&mut c, before);
+            c.kill(victim, death);
+            prop_assert!(c.services[victim].is_idle());
+            let after = admit_all(&mut c, after);
+            prop_assert!(after.iter().all(|a| a.0 != victim), "routed to the corpse");
+            admitted.extend(after);
+            let in_flight_at_death = admitted
+                .iter()
+                .filter(|&&(backend, at, done)| backend == victim && at <= death && death < done)
+                .count();
+            admitted.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite"));
+            let killed = admitted
+                .iter()
+                .filter(|&&(backend, at, done)| c.complete(backend, at, done).is_none())
+                .count();
+            prop_assert_eq!(killed, in_flight_at_death);
+            let (_, checker) = c.finish();
+            prop_assert!(checker.ok(), "{:?}", checker.violations());
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! (price shocks need a live market). Both paths drive the cluster's
 //! [`InvariantChecker`] every tick: requests are conserved
 //! (`arrived = served + dropped + in-flight`), no request is ever
-//! routed to a `Down` backend, and drain deadlines are honored.
+//! routed to a `Down` backend, and drain deadlines are honored. The
+//! chaos loop also reconciles the report it returns against that
+//! ledger ([`InvariantChecker::check_reported`]).
 
 use spotweb_lb::{BackendState, LoadBalancer, LoadBalancerConfig};
 use spotweb_telemetry::json::{json_f64, json_string};
@@ -196,7 +198,9 @@ const MAX_RECORDED_VIOLATIONS: usize = 16;
 ///   stats must match the arrivals the harness fed it;
 /// * **routing safety** — no request is ever routed to a `Down`
 ///   backend, to a draining backend at/past its drain deadline, or to
-///   a booting backend before it is ready.
+///   a booting backend before it is ready;
+/// * **report agreement** — the served / dropped totals a run reports
+///   are the ledger's (checked once, at the end of the run).
 #[derive(Debug, Clone, Default)]
 pub struct InvariantChecker {
     /// Requests that entered the system.
@@ -303,6 +307,21 @@ impl InvariantChecker {
             self.violate(format!(
                 "run drained with {} requests still in flight",
                 self.in_flight
+            ));
+        }
+    }
+
+    /// Final check against what the run is about to report: the
+    /// recorder's totals must be the ledger's. The recorder discards
+    /// samples outside its `[0, horizon)` silently, so a request the
+    /// checker saw served or dropped can still be missing from the
+    /// report; `check_tick` cannot see that, this does.
+    pub fn check_reported(&mut self, served: u64, dropped: u64) {
+        if (served, dropped) != (self.served, self.dropped) {
+            self.violate(format!(
+                "report disagrees with the ledger: served {served} / dropped {dropped} reported, \
+                 {} / {} accounted",
+                self.served, self.dropped
             ));
         }
     }
@@ -501,13 +520,12 @@ impl ChaosScenario {
         let mut deaths: u32 = 0;
         let mut flaps: u32 = 0;
 
-        queue.schedule(
-            gaps.exp_at(0, self.arrival_rps),
-            Event::Arrival {
-                request: 0,
-                session: 0,
-            },
-        );
+        // The Poisson stream's one pending arrival, `(time, seq,
+        // request)`, is held outside the heap and merged against its
+        // head; `reserve` gives it the place in the `(time, seq)` order
+        // a heap entry scheduled here would have had.
+        let first = gaps.exp_at(0, self.arrival_rps);
+        let mut next_arrival = Some((first, queue.reserve(first), 0u64));
         for (i, f) in timeline.iter().enumerate() {
             queue.schedule(f.at_secs, Event::FaultTrigger { fault: i });
         }
@@ -516,40 +534,43 @@ impl ChaosScenario {
             queue.schedule(booted_at, Event::ServerReady { backend });
         };
 
-        // The run drains the queue completely: arrivals stop at
+        // The run drains stream and queue completely: arrivals stop at
         // `duration_secs`, after which the backlog finishes serving so
         // every request gets its latency (or drop) recorded.
-        while let Some((now, event)) = queue.pop() {
+        loop {
+            let queued = match next_arrival {
+                Some((at, seq, _)) => queue.pop_before(at, seq),
+                None => queue.pop(),
+            };
+            let Some((now, event)) = queued else {
+                let Some((now, _, request)) = next_arrival else {
+                    break;
+                };
+                queue.advance(now);
+                sink.set_clock(now);
+                cluster.tick(now);
+                match cluster.admit(request % self.sessions, now) {
+                    Some((backend, done)) => queue.schedule(
+                        done,
+                        Event::Completion {
+                            request,
+                            backend,
+                            arrived: now,
+                        },
+                    ),
+                    None => recorder.record_drop(now),
+                }
+                cluster.audit(now);
+                // The recorder covers `[0, duration_secs)`, so the
+                // stream ends strictly before the horizon.
+                let next = request + 1;
+                let t_next = now + gaps.exp_at(next, self.arrival_rps);
+                next_arrival =
+                    (t_next < self.duration_secs).then(|| (t_next, queue.reserve(t_next), next));
+                continue;
+            };
             sink.set_clock(now);
             match event {
-                Event::Arrival { request, session } => {
-                    cluster.tick(now);
-                    match cluster.admit(session, now) {
-                        Some((backend, done)) => queue.schedule(
-                            done,
-                            Event::Completion {
-                                request,
-                                backend,
-                                arrived: now,
-                            },
-                        ),
-                        None => recorder.record_drop(now),
-                    }
-                    cluster.audit(now);
-                    // Self-scheduling generator: each arrival spawns the
-                    // next one, until the horizon.
-                    let next = request + 1;
-                    let t_next = now + gaps.exp_at(next, self.arrival_rps);
-                    if t_next <= self.duration_secs {
-                        queue.schedule(
-                            t_next,
-                            Event::Arrival {
-                                request: next,
-                                session: next % self.sessions,
-                            },
-                        );
-                    }
-                }
                 Event::Completion {
                     request: _,
                     backend,
@@ -612,8 +633,9 @@ impl ChaosScenario {
             }
         }
 
-        let (stats, checker) = cluster.finish();
+        let (stats, mut checker) = cluster.finish();
         let (served, dropped) = recorder.totals();
+        checker.check_reported(served as u64, dropped);
         ChaosReport {
             scenario: self.name.clone(),
             seed: self.seed,
@@ -803,6 +825,27 @@ mod tests {
         assert!(!checker.ok());
     }
 
+    #[test]
+    fn checker_flags_a_report_that_lost_a_request() {
+        let mut checker = InvariantChecker::new();
+        for _ in 0..3 {
+            checker.on_arrival();
+            checker.in_flight += 1;
+        }
+        checker.on_served();
+        checker.on_served();
+        checker.on_dropped_in_flight();
+        checker.check_drained();
+        // A report that says what the ledger says passes.
+        checker.check_reported(2, 1);
+        assert!(checker.ok(), "{:?}", checker.violations());
+        // A recorder that discarded one served sample (an arrival at
+        // its horizon) reports one request fewer: one violation.
+        checker.check_reported(1, 1);
+        assert_eq!(checker.violation_count(), 1);
+        assert!(checker.violations()[0].contains("report disagrees"));
+    }
+
     fn small(plan: FaultPlan) -> ChaosScenario {
         ChaosScenario {
             servers: vec![
@@ -898,7 +941,21 @@ mod tests {
         ] {
             assert!(kinds.contains(&expected), "missing {expected} in {kinds:?}");
         }
-        assert!(sink.counter("spotweb_sim_events_processed_total") > 0);
+        // The arrival stream never enters the heap but counts like the
+        // heap entries it replaced: every arrival, one completion per
+        // routed arrival, and the control events (1 fault, 1 warning,
+        // 1 death, 1 replacement ready).
+        let arrivals = (report.served as u64) + report.dropped;
+        let routed = sink.counter("spotweb_requests_served_total")
+            + sink.counter("spotweb_requests_killed_in_flight_total");
+        assert_eq!(
+            sink.counter("spotweb_sim_events_scheduled_total"),
+            arrivals + routed + 4
+        );
+        assert_eq!(
+            sink.counter("spotweb_sim_events_processed_total"),
+            arrivals + routed + 4
+        );
         assert_eq!(
             report.admission_rejections,
             sink.counter("spotweb_lb_admission_rejections_total"),

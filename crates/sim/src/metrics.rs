@@ -174,7 +174,15 @@ mod tests {
         let mut r = LatencyRecorder::new(60.0, 120.0);
         r.record(500.0, 0.1);
         r.record(-5.0, 0.1);
-        assert_eq!(r.totals().0, 0);
+        // `[0, horizon)` is half-open: the horizon itself is outside,
+        // the last representable instant before it inside.
+        r.record(120.0, 0.1);
+        r.record_drop(120.0);
+        assert_eq!(r.totals(), (0, 0));
+        r.record(120.0_f64.next_down(), 0.1);
+        r.record_drop(120.0_f64.next_down());
+        assert_eq!(r.totals(), (1, 1));
+        assert_eq!(r.bucket_stats(1).count, 1);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! mean latency well under 200 ms below saturation and sharply growing
 //! queueing delay beyond it.
 //!
-//! Both internal queues are allocation-free after construction — this
-//! model sits inside the request-level hot loop and is exercised once
-//! per simulated request (see `benches/hot_path.rs`). The worker slots
-//! are a fixed-size implicit min-heap (`admit` is a replace-root +
-//! sift-down, never a push/pop pair on a growable heap), and the
-//! outstanding-completions queue is a sorted `VecDeque` that exploits
-//! the near-sorted order deterministic service times generate.
-
-use std::collections::VecDeque;
+//! The model sits inside the request-level hot loop, exercised once
+//! per simulated request (`sim.service.admit_release_ns` in the
+//! benchmark ledger), and is allocation-free after construction: the
+//! worker slots are a fixed-size implicit min-heap, so `admit` is a
+//! replace-root + sift-down, never a push/pop pair on a growable heap.
+//! It keeps no record of the requests it admitted — the scheduler owns
+//! each completion, and [`crate::cluster::Cluster::complete`]'s kill
+//! rule decides from the death time alone which of them a
+//! [`kill`](ServiceModel::kill) took.
 
 /// The service queue of one backend server.
 #[derive(Debug, Clone)]
@@ -29,13 +29,6 @@ pub struct ServiceModel {
     /// free-times need no draining — `max(earliest, now)` is the
     /// start time either way.
     slots: Vec<f64>,
-    /// Completion times of every request not yet known to be finished
-    /// (drained lazily against the query clock) — the source of truth
-    /// for in-flight accounting and [`ServiceModel::kill`]. Kept
-    /// ascending; inserts scan from the back, which is O(1) amortized
-    /// because completions are generated near-sorted (out-of-order
-    /// pairs only straddle the cold→warm service-time boundary).
-    outstanding: VecDeque<f64>,
     /// Base per-request service time (seconds).
     pub service_secs: f64,
     /// Until this time the cache is cold and service takes
@@ -53,21 +46,9 @@ impl ServiceModel {
         let concurrency = (capacity_rps * service_secs).round().max(1.0) as usize;
         ServiceModel {
             slots: vec![f64::NEG_INFINITY; concurrency],
-            outstanding: VecDeque::new(),
             service_secs,
             warm_until,
             cold_factor: 2.0,
-        }
-    }
-
-    /// Forget outstanding requests that completed by `now`.
-    fn drain_outstanding(&mut self, now: f64) {
-        while let Some(t) = self.outstanding.front() {
-            if *t <= now {
-                self.outstanding.pop_front();
-            } else {
-                break;
-            }
         }
     }
 
@@ -95,19 +76,6 @@ impl ServiceModel {
         }
     }
 
-    /// Record `done` in the outstanding queue, keeping it sorted.
-    fn push_outstanding(&mut self, done: f64) {
-        let mut idx = self.outstanding.len();
-        while idx > 0 && self.outstanding[idx - 1] > done {
-            idx -= 1;
-        }
-        if idx == self.outstanding.len() {
-            self.outstanding.push_back(done);
-        } else {
-            self.outstanding.insert(idx, done);
-        }
-    }
-
     /// Admit a request at `now`; returns its completion time.
     pub fn admit(&mut self, now: f64) -> f64 {
         // A free slot (free-time ≤ now, including the never-used
@@ -122,32 +90,29 @@ impl ServiceModel {
         };
         let done = start + service;
         self.occupy_earliest(done);
-        self.drain_outstanding(now);
-        self.push_outstanding(done);
         done
     }
 
-    /// Kill the server at `now`: all requests completing after `now`
-    /// are lost. Returns how many were dropped (queued requests
-    /// included).
-    pub fn kill(&mut self, now: f64) -> usize {
-        self.drain_outstanding(now);
-        let dropped = self.outstanding.len();
-        self.outstanding.clear();
+    /// Kill the server: every slot is free again, whatever it was
+    /// serving or had queued is gone.
+    pub fn kill(&mut self) {
         self.slots.fill(f64::NEG_INFINITY);
-        dropped
+    }
+
+    /// `true` when no slot holds work (never used, or killed since).
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self) -> bool {
+        self.slots.iter().all(|&free| free == f64::NEG_INFINITY)
     }
 
     /// Release the model's memory after its server was permanently
     /// retired (compacted out of the balancer). The model keeps its
     /// index in the per-backend array — external backend ids are never
     /// reused — but a retired server can never [`admit`](Self::admit)
-    /// or [`kill`](Self::kill) again, so the slot heap and outstanding
-    /// queue are freed rather than carried for the rest of a week-scale
-    /// run.
+    /// or [`kill`](Self::kill) again, so the slot heap is freed rather
+    /// than carried for the rest of a week-scale run.
     pub fn release(&mut self) {
         self.slots = Vec::new();
-        self.outstanding = VecDeque::new();
     }
 }
 
@@ -201,31 +166,15 @@ mod tests {
     }
 
     #[test]
-    fn kill_drops_in_flight() {
-        let mut s = ServiceModel::new(10.0, 1.0, 0.0); // 10 slots, 1 s each
-        for _ in 0..5 {
-            s.admit(0.0);
-        }
-        // At t = 0.5 all five are still in flight.
-        assert_eq!(s.kill(0.5), 5);
-        assert!(s.outstanding.is_empty());
-    }
-
-    #[test]
-    fn kill_counts_queued_requests_too() {
-        // 1 slot, 12 admissions: 11 still unfinished at t = 0.5.
+    fn kill_frees_every_slot() {
+        // 1 slot, 12 admissions: a queue 1.2 s deep.
         let mut s = ServiceModel::new(10.0, 0.1, 0.0);
         for _ in 0..12 {
             s.admit(0.0);
         }
-        assert_eq!(s.outstanding.len(), 12);
-        assert_eq!(s.kill(0.15), 11, "one completed at 0.1, rest dropped");
-    }
-
-    #[test]
-    fn kill_spares_completed() {
-        let mut s = ServiceModel::new(10.0, 1.0, 0.0);
-        s.admit(0.0); // completes at 1.0
-        assert_eq!(s.kill(2.0), 0);
+        s.kill();
+        assert!(s.is_idle());
+        let done = s.admit(0.15);
+        assert!((done - 0.25).abs() < 1e-12, "no wait behind the dead queue");
     }
 }

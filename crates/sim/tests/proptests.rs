@@ -81,26 +81,6 @@ proptest! {
         );
     }
 
-    /// kill() accounts exactly for the in-flight population. Time is
-    /// monotone: the kill happens at or after the last admission, as in
-    /// the simulator.
-    #[test]
-    fn kill_counts_in_flight(
-        arrivals in prop::collection::vec(0.0f64..10.0, 1..50),
-        kill_delay in 0.0f64..5.0,
-    ) {
-        let mut s = ServiceModel::new(10.0, 1.0, 0.0);
-        let mut done_times = Vec::new();
-        let mut sorted = arrivals.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for &t in &sorted {
-            done_times.push(s.admit(t));
-        }
-        let kill_at = sorted.last().unwrap() + kill_delay;
-        let in_flight_at_kill = done_times.iter().filter(|d| **d > kill_at).count();
-        prop_assert_eq!(s.kill(kill_at), in_flight_at_kill);
-    }
-
     /// Conservation holds under *arbitrary* fault plans: however the
     /// cluster is revoked, flapped, or stalled, every request is
     /// accounted as served or dropped, nothing routes to a dead
@@ -160,15 +140,14 @@ proptest! {
     fn event_queue_total_order(times in prop::collection::vec(0.0f64..1000.0, 1..200)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, Event::Arrival { request: i as u64, session: 0 });
+            q.schedule(t, Event::ServerReady { backend: i });
         }
         let mut last_t = f64::NEG_INFINITY;
-        let mut seen_at_t: Vec<u64> = Vec::new();
+        let mut seen_at_t: Vec<usize> = Vec::new();
         while let Some((t, e)) = q.pop() {
             prop_assert!(t >= last_t);
-            let id = match e {
-                Event::Arrival { request, .. } => request,
-                _ => unreachable!(),
+            let Event::ServerReady { backend: id } = e else {
+                unreachable!()
             };
             if t == last_t {
                 if let Some(&prev) = seen_at_t.last() {

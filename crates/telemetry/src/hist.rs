@@ -12,11 +12,14 @@
 //!
 //! Determinism: bucket boundaries are built by repeated
 //! multiplication and representatives by `sqrt`, both of which IEEE
-//! 754 requires to be correctly rounded. The only libm call (`log2`,
-//! not bit-stable across platforms) merely *seeds* the bucket search;
-//! the final index is always corrected against the exact boundary
-//! grid, so histogram output is byte-identical across machines — a
-//! requirement for the golden trace fixtures.
+//! 754 requires to be correctly rounded. The bucket search starts at
+//! the previous sample's bucket — latencies arrive clustered, so that
+//! bucket or a neighbour is usually the answer — and falls back to the
+//! only libm call (`log2`, not bit-stable across platforms) when it is
+//! not. Either way the start merely *seeds* the search; the final
+//! index is always corrected against the exact boundary grid, so
+//! histogram output is byte-identical across machines — a requirement
+//! for the golden trace fixtures.
 
 use std::sync::{Arc, OnceLock};
 
@@ -34,9 +37,10 @@ pub const DEFAULT_GROWTH: f64 = 1.01;
 struct Layout {
     floor: f64,
     growth: f64,
-    /// `1 / log2(growth)` — seeds the bucket search in [`Layout::index_of`].
-    /// Only a starting guess; the result is always corrected against the
-    /// exact `bounds` grid, so libm imprecision cannot reach the output.
+    /// `1 / log2(growth)` — seeds the bucket search in [`Layout::index_of`]
+    /// when the hint misses. Only a starting guess; the result is always
+    /// corrected against the exact `bounds` grid, so libm imprecision
+    /// cannot reach the output.
     inv_log2_growth: f64,
     /// `bounds[i]..bounds[i+1]` is bucket `i`; `bounds.len() - 1` buckets.
     bounds: Arc<Vec<f64>>,
@@ -70,29 +74,45 @@ impl Layout {
         self.bounds.len() - 1
     }
 
-    fn index_of(&self, v: f64) -> usize {
-        if v <= self.bounds[0] {
+    /// The bucket holding `v`, searched from bucket `hint` (any valid
+    /// index; a good one saves the `log2`).
+    fn index_of(&self, v: f64, hint: usize) -> usize {
+        let bounds = &self.bounds[..];
+        if v <= bounds[0] {
             return 0;
         }
-        if v >= *self.bounds.last().expect("layout has at least two bounds") {
+        if v >= bounds[bounds.len() - 1] {
             return self.n_buckets() - 1;
         }
-        // Seed with a log2 estimate (hot-path replacement for a ~12-probe
-        // binary search over the grid), then walk to the exact bucket.
-        // The walk compares only against the exact repeated-multiplication
-        // `bounds`, so the returned index is identical to what
-        // `partition_point(|&b| b <= v) - 1` yields — any libm log2
-        // imprecision costs at most an extra step, never a different
-        // answer. In practice the estimate is off by at most one bucket
-        // (cumulative grid rounding drift is ~1e-13 relative, i.e.
-        // ~1e-11 buckets), so the walk is one or two comparisons.
-        let est = ((v / self.floor).log2() * self.inv_log2_growth) as usize;
-        let mut i = est.min(self.n_buckets() - 1);
-        while self.bounds[i] > v {
+        // `bounds[0] < v < bounds[last]` from here on, so stepping down
+        // from a bucket whose lower bound exceeds `v`, or up from one
+        // whose upper bound does not, stays inside the grid.
+        let mut i = hint;
+        if bounds[i] > v {
             i -= 1;
-        }
-        while self.bounds[i + 1] <= v {
+        } else if bounds[i + 1] <= v {
             i += 1;
+        }
+        if bounds[i] > v || bounds[i + 1] <= v {
+            // Not the hinted bucket or a neighbour. Seed with a log2
+            // estimate (in place of a ~12-probe binary search over the
+            // grid), then walk to the exact bucket. The walk compares
+            // only against the exact repeated-multiplication `bounds`,
+            // so the returned index is identical to what
+            // `partition_point(|&b| b <= v) - 1` yields — any libm log2
+            // imprecision costs at most an extra step, never a
+            // different answer. In practice the estimate is off by at
+            // most one bucket (cumulative grid rounding drift is ~1e-13
+            // relative, i.e. ~1e-11 buckets), so the walk is one or two
+            // comparisons.
+            let est = ((v / self.floor).log2() * self.inv_log2_growth) as usize;
+            i = est.min(self.n_buckets() - 1);
+            while bounds[i] > v {
+                i -= 1;
+            }
+            while bounds[i + 1] <= v {
+                i += 1;
+            }
         }
         i
     }
@@ -117,6 +137,8 @@ pub struct StreamingHistogram {
     layout: Layout,
     /// Lazily grown: only as long as the highest bucket touched.
     counts: Vec<u64>,
+    /// Bucket of the previous sample: where the next search starts.
+    last_bucket: usize,
     count: u64,
     sum: f64,
     min: f64,
@@ -136,6 +158,7 @@ impl StreamingHistogram {
         StreamingHistogram {
             layout: Layout::default_shared(),
             counts: Vec::new(),
+            last_bucket: 0,
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -150,7 +173,8 @@ impl StreamingHistogram {
         if v.is_nan() {
             return;
         }
-        let idx = self.layout.index_of(v);
+        let idx = self.layout.index_of(v, self.last_bucket);
+        self.last_bucket = idx;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
@@ -305,6 +329,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "a million samples; the bucket search has its own tests below"
+    )]
     fn million_sample_percentiles_within_one_percent() {
         // Mixture: bulk of fast requests plus a heavy-ish tail,
         // shaped like the simulator's latency distribution.
@@ -337,6 +365,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "a million samples; the bucket search has its own tests below"
+    )]
     fn memory_is_constant_in_sample_count() {
         let mut rng = XorShift(42);
         let mut h = StreamingHistogram::new();
@@ -398,35 +430,94 @@ mod tests {
 
     #[test]
     fn seeded_index_search_matches_binary_search() {
-        // The log2-seeded bucket search must place every sample in
-        // exactly the bucket a pure binary search over the grid would
-        // pick — including values sitting on (or one ulp either side
-        // of) a boundary, where a sloppy estimate+round would go wrong.
+        // Wherever the search starts — the previous sample's bucket,
+        // its neighbours, or the log2 estimate when those miss — every
+        // sample must land in exactly the bucket a pure binary search
+        // over the grid would pick, including values sitting on (or one
+        // ulp either side of) a boundary, where a sloppy estimate+round
+        // would go wrong.
         let layout = Layout::default_shared();
+        let n = layout.n_buckets();
         let reference = |v: f64| -> usize {
             if v <= layout.bounds[0] {
                 return 0;
             }
             if v >= *layout.bounds.last().unwrap() {
-                return layout.n_buckets() - 1;
+                return n - 1;
             }
             layout.bounds.partition_point(|&b| b <= v) - 1
         };
+        let check = |v: f64, hint: usize| {
+            assert_eq!(
+                layout.index_of(v, hint),
+                reference(v),
+                "probe {v:e} from bucket {hint} diverged from binary search"
+            );
+        };
         for (i, &b) in layout.bounds.iter().enumerate() {
             for v in [b, b.next_down(), b.next_up(), b * 1.004999] {
-                assert_eq!(
-                    layout.index_of(v),
-                    reference(v),
-                    "bound {i} probe {v:e} diverged from binary search"
-                );
+                // Hints at both ends of the grid, on the boundary's own
+                // buckets and one or two off (the ± 1 step's edges),
+                // and far away (the log2 fallback).
+                let near = i.saturating_sub(2)..=(i + 2).min(n - 1);
+                for hint in near.chain([0, n - 1, (i + n / 2) % n]) {
+                    check(v, hint);
+                }
+            }
+        }
+        for v in [
+            0.0,
+            -1.0,
+            DEFAULT_FLOOR,
+            DEFAULT_CEILING,
+            1e9,
+            f64::INFINITY,
+        ] {
+            for hint in [0, n / 2, n - 1] {
+                check(v, hint);
             }
         }
         let mut rng = XorShift(0xD1CE_0001);
         for _ in 0..100_000 {
             // Log-uniform across the full grid plus out-of-range tails.
             let v = 1e-7 * (1e13_f64).powf(rng.next_f64());
-            assert_eq!(layout.index_of(v), reference(v), "probe {v:e}");
+            check(v, (rng.next_f64() * n as f64) as usize);
         }
+    }
+
+    #[test]
+    fn record_lands_in_the_binary_search_bucket_after_any_previous_sample() {
+        // Same differential through `record`, whose hint is the
+        // previous sample's bucket: jumps across the grid, repeats,
+        // neighbours, boundaries and both clamped tails.
+        let layout = Layout::default_shared();
+        let mut h = StreamingHistogram::new();
+        let mut expected = vec![0u64; layout.n_buckets()];
+        let mut rng = XorShift(0x5EED_0021);
+        let mut probes = vec![1e-9, 0.12, 0.12, 0.1212, 0.24, 1e7, 0.12, 1e-6, 1e5, 3.0];
+        for _ in 0..20_000 {
+            let jump = 1e-7 * (1e13_f64).powf(rng.next_f64());
+            let boundary = layout.bounds[(rng.next_f64() * layout.bounds.len() as f64) as usize];
+            probes.extend([
+                jump,
+                jump * 1.003,
+                jump * 0.99,
+                boundary,
+                boundary.next_down(),
+            ]);
+        }
+        for &v in &probes {
+            h.record(v);
+            let want = if v <= layout.bounds[0] {
+                0
+            } else {
+                (layout.bounds.partition_point(|&b| b <= v) - 1).min(layout.n_buckets() - 1)
+            };
+            expected[want] += 1;
+            assert_eq!(h.last_bucket, want, "probe {v:e}");
+        }
+        expected.truncate(h.counts.len());
+        assert_eq!(h.counts, expected);
     }
 
     #[test]
