@@ -195,13 +195,14 @@ impl MpoOptimizer {
             None => solver.solve(),
         };
         if self.warm_start_enabled {
-            self.warm = Some((sol.x.clone(), sol.y.clone()));
+            // A non-finite iterate would poison every solve it seeds.
+            self.warm = (sol.status != QpStatus::NonFinite).then(|| (sol.x.clone(), sol.y.clone()));
         }
         Ok(PortfolioDecision {
             plan: unpack_plan(&sol.x, n, h),
             objective: sol.objective,
             iterations: sol.iterations,
-            solved: sol.status == QpStatus::Solved,
+            solved: sol.is_solved(),
             warm_started,
             factor_reused,
         })
@@ -371,6 +372,26 @@ mod tests {
             d2.iterations,
             d1.iterations
         );
+    }
+
+    #[test]
+    fn non_finite_solve_is_unsolved_and_never_becomes_the_warm_start() {
+        let catalog = Catalog::fig5_three_markets();
+        let forecast = flat_forecast(&[2.0, 1.0, 1.2], 4);
+        let cov = identity_cov(3);
+        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
+        let d1 = opt.optimize(&catalog, &forecast, &cov, &[0.0; 3]).unwrap();
+        assert!(d1.solved);
+        // Poison the stored iterate, as an overflowing solve would.
+        let (x, _) = opt.warm.as_mut().expect("warm start kept");
+        x[0] = f64::NAN;
+        let d2 = opt.optimize(&catalog, &forecast, &cov, d1.first()).unwrap();
+        assert!(d2.warm_started && !d2.solved);
+        assert!(opt.warm.is_none(), "a NaN iterate must not seed a solve");
+        // The next interval starts cold and recovers.
+        let d3 = opt.optimize(&catalog, &forecast, &cov, d1.first()).unwrap();
+        assert!(!d3.warm_started && d3.solved);
+        assert!(d3.first().iter().all(|a| a.is_finite()));
     }
 
     #[test]

@@ -21,10 +21,21 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Infinity (max-abs) norm.
+/// The larger of two values, NaN if either is. (`f64::max` returns the
+/// *other* operand, so a fold over it reports an all-NaN vector as 0.)
+#[inline]
+pub fn max_nan(a: f64, b: f64) -> f64 {
+    if b > a || b.is_nan() {
+        b
+    } else {
+        a
+    }
+}
+
+/// Infinity (max-abs) norm; NaN if any entry is.
 #[inline]
 pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
+    a.iter().fold(0.0_f64, |m, v| max_nan(m, v.abs()))
 }
 
 /// `y ← y + alpha * x`.
@@ -119,6 +130,19 @@ mod tests {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
+    }
+
+    #[test]
+    fn norm_inf_propagates_nan_from_any_position() {
+        for at in 0..3 {
+            let mut a = [1.0, -4.0, 2.0];
+            a[at] = f64::NAN;
+            assert!(norm_inf(&a).is_nan(), "NaN at {at}");
+        }
+        assert_eq!(norm_inf(&[1.0, f64::NEG_INFINITY]), f64::INFINITY);
+        assert!(max_nan(f64::NAN, 1.0).is_nan() && max_nan(1.0, f64::NAN).is_nan());
+        assert_eq!(max_nan(1.0, 2.0), 2.0);
+        assert_eq!(max_nan(2.0, 1.0), 2.0);
     }
 
     #[test]

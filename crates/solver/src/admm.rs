@@ -43,12 +43,15 @@ struct SolveWorkspace {
     px: Vec<f64>,
     /// Residual scratch: Aᵀy.
     aty_res: Vec<f64>,
+    /// One KKT block long: where the factor's backward pass sums
+    /// `Bᵀ·x` (see `BlockTridiagCholesky::solve_in_place`).
+    kkt_block: Vec<f64>,
 }
 
 impl SolveWorkspace {
     /// Size every buffer for an `n`-variable, `m`-constraint problem
-    /// and zero-fill it.
-    fn reset(&mut self, n: usize, m: usize) {
+    /// whose KKT factor has blocks of `block`, and zero-fill it.
+    fn reset(&mut self, n: usize, m: usize, block: usize) {
         for v in [
             &mut self.x,
             &mut self.rhs,
@@ -69,6 +72,8 @@ impl SolveWorkspace {
             v.clear();
             v.resize(m, 0.0);
         }
+        self.kkt_block.clear();
+        self.kkt_block.resize(block, 0.0);
     }
 }
 
@@ -224,7 +229,7 @@ impl AdmmSolver {
         // Take the workspace out of `self` so the iteration below can
         // borrow it mutably alongside `self` (for ρ updates).
         let mut ws = std::mem::take(&mut self.workspace);
-        ws.reset(n, m);
+        ws.reset(n, m, n / self.kkt.blocks());
 
         if let Some((x0, y0)) = warm {
             // Map the warm start into scaled coordinates: x̄ = D⁻¹x,
@@ -261,7 +266,9 @@ impl AdmmSolver {
                 ws.rhs[j] = sigma * ws.x[j] - self.prob.q[j] + ws.aty[j];
             }
             // x̃ = K⁻¹ rhs (in place).
-            self.kkt.solve_in_place(&mut ws.rhs).expect("kkt solve");
+            self.kkt
+                .solve_in_place(&mut ws.rhs, &mut ws.kkt_block)
+                .expect("kkt solve");
             let xtil = &ws.rhs;
             self.prob
                 .a
@@ -295,6 +302,12 @@ impl AdmmSolver {
                     &mut ws.px,
                     &mut ws.aty_res,
                 );
+                if !res.is_finite() {
+                    status = QpStatus::NonFinite;
+                    iterations = it;
+                    last_res = Some(res);
+                    break;
+                }
                 if do_check && res.converged(self.settings.eps_abs, self.settings.eps_rel) {
                     status = QpStatus::Solved;
                     iterations = it;
@@ -633,22 +646,24 @@ mod tests {
         assert!((sol.x[1] - 1.0).abs() < 1e-3, "x2 = {}", sol.x[1]);
     }
 
+    /// min (x₁ − 1)² + (x₂ − 2)² s.t. x₁ + x₂ ≤ 1.5, x ≥ 0.
+    fn budget_qp() -> QpProblem {
+        QpProblem::new(
+            Matrix::from_diag(&[2.0, 2.0]),
+            vec![-2.0, -4.0],
+            Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]),
+            vec![f64::NEG_INFINITY, 0.0, 0.0],
+            vec![1.5, f64::INFINITY, f64::INFINITY],
+        )
+        .unwrap()
+    }
+
     #[test]
     fn warm_start_converges_faster() {
-        let make = || {
-            QpProblem::new(
-                Matrix::from_diag(&[2.0, 2.0]),
-                vec![-2.0, -4.0],
-                Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]),
-                vec![f64::NEG_INFINITY, 0.0, 0.0],
-                vec![1.5, f64::INFINITY, f64::INFINITY],
-            )
-            .unwrap()
-        };
-        let mut cold = AdmmSolver::new(make(), Settings::default()).unwrap();
+        let mut cold = AdmmSolver::new(budget_qp(), Settings::default()).unwrap();
         let cold_sol = cold.solve();
         assert!(cold_sol.is_solved());
-        let mut warm = AdmmSolver::new(make(), Settings::default()).unwrap();
+        let mut warm = AdmmSolver::new(budget_qp(), Settings::default()).unwrap();
         let warm_sol = warm.solve_from(&cold_sol.x, &cold_sol.y);
         assert!(warm_sol.is_solved());
         assert!(
@@ -657,6 +672,23 @@ mod tests {
             warm_sol.iterations,
             cold_sol.iterations
         );
+    }
+
+    #[test]
+    fn non_finite_iterate_stops_at_the_first_check_unsolved() {
+        // A NaN iterate used to pass the residual test (`f64::max`
+        // drops NaN, so both residuals read 0) and come back `Solved`.
+        let settings = Settings::default();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut solver = AdmmSolver::new(budget_qp(), settings.clone()).unwrap();
+            let sol = solver.solve_from(&[bad, 0.0], &[0.0; 3]);
+            assert_eq!(sol.status, QpStatus::NonFinite);
+            assert!(!sol.is_solved());
+            assert_eq!(sol.iterations, settings.check_interval);
+            assert!(!sol.primal_residual.is_finite() || !sol.dual_residual.is_finite());
+            // The solver itself is not poisoned: a cold solve works.
+            assert!(solver.solve().is_solved());
+        }
     }
 
     #[test]

@@ -277,6 +277,10 @@ pub enum QpStatus {
     /// Hit `max_iter` before converging (the iterate is still usable,
     /// check the reported residuals).
     MaxIterations,
+    /// The iterate picked up a NaN or an infinity (overflow, or a
+    /// non-finite warm start) and the iteration stopped at the first
+    /// residual check that saw it. `x`, `y` and `z` are not usable.
+    NonFinite,
 }
 
 /// The result of a solve.

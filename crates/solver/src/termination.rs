@@ -1,6 +1,6 @@
 //! Convergence criteria for the ADMM iteration.
 
-use spotweb_linalg::vector::norm_inf;
+use spotweb_linalg::vector::{max_nan, norm_inf};
 use spotweb_linalg::CsrMatrix;
 
 /// Primal and dual residuals plus the scale factors used for the
@@ -45,27 +45,37 @@ impl Residuals {
     }
 
     fn reduce(q: &[f64], z: &[f64], ax: &[f64], px: &[f64], aty: &[f64]) -> Residuals {
+        // Every max keeps a NaN: a NaN iterate must read as a NaN
+        // residual, not as the 0 an `f64::max` fold makes of it.
         let mut primal: f64 = 0.0;
         for (axi, zi) in ax.iter().zip(z) {
-            primal = primal.max((axi - zi).abs());
+            primal = max_nan(primal, (axi - zi).abs());
         }
         let mut dual: f64 = 0.0;
         for ((pxi, qi), atyi) in px.iter().zip(q).zip(aty.iter()) {
-            dual = dual.max((pxi + qi + atyi).abs());
+            dual = max_nan(dual, (pxi + qi + atyi).abs());
         }
         Residuals {
             primal,
             dual,
-            primal_scale: norm_inf(ax).max(norm_inf(z)),
-            dual_scale: norm_inf(px).max(norm_inf(aty)).max(norm_inf(q)),
+            primal_scale: max_nan(norm_inf(ax), norm_inf(z)),
+            dual_scale: max_nan(max_nan(norm_inf(px), norm_inf(aty)), norm_inf(q)),
         }
     }
 
-    /// OSQP-style stopping test.
+    /// `false` once the iterate holds a NaN or an infinity: it reaches
+    /// a residual through `Ax`, `Px` or `Aᵀy`, the NaN-keeping max
+    /// reports it, and no later iteration recovers.
+    pub fn is_finite(&self) -> bool {
+        self.primal.is_finite() && self.dual.is_finite()
+    }
+
+    /// OSQP-style stopping test. Never met by a non-finite residual
+    /// (`∞ ≤ eps_abs + eps_rel·∞` would otherwise hold).
     pub fn converged(&self, eps_abs: f64, eps_rel: f64) -> bool {
         let eps_pri = eps_abs + eps_rel * self.primal_scale;
         let eps_dua = eps_abs + eps_rel * self.dual_scale;
-        self.primal <= eps_pri && self.dual <= eps_dua
+        self.is_finite() && self.primal <= eps_pri && self.dual <= eps_dua
     }
 
     /// Ratio used by adaptive-ρ: relative primal over relative dual
@@ -131,6 +141,32 @@ mod tests {
         let r = Residuals::compute(&p, &q, &a, &x, &z, &y, &mut ax, &mut px, &mut aty);
         assert_eq!(r.dual, 1.0);
         assert!(!r.converged(1e-3, 1e-3));
+    }
+
+    #[test]
+    fn non_finite_iterate_is_never_converged() {
+        // Every comparison with NaN is false and `f64::max` drops it:
+        // an all-NaN iterate used to read primal = dual = 0, converged.
+        let p = csr(&Matrix::identity(2));
+        let a = csr(&Matrix::identity(2));
+        let q = [0.0, 0.0];
+        let mut ax = [0.0; 2];
+        let mut px = [0.0; 2];
+        let mut aty = [0.0; 2];
+        for bad in [f64::NAN, f64::INFINITY] {
+            let x = [bad, bad];
+            let r = Residuals::compute(&p, &q, &a, &x, &x, &x, &mut ax, &mut px, &mut aty);
+            assert!(!r.is_finite(), "{r:?}");
+            assert!(!r.converged(1e-3, 1e-3), "{r:?}");
+            // One bad entry among good ones, in either position.
+            for at in 0..2 {
+                let mut x = [0.0, 0.0];
+                x[at] = bad;
+                let z = [0.0, 0.0];
+                let r = Residuals::compute(&p, &q, &a, &x, &z, &z, &mut ax, &mut px, &mut aty);
+                assert!(!r.is_finite() && !r.converged(1e-3, 1e-3), "{r:?}");
+            }
+        }
     }
 
     #[test]
