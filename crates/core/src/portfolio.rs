@@ -103,23 +103,26 @@ pub fn build_sparse_qp(
     for tau in 0..h {
         let last = tau + 1 == h;
         for i in 0..n {
-            let earlier = (churn && tau > 0).then(|| ((tau - 1) * n + i, -2.0 * g));
-            let later = (churn && !last).then(|| ((tau + 1) * n + i, -2.0 * g));
-            let own = (0..n).map(|j| {
-                let v = if i != j || !churn {
-                    risk[(i, j)]
-                } else if last {
-                    risk[(i, i)] + 2.0 * g
-                } else {
-                    risk[(i, i)] + 2.0 * g + 2.0 * g
-                };
-                (tau * n + j, v)
-            });
-            for (col, v) in earlier.into_iter().chain(own).chain(later) {
+            let row = risk.row(i);
+            let diag = match (churn, last) {
+                (false, _) => row[i],
+                (true, true) => row[i] + 2.0 * g,
+                (true, false) => row[i] + 2.0 * g + 2.0 * g,
+            };
+            let mut push = |col: usize, v: f64| {
                 if v != 0.0 {
                     p_indices.push(col);
                     p_data.push(v);
                 }
+            };
+            if churn && tau > 0 {
+                push((tau - 1) * n + i, -2.0 * g);
+            }
+            for (j, &v) in row.iter().enumerate() {
+                push(tau * n + j, if j == i { diag } else { v });
+            }
+            if churn && !last {
+                push((tau + 1) * n + i, -2.0 * g);
             }
             p_indptr.push(p_indices.len());
         }

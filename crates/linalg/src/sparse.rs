@@ -123,21 +123,16 @@ impl CsrMatrix {
         (&self.indices[span.clone()], &self.data[span])
     }
 
+    /// Row `r` with its values writable; the pattern stays fixed.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> (&[usize], &mut [f64]) {
+        let span = self.indptr[r]..self.indptr[r + 1];
+        (&self.indices[span.clone()], &mut self.data[span])
+    }
+
     /// All stored values, row by row.
     pub fn values(&self) -> &[f64] {
         &self.data
-    }
-
-    /// `self ← diag(row_scale) · self · diag(col_scale)` over the
-    /// stored entries (each is multiplied by the *product* of its two
-    /// factors, as the dense `m[(i, j)] *= r[i] * c[j]` would).
-    pub fn scale_rows_cols(&mut self, row_scale: &[f64], col_scale: &[f64]) {
-        assert!(row_scale.len() == self.rows && col_scale.len() == self.cols);
-        for r in 0..self.rows {
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                self.data[k] *= row_scale[r] * col_scale[self.indices[k]];
-            }
-        }
     }
 
     /// Scale every stored entry by `s`.
@@ -145,20 +140,6 @@ impl CsrMatrix {
         for v in &mut self.data {
             *v *= s;
         }
-    }
-
-    /// `out[j] ← max(out[j], maxᵢ |self[i, j]|)` — column ∞-norms,
-    /// folded into `out` so several matrices can share one pass.
-    pub fn col_abs_max_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.cols);
-        for (&c, v) in self.indices.iter().zip(&self.data) {
-            out[c] = out[c].max(v.abs());
-        }
-    }
-
-    /// ∞-norm of row `r`.
-    pub fn row_abs_max(&self, r: usize) -> f64 {
-        self.row(r).1.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 
     /// The transpose, in CSR.
@@ -195,13 +176,23 @@ impl CsrMatrix {
     /// `(self + selfᵀ) / 2` for a square matrix: every off-diagonal
     /// pair becomes `0.5 · (a[i, j] + a[j, i])` (absent entries count
     /// as zero), the diagonal is kept — entry for entry what
-    /// [`Matrix::symmetrize_mut`] computes.
-    pub fn symmetrized(&self) -> Result<CsrMatrix> {
+    /// [`Matrix::symmetrize_mut`] computes. A matrix that arithmetic
+    /// would leave as it is comes back untouched.
+    pub fn symmetrized(self) -> Result<CsrMatrix> {
         if self.rows != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 context: "csr symmetrized: matrix must be square",
             });
         }
+        Ok(if self.is_fixed_by_symmetrizing() {
+            self
+        } else {
+            self.merged_with_transpose()
+        })
+    }
+
+    /// `(self + selfᵀ) / 2` computed entry by entry (`self` square).
+    fn merged_with_transpose(&self) -> CsrMatrix {
         let t = self.transpose();
         let mut indptr = Vec::with_capacity(self.rows + 1);
         let mut indices = Vec::with_capacity(self.nnz());
@@ -224,28 +215,99 @@ impl CsrMatrix {
             }
             indptr.push(indices.len());
         }
-        Ok(CsrMatrix {
+        CsrMatrix {
             rows: self.rows,
             cols: self.cols,
             indptr,
             indices,
             data,
-        })
+        }
     }
 
-    /// `y ← self · x`.
+    /// Whether every stored off-diagonal entry has a stored mirror
+    /// image with the same bits, and doubling it stays finite — then
+    /// `0.5 · (a + a)` is `a` exactly and [`CsrMatrix::symmetrized`]
+    /// has nothing to compute. One walk: `next[c]` is the first entry
+    /// of row `c` no earlier row has claimed; rows `< r` claim exactly
+    /// row `r`'s entries left of the diagonal, in column order, or the
+    /// matrix is not symmetric.
+    fn is_fixed_by_symmetrizing(&self) -> bool {
+        let mut next = self.indptr[..self.rows].to_vec();
+        for r in 0..self.rows {
+            let end = self.indptr[r + 1];
+            let k = next[r];
+            let diagonal = usize::from(k < end && self.indices[k] == r);
+            for k in k + diagonal..end {
+                // Right of the diagonal — or left of it and unclaimed,
+                // and then row `c < r` is done and holds no `(c, r)`.
+                let (c, a) = (self.indices[k], self.data[k]);
+                let mirror = next[c];
+                if mirror == self.indptr[c + 1] || self.indices[mirror] != r {
+                    return false;
+                }
+                let b = self.data[mirror];
+                if a.to_bits() != b.to_bits() || !(a + b).is_finite() {
+                    return false;
+                }
+                next[c] = mirror + 1;
+            }
+        }
+        true
+    }
+
+    /// `y ← self · x`. Each row's sum takes its stored entries left to
+    /// right from `+0.0`; four rows that share a stretch of two or more
+    /// entries advance through it together.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
         if x.len() != self.cols || y.len() != self.rows {
             return Err(LinalgError::DimensionMismatch {
                 context: "csr matvec: x/y length mismatch",
             });
         }
-        for r in 0..self.rows {
-            let mut s = 0.0;
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                s += self.data[k] * x[self.indices[k]];
+        // Continue the sum `s` over the stored entries `(cols, vals)`.
+        let dot_from = |s: f64, cols: &[usize], vals: &[f64]| {
+            cols.iter().zip(vals).fold(s, |s, (&c, &v)| s + v * x[c])
+        };
+        let mut quads = y.chunks_exact_mut(4);
+        for (q, out) in quads.by_ref().enumerate() {
+            let ptr = &self.indptr[4 * q..4 * q + 5];
+            // The shortest row bounds the stretch all four share. Under
+            // two entries there is no add chain to overlap, and a row
+            // costs less than the four-way split does.
+            let shared = (ptr[1] - ptr[0])
+                .min(ptr[2] - ptr[1])
+                .min(ptr[3] - ptr[2])
+                .min(ptr[4] - ptr[3]);
+            if shared < 2 {
+                for (lane, out) in out.iter_mut().enumerate() {
+                    let (cols, vals) = self.row(4 * q + lane);
+                    *out = dot_from(0.0, cols, vals);
+                }
+                continue;
             }
-            y[r] = s;
+            let [(c0, v0), (c1, v1), (c2, v2), (c3, v3)] =
+                [0, 1, 2, 3].map(|lane| self.row(4 * q + lane));
+            // Each row finishes its own tail alone.
+            let ((c0, t0), (v0, u0)) = (c0.split_at(shared), v0.split_at(shared));
+            let ((c1, t1), (v1, u1)) = (c1.split_at(shared), v1.split_at(shared));
+            let ((c2, t2), (v2, u2)) = (c2.split_at(shared), v2.split_at(shared));
+            let ((c3, t3), (v3, u3)) = (c3.split_at(shared), v3.split_at(shared));
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+            for k in 0..shared {
+                s0 += v0[k] * x[c0[k]];
+                s1 += v1[k] * x[c1[k]];
+                s2 += v2[k] * x[c2[k]];
+                s3 += v3[k] * x[c3[k]];
+            }
+            out[0] = dot_from(s0, t0, u0);
+            out[1] = dot_from(s1, t1, u1);
+            out[2] = dot_from(s2, t2, u2);
+            out[3] = dot_from(s3, t3, u3);
+        }
+        let tail = self.rows - self.rows % 4;
+        for (r, out) in (tail..).zip(quads.into_remainder()) {
+            let (cols, vals) = self.row(r);
+            *out = dot_from(0.0, cols, vals);
         }
         Ok(())
     }
@@ -258,13 +320,13 @@ impl CsrMatrix {
             });
         }
         y.iter_mut().for_each(|v| *v = 0.0);
-        for r in 0..self.rows {
-            let xr = x[r];
+        for (r, &xr) in x.iter().enumerate() {
             if xr == 0.0 {
                 continue;
             }
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                y[self.indices[k]] += self.data[k] * xr;
+            let (cols, vals) = self.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                y[c] += v * xr;
             }
         }
         Ok(())
@@ -374,22 +436,175 @@ mod tests {
             .is_err());
     }
 
+    fn bits(m: &CsrMatrix) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A bit-symmetric `n × n` matrix: a full diagonal band `band` wide
+    /// (SpotWeb's block-tridiagonal shape) when `band > 0`, else a
+    /// pseudo-random pattern; row 1 and column 1 empty, a stored `−0.0`
+    /// pair, magnitudes from 1e-300 to 1e300.
+    fn symmetric(n: usize, band: usize) -> CsrMatrix {
+        let mut d = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let keep = if band > 0 {
+                    j - i <= band
+                } else {
+                    (i * 7 + j * 3) % 5 < 2
+                };
+                if keep && i != 1 && j != 1 {
+                    let exp = ((i + j) % 7) as i32 * 100 - 300;
+                    d[(i, j)] = ((i * n + j) as f64 + 0.37).sin() * 10f64.powi(exp);
+                    d[(j, i)] = d[(i, j)];
+                }
+            }
+        }
+        let mut s = CsrMatrix::from_dense(&d, 0.0);
+        if n > 3 {
+            // `from_dense` drops zeros; store a signed one by hand.
+            let at = |s: &CsrMatrix, r: usize, c: usize| {
+                s.indptr[r] + s.row(r).0.iter().position(|&x| x == c).unwrap()
+            };
+            if d[(0, 2)] != 0.0 {
+                let (up, down) = (at(&s, 0, 2), at(&s, 2, 0));
+                s.data[up] = -0.0;
+                s.data[down] = -0.0;
+            }
+        }
+        s
+    }
+
     #[test]
-    fn scalings_and_norms_match_dense_bitwise() {
+    fn symmetrized_returns_a_symmetric_matrix_as_the_merge_would_leave_it() {
+        let sizes: &[usize] = if cfg!(miri) {
+            &[0, 1, 5]
+        } else {
+            &[0, 1, 2, 5, 12, 40]
+        };
+        for &n in sizes {
+            for band in [0, 1, 3] {
+                let s = symmetric(n, band);
+                assert!(s.is_fixed_by_symmetrizing(), "n = {n}, band = {band}");
+                let merged = s.merged_with_transpose();
+                assert_eq!(merged, s);
+                assert_eq!(bits(&merged), bits(&s), "n = {n}, band = {band}");
+                assert_eq!(bits(&s.clone().symmetrized().unwrap()), bits(&s));
+            }
+        }
+    }
+
+    #[test]
+    fn symmetrized_falls_through_to_the_merge_on_any_asymmetry() {
+        let s = symmetric(9, 3);
+        let at =
+            |r: usize, c: usize| s.indptr[r] + s.row(r).0.iter().position(|&x| x == c).unwrap();
+        // One flipped mantissa bit, above and below the diagonal.
+        for (r, c) in [(2, 4), (4, 2), (7, 8), (8, 7)] {
+            let mut m = s.clone();
+            m.data[at(r, c)] = f64::from_bits(m.data[at(r, c)].to_bits() ^ 1);
+            assert!(!m.is_fixed_by_symmetrizing(), "bit flip at ({r}, {c})");
+            assert_eq!(m.clone().symmetrized().unwrap(), m.merged_with_transpose());
+            assert_ne!(m.clone().symmetrized().unwrap(), m);
+        }
+        // A missing mirror entry: first, middle and last of a row, on
+        // either side of the diagonal.
+        for (r, c) in [(0, 2), (2, 0), (3, 4), (4, 3), (5, 8), (8, 5), (8, 7)] {
+            let k = at(r, c);
+            let mut m = s.clone();
+            m.indices.remove(k);
+            m.data.remove(k);
+            for p in &mut m.indptr[r + 1..] {
+                *p -= 1;
+            }
+            assert!(!m.is_fixed_by_symmetrizing(), "({r}, {c}) dropped");
+            let sym = m.clone().symmetrized().unwrap();
+            assert_eq!(sym, m.merged_with_transpose());
+            assert_eq!(sym.nnz(), s.nnz(), "the merge restores the pair");
+        }
+        // Rows with entries their columns lack altogether: distinct
+        // values, then all ones (a cycle, so that only the pattern can
+        // tell — every cursor finds *an* entry with the right bits).
+        for rows in [
+            [[1.0, 0.0, 0.0], [2.0, 1.0, 3.0], [0.0, 0.0, 1.0]],
+            [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+        ] {
+            let dense = Matrix::from_rows(&[&rows[0], &rows[1], &rows[2]]);
+            let lopsided = CsrMatrix::from_dense(&dense, 0.0);
+            assert!(!lopsided.is_fixed_by_symmetrizing(), "{rows:?}");
+            let mut want = dense;
+            want.symmetrize_mut();
+            assert_eq!(lopsided.symmetrized().unwrap().to_dense(), want);
+        }
+        // A bit-equal pair whose sum overflows is the merge's to turn
+        // into the ∞ the dense arithmetic yields.
+        let huge =
+            CsrMatrix::from_dense(&Matrix::from_rows(&[&[1.0, 1.2e308], &[1.2e308, 1.0]]), 0.0);
+        assert!(!huge.is_fixed_by_symmetrizing());
+        assert_eq!(huge.symmetrized().unwrap().values()[1], f64::INFINITY);
+    }
+
+    /// The row loop `matvec_into` replaced, kept as its oracle.
+    fn matvec_scalar(m: &CsrMatrix, x: &[f64]) -> Vec<f64> {
+        (0..m.rows)
+            .map(|r| {
+                let mut s = 0.0;
+                for k in m.indptr[r]..m.indptr[r + 1] {
+                    s += m.data[k] * x[m.indices[k]];
+                }
+                s
+            })
+            .collect()
+    }
+
+    #[test]
+    fn four_row_matvec_is_bitwise_the_scalar_row_loop_on_ragged_rows() {
+        let cols = 11;
+        let x: Vec<f64> = (0..cols)
+            .map(|j| match j % 4 {
+                0 => -0.0,
+                1 => 1e-3 * (j as f64 + 0.1).cos(),
+                2 => 1e5 * (j as f64).sin(),
+                _ => -(j as f64) / 3.0,
+            })
+            .collect();
+        // Every row count 0–9; row `r` of variant `shift` holds
+        // `(r · 5 + shift) % 10` entries, so each quad mixes lengths
+        // 0–9 in a different order and every tail length occurs.
+        for rows in 0..10 {
+            for shift in 0..10 {
+                let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+                for r in 0..rows {
+                    let len = (r * 5 + shift) % 10;
+                    for k in 0..len {
+                        indices.push(k + r % 2);
+                        data.push(match (r + k) % 5 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => ((r * 13 + k * 7) as f64 + 0.5).sin() * 10f64.powi(k as i32 - 4),
+                        });
+                    }
+                    indptr.push(indices.len());
+                }
+                let m = CsrMatrix::from_parts(rows, cols, indptr, indices, data).unwrap();
+                let want: Vec<u64> = matvec_scalar(&m, &x).iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = m.matvec(&x).unwrap().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "rows = {rows}, shift = {shift}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_mut_and_scale_mut_match_dense_bitwise() {
         let d = patterned(5, 4);
         let mut s = CsrMatrix::from_dense(&d, 0.0);
         let (rs, cs) = ([0.5, 3.0, 0.1, 7.0, 1.5], [2.0, 0.3, 1.1, 9.0]);
-        let mut col_norms = [0.0; 4];
-        s.col_abs_max_into(&mut col_norms);
-        for j in 0..4 {
-            let want = d.col(j).iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            assert_eq!(col_norms[j], want);
+        for (i, ri) in rs.iter().enumerate() {
+            let (cols, vals) = s.row_mut(i);
+            for (v, &j) in vals.iter_mut().zip(cols) {
+                *v *= ri * cs[j];
+            }
         }
-        for i in 0..5 {
-            let want = d.row(i).iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            assert_eq!(s.row_abs_max(i), want);
-        }
-        s.scale_rows_cols(&rs, &cs);
         s.scale_mut(0.7);
         let mut want = d.clone();
         for i in 0..5 {

@@ -152,6 +152,7 @@ impl AdmmSolver {
     }
 
     fn build(orig: SparseQp, settings: Settings, blocks: usize) -> Result<Self> {
+        settings.validate()?;
         let mut prob = orig.clone();
         let scaling = if settings.scaling {
             ruiz_equilibrate(&mut prob, settings.scaling_iters)
@@ -255,15 +256,18 @@ impl AdmmSolver {
 
         for it in 1..=self.settings.max_iter {
             // rhs = σx − q + Aᵀ(ρ⊙z − y)
-            for i in 0..m {
-                ws.tmp_m[i] = self.rho_vec[i] * ws.z[i] - ws.y[i];
+            for (((t, &rho), &z), &y) in
+                ws.tmp_m.iter_mut().zip(&self.rho_vec).zip(&ws.z).zip(&ws.y)
+            {
+                *t = rho * z - y;
             }
             self.prob
                 .a
                 .matvec_transpose_into(&ws.tmp_m, &mut ws.aty)
                 .expect("admm: Aᵀv shape");
-            for j in 0..n {
-                ws.rhs[j] = sigma * ws.x[j] - self.prob.q[j] + ws.aty[j];
+            for (((r, &x), &q), &aty) in ws.rhs.iter_mut().zip(&ws.x).zip(&self.prob.q).zip(&ws.aty)
+            {
+                *r = sigma * x - q + aty;
             }
             // x̃ = K⁻¹ rhs (in place).
             self.kkt
@@ -276,15 +280,22 @@ impl AdmmSolver {
                 .expect("admm: A·x̃ shape");
 
             // Relaxed updates.
-            for j in 0..n {
-                ws.x[j] = alpha * ws.rhs[j] + (1.0 - alpha) * ws.x[j];
+            for (x, &xtil) in ws.x.iter_mut().zip(&ws.rhs) {
+                *x = alpha * xtil + (1.0 - alpha) * *x;
             }
-            for i in 0..m {
-                let z_relaxed = alpha * ws.ztil[i] + (1.0 - alpha) * ws.z[i];
-                let z_pre = z_relaxed + ws.y[i] / self.rho_vec[i];
-                let z_new = z_pre.clamp(self.prob.l[i], self.prob.u[i]);
-                ws.y[i] += self.rho_vec[i] * (z_relaxed - z_new);
-                ws.z[i] = z_new;
+            for (((((z, y), &ztil), &rho), &lo), &hi) in
+                ws.z.iter_mut()
+                    .zip(&mut ws.y)
+                    .zip(&ws.ztil)
+                    .zip(&self.rho_vec)
+                    .zip(&self.prob.l)
+                    .zip(&self.prob.u)
+            {
+                let z_relaxed = alpha * ztil + (1.0 - alpha) * *z;
+                let z_pre = z_relaxed + *y / rho;
+                let z_new = z_pre.clamp(lo, hi);
+                *y += rho * (z_relaxed - z_new);
+                *z = z_new;
             }
 
             let do_check = it % self.settings.check_interval == 0 || it == self.settings.max_iter;

@@ -64,6 +64,13 @@ pub enum SolverError {
         /// Which part of the problem: `"P"`, `"q"`, `"A"` or `"bounds"`.
         what: &'static str,
     },
+    /// A [`Settings`] field holds a value the iteration cannot run with.
+    InvalidSetting {
+        /// The field, by name.
+        field: &'static str,
+        /// What it has to satisfy.
+        must_be: &'static str,
+    },
 }
 
 impl core::fmt::Display for SolverError {
@@ -75,6 +82,9 @@ impl core::fmt::Display for SolverError {
             }
             SolverError::Factorization(msg) => write!(f, "factorization failed: {msg}"),
             SolverError::NonFinite { what } => write!(f, "non-finite value in {what}"),
+            SolverError::InvalidSetting { field, must_be } => {
+                write!(f, "invalid setting: {field} must be {must_be}")
+            }
         }
     }
 }

@@ -55,9 +55,10 @@ impl QpProblem {
     /// Build and validate a problem.
     pub fn new(p: Matrix, q: Vec<f64>, a: Matrix, l: Vec<f64>, u: Vec<f64>) -> Result<Self> {
         let (p_shape, a_shape) = ((p.rows(), p.cols()), (a.rows(), a.cols()));
-        validate(p_shape, p.as_slice(), &q, a_shape, a.as_slice(), &l, &u)?;
+        validate_shapes(p_shape, q.len(), a_shape, l.len(), u.len())?;
         let mut p = p;
         p.symmetrize_mut();
+        validate_values(p.as_slice(), &q, a.as_slice(), &l, &u)?;
         Ok(QpProblem { p, q, a, l, u })
     }
 
@@ -88,28 +89,33 @@ impl QpProblem {
     }
 }
 
-/// What both constructors check: consistent dimensions; no non-finite
-/// entry in `P`, `q` or `A`; no NaN bound (±∞ means "one-sided" and is
-/// fine) and no bound pair with `l > u`.
-fn validate(
+/// What both constructors check before symmetrizing `P`: consistent
+/// dimensions.
+fn validate_shapes(
     p_shape: (usize, usize),
-    p: &[f64],
-    q: &[f64],
+    n: usize,
     a_shape: (usize, usize),
-    a: &[f64],
-    l: &[f64],
-    u: &[f64],
+    m: usize,
+    u_len: usize,
 ) -> Result<()> {
-    let (n, m) = (q.len(), l.len());
     if p_shape != (n, n) {
         return Err(SolverError::Dimension("P must be n×n matching q"));
     }
     if a_shape.1 != n {
         return Err(SolverError::Dimension("A must have n columns"));
     }
-    if a_shape.0 != m || u.len() != m {
+    if a_shape.0 != m || u_len != m {
         return Err(SolverError::Dimension("A, l, u must agree on m"));
     }
+    Ok(())
+}
+
+/// …and after, so that a mirrored pair whose sum overflows is caught
+/// with the entries that were non-finite to begin with (either leaves
+/// a non-finite entry in the symmetrized `P`): no non-finite entry in
+/// `P`, `q` or `A`; no NaN bound (±∞ means "one-sided" and is fine) and
+/// no bound pair with `l > u`.
+fn validate_values(p: &[f64], q: &[f64], a: &[f64], l: &[f64], u: &[f64]) -> Result<()> {
     for (what, values) in [("P", p), ("q", q), ("A", a)] {
         if !values.iter().all(|v| v.is_finite()) {
             return Err(SolverError::NonFinite { what });
@@ -167,8 +173,9 @@ impl SparseQp {
     /// so a matrix that is already symmetric is kept bit for bit.
     pub fn new(p: CsrMatrix, q: Vec<f64>, a: CsrMatrix, l: Vec<f64>, u: Vec<f64>) -> Result<Self> {
         let (p_shape, a_shape) = ((p.rows(), p.cols()), (a.rows(), a.cols()));
-        validate(p_shape, p.values(), &q, a_shape, a.values(), &l, &u)?;
+        validate_shapes(p_shape, q.len(), a_shape, l.len(), u.len())?;
         let p = p.symmetrized().expect("P checked square");
+        validate_values(p.values(), &q, a.values(), &l, &u)?;
         Ok(SparseQp { p, q, a, l, u })
     }
 
@@ -249,6 +256,35 @@ pub struct Settings {
     pub scaling: bool,
     /// Number of Ruiz iterations when `scaling` is on.
     pub scaling_iters: usize,
+}
+
+impl Settings {
+    /// What [`crate::AdmmSolver`] checks before it builds anything: the
+    /// first field the iteration cannot run with, by name.
+    pub(crate) fn validate(&self) -> Result<()> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let checks = [
+            ("rho", positive(self.rho), "finite and positive"),
+            ("sigma", positive(self.sigma), "finite and positive"),
+            (
+                "alpha",
+                self.alpha > 0.0 && self.alpha < 2.0,
+                "inside (0, 2)",
+            ),
+            ("eps_abs", self.eps_abs >= 0.0, "non-negative"),
+            ("eps_rel", self.eps_rel >= 0.0, "non-negative"),
+            (
+                "adaptive_rho_tolerance",
+                self.adaptive_rho_tolerance >= 1.0,
+                "at least 1",
+            ),
+            ("check_interval", self.check_interval > 0, "at least 1"),
+        ];
+        match checks.into_iter().find(|&(_, ok, _)| !ok) {
+            Some((field, _, must_be)) => Err(SolverError::InvalidSetting { field, must_be }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl Default for Settings {
@@ -377,20 +413,23 @@ mod tests {
     #[test]
     fn non_finite_data_rejected_by_both_constructors() {
         let (nan, inf) = (f64::NAN, f64::INFINITY);
-        // (what, P[0][1], q[0], A[1][0], l[0], u[1])
+        // (what, P[0][1], P[1][0], q[0], A[1][0], l[0], u[1])
         let table = [
-            ("P", nan, 0.0, 0.0, 0.0, 1.0),
-            ("P", inf, 0.0, 0.0, 0.0, 1.0),
-            ("q", 0.0, nan, 0.0, 0.0, 1.0),
-            ("q", 0.0, -inf, 0.0, 0.0, 1.0),
-            ("A", 0.0, 0.0, nan, 0.0, 1.0),
-            ("A", 0.0, 0.0, inf, 0.0, 1.0),
-            ("bounds", 0.0, 0.0, 0.0, nan, 1.0),
-            ("bounds", 0.0, 0.0, 0.0, 0.0, nan),
+            ("P", nan, 0.0, 0.0, 0.0, 0.0, 1.0),
+            ("P", inf, 0.0, 0.0, 0.0, 0.0, 1.0),
+            // Finite, symmetric to the bit, and ∞ once averaged.
+            ("P", 1.2e308, 1.2e308, 0.0, 0.0, 0.0, 1.0),
+            ("q", 0.0, 0.0, nan, 0.0, 0.0, 1.0),
+            ("q", 0.0, 0.0, -inf, 0.0, 0.0, 1.0),
+            ("A", 0.0, 0.0, 0.0, nan, 0.0, 1.0),
+            ("A", 0.0, 0.0, 0.0, inf, 0.0, 1.0),
+            ("bounds", 0.0, 0.0, 0.0, 0.0, nan, 1.0),
+            ("bounds", 0.0, 0.0, 0.0, 0.0, 0.0, nan),
         ];
-        for (what, p01, q0, a10, l0, u1) in table {
+        for (what, p01, p10, q0, a10, l0, u1) in table {
             let mut p = Matrix::identity(2);
             p[(0, 1)] = p01;
+            p[(1, 0)] = p10;
             let mut a = Matrix::identity(2);
             a[(1, 0)] = a10;
             let (q, l, u) = (vec![q0, 0.0], vec![l0, 0.0], vec![1.0, u1]);
@@ -413,6 +452,58 @@ mod tests {
             vec![inf],
         );
         assert!(open.is_ok());
+    }
+
+    #[test]
+    fn settings_the_iteration_cannot_run_with_are_rejected_by_name() {
+        use crate::AdmmSolver;
+        type Set = fn(&mut Settings, f64);
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let fields: [(&str, Set, &[f64]); 7] = [
+            ("rho", |s, v| s.rho = v, &[0.0, -0.1, nan, inf]),
+            ("sigma", |s, v| s.sigma = v, &[0.0, -1e-6, nan, inf]),
+            ("alpha", |s, v| s.alpha = v, &[0.0, 2.0, -1.0, nan, inf]),
+            ("eps_abs", |s, v| s.eps_abs = v, &[-1e-9, nan]),
+            ("eps_rel", |s, v| s.eps_rel = v, &[-1e-9, nan]),
+            (
+                "adaptive_rho_tolerance",
+                |s, v| s.adaptive_rho_tolerance = v,
+                &[0.5, -5.0, nan],
+            ),
+            (
+                "check_interval",
+                |s, v| s.check_interval = v as usize,
+                &[0.0],
+            ),
+        ];
+        for (name, set, bad_values) in fields {
+            for &bad in bad_values {
+                let mut settings = Settings::default();
+                set(&mut settings, bad);
+                for built in [
+                    AdmmSolver::new(tiny(), settings.clone()),
+                    AdmmSolver::with_block_structure(tiny(), settings.clone(), 1),
+                ] {
+                    match built.map(|_| ()) {
+                        Err(SolverError::InvalidSetting { field, .. }) => assert_eq!(field, name),
+                        other => panic!("{name} = {bad} must be rejected by name, got {other:?}"),
+                    }
+                }
+            }
+        }
+        // The edges that are fine: exact tolerances, no adaptation, a
+        // check every iteration.
+        let edge = Settings {
+            eps_abs: 0.0,
+            eps_rel: 0.0,
+            adaptive_rho_interval: 0,
+            adaptive_rho_tolerance: 1.0,
+            check_interval: 1,
+            max_iter: 5,
+            ..Settings::default()
+        };
+        assert!(AdmmSolver::new(tiny(), edge).is_ok());
+        assert_eq!(Settings::default().validate(), Ok(()));
     }
 
     #[test]

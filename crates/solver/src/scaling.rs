@@ -58,6 +58,45 @@ fn safe_inv_sqrt(v: f64) -> f64 {
     }
 }
 
+/// ∞-norm of a row's stored values. A max of magnitudes does not
+/// depend on the order they are taken in, so four lanes share it.
+fn abs_max(vals: &[f64]) -> f64 {
+    let mut lanes = [0.0_f64; 4];
+    let mut quads = vals.chunks_exact(4);
+    for quad in quads.by_ref() {
+        for (lane, v) in lanes.iter_mut().zip(quad) {
+            *lane = lane.max(v.abs());
+        }
+    }
+    let head = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
+    quads.remainder().iter().fold(head, |m, v| m.max(v.abs()))
+}
+
+/// Scale a stored row by `row_scale · col_scale[j]`, entry by entry,
+/// and return its new ∞-norm. Four factors are gathered before any
+/// product is stored: nothing tells the compiler that a store to
+/// `vals` leaves `col_scale` alone, so entry by entry every load
+/// would wait for the store before it.
+fn scale_row(cols: &[usize], vals: &mut [f64], row_scale: f64, col_scale: &[f64]) -> f64 {
+    let mut quads = vals.chunks_exact_mut(4);
+    let mut quad_cols = cols.chunks_exact(4);
+    for (v, c) in quads.by_ref().zip(quad_cols.by_ref()) {
+        let f = [
+            col_scale[c[0]],
+            col_scale[c[1]],
+            col_scale[c[2]],
+            col_scale[c[3]],
+        ];
+        for (v, f) in v.iter_mut().zip(f) {
+            *v *= row_scale * f;
+        }
+    }
+    for (v, &j) in quads.into_remainder().iter_mut().zip(quad_cols.remainder()) {
+        *v *= row_scale * col_scale[j];
+    }
+    abs_max(vals)
+}
+
 /// Equilibrate the problem in place, returning the applied [`Scaling`].
 ///
 /// `iters` rounds of the modified Ruiz iteration (as in OSQP §5.1),
@@ -68,34 +107,65 @@ fn safe_inv_sqrt(v: f64) -> f64 {
 /// values, to which zeros contribute nothing, and every stored entry
 /// is multiplied by the same factors a dense sweep would apply to it,
 /// so the result is bit for bit that of equilibrating the dense form.
+///
+/// A round is one sweep over each matrix: a row is scaled and, while
+/// it is in cache, gives up the norms the next round (or the cost
+/// normalization) starts from. `P` is stored symmetric to the bit and
+/// stays so (`d[i]·d[j]` commutes), so its column norms are read off
+/// its rows.
 pub fn ruiz_equilibrate(problem: &mut SparseQp, iters: usize) -> Scaling {
     let n = problem.num_vars();
     let m = problem.num_constraints();
     let mut scaling = Scaling::identity(n, m);
-    let mut col_norms = vec![0.0; n];
+    let mut p_norms: Vec<f64> = (0..n).map(|i| abs_max(problem.p.row(i).1)).collect();
+    let mut a_row_norms: Vec<f64> = (0..m).map(|i| abs_max(problem.a.row(i).1)).collect();
+    let mut a_col_norms = vec![0.0_f64; n];
+    for i in 0..m {
+        let (cols, vals) = problem.a.row(i);
+        for (&j, v) in cols.iter().zip(vals) {
+            a_col_norms[j] = a_col_norms[j].max(v.abs());
+        }
+    }
+    let mut delta_d = vec![0.0; n];
+    let mut delta_e = vec![0.0; m];
 
     for _ in 0..iters {
-        // Column scalings from max |entry| per variable across P and A.
-        col_norms.fill(0.0);
-        problem.p.col_abs_max_into(&mut col_norms);
-        problem.a.col_abs_max_into(&mut col_norms);
-        let delta_d: Vec<f64> = col_norms.iter().map(|&v| safe_inv_sqrt(v)).collect();
-        // Row scalings for A.
-        let delta_e: Vec<f64> = (0..m)
-            .map(|i| safe_inv_sqrt(problem.a.row_abs_max(i)))
-            .collect();
+        // Column scalings from max |entry| per variable across P and A,
+        // row scalings for A.
+        for ((d, &p), &a) in delta_d.iter_mut().zip(&p_norms).zip(&a_col_norms) {
+            *d = safe_inv_sqrt(p.max(a));
+        }
+        for (e, &a) in delta_e.iter_mut().zip(&a_row_norms) {
+            *e = safe_inv_sqrt(a);
+        }
 
         // P ← D P D, q ← D q, A ← E A D, bounds ← E ⊙ bounds.
-        problem.p.scale_rows_cols(&delta_d, &delta_d);
-        problem.a.scale_rows_cols(&delta_e, &delta_d);
-        for j in 0..n {
-            problem.q[j] *= delta_d[j];
-            scaling.d[j] *= delta_d[j];
+        for (i, norm) in p_norms.iter_mut().enumerate() {
+            let (cols, vals) = problem.p.row_mut(i);
+            *norm = scale_row(cols, vals, delta_d[i], &delta_d);
         }
-        for i in 0..m {
-            problem.l[i] *= delta_e[i];
-            problem.u[i] *= delta_e[i];
-            scaling.e[i] *= delta_e[i];
+        a_col_norms.fill(0.0);
+        for (i, norm) in a_row_norms.iter_mut().enumerate() {
+            let (cols, vals) = problem.a.row_mut(i);
+            *norm = scale_row(cols, vals, delta_e[i], &delta_d);
+            for (&j, v) in cols.iter().zip(vals) {
+                a_col_norms[j] = a_col_norms[j].max(v.abs());
+            }
+        }
+        for ((q, d), &delta) in problem.q.iter_mut().zip(&mut scaling.d).zip(&delta_d) {
+            *q *= delta;
+            *d *= delta;
+        }
+        for (((l, u), e), &delta) in problem
+            .l
+            .iter_mut()
+            .zip(&mut problem.u)
+            .zip(&mut scaling.e)
+            .zip(&delta_e)
+        {
+            *l *= delta;
+            *u *= delta;
+            *e *= delta;
         }
     }
 
@@ -103,9 +173,7 @@ pub fn ruiz_equilibrate(problem: &mut SparseQp, iters: usize) -> Scaling {
     let mean_p_col: f64 = if n == 0 {
         0.0
     } else {
-        col_norms.fill(0.0);
-        problem.p.col_abs_max_into(&mut col_norms);
-        col_norms.iter().sum::<f64>() / n as f64
+        p_norms.iter().sum::<f64>() / n as f64
     };
     let q_norm = spotweb_linalg::vector::norm_inf(&problem.q);
     let denom = mean_p_col.max(q_norm);
@@ -125,7 +193,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::qp::QpProblem;
     use proptest::prelude::*;
-    use spotweb_linalg::Matrix;
+    use spotweb_linalg::{CsrMatrix, Matrix};
 
     /// The dense sweep the sparse equilibration replaced, kept as its
     /// oracle: every entry of `P` and `A` visited, zeros included.
@@ -200,6 +268,152 @@ pub(crate) mod tests {
         scaling
     }
 
+    /// The two passes a round used to be, kept as the fused sweep's
+    /// oracle on sparse input: column norms scattered entry by entry
+    /// down one max chain, row norms folded, then a scaling pass.
+    fn ruiz_equilibrate_two_pass(problem: &mut SparseQp, iters: usize) -> Scaling {
+        let n = problem.num_vars();
+        let m = problem.num_constraints();
+        let mut scaling = Scaling::identity(n, m);
+        fn col_abs_max_into(a: &CsrMatrix, out: &mut [f64]) {
+            for r in 0..a.rows() {
+                let (cols, vals) = a.row(r);
+                for (&c, v) in cols.iter().zip(vals) {
+                    out[c] = out[c].max(v.abs());
+                }
+            }
+        }
+        fn scale_rows_cols(a: &mut CsrMatrix, row_scale: &[f64], col_scale: &[f64]) {
+            for r in 0..a.rows() {
+                let (cols, vals) = a.row_mut(r);
+                for (&c, v) in cols.iter().zip(vals) {
+                    *v *= row_scale[r] * col_scale[c];
+                }
+            }
+        }
+        let mut col_norms = vec![0.0; n];
+        for _ in 0..iters {
+            col_norms.fill(0.0);
+            col_abs_max_into(&problem.p, &mut col_norms);
+            col_abs_max_into(&problem.a, &mut col_norms);
+            let delta_d: Vec<f64> = col_norms.iter().map(|&v| safe_inv_sqrt(v)).collect();
+            let delta_e: Vec<f64> = (0..m)
+                .map(|i| {
+                    let row = problem.a.row(i).1;
+                    safe_inv_sqrt(row.iter().fold(0.0_f64, |m, v| m.max(v.abs())))
+                })
+                .collect();
+            scale_rows_cols(&mut problem.p, &delta_d, &delta_d);
+            scale_rows_cols(&mut problem.a, &delta_e, &delta_d);
+            for j in 0..n {
+                problem.q[j] *= delta_d[j];
+                scaling.d[j] *= delta_d[j];
+            }
+            for i in 0..m {
+                problem.l[i] *= delta_e[i];
+                problem.u[i] *= delta_e[i];
+                scaling.e[i] *= delta_e[i];
+            }
+        }
+        let mean_p_col: f64 = if n == 0 {
+            0.0
+        } else {
+            col_norms.fill(0.0);
+            col_abs_max_into(&problem.p, &mut col_norms);
+            col_norms.iter().sum::<f64>() / n as f64
+        };
+        let q_norm = spotweb_linalg::vector::norm_inf(&problem.q);
+        let denom = mean_p_col.max(q_norm);
+        let c = if denom < 1e-10 { 1.0 } else { 1.0 / denom };
+        problem.p.scale_mut(c);
+        for v in &mut problem.q {
+            *v *= c;
+        }
+        scaling.c = c;
+        scaling
+    }
+
+    /// An `n`-variable problem with `P` symmetric — a band `band` wide
+    /// when `band > 0` (SpotWeb's block-tridiagonal shape), otherwise a
+    /// pseudo-random pattern — and `A` boxes over budget rows. Variable
+    /// 1 appears nowhere (an empty row and a zero column in both), row
+    /// 2 of `P` and a budget row sit under the `1e-10` norm floor, and
+    /// the rest spreads over twelve decades.
+    fn structured_problem(n: usize, band: usize) -> SparseQp {
+        let mut p = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let keep = if band > 0 {
+                    j - i <= band
+                } else {
+                    (i * 7 + j * 3) % 5 < 2
+                };
+                if keep && i != 1 && j != 1 {
+                    let tiny = if i == 2 || j == 2 { 1e-14 } else { 1.0 };
+                    let decade = 10f64.powi(((i + 2 * j) % 13) as i32 - 6);
+                    p[(i, j)] = tiny * decade * ((i * n + j) as f64 + 0.37).sin();
+                    p[(j, i)] = p[(i, j)];
+                }
+            }
+        }
+        let budgets = n.div_ceil(4);
+        let mut a = Matrix::zeros(n + budgets, n);
+        for j in (0..n).filter(|&j| j != 1) {
+            a[(j, j)] = 1.0 + j as f64;
+            a[(n + j / 4, j)] = if j / 4 == 0 {
+                3e-12
+            } else {
+                0.5 * (j as f64).cos()
+            };
+        }
+        let q = (0..n).map(|j| (j as f64 - 2.5) * 1e-3).collect();
+        let m = n + budgets;
+        SparseQp::new(
+            CsrMatrix::from_dense(&p, 0.0),
+            q,
+            CsrMatrix::from_dense(&a, 0.0),
+            vec![-1.0; m],
+            vec![2.0; m],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn fused_ruiz_is_bitwise_the_two_pass_rounds() {
+        let sizes: &[usize] = if cfg!(miri) {
+            &[0, 6]
+        } else {
+            &[0, 1, 6, 13, 40]
+        };
+        for &n in sizes {
+            for band in [0, 2, 5] {
+                for iters in [0, 1, 10] {
+                    let case = format!("n = {n}, band = {band}, iters = {iters}");
+                    let (mut fused, mut two_pass) =
+                        (structured_problem(n, band), structured_problem(n, band));
+                    let got = ruiz_equilibrate(&mut fused, iters);
+                    let want = ruiz_equilibrate_two_pass(&mut two_pass, iters);
+                    assert_eq!(bits(&got.d), bits(&want.d), "d, {case}");
+                    assert_eq!(bits(&got.e), bits(&want.e), "e, {case}");
+                    assert_eq!(got.c.to_bits(), want.c.to_bits(), "c, {case}");
+                    assert_eq!(
+                        bits(fused.p.values()),
+                        bits(two_pass.p.values()),
+                        "P, {case}"
+                    );
+                    assert_eq!(
+                        bits(fused.a.values()),
+                        bits(two_pass.a.values()),
+                        "A, {case}"
+                    );
+                    assert_eq!(bits(&fused.q), bits(&two_pass.q), "q, {case}");
+                    assert_eq!(bits(&fused.l), bits(&two_pass.l), "l, {case}");
+                    assert_eq!(bits(&fused.u), bits(&two_pass.u), "u, {case}");
+                }
+            }
+        }
+    }
+
     pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -270,7 +484,7 @@ pub(crate) mod tests {
         ruiz_equilibrate(&mut p, 10);
         // After equilibration all row norms of A should be near 1.
         for i in 0..p.a.rows() {
-            let rn = p.a.row_abs_max(i);
+            let rn = abs_max(p.a.row(i).1);
             assert!((rn - 1.0).abs() < 0.2, "row {i} norm {rn}");
         }
     }

@@ -188,10 +188,14 @@ fn admm_iteration_counts_are_pinned_on_the_benchmark_cells() {
 /// hours — persistence, then 40 refits): every fleet plus the bits of
 /// each interval's costs. Recorded at the commit before the risk-matrix
 /// kernel, the row-sweep QR and the predictor's caches, none of which
-/// may move a bit of it.
+/// may move a bit of it. A fleet is an allocation rounded to servers,
+/// so a one-ulp drift can hide in it: the per-interval ADMM iteration
+/// counts and the allocation bits, recorded at the commit before the
+/// set-up loops around the KKT kernel were fused, cannot.
 #[test]
 fn control_plane_decisions_are_pinned() {
     use spotweb::telemetry::json::fnv1a64_hex;
+    use spotweb::telemetry::{TelemetrySink, TraceEvent};
 
     let catalog = Catalog::ec2_subset(36);
     let trace = wikipedia_like(72 + 16, 1234).with_mean(20_000.0);
@@ -201,7 +205,9 @@ fn control_plane_decisions_are_pinned() {
         revocations: true,
         ..EvalOptions::default()
     };
-    let mut policy = SpotWebPolicy::new(SpotWebConfig::default().with_horizon(4), catalog.len());
+    let sink = TelemetrySink::enabled();
+    let mut policy = SpotWebPolicy::new(SpotWebConfig::default().with_horizon(4), catalog.len())
+        .with_telemetry(sink.clone());
     let report = simulate_costs(&mut policy, &catalog, &trace, &opts);
     assert_eq!(report.records.len(), 72);
     let mut bytes = Vec::new();
@@ -219,4 +225,27 @@ fn control_plane_decisions_are_pinned() {
     }
     assert_eq!(fnv1a64_hex(&bytes), "dff027101f11f369");
     assert_eq!(report.total_cost(), 1109.9225060883155);
+
+    // Each interval's ADMM iteration count and the bits of every
+    // first-period allocation `MpoOptimizer::optimize` returned, read
+    // back from the decision trace.
+    let (mut iterations, mut bytes) = (Vec::new(), Vec::new());
+    for stamped in sink.events() {
+        if let TraceEvent::Decision(decision) = stamped.event {
+            assert!(decision.solved, "interval {}", decision.interval);
+            iterations.push(decision.iterations);
+            for market in &decision.markets {
+                bytes.extend_from_slice(&market.allocation.to_bits().to_le_bytes());
+            }
+        }
+    }
+    let pinned: [usize; 72] = [
+        60, 70, 50, 70, 50, 60, 60, 50, 80, 100, 100, 120, 110, 110, 100, 110, 100, 90, 110, 80,
+        90, 70, 70, 70, 70, 60, 60, 90, 60, 60, 60, 80, 100, 60, 70, 90, 110, 70, 90, 70, 110, 90,
+        60, 110, 110, 110, 70, 60, 70, 80, 70, 60, 80, 110, 100, 70, 90, 110, 90, 90, 100, 150, 90,
+        70, 70, 60, 90, 70, 90, 70, 70, 60,
+    ];
+    assert_eq!(iterations, pinned);
+    assert_eq!(bytes.len(), 72 * 36 * 8);
+    assert_eq!(fnv1a64_hex(&bytes), "11d758a2ed8783d1");
 }
