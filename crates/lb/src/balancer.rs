@@ -953,7 +953,6 @@ impl LoadBalancer {
         for moved in &self.backends[slot..] {
             self.slot_of[moved.id] -= 1;
         }
-        self.sessions.forget_backend(backend);
     }
 
     /// A flapped backend came back (fault-injection recovery): resume

@@ -10,9 +10,9 @@
 
 #[expect(
     clippy::disallowed_types,
-    reason = "the assignment map is probed by key only, never iterated; rendered output walks per_backend (BTreeMap + insertion-ordered Vecs)"
+    reason = "the assignment map is probed by key, and iterated only to collect one backend's sessions, which are then sorted by their unique landing stamp"
 )]
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::backend::BackendId;
@@ -20,8 +20,8 @@ use crate::backend::BackendId;
 /// Deterministic, allocation-free hasher for u64 session ids: one
 /// Fibonacci multiply plus an xor-shift to disperse sequential ids.
 /// A fixed function (no per-process `RandomState` seed) so the table
-/// behaves identically in every run — though nothing may iterate the
-/// assignment map anyway (see [`SessionTable`]).
+/// behaves identically in every run — though no output may depend on
+/// the assignment map's iteration order anyway (see [`SessionTable`]).
 #[derive(Debug, Default)]
 pub struct SessionIdHasher(u64);
 
@@ -46,22 +46,30 @@ impl Hasher for SessionIdHasher {
 /// Session-id → backend assignment table.
 ///
 /// The assignment map sits on the per-arrival routing path (one
-/// lookup per sticky request), so it is a hash map with a fixed
-/// [`SessionIdHasher`] rather than a `BTreeMap` — O(1) probes, no
-/// tree walk. Determinism holds structurally: the map is only ever
-/// probed by key (lookup/insert/remove), never iterated, so its
-/// internal order cannot reach any output. Order-sensitive walks
-/// (migration, dumps) go through the `per_backend` reverse index,
-/// whose `Vec`s preserve insertion order.
+/// lookup per sticky request, one [`assign`](Self::assign) per re-pin),
+/// so it is a hash map with a fixed [`SessionIdHasher`] rather than a
+/// `BTreeMap` — O(1) probes, no tree walk — and it is the only
+/// structure: `assign` and [`remove`](Self::remove) are one probe each.
+///
+/// Each entry carries a *landing stamp*, taken from a counter whenever
+/// a session lands on a backend it was not on (first pin, or a move;
+/// never a same-backend re-assign). The walks that must be ordered —
+/// [`sessions_on`](Self::sessions_on), hence migration on a warning
+/// and the session loss on a death — iterate the map once and sort a
+/// backend's sessions by stamp, which is the order they landed there.
+/// Stamps are unique, so the map's internal order cannot reach any
+/// output. That is O(sessions) per warning or death, in exchange for
+/// O(1) instead of O(sessions on the backend) per re-pin.
 #[derive(Debug, Clone, Default)]
 pub struct SessionTable {
+    /// Session → `(backend, landing stamp)`.
     #[expect(
         clippy::disallowed_types,
-        reason = "probed by key only, never iterated; the fixed SessionIdHasher keeps the table run-deterministic anyway"
+        reason = "probed by key, iterated only to be sorted by a unique stamp; the fixed SessionIdHasher keeps the table run-deterministic anyway"
     )]
-    assignments: HashMap<u64, BackendId, BuildHasherDefault<SessionIdHasher>>,
-    /// Reverse index: backend → session count (cheap migration scans).
-    per_backend: BTreeMap<BackendId, Vec<u64>>,
+    assignments: HashMap<u64, (BackendId, u64), BuildHasherDefault<SessionIdHasher>>,
+    /// The stamp the next landing takes.
+    next_stamp: u64,
 }
 
 impl SessionTable {
@@ -82,55 +90,50 @@ impl SessionTable {
 
     /// Backend currently pinned for `session`, if any.
     pub fn lookup(&self, session: u64) -> Option<BackendId> {
-        self.assignments.get(&session).copied()
+        self.assignments.get(&session).map(|&(backend, _)| backend)
     }
 
     /// Pin `session` to `backend` (re-pins if already assigned).
     pub fn assign(&mut self, session: u64, backend: BackendId) {
-        if let Some(old) = self.assignments.insert(session, backend) {
-            if old != backend {
-                if let Some(v) = self.per_backend.get_mut(&old) {
-                    v.retain(|s| *s != session);
+        let landing = (backend, self.next_stamp);
+        match self.assignments.entry(session) {
+            Entry::Occupied(mut pinned) => {
+                if pinned.get().0 == backend {
+                    return;
                 }
-            } else {
-                return;
+                pinned.insert(landing);
+            }
+            Entry::Vacant(free) => {
+                free.insert(landing);
             }
         }
-        self.per_backend.entry(backend).or_default().push(session);
+        self.next_stamp += 1;
     }
 
     /// Remove a finished session.
     pub fn remove(&mut self, session: u64) {
-        if let Some(b) = self.assignments.remove(&session) {
-            if let Some(v) = self.per_backend.get_mut(&b) {
-                v.retain(|s| *s != session);
-            }
-        }
+        self.assignments.remove(&session);
     }
 
-    /// Sessions currently pinned to `backend`.
+    /// Sessions currently pinned to `backend`, in the order they landed
+    /// there.
     pub fn sessions_on(&self, backend: BackendId) -> Vec<u64> {
-        self.per_backend.get(&backend).cloned().unwrap_or_default()
+        let mut landed: Vec<(u64, u64)> = self
+            .assignments
+            .iter()
+            .filter(|&(_, &(b, _))| b == backend)
+            .map(|(&session, &(_, stamp))| (stamp, session))
+            .collect();
+        landed.sort_unstable_by_key(|&(stamp, _)| stamp);
+        landed.into_iter().map(|(_, session)| session).collect()
     }
 
     /// Number of sessions pinned to `backend`.
     pub fn count_on(&self, backend: BackendId) -> usize {
-        self.per_backend.get(&backend).map_or(0, |v| v.len())
-    }
-
-    /// Drop the (empty) reverse-index entry for a backend that is being
-    /// compacted out of the balancer, so the `per_backend` map stays
-    /// O(live backends) over arbitrarily long runs. The backend must
-    /// have no pinned sessions left — compaction only happens after
-    /// [`server_died`](crate::LoadBalancer::server_died) removed them.
-    pub fn forget_backend(&mut self, backend: BackendId) {
-        if let Some(v) = self.per_backend.remove(&backend) {
-            assert!(
-                v.is_empty(),
-                "cannot forget a backend with {} pinned sessions",
-                v.len()
-            );
-        }
+        self.assignments
+            .values()
+            .filter(|&&(b, _)| b == backend)
+            .count()
     }
 
     /// Migrate every session off `from`, assigning each via `pick`
@@ -160,6 +163,10 @@ impl SessionTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -194,6 +201,23 @@ mod tests {
     }
 
     #[test]
+    fn sessions_on_lists_landing_order() {
+        let mut t = SessionTable::new();
+        for s in [7, 3, 9, 5] {
+            t.assign(s, 1);
+        }
+        // A same-backend re-assign keeps its place; a move away and
+        // back, or a remove and re-add, lands last.
+        t.assign(7, 1);
+        t.assign(3, 2);
+        t.assign(3, 1);
+        t.remove(9);
+        t.assign(9, 1);
+        assert_eq!(t.sessions_on(1), vec![7, 5, 3, 9]);
+        assert_eq!(t.sessions_on(2), Vec::<u64>::new());
+    }
+
+    #[test]
     fn migrate_all_moves_everything() {
         let mut t = SessionTable::new();
         for s in 0..10 {
@@ -219,5 +243,137 @@ mod tests {
         assert_eq!(migrated, 0);
         assert_eq!(stayed, 2);
         assert_eq!(t.count_on(5), 2, "sessions stay pinned");
+    }
+
+    /// The table this module kept before landing stamps: the assignment
+    /// map plus a per-backend reverse index of insertion-ordered `Vec`s,
+    /// kept current by a `retain` scan on every move and removal.
+    #[derive(Default)]
+    struct ReverseIndexTable {
+        assignments: BTreeMap<u64, BackendId>,
+        per_backend: BTreeMap<BackendId, Vec<u64>>,
+    }
+
+    impl ReverseIndexTable {
+        fn assign(&mut self, session: u64, backend: BackendId) {
+            if let Some(old) = self.assignments.insert(session, backend) {
+                if old != backend {
+                    if let Some(v) = self.per_backend.get_mut(&old) {
+                        v.retain(|s| *s != session);
+                    }
+                } else {
+                    return;
+                }
+            }
+            self.per_backend.entry(backend).or_default().push(session);
+        }
+
+        fn remove(&mut self, session: u64) {
+            if let Some(b) = self.assignments.remove(&session) {
+                if let Some(v) = self.per_backend.get_mut(&b) {
+                    v.retain(|s| *s != session);
+                }
+            }
+        }
+
+        fn sessions_on(&self, backend: BackendId) -> Vec<u64> {
+            self.per_backend.get(&backend).cloned().unwrap_or_default()
+        }
+
+        fn count_on(&self, backend: BackendId) -> usize {
+            self.per_backend.get(&backend).map_or(0, |v| v.len())
+        }
+
+        fn migrate_all(
+            &mut self,
+            from: BackendId,
+            mut pick: impl FnMut() -> Option<BackendId>,
+        ) -> (usize, usize) {
+            let sessions = self.sessions_on(from);
+            let mut migrated = 0;
+            let mut stayed = 0;
+            for s in sessions {
+                match pick() {
+                    Some(to) if to != from => {
+                        self.assign(s, to);
+                        migrated += 1;
+                    }
+                    _ => stayed += 1,
+                }
+            }
+            (migrated, stayed)
+        }
+    }
+
+    const SESSIONS: u64 = 12;
+    const BACKENDS: BackendId = 4;
+
+    /// A migration target chooser cycling through `picks` for `budget`
+    /// calls, then `None`. A pick of `BACKENDS` stands for `None` too;
+    /// a pick may also be the backend being migrated from.
+    fn picker(picks: &[BackendId], budget: usize) -> impl FnMut() -> Option<BackendId> + '_ {
+        let mut calls = 0;
+        move || {
+            let pick = picks[calls % picks.len()];
+            calls += 1;
+            (calls <= budget && pick < BACKENDS).then_some(pick)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        /// Stamps reproduce the reverse index exactly: after every step
+        /// of a seeded sequence of assigns, same-backend re-assigns,
+        /// removes, remove-then-re-adds and migrations (cut off by a
+        /// budget, with `None` and `from` among the picks), both tables
+        /// agree on every lookup, the size, and every backend's count
+        /// and full session order.
+        #[test]
+        fn stamps_match_the_reverse_index(
+            steps in prop::collection::vec(
+                (0u8..5, 0..SESSIONS, 0..BACKENDS, 0usize..8, prop::collection::vec(0..BACKENDS + 1, 1..5)),
+                1..80,
+            ),
+        ) {
+            let mut table = SessionTable::new();
+            let mut reference = ReverseIndexTable::default();
+            for (step, (op, session, backend, budget, picks)) in steps.into_iter().enumerate() {
+                match op {
+                    0 => {
+                        table.assign(session, backend);
+                        reference.assign(session, backend);
+                    }
+                    1 => {
+                        let same = table.lookup(session).unwrap_or(backend);
+                        table.assign(session, same);
+                        reference.assign(session, same);
+                    }
+                    2 => {
+                        table.remove(session);
+                        reference.remove(session);
+                    }
+                    3 => {
+                        table.remove(session);
+                        reference.remove(session);
+                        table.assign(session, backend);
+                        reference.assign(session, backend);
+                    }
+                    _ => {
+                        let moved = table.migrate_all(backend, picker(&picks, budget));
+                        let reference_moved = reference.migrate_all(backend, picker(&picks, budget));
+                        prop_assert_eq!(moved, reference_moved, "step {}", step);
+                    }
+                }
+                prop_assert_eq!(table.len(), reference.assignments.len(), "step {}", step);
+                for s in 0..SESSIONS {
+                    prop_assert_eq!(table.lookup(s), reference.assignments.get(&s).copied(), "step {}", step);
+                }
+                for b in 0..BACKENDS {
+                    prop_assert_eq!(table.count_on(b), reference.count_on(b), "step {}", step);
+                    prop_assert_eq!(table.sessions_on(b), reference.sessions_on(b), "step {}", step);
+                }
+            }
+        }
     }
 }

@@ -468,6 +468,112 @@ mod tests {
         }
     }
 
+    /// What the latency histogram would hide: every admit's backend and
+    /// exact completion time, every completion's fate, and the migrated
+    /// and lost session counts, through overloads that re-pin sessions,
+    /// a warning with migration and a cold replacement, a death, and two
+    /// flaps with cold restores. A one-ulp drift in a service queue or a
+    /// reordered migration fails here even where p50 / p99 would not
+    /// move.
+    #[test]
+    #[cfg_attr(miri, ignore = "twenty thousand routed admits")]
+    fn every_admit_and_session_count_is_pinned() {
+        use std::collections::BTreeMap;
+
+        use spotweb_telemetry::json::fnv1a64_hex;
+
+        use crate::rng::{stream_id, CounterStream, DOMAIN_ARRIVAL_SESSION, DOMAIN_SCENARIO_GAP};
+
+        enum Step {
+            /// Warn backend 0 (10 s notice) and start its replacement.
+            Warn,
+            Kill,
+            Flap(BackendId),
+            Restore(BackendId),
+        }
+        /// Completions due, in `(done, admission)` order: `(backend, arrived)`.
+        type Pending = BTreeMap<(u64, u64), (BackendId, f64)>;
+        fn complete_until(c: &mut Cluster, pending: &mut Pending, until: f64, out: &mut Vec<u8>) {
+            while let Some(due) = pending.first_entry() {
+                if f64::from_bits(due.key().0) > until {
+                    break;
+                }
+                let ((done, _), (backend, arrived)) = due.remove_entry();
+                let fate = c.complete(backend, arrived, f64::from_bits(done));
+                out.extend(fate.map_or(u64::MAX, f64::to_bits).to_le_bytes());
+            }
+        }
+
+        let mut c = cluster();
+        let gaps = CounterStream::new(7, stream_id(DOMAIN_SCENARIO_GAP, 0));
+        let sessions = CounterStream::new(7, stream_id(DOMAIN_ARRIVAL_SESSION, 0));
+        let mut steps = [
+            (15.0, Step::Warn),
+            (25.0, Step::Kill),
+            (40.0, Step::Flap(1)),
+            (45.0, Step::Restore(1)),
+            (60.0, Step::Flap(2)),
+            (62.0, Step::Restore(2)),
+        ]
+        .into_iter()
+        .peekable();
+        let mut pending = Pending::new();
+        let mut bytes = Vec::new();
+        let (mut now, mut migrated) = (0.0, 0);
+        // The latest completion each backend's queue holds since it
+        // last started empty, and how many admits finished before it:
+        // only service that got faster at a warm-up's end does that.
+        let mut latest = [f64::NEG_INFINITY; 4];
+        let mut overtakes = 0;
+        for k in 0..20_000u64 {
+            // Two 4 s overloads (300 req/s of capacity) re-pin sessions:
+            // one before the warning, one before the death.
+            let overload = (5.0..9.0).contains(&now) || (20.0..24.0).contains(&now);
+            now += gaps.exp_at(k, if overload { 400.0 } else { 150.0 });
+            while let Some((at, step)) = steps.next_if(|s| s.0 <= now) {
+                complete_until(&mut c, &mut pending, at, &mut bytes);
+                c.tick(at);
+                match step {
+                    Step::Warn => {
+                        migrated = c.warn(0, at, 10.0);
+                        c.replace(0, at);
+                    }
+                    Step::Kill => {
+                        c.kill(0, at);
+                        latest[0] = f64::NEG_INFINITY;
+                    }
+                    Step::Flap(b) => {
+                        assert!(c.flap(b, at));
+                        latest[b] = f64::NEG_INFINITY;
+                    }
+                    Step::Restore(b) => c.restore(b, at),
+                }
+            }
+            complete_until(&mut c, &mut pending, now, &mut bytes);
+            c.tick(now);
+            match c.admit(sessions.range_at(k, 400), now) {
+                Some((backend, done)) => {
+                    overtakes += u32::from(done < latest[backend]);
+                    latest[backend] = latest[backend].max(done);
+                    bytes.extend((backend as u64).to_le_bytes());
+                    bytes.extend(done.to_bits().to_le_bytes());
+                    pending.insert((done.to_bits(), k), (backend, now));
+                }
+                None => bytes.push(b'd'),
+            }
+        }
+        complete_until(&mut c, &mut pending, f64::INFINITY, &mut bytes);
+        let lost = c.stats().sessions_lost;
+        let (_, checker) = c.finish();
+        assert!(checker.ok(), "{:?}", checker.violations());
+        bytes.extend((migrated as u64).to_le_bytes());
+        bytes.extend(lost.to_le_bytes());
+        assert_eq!(
+            (fnv1a64_hex(&bytes).as_str(), migrated, lost, overtakes),
+            ("ee6cb54e7692bf07", 133, 372, 5)
+        );
+    }
+
     #[test]
     fn stalls_accumulate_into_later_provisioning() {
         let mut c = cluster();

@@ -488,6 +488,10 @@ impl ChaosScenario {
     /// Run the scenario to completion.
     pub fn run(&self) -> ChaosReport {
         assert!(!self.servers.is_empty(), "need at least one server");
+        assert!(
+            self.sessions > 0,
+            "need at least one session (`sessions` is 0)"
+        );
         assert!(self.arrival_rps > 0.0 && self.duration_secs > 0.0);
 
         let timeline = self.plan.compile(self.seed, self.duration_secs);
@@ -976,6 +980,16 @@ mod tests {
     #[should_panic(expected = "unknown chaos scenario")]
     fn unknown_scenario_panics() {
         let _ = ChaosScenario::named("kernel-panic");
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one session (`sessions` is 0)")]
+    fn zero_sessions_are_rejected_up_front() {
+        let _ = ChaosScenario {
+            sessions: 0,
+            ..small(FaultPlan::new())
+        }
+        .run();
     }
 
     #[test]

@@ -205,6 +205,12 @@ pub fn run_full_stack_observed(
     // prof session is active; distinct from the sim-clock trace spans
     // emitted through `sink` below).
     prof::scope!(names::SPAN_RUNNER_RUN);
+    // Checked before any generator runs: a sharded run's workers would
+    // panic on it and leave the loop waiting for their windows forever.
+    assert!(
+        config.sessions > 0,
+        "need at least one session (`sessions` is 0)"
+    );
     let horizon = config.interval_secs * config.intervals as f64;
     let recorder = LatencyRecorder::new(config.interval_secs, horizon);
     if config.shards <= 1 {
@@ -958,6 +964,34 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial, run(4), "shards 4 must match shards 1");
         assert_eq!(serial, run(3), "shards 3 must match shards 1");
+    }
+
+    /// A run with no sessions to draw from: rejected before any
+    /// generator runs, rather than panicking inside one (or, sharded,
+    /// hanging on the window a panicked worker never fills).
+    fn run_without_sessions(shards: usize) {
+        let catalog = Catalog::fig4_testbed();
+        let config = RunnerConfig {
+            intervals: 2,
+            sessions: 0,
+            shards,
+            ..RunnerConfig::default()
+        };
+        let mut cloud = CloudSim::new(catalog.clone(), 7, 100);
+        let trace = flat_trace(250.0, &config);
+        let _ = run_full_stack(&mut policy(&catalog), &mut cloud, &trace, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one session (`sessions` is 0)")]
+    fn zero_sessions_are_rejected_inline() {
+        run_without_sessions(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one session (`sessions` is 0)")]
+    fn zero_sessions_are_rejected_sharded() {
+        run_without_sessions(2);
     }
 
     #[test]

@@ -220,7 +220,12 @@ impl ArrivalPipeline {
                             }
                         };
                         // Generation is pure arithmetic over the
-                        // counter streams: no locks held, no panics.
+                        // counter streams, with no lock held. It panics
+                        // only on a zero session count (`range_at`
+                        // divides by it), and a worker that panics
+                        // never fills its window, so `take` would wait
+                        // forever: `run_full_stack_observed` rejects
+                        // `sessions = 0` before spawning.
                         let mut gen = WindowGen::new(seed, claimed, sessions, specs[claimed]);
                         let mut batch = Vec::new();
                         while let Some(a) = gen.next() {
