@@ -355,7 +355,9 @@ impl BlockTridiagCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cholesky::tests::{assert_bits, scalar_factor, sizes};
+    use crate::cholesky::tests::{
+        assert_bits, assert_small_residual, scalar_backward, scalar_factor, scalar_forward, sizes,
+    };
 
     /// `solve_in_place` with a scratch block of its own.
     fn solve(f: &BlockTridiagCholesky, x: &mut [f64]) {
@@ -426,28 +428,12 @@ mod tests {
     }
 
     /// The plain scalar block solve the kernels must reproduce bit for
-    /// bit: one accumulator per row, ascending `k`, every term taken —
-    /// zeros included — and `Bᵀ` read by column.
+    /// bit: every term taken — zeros included — and `Bᵀ` read by
+    /// column; each row one accumulator, in `Cholesky`'s order within
+    /// a block (`scalar_forward` / `scalar_backward`) and in ascending
+    /// `k` for the couplings.
     fn scalar_solve(f: &BlockTridiagCholesky, x: &mut [f64]) {
         let n = f.block;
-        let forward = |l: &Matrix, x: &mut [f64]| {
-            for i in 0..n {
-                let mut s = x[i];
-                for k in 0..i {
-                    s -= l[(i, k)] * x[k];
-                }
-                x[i] = s / l[(i, i)];
-            }
-        };
-        let backward = |l: &Matrix, x: &mut [f64]| {
-            for i in (0..n).rev() {
-                let mut s = x[i];
-                for k in (i + 1)..n {
-                    s -= l[(k, i)] * x[k];
-                }
-                x[i] = s / l[(i, i)];
-            }
-        };
         for t in 0..f.blocks() {
             if t > 0 {
                 for i in 0..n {
@@ -458,7 +444,7 @@ mod tests {
                     x[t * n + i] = s;
                 }
             }
-            forward(&f.diag[t].l(), &mut x[t * n..(t + 1) * n]);
+            scalar_forward(&f.diag[t].l(), &mut x[t * n..(t + 1) * n]);
         }
         for t in (0..f.blocks()).rev() {
             if t + 1 < f.blocks() {
@@ -470,7 +456,7 @@ mod tests {
                     x[t * n + i] -= s;
                 }
             }
-            backward(&f.diag[t].l(), &mut x[t * n..(t + 1) * n]);
+            scalar_backward(&f.diag[t].l(), &mut x[t * n..(t + 1) * n]);
         }
     }
 
@@ -555,6 +541,12 @@ mod tests {
         let n = f.block;
         let live = |i: usize| (i as f64 * 0.43).sin() * 2.0;
         let l0 = f.diag[0].l();
+        // The cancelling blocks below rest on `L₀[0, 0]·(1 / L₀[0, 0])`
+        // rounding to exactly 1, a property of the data: check it.
+        let mut z0: Vec<f64> = (0..n).map(|i| -l0[(i, 0)]).collect();
+        f.diag[0].forward_solve_in_place(&mut z0).unwrap();
+        let exact: Vec<f64> = (0..n).map(|i| if i == 0 { -1.0 } else { 0.0 }).collect();
+        assert_bits(&z0, &exact, &format!("n = {n}: z₀ of the cancelling block"));
         vec![
             (0..3 * n).map(live).collect(),
             // Zeros of both signs among live entries.
@@ -610,6 +602,36 @@ mod tests {
         }
     }
 
+    /// The oracle that knows no summation order: on every shaped
+    /// system and right-hand side, the solve's residual against the
+    /// dense assembly is within the backward-error bound of
+    /// `assert_small_residual`.
+    fn assert_shaped_residuals(sizes: &[usize]) {
+        for &n in sizes {
+            for shape in SHAPES {
+                let (diag, sub) = shaped_system(shape, n);
+                let dense = assemble(&diag, &sub);
+                let f = BlockTridiagCholesky::factor(&diag, &sub).unwrap();
+                for (r, b) in right_hand_sides(&f).into_iter().enumerate() {
+                    let mut x = b.clone();
+                    solve(&f, &mut x);
+                    assert_small_residual(&dense, &x, &b, &format!("n = {n}, {shape:?}, rhs {r}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn residual_is_within_the_backward_error_bound_on_every_shaped_system() {
+        assert_shaped_residuals(&[1, 3, 4, 5, 37]);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn residual_is_within_the_backward_error_bound_at_the_benchmark_block_size() {
+        assert_shaped_residuals(&[144]);
+    }
+
     #[test]
     fn a_negative_zero_start_runs_its_rows_in_full() {
         // The forward guard at the kernel itself, where no later
@@ -640,11 +662,11 @@ mod tests {
         }
     }
 
-    /// The factorization this module's replaced, step by step: each row
-    /// of `E` forward-substituted on its own from pivot 0, `B·Bᵀ` by
-    /// `Matrix::matmul` and subtracted in full, the textbook
-    /// left-looking Cholesky. Returns `(B, S, L)` per block (`B` and
-    /// `S` from block 1 on).
+    /// The factorization step by step, with nothing skipped: each row
+    /// of `E` forward-substituted on its own from pivot 0
+    /// (`scalar_forward`), `B·Bᵀ` by `Matrix::matmul` and subtracted in
+    /// full, the textbook left-looking Cholesky. Returns `(B, S, L)`
+    /// per block (`B` and `S` from block 1 on).
     fn reference_factor(
         diag: &[Matrix],
         sub: &[Matrix],
@@ -657,13 +679,7 @@ mod tests {
             let mut b = Matrix::zeros(n, n);
             for r in 0..n {
                 let mut y = sub[t - 1].row(r).to_vec();
-                for i in 0..n {
-                    let mut s = y[i];
-                    for k in 0..i {
-                        s -= l[(i, k)] * y[k];
-                    }
-                    y[i] = s / l[(i, i)];
-                }
+                scalar_forward(l, &mut y);
                 b.row_mut(r).copy_from_slice(&y);
             }
             let bbt = b.matmul(&b.transpose()).unwrap();
@@ -786,10 +802,11 @@ mod tests {
         let x_true: Vec<f64> = (0..n * h).map(|i| ((i * i) as f64 * 0.13).sin()).collect();
         let b = dense.matvec(&x_true).unwrap();
         let block = BlockTridiagCholesky::factor(&diag, &sub).unwrap();
-        let mut x = b;
+        let mut x = b.clone();
         solve(&block, &mut x);
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-7, "{got} vs {want}");
         }
+        assert_small_residual(&dense, &x, &b, "40 blocks of 3");
     }
 }

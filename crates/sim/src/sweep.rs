@@ -239,36 +239,59 @@ mod tests {
         }
     }
 
+    /// Run `f` inside a profiler session of its own and finish it.
+    ///
+    /// The profiler's registry is process-wide: a `parallel_map` run
+    /// while another test's session is open flushes its workers' trees
+    /// into that session, and a tree left on a test thread is flushed
+    /// when the thread exits, perhaps into the next one. So every test
+    /// here that calls `parallel_map` does it in here: `prof::begin`
+    /// waits for any other session, and `finish` takes this thread's
+    /// tree before the next can begin.
+    fn profiled<R>(f: impl FnOnce() -> R) -> (R, prof::Profile) {
+        let session = prof::begin();
+        let out = f();
+        (out, session.finish())
+    }
+
+    fn worker_labels(profile: &prof::Profile) -> Vec<&str> {
+        profile
+            .threads
+            .iter()
+            .map(|t| t.label.as_str())
+            .filter(|l| l.starts_with("worker-"))
+            .collect()
+    }
+
     #[test]
     fn parallel_map_preserves_input_order() {
-        let serial = parallel_map(1, (0..100u64).collect(), |_, n| n * 3);
-        let parallel = parallel_map(7, (0..100u64).collect(), |_, n| n * 3);
+        let ((serial, parallel), _) = profiled(|| {
+            (
+                parallel_map(1, (0..100u64).collect(), |_, n| n * 3),
+                parallel_map(7, (0..100u64).collect(), |_, n| n * 3),
+            )
+        });
         assert_eq!(serial, parallel);
         assert_eq!(parallel[41], 123);
     }
 
     #[test]
     fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<u64> = parallel_map(4, Vec::<u64>::new(), |_, n| n);
+        let ((empty, single), _) = profiled(|| {
+            (
+                parallel_map(4, Vec::<u64>::new(), |_, n| n),
+                parallel_map(4, vec![9u64], |i, n| n + i as u64),
+            )
+        });
         assert!(empty.is_empty());
-        assert_eq!(parallel_map(4, vec![9u64], |i, n| n + i as u64), vec![9]);
+        assert_eq!(single, vec![9]);
     }
 
     #[test]
     fn parallel_map_clamps_workers_to_task_count() {
-        fn worker_labels(profile: &prof::Profile) -> Vec<&str> {
-            profile
-                .threads
-                .iter()
-                .map(|t| t.label.as_str())
-                .filter(|l| l.starts_with("worker-"))
-                .collect()
-        }
         // One task, eight requested jobs: the single-worker clamp
         // takes the inline path — no thread is spawned at all.
-        let session = prof::begin();
-        let out = parallel_map(8, vec![21u64], |_, n| n * 2);
-        let profile = session.finish();
+        let (out, profile) = profiled(|| parallel_map(8, vec![21u64], |_, n| n * 2));
         assert_eq!(out, vec![42]);
         assert!(
             worker_labels(&profile).is_empty(),
@@ -279,9 +302,7 @@ mod tests {
         // profiler's per-thread trees. On a 1-core box the clamp
         // collapses to the inline path (no threads at all).
         let expected = 3.min(crate::shard::nproc());
-        let session = prof::begin();
-        let out = parallel_map(8, (0..3u64).collect(), |_, n| n);
-        let profile = session.finish();
+        let (out, profile) = profiled(|| parallel_map(8, (0..3u64).collect(), |_, n| n));
         assert_eq!(out, vec![0, 1, 2]);
         if expected <= 1 {
             assert!(
@@ -300,9 +321,7 @@ mod tests {
 
     #[test]
     fn parallel_map_records_per_worker_task_counts() {
-        let session = prof::begin();
-        let out = parallel_map(2, (0..5u64).collect(), |_, n| n);
-        let profile = session.finish();
+        let (out, profile) = profiled(|| parallel_map(2, (0..5u64).collect(), |_, n| n));
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         // Every task shows up in exactly one sweep.task span — on
         // worker threads when min(jobs, nproc) > 1, on the calling
@@ -310,11 +329,7 @@ mod tests {
         // split between workers is scheduling-dependent, the sum is
         // not.
         let expected_workers = 2.min(crate::shard::nproc());
-        let worker_threads = profile
-            .threads
-            .iter()
-            .filter(|t| t.label.starts_with("worker-"))
-            .count();
+        let worker_threads = worker_labels(&profile).len();
         if expected_workers <= 1 {
             assert_eq!(worker_threads, 0, "nproc == 1 must run inline");
         } else {

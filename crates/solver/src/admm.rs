@@ -3,7 +3,7 @@
 use spotweb_linalg::vector;
 use spotweb_linalg::{BlockTridiagCholesky, Matrix};
 
-use crate::qp::{QpSolution, QpStatus, Settings, SparseQp};
+use crate::qp::{Certificate, QpSolution, QpStatus, Settings, SparseQp};
 use crate::scaling::{ruiz_equilibrate, Scaling};
 use crate::termination::Residuals;
 use crate::{Result, SolverError};
@@ -332,22 +332,52 @@ impl AdmmSolver {
             }
         }
 
-        // Unscale and report against the original problem. `px` is
-        // free again: the residual check is done with it.
+        // Unscale and report against the original problem. The
+        // residual scratch is free again: the iteration is done with it.
         let x_orig = self.scaling.unscale_x(&ws.x);
         let y_orig = self.scaling.unscale_y(&ws.y);
         let mut z_orig = self.orig.a.matvec(&x_orig).expect("report: A·x");
         vector::clamp_box(&mut z_orig, &self.orig.l, &self.orig.u);
+        // The certificate's residuals; they leave `P·x` in `px`.
+        let unscaled = Residuals::compute(
+            &self.orig.p,
+            &self.orig.q,
+            &self.orig.a,
+            &x_orig,
+            &z_orig,
+            &y_orig,
+            &mut ws.ax,
+            &mut ws.px,
+            &mut ws.aty_res,
+        );
         // ½ xᵀPx + qᵀx, the quadratic form summed row by row.
-        self.orig
-            .p
-            .matvec_into(&x_orig, &mut ws.px)
-            .expect("report: P·x");
         let mut xpx = 0.0;
         for (xi, pxi) in x_orig.iter().zip(&ws.px) {
             xpx += xi * pxi;
         }
-        let objective = 0.5 * xpx + vector::dot(&self.orig.q, &x_orig);
+        let qx = vector::dot(&self.orig.q, &x_orig);
+        let objective = 0.5 * xpx + qx;
+        // Σ sᵢ(yᵢ), the support function of the box. A multiplier on an
+        // unbounded side is round-off (`y − ρ·(y/ρ)`) and counts as 0,
+        // which projects `y` onto the polar of the box's recession cone
+        // as OSQP does; a NaN is kept.
+        let mut support = 0.0;
+        for ((&y, &lo), &hi) in y_orig.iter().zip(&self.orig.l).zip(&self.orig.u) {
+            support += if y > 0.0 && hi.is_finite() {
+                hi * y
+            } else if y < 0.0 && lo.is_finite() {
+                lo * y
+            } else if y.is_nan() {
+                y
+            } else {
+                0.0
+            };
+        }
+        let certificate = Certificate {
+            primal_residual: unscaled.primal,
+            dual_residual: unscaled.dual,
+            duality_gap: (xpx + qx + support).abs(),
+        };
         self.workspace = ws;
         let (primal_residual, dual_residual) = match last_res {
             Some(r) => (r.primal, r.dual),
@@ -362,6 +392,7 @@ impl AdmmSolver {
             objective,
             primal_residual,
             dual_residual,
+            certificate,
         }
     }
 
@@ -700,6 +731,70 @@ mod tests {
             // The solver itself is not poisoned: a cold solve works.
             assert!(solver.solve().is_solved());
         }
+    }
+
+    #[test]
+    fn certificate_is_the_reported_point_checked_on_the_unscaled_problem() {
+        // min (x − 2)² over 0 ≤ x ≤ 1: x = 1 with y = 2 on the upper
+        // bound, where Px + q + Aᵀy = 2x − 4 + y and the gap
+        // xᵀPx + qᵀx + u·y = 2x² − 4x + y both vanish.
+        let sol = solve(
+            QpProblem::new(
+                Matrix::from_diag(&[2.0]),
+                vec![-4.0],
+                Matrix::identity(1),
+                vec![0.0],
+                vec![1.0],
+            )
+            .unwrap(),
+        );
+        let (x, y, c) = (sol.x[0], sol.y[0], sol.certificate());
+        assert!(y > 0.0);
+        assert_eq!(c.primal_residual, (x - sol.z[0]).abs());
+        assert_eq!(c.dual_residual, (2.0 * x - 4.0 + y).abs());
+        assert_eq!(c.duality_gap, (x * (2.0 * x) + -4.0 * x + y).abs());
+        assert!(c.dual_residual < 1e-5 && c.duality_gap < 1e-5, "{c:?}");
+
+        // The stopping test judges the residuals of the Ruiz-scaled
+        // problem. With costs spanning eight orders of magnitude the
+        // dual one converged at 1.5e-6 is 1.5 in the problem's units —
+        // still 1.5e-6 of ‖q‖∞ = 1e6, and the gap as small against the
+        // objective of −5e5.
+        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]);
+        let wide = QpProblem::new(
+            Matrix::from_diag(&[1e6, 1e-2]),
+            vec![-1e6, -1e-2],
+            a,
+            vec![f64::NEG_INFINITY, 0.0, 0.0],
+            vec![1.0, f64::INFINITY, f64::INFINITY],
+        )
+        .unwrap();
+        let sol = solve(wide);
+        let c = sol.certificate();
+        assert!(sol.is_solved() && sol.dual_residual < 1e-5);
+        assert!(
+            c.dual_residual > 1.0 && c.dual_residual < 1e-5 * 1e6,
+            "{c:?}"
+        );
+        assert!(c.duality_gap < 1e-5 * sol.objective.abs(), "{c:?}");
+
+        // Stopped early, the point is not optimal and the certificate
+        // says so; a non-finite iterate reads NaN.
+        let short = Settings {
+            max_iter: 2,
+            ..Settings::default()
+        };
+        let c = AdmmSolver::new(budget_qp(), short)
+            .unwrap()
+            .solve()
+            .certificate();
+        assert!(
+            c.primal_residual > 0.1 && c.dual_residual > 0.1 && c.duality_gap > 0.1,
+            "{c:?}"
+        );
+        let mut solver = AdmmSolver::new(budget_qp(), Settings::default()).unwrap();
+        let c = solver.solve_from(&[f64::NAN, 0.0], &[0.0; 3]).certificate();
+        assert!(c.primal_residual.is_nan() && c.dual_residual.is_nan() && c.duality_gap.is_nan());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod scaling;
 pub mod termination;
 
 pub use admm::AdmmSolver;
-pub use qp::{QpProblem, QpSolution, QpStatus, Settings, SparseQp};
+pub use qp::{Certificate, QpProblem, QpSolution, QpStatus, Settings, SparseQp};
 
 /// Errors reported when constructing or solving a QP.
 #[derive(Debug, Clone, PartialEq)]

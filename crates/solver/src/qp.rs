@@ -334,10 +334,15 @@ pub struct QpSolution {
     pub iterations: usize,
     /// Objective value at `x`.
     pub objective: f64,
-    /// Final primal residual `‖Ax − z‖∞`.
+    /// Primal residual `‖Ax − z‖∞` at the last termination check, in
+    /// the Ruiz-scaled problem the iteration runs on — what the
+    /// stopping test judged. [`QpSolution::certificate`] has it in the
+    /// original problem's units.
     pub primal_residual: f64,
-    /// Final dual residual `‖Px + q + Aᵀy‖∞`.
+    /// Dual residual `‖Px + q + Aᵀy‖∞` at the last termination check,
+    /// scaled like [`QpSolution::primal_residual`].
     pub dual_residual: f64,
+    pub(crate) certificate: Certificate,
 }
 
 impl QpSolution {
@@ -345,6 +350,30 @@ impl QpSolution {
     pub fn is_solved(&self) -> bool {
         self.status == QpStatus::Solved
     }
+
+    /// How far the reported `(x, y, z)` is from optimal, measured on
+    /// the original, unscaled problem.
+    pub fn certificate(&self) -> Certificate {
+        self.certificate
+    }
+}
+
+/// Optimality measures of a reported solution, on the original
+/// (unscaled) problem; see [`QpSolution::certificate`]. A NaN anywhere
+/// in the solution reads as a NaN here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Certificate {
+    /// Primal residual `‖Ax − z‖∞`: with the reported `z` (`Ax`
+    /// projected into `[l, u]`), the worst constraint violation.
+    pub primal_residual: f64,
+    /// Dual residual `‖Px + q + Aᵀy‖∞`.
+    pub dual_residual: f64,
+    /// Duality gap `|xᵀPx + qᵀx + Σᵢ sᵢ(yᵢ)|`, the primal objective
+    /// `½xᵀPx + qᵀx` less the dual one `−½xᵀPx − Σᵢ sᵢ(yᵢ)`, where
+    /// `sᵢ(yᵢ) = uᵢ·yᵢ` for `yᵢ > 0` and `lᵢ·yᵢ` for `yᵢ < 0` is the
+    /// support function of `[lᵢ, uᵢ]` — taken as 0 where that bound is
+    /// infinite: a multiplier on an unbounded side is round-off.
+    pub duality_gap: f64,
 }
 
 #[cfg(test)]

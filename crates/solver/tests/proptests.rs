@@ -1,10 +1,24 @@
 //! Property tests: ADMM solutions are feasible and KKT-stationary on
-//! random convex instances, and agree with projected gradient descent
-//! on box-constrained problems.
+//! random convex instances — every converged one carries an unscaled
+//! certificate within tolerance — and agree with projected gradient
+//! descent on box-constrained problems.
 
 use proptest::prelude::*;
 use spotweb_linalg::Matrix;
-use spotweb_solver::{pgd, AdmmSolver, QpProblem, Settings};
+use spotweb_solver::{pgd, AdmmSolver, QpProblem, QpSolution, Settings};
+
+/// Ten times the worst certificate entry over 6 000 random instances
+/// of the shapes below (2.7e-6 primal, 9.4e-6 dual, 4.9e-6 gap).
+const CERTIFICATE_TOL: f64 = 1e-4;
+
+/// A converged solve's certificate: both residuals within
+/// [`CERTIFICATE_TOL`], the gap within it relative to the objective.
+fn certified(sol: &QpSolution) -> bool {
+    let c = sol.certificate();
+    c.primal_residual <= CERTIFICATE_TOL
+        && c.dual_residual <= CERTIFICATE_TOL
+        && c.duality_gap <= CERTIFICATE_TOL * (1.0 + sol.objective.abs())
+}
 
 /// Random SPD matrix B Bᵀ + 0.1 I of size n.
 fn spd(n: usize) -> impl Strategy<Value = Matrix> {
@@ -37,6 +51,7 @@ proptest! {
         let mut solver = AdmmSolver::new(prob.clone(), Settings::default()).unwrap();
         let admm = solver.solve();
         prop_assert!(admm.is_solved(), "residuals {} {}", admm.primal_residual, admm.dual_residual);
+        prop_assert!(certified(&admm), "{:?}", admm.certificate());
 
         let pgd_sol = pgd::solve_box_qp(&p, &q, &lo, &hi, 200_000, 1e-10);
         prop_assert!(pgd_sol.converged);
@@ -73,6 +88,8 @@ proptest! {
         let sol = solver.solve();
         prop_assert!(prob.max_violation(&sol.x) < 1e-3,
             "violation {}", prob.max_violation(&sol.x));
+        prop_assert!(sol.is_solved());
+        prop_assert!(certified(&sol), "{:?}", sol.certificate());
     }
 
     /// Duals are sign-correct: multipliers are ≥0 at upper bounds,
@@ -92,6 +109,7 @@ proptest! {
         let mut solver = AdmmSolver::new(prob.clone(), Settings::default()).unwrap();
         let sol = solver.solve();
         prop_assume!(sol.is_solved());
+        prop_assert!(certified(&sol), "{:?}", sol.certificate());
         for i in 0..3 {
             if sol.x[i] > 1e-3 && sol.x[i] < 1.0 - 1e-3 {
                 // Inactive constraint → multiplier ~ 0.
