@@ -316,8 +316,8 @@ fn run(args: &Args) -> Result<(), String> {
         "fig6b" => {
             let f = fig6::run_fig6b(
                 args.workload,
-                &[9, 18, 36],
-                &[2, 4, 6, 10],
+                &fig6::FIG6B_MARKETS,
+                &fig6::FIG6B_HORIZONS,
                 args.intervals,
                 seed,
             );

@@ -29,10 +29,11 @@ use crate::tournament::{build_tournament_grid, leaderboard, render_leaderboard_j
 use crate::{cell, fig4, fig6, profile, telem};
 
 /// Seeds the runner-equivalence golden is recorded at (mirrors
-/// `tests/runner_perf.rs`).
+/// `tests/golden.rs`).
 pub const GOLDEN_SEEDS: [u64; 3] = [1234, 7, 99];
 
-/// Interval count of the fig6a golden (mirrors `tests/golden.rs`).
+/// Interval count of the fig6a and fig6b goldens (mirrors
+/// `tests/golden.rs`).
 pub const GOLDEN_INTERVALS: usize = 24;
 
 /// One registered golden fixture: its file name, the CLI command that
@@ -54,6 +55,16 @@ fn gen_fig4a(_root: &Path) -> Result<String, String> {
 
 fn gen_fig6a(_root: &Path) -> Result<String, String> {
     pretty(&fig6::run_fig6a(GOLDEN_INTERVALS, crate::DEFAULT_SEED))
+}
+
+fn gen_fig6b(_root: &Path) -> Result<String, String> {
+    pretty(&fig6::run_fig6b(
+        fig6::Fig6bWorkload::Wikipedia,
+        &fig6::FIG6B_MARKETS,
+        &fig6::FIG6B_HORIZONS,
+        GOLDEN_INTERVALS,
+        crate::DEFAULT_SEED,
+    ))
 }
 
 fn gen_chaos(_root: &Path) -> Result<String, String> {
@@ -122,6 +133,11 @@ pub fn default_specs() -> Vec<FixtureSpec> {
             name: "fig6a.json",
             command: "cargo run --release -p spotweb-bench --bin figures -- fig6a --seed 1234 --intervals 24 > tests/golden/fig6a.json",
             generate: gen_fig6a,
+        },
+        FixtureSpec {
+            name: "fig6b.json",
+            command: "cargo run --release -p spotweb-bench --bin figures -- fig6b --seed 1234 --intervals 24 > tests/golden/fig6b.json",
+            generate: gen_fig6b,
         },
         FixtureSpec {
             name: "profile_spans.json",

@@ -109,6 +109,12 @@ pub enum Fig6bWorkload {
     Vod,
 }
 
+/// Market counts `figures fig6b` sweeps.
+pub const FIG6B_MARKETS: [usize; 3] = [9, 18, 36];
+
+/// Horizons `figures fig6b` sweeps.
+pub const FIG6B_HORIZONS: [usize; 4] = [2, 4, 6, 10];
+
 /// Run Fig. 6(b): deployable predictors (no oracle), revocations on.
 pub fn run_fig6b(
     workload: Fig6bWorkload,

@@ -22,8 +22,7 @@
 //! * [`portfolio`] — translation of the paper's formulation into the
 //!   `spotweb-solver` QP standard form.
 //! * [`mpo`] — the multi-period optimizer (warm-started, receding
-//!   horizon).
-//! * [`spo`] — single-period optimization, i.e. the ExoSphere baseline.
+//!   horizon); at `H = 1` without churn it is the ExoSphere baseline.
 //! * [`allocation`] — fractional allocation → integer server counts.
 //! * [`policy`] — pluggable provisioning policies: SpotWeb, ExoSphere-
 //!   in-a-loop, constant portfolio + autoscaler, on-demand only.
@@ -43,7 +42,6 @@ pub mod mpo;
 pub mod policy;
 pub mod portfolio;
 pub mod risk;
-pub mod spo;
 
 pub use allocation::{to_server_counts, total_capacity_rps};
 pub use config::SpotWebConfig;
@@ -59,7 +57,6 @@ pub use policy::{
     ConstantPortfolioPolicy, ExoSpherePolicy, OnDemandPolicy, Policy, PolicyObservation,
     SpotWebPolicy,
 };
-pub use spo::SpoOptimizer;
 
 /// Errors surfaced by the optimizer layer.
 #[derive(Debug)]

@@ -60,7 +60,6 @@ struct SolverCache {
 /// The SpotWeb multi-period optimizer.
 pub struct MpoOptimizer {
     config: SpotWebConfig,
-    settings: Settings,
     /// Previous primal/dual solution for warm starting.
     warm: Option<(Vec<f64>, Vec<f64>)>,
     /// Warm starting on by default; disable to measure the cold cost.
@@ -73,7 +72,6 @@ impl std::fmt::Debug for MpoOptimizer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MpoOptimizer")
             .field("config", &self.config)
-            .field("settings", &self.settings)
             .field("warm", &self.warm.is_some())
             .field("warm_start_enabled", &self.warm_start_enabled)
             .field("cached_solver", &self.cache.is_some())
@@ -87,7 +85,6 @@ impl Clone for MpoOptimizer {
     fn clone(&self) -> Self {
         MpoOptimizer {
             config: self.config.clone(),
-            settings: self.settings.clone(),
             warm: self.warm.clone(),
             warm_start_enabled: self.warm_start_enabled,
             cache: None,
@@ -98,14 +95,8 @@ impl Clone for MpoOptimizer {
 impl MpoOptimizer {
     /// New optimizer with default solver settings.
     pub fn new(config: SpotWebConfig) -> Self {
-        Self::with_settings(config, Settings::default())
-    }
-
-    /// Override solver settings (tests, scalability bench).
-    pub fn with_settings(config: SpotWebConfig, settings: Settings) -> Self {
         MpoOptimizer {
             config,
-            settings,
             warm: None,
             warm_start_enabled: true,
             cache: None,
@@ -167,9 +158,9 @@ impl MpoOptimizer {
             // builder guarantees the structure, so the problem is moved
             // into the solver; a failed check is an error, not a fallback.
             let solver = if h >= 2 {
-                AdmmSolver::with_block_structure(qp, self.settings.clone(), n)?
+                AdmmSolver::with_block_structure(qp, Settings::default(), n)?
             } else {
-                AdmmSolver::new(qp, self.settings.clone())?
+                AdmmSolver::new(qp, Settings::default())?
             };
             self.cache = Some(SolverCache {
                 solver,
@@ -242,6 +233,75 @@ mod tests {
         // The cheapest per-request market takes the largest share.
         let a = d.first();
         assert!(a[0] > a[1] && a[0] > a[2], "allocation {a:?}");
+    }
+
+    /// At `H = 1` without churn the portfolio QP is one box plus one
+    /// budget row, which `solver::pgd` minimizes without any ADMM code:
+    /// on the Fig. 5 and Fig. 6(b) catalogs the optimizer must reach the
+    /// same objective within the solver proptests' certificate
+    /// tolerance, and a feasible point.
+    #[test]
+    fn single_period_matches_projected_gradient() {
+        use crate::portfolio::PortfolioProblem;
+        use spotweb_solver::pgd::BoxBudget;
+
+        let config = SpotWebConfig {
+            horizon: 1,
+            churn_gamma: 0.0,
+            ..SpotWebConfig::default()
+        };
+        let catalogs = [
+            Catalog::fig5_three_markets(),
+            Catalog::ec2_subset(9),
+            Catalog::ec2_subset(18),
+            Catalog::ec2_subset(36),
+        ];
+        for catalog in catalogs {
+            let n = catalog.len();
+            let markets = catalog.markets();
+            let prices: Vec<f64> = markets
+                .iter()
+                .map(|m| m.instance.on_demand_price * 0.3)
+                .collect();
+            let failures: Vec<f64> = markets.iter().map(|m| m.base_revocation_prob).collect();
+            let forecast = ForecastBundle::flat(20_000.0, &prices, &failures, 1);
+            let mut covariance = Matrix::identity(n).scaled(1e-3);
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j && i % 4 == j % 4 {
+                        covariance[(i, j)] = 2e-4;
+                    }
+                }
+            }
+            let zeros = vec![0.0; n];
+            let decision = MpoOptimizer::new(config.clone())
+                .optimize(&catalog, &forecast, &covariance, &zeros)
+                .unwrap();
+            assert!(decision.solved, "{n} markets");
+
+            // The same QP: rows 0..n are the boxes, row n the budget.
+            let qp = PortfolioProblem::build(&catalog, &forecast, &covariance, &zeros, &config)
+                .unwrap()
+                .qp;
+            let set =
+                BoxBudget::new(qp.l[..n].to_vec(), qp.u[..n].to_vec(), qp.l[n], qp.u[n]).unwrap();
+            let norm_inf = (0..n)
+                .map(|i| qp.p.row(i).iter().map(|v| v.abs()).sum::<f64>())
+                .fold(0.0, f64::max);
+            let start = set.project(&zeros).unwrap();
+            let x = set
+                .descend(start, 1.0 / norm_inf, 2_000, |x, g| {
+                    qp.p.matvec_into(x, g).unwrap();
+                    g.iter_mut().zip(&qp.q).for_each(|(gi, qi)| *gi += qi);
+                })
+                .unwrap();
+            let (mpo, pgd) = (qp.objective(decision.first()), qp.objective(&x));
+            assert!(
+                (mpo - pgd).abs() <= 1e-4 * (1.0 + pgd.abs()),
+                "{n} markets: MPO objective {mpo} vs projected gradient {pgd}"
+            );
+            assert!(qp.max_violation(decision.first()) <= 1e-4, "{n} markets");
+        }
     }
 
     #[test]

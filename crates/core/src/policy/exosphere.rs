@@ -10,15 +10,15 @@
 //! term and no workload forecast — the portfolio is re-derived from
 //! scratch every interval from current observations only.
 //!
-//! This module carries its own tiny solver — deterministic projected
-//! gradient descent with a bisection projection onto
-//! `{0 ≤ aᵢ ≤ cap, Σa = S}` — instead of reusing the ADMM QP behind
-//! [`crate::SpoOptimizer`]: the zoo's competitors are meant to be
-//! *independent* implementations, so a solver bug can't silently make
-//! two "different" strategies agree. (The `exosphere-loop` baseline of
-//! Fig. 6(b) keeps using the shared QP.)
+//! The portfolio is solved by [`spotweb_solver::pgd::BoxBudget`]'s
+//! deterministic projected gradient over `{0 ≤ aᵢ ≤ cap, Σa = S}`, not
+//! by the ADMM QP behind [`crate::ExoSpherePolicy`]: the zoo's
+//! competitors are meant to be *independent* implementations, so an
+//! ADMM bug can't silently make two "different" strategies agree. (The
+//! `exosphere-loop` baseline of Fig. 6(b) is the MPO at `H = 1`.)
 
 use spotweb_market::Catalog;
+use spotweb_solver::pgd::BoxBudget;
 use spotweb_telemetry::{names, TelemetrySink};
 
 use crate::allocation::to_server_counts;
@@ -30,37 +30,10 @@ use crate::policy::{Policy, PolicyObservation};
 /// resolution any fleet rounding can see.
 const PGD_STEPS: usize = 160;
 
-/// Bisection iterations for the simplex-with-box projection — 64 halves
-/// of an O(1) bracket reach f64 resolution exactly.
-const PROJECT_BISECTIONS: usize = 64;
-
-/// Project `v` onto `{a : 0 ≤ aᵢ ≤ cap, Σa = target}` in Euclidean
-/// norm: `aᵢ = clamp(vᵢ − t, 0, cap)` with the shift `t` found by
-/// bisection (the sum is monotone decreasing in `t`).
-fn project_capped_simplex(v: &[f64], cap: f64, target: f64) -> Vec<f64> {
-    let sum_at = |t: f64| -> f64 { v.iter().map(|&x| (x - t).clamp(0.0, cap)).sum() };
-    let mut lo = v.iter().cloned().fold(f64::INFINITY, f64::min) - cap - 1.0;
-    let mut hi = v.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + 1.0;
-    for _ in 0..PROJECT_BISECTIONS {
-        let mid = 0.5 * (lo + hi);
-        if sum_at(mid) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let t = 0.5 * (lo + hi);
-    v.iter().map(|&x| (x - t).clamp(0.0, cap)).collect()
-}
-
 /// The ExoSphere competitor: single-period Markowitz, re-solved from
 /// current observations each interval.
 pub struct ExoSphereMarkowitzPolicy {
-    alpha: f64,
-    a_min: f64,
-    a_max_total: f64,
-    a_max_per_market: f64,
-    min_allocation: f64,
+    config: SpotWebConfig,
     weights: Vec<f64>,
     telemetry: TelemetrySink,
 }
@@ -70,11 +43,7 @@ impl ExoSphereMarkowitzPolicy {
     /// single-period optimizer and ignored).
     pub fn new(config: &SpotWebConfig, markets: usize) -> Self {
         ExoSphereMarkowitzPolicy {
-            alpha: config.alpha,
-            a_min: config.a_min,
-            a_max_total: config.a_max_total,
-            a_max_per_market: config.a_max_per_market,
-            min_allocation: config.min_allocation,
+            config: config.clone(),
             weights: vec![0.0; markets],
             telemetry: TelemetrySink::disabled(),
         }
@@ -87,30 +56,26 @@ impl ExoSphereMarkowitzPolicy {
     }
 
     /// Solve `min cᵀa + α·aᵀMa` over the capped simplex at total
-    /// allocation `target`.
-    fn solve(&self, cost: &[f64], obs: &PolicyObservation<'_>, target: f64) -> Vec<f64> {
+    /// allocation `target`; `None` when the box cannot hold `target`
+    /// or an observation is not finite.
+    fn solve(&self, cost: &[f64], obs: &PolicyObservation<'_>, target: f64) -> Option<Vec<f64>> {
         let n = cost.len();
-        let cap = self.a_max_per_market;
+        let cap = self.config.a_max_per_market;
         // Lipschitz constant of the gradient: ‖2αM‖∞ + guard.
-        let mut row_max: f64 = 0.0;
-        for i in 0..n {
-            let row: f64 = (0..n).map(|j| obs.covariance[(i, j)].abs()).sum();
-            row_max = row_max.max(row);
-        }
-        let step = 1.0 / (2.0 * self.alpha * row_max + 1.0);
+        let row_max = (0..n)
+            .map(|i| (0..n).map(|j| obs.covariance[(i, j)].abs()).sum::<f64>())
+            .fold(0.0, f64::max);
+        let step = 1.0 / (2.0 * self.config.alpha * row_max + 1.0);
+        let simplex = BoxBudget::new(vec![0.0; n], vec![cap; n], target, target).ok()?;
         // Feasible uniform start.
-        let mut a = vec![(target / n as f64).min(cap); n];
-        for _ in 0..PGD_STEPS {
-            let grad: Vec<f64> = (0..n)
-                .map(|i| {
-                    let risk: f64 = (0..n).map(|j| obs.covariance[(i, j)] * a[j]).sum();
-                    cost[i] + 2.0 * self.alpha * risk
-                })
-                .collect();
-            let moved: Vec<f64> = a.iter().zip(&grad).map(|(&x, &g)| x - step * g).collect();
-            a = project_capped_simplex(&moved, cap, target);
-        }
-        a
+        let start = vec![(target / n as f64).min(cap); n];
+        let gradient = |a: &[f64], grad: &mut [f64]| {
+            for i in 0..n {
+                let risk: f64 = (0..n).map(|j| obs.covariance[(i, j)] * a[j]).sum();
+                grad[i] = cost[i] + 2.0 * self.config.alpha * risk;
+            }
+        };
+        simplex.descend(start, step, PGD_STEPS, gradient).ok()
     }
 }
 
@@ -137,22 +102,26 @@ impl Policy for ExoSphereMarkowitzPolicy {
         // First pass at full coverage, then inflate the total by the
         // portfolio's expected capacity loss (ExoSphere's
         // fault-tolerance margin) and re-solve.
-        let feasible_max = (n as f64 * self.a_max_per_market).min(self.a_max_total);
-        let base = self.a_min.max(1.0).min(feasible_max);
-        let first = self.solve(&cost, obs, base);
-        let expected_loss: f64 = first
-            .iter()
-            .zip(obs.failure_probs)
-            .map(|(a, f)| a * f)
-            .sum();
-        let target = (base * (1.0 + expected_loss)).min(feasible_max);
-        self.weights = self.solve(&cost, obs, target);
+        let feasible_max = (n as f64 * self.config.a_max_per_market).min(self.config.a_max_total);
+        let base = self.config.a_min.max(1.0).min(feasible_max);
+        let solved = self.solve(&cost, obs, base).and_then(|first| {
+            let expected_loss: f64 = first
+                .iter()
+                .zip(obs.failure_probs)
+                .map(|(a, f)| a * f)
+                .sum();
+            self.solve(&cost, obs, (base * (1.0 + expected_loss)).min(feasible_max))
+        });
+        // A set the solver refuses keeps the previous portfolio.
+        if let Some(weights) = solved {
+            self.weights = weights;
+        }
 
         let lambda = obs
             .oracle
             .and_then(|v| v.workload.first().copied())
             .unwrap_or(obs.current_workload);
-        to_server_counts(catalog, &self.weights, lambda, self.min_allocation)
+        to_server_counts(catalog, &self.weights, lambda, self.config.min_allocation)
     }
 }
 
@@ -170,14 +139,6 @@ mod tests {
             covariance: cov,
             oracle: None,
         }
-    }
-
-    #[test]
-    fn projection_lands_on_the_capped_simplex() {
-        let a = project_capped_simplex(&[5.0, -3.0, 0.2, 0.2], 0.6, 1.0);
-        assert!((a.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(a.iter().all(|&x| (0.0..=0.6 + 1e-12).contains(&x)));
-        assert!(a[0] > a[1], "larger input keeps the larger share");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! for the *next* interval. Implementations:
 //!
 //! * [`SpotWebPolicy`] — MPO + SpotWeb predictor (or oracle forecasts).
-//! * [`ExoSpherePolicy`] — "ExoSphere in a loop": SPO re-run every
-//!   interval on current observations (Fig. 6(b) baseline).
+//! * [`ExoSpherePolicy`] — "ExoSphere in a loop": single-period
+//!   optimization (the MPO at `H = 1`, no churn) re-run every interval
+//!   on current observations (Fig. 6(b) baseline).
 //! * [`ConstantPortfolioPolicy`] — portfolio frozen after a settling
 //!   period, thereafter only the *size* scales with load (Fig. 5(c)/6(a)
 //!   baseline).
@@ -41,7 +42,6 @@ use crate::allocation::to_server_counts;
 use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
 use crate::mpo::MpoOptimizer;
-use crate::spo::SpoOptimizer;
 
 /// Oracle view of the true future (used when the experiment grants
 /// perfect predictions, as in Figs. 5 and 6(a)).
@@ -310,20 +310,41 @@ impl Policy for SpotWebPolicy {
 
 /// ExoSphere re-run every interval: single-period, reactive inputs.
 pub struct ExoSpherePolicy {
-    optimizer: SpoOptimizer,
+    optimizer: MpoOptimizer,
     min_allocation: f64,
     last_allocation: Vec<f64>,
 }
 
 impl ExoSpherePolicy {
-    /// Build with the shared config (horizon/churn are ignored by SPO).
+    /// ExoSphere's single-period optimization (Sharma et al.,
+    /// SIGMETRICS'17, §4.1): the MPO on the shared config with the
+    /// horizon forced to 1 and the (multi-period) churn term dropped.
     pub fn new(config: SpotWebConfig, markets: usize) -> Self {
         let min_allocation = config.min_allocation;
         ExoSpherePolicy {
-            optimizer: SpoOptimizer::new(config),
+            optimizer: MpoOptimizer::new(SpotWebConfig {
+                horizon: 1,
+                churn_gamma: 0.0,
+                ..config
+            }),
             min_allocation,
             last_allocation: vec![0.0; markets],
         }
+    }
+
+    /// Re-solve from *current* observations only — flat forecasts, and
+    /// zeros for the previous allocation, which no churn term reads —
+    /// and return the allocation; a failed solve keeps the last one.
+    fn allocate(&mut self, catalog: &Catalog, obs: &PolicyObservation<'_>) -> &[f64] {
+        let forecast = ForecastBundle::flat(obs.current_workload, obs.prices, obs.failure_probs, 1);
+        let zeros = vec![0.0; catalog.len()];
+        let solved = self
+            .optimizer
+            .optimize(catalog, &forecast, obs.covariance, &zeros);
+        if let Ok(decision) = solved {
+            self.last_allocation = decision.first().to_vec();
+        }
+        &self.last_allocation
     }
 }
 
@@ -333,29 +354,9 @@ impl Policy for ExoSpherePolicy {
     }
 
     fn decide(&mut self, catalog: &Catalog, obs: &PolicyObservation<'_>) -> Vec<u32> {
-        match self.optimizer.optimize(
-            catalog,
-            obs.current_workload,
-            obs.prices,
-            obs.failure_probs,
-            obs.covariance,
-        ) {
-            Ok(decision) => {
-                self.last_allocation = decision.first().to_vec();
-                to_server_counts(
-                    catalog,
-                    decision.first(),
-                    obs.current_workload,
-                    self.min_allocation,
-                )
-            }
-            Err(_) => to_server_counts(
-                catalog,
-                &self.last_allocation,
-                obs.current_workload,
-                self.min_allocation,
-            ),
-        }
+        let min_allocation = self.min_allocation;
+        let allocation = self.allocate(catalog, obs);
+        to_server_counts(catalog, allocation, obs.current_workload, min_allocation)
     }
 }
 
@@ -364,24 +365,20 @@ impl Policy for ExoSpherePolicy {
 /// (using the oracle's next-interval workload when available — the
 /// paper's "oracle auto-scaler").
 pub struct ConstantPortfolioPolicy {
-    optimizer: SpoOptimizer,
+    /// The settling phase's optimizer, and the allocation frozen.
+    exosphere: ExoSpherePolicy,
     fix_at_interval: usize,
     frozen_weights: Option<Vec<f64>>,
-    min_allocation: f64,
-    last_allocation: Vec<f64>,
 }
 
 impl ConstantPortfolioPolicy {
     /// Freeze the portfolio after `fix_at_interval` decisions (the
     /// paper freezes after 2 hours).
     pub fn new(config: SpotWebConfig, markets: usize, fix_at_interval: usize) -> Self {
-        let min_allocation = config.min_allocation;
         ConstantPortfolioPolicy {
-            optimizer: SpoOptimizer::new(config),
+            exosphere: ExoSpherePolicy::new(config, markets),
             fix_at_interval,
             frozen_weights: None,
-            min_allocation,
-            last_allocation: vec![0.0; markets],
         }
     }
 }
@@ -397,35 +394,20 @@ impl Policy for ConstantPortfolioPolicy {
             .oracle
             .and_then(|v| v.workload.first().copied())
             .unwrap_or(obs.current_workload);
+        let min_allocation = self.exosphere.min_allocation;
 
         if let Some(weights) = &self.frozen_weights {
-            return to_server_counts(catalog, weights, lambda_next, self.min_allocation);
+            return to_server_counts(catalog, weights, lambda_next, min_allocation);
         }
-        // Settling phase: behave like SPO; freeze at the configured step.
-        let counts = match self.optimizer.optimize(
-            catalog,
-            obs.current_workload,
-            obs.prices,
-            obs.failure_probs,
-            obs.covariance,
-        ) {
-            Ok(decision) => {
-                self.last_allocation = decision.first().to_vec();
-                to_server_counts(catalog, decision.first(), lambda_next, self.min_allocation)
-            }
-            Err(_) => to_server_counts(
-                catalog,
-                &self.last_allocation,
-                lambda_next,
-                self.min_allocation,
-            ),
-        };
+        // Settling phase: behave like ExoSphere; freeze at the configured step.
+        let allocation = self.exosphere.allocate(catalog, obs);
+        let counts = to_server_counts(catalog, allocation, lambda_next, min_allocation);
         if obs.interval + 1 >= self.fix_at_interval {
             // Normalize the allocation into weights summing to A_min-ish
             // shape; sizes rescale with λ afterwards.
-            let total: f64 = self.last_allocation.iter().sum();
+            let total: f64 = allocation.iter().sum();
             if total > 0.0 {
-                self.frozen_weights = Some(self.last_allocation.clone());
+                self.frozen_weights = Some(allocation.to_vec());
             }
         }
         counts
@@ -580,6 +562,60 @@ mod tests {
                 .sum()
         };
         assert!(cap(&high) > cap(&low));
+    }
+
+    #[test]
+    fn exosphere_is_myopic_to_future_prices() {
+        // Fed only the current (cheap) price of market 1, ExoSphere
+        // allocates to it even though the oracle knows it is about to
+        // become expensive — the behavior Fig. 6(b) exploits.
+        let catalog = Catalog::fig5_three_markets();
+        let prices = [6.5, 0.4, 1.1];
+        let failures = [0.04; 3];
+        let cov = Matrix::identity(3).scaled(1e-4);
+        let oracle = OracleView {
+            workload: vec![1000.0],
+            prices: vec![vec![6.5, 9.0, 1.1]],
+        };
+        let mut obs = obs_fixture(&prices, &failures, &cov);
+        obs.oracle = Some(&oracle);
+        let mut p = ExoSpherePolicy::new(SpotWebConfig::default(), 3);
+        p.decide(&catalog, &obs);
+        let a = &p.last_allocation;
+        assert!(
+            a[1] > a[0] && a[1] > a[2],
+            "myopically picks market 1: {a:?}"
+        );
+    }
+
+    #[test]
+    fn exosphere_covers_demand() {
+        let catalog = Catalog::ec2_subset(9);
+        let prices: Vec<f64> = catalog
+            .markets()
+            .iter()
+            .map(|m| m.instance.on_demand_price * 0.3)
+            .collect();
+        let failures = vec![0.05; 9];
+        let cov = Matrix::identity(9).scaled(1e-4);
+        let mut obs = obs_fixture(&prices, &failures, &cov);
+        obs.current_workload = 2000.0;
+        let mut p = ExoSpherePolicy::new(SpotWebConfig::default(), 9);
+        // The solve `decide` makes, made directly for its status.
+        let forecast = ForecastBundle::flat(2000.0, &prices, &failures, 1);
+        let d = p
+            .optimizer
+            .clone()
+            .optimize(&catalog, &forecast, &cov, &[0.0; 9]);
+        assert!(d.unwrap().solved);
+        let counts = p.decide(&catalog, &obs);
+        assert!(p.last_allocation.iter().sum::<f64>() >= 0.99);
+        let cap: f64 = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| n as f64 * catalog.market(i).capacity_rps())
+            .sum();
+        assert!(cap >= 2000.0, "capacity {cap} covers the workload");
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //!
 //! Two entry points:
 //! * [`admm::AdmmSolver`] — the general path used by the MPO optimizer.
-//! * [`pgd`] — projected gradient descent for box-only problems; used
-//!   in tests as an independent cross-check of ADMM solutions.
+//! * [`pgd::BoxBudget`] — the exact projection onto a box plus one
+//!   budget row and a fixed-step projected gradient over it: the zoo's
+//!   ExoSphere solver, and the independent oracle the ADMM proptests and
+//!   the `H = 1` optimizer check compare against.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
@@ -61,9 +63,13 @@ pub enum SolverError {
     /// The problem data holds a NaN or an infinity where a number is
     /// needed (bounds may be ±∞, never NaN).
     NonFinite {
-        /// Which part of the problem: `"P"`, `"q"`, `"A"` or `"bounds"`.
+        /// Which part of the problem: `"P"`, `"q"`, `"A"`, `"bounds"`,
+        /// or the `"point"` a [`pgd::BoxBudget`] projects.
         what: &'static str,
     },
+    /// A [`pgd::BoxBudget`]'s budget interval misses every sum its box
+    /// can reach.
+    UnreachableBudget,
     /// A [`Settings`] field holds a value the iteration cannot run with.
     InvalidSetting {
         /// The field, by name.
@@ -82,6 +88,7 @@ impl core::fmt::Display for SolverError {
             }
             SolverError::Factorization(msg) => write!(f, "factorization failed: {msg}"),
             SolverError::NonFinite { what } => write!(f, "non-finite value in {what}"),
+            SolverError::UnreachableBudget => write!(f, "no point of the box meets the budget"),
             SolverError::InvalidSetting { field, must_be } => {
                 write!(f, "invalid setting: {field} must be {must_be}")
             }

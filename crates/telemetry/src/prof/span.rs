@@ -136,11 +136,17 @@ thread_local! {
 }
 
 /// Push a thread's tree into the registry if it belongs to the live
-/// session and recorded anything.
+/// session and recorded anything. The epoch is compared under the
+/// registry lock, which [`begin`] holds while it clears the registry
+/// and bumps the epoch, so a tree of the previous session can never
+/// land in the next one.
 fn flush_slot(slot: &mut Option<Local>) {
     if let Some(local) = slot.take() {
-        if local.epoch == EPOCH.load(Ordering::Acquire) && local.has_data() {
-            lock_recover(&REGISTRY).push(local.into_tree());
+        if local.has_data() {
+            let mut registry = lock_recover(&REGISTRY);
+            if local.epoch == EPOCH.load(Ordering::Acquire) {
+                registry.push(local.into_tree());
+            }
         }
     }
 }
@@ -317,13 +323,19 @@ pub struct Session {
 /// themselves, and enables recording.
 pub fn begin() -> Session {
     let lock = lock_recover(&SESSION);
-    lock_recover(&REGISTRY).clear();
-    EPOCH.fetch_add(1, Ordering::AcqRel);
+    open_epoch(lock_recover(&REGISTRY));
     ENABLED.store(true, Ordering::SeqCst);
     Session {
         _disarm: Disarm,
         _lock: lock,
     }
+}
+
+/// Clear the registry and bump the epoch under one hold of the
+/// registry lock (see [`flush_slot`]).
+fn open_epoch(mut registry: MutexGuard<'static, Vec<SpanTree>>) {
+    registry.clear();
+    EPOCH.fetch_add(1, Ordering::AcqRel);
 }
 
 impl Session {
@@ -452,6 +464,49 @@ mod tests {
             .find(|c| c.name == "t.work")
             .expect("worker spans merged");
         assert_eq!(work.count, 3);
+    }
+
+    /// A thread of the previous session that exits while `begin` holds
+    /// the registry lock must not push its tree into the new session.
+    /// The worker is released while the lock is held and given time to
+    /// reach its exit flush before the epoch moves; the check passes
+    /// whatever the schedule, and comparing the epoch before taking
+    /// the lock fails it whenever the worker arrives within that time.
+    #[test]
+    fn a_stale_exit_flush_cannot_land_in_the_next_session() {
+        use std::sync::mpsc;
+        let (recorded_tx, recorded_rx) = mpsc::channel();
+        let (exit_tx, exit_rx) = mpsc::channel::<()>();
+        let first = begin();
+        let worker = std::thread::spawn(move || {
+            {
+                crate::prof_scope!("t.stale");
+            }
+            recorded_tx.send(()).expect("test thread waits");
+            // Exit without flushing: the TLS destructor flushes.
+            let _ = exit_rx.recv();
+        });
+        recorded_rx.recv().expect("worker recorded");
+        drop(first.finish());
+
+        // `begin`, with the worker's exit flush parked on the registry lock.
+        let lock = lock_recover(&SESSION);
+        let registry = lock_recover(&REGISTRY);
+        exit_tx.send(()).expect("worker waits");
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        open_epoch(registry);
+        ENABLED.store(true, Ordering::SeqCst);
+        let second = Session {
+            _disarm: Disarm,
+            _lock: lock,
+        };
+        worker.join().expect("worker exits cleanly");
+        let profile = second.finish();
+        assert!(
+            profile.threads.is_empty(),
+            "the previous session's tree bled in: {:?}",
+            profile.merged().children
+        );
     }
 
     #[test]

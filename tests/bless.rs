@@ -290,7 +290,7 @@ fn a_fixture_gone_from_disk_and_manifest_is_a_retirement() {
 fn generators_reproduce_the_on_disk_goldens() {
     // Byte-fidelity for the cheap generators: blessing an unchanged
     // fixture must be a digest no-op. (The sweep/tournament generators
-    // are exercised end-to-end by tests/runner_perf.rs and
+    // are exercised end-to-end by tests/golden.rs and
     // tests/tournament.rs.)
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for name in [
