@@ -9,7 +9,9 @@
 //! [`RunnerConfig`], the fault plan behind a scenario name, and which
 //! policies are a [`spotweb_core::Policy`] behind a bridge and which
 //! one is the runner's own baseline. Callers name a cell and get back
-//! the runner's report plus the telemetry the whole stack wrote.
+//! the runner's report plus the telemetry the whole stack wrote. A cell
+//! runs serially on the calling thread; grids parallelize across
+//! cells, through [`spotweb_sim::parallel_map`].
 
 use spotweb_core::policy::{Policy, PolicyObservation};
 use spotweb_core::{build_policy, normalize_policy_name, SpotWebConfig};
@@ -83,9 +85,6 @@ pub struct Cell {
     pub interval_secs: f64,
     /// Control intervals simulated.
     pub intervals: usize,
-    /// Arrival shards ([`RunnerConfig::shards`]); the report is
-    /// byte-identical at any value.
-    pub shards: usize,
 }
 
 /// What a cell produced: the runner's report and the telemetry store
@@ -100,12 +99,12 @@ pub struct CellRun {
 }
 
 impl Cell {
-    /// The shape `trace`, `sweep`, `tournament` and the shard suite
-    /// share: 300 req/s over four 5-minute control intervals — long
-    /// enough for the storm at t = 400 s to land mid-run with warmed
-    /// replacements before the end, short enough that a double run
-    /// stays cheap. Names are resolved leniently; unknown ones are the
-    /// crate's one unknown-name error.
+    /// The shape `trace`, `sweep` and `tournament` share: 300 req/s
+    /// over four 5-minute control intervals — long enough for the storm
+    /// at t = 400 s to land mid-run with warmed replacements before the
+    /// end, short enough that a double run stays cheap. Names are
+    /// resolved leniently; unknown ones are the crate's one
+    /// unknown-name error.
     pub fn trace_default(scenario: &str, policy: &str, seed: u64) -> Result<Cell, String> {
         Ok(Cell::shaped(
             resolve_scenario(scenario)?,
@@ -123,7 +122,6 @@ impl Cell {
             rps: 300.0,
             interval_secs: 300.0,
             intervals: 4,
-            shards: 1,
         }
     }
 
@@ -147,7 +145,6 @@ impl Cell {
             interval_secs: self.interval_secs,
             intervals: self.intervals,
             seed: self.seed,
-            shards: self.shards,
             faults: Some(plan),
             telemetry: sink.clone(),
             lb: spotweb_lb::LoadBalancerConfig {

@@ -11,10 +11,9 @@
 //! Everything the run *simulates* is a pure function of (scenario,
 //! seed, hours) and goes to stdout as one byte-stable [`RunSummary`]
 //! line; the per-hour wall clock and the peak RSS are
-//! machine-dependent and go to stderr only. Always one shard: a
-//! pre-generated hour of 20 krps arrivals is ~1.1 GiB per pipeline
-//! slot, which would trade the gate for a wall-clock win — the lazy
-//! single-shard arrival path is what the gate certifies.
+//! machine-dependent and go to stderr only. The runner generates each
+//! interval's arrivals lazily, so no hour of 20 krps arrivals is ever
+//! held in memory: the gate sees the monitor window and live state.
 
 use std::time::Instant;
 

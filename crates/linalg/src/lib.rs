@@ -17,7 +17,8 @@
 //! * [`mod@lstsq`] — linear least squares built on QR.
 //! * [`sparse`] — CSR matrices: the QP's `P` and `A` from assembly
 //!   through equilibration to the per-iteration products.
-//! * [`vector`] — free functions on `&[f64]` (dot, norms, axpy…).
+//! * [`vector`] — free functions on `&[f64]` (dot, ∞-norm, box clamp,
+//!   sample statistics, percentiles).
 //!
 //! Everything is `f64`, deterministic, and allocation-conscious: the
 //! factorizations expose in-place `solve_into` entry points so hot

@@ -15,12 +15,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean (ℓ2) norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// The larger of two values, NaN if either is. (`f64::max` returns the
 /// *other* operand, so a fold over it reports an all-NaN vector as 0.)
 #[inline]
@@ -36,15 +30,6 @@ pub fn max_nan(a: f64, b: f64) -> f64 {
 #[inline]
 pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0_f64, |m, v| max_nan(m, v.abs()))
-}
-
-/// `y ← y + alpha * x`.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
 }
 
 /// Clamp each element of `x` into `[lo[i], hi[i]]` in place.
@@ -128,7 +113,6 @@ mod tests {
     #[test]
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
     }
 
@@ -143,13 +127,6 @@ mod tests {
         assert!(max_nan(f64::NAN, 1.0).is_nan() && max_nan(1.0, f64::NAN).is_nan());
         assert_eq!(max_nan(1.0, 2.0), 2.0);
         assert_eq!(max_nan(2.0, 1.0), 2.0);
-    }
-
-    #[test]
-    fn axpy_updates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
     }
 
     #[test]

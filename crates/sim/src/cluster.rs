@@ -482,7 +482,9 @@ mod tests {
 
         use spotweb_telemetry::json::fnv1a64_hex;
 
-        use crate::rng::{stream_id, CounterStream, DOMAIN_ARRIVAL_SESSION, DOMAIN_SCENARIO_GAP};
+        use spotweb_workload::rng::{
+            stream_id, CounterStream, DOMAIN_ARRIVAL_SESSION, DOMAIN_SCENARIO_GAP,
+        };
 
         enum Step {
             /// Warn backend 0 (10 s notice) and start its replacement.

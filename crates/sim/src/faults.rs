@@ -23,11 +23,11 @@
 use spotweb_lb::{BackendState, LoadBalancer, LoadBalancerConfig};
 use spotweb_telemetry::json::{json_f64, json_string};
 use spotweb_telemetry::TelemetrySink;
+use spotweb_workload::rng::{stream_id, CounterStream, DOMAIN_FAULT_COIN, DOMAIN_SCENARIO_GAP};
 
 use crate::cluster::Cluster;
 use crate::engine::{Event, EventQueue};
 use crate::metrics::{BucketStats, LatencyRecorder};
-use crate::rng::{stream_id, CounterStream, DOMAIN_FAULT_COIN, DOMAIN_SCENARIO_GAP};
 use crate::scenario::{fig4a_cluster, ServerSpec};
 
 /// One kind of injected failure.
@@ -148,8 +148,8 @@ impl FaultPlan {
     /// coin toss per window for each probabilistic fault, all drawn
     /// from dedicated counter-RNG streams of `seed` (one stream per
     /// probabilistic fault, counter = firing-window ordinal — see
-    /// `crate::rng`). The result is sorted by firing time (stable —
-    /// ties keep declaration order), so the same
+    /// `spotweb_workload::rng`). The result is sorted by firing time
+    /// (stable — ties keep declaration order), so the same
     /// `(plan, seed, duration)` always yields the same failures.
     pub fn compile(&self, seed: u64, duration_secs: f64) -> Vec<FaultSpec> {
         let mut timeline: Vec<FaultSpec> = self
@@ -496,7 +496,7 @@ impl ChaosScenario {
 
         let timeline = self.plan.compile(self.seed, self.duration_secs);
         // Counter-based gaps: gap `k` belongs to request `k`, so the
-        // arrival process is draw-order-free (see `crate::rng`).
+        // arrival process is draw-order-free (see `spotweb_workload::rng`).
         let gaps = CounterStream::new(self.seed, stream_id(DOMAIN_SCENARIO_GAP, 0));
         let sink = self.telemetry.clone();
         let mut cluster = Cluster::new(

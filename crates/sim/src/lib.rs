@@ -23,7 +23,11 @@
 //!   kills, flaps, restores, retires and provisions a backend. Two
 //!   *schedulers* drive it: [`faults::ChaosScenario`] (exact-time
 //!   events on [`engine`]) and [`runner`] (interval-batched control,
-//!   completions on [`calendar`]).
+//!   completions on [`calendar`]; one serial loop, because interval
+//!   `i + 1`'s fleet decision reads interval `i`'s monitor). The
+//!   runner also owns the canonical [`runner::report_json`] /
+//!   [`runner::report_digest`] renderings that determinism checks
+//!   compare.
 //! * [`faults`] — the deterministic fault-injection harness:
 //!   seed-compiled [`faults::FaultPlan`]s (correlated revocations,
 //!   zero-warning kills, backend flaps, price shocks, startup/warmup
@@ -35,20 +39,14 @@
 //!   the warning window) for both the transiency-aware and vanilla
 //!   balancers — a configuration of the chaos loop, not a loop.
 //! * [`sweep`] — the deterministic parallel sweep engine: fan a grid
-//!   of independent (policy, scenario, seed) runs across
-//!   `std::thread::scope` workers with byte-identical output at any
-//!   jobs count (seed-per-run, stable collection order, no shared
-//!   state — see the module docs for the determinism contract).
-//! * [`rng`] — the counter-based, draw-order-free generator
-//!   (`sample(seed, stream, counter)`): the only sanctioned RNG in
-//!   shard-parallel paths, because a stateful sequential stream would
-//!   force the arrival loop to stay serial.
-//! * [`shard`] — sharded execution of a single run
-//!   ([`runner::RunnerConfig::shards`]): per-interval arrival
-//!   generation fans out across cores and latency metrics fold in
-//!   window order, with reports byte-identical at any shard count;
-//!   also the canonical [`shard::report_json`] / [`shard::report_digest`]
-//!   renderings that invariance proofs compare.
+//!   of independent (policy, scenario, seed) runs across scoped
+//!   worker threads with byte-identical output at any jobs count
+//!   (seed-per-run, stable collection order, no shared state — see
+//!   the module docs for the determinism contract). It is the crate's
+//!   only threaded code.
+//!
+//! Every draw comes from [`spotweb_workload::rng`]'s counter-based
+//! streams, addressed by `(seed, stream, counter)`.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
@@ -59,11 +57,9 @@ pub mod cluster;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
-pub mod rng;
 pub mod runner;
 pub mod scenario;
 pub mod service;
-pub mod shard;
 pub mod sweep;
 
 pub use calendar::CalendarQueue;
@@ -74,10 +70,10 @@ pub use faults::{
 };
 pub use metrics::{BucketStats, LatencyRecorder};
 pub use runner::{
-    run_full_stack, run_full_stack_observed, FleetPolicy, RunnerConfig, RunnerReport,
+    report_digest, report_json, run_full_stack, run_full_stack_observed, FleetPolicy, RunnerConfig,
+    RunnerReport,
 };
 pub use scenario::{FailoverReport, FailoverScenario};
 pub use service::ServiceModel;
-pub use shard::{nproc, report_digest, report_json};
 pub use spotweb_telemetry::{TelemetrySink, TraceEvent};
-pub use sweep::{parallel_map, RunSummary};
+pub use sweep::{nproc, parallel_map, RunSummary};

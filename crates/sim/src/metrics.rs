@@ -55,8 +55,16 @@ pub struct LatencyRecorder {
 
 impl LatencyRecorder {
     /// Recorder with buckets of `bucket_secs` covering `[0, horizon)`.
+    /// Both must be finite and positive.
     pub fn new(bucket_secs: f64, horizon_secs: f64) -> Self {
-        assert!(bucket_secs > 0.0 && horizon_secs > 0.0);
+        assert!(
+            bucket_secs.is_finite() && bucket_secs > 0.0,
+            "bucket width must be finite and positive (got {bucket_secs})"
+        );
+        assert!(
+            horizon_secs.is_finite() && horizon_secs > 0.0,
+            "horizon must be finite and positive (got {horizon_secs})"
+        );
         let n = (horizon_secs / bucket_secs).ceil() as usize;
         LatencyRecorder {
             bucket_secs,

@@ -26,27 +26,25 @@
 //! architecture" covers what keeps the per-request constant small
 //! enough for week-scale runs at paper rates (§5's 20 krps trace).
 //!
-//! Arrivals are drawn from the counter-based, draw-order-free
-//! [`crate::rng`] generator, keyed per decision interval — which is
-//! what lets [`RunnerConfig::shards`] split one run's arrival
-//! generation and metrics fold across cores with byte-identical
-//! output at any shard count (see [`crate::shard`] for the pipeline
-//! and the invariance argument).
+//! The loop is serial: interval `i + 1`'s fleet decision reads the
+//! monitor interval `i` filled. Arrivals are drawn from the
+//! counter-based [`spotweb_workload::rng`] streams keyed per decision
+//! interval (`WindowGen`), and [`report_json`] / [`report_digest`]
+//! are the canonical renderings the golden and benchmark digests
+//! compare.
 
 use spotweb_lb::{LoadBalancerConfig, MonitorWindow};
 use spotweb_market::billing::{BillingLedger, CostMeter};
 use spotweb_market::CloudSim;
+use spotweb_telemetry::json::{fnv1a64_hex, json_f64, json_string, json_u32_array};
 use spotweb_telemetry::{names, prof, TelemetrySink, TraceEvent};
+use spotweb_workload::rng::{stream_id, CounterStream, DOMAIN_ARRIVAL_GAP, DOMAIN_ARRIVAL_SESSION};
 use spotweb_workload::Trace;
 
 use crate::calendar::CalendarQueue;
 use crate::cluster::Cluster;
 use crate::faults::{FaultKind, FaultPlan, FaultSpec};
-use crate::metrics::LatencyRecorder;
-use crate::shard::{
-    ArrivalPipeline, ArrivalSupply, DeferredObs, FoldWorker, InlineArrivals, ObsSink,
-    PipelineArrivals, WindowArrivals, WindowSpec,
-};
+use crate::metrics::{BucketStats, LatencyRecorder};
 
 /// Abstraction over `spotweb-core`'s policies so this crate does not
 /// depend on the optimizer: given current observations, return the
@@ -90,13 +88,9 @@ pub struct RunnerConfig {
     pub max_lifetime_secs: Option<f64>,
     /// RNG seed (arrivals and revocation sampling share sub-streams).
     pub seed: u64,
-    /// Shard count for the run's arrival generation and metrics fold.
-    /// `1` (the default) runs fully inline on the calling thread with
-    /// lazy arrival generation (no batches materialize — required for
-    /// day-scale memory). `K > 1` pre-generates per-interval arrival
-    /// batches on `min(K, nproc)` workers and folds latency metrics on
-    /// a dedicated thread; the report is byte-identical at any value
-    /// (see [`crate::shard`]).
+    /// Has no effect: no library code reads it, and every run is serial
+    /// on the calling thread. It remains only so that callers which
+    /// still set it (the benchmark harness) keep compiling.
     pub shards: usize,
     /// Optional fault plan (chaos testing). Compiled deterministically
     /// from `seed` at run start. Interval-scoped faults — price
@@ -169,7 +163,7 @@ pub struct RunnerReport {
     pub invariant_violations: Vec<String>,
     /// Times the balancer re-scanned the fleet for `route`
     /// ([`spotweb_lb::LoadBalancer::epoch_rebuilds`]): work done, not a
-    /// simulated outcome, so [`crate::shard::report_json`] leaves it out.
+    /// simulated outcome, so [`report_json`] leaves it out.
     pub route_epoch_rebuilds: u64,
 }
 
@@ -205,69 +199,32 @@ pub fn run_full_stack_observed(
     // prof session is active; distinct from the sim-clock trace spans
     // emitted through `sink` below).
     prof::scope!(names::SPAN_RUNNER_RUN);
-    // Checked before any generator runs: a sharded run's workers would
-    // panic on it and leave the loop waiting for their windows forever.
+    // Rejected before anything is built: a zero session count would
+    // panic inside the arrival generator (`range_at` divides by it),
+    // and an infinite interval never ends its first window.
     assert!(
         config.sessions > 0,
         "need at least one session (`sessions` is 0)"
     );
-    let horizon = config.interval_secs * config.intervals as f64;
-    let recorder = LatencyRecorder::new(config.interval_secs, horizon);
-    if config.shards <= 1 {
-        // Inline mode: arrivals generate lazily on this thread (no
-        // batch ever materializes — day-scale windows are tens of
-        // millions of arrivals) and metrics apply immediately.
-        let supply = InlineArrivals {
-            seed: config.seed,
-            sessions: config.sessions,
-        };
-        run_loop(policy, cloud, trace, config, on_interval, supply, recorder)
-    } else {
-        // Sharded mode: per-interval window specs are fixed up front
-        // (the same boundary rate samples the inline path takes), gen
-        // workers pre-compute arrival batches, and the fold thread
-        // applies metrics in window order.
-        let specs: Vec<WindowSpec> = (0..config.intervals)
-            .map(|i| {
-                let t0 = i as f64 * config.interval_secs;
-                WindowSpec {
-                    t0,
-                    t_end: t0 + config.interval_secs,
-                    rate: trace.rate_at(t0).max(1e-6),
-                }
-            })
-            .collect();
-        let pipeline = ArrivalPipeline::spawn(config.seed, config.sessions, specs, config.shards);
-        let supply = PipelineArrivals::new(pipeline);
-        let obs = DeferredObs::new(FoldWorker::spawn(recorder));
-        run_loop(policy, cloud, trace, config, on_interval, supply, obs)
-    }
-}
-
-/// The control loop, generic over the arrival supply and the metrics
-/// sink. The two instantiations — inline/direct at `shards = 1`,
-/// pipeline/deferred at `shards > 1` — execute the same counter-RNG
-/// draws, the same routing sequence, and the same metrics fold order,
-/// so their reports are byte-identical by construction.
-///
-/// Each interval is six phases over the shared [`Cluster`], named after
-/// the profiler spans they run under: `runner.control_batch` (apply
-/// faults, reconcile the fleet, deliver revocations), then
-/// `runner.arrival_loop` alternating with `runner.control_batch` (fire
-/// due controls), then `runner.drain` / `billing` / `rollup` (settle).
-fn run_loop<S: ArrivalSupply, O: ObsSink>(
-    policy: &mut dyn FleetPolicy,
-    cloud: &mut CloudSim,
-    trace: &Trace,
-    config: &RunnerConfig,
-    on_interval: &mut dyn FnMut(usize, u64),
-    mut arrivals: S,
-    obs: O,
-) -> RunnerReport {
+    assert!(
+        config.intervals > 0,
+        "need at least one decision interval (`intervals` is 0)"
+    );
+    assert!(
+        config.interval_secs.is_finite() && config.interval_secs > 0.0,
+        "`interval_secs` must be finite and positive (got {})",
+        config.interval_secs
+    );
     let sink = config.telemetry.clone();
     cloud.set_telemetry(sink.clone());
-    let mut run = Scheduler::new(config, cloud.catalog().len(), obs);
+    let mut run = Scheduler::new(config, cloud.catalog().len());
 
+    // Each interval is six phases over the shared `Cluster`, named
+    // after the profiler spans they run under: `runner.control_batch`
+    // (apply faults, reconcile the fleet, deliver revocations), then
+    // `runner.arrival_loop` alternating with `runner.control_batch`
+    // (fire due controls), then `runner.drain` / `billing` / `rollup`
+    // (settle).
     for interval in 0..config.intervals {
         let t0 = interval as f64 * config.interval_secs;
         let t_end = t0 + config.interval_secs;
@@ -303,11 +260,11 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
         // Arrivals follow the *true* trace rate (the generator is the
         // outside world; only the policy sees measurements); the rate
         // is constant within the interval, so it is sampled once. The
-        // supply yields the interval's arrivals in time order — the
-        // identical counter-RNG walk whether generated lazily here
-        // (`shards = 1`) or pre-computed by the gen pool.
+        // window yields the interval's arrivals lazily, in time order:
+        // no batch materializes, which keeps day-scale runs (tens of
+        // millions of arrivals per window) in constant memory.
         let rate = trace.rate_at(t0).max(1e-6);
-        let mut window = arrivals.window(interval, WindowSpec { t0, t_end, rate });
+        let mut window = WindowGen::new(config.seed, interval, config.sessions, t0, t_end, rate);
         let mut pending = window.next();
         while let Some(arrival) = pending {
             pending = run.arrival_phase(&mut window, arrival, t_end);
@@ -324,14 +281,62 @@ fn run_loop<S: ArrivalSupply, O: ObsSink>(
     run.finish()
 }
 
+/// One decision interval's arrival generator: a lazy walk of the
+/// counter-RNG streams keyed by the interval index, so a window's
+/// arrivals are a pure function of `(seed, interval)` whatever ran
+/// before it.
+#[derive(Debug, Clone, Copy)]
+struct WindowGen {
+    gaps: CounterStream,
+    sessions_stream: CounterStream,
+    sessions: u64,
+    t: f64,
+    t_end: f64,
+    rate: f64,
+    k: u64,
+}
+
+impl WindowGen {
+    fn new(seed: u64, interval: usize, sessions: u64, t0: f64, t_end: f64, rate: f64) -> Self {
+        WindowGen {
+            gaps: CounterStream::new(seed, stream_id(DOMAIN_ARRIVAL_GAP, interval as u64)),
+            sessions_stream: CounterStream::new(
+                seed,
+                stream_id(DOMAIN_ARRIVAL_SESSION, interval as u64),
+            ),
+            sessions,
+            t: t0,
+            t_end,
+            rate,
+            k: 0,
+        }
+    }
+
+    /// Next arrival `(time, session)` strictly before the window end,
+    /// or `None` once the gap walk crosses it. Draw `k` of the gap
+    /// stream and draw `k` of the session stream belong to arrival
+    /// `k`; the counter advances only on yielded arrivals.
+    fn next(&mut self) -> Option<(f64, u64)> {
+        let t = self.t + self.gaps.exp_at(self.k, self.rate);
+        if t >= self.t_end {
+            return None;
+        }
+        let session = self.sessions_stream.range_at(self.k, self.sessions);
+        self.t = t;
+        self.k += 1;
+        Some((t, session))
+    }
+}
+
 /// The full-stack scheduler's state: the [`Cluster`] mechanism plus
 /// what only this scheduler needs — the per-market fleet, billing, the
 /// monitor the policy reads, the completion calendar, and the control
 /// events waiting for an arrival to cross their time.
-struct Scheduler<'a, O: ObsSink> {
+struct Scheduler<'a> {
     config: &'a RunnerConfig,
     cluster: Cluster,
-    obs: O,
+    /// Per-interval latency and drop buckets behind the report.
+    recorder: LatencyRecorder,
     /// Backends per market currently alive (neither warned,
     /// decommissioned nor down).
     alive: Vec<Vec<usize>>,
@@ -363,8 +368,8 @@ struct Scheduler<'a, O: ObsSink> {
     fleet_sizes: Vec<u32>,
 }
 
-impl<'a, O: ObsSink> Scheduler<'a, O> {
-    fn new(config: &'a RunnerConfig, n_markets: usize, obs: O) -> Self {
+impl<'a> Scheduler<'a> {
+    fn new(config: &'a RunnerConfig, n_markets: usize) -> Self {
         let horizon = config.interval_secs * config.intervals as f64;
         Scheduler {
             config,
@@ -375,7 +380,7 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
                 config.warmup_secs,
                 config.telemetry.clone(),
             ),
-            obs,
+            recorder: LatencyRecorder::new(config.interval_secs, horizon),
             alive: vec![Vec::new(); n_markets],
             born_at: Vec::new(),
             meter: CostMeter::new(n_markets),
@@ -567,11 +572,11 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
     fn record(&mut self, arrived: f64, latency: Option<f64>) {
         match latency {
             Some(latency) => {
-                self.obs.served(arrived, latency);
+                self.recorder.record(arrived, latency);
                 self.monitor.record_served(arrived, latency);
             }
             None => {
-                self.obs.dropped(arrived);
+                self.recorder.record_drop(arrived);
                 self.monitor.record_dropped(arrived);
             }
         }
@@ -595,12 +600,12 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
     /// One profiling span per batch (not per arrival): in-loop
     /// completion drains are accounted to the batch, and the
     /// per-request `lb.route` span nests inside it.
-    // Inlined into `run_loop` the window generator's state stays in
-    // registers across arrivals (request_path: ~2 % of wall time).
+    // Inlined into the control loop the window generator's state stays
+    // in registers across arrivals (request_path: ~2 % of wall time).
     #[inline(always)]
-    fn arrival_phase<W: WindowArrivals>(
+    fn arrival_phase(
         &mut self,
-        window: &mut W,
+        window: &mut WindowGen,
         arrival: (f64, u64),
         t_end: f64,
     ) -> Option<(f64, u64)> {
@@ -681,7 +686,7 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
     /// Close the interval: final tick and audit, drain completions due
     /// by `t_end` (everything, on the last interval — whatever still
     /// runs past an earlier interval's end resolves in the next one),
-    /// flush the metrics window, bill, and roll up telemetry.
+    /// bill, and roll up telemetry.
     fn settle_interval(&mut self, interval: usize, prices: &[f64], observed_rps: f64) {
         let config = self.config;
         let t0 = interval as f64 * config.interval_secs;
@@ -695,9 +700,6 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
                 self.drain_completions(f64::INFINITY);
             }
         }
-        // Flush this window's buffered observations to the fold (a
-        // no-op in inline mode).
-        self.obs.end_window(interval);
 
         // Bill every backend that existed during any part of the
         // interval — including draining/decommissioned servers still
@@ -717,7 +719,7 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
         if sink.is_enabled() {
             prof::scope!(names::SPAN_RUNNER_ROLLUP);
             let rates = self.monitor.rates(t_end);
-            let stats = self.obs.bucket_stats(interval);
+            let stats = self.recorder.bucket_stats(interval);
             sink.gauge(names::FLEET_SIZE, self.fleet_sizes[interval] as f64);
             sink.emit_at(
                 t_end,
@@ -738,7 +740,7 @@ impl<'a, O: ObsSink> Scheduler<'a, O> {
     fn finish(self) -> RunnerReport {
         let route_epoch_rebuilds = self.cluster.epoch_rebuilds();
         let (stats, checker) = self.cluster.finish();
-        let recorder = self.obs.finish();
+        let recorder = self.recorder;
         let (served, dropped) = recorder.totals();
         RunnerReport {
             served,
@@ -794,6 +796,72 @@ impl FleetPolicy for ReactiveCheapestPolicy {
         fleet[best] = ((observed_rps * self.headroom) / self.capacities[best]).ceil() as u32;
         fleet
     }
+}
+
+fn bucket_json(b: &BucketStats) -> String {
+    format!(
+        concat!(
+            "{{\"start\":{},\"count\":{},\"mean\":{},\"min\":{},",
+            "\"p25\":{},\"p50\":{},\"p75\":{},\"p90\":{},\"p99\":{},",
+            "\"max\":{},\"dropped\":{}}}"
+        ),
+        json_f64(b.start),
+        b.count,
+        json_f64(b.mean),
+        json_f64(b.min),
+        json_f64(b.p25),
+        json_f64(b.p50),
+        json_f64(b.p75),
+        json_f64(b.p90),
+        json_f64(b.p99),
+        json_f64(b.max),
+        b.dropped,
+    )
+}
+
+/// Canonical single-line JSON rendering of a [`RunnerReport`] — every
+/// simulated field, hand-rolled through the workspace's byte-stable
+/// float helpers. String equality of two renderings is what the
+/// golden and benchmark determinism checks compare, so this is the
+/// only sanctioned serialization of a report.
+pub fn report_json(r: &RunnerReport) -> String {
+    let buckets: Vec<String> = r.buckets.iter().map(bucket_json).collect();
+    let violations: Vec<String> = r
+        .invariant_violations
+        .iter()
+        .map(|v| json_string(v))
+        .collect();
+    format!(
+        concat!(
+            "{{\"served\":{},\"dropped\":{},\"drop_fraction\":{},",
+            "\"p50\":{},\"p90\":{},\"p99\":{},\"cost\":{},",
+            "\"revocations\":{},\"migrated_sessions\":{},",
+            "\"lifetime_relinquishments\":{},\"fleet_sizes\":{},",
+            "\"buckets\":[{}],\"faults_fired\":{},",
+            "\"invariant_violations\":[{}]}}"
+        ),
+        r.served,
+        r.dropped,
+        json_f64(r.drop_fraction),
+        json_f64(r.p50),
+        json_f64(r.p90),
+        json_f64(r.p99),
+        json_f64(r.cost),
+        r.revocations,
+        r.migrated_sessions,
+        r.lifetime_relinquishments,
+        json_u32_array(&r.fleet_sizes),
+        buckets.join(","),
+        r.faults_fired,
+        violations.join(","),
+    )
+}
+
+/// FNV-1a 64 digest of a report's canonical JSON (the same hash the
+/// sweep digests use), newline-terminated so digests of concatenated
+/// reports compose.
+pub fn report_digest(r: &RunnerReport) -> String {
+    fnv1a64_hex(format!("{}\n", report_json(r)).as_bytes())
 }
 
 #[cfg(test)]
@@ -931,67 +999,69 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_byte_identical() {
-        // The invariance contract in miniature (tests/shard.rs proves
-        // it across all scenarios × seeds): the full canonical report
-        // rendering must not depend on the shard count, including with
-        // faults in play and telemetry enabled.
-        use crate::faults::{FaultKind, FaultPlan};
+    fn bad_run_shapes_are_rejected_by_field_name() {
+        // Each shape is refused at run entry with a message naming the
+        // field; unchecked, an infinite interval's single window never
+        // ends and the run never returns.
+        let positive = "`interval_secs` must be finite and positive";
+        let no_intervals = "need at least one decision interval (`intervals` is 0)";
+        let no_sessions = "need at least one session (`sessions` is 0)";
+        let cases = [
+            (f64::INFINITY, 1, 2000, format!("{positive} (got inf)")),
+            (f64::NAN, 24, 2000, format!("{positive} (got NaN)")),
+            (0.0, 24, 2000, format!("{positive} (got 0)")),
+            (-5.0, 24, 2000, format!("{positive} (got -5)")),
+            (600.0, 0, 2000, no_intervals.to_string()),
+            (600.0, 24, 0, no_sessions.to_string()),
+        ];
         let catalog = Catalog::fig4_testbed();
-        let plan = FaultPlan::new().at(
-            700.0,
-            FaultKind::CorrelatedRevocation {
-                markets: (0..catalog.len()).collect(),
-                warning_secs: Some(30.0),
-            },
-        );
-        let run = |shards: usize| {
+        for (interval_secs, intervals, sessions, want) in cases {
             let config = RunnerConfig {
-                intervals: 4,
-                seed: 1234,
-                shards,
-                faults: Some(plan.clone()),
-                telemetry: TelemetrySink::enabled(),
+                interval_secs,
+                intervals,
+                sessions,
                 ..RunnerConfig::default()
             };
-            let mut cloud = CloudSim::new(catalog.clone(), 7, 100);
-            cloud.warm_up(8);
-            let trace = flat_trace(250.0, &config);
-            let mut p = policy(&catalog);
-            let r = run_full_stack(&mut p, &mut cloud, &trace, &config);
-            crate::shard::report_json(&r)
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(4), "shards 4 must match shards 1");
-        assert_eq!(serial, run(3), "shards 3 must match shards 1");
-    }
-
-    /// A run with no sessions to draw from: rejected before any
-    /// generator runs, rather than panicking inside one (or, sharded,
-    /// hanging on the window a panicked worker never fills).
-    fn run_without_sessions(shards: usize) {
-        let catalog = Catalog::fig4_testbed();
-        let config = RunnerConfig {
-            intervals: 2,
-            sessions: 0,
-            shards,
-            ..RunnerConfig::default()
-        };
-        let mut cloud = CloudSim::new(catalog.clone(), 7, 100);
-        let trace = flat_trace(250.0, &config);
-        let _ = run_full_stack(&mut policy(&catalog), &mut cloud, &trace, &config);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut cloud = CloudSim::new(catalog.clone(), 7, 100);
+                let trace = Trace::new(600.0, vec![250.0; 4]);
+                run_full_stack(&mut policy(&catalog), &mut cloud, &trace, &config)
+            }))
+            .expect_err("a bad run shape must be rejected");
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(message, want);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "need at least one session (`sessions` is 0)")]
-    fn zero_sessions_are_rejected_inline() {
-        run_without_sessions(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one session (`sessions` is 0)")]
-    fn zero_sessions_are_rejected_sharded() {
-        run_without_sessions(2);
+    fn report_json_is_byte_stable() {
+        let r = RunnerReport {
+            served: 10,
+            dropped: 2,
+            drop_fraction: 1.0 / 6.0,
+            p50: 0.125,
+            p90: 0.25,
+            p99: 0.5,
+            cost: 3.0,
+            revocations: 1,
+            migrated_sessions: 4,
+            lifetime_relinquishments: 0,
+            fleet_sizes: vec![2, 3],
+            buckets: Vec::new(),
+            faults_fired: 1,
+            invariant_violations: vec!["x".to_string()],
+            route_epoch_rebuilds: 7,
+        };
+        let a = report_json(&r);
+        assert_eq!(a, report_json(&r.clone()));
+        assert!(a.starts_with("{\"served\":10,\"dropped\":2,"));
+        assert!(a.contains("\"fleet_sizes\":[2,3]"));
+        assert!(a.contains("\"invariant_violations\":[\"x\"]"));
+        assert_eq!(report_digest(&r), report_digest(&r.clone()));
     }
 
     #[test]

@@ -32,6 +32,15 @@ use std::sync::Mutex;
 use spotweb_telemetry::json::{fnv1a64_hex, json_f64, json_string};
 use spotweb_telemetry::{names, prof};
 
+/// Number of logical cores the runtime reports: the clamp on
+/// [`parallel_map`]'s worker count, and the figure the benchmark
+/// records beside every parallel speed-up.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Map `f` over `tasks` on up to `jobs` worker threads, returning the
 /// results **in input order** regardless of which worker ran what.
 ///
@@ -73,7 +82,7 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let n = tasks.len();
-    let workers = jobs.max(1).min(n.max(1)).min(crate::shard::nproc());
+    let workers = jobs.max(1).min(n.max(1)).min(nproc());
     if workers <= 1 {
         prof::scope!(names::SPAN_SWEEP_WORKER);
         return tasks
@@ -301,7 +310,7 @@ mod tests {
         // min(jobs, tasks, nproc) workers — observed through the
         // profiler's per-thread trees. On a 1-core box the clamp
         // collapses to the inline path (no threads at all).
-        let expected = 3.min(crate::shard::nproc());
+        let expected = 3.min(nproc());
         let (out, profile) = profiled(|| parallel_map(8, (0..3u64).collect(), |_, n| n));
         assert_eq!(out, vec![0, 1, 2]);
         if expected <= 1 {
@@ -328,7 +337,7 @@ mod tests {
         // thread when the nproc clamp forces the inline path. The
         // split between workers is scheduling-dependent, the sum is
         // not.
-        let expected_workers = 2.min(crate::shard::nproc());
+        let expected_workers = 2.min(nproc());
         let worker_threads = worker_labels(&profile).len();
         if expected_workers <= 1 {
             assert_eq!(worker_threads, 0, "nproc == 1 must run inline");

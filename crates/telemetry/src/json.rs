@@ -59,8 +59,8 @@ pub fn json_u32_array(xs: &[u32]) -> String {
 }
 
 /// FNV-1a 64 digest of `bytes`, rendered as 16 lowercase hex digits —
-/// the one fingerprint the sweep, shard, bench and golden-manifest
-/// digests share.
+/// the one fingerprint the sweep, runner-report, bench and
+/// golden-manifest digests share.
 pub fn fnv1a64_hex(bytes: &[u8]) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -19,7 +19,7 @@
 //! EXPERIMENTS.md), [`io`] (CSV round-tripping so traces can be
 //! exported for external plotting), and [`rng`] (the counter-based,
 //! draw-order-free generator behind every randomized draw in this
-//! crate and the simulator's sharded arrival loop).
+//! crate and the simulator's arrivals and faults).
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
