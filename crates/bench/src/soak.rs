@@ -35,8 +35,8 @@ pub const SOAK_RPS: f64 = 20_000.0;
 /// 20 krps stress point is the monitor ring itself: one interval
 /// (3600 s) of per-request records is ~72 M × 16 B ≈ 1.1 GiB of data
 /// in a deque whose power-of-two capacity growth reserves ~2 GiB.
-/// Measured peaks plateau at ~2.15 GiB from the second simulated hour
-/// on, identical at 4 and at 168 hours; this 3 GiB bound is the
+/// Measured peaks plateau at ~2.0 GiB from the second simulated hour
+/// on, identical at 2 and at 4 hours; this 3 GiB bound is the
 /// "state stopped being constant" alarm, not a tight budget.
 pub const MEM_GATE_BYTES: u64 = 3 * 1024 * 1024 * 1024;
 
