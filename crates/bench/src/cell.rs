@@ -15,7 +15,7 @@
 
 use spotweb_core::policy::{Policy, PolicyObservation};
 use spotweb_core::{build_policy, normalize_policy_name, SpotWebConfig};
-use spotweb_market::{estimate_correlation, Catalog, CloudSim, DEFAULT_SHRINKAGE};
+use spotweb_market::{Catalog, CloudSim, MarketHistory, DEFAULT_SHRINKAGE};
 use spotweb_sim::runner::{FleetPolicy, ReactiveCheapestPolicy};
 use spotweb_sim::sweep::RunSummary;
 use spotweb_sim::{run_full_stack_observed, FaultKind, FaultPlan, RunnerConfig, RunnerReport};
@@ -240,10 +240,10 @@ impl FleetPolicy for CorePolicyBridge {
         observed_rps: f64,
         prices: &[f64],
         failure_probs: &[f64],
-        failure_history: &[Vec<f64>],
+        history: &MarketHistory,
     ) -> Vec<u32> {
-        let covariance = if failure_history.first().map_or(0, |s| s.len()) >= 2 {
-            estimate_correlation(failure_history, DEFAULT_SHRINKAGE)
+        let covariance = if history.len() >= 2 {
+            history.correlation(DEFAULT_SHRINKAGE)
         } else {
             spotweb_linalg::Matrix::identity(self.catalog.len())
         };

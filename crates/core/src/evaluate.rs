@@ -17,7 +17,7 @@
 //!    for requests beyond the surviving capacity.
 
 use spotweb_linalg::Matrix;
-use spotweb_market::{estimate_correlation, Catalog, CloudSim, Provider, DEFAULT_SHRINKAGE};
+use spotweb_market::{Catalog, CloudSim, Provider, DEFAULT_SHRINKAGE};
 use spotweb_workload::Trace;
 
 use crate::policy::{OracleView, Policy, PolicyObservation};
@@ -306,9 +306,10 @@ pub fn simulate_costs(
 /// The risk matrix the harness hands every policy, for policies/tests
 /// that need the same estimator. §6: "M is chosen based on correlation
 /// between the failure probabilities" — scale-free, so the paper's
-/// α = 5 is commensurate with the O(1) cost terms.
+/// α = 5 is commensurate with the O(1) cost terms. Read in O(n²) from
+/// the history's running sums ([`spotweb_market::MarketHistory::correlation`]).
 pub fn covariance_from_cloud(cloud: &CloudSim) -> Matrix {
-    estimate_correlation(&cloud.history().failure_matrix(), DEFAULT_SHRINKAGE)
+    cloud.history().correlation(DEFAULT_SHRINKAGE)
 }
 
 #[cfg(test)]

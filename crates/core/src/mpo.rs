@@ -5,17 +5,18 @@
 //! limit error propagation" — [`MpoOptimizer::optimize`] returns the
 //! full horizon plan but callers deploy only
 //! [`PortfolioDecision::first`]. The optimizer warm-starts each solve
-//! from the previous solution, which is why re-optimizing every
-//! interval stays cheap (Fig. 7(b)).
+//! from the previous solution and keeps its solver's equilibration
+//! across intervals, which is why re-optimizing every interval stays
+//! cheap (Fig. 7(b)).
 
 use spotweb_linalg::Matrix;
 use spotweb_market::Catalog;
-use spotweb_solver::{AdmmSolver, QpStatus, Settings};
+use spotweb_solver::{AdmmSolver, Certificate, QpStatus, Settings, Update};
 use spotweb_telemetry::{names, prof};
 
 use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
-use crate::portfolio::{build_linear_cost, build_sparse_qp, unpack_plan};
+use crate::portfolio::{build_sparse_qp, unpack_plan};
 use crate::Result;
 
 /// Output of one optimization run.
@@ -32,9 +33,12 @@ pub struct PortfolioDecision {
     /// Whether the solve started from the previous interval's
     /// primal/dual iterate (vs the zero cold start).
     pub warm_started: bool,
-    /// Whether the cached KKT factorization was reused (covariance and
-    /// dimensions unchanged — only the linear cost was rebuilt).
+    /// Whether the previous solve's KKT factorization was reused: `P`
+    /// bitwise unchanged (same covariance, same configuration), so only
+    /// the linear cost was replaced. A moved covariance refactors.
     pub factor_reused: bool,
+    /// How far the solution is from optimal, on the unscaled QP.
+    pub certificate: Certificate,
 }
 
 impl PortfolioDecision {
@@ -44,19 +48,6 @@ impl PortfolioDecision {
     }
 }
 
-/// A solver kept alive across [`MpoOptimizer::optimize`] calls, with
-/// the inputs that shaped its quadratic part and constraints. When the
-/// next call arrives with the same dimensions and an identical
-/// covariance, `P` and `A` are unchanged — only the linear cost `q`
-/// needs rebuilding, and the blockwise `O(H·N³)` KKT factorization
-/// (plus the Ruiz equilibration) from construction is reused.
-struct SolverCache {
-    solver: AdmmSolver,
-    covariance: Matrix,
-    markets: usize,
-    horizon: usize,
-}
-
 /// The SpotWeb multi-period optimizer.
 pub struct MpoOptimizer {
     config: SpotWebConfig,
@@ -64,8 +55,9 @@ pub struct MpoOptimizer {
     warm: Option<(Vec<f64>, Vec<f64>)>,
     /// Warm starting on by default; disable to measure the cold cost.
     warm_start_enabled: bool,
-    /// Built solver reused while covariance/dimensions are unchanged.
-    cache: Option<SolverCache>,
+    /// The solver of the previous call, re-bound to each next problem
+    /// while its constraints and the pattern of `P` hold.
+    solver: Option<AdmmSolver>,
 }
 
 impl std::fmt::Debug for MpoOptimizer {
@@ -74,7 +66,7 @@ impl std::fmt::Debug for MpoOptimizer {
             .field("config", &self.config)
             .field("warm", &self.warm.is_some())
             .field("warm_start_enabled", &self.warm_start_enabled)
-            .field("cached_solver", &self.cache.is_some())
+            .field("cached_solver", &self.solver.is_some())
             .finish()
     }
 }
@@ -87,7 +79,7 @@ impl Clone for MpoOptimizer {
             config: self.config.clone(),
             warm: self.warm.clone(),
             warm_start_enabled: self.warm_start_enabled,
-            cache: None,
+            solver: None,
         }
     }
 }
@@ -99,7 +91,7 @@ impl MpoOptimizer {
             config,
             warm: None,
             warm_start_enabled: true,
-            cache: None,
+            solver: None,
         }
     }
 
@@ -121,15 +113,16 @@ impl MpoOptimizer {
     /// Run one optimization. `prev_allocation` is the currently
     /// deployed first-interval allocation (zeros at cold start).
     ///
-    /// Two caches cut the per-interval cost of the receding-horizon
+    /// Two reuses cut the per-interval cost of the receding-horizon
     /// loop (Fig. 7(b)):
     /// * **warm start** — the previous interval's primal/dual solution
     ///   seeds the ADMM iteration via `solve_from` whenever the
     ///   problem dimensions are unchanged;
-    /// * **factorization reuse** — when the covariance `M` (and the
-    ///   dimensions) are identical to the previous call, `P` and the
-    ///   constraints are identical too, so only the linear cost `q` is
-    ///   rebuilt and the cached KKT factorization is kept.
+    /// * **solver reuse** — consecutive problems share their
+    ///   constraints and the pattern of `P`, so the previous solver is
+    ///   re-bound to the new one ([`AdmmSolver::update`]): its Ruiz
+    ///   equilibration is kept, and the KKT matrix is refactored only
+    ///   when `P` (the covariance) moved.
     pub fn optimize(
         &mut self,
         catalog: &Catalog,
@@ -141,36 +134,26 @@ impl MpoOptimizer {
         let n = catalog.len();
         let h = self.config.horizon;
 
-        let factor_reused = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.markets == n && c.horizon == h && c.covariance == *covariance);
-        if factor_reused {
-            // Fast path: P and A unchanged — rebuild q only.
-            let q = build_linear_cost(catalog, forecast, prev_allocation, &self.config)?;
-            let cache = self.cache.as_mut().expect("cache checked above");
-            cache.solver.update_linear_cost(&q)?;
-        } else {
-            let qp = build_sparse_qp(catalog, forecast, covariance, prev_allocation, &self.config)?;
+        let qp = build_sparse_qp(catalog, forecast, covariance, prev_allocation, &self.config)?;
+        let update = match self.solver.as_mut() {
+            Some(solver) => solver.update(&qp)?,
+            None => Update::Rebuild,
+        };
+        if update == Update::Rebuild {
             // The portfolio QP is block-tridiagonal in the horizon (risk
-            // and constraints are per-period; churn couples neighbours), so
-            // a multi-period instance factors blockwise in O(H·N³). The
-            // builder guarantees the structure, so the problem is moved
-            // into the solver; a failed check is an error, not a fallback.
-            let solver = if h >= 2 {
+            // and constraints are per-period; churn couples neighbours),
+            // so a multi-period instance factors blockwise in O(H·N³).
+            // The builder guarantees the structure, so the problem is
+            // moved into the solver; a failed check is an error, not a
+            // fallback.
+            self.solver = Some(if h >= 2 {
                 AdmmSolver::with_block_structure(qp, Settings::default(), n)?
             } else {
                 AdmmSolver::new(qp, Settings::default())?
-            };
-            self.cache = Some(SolverCache {
-                solver,
-                covariance: covariance.clone(),
-                markets: n,
-                horizon: h,
             });
         }
 
-        let solver = &mut self.cache.as_mut().expect("cache populated above").solver;
+        let solver = self.solver.as_mut().expect("solver bound above");
         let nv = solver.num_vars();
         let mc = solver.num_constraints();
         let warm = if self.warm_start_enabled {
@@ -195,7 +178,8 @@ impl MpoOptimizer {
             iterations: sol.iterations,
             solved: sol.is_solved(),
             warm_started,
-            factor_reused,
+            factor_reused: update == Update::Kept,
+            certificate: sol.certificate(),
         })
     }
 }
@@ -562,7 +546,7 @@ mod tests {
             assert!(got.is_err(), "{case} must be rejected, got {got:?}");
         }
 
-        // The factor-reuse fast path rebuilds only q: it must check too.
+        // A solver kept from the previous call rejects it the same way.
         let mut opt = MpoOptimizer::new(SpotWebConfig::default());
         opt.optimize(&catalog, &good, &good_cov, &[0.0; 3]).unwrap();
         let reused = opt.optimize(&catalog, &overflow, &good_cov, &[0.0; 3]);

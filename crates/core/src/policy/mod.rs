@@ -36,6 +36,7 @@ use spotweb_linalg::Matrix;
 use spotweb_market::{Catalog, Market, MarketKind};
 use spotweb_predict::price::MeanRevertingPricePredictor;
 use spotweb_predict::{SeriesPredictor, SpotWebPredictor};
+use spotweb_solver::Certificate;
 use spotweb_telemetry::{names, DecisionRecord, MarketEval, TelemetrySink, TraceEvent};
 
 use crate::allocation::to_server_counts;
@@ -210,7 +211,7 @@ impl Policy for SpotWebPolicy {
             }
         };
         let min_alloc = self.optimizer.config().min_allocation;
-        let (counts, objective, iterations, solved) =
+        let (counts, objective, iterations, solved, certificate) =
             match self
                 .optimizer
                 .optimize(catalog, &forecast, obs.covariance, &self.prev_allocation)
@@ -246,6 +247,7 @@ impl Policy for SpotWebPolicy {
                         decision.objective,
                         decision.iterations,
                         decision.solved,
+                        decision.certificate,
                     )
                 }
                 // On solver failure keep the previous fleet (fail static,
@@ -258,7 +260,12 @@ impl Policy for SpotWebPolicy {
                         forecast.workload[0],
                         min_alloc,
                     );
-                    (counts, f64::NAN, 0, false)
+                    let unsolved = Certificate {
+                        primal_residual: f64::NAN,
+                        dual_residual: f64::NAN,
+                        duality_gap: f64::NAN,
+                    };
+                    (counts, f64::NAN, 0, false, unsolved)
                 }
             };
         if self.telemetry.is_enabled() {
@@ -300,6 +307,9 @@ impl Policy for SpotWebPolicy {
                 objective,
                 iterations,
                 solved,
+                primal_residual: certificate.primal_residual,
+                dual_residual: certificate.dual_residual,
+                duality_gap: certificate.duality_gap,
                 total_allocation: self.prev_allocation.iter().sum(),
                 markets,
             }));

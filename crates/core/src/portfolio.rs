@@ -147,8 +147,8 @@ pub fn build_sparse_qp(
 
 /// Split a flat `N·H` solution vector into per-interval allocation
 /// rows (`result[τ][i] = A[τ][i]`), clamping solver jitter below zero
-/// into bounds. Free-standing so the optimizer's factor-reuse fast
-/// path (which skips building a [`PortfolioProblem`]) can unpack too.
+/// into bounds. Free-standing so the optimizer (which never builds a
+/// [`PortfolioProblem`]) can unpack too.
 pub fn unpack_plan(x: &[f64], markets: usize, horizon: usize) -> Vec<Vec<f64>> {
     assert_eq!(x.len(), markets * horizon);
     (0..horizon)
@@ -161,14 +161,10 @@ pub fn unpack_plan(x: &[f64], markets: usize, horizon: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Assemble the linear cost `q` alone — the part of the QP that
-/// changes *every* interval (fresh price/workload/failure forecasts
-/// and the churn cross-term with the currently running allocation),
-/// while `P` and the constraint matrix change only when the covariance
-/// or the configuration do. [`PortfolioProblem::build`] calls this;
-/// the optimizer's factor-reuse fast path rebuilds only this vector
-/// and feeds it to the cached solver via `update_linear_cost`.
-pub fn build_linear_cost(
+/// Assemble the linear cost `q` alone: the fresh price, workload and
+/// failure forecasts, and the churn cross-term with the currently
+/// running allocation. Validates the forecast and `prev_allocation`.
+fn build_linear_cost(
     catalog: &Catalog,
     forecast: &ForecastBundle,
     prev_allocation: &[f64],

@@ -24,6 +24,12 @@ pub const DEFAULT_SHRINKAGE: f64 = 0.1;
 /// and four pairs `(i, j..j+4)` run as four separate accumulators (one
 /// chain is bound by the add latency).
 ///
+/// A bitwise-constant series is centred to exact zeros: its computed
+/// mean may round off the value (`0.1` summed 48 times is not `4.8`),
+/// and the residue would give it a σ of ~1e-17 and two calm markets a
+/// correlation of ±1. [`crate::MarketHistory::correlation`] applies the
+/// same rule through its run lengths.
+///
 /// # Panics
 /// Panics if no series is supplied, lengths differ, or the shared
 /// length is < 2.
@@ -38,6 +44,9 @@ fn sample_covariance(series: &[Vec<f64>]) -> Matrix {
     let n = series.len();
     let mut centred = vec![0.0; n * t];
     for (row, s) in centred.chunks_exact_mut(t).zip(series) {
+        if s.iter().all(|v| v.to_bits() == s[0].to_bits()) {
+            continue;
+        }
         let mean = vector::mean(s);
         for (c, x) in row.iter_mut().zip(s) {
             *c = x - mean;
@@ -204,9 +213,27 @@ mod tests {
     use spotweb_linalg::Cholesky;
     use std::ops::RangeInclusive;
 
+    /// A bitwise-constant series moved to zero, which leaves its
+    /// covariances unchanged and makes its computed mean exact: the
+    /// zero-σ rule `sample_covariance` applies, stated for the pairwise
+    /// references below.
+    fn calm_to_zero(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        series
+            .iter()
+            .map(|s| {
+                if s.iter().all(|v| v.to_bits() == s[0].to_bits()) {
+                    vec![0.0; s.len()]
+                } else {
+                    s.clone()
+                }
+            })
+            .collect()
+    }
+
     /// The pairwise `vector::covariance` loop `estimate_covariance`
     /// replaced, kept as the bitwise reference.
     fn covariance_by_pairs(series: &[Vec<f64>], shrinkage: f64) -> Matrix {
+        let series = calm_to_zero(series);
         let n = series.len();
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
@@ -230,6 +257,7 @@ mod tests {
     /// The pairwise `vector::correlation` loop `estimate_correlation`
     /// replaced, kept as the bitwise reference.
     fn correlation_by_pairs(series: &[Vec<f64>], shrinkage: f64) -> Matrix {
+        let series = calm_to_zero(series);
         let n = series.len();
         let mut m = Matrix::identity(n);
         for i in 0..n {
@@ -305,6 +333,21 @@ mod tests {
         let moving: Vec<f64> = (0..7).map(|k| 0.05 + 0.01 * f64::from(k % 3)).collect();
         let falling: Vec<f64> = moving.iter().map(|v| 0.2 - v).collect();
         assert_matches_pairwise(&[vec![0.0; 7], vec![0.1; 7], moving, falling, vec![0.3; 7]]);
+    }
+
+    #[test]
+    fn two_calm_markets_are_uncorrelated() {
+        // 0.1 summed 48 times rounds off 4.8: the computed mean missed
+        // the value, σ came out ~1e-17 and the pair read −1 (−0.9 after
+        // shrinkage).
+        let series = [vec![0.1; 48], vec![0.3; 48]];
+        for shrinkage in [0.0, DEFAULT_SHRINKAGE] {
+            let m = estimate_correlation(&series, shrinkage);
+            assert_eq!((m[(0, 1)], m[(1, 0)]), (0.0, 0.0), "shrinkage {shrinkage}");
+            assert_eq!((m[(0, 0)], m[(1, 1)]), (1.0 + 1e-8, 1.0 + 1e-8));
+        }
+        let m = estimate_covariance(&series, 0.0);
+        assert_eq!([m[(0, 0)], m[(0, 1)], m[(1, 1)]], [1e-8, 0.0, 1e-8]);
     }
 
     #[test]

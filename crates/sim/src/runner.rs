@@ -35,7 +35,7 @@
 
 use spotweb_lb::{LoadBalancerConfig, MonitorWindow};
 use spotweb_market::billing::{BillingLedger, CostMeter};
-use spotweb_market::CloudSim;
+use spotweb_market::{CloudSim, MarketHistory};
 use spotweb_telemetry::json::{fnv1a64_hex, json_f64, json_string, json_u32_array};
 use spotweb_telemetry::{names, prof, TelemetrySink, TraceEvent};
 use spotweb_workload::rng::{stream_id, CounterStream, DOMAIN_ARRIVAL_GAP, DOMAIN_ARRIVAL_SESSION};
@@ -50,14 +50,17 @@ use crate::metrics::{BucketStats, LatencyRecorder};
 /// depend on the optimizer: given current observations, return the
 /// desired number of servers per market.
 pub trait FleetPolicy {
-    /// Decide the fleet for the coming interval.
+    /// Decide the fleet for the coming interval. `history` is the
+    /// cloud's own record, whose running risk matrix
+    /// ([`MarketHistory::correlation`]) is the one the fluid evaluator
+    /// hands its policies.
     fn decide_fleet(
         &mut self,
         interval: usize,
         observed_rps: f64,
         prices: &[f64],
         failure_probs: &[f64],
-        failure_history: &[Vec<f64>],
+        history: &MarketHistory,
     ) -> Vec<u32>;
 }
 
@@ -251,7 +254,7 @@ pub fn run_full_stack_observed(
             observed_rps,
             &tick.prices,
             &tick.failure_probs,
-            &cloud.history().failure_matrix(),
+            cloud.history(),
         );
         run.reconcile_fleet(cloud, &desired, interval == 0, t0);
         run.deliver_revocations(cloud, forced_revocations, t0);
@@ -779,7 +782,7 @@ impl FleetPolicy for ReactiveCheapestPolicy {
         observed_rps: f64,
         prices: &[f64],
         _failure_probs: &[f64],
-        _failure_history: &[Vec<f64>],
+        _history: &MarketHistory,
     ) -> Vec<u32> {
         let per_req: Vec<f64> = prices
             .iter()

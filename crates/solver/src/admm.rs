@@ -1,7 +1,7 @@
 //! The ADMM iteration (OSQP-style operator splitting).
 
 use spotweb_linalg::vector;
-use spotweb_linalg::{BlockTridiagCholesky, Matrix};
+use spotweb_linalg::{BlockTridiagCholesky, CsrMatrix, Matrix};
 
 use crate::qp::{Certificate, QpSolution, QpStatus, Settings, SparseQp};
 use crate::scaling::{ruiz_equilibrate, Scaling};
@@ -77,6 +77,21 @@ impl SolveWorkspace {
     }
 }
 
+/// What [`AdmmSolver::update`] did with the problem it was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Update {
+    /// `P` was bitwise unchanged: only `q` was replaced, and the KKT
+    /// factor (with the ρ it was built for) was kept.
+    Kept,
+    /// `P`'s values moved: they were scaled under the construction-time
+    /// equilibration, ρ was reset to [`Settings::rho`] and the KKT
+    /// matrix was factored once.
+    Refactored,
+    /// `P`'s sparsity pattern, `A`, `l` or `u` differ: the solver is
+    /// untouched, and the caller builds a new one.
+    Rebuild,
+}
+
 /// An ADMM solver instance bound to one problem.
 ///
 /// Construction performs the (optional) Ruiz equilibration and the
@@ -84,7 +99,9 @@ impl SolveWorkspace {
 /// The solver supports warm starting via [`AdmmSolver::solve_from`],
 /// which SpotWeb's receding-horizon controller uses between periods —
 /// consecutive portfolio problems differ only in the forecast data, so
-/// the previous solution is an excellent initial iterate.
+/// the previous solution is an excellent initial iterate — and
+/// re-binding to the next period's problem via [`AdmmSolver::update`],
+/// which keeps everything but the numeric factor.
 ///
 /// The problem is held in CSR throughout ([`SparseQp`]); the only
 /// dense storage is the KKT factor itself, `H` diagonal and `H − 1`
@@ -436,38 +453,78 @@ impl AdmmSolver {
         self.prob.num_constraints()
     }
 
-    /// Replace the linear cost `q` in place, keeping the KKT
-    /// factorization.
+    /// Re-bind the solver to `qp`, the next problem of a sequence that
+    /// keeps its structure: the same sparsity pattern of `P`, and the
+    /// same `A`, `l` and `u`. SpotWeb's receding-horizon controller is
+    /// such a sequence — each interval moves the forecasts (`q`) and
+    /// the risk matrix (`P`'s values), never the constraints.
     ///
-    /// The KKT matrix `P + σI + Aᵀdiag(ρ)A` does not depend on `q`, so
-    /// when two consecutive problems differ *only* in their linear
-    /// cost — SpotWeb's receding-horizon controller with an unchanged
-    /// covariance: same `P`, same constraints, fresh price/forecast
-    /// vector — the equilibration and the factorization from
-    /// construction (`O(H·N³)` blockwise, `O(n³)` unstructured) can be
-    /// reused and only this `O(n)` update is paid. The Ruiz scaling
-    /// computed at construction is kept as a fixed preconditioner
-    /// (any fixed positive scaling is valid; it may merely differ from
-    /// what a fresh equilibration of the new `q` would pick).
+    /// The Ruiz scaling from construction is kept as a fixed
+    /// preconditioner (any fixed positive scaling is valid; it may
+    /// merely differ from what a fresh equilibration would pick), so
+    /// the new data is written as `c·D·P·D` and `c·D·q` in `O(nnz)`.
+    /// When `P` moved, ρ goes back to [`Settings::rho`] and the KKT
+    /// matrix is factored once (`O(H·N³)` blockwise); when `P` is
+    /// bitwise unchanged only `q` is replaced, and the factor and its ρ
+    /// are kept.
     ///
-    /// Returns [`SolverError::Dimension`] when `q` has the wrong
-    /// length and [`SolverError::NonFinite`] when it holds a NaN or ±∞.
-    pub fn update_linear_cost(&mut self, q: &[f64]) -> Result<()> {
-        let n = self.prob.num_vars();
-        if q.len() != n {
-            return Err(SolverError::Dimension(
-                "linear cost length must match the variable count",
-            ));
+    /// Returns [`Update::Rebuild`], leaving the solver untouched, when
+    /// the structure differs, and [`SolverError::Factorization`] — the
+    /// solver again untouched — when the new KKT matrix does not
+    /// factor.
+    pub fn update(&mut self, qp: &SparseQp) -> Result<Update> {
+        let orig = &self.orig;
+        if !same_pattern(&qp.p, &orig.p) || qp.a != orig.a || qp.l != orig.l || qp.u != orig.u {
+            return Ok(Update::Rebuild);
         }
-        if !q.iter().all(|v| v.is_finite()) {
-            return Err(SolverError::NonFinite { what: "q" });
+        let (d, c) = (&self.scaling.d, self.scaling.c);
+        let moved =
+            qp.p.values()
+                .iter()
+                .zip(orig.p.values())
+                .any(|(a, b)| a.to_bits() != b.to_bits());
+        let update = if moved {
+            // `d[i]·d[j]` commutes, so the scaled `P` stays symmetric
+            // to the bit.
+            let mut scaled = qp.p.clone();
+            for i in 0..scaled.rows() {
+                let (cols, vals) = scaled.row_mut(i);
+                for (v, &j) in vals.iter_mut().zip(cols) {
+                    *v *= c * (d[i] * d[j]);
+                }
+            }
+            let rho_vec = build_rho_vec(&self.prob, self.settings.rho);
+            let old = std::mem::replace(&mut self.prob.p, scaled);
+            match factor_kkt(&self.prob, self.settings.sigma, &rho_vec, self.kkt.blocks()) {
+                Ok(kkt) => {
+                    self.kkt = kkt;
+                    self.rho = self.settings.rho;
+                    self.rho_vec = rho_vec;
+                    self.orig.p = qp.p.clone();
+                }
+                Err(e) => {
+                    self.prob.p = old;
+                    return Err(e);
+                }
+            }
+            Update::Refactored
+        } else {
+            Update::Kept
+        };
+        self.orig.q.copy_from_slice(&qp.q);
+        for ((dst, &v), &dj) in self.prob.q.iter_mut().zip(&qp.q).zip(d) {
+            *dst = c * dj * v;
         }
-        self.orig.q.copy_from_slice(q);
-        for j in 0..n {
-            self.prob.q[j] = self.scaling.c * self.scaling.d[j] * q[j];
-        }
-        Ok(())
+        Ok(update)
     }
+}
+
+/// Whether two CSR matrices store entries at the same positions.
+fn same_pattern(a: &CsrMatrix, b: &CsrMatrix) -> bool {
+    a.rows() == b.rows()
+        && a.cols() == b.cols()
+        && a.nnz() == b.nnz()
+        && (0..a.rows()).all(|r| a.row(r).0 == b.row(r).0)
 }
 
 /// Per-row ρ with the equality-constraint boost.
@@ -1052,49 +1109,117 @@ mod tests {
         }
     }
 
-    #[test]
-    fn update_linear_cost_matches_fresh_solver() {
-        let qp = multi_period_qp(5);
-        let mut q2 = qp.q.clone();
-        for (i, v) in q2.iter_mut().enumerate() {
+    /// The cost and risk of [`multi_period_qp`] moved as one interval
+    /// of the receding-horizon loop moves them: every `q` entry by up
+    /// to 10 %, every diagonal of `P` by up to 5 %.
+    fn next_period(qp: &QpProblem) -> QpProblem {
+        let mut next = qp.clone();
+        for (i, v) in next.q.iter_mut().enumerate() {
             *v *= 1.0 + 0.05 * (i % 3) as f64;
         }
-
-        // Fast path: reuse the factorization, swap q only.
-        let mut fast =
-            AdmmSolver::with_block_structure(qp.clone(), Settings::default(), 2).unwrap();
-        let _ = fast.solve();
-        fast.update_linear_cost(&q2).unwrap();
-        let fast_sol = fast.solve();
-        assert!(fast_sol.is_solved());
-
-        // Reference: build a brand-new solver on the updated problem.
-        let mut full = qp.clone();
-        full.q = q2.clone();
-        let mut fresh =
-            AdmmSolver::with_block_structure(full.clone(), Settings::default(), 2).unwrap();
-        let fresh_sol = fresh.solve();
-        assert!(fresh_sol.is_solved());
-
-        for (a, b) in fast_sol.x.iter().zip(&fresh_sol.x) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        for i in 0..next.num_vars() {
+            next.p[(i, i)] *= 1.0 + 0.025 * (i % 3) as f64;
         }
-        assert!(
-            (fast_sol.objective - fresh_sol.objective).abs()
-                < 1e-5 * (1.0 + fresh_sol.objective.abs())
-        );
-        // The reported objective uses the updated original q.
-        assert!((fast_sol.objective - full.objective(&fast_sol.x)).abs() < 1e-12);
+        next
+    }
+
+    fn block_solver(qp: QpProblem) -> AdmmSolver {
+        AdmmSolver::with_block_structure(qp, Settings::default(), 2).unwrap()
     }
 
     #[test]
-    fn update_linear_cost_rejects_wrong_length() {
-        let qp = multi_period_qp(2);
-        let mut s = AdmmSolver::new(qp, Settings::default()).unwrap();
-        assert!(matches!(
-            s.update_linear_cost(&[1.0]),
-            Err(SolverError::Dimension(_))
-        ));
+    fn update_matches_a_fresh_solver_within_its_certificate() {
+        // Variables weighted 1 / 5 / 25 (`S·P·S`), so Ruiz's `D` is not
+        // the identity it is on `multi_period_qp` itself.
+        let mut qp = multi_period_qp(5);
+        for i in 0..qp.num_vars() {
+            for j in 0..qp.num_vars() {
+                qp.p[(i, j)] *= 5f64.powi((i % 3) as i32 + (j % 3) as i32);
+            }
+        }
+        let next = next_period(&qp);
+        let settings = Settings::default();
+        let tol = |sol: &QpSolution| {
+            let c = sol.certificate();
+            let scale = 1.0 + sol.objective.abs();
+            c.primal_residual <= 1e-4 && c.dual_residual <= 1e-4 && c.duality_gap <= 1e-4 * scale
+        };
+
+        let mut updated = block_solver(qp);
+        let first = updated.solve();
+        let adapted = updated.rho();
+        assert_eq!(
+            updated.update(&next.clone().try_into().unwrap()).unwrap(),
+            Update::Refactored
+        );
+        assert_eq!(updated.rho(), settings.rho, "ρ resets (was {adapted})");
+        let warm = updated.solve_from(&first.x, &first.y);
+        let mut fresh = block_solver(next.clone());
+        let cold = fresh.solve();
+        for sol in [&warm, &cold] {
+            assert!(sol.is_solved() && tol(sol), "{:?}", sol.certificate());
+            // The reported objective is the new problem's.
+            assert!((sol.objective - next.objective(&sol.x)).abs() < 1e-12);
+        }
+        assert!(
+            (warm.objective - cold.objective).abs() <= 1e-6 * cold.objective.abs(),
+            "updated {} vs fresh {}",
+            warm.objective,
+            cold.objective
+        );
+
+        // `P` unchanged: only `q` is replaced, the factor and ρ stay.
+        let mut cost_only = next.clone();
+        cost_only.q = qp_cost(&next, 0.9);
+        let rho = updated.rho();
+        assert_eq!(
+            updated
+                .update(&cost_only.clone().try_into().unwrap())
+                .unwrap(),
+            Update::Kept
+        );
+        assert_eq!(updated.rho(), rho);
+        let kept = updated.solve();
+        let cold = block_solver(cost_only).solve();
+        assert!(kept.is_solved() && tol(&kept) && cold.is_solved());
+        assert!((kept.objective - cold.objective).abs() <= 1e-6 * cold.objective.abs());
+    }
+
+    fn qp_cost(qp: &QpProblem, scale: f64) -> Vec<f64> {
+        qp.q.iter().map(|v| v * scale).collect()
+    }
+
+    #[test]
+    fn a_changed_structure_reports_rebuild_and_leaves_the_solver_untouched() {
+        let qp = multi_period_qp(3);
+        let mut reference = block_solver(qp.clone());
+        let expected = reference.solve();
+
+        let mut pattern = next_period(&qp);
+        pattern.p[(0, 1)] = 0.01;
+        pattern.p[(1, 0)] = 0.01;
+        let mut a = next_period(&qp);
+        a.a[(2, 0)] = 2.0;
+        let mut bounds = next_period(&qp);
+        bounds.u[2] = 1.25;
+        let mut lower = next_period(&qp);
+        lower.l[0] = -0.5;
+        let shorter = multi_period_qp(2);
+        for (case, changed) in [
+            ("P pattern", pattern),
+            ("A", a),
+            ("u", bounds),
+            ("l", lower),
+            ("dimensions", shorter),
+        ] {
+            let mut solver = block_solver(qp.clone());
+            let got = solver.update(&changed.try_into().unwrap()).unwrap();
+            assert_eq!(got, Update::Rebuild, "{case}");
+            let sol = solver.solve();
+            assert_eq!(sol.iterations, expected.iterations, "{case}");
+            assert_eq!(bits(&sol.x), bits(&expected.x), "{case}");
+            assert_eq!(bits(&sol.y), bits(&expected.y), "{case}");
+        }
     }
 
     #[test]

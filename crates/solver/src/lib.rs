@@ -44,7 +44,7 @@ pub mod qp;
 pub mod scaling;
 pub mod termination;
 
-pub use admm::AdmmSolver;
+pub use admm::{AdmmSolver, Update};
 pub use qp::{Certificate, QpProblem, QpSolution, QpStatus, Settings, SparseQp};
 
 /// Errors reported when constructing or solving a QP.

@@ -80,6 +80,14 @@ pub struct DecisionRecord {
     /// Whether the solver converged (fail-static reuses the previous
     /// allocation and reports `false`).
     pub solved: bool,
+    /// The solution's certificate on the unscaled QP: primal residual
+    /// `‖Ax − z‖∞`, dual residual `‖Px + q + Aᵀy‖∞` and duality gap.
+    /// NaN (rendered `null`) when the solve failed.
+    pub primal_residual: f64,
+    /// See [`DecisionRecord::primal_residual`].
+    pub dual_residual: f64,
+    /// See [`DecisionRecord::primal_residual`].
+    pub duality_gap: f64,
     /// Sum of the executed first-step allocation (≥ 1 means full
     /// coverage plus over-provisioning headroom).
     pub total_allocation: f64,
@@ -94,7 +102,8 @@ impl DecisionRecord {
         format!(
             "\"interval\":{},\"policy\":{},\"observed_rps\":{},\"horizon\":{},\
              \"predicted_workload\":{},\"objective\":{},\"iterations\":{},\
-             \"solved\":{},\"total_allocation\":{},\"markets\":[{}]",
+             \"solved\":{},\"primal_residual\":{},\"dual_residual\":{},\
+             \"duality_gap\":{},\"total_allocation\":{},\"markets\":[{}]",
             self.interval,
             json_string(&self.policy),
             json_f64(self.observed_rps),
@@ -103,6 +112,9 @@ impl DecisionRecord {
             json_f64(self.objective),
             self.iterations,
             self.solved,
+            json_f64(self.primal_residual),
+            json_f64(self.dual_residual),
+            json_f64(self.duality_gap),
             json_f64(self.total_allocation),
             markets.join(","),
         )
@@ -204,6 +216,9 @@ mod tests {
             objective: 1.25,
             iterations: 40,
             solved: true,
+            primal_residual: 2e-7,
+            dual_residual: 5e-6,
+            duality_gap: f64::NAN,
             total_allocation: 1.1,
             markets: vec![MarketEval {
                 market: 0,
@@ -221,6 +236,9 @@ mod tests {
         };
         let json = format!("{{{}}}", rec.to_json_fields());
         assert!(json.contains("\"solved\":true"));
+        assert!(json.contains(
+            "\"primal_residual\":0.0000002,\"dual_residual\":0.000005,\"duality_gap\":null"
+        ));
         assert!(json.contains("\"chosen\":false"));
         assert!(json.contains("below min"));
         assert!(json.contains("\"predicted_workload\":[610.0,620.0]"));

@@ -5,12 +5,12 @@
 //! simulator must not depend on the optimizer); this facade module
 //! supplies the glue: [`PolicyBridge`] adapts any
 //! [`spotweb_core::policy::Policy`] to the simulator's
-//! [`spotweb_sim::runner::FleetPolicy`], estimating the revocation
-//! covariance from the market history exactly as the coarse harness
-//! does.
+//! [`spotweb_sim::runner::FleetPolicy`], reading the revocation
+//! correlation from the market history's running sums exactly as the
+//! coarse harness does.
 
 use spotweb_core::policy::{Policy, PolicyObservation};
-use spotweb_market::{estimate_correlation, Catalog, DEFAULT_SHRINKAGE};
+use spotweb_market::{Catalog, MarketHistory, DEFAULT_SHRINKAGE};
 use spotweb_sim::runner::FleetPolicy;
 
 /// Adapter: drive a provisioning [`Policy`] from the request-level
@@ -34,10 +34,10 @@ impl<P: Policy> FleetPolicy for PolicyBridge<P> {
         observed_rps: f64,
         prices: &[f64],
         failure_probs: &[f64],
-        failure_history: &[Vec<f64>],
+        history: &MarketHistory,
     ) -> Vec<u32> {
-        let covariance = if failure_history.first().map_or(0, |s| s.len()) >= 2 {
-            estimate_correlation(failure_history, DEFAULT_SHRINKAGE)
+        let covariance = if history.len() >= 2 {
+            history.correlation(DEFAULT_SHRINKAGE)
         } else {
             spotweb_linalg::Matrix::identity(self.catalog.len())
         };

@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use spotweb::core::{MpoOptimizer, SpotWebConfig, ForecastBundle, to_server_counts};
-//! use spotweb::market::{Catalog, CloudSim, estimate_correlation, DEFAULT_SHRINKAGE};
+//! use spotweb::market::{Catalog, CloudSim, DEFAULT_SHRINKAGE};
 //!
 //! // A cloud of 9 EC2-style spot markets, warmed up for two days.
 //! let catalog = Catalog::ec2_subset(9);
@@ -40,7 +40,8 @@
 //!     prices: vec![tick.prices.clone(); 4],
 //!     failures: vec![tick.failure_probs.clone(); 4],
 //! };
-//! let m = estimate_correlation(&cloud.history().failure_matrix(), DEFAULT_SHRINKAGE);
+//! // The risk matrix M: the history keeps it current as it records.
+//! let m = cloud.history().correlation(DEFAULT_SHRINKAGE);
 //!
 //! let mut optimizer = MpoOptimizer::new(SpotWebConfig::default());
 //! let decision = optimizer
