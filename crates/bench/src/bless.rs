@@ -26,15 +26,11 @@ use spotweb_telemetry::json::fnv1a64_hex;
 use crate::manifest::{self, FixtureEntry, HistoryEntry, Manifest};
 use crate::sweep::{build_grid, run_grid};
 use crate::tournament::{build_tournament_grid, leaderboard, render_leaderboard_json};
-use crate::{cell, fig4, fig6, profile, telem};
+use crate::{cell, cli, profile, telem};
 
 /// Seeds the runner-equivalence golden is recorded at (mirrors
 /// `tests/golden.rs`).
 pub const GOLDEN_SEEDS: [u64; 3] = [1234, 7, 99];
-
-/// Interval count of the fig6a and fig6b goldens (mirrors
-/// `tests/golden.rs`).
-pub const GOLDEN_INTERVALS: usize = 24;
 
 /// One registered golden fixture: its file name, the CLI command that
 /// regenerates it (recorded in the manifest for humans), and the
@@ -47,37 +43,6 @@ pub struct FixtureSpec {
     pub command: &'static str,
     /// In-process generator returning the fixture's full contents.
     pub generate: fn(&Path) -> Result<String, String>,
-}
-
-fn gen_fig4a(_root: &Path) -> Result<String, String> {
-    pretty(&fig4::run_fig4a(crate::DEFAULT_SEED))
-}
-
-fn gen_fig6a(_root: &Path) -> Result<String, String> {
-    pretty(&fig6::run_fig6a(GOLDEN_INTERVALS, crate::DEFAULT_SEED))
-}
-
-fn gen_fig6b(_root: &Path) -> Result<String, String> {
-    pretty(&fig6::run_fig6b(
-        fig6::Fig6bWorkload::Wikipedia,
-        &fig6::FIG6B_MARKETS,
-        &fig6::FIG6B_HORIZONS,
-        GOLDEN_INTERVALS,
-        crate::DEFAULT_SEED,
-    ))
-}
-
-fn gen_chaos(_root: &Path) -> Result<String, String> {
-    use spotweb_sim::{ChaosScenario, NAMED_SCENARIOS};
-    let rendered: Vec<String> = NAMED_SCENARIOS
-        .iter()
-        .map(|name| {
-            let mut scenario = ChaosScenario::named(name);
-            scenario.seed = crate::DEFAULT_SEED;
-            scenario.run().to_json_pretty()
-        })
-        .collect();
-    Ok(rendered.join("\n\n") + "\n")
 }
 
 fn gen_trace(_root: &Path) -> Result<String, String> {
@@ -110,10 +75,10 @@ fn gen_profile_spans(_root: &Path) -> Result<String, String> {
     profile::runner_spans_golden_json("revocation_storm", crate::DEFAULT_SEED)
 }
 
-fn pretty<T: serde::Serialize>(value: &T) -> Result<String, String> {
-    serde_json::to_string_pretty(value)
-        .map(|s| s + "\n")
-        .map_err(|e| format!("serialize: {e}"))
+/// A golden that is the stdout of `figures <line>`.
+fn figure(line: &str) -> Result<String, String> {
+    let args = cli::parse_args(line.split(' ').map(str::to_string))?;
+    cli::figure_output(&args).unwrap_or_else(|| Err(format!("`figures {line}` prints no figure")))
 }
 
 /// The registry of every tracked golden, in regeneration order.
@@ -122,22 +87,22 @@ pub fn default_specs() -> Vec<FixtureSpec> {
         FixtureSpec {
             name: "chaos_reports.json",
             command: "cargo run --release -p spotweb-bench --bin figures -- chaos > tests/golden/chaos_reports.json",
-            generate: gen_chaos,
+            generate: |_| figure("chaos"),
         },
         FixtureSpec {
             name: "fig4a.json",
             command: "cargo run --release -p spotweb-bench --bin figures -- fig4a --seed 1234 > tests/golden/fig4a.json",
-            generate: gen_fig4a,
+            generate: |_| figure("fig4a --seed 1234"),
         },
         FixtureSpec {
             name: "fig6a.json",
             command: "cargo run --release -p spotweb-bench --bin figures -- fig6a --seed 1234 --intervals 24 > tests/golden/fig6a.json",
-            generate: gen_fig6a,
+            generate: |_| figure("fig6a --seed 1234 --intervals 24"),
         },
         FixtureSpec {
             name: "fig6b.json",
             command: "cargo run --release -p spotweb-bench --bin figures -- fig6b --seed 1234 --intervals 24 > tests/golden/fig6b.json",
-            generate: gen_fig6b,
+            generate: |_| figure("fig6b --seed 1234 --intervals 24"),
         },
         FixtureSpec {
             name: "profile_spans.json",
@@ -148,6 +113,11 @@ pub fn default_specs() -> Vec<FixtureSpec> {
             name: "runner_equivalence.jsonl",
             command: "for s in 1234 7 99; do figures sweep --seed $s --jobs 1; done > tests/golden/runner_equivalence.jsonl",
             generate: gen_runner_equivalence,
+        },
+        FixtureSpec {
+            name: "scorecard.md",
+            command: "cargo run --release -p spotweb-bench --bin figures -- scorecard --jobs 2 > tests/golden/scorecard.md",
+            generate: |_| figure("scorecard --jobs 2"),
         },
         FixtureSpec {
             name: "tournament_leaderboard.json",
@@ -183,10 +153,7 @@ fn load_manifest(root: &Path) -> Result<(Manifest, GoldenFiles), String> {
 }
 
 fn persist(root: &Path, m: &Manifest) -> Result<(), String> {
-    let dir = golden_dir(root);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let path = dir.join(manifest::MANIFEST_NAME);
-    std::fs::write(&path, m.render()).map_err(|e| format!("write {}: {e}", path.display()))
+    cli::write(&golden_dir(root), manifest::MANIFEST_NAME, &m.render()).map(drop)
 }
 
 /// Import every untracked on-disk fixture into the manifest at epoch 1
@@ -302,12 +269,7 @@ pub fn run_bless(
             .any(|(n, bytes)| n == spec.name && bytes == content.as_bytes());
         if old_epoch > 0 && old_digest == new_digest {
             if !disk_matches {
-                let dir = golden_dir(root);
-                std::fs::create_dir_all(&dir)
-                    .map_err(|e| format!("create {}: {e}", dir.display()))?;
-                let path = dir.join(spec.name);
-                std::fs::write(&path, &content)
-                    .map_err(|e| format!("write {}: {e}", path.display()))?;
+                cli::write(&golden_dir(root), spec.name, &content)?;
                 let _ = writeln!(
                     log,
                     "healed {}: restored digest {new_digest} at epoch {old_epoch} (no bump)",
@@ -322,10 +284,7 @@ pub fn run_bless(
             );
             continue;
         }
-        let dir = golden_dir(root);
-        std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let path = dir.join(spec.name);
-        std::fs::write(&path, &content).map_err(|e| format!("write {}: {e}", path.display()))?;
+        cli::write(&golden_dir(root), spec.name, &content)?;
         let epoch = old_epoch + 1;
         let mut history = m
             .entry(spec.name)

@@ -68,6 +68,20 @@ pub fn scenario_axis(only: Option<&str>) -> Result<Vec<&'static str>, String> {
     }
 }
 
+/// `figures chaos`: the [`spotweb_sim::ChaosScenario`] reports of the
+/// scenario axis at `seed`, pretty JSON separated by blank lines.
+pub fn chaos_reports(only: Option<&str>, seed: u64) -> Result<String, String> {
+    let reports: Vec<String> = scenario_axis(only)?
+        .iter()
+        .map(|name| {
+            let mut scenario = spotweb_sim::ChaosScenario::named(name);
+            scenario.seed = seed;
+            scenario.run().to_json_pretty()
+        })
+        .collect();
+    Ok(reports.join("\n\n") + "\n")
+}
+
 /// One full-stack experiment. `scenario` and `policy` are canonical
 /// names (from [`resolve_scenario`] / [`resolve_policy`], or literals
 /// out of [`SCENARIOS`] / [`POLICIES`]); the rest is the run's shape.

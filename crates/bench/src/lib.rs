@@ -3,8 +3,8 @@
 //! One module per figure/table of the paper's evaluation (§6). Each
 //! module exposes a function that *runs the experiment* and returns a
 //! serializable result struct; the `figures` binary prints them as
-//! JSON (or a human-readable table). EXPERIMENTS.md records the
-//! paper-vs-measured comparison for every entry.
+//! JSON. [`scorecard`] turns them into the paper-vs-measured table
+//! EXPERIMENTS.md embeds.
 //!
 //! | module | regenerates |
 //! |---|---|
@@ -15,6 +15,8 @@
 //! | [`fig7`]  | Fig. 7(a) — savings vs prediction error; Fig. 7(b) — optimizer scalability |
 //! | [`ablations`] | beyond-the-paper sweeps: churn γ, risk α, CI level, horizon |
 //! | [`discussion`] | §7 provider portability: EC2 vs GCP vs Azure profiles |
+//! | [`scorecard`] | `figures scorecard` — every paper claim over eight seeds: median, `[min, max]`, sign count |
+//! | [`cli`] | the `figures` flags and their checks; the stdout of the figure commands, which their goldens' bless generators share |
 //! | [`cell`] | the experiment cell: one (scenario, policy, seed) full-stack run — every command below that simulates requests goes through it |
 //! | [`telem`] | `figures trace`/`report` — full-stack telemetry replay of the chaos scenarios |
 //! | [`sweep`] | `figures sweep` — deterministic parallel policy × scenario × seed grid, jobs-1 ≡ jobs-J digest proof |
@@ -34,6 +36,7 @@
 pub mod ablations;
 pub mod bless;
 pub mod cell;
+pub mod cli;
 pub mod discussion;
 pub mod fig3;
 pub mod fig4;
@@ -42,6 +45,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod manifest;
 pub mod profile;
+pub mod scorecard;
 pub mod soak;
 pub mod sweep;
 pub mod telem;
@@ -49,10 +53,15 @@ pub mod tournament;
 
 /// Default seed used across the harness so every figure is
 /// reproducible end-to-end.
-// Chosen so every figure's qualitative claim holds with margin under
-// the vendored RNG stream (see vendor/rand); any typical seed works,
-// this one is just a comfortably non-marginal realization.
+// One draw, not a verdict: how often each claim holds across seeds is
+// the sign column of `figures scorecard` (EXPERIMENTS.md).
 pub const DEFAULT_SEED: u64 = 1234;
+
+/// Five days: the cap on `fig5`'s `--intervals` (its price window).
+pub const FIVE_DAYS_HOURS: usize = 5 * 24;
+
+/// One week: the cap on `ablations`' and `discussion`'s `--intervals`.
+pub const ONE_WEEK_HOURS: usize = 7 * 24;
 
 /// Three weeks of hourly samples — the paper's trace length.
 pub const THREE_WEEKS_HOURS: usize = 21 * 24;

@@ -170,14 +170,6 @@ impl SpotWebPolicy {
         self.telemetry = sink;
         self
     }
-
-    /// Enable or disable the optimizer's interval-to-interval warm
-    /// start (on by default). Disabling forces every MPO solve to a
-    /// zero cold start — the knob `figures sweep` uses to measure the
-    /// warm-start iteration savings.
-    pub fn set_warm_start(&mut self, enabled: bool) {
-        self.optimizer.set_warm_start(enabled);
-    }
 }
 
 impl Policy for SpotWebPolicy {
