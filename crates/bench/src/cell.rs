@@ -190,7 +190,7 @@ impl Cell {
                 &sink,
             )
             .expect("cell names are canonical");
-            let mut bridge = CorePolicyBridge { policy, catalog };
+            let mut bridge = PolicyBridge::new(policy, catalog);
             run_full_stack_observed(&mut bridge, &mut cloud, &trace, &config, on_interval)
         };
         CellRun {
@@ -237,17 +237,24 @@ pub fn grid(policies: &[&'static str], scenarios: &[&'static str], seeds: &[u64]
     cells
 }
 
-/// Adapter driving any [`spotweb_core::Policy`] from runner
-/// observations — the same glue as the root crate's `PolicyBridge`,
-/// duplicated here because `spotweb-bench` sits below the facade crate
-/// in the dependency graph. Boxed so the factory-built zoo policies
-/// and the MPO policy all ride the same bridge.
-struct CorePolicyBridge {
+/// Adapter driving any [`spotweb_core::Policy`] from the request-level
+/// runner's observations. `spotweb-core` and `spotweb-sim` do not
+/// depend on each other; this is the one place that joins them. Boxed,
+/// so the factory-built zoo policies and the MPO policy all ride the
+/// same bridge.
+pub struct PolicyBridge {
     policy: Box<dyn Policy + Send>,
     catalog: Catalog,
 }
 
-impl FleetPolicy for CorePolicyBridge {
+impl PolicyBridge {
+    /// Wrap `policy` operating over `catalog`.
+    pub fn new(policy: Box<dyn Policy + Send>, catalog: Catalog) -> Self {
+        PolicyBridge { policy, catalog }
+    }
+}
+
+impl FleetPolicy for PolicyBridge {
     fn decide_fleet(
         &mut self,
         interval: usize,

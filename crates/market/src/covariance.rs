@@ -11,7 +11,7 @@
 use spotweb_linalg::{vector, Matrix};
 
 /// The shrinkage intensity every in-tree estimate of the risk matrix
-/// uses (the evaluator, both policy bridges, the examples).
+/// uses (the evaluator, the policy bridge, the examples).
 pub const DEFAULT_SHRINKAGE: f64 = 0.1;
 
 /// Sample covariance `S` of the series (denominator `T − 1`).

@@ -24,8 +24,9 @@
 //!   grouping of markets into failure domains.
 //! * [`index`] — the capacity-weighted "spot index" that Cloud Index
 //!   Tracking style policies rebalance toward.
-//! * [`history`] — rolling per-market failure-probability record the
-//!   covariance estimator reads.
+//! * [`history`] — rolling per-market failure-probability record that
+//!   also owns the running risk matrix `M`
+//!   ([`MarketHistory::correlation`]), which the optimizer reads.
 //! * [`cloud`] — a stepped façade combining all of the above, which the
 //!   discrete-event simulator and the benchmark harness drive.
 //! * [`billing`] — cost accounting (per-second billing, as on EC2).

@@ -16,16 +16,14 @@
 //!
 //! Support modules: [`trace`] (the time-series container), [`spikes`]
 //! (flash-crowd injection), [`stats`] (summary statistics used by
-//! EXPERIMENTS.md), [`io`] (CSV round-tripping so traces can be
-//! exported for external plotting), and [`rng`] (the counter-based,
-//! draw-order-free generator behind every randomized draw in this
-//! crate and the simulator's arrivals and faults).
+//! EXPERIMENTS.md), and [`rng`] (the counter-based, draw-order-free
+//! generator behind every randomized draw in this crate and the
+//! simulator's arrivals and faults).
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 #![warn(missing_docs)]
 
-pub mod io;
 pub mod rng;
 pub mod spikes;
 pub mod stats;

@@ -98,20 +98,6 @@ impl Trace {
         }
         self.scaled(target_mean / m)
     }
-
-    /// Downsample by integer factor `k` (mean of each bucket).
-    pub fn downsample(&self, k: usize) -> Trace {
-        assert!(k >= 1);
-        let values = self
-            .values
-            .chunks(k)
-            .map(spotweb_linalg::vector::mean)
-            .collect();
-        Trace {
-            interval_secs: self.interval_secs * k as f64,
-            values,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,14 +137,6 @@ mod tests {
         let t = Trace::new(1.0, vec![1.0, 3.0]).with_mean(10.0);
         assert!((t.mean() - 10.0).abs() < 1e-12);
         assert!((t.values[1] / t.values[0] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn downsample_means_buckets() {
-        let t = Trace::new(1.0, vec![1.0, 3.0, 5.0, 7.0, 9.0]);
-        let d = t.downsample(2);
-        assert_eq!(d.values, vec![2.0, 6.0, 9.0]);
-        assert_eq!(d.interval_secs, 2.0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property tests on the workload generators and trace utilities.
 
 use proptest::prelude::*;
-use spotweb_workload::io::{read_csv, write_csv};
 use spotweb_workload::spikes::{inject_spikes, random_spikes};
 use spotweb_workload::{vod_like, wikipedia_like};
 
@@ -41,28 +40,6 @@ proptest! {
         for (s, b) in spiked.values.iter().zip(&base.values) {
             prop_assert!(s + 1e-9 >= *b);
         }
-    }
-
-    /// CSV round trip is lossless (to printed precision).
-    #[test]
-    fn csv_round_trip(hours in 2usize..200, seed in 0u64..10_000) {
-        let t = vod_like(hours, seed);
-        let mut buf = Vec::new();
-        write_csv(&t, &mut buf).unwrap();
-        let back = read_csv(buf.as_slice()).unwrap();
-        prop_assert_eq!(back.len(), t.len());
-        for (a, b) in back.values.iter().zip(&t.values) {
-            prop_assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
-        }
-    }
-
-    /// Downsampling preserves the overall mean.
-    #[test]
-    fn downsample_preserves_mean(hours in 24usize..240, seed in 0u64..10_000, k in 1usize..6) {
-        let t = wikipedia_like(hours - hours % k, seed);
-        if t.is_empty() { return Ok(()); }
-        let d = t.downsample(k);
-        prop_assert!((d.mean() - t.mean()).abs() < 1e-6 * t.mean().max(1.0));
     }
 
     /// rate_at interpolation is bounded by neighbouring samples.

@@ -7,11 +7,11 @@
 //!
 //! Run with: `cargo run --release --example full_stack`
 
-use spotweb::bridge::PolicyBridge;
 use spotweb::core::{SpotWebConfig, SpotWebPolicy};
 use spotweb::market::{Catalog, CloudSim};
 use spotweb::sim::runner::{run_full_stack, RunnerConfig};
 use spotweb::workload::wikipedia_like;
+use spotweb_bench::cell::PolicyBridge;
 
 fn main() {
     let catalog = Catalog::fig4_testbed();
@@ -24,9 +24,7 @@ fn main() {
 
     // A diurnal workload compressed so the 6 simulated hours span a
     // rise-and-fall (mean 400 req/s against an ~1100 req/s catalog).
-    let trace = wikipedia_like(config.intervals + 4, 5)
-        .with_mean(400.0)
-        .downsample(1);
+    let trace = wikipedia_like(config.intervals + 4, 5).with_mean(400.0);
     let mut cloud = CloudSim::new(catalog.clone(), 17, 128);
     cloud.warm_up(24);
 
@@ -37,7 +35,7 @@ fn main() {
         },
         catalog.len(),
     );
-    let mut bridge = PolicyBridge::new(policy, catalog);
+    let mut bridge = PolicyBridge::new(Box::new(policy), catalog);
     let report = run_full_stack(&mut bridge, &mut cloud, &trace, &config);
 
     println!("6-hour full-stack run (10-minute re-optimization):");

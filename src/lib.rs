@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`linalg`] | `spotweb-linalg` | dense matrices, Cholesky/LDLᵀ/QR, block-tridiagonal Cholesky, CSR kernels, least squares |
+//! | [`linalg`] | `spotweb-linalg` | dense matrices, Cholesky/QR, block-tridiagonal Cholesky, CSR kernels, least squares |
 //! | [`solver`] | `spotweb-solver` | ADMM quadratic-program solver |
 //! | [`market`] | `spotweb-market` | transient-cloud market simulator (catalog, prices, revocations) |
 //! | [`workload`] | `spotweb-workload` | synthetic Wikipedia/VoD workload traces |
@@ -60,8 +60,6 @@
 //! `cost_showdown`, `failover_drill`, `forecasting`, `full_stack`).
 
 #![deny(clippy::unwrap_used)]
-
-pub mod bridge;
 
 pub use spotweb_core as core;
 pub use spotweb_lb as lb;

@@ -1,9 +1,11 @@
 //! The documents against the code they describe: every `figures`
-//! invocation written in README.md, EXPERIMENTS.md, DESIGN.md and the
-//! verify skill must parse, and EXPERIMENTS.md's scorecard must be the
-//! committed `figures scorecard` output byte for byte.
+//! invocation in README.md, EXPERIMENTS.md, DESIGN.md and the verify
+//! skill parses; EXPERIMENTS.md embeds the scorecard golden verbatim;
+//! DESIGN.md's keep-list names real `pub` items, among them every one
+//! no library code reaches; and every cited section exists.
 
-use std::path::Path;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 
 use spotweb_bench::cli::parse_args;
 
@@ -14,12 +16,26 @@ const DOCS: [&str; 4] = [
     ".claude/skills/verify/SKILL.md",
 ];
 
-const SCORECARD_BEGIN: &str = "<!-- scorecard:begin -->\n";
-const SCORECARD_END: &str = "<!-- scorecard:end -->";
+const SCORECARD: [&str; 2] = ["<!-- scorecard:begin -->\n", "<!-- scorecard:end -->"];
+const KEEP_LIST: [&str; 2] = ["<!-- keep-list:begin -->\n", "<!-- keep-list:end -->"];
+/// Where, besides [`DOCS`], a DESIGN.md or EXPERIMENTS.md section may be cited.
+const CITING: &str = "clippy.toml .github crates src tests examples vendor benchmark";
 
 fn read(doc: &str) -> String {
     std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(doc))
         .unwrap_or_else(|e| panic!("read {doc}: {e}"))
+}
+
+/// The text of `doc` between its `[begin, end]` markers.
+fn between(doc: &str, [begin, end]: [&str; 2]) -> String {
+    let text = read(doc);
+    let (_, after) = text
+        .split_once(begin)
+        .unwrap_or_else(|| panic!("{doc}: no {begin}"));
+    let (inside, _) = after
+        .split_once(end)
+        .unwrap_or_else(|| panic!("{doc}: no {end}"));
+    inside.to_string()
 }
 
 /// The code in `text`: every line of a fenced block (a trailing `\`
@@ -136,18 +152,152 @@ fn zero_intervals_is_a_parse_error_like_zero_hours_and_jobs() {
 
 #[test]
 fn experiments_embeds_the_scorecard_golden_verbatim() {
-    let experiments = read("EXPERIMENTS.md");
-    let golden = read("tests/golden/scorecard.md");
-    let begin = experiments
-        .find(SCORECARD_BEGIN)
-        .expect("EXPERIMENTS.md has a scorecard block")
-        + SCORECARD_BEGIN.len();
-    let end = begin
-        + experiments[begin..]
-            .find(SCORECARD_END)
-            .expect("the scorecard block ends");
     assert!(
-        experiments[begin..end] == golden,
+        between("EXPERIMENTS.md", SCORECARD) == read("tests/golden/scorecard.md"),
         "EXPERIMENTS.md's scorecard differs from tests/golden/scorecard.md; paste the golden in"
     );
+}
+
+/// `path` if its name ends in one of `exts`, or each such file under it.
+fn files(path: &Path, exts: &[&str]) -> Vec<PathBuf> {
+    let wanted = exts.iter().any(|e| path.to_string_lossy().ends_with(e));
+    match std::fs::read_dir(path) {
+        _ if path.ends_with("target") => Vec::new(),
+        Ok(dir) => dir.flat_map(|e| files(&e.unwrap().path(), exts)).collect(),
+        Err(_) => wanted.then(|| path.to_path_buf()).into_iter().collect(),
+    }
+}
+
+/// The code of `crates/*/src`, `src/` and `vendor/*/src`, file by file:
+/// comments, `pub use` lines and `#[cfg(test)]` items dropped.
+fn library_code() -> Vec<(PathBuf, String)> {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let sources = ["src", "crates", "vendor"].map(|d| files(&Path::new(root).join(d), &[".rs"]));
+    let mut code = Vec::new();
+    for file in sources.into_iter().flatten() {
+        if !file.to_string_lossy()[root.len()..].contains("/src/") {
+            continue;
+        }
+        let (mut kept, mut skip) = (String::new(), None);
+        for line in read(&file.to_string_lossy()).lines() {
+            let t = line.split("//").next().unwrap_or_default().trim();
+            if let Some(depth) = &mut skip {
+                *depth += t.matches('{').count() as i64 - t.matches('}').count() as i64;
+                if *depth <= 0 && (t.contains('}') || t.ends_with(';')) {
+                    skip = None;
+                }
+            } else if t.starts_with("#[cfg(test)]") {
+                skip = Some(0);
+            } else if !t.starts_with("pub use ") {
+                kept.extend([t, "\n"]);
+            }
+        }
+        code.push((file, kept));
+    }
+    code
+}
+
+/// The `pub` items and fields `code` declares, as `(kind, name)`.
+fn pub_items(code: &str) -> Vec<(&str, &str)> {
+    let mut items = Vec::new();
+    for rest in code.lines().filter_map(|l| l.trim().strip_prefix("pub ")) {
+        let mut words = rest.split(|c: char| !c.is_alphanumeric() && !"_:".contains(c));
+        let first = words.next().unwrap_or_default();
+        if let Some(field) = first.strip_suffix(':').filter(|f| !f.contains(':')) {
+            items.push(("field", field));
+        } else if ["fn", "struct", "enum", "trait", "type", "const", "mod"].contains(&first) {
+            let name = words.next().unwrap_or_default().trim_end_matches(':');
+            items.extend((!name.is_empty()).then_some((first, name)));
+        }
+    }
+    items
+}
+
+/// The last segment of every backticked path in DESIGN.md's keep-list,
+/// `a::{b, c}` expanded to `b` and `c`.
+fn keep_list() -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for path in code_snippets(&between("DESIGN.md", KEEP_LIST)) {
+        let tail = path.rsplit_once("::{").map_or(path.as_str(), |(_, t)| t);
+        for name in tail.trim_end_matches('}').split(", ") {
+            names.insert(name.rsplit([':', '.']).next().unwrap_or(name).to_string());
+        }
+    }
+    names
+}
+
+#[test]
+fn the_keep_list_names_pub_items_and_every_one_no_library_code_names() {
+    let (code, kept) = (library_code(), keep_list());
+    let defined: BTreeSet<_> = code.iter().flat_map(|(_, c)| pub_items(c)).collect();
+    for name in &kept {
+        let exists = defined.iter().any(|(_, d)| d == name);
+        assert!(exists, "DESIGN.md's keep-list names `{name}`, no pub item");
+    }
+    assert!(kept.len() >= 20, "only {} keep-list names", kept.len());
+    // Word counts over the library, less one per `pub` definition.
+    let mut mentions = BTreeMap::<&str, i64>::new();
+    for (_, c) in &code {
+        for word in c.split(|ch: char| !ch.is_alphanumeric() && ch != '_') {
+            *mentions.entry(word).or_default() += 1;
+        }
+        for (kind, name) in pub_items(c) {
+            *mentions.entry(name).or_default() -= i64::from(kind != "field" && kind != "mod");
+        }
+    }
+    let bench = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench");
+    let mut unreached = Vec::new();
+    for (file, c) in code.iter().filter(|(f, _)| !f.starts_with(&bench)) {
+        for (kind, name) in pub_items(c) {
+            if kind != "field" && kind != "mod" && mentions[name] <= 0 && !kept.contains(name) {
+                unreached.push(format!("{}: pub {kind} {name}", file.display()));
+            }
+        }
+    }
+    let advice = "no library code names these: delete each, or add it to DESIGN.md's keep-list";
+    assert_eq!(unreached, [""; 0], "{advice}");
+}
+
+#[test]
+fn every_cited_section_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let exts = [".rs", ".md", ".yml", ".toml"];
+    let citing = DOCS.into_iter().chain(CITING.split(' '));
+    let citing: Vec<_> = citing.flat_map(|p| files(&root.join(p), &exts)).collect();
+    let (mut checked, mut broken) = (0, Vec::new());
+    for doc in ["DESIGN.md", "EXPERIMENTS.md"] {
+        // `"title`: a heading, whole or cut at " — " or " (", or an A/B
+        // ledger row's title; `#anchor`: a heading's GitHub anchor.
+        let mut known = BTreeSet::new();
+        for line in read(doc).lines() {
+            let h = line.trim_start_matches('#').trim();
+            if line.starts_with('#') {
+                let anchor = h.to_lowercase().replace(' ', "-");
+                let anchor =
+                    anchor.replace(|c: char| !c.is_alphanumeric() && !"_-".contains(c), "");
+                let cut = |sep| format!("\"{}", h.split(sep).next().unwrap_or(h));
+                known.extend([format!("#{anchor}"), cut("\n"), cut(" — "), cut(" (")]);
+            } else if let Some((row, _)) = line.split_once(" — A/B") {
+                known.insert(format!("\"{}", row.trim_start_matches("| ")));
+            }
+        }
+        for file in &citing {
+            // Comment markers dropped and lines joined: a quote may wrap.
+            let mut text = String::new();
+            for line in read(&file.to_string_lossy()).lines() {
+                text.extend([line.trim_start_matches([' ', '/', '!', '#']), " "]);
+            }
+            for (form, end, sigil) in [("#", ')', '#'), (" \"", '"', '"'), ("'s \"", '"', '"')] {
+                for cited in text.split(&format!("{doc}{form}")).skip(1) {
+                    let key = format!("{sigil}{}", cited.split(end).next().unwrap_or_default());
+                    checked += 1;
+                    if !known.contains(&key) {
+                        broken.push(format!("{}: {doc} {key}", file.display()));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(broken, [""; 0], "cited sections that do not exist");
+    assert!(checked >= 20, "only {checked} citations found");
 }
