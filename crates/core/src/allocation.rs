@@ -9,6 +9,10 @@
 
 use spotweb_market::Catalog;
 
+/// The floor every policy converts with: allocations below this
+/// fraction are dropped (no server spun up for 0.1 % of traffic).
+pub(crate) const MIN_ALLOCATION: f64 = 5e-3;
+
 /// Convert fractional allocations to per-market server counts.
 ///
 /// * `allocation[i]` — fraction of `lambda` assigned to market `i`.

@@ -22,6 +22,24 @@ use spotweb_workload::Trace;
 
 use crate::policy::{OracleView, Policy, PolicyObservation};
 
+/// Decision interval in seconds.
+const INTERVAL_SECS: f64 = 3600.0;
+/// Penalty per dropped request ($). The paper sets its `P` to twice the
+/// *most expensive* per-request serving cost so that dropping is never
+/// cheaper than serving; the priciest market in our catalog
+/// (x1e.16xlarge) serves a request for ≈ 2.9 µ$, so a dropped request
+/// costs 6 µ$.
+const PENALTY_PER_REQUEST: f64 = 6e-6;
+/// Capacity gap per revoked server: the seconds between losing the
+/// server and its replacement serving at full speed (warning-period
+/// drain + startup + cache warm-up; §6.1 measures ≈ 1 min startup +
+/// 30–90 s warm-up). The controller reprovisions reactively, so the gap
+/// is minutes, not the rest of the interval.
+const RECOVERY_GAP_SECS: f64 = 180.0;
+/// Seconds before reactive top-up capacity serves (request + boot +
+/// warm).
+const TOPUP_REACTION_SECS: f64 = 300.0;
+
 /// Options for an evaluation run.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
@@ -31,26 +49,12 @@ pub struct EvalOptions {
     pub cloud_warmup: usize,
     /// RNG seed for the cloud simulation.
     pub seed: u64,
-    /// Penalty per dropped request ($). The paper sets its `P` to
-    /// twice the *most expensive* per-request serving cost so that
-    /// dropping is never cheaper than serving; the priciest market in
-    /// our catalog (x1e.16xlarge) serves a request for ≈ 2.9 µ$, so
-    /// the default is 6 µ$ per dropped request.
-    pub penalty_per_request: f64,
     /// Grant the policy perfect future knowledge (oracle experiments).
     pub oracle: bool,
     /// Oracle look-ahead length (intervals) when `oracle` is set.
     pub oracle_horizon: usize,
     /// Sample random revocations against the deployed fleet.
     pub revocations: bool,
-    /// Decision interval in seconds.
-    pub interval_secs: f64,
-    /// Capacity gap per revoked server: the seconds between losing the
-    /// server and its replacement serving at full speed (warning-period
-    /// drain + startup + cache warm-up; §6.1 measures ≈ 1 min startup +
-    /// 30–90 s warm-up). The controller reprovisions reactively, so the
-    /// gap is minutes, not the rest of the interval.
-    pub recovery_gap_secs: f64,
     /// Cloud-provider profile (price dynamics, warning period,
     /// preemption rates — §7 "Other Cloud providers").
     pub provider: Provider,
@@ -60,8 +64,6 @@ pub struct EvalOptions {
     /// interval". Off by default so the headline figures measure the
     /// proactive system alone.
     pub reactive_topup: bool,
-    /// Seconds before top-up capacity serves (request + boot + warm).
-    pub topup_reaction_secs: f64,
 }
 
 impl Default for EvalOptions {
@@ -70,15 +72,11 @@ impl Default for EvalOptions {
             intervals: 336,
             cloud_warmup: 48,
             seed: 42,
-            penalty_per_request: 6e-6,
             oracle: false,
             oracle_horizon: 10,
             revocations: true,
-            interval_secs: 3600.0,
-            recovery_gap_secs: 180.0,
             provider: Provider::Ec2Spot,
             reactive_topup: false,
-            topup_reaction_secs: 300.0,
         }
     }
 }
@@ -159,13 +157,17 @@ pub fn simulate_costs(
     options: &EvalOptions,
 ) -> CostReport {
     assert!(trace.len() >= 2, "trace too short to evaluate");
+    assert!(
+        !options.oracle || options.oracle_horizon > 0,
+        "`oracle_horizon` must be at least 1 when `oracle` is set (got 0)"
+    );
     let mut cloud = options
         .provider
         .cloud(catalog.clone(), options.seed, 24 * 60);
     cloud.warm_up(options.cloud_warmup.max(4));
 
     let intervals = options.intervals.min(trace.len() - 1);
-    let interval_hours = options.interval_secs / 3600.0;
+    let interval_hours = INTERVAL_SECS / 3600.0;
     let mut records = Vec::with_capacity(intervals);
     let mut provisioning_total = 0.0;
     let mut penalty_total = 0.0;
@@ -206,7 +208,7 @@ pub fn simulate_costs(
 
         // The fleet serves interval t+1.
         let served_workload = trace.get(t + 1);
-        let offered = served_workload * options.interval_secs;
+        let offered = served_workload * INTERVAL_SECS;
         total_requests += offered;
 
         // Revocations against the deployed fleet.
@@ -236,7 +238,7 @@ pub fn simulate_costs(
         };
         let full_cap = cap(&fleet);
         let surv_cap = cap(&surviving);
-        let gap_fraction = (options.recovery_gap_secs / options.interval_secs).clamp(0.0, 1.0);
+        let gap_fraction = (RECOVERY_GAP_SECS / INTERVAL_SECS).clamp(0.0, 1.0);
         let effective_capacity = full_cap - gap_fraction * (full_cap - surv_cap);
 
         let mut unserved_rps = (served_workload - effective_capacity).max(0.0);
@@ -257,17 +259,16 @@ pub fn simulate_costs(
                 })
                 .expect("non-empty catalog");
             topup_servers = (unserved_rps / best.capacity_rps()).ceil() as u32;
-            let serving_secs = (options.interval_secs - options.topup_reaction_secs).max(0.0);
+            let serving_secs = (INTERVAL_SECS - TOPUP_REACTION_SECS).max(0.0);
             topup_cost =
                 topup_servers as f64 * best.instance.on_demand_price * (serving_secs / 3600.0);
             // Only the reaction window still drops requests.
-            let reaction_fraction =
-                (options.topup_reaction_secs / options.interval_secs).clamp(0.0, 1.0);
+            let reaction_fraction = (TOPUP_REACTION_SECS / INTERVAL_SECS).clamp(0.0, 1.0);
             unserved_rps *= reaction_fraction;
         }
-        let dropped = unserved_rps * options.interval_secs;
+        let dropped = unserved_rps * INTERVAL_SECS;
         dropped_total += dropped;
-        let penalty = dropped * options.penalty_per_request;
+        let penalty = dropped * PENALTY_PER_REQUEST;
         penalty_total += penalty;
 
         // Charge realized prices for the full fleet (the revoked server
@@ -409,6 +410,23 @@ mod tests {
         };
         simulate_costs(&mut probe, &catalog, &trace, &opts);
         assert!(probe.saw_oracle);
+    }
+
+    #[test]
+    #[should_panic(expected = "`oracle_horizon` must be at least 1")]
+    fn zero_oracle_horizon_is_rejected_by_name() {
+        // Unchecked, `ForecastBundle::oracle` gets empty futures and
+        // the policy indexes past them.
+        let catalog = Catalog::fig5_three_markets();
+        let trace = wikipedia_like(20, 4).with_mean(2000.0);
+        let opts = EvalOptions {
+            oracle: true,
+            oracle_horizon: 0,
+            intervals: 2,
+            ..short_options()
+        };
+        let mut sw = SpotWebPolicy::new(SpotWebConfig::default(), catalog.len());
+        simulate_costs(&mut sw, &catalog, &trace, &opts);
     }
 
     #[test]

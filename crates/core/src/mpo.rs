@@ -526,7 +526,7 @@ mod tests {
         overflow.workload = vec![1e300; 4];
         overflow.prices = vec![vec![1e300; 3]; 4];
         let nan_bound = SpotWebConfig {
-            a_min: f64::NAN,
+            a_max_per_market: f64::NAN,
             ..SpotWebConfig::default()
         };
         let table = [

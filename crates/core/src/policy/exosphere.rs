@@ -21,12 +21,13 @@ use spotweb_market::Catalog;
 use spotweb_solver::pgd::BoxBudget;
 use spotweb_telemetry::{names, TelemetrySink};
 
-use crate::allocation::to_server_counts;
+use crate::allocation::{to_server_counts, MIN_ALLOCATION};
 use crate::config::SpotWebConfig;
 use crate::policy::{Policy, PolicyObservation};
+use crate::portfolio::{A_MAX_TOTAL, A_MIN};
 
 /// Fixed projected-gradient iteration budget. The problem is a small,
-/// strongly convex QP; 160 steps converge far past the `min_allocation`
+/// strongly convex QP; 160 steps converge far past the `MIN_ALLOCATION`
 /// resolution any fleet rounding can see.
 const PGD_STEPS: usize = 160;
 
@@ -102,8 +103,8 @@ impl Policy for ExoSphereMarkowitzPolicy {
         // First pass at full coverage, then inflate the total by the
         // portfolio's expected capacity loss (ExoSphere's
         // fault-tolerance margin) and re-solve.
-        let feasible_max = (n as f64 * self.config.a_max_per_market).min(self.config.a_max_total);
-        let base = self.config.a_min.max(1.0).min(feasible_max);
+        let feasible_max = (n as f64 * self.config.a_max_per_market).min(A_MAX_TOTAL);
+        let base = A_MIN.min(feasible_max);
         let solved = self.solve(&cost, obs, base).and_then(|first| {
             let expected_loss: f64 = first
                 .iter()
@@ -121,7 +122,7 @@ impl Policy for ExoSphereMarkowitzPolicy {
             .oracle
             .and_then(|v| v.workload.first().copied())
             .unwrap_or(obs.current_workload);
-        to_server_counts(catalog, &self.weights, lambda, self.config.min_allocation)
+        to_server_counts(catalog, &self.weights, lambda, MIN_ALLOCATION)
     }
 }
 

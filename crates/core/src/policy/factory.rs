@@ -43,7 +43,6 @@ pub fn build_policy(
     sink: &TelemetrySink,
 ) -> Result<Box<dyn Policy + Send>, String> {
     let canonical = normalize_policy_name(name);
-    let min_alloc = config.min_allocation;
     match canonical.as_str() {
         "spotweb" => Ok(Box::new(
             SpotWebPolicy::new(config.clone(), markets).with_telemetry(sink.clone()),
@@ -52,13 +51,13 @@ pub fn build_policy(
             ExoSphereMarkowitzPolicy::new(config, markets).with_telemetry(sink.clone()),
         )),
         "index-tracking" => Ok(Box::new(
-            IndexTrackingPolicy::new(min_alloc, markets).with_telemetry(sink.clone()),
+            IndexTrackingPolicy::new(markets).with_telemetry(sink.clone()),
         )),
         "het-spot-groups" => Ok(Box::new(
-            HetSpotGroupsPolicy::new(min_alloc, markets).with_telemetry(sink.clone()),
+            HetSpotGroupsPolicy::new(markets).with_telemetry(sink.clone()),
         )),
         "randomized-market" => Ok(Box::new(
-            RandomizedMarketPolicy::new(min_alloc, markets, seed).with_telemetry(sink.clone()),
+            RandomizedMarketPolicy::new(markets, seed).with_telemetry(sink.clone()),
         )),
         _ => Err(format!(
             "unknown policy '{name}'; registered policies: {}",

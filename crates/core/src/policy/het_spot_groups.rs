@@ -15,7 +15,7 @@
 use spotweb_market::{correlation_groups, Catalog};
 use spotweb_telemetry::{names, TelemetrySink};
 
-use crate::allocation::to_server_counts;
+use crate::allocation::{to_server_counts, MIN_ALLOCATION};
 use crate::policy::{Policy, PolicyObservation};
 
 /// Absolute-correlation threshold above which two markets share a
@@ -27,17 +27,14 @@ const FAULT_TOLERANCE: usize = 1;
 
 /// The fault-tolerance-aware heterogeneous-groups competitor.
 pub struct HetSpotGroupsPolicy {
-    min_allocation: f64,
     weights: Vec<f64>,
     telemetry: TelemetrySink,
 }
 
 impl HetSpotGroupsPolicy {
-    /// Build for `markets` markets, dropping shares below
-    /// `min_allocation` when converting to servers.
-    pub fn new(min_allocation: f64, markets: usize) -> Self {
+    /// Build for `markets` markets.
+    pub fn new(markets: usize) -> Self {
         HetSpotGroupsPolicy {
-            min_allocation,
             weights: vec![0.0; markets],
             telemetry: TelemetrySink::disabled(),
         }
@@ -95,7 +92,7 @@ impl Policy for HetSpotGroupsPolicy {
             .oracle
             .and_then(|v| v.workload.first().copied())
             .unwrap_or(obs.current_workload);
-        to_server_counts(catalog, &self.weights, lambda, self.min_allocation)
+        to_server_counts(catalog, &self.weights, lambda, MIN_ALLOCATION)
     }
 }
 
@@ -121,7 +118,7 @@ mod tests {
         let prices = [0.06, 0.12, 0.24];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = HetSpotGroupsPolicy::new(1e-3, 3);
+        let mut p = HetSpotGroupsPolicy::new(3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
         // 3 independent groups, tolerate 1: each carries 1/2 of λ.
         assert_eq!(counts.iter().filter(|&&c| c > 0).count(), 3);
@@ -149,7 +146,7 @@ mod tests {
         let mut cov = Matrix::identity(3);
         cov[(0, 1)] = 0.9;
         cov[(1, 0)] = 0.9;
-        let mut p = HetSpotGroupsPolicy::new(1e-3, 3);
+        let mut p = HetSpotGroupsPolicy::new(3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
         // Group {0,1} is represented by exactly one of its markets.
         assert!(
@@ -177,7 +174,7 @@ mod tests {
                 }
             }
         }
-        let mut p = HetSpotGroupsPolicy::new(1e-3, 3);
+        let mut p = HetSpotGroupsPolicy::new(3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
         // Everything is one failure domain: no spread can help, so one
         // market carries the whole load at share 1.
@@ -194,7 +191,7 @@ mod tests {
         cov[(1, 2)] = 0.7;
         cov[(2, 1)] = 0.7;
         let run = || {
-            let mut p = HetSpotGroupsPolicy::new(1e-3, 3);
+            let mut p = HetSpotGroupsPolicy::new(3);
             p.decide(&catalog, &obs(&prices, &failures, &cov))
         };
         assert_eq!(run(), run());

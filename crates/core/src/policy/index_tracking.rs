@@ -19,7 +19,7 @@ use spotweb_market::{spot_index_weights, Catalog};
 use spotweb_predict::index::IndexWeightTracker;
 use spotweb_telemetry::{names, TelemetrySink};
 
-use crate::allocation::to_server_counts;
+use crate::allocation::{to_server_counts, MIN_ALLOCATION};
 use crate::policy::{Policy, PolicyObservation};
 
 /// EWMA gain of the smoothed target weights (see
@@ -33,22 +33,19 @@ const HEADROOM: f64 = 1.1;
 /// The index-tracking competitor.
 pub struct IndexTrackingPolicy {
     tracker: IndexWeightTracker,
-    min_allocation: f64,
     weights: Vec<f64>,
     telemetry: TelemetrySink,
 }
 
 impl IndexTrackingPolicy {
-    /// Build for `markets` markets, dropping shares below
-    /// `min_allocation` when converting to servers.
-    pub fn new(min_allocation: f64, markets: usize) -> Self {
-        Self::with_ewma_beta(EWMA_BETA, min_allocation, markets)
+    /// Build for `markets` markets.
+    pub fn new(markets: usize) -> Self {
+        Self::with_ewma_beta(EWMA_BETA, markets)
     }
 
-    fn with_ewma_beta(beta: f64, min_allocation: f64, markets: usize) -> Self {
+    fn with_ewma_beta(beta: f64, markets: usize) -> Self {
         IndexTrackingPolicy {
             tracker: IndexWeightTracker::new(beta),
-            min_allocation,
             weights: vec![0.0; markets],
             telemetry: TelemetrySink::disabled(),
         }
@@ -101,7 +98,7 @@ impl Policy for IndexTrackingPolicy {
             .oracle
             .and_then(|v| v.workload.first().copied())
             .unwrap_or(obs.current_workload);
-        to_server_counts(catalog, &self.weights, lambda, self.min_allocation)
+        to_server_counts(catalog, &self.weights, lambda, MIN_ALLOCATION)
     }
 }
 
@@ -127,7 +124,7 @@ mod tests {
         let prices = [0.06, 0.12, 0.24];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = IndexTrackingPolicy::new(1e-3, 3);
+        let mut p = IndexTrackingPolicy::new(3);
         let counts = p.decide(&catalog, &obs(&prices, &failures, &cov));
         assert!(
             counts.iter().all(|&c| c > 0),
@@ -153,7 +150,7 @@ mod tests {
             .collect();
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = IndexTrackingPolicy::new(1e-3, 3);
+        let mut p = IndexTrackingPolicy::new(3);
         p.decide(&catalog, &obs(&prices, &failures, &cov));
         let index = spot_index_weights(&catalog);
         for (w, i) in p.weights.iter().zip(&index) {
@@ -169,7 +166,7 @@ mod tests {
         let prices = [2.0, 0.5, 1.0];
         let failures = [0.04; 3];
         let cov = Matrix::identity(3);
-        let mut p = IndexTrackingPolicy::new(1e-3, 3);
+        let mut p = IndexTrackingPolicy::new(3);
         p.decide(&catalog, &obs(&prices, &failures, &cov));
         let w = &p.weights;
         let index = spot_index_weights(&catalog);
@@ -185,7 +182,7 @@ mod tests {
         let failures = [0.04; 3];
         let cov = Matrix::identity(3);
         let calm = [1.0, 1.0, 1.0];
-        let mut p = IndexTrackingPolicy::new(1e-3, 3);
+        let mut p = IndexTrackingPolicy::new(3);
         let mut o = obs(&calm, &failures, &cov);
         for k in 0..5 {
             o.interval = k;
@@ -200,7 +197,7 @@ mod tests {
         p.decide(&catalog, &o);
         let after = p.weights.to_vec();
         assert!(after[0] < before[0], "weight shifts away from the spike");
-        let mut instant = IndexTrackingPolicy::with_ewma_beta(1.0, 1e-3, 3);
+        let mut instant = IndexTrackingPolicy::with_ewma_beta(1.0, 3);
         instant.decide(&catalog, &obs(&spiked, &failures, &cov));
         assert!(
             after[0] > instant.weights[0],
@@ -215,7 +212,7 @@ mod tests {
         let failures = [0.03; 3];
         let cov = Matrix::identity(3);
         let run = || {
-            let mut p = IndexTrackingPolicy::new(1e-3, 3);
+            let mut p = IndexTrackingPolicy::new(3);
             (0..3)
                 .map(|k| {
                     let mut o = obs(&prices, &failures, &cov);

@@ -39,7 +39,7 @@ use spotweb_predict::{SeriesPredictor, SpotWebPredictor};
 use spotweb_solver::Certificate;
 use spotweb_telemetry::{names, DecisionRecord, MarketEval, TelemetrySink, TraceEvent};
 
-use crate::allocation::to_server_counts;
+use crate::allocation::{to_server_counts, MIN_ALLOCATION};
 use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
 use crate::mpo::MpoOptimizer;
@@ -202,7 +202,6 @@ impl Policy for SpotWebPolicy {
                 }
             }
         };
-        let min_alloc = self.optimizer.config().min_allocation;
         let (counts, objective, iterations, solved, certificate) =
             match self
                 .optimizer
@@ -232,7 +231,7 @@ impl Policy for SpotWebPolicy {
                         catalog,
                         decision.first(),
                         forecast.workload[0],
-                        min_alloc,
+                        MIN_ALLOCATION,
                     );
                     (
                         counts,
@@ -250,7 +249,7 @@ impl Policy for SpotWebPolicy {
                         catalog,
                         &self.prev_allocation,
                         forecast.workload[0],
-                        min_alloc,
+                        MIN_ALLOCATION,
                     );
                     let unsolved = Certificate {
                         primal_residual: f64::NAN,
@@ -270,8 +269,8 @@ impl Policy for SpotWebPolicy {
                     // and human-readable.
                     let reason = if chosen {
                         format!("allocated {a:.4} of workload across {} servers", counts[i])
-                    } else if a < min_alloc {
-                        format!("allocation {a:.4} below min {min_alloc:.4}")
+                    } else if a < MIN_ALLOCATION {
+                        format!("allocation {a:.4} below min {MIN_ALLOCATION:.4}")
                     } else {
                         "allocation rounded to zero servers".to_string()
                     };
@@ -313,7 +312,6 @@ impl Policy for SpotWebPolicy {
 /// ExoSphere re-run every interval: single-period, reactive inputs.
 pub struct ExoSpherePolicy {
     optimizer: MpoOptimizer,
-    min_allocation: f64,
     last_allocation: Vec<f64>,
 }
 
@@ -322,14 +320,12 @@ impl ExoSpherePolicy {
     /// SIGMETRICS'17, §4.1): the MPO on the shared config with the
     /// horizon forced to 1 and the (multi-period) churn term dropped.
     pub fn new(config: SpotWebConfig, markets: usize) -> Self {
-        let min_allocation = config.min_allocation;
         ExoSpherePolicy {
             optimizer: MpoOptimizer::new(SpotWebConfig {
                 horizon: 1,
                 churn_gamma: 0.0,
                 ..config
             }),
-            min_allocation,
             last_allocation: vec![0.0; markets],
         }
     }
@@ -356,9 +352,8 @@ impl Policy for ExoSpherePolicy {
     }
 
     fn decide(&mut self, catalog: &Catalog, obs: &PolicyObservation<'_>) -> Vec<u32> {
-        let min_allocation = self.min_allocation;
         let allocation = self.allocate(catalog, obs);
-        to_server_counts(catalog, allocation, obs.current_workload, min_allocation)
+        to_server_counts(catalog, allocation, obs.current_workload, MIN_ALLOCATION)
     }
 }
 
@@ -396,14 +391,12 @@ impl Policy for ConstantPortfolioPolicy {
             .oracle
             .and_then(|v| v.workload.first().copied())
             .unwrap_or(obs.current_workload);
-        let min_allocation = self.exosphere.min_allocation;
-
         if let Some(weights) = &self.frozen_weights {
-            return to_server_counts(catalog, weights, lambda_next, min_allocation);
+            return to_server_counts(catalog, weights, lambda_next, MIN_ALLOCATION);
         }
         // Settling phase: behave like ExoSphere; freeze at the configured step.
         let allocation = self.exosphere.allocate(catalog, obs);
-        let counts = to_server_counts(catalog, allocation, lambda_next, min_allocation);
+        let counts = to_server_counts(catalog, allocation, lambda_next, MIN_ALLOCATION);
         if obs.interval + 1 >= self.fix_at_interval {
             // Normalize the allocation into weights summing to A_min-ish
             // shape; sizes rescale with λ afterwards.

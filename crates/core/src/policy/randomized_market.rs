@@ -22,7 +22,7 @@
 use spotweb_market::Catalog;
 use spotweb_telemetry::{names, TelemetrySink};
 
-use crate::allocation::to_server_counts;
+use crate::allocation::{to_server_counts, MIN_ALLOCATION};
 use crate::policy::{Policy, PolicyObservation};
 
 /// One step of the splitmix64 generator: advances the state and
@@ -54,19 +54,16 @@ const HEADROOM: f64 = 1.15;
 /// The randomized-selection competitor.
 pub struct RandomizedMarketPolicy {
     seed: u64,
-    min_allocation: f64,
     weights: Vec<f64>,
     telemetry: TelemetrySink,
 }
 
 impl RandomizedMarketPolicy {
     /// Build for `markets` markets, drawing from the stream keyed by
-    /// `seed` and dropping shares below `min_allocation` when
-    /// converting to servers.
-    pub fn new(min_allocation: f64, markets: usize, seed: u64) -> Self {
+    /// `seed`.
+    pub fn new(markets: usize, seed: u64) -> Self {
         RandomizedMarketPolicy {
             seed,
-            min_allocation,
             weights: vec![0.0; markets],
             telemetry: TelemetrySink::disabled(),
         }
@@ -170,7 +167,7 @@ impl Policy for RandomizedMarketPolicy {
             .oracle
             .and_then(|v| v.workload.first().copied())
             .unwrap_or(obs.current_workload);
-        to_server_counts(catalog, &self.weights, lambda, self.min_allocation)
+        to_server_counts(catalog, &self.weights, lambda, MIN_ALLOCATION)
     }
 }
 
@@ -201,7 +198,7 @@ mod tests {
         let prices = [0.06, 0.12, 0.24];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 42);
+        let mut p = RandomizedMarketPolicy::new(3, 42);
         p.decide(&catalog, &obs(0, &prices, &failures, &cov));
         let held = p.weights.iter().filter(|&&w| w > 0.0).count();
         assert_eq!(held, SUBSET);
@@ -219,7 +216,7 @@ mod tests {
         let failures = [0.04, 0.08, 0.02];
         let cov = Matrix::identity(3);
         let run = |seed: u64| {
-            let mut p = RandomizedMarketPolicy::new(1e-3, 3, seed);
+            let mut p = RandomizedMarketPolicy::new(3, seed);
             (0..6)
                 .map(|k| p.decide(&catalog, &obs(k, &prices, &failures, &cov)))
                 .collect::<Vec<_>>()
@@ -228,7 +225,7 @@ mod tests {
         // Stateless in call order too: re-deciding interval 3 alone
         // matches its value inside the full sequence.
         let full = run(7);
-        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 7);
+        let mut p = RandomizedMarketPolicy::new(3, 7);
         let lone = p.decide(&catalog, &obs(3, &prices, &failures, &cov));
         assert_eq!(
             lone, full[3],
@@ -244,7 +241,7 @@ mod tests {
         let prices = [0.105, 0.2, 0.42];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 1234);
+        let mut p = RandomizedMarketPolicy::new(3, 1234);
         let mut selections = std::collections::BTreeSet::new();
         for k in 0..32 {
             p.decide(&catalog, &obs(k, &prices, &failures, &cov));
@@ -271,7 +268,7 @@ mod tests {
         let prices = [0.0263, 0.2, 0.42];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 9);
+        let mut p = RandomizedMarketPolicy::new(3, 9);
         let mut market0_held = 0;
         for k in 0..64 {
             p.decide(&catalog, &obs(k, &prices, &failures, &cov));
@@ -291,7 +288,7 @@ mod tests {
         let prices = [0.06, 0.12, 0.24];
         let failures = [0.05; 3];
         let cov = Matrix::identity(3);
-        let mut p = RandomizedMarketPolicy::new(1e-3, 3, 5);
+        let mut p = RandomizedMarketPolicy::new(3, 5);
         for k in 0..8 {
             let counts = p.decide(&catalog, &obs(k, &prices, &failures, &cov));
             let cap: f64 = counts

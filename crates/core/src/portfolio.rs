@@ -8,10 +8,13 @@
 //! * Provisioning cost (Eq. 3): `Σ_τ Σ_i A[τ][i]·λ̂(τ)·C_i(τ)·Δt`,
 //!   with `C_i(τ) = price_i(τ)/r_i` the per-request cost and `Δt` the
 //!   interval length in hours — a **linear** term.
-//! * SLA-violation cost (Eq. 4): `P·Σ A[τ][i]·f_i(τ)·λ̂(τ)·L` — the
-//!   component of Eq. 4 that depends on the allocation. (The
-//!   misprediction component `λ − λ̂` does not depend on `A`; it is
-//!   handled by the predictor's CI padding, §4.3.) Also linear.
+//! * SLA-violation cost (Eq. 4): `P·Σ A[τ][i]·f_i(τ)·λ̂(τ)·L`, the
+//!   component of Eq. 4 that depends on the allocation, is identically
+//!   zero at the paper's `L = 0` (sub-second web requests all finish
+//!   inside the revocation warning), so no term is built. Capacity
+//!   shortfall is the `A_min` budget row below; the misprediction
+//!   component `λ − λ̂` does not depend on `A` and is handled by the
+//!   predictor's CI padding (§4.3).
 //! * Risk (Eq. 5): `α·A(τ)ᵀMA(τ)` — quadratic, `M` PSD.
 //! * Churn: `γ·‖A(τ) − A(τ−1)‖²` with `A(t−1)` the currently-running
 //!   allocation — quadratic coupling between adjacent intervals.
@@ -25,6 +28,13 @@ use spotweb_solver::{QpProblem, SparseQp};
 use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
 use crate::{CoreError, Result};
+
+/// Minimum total fractional allocation `A_min` (Eq. 8): cover the full
+/// predicted workload.
+pub(crate) const A_MIN: f64 = 1.0;
+/// Maximum total fractional allocation `A_max` (Eq. 9): caps
+/// over-provisioning.
+pub(crate) const A_MAX_TOTAL: f64 = 1.6;
 
 /// A built portfolio QP, expanded densely, plus the metadata to
 /// interpret its solution — the form tests and benches inspect. The
@@ -139,8 +149,8 @@ pub fn build_sparse_qp(
         .expect("one entry per box row, one interval per budget row");
     let mut l = vec![0.0; m_rows];
     let mut u = vec![config.a_max_per_market; m_rows];
-    l[nv..].fill(config.a_min);
-    u[nv..].fill(config.a_max_total);
+    l[nv..].fill(A_MIN);
+    u[nv..].fill(A_MAX_TOTAL);
 
     Ok(SparseQp::new(p, q, a, l, u)?)
 }
@@ -198,12 +208,7 @@ fn build_linear_cost(
         for (i, market) in catalog.markets().iter().enumerate() {
             let r = market.capacity_rps();
             let per_request_cost = forecast.prices[tau][i] / r;
-            let provisioning = lam * per_request_cost * interval_hours;
-            let sla = config.penalty_per_request
-                * forecast.failures[tau][i]
-                * lam
-                * config.long_running_fraction;
-            q[tau * n + i] = provisioning + sla;
+            q[tau * n + i] = lam * per_request_cost * interval_hours;
         }
     }
     // Churn cross-term with the fixed previous allocation:
@@ -276,8 +281,8 @@ mod tests {
             for i in 0..n {
                 a[(row, tau * n + i)] = 1.0;
             }
-            l[row] = config.a_min;
-            u[row] = config.a_max_total;
+            l[row] = A_MIN;
+            u[row] = A_MAX_TOTAL;
         }
         QpProblem::new(p, q, a, l, u).unwrap()
     }
@@ -350,17 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn sla_term_enters_with_positive_l() {
-        let (c, f, m, mut cfg) = setup();
-        cfg.churn_gamma = 0.0;
-        cfg.long_running_fraction = 0.5;
-        let p = PortfolioProblem::build(&c, &f, &m, &[0.0; 3], &cfg).unwrap();
-        let provisioning = 1000.0 * 6.0 / 1920.0;
-        let sla = 0.02 * 0.04 * 1000.0 * 0.5;
-        assert!((p.qp.q[0] - (provisioning + sla)).abs() < 1e-12);
-    }
-
-    #[test]
     fn churn_couples_adjacent_intervals() {
         let (c, f, m, cfg) = setup();
         let p = PortfolioProblem::build(&c, &f, &m, &[0.2, 0.0, 0.0], &cfg).unwrap();
@@ -377,8 +371,8 @@ mod tests {
         let (c, f, m, cfg) = setup();
         let p = PortfolioProblem::build(&c, &f, &m, &[0.0; 3], &cfg).unwrap();
         let row = 12; // first budget row
-        assert_eq!(p.qp.l[row], cfg.a_min);
-        assert_eq!(p.qp.u[row], cfg.a_max_total);
+        assert_eq!(p.qp.l[row], A_MIN);
+        assert_eq!(p.qp.u[row], A_MAX_TOTAL);
     }
 
     #[test]

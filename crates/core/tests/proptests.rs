@@ -8,6 +8,12 @@ use spotweb_core::{
 use spotweb_linalg::Matrix;
 use spotweb_market::Catalog;
 
+/// The optimizer's budget bounds `A_min`, `A_max` and the conversion
+/// floor every policy uses (`core::portfolio`, `core::allocation`).
+const A_MIN: f64 = 1.0;
+const A_MAX: f64 = 1.6;
+const MIN_ALLOCATION: f64 = 5e-3;
+
 fn catalog() -> Catalog {
     Catalog::ec2_subset(6)
 }
@@ -46,8 +52,8 @@ proptest! {
         let d = opt.optimize(&cat, &forecast, &cov, &[0.0; 6]).unwrap();
         for tau in 0..config.horizon {
             let total: f64 = d.plan[tau].iter().sum();
-            prop_assert!(total >= config.a_min - 1e-2, "total {total} below A_min");
-            prop_assert!(total <= config.a_max_total + 1e-2, "total {total} above A_max");
+            prop_assert!(total >= A_MIN - 1e-2, "total {total} below A_min");
+            prop_assert!(total <= A_MAX + 1e-2, "total {total} above A_max");
             for &a in &d.plan[tau] {
                 prop_assert!(a >= -1e-9);
                 prop_assert!(a <= config.a_max_per_market + 1e-2);
@@ -66,12 +72,12 @@ proptest! {
         let cov = Matrix::identity(6).scaled(0.5);
         let mut opt = MpoOptimizer::new(config.clone());
         let d = opt.optimize(&cat, &forecast, &cov, &[0.0; 6]).unwrap();
-        let counts = to_server_counts(&cat, d.first(), lambda, config.min_allocation);
+        let counts = to_server_counts(&cat, d.first(), lambda, MIN_ALLOCATION);
         // Dropping sub-threshold slivers loses at most markets·min_allocation.
         let kept_share: f64 = d
             .first()
             .iter()
-            .filter(|a| **a >= config.min_allocation)
+            .filter(|a| **a >= MIN_ALLOCATION)
             .sum();
         let capacity = total_capacity_rps(&cat, &counts);
         prop_assert!(

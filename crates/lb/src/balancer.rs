@@ -27,8 +27,6 @@ pub struct LoadBalancerConfig {
     pub transiency_aware: bool,
     /// Enable the overload admission controller.
     pub admission_control: bool,
-    /// Admission: max fraction of effective capacity to admit.
-    pub max_utilization: f64,
     /// Admission: max queueing delay before dropping (seconds).
     pub max_delay_secs: f64,
     /// Expected request service time (drives utilization estimates and
@@ -41,12 +39,14 @@ impl Default for LoadBalancerConfig {
         LoadBalancerConfig {
             transiency_aware: true,
             admission_control: true,
-            max_utilization: 0.98,
             max_delay_secs: 2.0,
             service_secs: 0.25,
         }
     }
 }
+
+/// Admission: max fraction of effective capacity to admit.
+const MAX_UTILIZATION: f64 = 0.98;
 
 /// Outcome of routing one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,7 +284,7 @@ fn key_time(key: u64) -> f64 {
 impl LoadBalancer {
     /// Empty balancer.
     pub fn new(config: LoadBalancerConfig) -> Self {
-        let admission = AdmissionController::new(config.max_utilization, config.max_delay_secs);
+        let admission = AdmissionController::new(MAX_UTILIZATION, config.max_delay_secs);
         LoadBalancer {
             config,
             backends: Vec::new(),
@@ -1138,7 +1138,6 @@ mod tests {
         let mut lb = LoadBalancer::new(LoadBalancerConfig {
             transiency_aware: true,
             admission_control: true,
-            max_utilization: 0.9,
             max_delay_secs: 0.0,
             service_secs: 0.25,
         });

@@ -193,11 +193,12 @@ struct ScanBalancer {
 
 const DRAIN_MARGIN_SERVICES: f64 = 20.0;
 const OVERLOAD_FACTOR: f64 = 2.0;
+const MAX_UTILIZATION: f64 = 0.98;
 
 impl ScanBalancer {
     fn new(config: LoadBalancerConfig) -> Self {
         ScanBalancer {
-            admission: AdmissionController::new(config.max_utilization, config.max_delay_secs),
+            admission: AdmissionController::new(MAX_UTILIZATION, config.max_delay_secs),
             config,
             backends: Vec::new(),
             wrr: SmoothWrr::new(Vec::new()),

@@ -34,11 +34,12 @@ pub struct PriceParams {
     pub volatility: f64,
     /// Probability of entering a surge in a calm step.
     pub surge_enter: f64,
-    /// Probability of leaving a surge in a surging step.
-    pub surge_exit: f64,
-    /// Mean discount while surging (close to 1.0 = on-demand parity).
-    pub surge_discount: f64,
 }
+
+/// Probability of leaving a surge in a surging step.
+const SURGE_EXIT: f64 = 0.12;
+/// Mean discount while surging (close to 1.0 = on-demand parity).
+const SURGE_DISCOUNT: f64 = 0.85;
 
 impl Default for PriceParams {
     fn default() -> Self {
@@ -47,8 +48,6 @@ impl Default for PriceParams {
             reversion: 0.15,
             volatility: 0.08,
             surge_enter: 0.01,
-            surge_exit: 0.12,
-            surge_discount: 0.85,
         }
     }
 }
@@ -248,14 +247,14 @@ impl SpotPriceProcess {
             if self.surge_hold[i] > 0 {
                 self.surge_hold[i] -= 1;
             } else if st.surging {
-                if self.rng.gen::<f64>() < p.surge_exit {
+                if self.rng.gen::<f64>() < SURGE_EXIT {
                     st.surging = false;
                 }
             } else if self.rng.gen::<f64>() < p.surge_enter {
                 st.surging = true;
             }
             let target = if st.surging {
-                p.surge_discount.ln()
+                SURGE_DISCOUNT.ln()
             } else {
                 p.base_discount.ln()
             };

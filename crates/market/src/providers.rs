@@ -51,14 +51,12 @@ impl Provider {
                 volatility: 0.0,
                 surge_enter: 0.0,
                 reversion: 1.0,
-                ..PriceParams::default()
             },
             Provider::AzureLowPriority => PriceParams {
                 base_discount: 0.40,
                 volatility: 0.0,
                 surge_enter: 0.0,
                 reversion: 1.0,
-                ..PriceParams::default()
             },
         }
     }

@@ -25,6 +25,9 @@ use spotweb_telemetry::{names, CounterHandle, HistogramHandle, TelemetrySink, Tr
 use crate::faults::{FaultKind, InvariantChecker};
 use crate::service::ServiceModel;
 
+/// Base request service time (s) both schedulers' servers run at.
+pub(crate) const SERVICE_SECS: f64 = 0.12;
+
 /// Render a fault for its `FaultInjected` trace event as
 /// `(fault, detail)`. `flap_target` names what a
 /// [`FaultKind::BackendFlap`] target indexes under the calling

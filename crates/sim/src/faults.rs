@@ -25,10 +25,20 @@ use spotweb_telemetry::json::{json_f64, json_string};
 use spotweb_telemetry::TelemetrySink;
 use spotweb_workload::rng::{stream_id, CounterStream, DOMAIN_FAULT_COIN, DOMAIN_SCENARIO_GAP};
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, SERVICE_SECS};
 use crate::engine::{Event, EventQueue};
 use crate::metrics::{BucketStats, LatencyRecorder};
 use crate::scenario::{fig4a_cluster, ServerSpec};
+
+// The Fig. 4(a) testbed's timings, shared by every scenario.
+/// Revocation warning (s) unless a fault gives its own.
+const WARNING_SECS: f64 = 120.0;
+/// Replacement VM startup time (s).
+const STARTUP_SECS: f64 = 55.0;
+/// Cache warm-up window after startup (s).
+const WARMUP_SECS: f64 = 60.0;
+/// Metrics bucket width (s).
+const BUCKET_SECS: f64 = 60.0;
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,23 +377,12 @@ pub struct ChaosScenario {
     pub arrival_rps: f64,
     /// Total simulated time (seconds).
     pub duration_secs: f64,
-    /// Default revocation warning (seconds); individual faults may
-    /// override it.
-    pub warning_secs: f64,
-    /// Replacement VM startup time (seconds).
-    pub startup_secs: f64,
-    /// Cache warm-up window after startup (seconds).
-    pub warmup_secs: f64,
-    /// Base request service time (seconds).
-    pub service_secs: f64,
     /// Transiency-aware (SpotWeb) or vanilla balancer.
     pub transiency_aware: bool,
     /// Replacement provisioning policy.
     pub replacement: Replacement,
     /// Distinct concurrent user sessions.
     pub sessions: u64,
-    /// Metrics bucket width (seconds).
-    pub bucket_secs: f64,
     /// RNG seed (arrival process and fault coins).
     pub seed: u64,
     /// What goes wrong.
@@ -402,14 +401,9 @@ impl Default for ChaosScenario {
             servers: fig4a_cluster(),
             arrival_rps: 600.0,
             duration_secs: 660.0,
-            warning_secs: 120.0,
-            startup_secs: 55.0,
-            warmup_secs: 60.0,
-            service_secs: 0.12,
             transiency_aware: true,
             replacement: Replacement::OnWarning,
             sessions: 2000,
-            bucket_secs: 60.0,
             seed: 42,
             plan: FaultPlan::new(),
             telemetry: TelemetrySink::disabled(),
@@ -492,7 +486,14 @@ impl ChaosScenario {
             self.sessions > 0,
             "need at least one session (`sessions` is 0)"
         );
-        assert!(self.arrival_rps > 0.0 && self.duration_secs > 0.0);
+        // An infinite rate draws every gap as 0: the stream would never
+        // reach `duration_secs`.
+        assert!(
+            self.arrival_rps.is_finite() && self.arrival_rps > 0.0,
+            "`arrival_rps` must be finite and positive (got {})",
+            self.arrival_rps
+        );
+        assert!(self.duration_secs > 0.0);
 
         let timeline = self.plan.compile(self.seed, self.duration_secs);
         // Counter-based gaps: gap `k` belongs to request `k`, so the
@@ -503,13 +504,12 @@ impl ChaosScenario {
             LoadBalancerConfig {
                 transiency_aware: self.transiency_aware,
                 admission_control: true,
-                max_utilization: 0.98,
                 max_delay_secs: 2.0,
-                service_secs: self.service_secs,
+                service_secs: SERVICE_SECS,
             },
-            self.service_secs,
-            self.startup_secs,
-            self.warmup_secs,
+            SERVICE_SECS,
+            STARTUP_SECS,
+            WARMUP_SECS,
             sink.clone(),
         );
         for s in &self.servers {
@@ -518,7 +518,7 @@ impl ChaosScenario {
 
         let mut queue = EventQueue::new();
         queue.set_telemetry(sink.clone());
-        let mut recorder = LatencyRecorder::new(self.bucket_secs, self.duration_secs);
+        let mut recorder = LatencyRecorder::new(BUCKET_SECS, self.duration_secs);
         let mut migrated: u64 = 0;
         let mut warnings: u32 = 0;
         let mut deaths: u32 = 0;
@@ -611,7 +611,7 @@ impl ChaosScenario {
                             markets,
                             warning_secs,
                         } => {
-                            let warning_secs = warning_secs.unwrap_or(self.warning_secs);
+                            let warning_secs = warning_secs.unwrap_or(WARNING_SECS);
                             for backend in cluster.serving_in(markets) {
                                 queue.schedule(
                                     now,
@@ -987,6 +987,18 @@ mod tests {
     fn zero_sessions_are_rejected_up_front() {
         let _ = ChaosScenario {
             sessions: 0,
+            ..small(FaultPlan::new())
+        }
+        .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "`arrival_rps` must be finite and positive (got inf)")]
+    fn infinite_arrival_rate_is_rejected_by_name() {
+        // Unchecked, every gap `-ln(u)/∞` is 0: the stream never
+        // reaches `duration_secs` and the run never returns.
+        let _ = ChaosScenario {
+            arrival_rps: f64::INFINITY,
             ..small(FaultPlan::new())
         }
         .run();

@@ -42,9 +42,12 @@ use spotweb_workload::rng::{stream_id, CounterStream, DOMAIN_ARRIVAL_GAP, DOMAIN
 use spotweb_workload::Trace;
 
 use crate::calendar::CalendarQueue;
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, SERVICE_SECS};
 use crate::faults::{FaultKind, FaultPlan, FaultSpec};
 use crate::metrics::{BucketStats, LatencyRecorder};
+
+/// Distinct user sessions the arrivals are spread over.
+const SESSIONS: u64 = 2000;
 
 /// Abstraction over `spotweb-core`'s policies so this crate does not
 /// depend on the optimizer: given current observations, return the
@@ -77,12 +80,8 @@ pub struct RunnerConfig {
     pub startup_secs: f64,
     /// Cache warm-up window (s).
     pub warmup_secs: f64,
-    /// Base request service time (s).
-    pub service_secs: f64,
     /// Load-balancer configuration.
     pub lb: LoadBalancerConfig,
-    /// Distinct user sessions.
-    pub sessions: u64,
     /// Provider-imposed maximum instance lifetime (e.g. Google Cloud
     /// terminates preemptible VMs after 24 h). When set, the runner
     /// *proactively relinquishes* servers approaching the cap — a
@@ -120,9 +119,7 @@ impl Default for RunnerConfig {
             intervals: 24,
             startup_secs: 55.0,
             warmup_secs: 60.0,
-            service_secs: 0.12,
             lb: LoadBalancerConfig::default(),
-            sessions: 2000,
             max_lifetime_secs: None,
             seed: 42,
             shards: 1,
@@ -202,13 +199,8 @@ pub fn run_full_stack_observed(
     // prof session is active; distinct from the sim-clock trace spans
     // emitted through `sink` below).
     prof::scope!(names::SPAN_RUNNER_RUN);
-    // Rejected before anything is built: a zero session count would
-    // panic inside the arrival generator (`range_at` divides by it),
-    // and an infinite interval never ends its first window.
-    assert!(
-        config.sessions > 0,
-        "need at least one session (`sessions` is 0)"
-    );
+    // Rejected before anything is built: an infinite interval never
+    // ends its first window.
     assert!(
         config.intervals > 0,
         "need at least one decision interval (`intervals` is 0)"
@@ -267,7 +259,7 @@ pub fn run_full_stack_observed(
         // no batch materializes, which keeps day-scale runs (tens of
         // millions of arrivals per window) in constant memory.
         let rate = trace.rate_at(t0).max(1e-6);
-        let mut window = WindowGen::new(config.seed, interval, config.sessions, t0, t_end, rate);
+        let mut window = WindowGen::new(config.seed, interval, t0, t_end, rate);
         let mut pending = window.next();
         while let Some(arrival) = pending {
             pending = run.arrival_phase(&mut window, arrival, t_end);
@@ -292,7 +284,6 @@ pub fn run_full_stack_observed(
 struct WindowGen {
     gaps: CounterStream,
     sessions_stream: CounterStream,
-    sessions: u64,
     t: f64,
     t_end: f64,
     rate: f64,
@@ -300,14 +291,13 @@ struct WindowGen {
 }
 
 impl WindowGen {
-    fn new(seed: u64, interval: usize, sessions: u64, t0: f64, t_end: f64, rate: f64) -> Self {
+    fn new(seed: u64, interval: usize, t0: f64, t_end: f64, rate: f64) -> Self {
         WindowGen {
             gaps: CounterStream::new(seed, stream_id(DOMAIN_ARRIVAL_GAP, interval as u64)),
             sessions_stream: CounterStream::new(
                 seed,
                 stream_id(DOMAIN_ARRIVAL_SESSION, interval as u64),
             ),
-            sessions,
             t: t0,
             t_end,
             rate,
@@ -324,7 +314,7 @@ impl WindowGen {
         if t >= self.t_end {
             return None;
         }
-        let session = self.sessions_stream.range_at(self.k, self.sessions);
+        let session = self.sessions_stream.range_at(self.k, SESSIONS);
         self.t = t;
         self.k += 1;
         Some((t, session))
@@ -378,7 +368,7 @@ impl<'a> Scheduler<'a> {
             config,
             cluster: Cluster::new(
                 config.lb.clone(),
-                config.service_secs,
+                SERVICE_SECS,
                 config.startup_secs,
                 config.warmup_secs,
                 config.telemetry.clone(),
@@ -392,7 +382,7 @@ impl<'a> Scheduler<'a> {
             // Bucket width: half a base service time, comfortably under
             // the queue's no-late-insert bound (every completion is
             // scheduled at least one service time ahead of the clock).
-            completions: CalendarQueue::new(config.service_secs * 0.5),
+            completions: CalendarQueue::new(SERVICE_SECS * 0.5),
             timeline: config
                 .faults
                 .as_ref()
@@ -469,7 +459,7 @@ impl<'a> Scheduler<'a> {
     fn decommission(&mut self, id: usize, t0: f64) {
         self.cluster.warn(id, t0, f64::INFINITY);
         let config = self.config;
-        let linger = t0 + config.startup_secs + config.warmup_secs + 50.0 * config.service_secs;
+        let linger = t0 + config.startup_secs + config.warmup_secs + 50.0 * SERVICE_SECS;
         self.pending_deaths.push((linger, id));
     }
 
@@ -1008,21 +998,18 @@ mod tests {
         // ends and the run never returns.
         let positive = "`interval_secs` must be finite and positive";
         let no_intervals = "need at least one decision interval (`intervals` is 0)";
-        let no_sessions = "need at least one session (`sessions` is 0)";
         let cases = [
-            (f64::INFINITY, 1, 2000, format!("{positive} (got inf)")),
-            (f64::NAN, 24, 2000, format!("{positive} (got NaN)")),
-            (0.0, 24, 2000, format!("{positive} (got 0)")),
-            (-5.0, 24, 2000, format!("{positive} (got -5)")),
-            (600.0, 0, 2000, no_intervals.to_string()),
-            (600.0, 24, 0, no_sessions.to_string()),
+            (f64::INFINITY, 1, format!("{positive} (got inf)")),
+            (f64::NAN, 24, format!("{positive} (got NaN)")),
+            (0.0, 24, format!("{positive} (got 0)")),
+            (-5.0, 24, format!("{positive} (got -5)")),
+            (600.0, 0, no_intervals.to_string()),
         ];
         let catalog = Catalog::fig4_testbed();
-        for (interval_secs, intervals, sessions, want) in cases {
+        for (interval_secs, intervals, want) in cases {
             let config = RunnerConfig {
                 interval_secs,
                 intervals,
-                sessions,
                 ..RunnerConfig::default()
             };
             let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -15,7 +15,6 @@
 
 use crate::faults::{ChaosScenario, FaultKind, FaultPlan, Replacement};
 use crate::metrics::BucketStats;
-use crate::TelemetrySink;
 
 /// One server in the initial cluster.
 #[derive(Debug, Clone, Copy)]
@@ -60,20 +59,8 @@ pub struct FailoverScenario {
     pub revocation_at: Option<f64>,
     /// Markets whose servers are revoked at `revocation_at`.
     pub victim_markets: Vec<usize>,
-    /// Advance warning before termination (seconds).
-    pub warning_secs: f64,
-    /// Replacement VM startup time (seconds).
-    pub startup_secs: f64,
-    /// Cache warm-up window after startup (seconds).
-    pub warmup_secs: f64,
-    /// Base request service time (seconds).
-    pub service_secs: f64,
     /// Transiency-aware (SpotWeb) or vanilla balancer.
     pub transiency_aware: bool,
-    /// Distinct concurrent user sessions.
-    pub sessions: u64,
-    /// Metrics bucket width (seconds).
-    pub bucket_secs: f64,
     /// RNG seed (arrival process).
     pub seed: u64,
 }
@@ -86,13 +73,7 @@ impl Default for FailoverScenario {
             duration_secs: 600.0,
             revocation_at: Some(180.0),
             victim_markets: vec![1, 2],
-            warning_secs: 120.0,
-            startup_secs: 55.0,
-            warmup_secs: 60.0,
-            service_secs: 0.12,
             transiency_aware: true,
-            sessions: 2000,
-            bucket_secs: 60.0,
             seed: 42,
         }
     }
@@ -144,21 +125,15 @@ impl FailoverScenario {
             servers: self.servers.clone(),
             arrival_rps: self.arrival_rps,
             duration_secs: self.duration_secs,
-            warning_secs: self.warning_secs,
-            startup_secs: self.startup_secs,
-            warmup_secs: self.warmup_secs,
-            service_secs: self.service_secs,
             transiency_aware: self.transiency_aware,
             replacement: if self.transiency_aware {
                 Replacement::OnWarning
             } else {
                 Replacement::OnDeath
             },
-            sessions: self.sessions,
-            bucket_secs: self.bucket_secs,
             seed: self.seed,
             plan,
-            telemetry: TelemetrySink::disabled(),
+            ..ChaosScenario::default()
         }
         .run();
         FailoverReport {
@@ -289,22 +264,37 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "`arrival_rps` must be finite and positive (got inf)")]
+    fn infinite_arrival_rate_is_rejected_by_name() {
+        let _ = FailoverScenario {
+            arrival_rps: f64::INFINITY,
+            ..FailoverScenario::default()
+        }
+        .run();
+    }
+
+    #[test]
     fn slow_startup_triggers_admission_control() {
         // §6.1 scenario 3: "system utilization is high, and new
         // instances can not be started within the warning period.
         // Load will be migrated to the other running instances, or
         // dropped until the new instances are available." Replacements
-        // take 300 s against a 120 s warning, and the survivors
-        // (2 × 80 req/s) cannot carry 400 req/s — the admission
-        // controller must shed load without melting the survivors.
-        let r = FailoverScenario {
+        // take 55 + 245 = 300 s against a 120 s warning, and the
+        // survivors (2 × 80 req/s) cannot carry 400 req/s — the
+        // admission controller must shed load without melting the
+        // survivors.
+        let storm = FaultKind::CorrelatedRevocation {
+            markets: vec![1, 2],
+            warning_secs: None,
+        };
+        let r = ChaosScenario {
             duration_secs: 600.0,
-            revocation_at: Some(120.0),
-            transiency_aware: true,
             arrival_rps: 400.0,
-            startup_secs: 300.0,
             seed: 7,
-            ..FailoverScenario::default()
+            plan: FaultPlan::new()
+                .at(0.0, FaultKind::StartupDelay { extra_secs: 245.0 })
+                .at(120.0, storm),
+            ..ChaosScenario::default()
         }
         .run();
         // Some requests are necessarily dropped during the gap…

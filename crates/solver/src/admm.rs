@@ -16,6 +16,30 @@ const EQ_RHO_BOOST: f64 = 1e3;
 const RHO_MIN: f64 = 1e-6;
 const RHO_MAX: f64 = 1e6;
 
+// The iteration's tuning, close to OSQP's defaults; every SpotWeb
+// portfolio instance solves with it.
+/// Initial ADMM penalty ρ, and the one [`AdmmSolver::update`] resets to.
+const RHO: f64 = 0.1;
+/// Cost regularization σ (keeps the KKT system positive definite).
+const SIGMA: f64 = 1e-6;
+/// Over-relaxation parameter (1.0 = none).
+const ALPHA: f64 = 1.6;
+/// Iteration cap.
+const MAX_ITER: usize = 4000;
+/// Absolute tolerance for the primal/dual residuals.
+const EPS_ABS: f64 = 1e-6;
+/// Relative tolerance for the primal/dual residuals.
+const EPS_REL: f64 = 1e-6;
+/// Re-tune ρ from the residual ratio every this many iterations.
+const ADAPTIVE_RHO_INTERVAL: usize = 50;
+/// Refactor only when ρ changes by more than this multiplicative
+/// factor (avoids thrashing the Cholesky cache).
+const ADAPTIVE_RHO_TOLERANCE: f64 = 5.0;
+/// Check termination every this many iterations.
+const CHECK_INTERVAL: usize = 10;
+/// Ruiz equilibration rounds.
+const SCALING_ITERS: usize = 10;
+
 /// Scratch vectors for one ADMM solve, owned by the solver and reused
 /// across [`AdmmSolver::solve_from`] calls so a receding-horizon
 /// controller re-solving every interval performs zero per-solve heap
@@ -84,7 +108,7 @@ pub enum Update {
     /// factor (with the ρ it was built for) was kept.
     Kept,
     /// `P`'s values moved: they were scaled under the construction-time
-    /// equilibration, ρ was reset to [`Settings::rho`] and the KKT
+    /// equilibration, ρ was reset to its initial value and the KKT
     /// matrix was factored once.
     Refactored,
     /// `P`'s sparsity pattern, `A`, `l` or `u` differ: the solver is
@@ -108,12 +132,11 @@ pub enum Update {
 /// coupling blocks of `block_size²` (one block of `n²` for
 /// [`AdmmSolver::new`]).
 pub struct AdmmSolver {
-    /// Scaled problem (identical to the original if scaling is off).
+    /// Ruiz-scaled problem.
     prob: SparseQp,
     /// Original (unscaled) problem, kept for final reporting.
     orig: SparseQp,
     scaling: Scaling,
-    settings: Settings,
     /// Per-row penalty ρᵢ (boosted on equality rows).
     rho_vec: Vec<f64>,
     /// Scalar ρ the vector was derived from.
@@ -126,15 +149,16 @@ pub struct AdmmSolver {
 }
 
 impl AdmmSolver {
-    /// Set up a solver: equilibrate (if enabled) and factor the KKT
-    /// matrix as one dense block. Takes a [`SparseQp`], or a dense
+    /// Set up a solver: equilibrate and factor the KKT matrix as one
+    /// dense block. Takes a [`SparseQp`], or a dense
     /// [`crate::QpProblem`] which is converted (and re-validated) once.
-    pub fn new<Q>(problem: Q, settings: Settings) -> Result<Self>
+    /// [`Settings`] carries nothing: the tuning is fixed.
+    pub fn new<Q>(problem: Q, _settings: Settings) -> Result<Self>
     where
         Q: TryInto<SparseQp>,
         SolverError: From<Q::Error>,
     {
-        Self::build(problem.try_into()?, settings, 1)
+        Self::build(problem.try_into()?, 1, RHO)
     }
 
     /// Set up a solver that exploits *multi-period structure*: the
@@ -150,7 +174,7 @@ impl AdmmSolver {
     /// `A`; [`SolverError::Dimension`] when it does not hold.
     pub fn with_block_structure<Q>(
         problem: Q,
-        settings: Settings,
+        _settings: Settings,
         block_size: usize,
     ) -> Result<Self>
     where
@@ -165,25 +189,18 @@ impl AdmmSolver {
         }
         verify_block_structure(&problem, block_size)?;
         let blocks = (problem.num_vars() / block_size).max(1);
-        Self::build(problem, settings, blocks)
+        Self::build(problem, blocks, RHO)
     }
 
-    fn build(orig: SparseQp, settings: Settings, blocks: usize) -> Result<Self> {
-        settings.validate()?;
+    fn build(orig: SparseQp, blocks: usize, rho: f64) -> Result<Self> {
         let mut prob = orig.clone();
-        let scaling = if settings.scaling {
-            ruiz_equilibrate(&mut prob, settings.scaling_iters)
-        } else {
-            Scaling::identity(prob.num_vars(), prob.num_constraints())
-        };
-        let rho = settings.rho;
+        let scaling = ruiz_equilibrate(&mut prob, SCALING_ITERS);
         let rho_vec = build_rho_vec(&prob, rho);
-        let kkt = factor_kkt(&prob, settings.sigma, &rho_vec, blocks)?;
+        let kkt = factor_kkt(&prob, SIGMA, &rho_vec, blocks)?;
         Ok(AdmmSolver {
             prob,
             orig,
             scaling,
-            settings,
             rho_vec,
             rho,
             kkt,
@@ -193,7 +210,19 @@ impl AdmmSolver {
 
     /// Solve from a cold start (zero initial iterate).
     pub fn solve(&mut self) -> QpSolution {
-        self.iterate(None)
+        self.iterate(None, MAX_ITER)
+    }
+
+    /// A solver starting at penalty `rho` instead of [`RHO`].
+    #[cfg(test)]
+    fn with_rho(problem: crate::QpProblem, rho: f64) -> Result<Self> {
+        Self::build(problem.try_into()?, 1, rho)
+    }
+
+    /// A cold solve stopped after at most `max_iter` iterations.
+    #[cfg(test)]
+    fn solve_capped(&mut self, max_iter: usize) -> QpSolution {
+        self.iterate(None, max_iter)
     }
 
     /// Solve warm-started from `(x0, y0)` **in the original problem's
@@ -234,13 +263,13 @@ impl AdmmSolver {
     pub fn solve_from(&mut self, x0: &[f64], y0: &[f64]) -> QpSolution {
         assert_eq!(x0.len(), self.num_vars(), "warm-start x length");
         assert_eq!(y0.len(), self.num_constraints(), "warm-start y length");
-        self.iterate(Some((x0, y0)))
+        self.iterate(Some((x0, y0)), MAX_ITER)
     }
 
     /// The iteration behind [`AdmmSolver::solve`] (no warm start: the
     /// zeroed workspace *is* the cold iterate) and
     /// [`AdmmSolver::solve_from`].
-    fn iterate(&mut self, warm: Option<(&[f64], &[f64])>) -> QpSolution {
+    fn iterate(&mut self, warm: Option<(&[f64], &[f64])>, max_iter: usize) -> QpSolution {
         let n = self.num_vars();
         let m = self.num_constraints();
 
@@ -265,13 +294,11 @@ impl AdmmSolver {
         }
         vector::clamp_box(&mut ws.z, &self.prob.l, &self.prob.u);
 
-        let alpha = self.settings.alpha;
-        let sigma = self.settings.sigma;
         let mut status = QpStatus::MaxIterations;
-        let mut iterations = self.settings.max_iter;
+        let mut iterations = max_iter;
         let mut last_res: Option<Residuals> = None;
 
-        for it in 1..=self.settings.max_iter {
+        for it in 1..=max_iter {
             // rhs = σx − q + Aᵀ(ρ⊙z − y)
             for (((t, &rho), &z), &y) in
                 ws.tmp_m.iter_mut().zip(&self.rho_vec).zip(&ws.z).zip(&ws.y)
@@ -284,7 +311,7 @@ impl AdmmSolver {
                 .expect("admm: Aᵀv shape");
             for (((r, &x), &q), &aty) in ws.rhs.iter_mut().zip(&ws.x).zip(&self.prob.q).zip(&ws.aty)
             {
-                *r = sigma * x - q + aty;
+                *r = SIGMA * x - q + aty;
             }
             // x̃ = K⁻¹ rhs (in place).
             self.kkt
@@ -298,7 +325,7 @@ impl AdmmSolver {
 
             // Relaxed updates.
             for (x, &xtil) in ws.x.iter_mut().zip(&ws.rhs) {
-                *x = alpha * xtil + (1.0 - alpha) * *x;
+                *x = ALPHA * xtil + (1.0 - ALPHA) * *x;
             }
             for (((((z, y), &ztil), &rho), &lo), &hi) in
                 ws.z.iter_mut()
@@ -308,16 +335,15 @@ impl AdmmSolver {
                     .zip(&self.prob.l)
                     .zip(&self.prob.u)
             {
-                let z_relaxed = alpha * ztil + (1.0 - alpha) * *z;
+                let z_relaxed = ALPHA * ztil + (1.0 - ALPHA) * *z;
                 let z_pre = z_relaxed + *y / rho;
                 let z_new = z_pre.clamp(lo, hi);
                 *y += rho * (z_relaxed - z_new);
                 *z = z_new;
             }
 
-            let do_check = it % self.settings.check_interval == 0 || it == self.settings.max_iter;
-            let do_adapt = self.settings.adaptive_rho_interval > 0
-                && it % self.settings.adaptive_rho_interval == 0;
+            let do_check = it % CHECK_INTERVAL == 0 || it == max_iter;
+            let do_adapt = it % ADAPTIVE_RHO_INTERVAL == 0;
             if do_check || do_adapt {
                 let res = Residuals::compute(
                     &self.prob.p,
@@ -336,7 +362,7 @@ impl AdmmSolver {
                     last_res = Some(res);
                     break;
                 }
-                if do_check && res.converged(self.settings.eps_abs, self.settings.eps_rel) {
+                if do_check && res.converged(EPS_ABS, EPS_REL) {
                     status = QpStatus::Solved;
                     iterations = it;
                     last_res = Some(res);
@@ -420,7 +446,7 @@ impl AdmmSolver {
             return;
         }
         let new_rho = (self.rho * ratio).clamp(RHO_MIN, RHO_MAX);
-        let tol = self.settings.adaptive_rho_tolerance;
+        let tol = ADAPTIVE_RHO_TOLERANCE;
         if new_rho > self.rho * tol || new_rho < self.rho / tol {
             // Factor first; ρ, its per-row vector and the factor must
             // change together or not at all — `K` embeds ρ, and the
@@ -428,9 +454,7 @@ impl AdmmSolver {
             // (unlikely) factorization failure all three stay as they
             // were and the iteration carries on with the old penalty.
             let rho_vec = build_rho_vec(&self.prob, new_rho);
-            if let Ok(kkt) =
-                factor_kkt(&self.prob, self.settings.sigma, &rho_vec, self.kkt.blocks())
-            {
+            if let Ok(kkt) = factor_kkt(&self.prob, SIGMA, &rho_vec, self.kkt.blocks()) {
                 self.rho = new_rho;
                 self.rho_vec = rho_vec;
                 self.kkt = kkt;
@@ -463,7 +487,7 @@ impl AdmmSolver {
     /// preconditioner (any fixed positive scaling is valid; it may
     /// merely differ from what a fresh equilibration would pick), so
     /// the new data is written as `c·D·P·D` and `c·D·q` in `O(nnz)`.
-    /// When `P` moved, ρ goes back to [`Settings::rho`] and the KKT
+    /// When `P` moved, ρ goes back to its initial value and the KKT
     /// matrix is factored once (`O(H·N³)` blockwise); when `P` is
     /// bitwise unchanged only `q` is replaced, and the factor and its ρ
     /// are kept.
@@ -493,12 +517,12 @@ impl AdmmSolver {
                     *v *= c * (d[i] * d[j]);
                 }
             }
-            let rho_vec = build_rho_vec(&self.prob, self.settings.rho);
+            let rho_vec = build_rho_vec(&self.prob, RHO);
             let old = std::mem::replace(&mut self.prob.p, scaled);
-            match factor_kkt(&self.prob, self.settings.sigma, &rho_vec, self.kkt.blocks()) {
+            match factor_kkt(&self.prob, SIGMA, &rho_vec, self.kkt.blocks()) {
                 Ok(kkt) => {
                     self.kkt = kkt;
-                    self.rho = self.settings.rho;
+                    self.rho = RHO;
                     self.rho_vec = rho_vec;
                     self.orig.p = qp.p.clone();
                 }
@@ -777,13 +801,12 @@ mod tests {
     fn non_finite_iterate_stops_at_the_first_check_unsolved() {
         // A NaN iterate used to pass the residual test (`f64::max`
         // drops NaN, so both residuals read 0) and come back `Solved`.
-        let settings = Settings::default();
         for bad in [f64::NAN, f64::INFINITY] {
-            let mut solver = AdmmSolver::new(budget_qp(), settings.clone()).unwrap();
+            let mut solver = AdmmSolver::new(budget_qp(), Settings::default()).unwrap();
             let sol = solver.solve_from(&[bad, 0.0], &[0.0; 3]);
             assert_eq!(sol.status, QpStatus::NonFinite);
             assert!(!sol.is_solved());
-            assert_eq!(sol.iterations, settings.check_interval);
+            assert_eq!(sol.iterations, CHECK_INTERVAL);
             assert!(!sol.primal_residual.is_finite() || !sol.dual_residual.is_finite());
             // The solver itself is not poisoned: a cold solve works.
             assert!(solver.solve().is_solved());
@@ -837,13 +860,9 @@ mod tests {
 
         // Stopped early, the point is not optimal and the certificate
         // says so; a non-finite iterate reads NaN.
-        let short = Settings {
-            max_iter: 2,
-            ..Settings::default()
-        };
-        let c = AdmmSolver::new(budget_qp(), short)
+        let c = AdmmSolver::new(budget_qp(), Settings::default())
             .unwrap()
-            .solve()
+            .solve_capped(2)
             .certificate();
         assert!(
             c.primal_residual > 0.1 && c.dual_residual > 0.1 && c.duality_gap > 0.1,
@@ -852,29 +871,6 @@ mod tests {
         let mut solver = AdmmSolver::new(budget_qp(), Settings::default()).unwrap();
         let c = solver.solve_from(&[f64::NAN, 0.0], &[0.0; 3]).certificate();
         assert!(c.primal_residual.is_nan() && c.dual_residual.is_nan() && c.duality_gap.is_nan());
-    }
-
-    #[test]
-    fn scaling_off_still_solves() {
-        let p = QpProblem::new(
-            Matrix::from_diag(&[2.0]),
-            vec![-1.0],
-            Matrix::identity(1),
-            vec![0.0],
-            vec![1.0],
-        )
-        .unwrap();
-        let mut s = AdmmSolver::new(
-            p,
-            Settings {
-                scaling: false,
-                ..Settings::default()
-            },
-        )
-        .unwrap();
-        let sol = s.solve();
-        assert!(sol.is_solved());
-        assert!((sol.x[0] - 0.5).abs() < 1e-4);
     }
 
     #[test]
@@ -964,14 +960,13 @@ mod tests {
     /// `assemble_kkt_blocks` against the dense oracle, bitwise, after
     /// equilibrating each side its own way.
     fn assert_kkt_blocks_match_dense(dense: QpProblem, blocks: usize) {
-        let settings = Settings::default();
         let mut sparse = SparseQp::try_from(dense.clone()).unwrap();
         let mut dense = dense;
-        ruiz_equilibrate(&mut sparse, settings.scaling_iters);
-        ruiz_equilibrate_dense(&mut dense, settings.scaling_iters);
-        let rho_vec = build_rho_vec(&sparse, settings.rho);
-        let k = assemble_kkt_dense(&dense, settings.sigma, &rho_vec);
-        let (diag, sub) = assemble_kkt_blocks(&sparse, settings.sigma, &rho_vec, blocks);
+        ruiz_equilibrate(&mut sparse, SCALING_ITERS);
+        ruiz_equilibrate_dense(&mut dense, SCALING_ITERS);
+        let rho_vec = build_rho_vec(&sparse, RHO);
+        let k = assemble_kkt_dense(&dense, SIGMA, &rho_vec);
+        let (diag, sub) = assemble_kkt_blocks(&sparse, SIGMA, &rho_vec, blocks);
         let nb = dense.num_vars() / blocks;
         let block_of = |row: usize, col: usize| -> Vec<u64> {
             let mut out = Vec::with_capacity(nb * nb);
@@ -1010,9 +1005,10 @@ mod tests {
 
     #[test]
     fn failed_refactorization_leaves_rho_and_iterates_unchanged() {
-        // K = P + σ + ρ with P = −1: positive definite at ρ = 2, not at
-        // the ρ = 0.2 the adaptive rule asks for below, so the
-        // refactorization fails and the update must be dropped whole.
+        // K = P + σ + ρ with P = −1 (Ruiz leaves this 1 × 1 problem
+        // as it is): positive definite at ρ = 2, not at the ρ = 0.2 the
+        // adaptive rule asks for below, so the refactorization fails
+        // and the update must be dropped whole.
         let make = || {
             let qp = QpProblem::new(
                 Matrix::from_diag(&[-1.0]),
@@ -1022,21 +1018,16 @@ mod tests {
                 vec![1.0],
             )
             .unwrap();
-            let settings = Settings {
-                rho: 2.0,
-                scaling: false,
-                adaptive_rho_interval: 0,
-                max_iter: 25,
-                ..Settings::default()
-            };
-            AdmmSolver::new(qp, settings).unwrap()
+            AdmmSolver::with_rho(qp, 2.0).unwrap()
         };
         let mut untouched = make();
         let mut nudged = make();
+        assert_eq!(nudged.scaling.d, [1.0]);
         nudged.maybe_update_rho(0.1);
         assert_eq!(nudged.rho(), 2.0);
         assert_eq!(nudged.rho_vec, untouched.rho_vec);
-        let (a, b) = (nudged.solve(), untouched.solve());
+        // 25 iterations: short of the first adaptive ρ step.
+        let (a, b) = (nudged.solve_capped(25), untouched.solve_capped(25));
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(bits(&a.x), bits(&b.x));
         assert_eq!(bits(&a.y), bits(&b.y));
@@ -1138,7 +1129,6 @@ mod tests {
             }
         }
         let next = next_period(&qp);
-        let settings = Settings::default();
         let tol = |sol: &QpSolution| {
             let c = sol.certificate();
             let scale = 1.0 + sol.objective.abs();
@@ -1152,7 +1142,7 @@ mod tests {
             updated.update(&next.clone().try_into().unwrap()).unwrap(),
             Update::Refactored
         );
-        assert_eq!(updated.rho(), settings.rho, "ρ resets (was {adapted})");
+        assert_eq!(updated.rho(), RHO, "ρ resets (was {adapted})");
         let warm = updated.solve_from(&first.x, &first.y);
         let mut fresh = block_solver(next.clone());
         let cold = fresh.solve();
@@ -1237,15 +1227,8 @@ mod tests {
             vec![1.0, 1.0, 1.0, 1.0],
         )
         .unwrap();
-        let mut s = AdmmSolver::new(
-            p,
-            Settings {
-                max_iter: 2,
-                ..Settings::default()
-            },
-        )
-        .unwrap();
-        let sol = s.solve();
+        let mut s = AdmmSolver::new(p, Settings::default()).unwrap();
+        let sol = s.solve_capped(2);
         assert_eq!(sol.status, QpStatus::MaxIterations);
     }
 }

@@ -70,7 +70,8 @@ pub enum SolverError {
     /// A [`pgd::BoxBudget`]'s budget interval misses every sum its box
     /// can reach.
     UnreachableBudget,
-    /// A [`Settings`] field holds a value the iteration cannot run with.
+    /// A parameter holds a value the iteration cannot run with (the
+    /// step of [`pgd::BoxBudget::descend`]).
     InvalidSetting {
         /// The field, by name.
         field: &'static str,

@@ -228,82 +228,14 @@ impl TryFrom<QpProblem> for SparseQp {
     }
 }
 
-/// Solver tuning knobs. [`Settings::default`] matches OSQP's defaults
-/// closely and works for all SpotWeb portfolio instances.
-#[derive(Debug, Clone)]
-pub struct Settings {
-    /// Initial ADMM penalty ρ.
-    pub rho: f64,
-    /// Cost regularization σ (keeps the KKT system positive definite).
-    pub sigma: f64,
-    /// Over-relaxation parameter (1.0 = none; 1.6 is a good default).
-    pub alpha: f64,
-    /// Iteration cap.
-    pub max_iter: usize,
-    /// Absolute tolerance for the primal/dual residuals.
-    pub eps_abs: f64,
-    /// Relative tolerance for the primal/dual residuals.
-    pub eps_rel: f64,
-    /// Re-tune ρ from the residual ratio every this many iterations
-    /// (0 disables adaptation).
-    pub adaptive_rho_interval: usize,
-    /// Refactor only when ρ changes by more than this multiplicative
-    /// factor (avoids thrashing the Cholesky cache).
-    pub adaptive_rho_tolerance: f64,
-    /// Check termination every this many iterations.
-    pub check_interval: usize,
-    /// Apply Ruiz equilibration before solving.
-    pub scaling: bool,
-    /// Number of Ruiz iterations when `scaling` is on.
-    pub scaling_iters: usize,
-}
-
-impl Settings {
-    /// What [`crate::AdmmSolver`] checks before it builds anything: the
-    /// first field the iteration cannot run with, by name.
-    pub(crate) fn validate(&self) -> Result<()> {
-        let positive = |v: f64| v.is_finite() && v > 0.0;
-        let checks = [
-            ("rho", positive(self.rho), "finite and positive"),
-            ("sigma", positive(self.sigma), "finite and positive"),
-            (
-                "alpha",
-                self.alpha > 0.0 && self.alpha < 2.0,
-                "inside (0, 2)",
-            ),
-            ("eps_abs", self.eps_abs >= 0.0, "non-negative"),
-            ("eps_rel", self.eps_rel >= 0.0, "non-negative"),
-            (
-                "adaptive_rho_tolerance",
-                self.adaptive_rho_tolerance >= 1.0,
-                "at least 1",
-            ),
-            ("check_interval", self.check_interval > 0, "at least 1"),
-        ];
-        match checks.into_iter().find(|&(_, ok, _)| !ok) {
-            Some((field, _, must_be)) => Err(SolverError::InvalidSetting { field, must_be }),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Default for Settings {
-    fn default() -> Self {
-        Settings {
-            rho: 0.1,
-            sigma: 1e-6,
-            alpha: 1.6,
-            max_iter: 4000,
-            eps_abs: 1e-6,
-            eps_rel: 1e-6,
-            adaptive_rho_interval: 50,
-            adaptive_rho_tolerance: 5.0,
-            check_interval: 10,
-            scaling: true,
-            scaling_iters: 10,
-        }
-    }
-}
+/// The solver's tuning. It carries nothing: the knobs are constants
+/// beside the ADMM iteration that reads them, close to OSQP's defaults,
+/// and every SpotWeb portfolio instance solves with them. The type
+/// stays because [`crate::AdmmSolver`]'s constructors take it; build it
+/// with `Settings::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct Settings;
 
 /// Why the solver stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -481,58 +413,6 @@ mod tests {
             vec![inf],
         );
         assert!(open.is_ok());
-    }
-
-    #[test]
-    fn settings_the_iteration_cannot_run_with_are_rejected_by_name() {
-        use crate::AdmmSolver;
-        type Set = fn(&mut Settings, f64);
-        let (nan, inf) = (f64::NAN, f64::INFINITY);
-        let fields: [(&str, Set, &[f64]); 7] = [
-            ("rho", |s, v| s.rho = v, &[0.0, -0.1, nan, inf]),
-            ("sigma", |s, v| s.sigma = v, &[0.0, -1e-6, nan, inf]),
-            ("alpha", |s, v| s.alpha = v, &[0.0, 2.0, -1.0, nan, inf]),
-            ("eps_abs", |s, v| s.eps_abs = v, &[-1e-9, nan]),
-            ("eps_rel", |s, v| s.eps_rel = v, &[-1e-9, nan]),
-            (
-                "adaptive_rho_tolerance",
-                |s, v| s.adaptive_rho_tolerance = v,
-                &[0.5, -5.0, nan],
-            ),
-            (
-                "check_interval",
-                |s, v| s.check_interval = v as usize,
-                &[0.0],
-            ),
-        ];
-        for (name, set, bad_values) in fields {
-            for &bad in bad_values {
-                let mut settings = Settings::default();
-                set(&mut settings, bad);
-                for built in [
-                    AdmmSolver::new(tiny(), settings.clone()),
-                    AdmmSolver::with_block_structure(tiny(), settings.clone(), 1),
-                ] {
-                    match built.map(|_| ()) {
-                        Err(SolverError::InvalidSetting { field, .. }) => assert_eq!(field, name),
-                        other => panic!("{name} = {bad} must be rejected by name, got {other:?}"),
-                    }
-                }
-            }
-        }
-        // The edges that are fine: exact tolerances, no adaptation, a
-        // check every iteration.
-        let edge = Settings {
-            eps_abs: 0.0,
-            eps_rel: 0.0,
-            adaptive_rho_interval: 0,
-            adaptive_rho_tolerance: 1.0,
-            check_interval: 1,
-            max_iter: 5,
-            ..Settings::default()
-        };
-        assert!(AdmmSolver::new(tiny(), edge).is_ok());
-        assert_eq!(Settings::default().validate(), Ok(()));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct Scaling {
 }
 
 impl Scaling {
-    /// The identity scaling (used when scaling is disabled).
+    /// The identity scaling (where the equilibration starts).
     pub fn identity(n: usize, m: usize) -> Self {
         Scaling {
             d: vec![1.0; n],

@@ -62,12 +62,7 @@ fn main() {
 
     // 5. Deploy the first interval of the plan.
     let allocation = decision.first();
-    let fleet = to_server_counts(
-        &catalog,
-        allocation,
-        forecast.workload[0],
-        config.min_allocation,
-    );
+    let fleet = to_server_counts(&catalog, allocation, forecast.workload[0], 5e-3);
     println!(
         "\nportfolio for the next hour (λ̂ = {} req/s):",
         forecast.workload[0]

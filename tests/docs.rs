@@ -2,7 +2,8 @@
 //! invocation in README.md, EXPERIMENTS.md, DESIGN.md and the verify
 //! skill parses; EXPERIMENTS.md embeds the scorecard golden verbatim;
 //! DESIGN.md's keep-list names real `pub` items, among them every one
-//! no library code reaches; and every cited section exists.
+//! no library code reaches and every config field only one value
+//! reaches; and every cited section exists.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -213,14 +214,15 @@ fn pub_items(code: &str) -> Vec<(&str, &str)> {
     items
 }
 
-/// The last segment of every backticked path in DESIGN.md's keep-list,
-/// `a::{b, c}` expanded to `b` and `c`.
+/// The last `::` segment of every backticked path in DESIGN.md's
+/// keep-list, `a::{b, c}` expanded to `b` and `c`: an item name or a
+/// `Type.field`.
 fn keep_list() -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for path in code_snippets(&between("DESIGN.md", KEEP_LIST)) {
         let tail = path.rsplit_once("::{").map_or(path.as_str(), |(_, t)| t);
         for name in tail.trim_end_matches('}').split(", ") {
-            names.insert(name.rsplit([':', '.']).next().unwrap_or(name).to_string());
+            names.insert(name.rsplit("::").next().unwrap_or(name).to_string());
         }
     }
     names
@@ -228,11 +230,20 @@ fn keep_list() -> BTreeSet<String> {
 
 #[test]
 fn the_keep_list_names_pub_items_and_every_one_no_library_code_names() {
-    let (code, kept) = (library_code(), keep_list());
+    let code = library_code();
     let defined: BTreeSet<_> = code.iter().flat_map(|(_, c)| pub_items(c)).collect();
-    for name in &kept {
-        let exists = defined.iter().any(|(_, d)| d == name);
-        assert!(exists, "DESIGN.md's keep-list names `{name}`, no pub item");
+    let fields: BTreeSet<_> = code.iter().flat_map(|(_, c)| pub_fields(c)).collect();
+    let mut kept = BTreeSet::new();
+    for entry in keep_list() {
+        let exists = match entry.split_once('.') {
+            Some((ty, field)) => fields.contains(&(ty, field)),
+            None => defined.iter().any(|(_, d)| *d == entry),
+        };
+        assert!(
+            exists,
+            "DESIGN.md's keep-list names `{entry}`, no pub item or field of that type"
+        );
+        kept.insert(entry.rsplit('.').next().unwrap_or_default().to_string());
     }
     assert!(kept.len() >= 20, "only {} keep-list names", kept.len());
     // Word counts over the library, less one per `pub` definition.
@@ -256,6 +267,190 @@ fn the_keep_list_names_pub_items_and_every_one_no_library_code_names() {
     }
     let advice = "no library code names these: delete each, or add it to DESIGN.md's keep-list";
     assert_eq!(unreached, [""; 0], "{advice}");
+}
+
+/// The trees whose values count for the option rule: the bench
+/// harness, the benchmark fixtures, the examples and the integration
+/// tests (`tests/`, `crates/*/tests/`), comments dropped.
+fn caller_code() -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let trees = ["crates", "benchmark/fixtures", "examples", "tests"];
+    let mut code = Vec::new();
+    for file in trees.iter().flat_map(|t| files(&root.join(t), &[".rs"])) {
+        let rel = file.strip_prefix(root).unwrap_or(&file).to_string_lossy();
+        if rel.starts_with("crates/")
+            && !rel.starts_with("crates/bench/")
+            && !rel.contains("/tests/")
+        {
+            continue;
+        }
+        let text = read(&rel);
+        let lines = text.lines().map(|l| l.split(" //").next().unwrap_or(l));
+        code.push(
+            lines
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .collect::<Vec<_>>()
+                .join("\n"),
+        );
+    }
+    code
+}
+
+/// `(struct, field)` for every `pub` field of a `pub struct { … }` in `code`.
+fn pub_fields(code: &str) -> Vec<(&str, &str)> {
+    let (mut fields, mut owner) = (Vec::new(), None);
+    for line in code.lines().map(str::trim) {
+        if let Some(rest) = line.strip_prefix("pub struct ") {
+            let name = rest
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .next();
+            owner = name.filter(|_| rest.ends_with('{'));
+        } else if line.starts_with('}') {
+            owner = None;
+        } else if let (Some(ty), Some(rest)) = (owner, line.strip_prefix("pub ")) {
+            fields.extend(rest.split_once(':').map(|(field, _)| (ty, field)));
+        }
+    }
+    fields
+}
+
+/// The `field: value` entries of every `ty { … }` literal in `code`; a
+/// shorthand `field` is its own (non-literal) value.
+fn literals<'a>(code: &'a str, ty: &str) -> Vec<(&'a str, &'a str)> {
+    let ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_alphanumeric() || c == '_');
+    let mut entries = Vec::new();
+    for (at, _) in code.match_indices(&format!("{ty} {{")) {
+        let before = code[..at].trim_end();
+        let word = before
+            .rsplit(|c: char| !c.is_alphanumeric() && c != '_')
+            .next();
+        if !code[..at].ends_with(|c: char| !c.is_alphanumeric() && c != '_')
+            || before.ends_with("->")
+            || word.is_some_and(|w| ["struct", "impl", "for"].contains(&w))
+        {
+            continue;
+        }
+        let body = &code[at + ty.len() + 2..];
+        let (mut depth, mut start) = (0, 0);
+        let (mut quoted, mut escaped) = (false, false);
+        for (i, c) in body.char_indices() {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' if quoted => escaped = true,
+                '"' => quoted = !quoted,
+                _ if quoted => {}
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' if depth > 0 => depth -= 1,
+                ',' | '}' => {
+                    let entry = body[start..i].trim();
+                    let (field, value) = entry.split_once(':').unwrap_or((entry, entry));
+                    if ident(field.trim()) && !value.starts_with(':') {
+                        entries.push((field.trim(), value.trim()));
+                    }
+                    start = i + 1;
+                    if c == '}' {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    entries
+}
+
+/// `value` normalized if it is a literal: a number (sign, `_` and type
+/// suffix ignored), `true`, `false`, `None` or a string.
+fn literal(value: &str) -> Option<String> {
+    let number = value.replace('_', "");
+    let suffix = ["f64", "f32", "usize", "u64", "u32", "u8", "i64", "i32"];
+    let number = suffix
+        .iter()
+        .fold(number.as_str(), |n, s| n.strip_suffix(s).unwrap_or(n));
+    match number.parse::<f64>() {
+        Ok(x) => Some(x.to_string()),
+        _ if ["true", "false", "None"].contains(&value) => Some(value.to_string()),
+        _ if value.starts_with('"') && value.ends_with('"') => Some(value.to_string()),
+        _ => None,
+    }
+}
+
+/// `Type.field` for every `pub` field of a `pub struct` with a
+/// hand-written `impl Default` in `library` that fewer than two values
+/// reach, counting the `Default`, every literal of the type in
+/// `library` and in `callers`; a non-literal value counts as varied,
+/// except where library code forwards a same-named field (`x.field`).
+fn one_valued_fields(library: &[String], callers: &[String]) -> Vec<String> {
+    let mut found = Vec::new();
+    for code in library {
+        for rest in code.split("impl Default for ").skip(1) {
+            let ty = rest
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .next()
+                .unwrap_or_default();
+            let mut values = BTreeMap::<&str, BTreeSet<Option<String>>>::new();
+            for (from_library, text) in library
+                .iter()
+                .map(|c| (true, c))
+                .chain(callers.iter().map(|c| (false, c)))
+            {
+                for (field, value) in literals(text, ty) {
+                    let forwarded = value.strip_suffix(field).is_some_and(|path| {
+                        path.ends_with('.')
+                            && path
+                                .chars()
+                                .all(|c| c.is_alphanumeric() || "_.".contains(c))
+                    });
+                    if !(from_library && forwarded) {
+                        values.entry(field).or_default().insert(literal(value));
+                    }
+                }
+            }
+            for (_, field) in pub_fields(code)
+                .into_iter()
+                .filter(|(owner, _)| *owner == ty)
+            {
+                if values
+                    .get(field)
+                    .is_none_or(|v| v.len() < 2 && !v.contains(&None))
+                {
+                    found.push(format!("{ty}.{field}"));
+                }
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn every_config_field_takes_two_values_or_is_kept() {
+    let vendor = Path::new(env!("CARGO_MANIFEST_DIR")).join("vendor");
+    let library: Vec<_> = library_code()
+        .into_iter()
+        .filter(|(file, _)| !file.starts_with(&vendor))
+        .map(|(_, code)| code)
+        .collect();
+    let kept = keep_list();
+    let mut one_valued = one_valued_fields(&library, &caller_code());
+    one_valued.retain(|field| !kept.contains(field));
+    let advice = "every caller passes one value: make each a private const beside its reader, \
+                  or add it to DESIGN.md's keep-list";
+    assert_eq!(one_valued, [""; 0], "{advice}");
+}
+
+#[test]
+fn the_field_scanner_reports_one_valued_fields_only() {
+    let library = "pub struct Knob {\npub fixed: f64,\npub varied: f64,\npub computed: u64,\n\
+                   pub forwarded: f64,\npub(crate) hidden: f64,\n}\nimpl Default for Knob {\n\
+                   fn default() -> Self {\nKnob { fixed: 1.0, varied: 2.0, computed: 3, \
+                   forwarded: 4.0, hidden: 5.0 }\n}\n}\nfn copy(o: &Dial) -> Knob {\n\
+                   Knob { forwarded: o.forwarded, ..Default::default() }\n}\n";
+    let callers = [
+        "let a = Knob { varied: 2_f64, fixed: 1.0, ..Default::default() };",
+        "fn knob() -> Knob {\nKnob { varied: 5.0, computed: seed(), ..Default::default() }\n}",
+    ];
+    let found = one_valued_fields(&[library.to_string()], &callers.map(str::to_string));
+    assert_eq!(found, ["Knob.fixed", "Knob.forwarded"]);
 }
 
 #[test]

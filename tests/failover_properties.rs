@@ -19,7 +19,6 @@ fn scenario(rate: f64, servers: usize, aware: bool, revoke: bool, seed: u64) -> 
         victim_markets: vec![2],
         transiency_aware: aware,
         seed,
-        ..FailoverScenario::default()
     }
 }
 
