@@ -55,7 +55,7 @@ impl Backend {
         startup_secs: f64,
         warmup_secs: f64,
     ) -> Self {
-        assert!(capacity_rps > 0.0);
+        check_capacity(capacity_rps);
         Backend {
             id,
             market,
@@ -72,6 +72,7 @@ impl Backend {
 
     /// A backend that is already serving (cluster bootstrap).
     pub fn up(id: BackendId, market: usize, capacity_rps: f64) -> Self {
+        check_capacity(capacity_rps);
         Backend {
             id,
             market,
@@ -118,11 +119,7 @@ impl Backend {
     /// Current utilization estimate given an expected per-request
     /// service time (`in_flight / (capacity · service_time)` ≈ ρ).
     pub fn utilization(&self, now: f64, service_secs: f64) -> f64 {
-        let cap = self.effective_capacity(now);
-        if cap <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.in_flight as f64 / (cap * service_secs).max(1e-9)
+        utilization_of(self.in_flight, self.effective_capacity(now), service_secs)
     }
 
     /// Promote `Starting` to `Up` once the clock passes `ready_at`.
@@ -138,6 +135,25 @@ impl Backend {
             }
         }
     }
+}
+
+/// Both constructors refuse a capacity no utilization can be computed
+/// from (NaN, infinite, zero or negative), naming the field.
+fn check_capacity(capacity_rps: f64) {
+    assert!(
+        capacity_rps.is_finite() && capacity_rps > 0.0,
+        "`capacity_rps` must be finite and positive (got {capacity_rps})"
+    );
+}
+
+/// [`Backend::utilization`] of `in_flight` requests at an effective
+/// capacity of `capacity_rps`: the one formula, so a caller that keeps
+/// the capacity aside gets the same bits.
+pub(crate) fn utilization_of(in_flight: u64, capacity_rps: f64, service_secs: f64) -> f64 {
+    if capacity_rps <= 0.0 {
+        return f64::INFINITY;
+    }
+    in_flight as f64 / (capacity_rps * service_secs).max(1e-9)
 }
 
 #[cfg(test)]

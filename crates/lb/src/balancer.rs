@@ -15,7 +15,7 @@
 //!   request on it is lost.
 
 use crate::admission::{AdmissionController, AdmissionDecision};
-use crate::backend::{Backend, BackendId, BackendState};
+use crate::backend::{utilization_of, Backend, BackendId, BackendState};
 use crate::session::SessionTable;
 use crate::wrr::SmoothWrr;
 use spotweb_telemetry::{names, prof, CounterHandle, DrainRecord, TelemetrySink, TraceEvent};
@@ -114,7 +114,10 @@ const RETIRED: usize = usize::MAX;
 /// `RouteEpoch` holds those answers for the stretch of `now` between
 /// two edges; `route` reads it, and only re-scans the fleet when `now`
 /// leaves the stretch or a mutator invalidated it
-/// ([`epoch_rebuilds`](Self::epoch_rebuilds) counts the scans).
+/// ([`epoch_rebuilds`](Self::epoch_rebuilds) counts the scans). Inside
+/// the stretch every drain fallback's effective capacity is constant,
+/// so the epoch also keeps tier 2's least-utilized pick current as a
+/// tournament tree that `route` and `complete` update in O(log k).
 pub struct LoadBalancer {
     config: LoadBalancerConfig,
     /// Dense vector of live (non-retired) backends, ascending by
@@ -155,6 +158,8 @@ struct SlotEpoch {
     /// The backend is saturated exactly when it has this many requests
     /// in flight or more (0: always, it has no capacity).
     saturated_from: u64,
+    /// A drain fallback's leaf in [`RouteEpoch::fallbacks`].
+    fallback_leaf: Option<usize>,
 }
 
 /// The fleet-wide facts `route` reads, valid while `from <= now <
@@ -175,8 +180,10 @@ struct RouteEpoch {
     /// Accepting slots below their saturation point: who tiers 1 and
     /// 1b pick among. `route` and `complete` keep it current.
     with_headroom: usize,
-    /// Drain-fallback slots below theirs: who tier 2 picks among.
-    fallbacks_with_headroom: usize,
+    /// Who tier 2 picks among: the drain-fallback slots, `usable` and
+    /// not `accepting`, in ascending slot order. `route` and `complete`
+    /// keep it current.
+    fallbacks: FallbackTree,
 }
 
 impl RouteEpoch {
@@ -189,28 +196,143 @@ impl RouteEpoch {
             capacity_rps: 0.0,
             in_flight: 0,
             with_headroom: 0,
-            fallbacks_with_headroom: 0,
+            fallbacks: FallbackTree::default(),
         }
     }
 
-    /// Empty the window (a mutator ran); the slot buffer is kept for
-    /// the next scan.
+    /// Empty the window (a mutator ran); the buffers are kept for the
+    /// next scan.
     fn invalidate(&mut self) {
         self.from = f64::INFINITY;
         self.until = f64::NEG_INFINITY;
         self.slots.clear();
+        self.fallbacks.clear();
     }
 
-    /// The headroom count a backend with `slot`'s flags belongs to
-    /// while it is below its saturation point, if any.
-    fn headroom_count(&mut self, slot: SlotEpoch) -> Option<&mut usize> {
-        if slot.accepting {
-            Some(&mut self.with_headroom)
-        } else if slot.usable {
-            Some(&mut self.fallbacks_with_headroom)
-        } else {
-            None
+    /// `slot` now has `in_flight` requests: if it is a drain fallback,
+    /// re-enter it in tier 2's tournament.
+    fn reseat_fallback(&mut self, slot: usize, in_flight: u64, service_secs: f64) {
+        let entry = self.slots[slot];
+        if let Some(leaf) = entry.fallback_leaf {
+            let capacity_rps = self.fallbacks.capacity_rps[leaf];
+            let entrant = entrant(
+                slot,
+                entry.saturated_from,
+                in_flight,
+                capacity_rps,
+                service_secs,
+            );
+            self.fallbacks.set(leaf, entrant);
         }
+    }
+}
+
+/// A tier-2 candidate: its utilization and slot. Leaves are in
+/// ascending slot order, so the slot stands in for the leaf on a tie.
+type Entrant = (f64, usize);
+
+/// An empty leaf (a saturated fallback, or padding), beaten by every
+/// candidate: a fallback with headroom has a utilization of at most
+/// `OVERLOAD_FACTOR`.
+const NO_FALLBACK: Entrant = (f64::INFINITY, usize::MAX);
+
+/// Tier 2's entrant for the drain fallback in `slot` at `in_flight`
+/// requests: its utilization, by [`Backend::utilization`]'s formula over
+/// the effective capacity the scan stored, or [`NO_FALLBACK`] from its
+/// saturation point on.
+fn entrant(
+    slot: usize,
+    saturated_from: u64,
+    in_flight: u64,
+    capacity_rps: f64,
+    service_secs: f64,
+) -> Entrant {
+    if in_flight < saturated_from {
+        (utilization_of(in_flight, capacity_rps, service_secs), slot)
+    } else {
+        NO_FALLBACK
+    }
+}
+
+/// The lesser entrant, the lower slot on an exact tie: the
+/// first-minimum rule of `Iterator::min_by` over ascending slots.
+fn lesser(a: Entrant, b: Entrant) -> Entrant {
+    if b.0 < a.0 || (b.0 == a.0 && b.1 < a.1) {
+        b
+    } else {
+        a
+    }
+}
+
+/// A tournament (segment) tree over the epoch's drain fallbacks: leaf
+/// `l` lives at `nodes[size + l]`, node `i` holds the lesser of
+/// `nodes[2i]` and `nodes[2i + 1]`, and the root `nodes[1]` is tier 2's
+/// pick. The epoch window closes at every edge that changes a
+/// fallback's effective capacity, so only its in-flight count moves a
+/// leaf between scans — one root path per `route` or `complete`.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct FallbackTree {
+    /// The leaf count rounded up to a power of two.
+    size: usize,
+    nodes: Vec<Entrant>,
+    /// Leaf `l`'s effective capacity in this epoch.
+    capacity_rps: Vec<f64>,
+}
+
+impl FallbackTree {
+    fn clear(&mut self) {
+        self.size = 0;
+        self.nodes.clear();
+        self.capacity_rps.clear();
+    }
+
+    /// Append a leaf (the scan visits slots in ascending order); its
+    /// number.
+    fn push(&mut self, entrant: Entrant, capacity_rps: f64) -> usize {
+        self.nodes.push(entrant);
+        self.capacity_rps.push(capacity_rps);
+        self.nodes.len() - 1
+    }
+
+    /// Play every match once the scan has pushed the leaves.
+    fn build(&mut self) {
+        let leaves = self.nodes.len();
+        self.size = leaves.next_power_of_two();
+        self.nodes.resize(2 * self.size, NO_FALLBACK);
+        self.nodes.copy_within(0..leaves, self.size);
+        // `nodes[0]` is unused; every inner node is played below.
+        for i in (1..self.size).rev() {
+            self.nodes[i] = lesser(self.nodes[2 * i], self.nodes[2 * i + 1]);
+        }
+    }
+
+    /// Replace leaf `leaf` and replay its matches up to the root.
+    fn set(&mut self, leaf: usize, entrant: Entrant) {
+        let mut i = self.size + leaf;
+        self.nodes[i] = entrant;
+        while i > 1 {
+            i /= 2;
+            self.nodes[i] = lesser(self.nodes[2 * i], self.nodes[2 * i + 1]);
+        }
+    }
+
+    /// Slot of the least-utilized fallback with headroom, leaving out
+    /// leaf `except`: the root, unless `except` won it — then the
+    /// lesser of the siblings along `except`'s root path, which between
+    /// them hold every other leaf.
+    fn least(&self, except: Option<usize>) -> Option<usize> {
+        let mut best = self.nodes[1];
+        if let Some(leaf) = except {
+            let mut i = self.size + leaf;
+            if self.nodes[i].1 == best.1 {
+                best = NO_FALLBACK;
+                while i > 1 {
+                    best = lesser(best, self.nodes[i ^ 1]);
+                    i /= 2;
+                }
+            }
+        }
+        (best.1 != NO_FALLBACK.1).then_some(best.1)
     }
 }
 
@@ -283,7 +405,23 @@ fn key_time(key: u64) -> f64 {
 
 impl LoadBalancer {
     /// Empty balancer.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if `service_secs` is not finite and
+    /// positive (every utilization would divide by the `1e-9` floor) or
+    /// `max_delay_secs` is negative or NaN.
     pub fn new(config: LoadBalancerConfig) -> Self {
+        assert!(
+            config.service_secs.is_finite() && config.service_secs > 0.0,
+            "`service_secs` must be finite and positive (got {})",
+            config.service_secs
+        );
+        assert!(
+            config.max_delay_secs >= 0.0,
+            "`max_delay_secs` must be non-negative (got {})",
+            config.max_delay_secs
+        );
         let admission = AdmissionController::new(MAX_UTILIZATION, config.max_delay_secs);
         LoadBalancer {
             config,
@@ -311,6 +449,10 @@ impl LoadBalancer {
     }
 
     /// Register a backend that must boot first (startup + warm-up).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_rps` is not finite and positive.
     pub fn add_backend(
         &mut self,
         market: usize,
@@ -331,6 +473,10 @@ impl LoadBalancer {
     }
 
     /// Register an already-serving backend (cluster bootstrap).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_rps` is not finite and positive.
     pub fn add_backend_up(&mut self, market: usize, capacity_rps: f64) -> BackendId {
         let id = self.slot_of.len();
         self.install(Backend::up(id, market, capacity_rps))
@@ -472,15 +618,22 @@ impl LoadBalancer {
     /// flag and sum is the routing predicate itself evaluated at `now`,
     /// and the window ends at the nearest lifecycle edge either side of
     /// it. This is the only loop over the fleet that `route` can reach,
-    /// apart from the WRR walk and the fallback tiers' search. `slots`
-    /// is the outgoing epoch's buffer, reused.
-    fn scan_epoch(&self, now: f64, mut slots: Vec<SlotEpoch>) -> RouteEpoch {
+    /// apart from the WRR walk and tiers 1b and 3's search. The
+    /// outgoing epoch's buffers are reused.
+    fn scan_epoch(&self, now: f64, stale: RouteEpoch) -> RouteEpoch {
         let service = self.config.service_secs;
+        let RouteEpoch {
+            mut slots,
+            mut fallbacks,
+            ..
+        } = stale;
         slots.clear();
+        fallbacks.clear();
         let mut epoch = RouteEpoch {
             from: f64::NEG_INFINITY,
             until: f64::INFINITY,
             slots,
+            fallbacks,
             ..RouteEpoch::invalid()
         };
         for (slot, b) in self.backends.iter().enumerate() {
@@ -499,15 +652,17 @@ impl LoadBalancer {
                 probe.in_flight = in_flight;
                 probe.utilization(now, service) > Self::OVERLOAD_FACTOR
             });
-            let entry = SlotEpoch {
+            let mut entry = SlotEpoch {
                 accepting,
                 usable,
                 saturated_from,
+                fallback_leaf: None,
             };
-            if b.in_flight < saturated_from {
-                if let Some(count) = epoch.headroom_count(entry) {
-                    *count += 1;
-                }
+            if accepting {
+                epoch.with_headroom += usize::from(b.in_flight < saturated_from);
+            } else if usable {
+                let entrant = entrant(slot, saturated_from, b.in_flight, capacity_rps, service);
+                entry.fallback_leaf = Some(epoch.fallbacks.push(entrant, capacity_rps));
             }
             epoch.slots.push(entry);
 
@@ -543,14 +698,15 @@ impl LoadBalancer {
                 BackendState::Down => {}
             }
         }
+        epoch.fallbacks.build();
         epoch
     }
 
     /// Make `self.epoch` the one that holds at `now`.
     fn enter_epoch(&mut self, now: f64) {
         if !(self.epoch.from <= now && now < self.epoch.until) {
-            let slots = std::mem::take(&mut self.epoch.slots);
-            self.epoch = self.scan_epoch(now, slots);
+            let stale = std::mem::replace(&mut self.epoch, RouteEpoch::invalid());
+            self.epoch = self.scan_epoch(now, stale);
             self.epoch_rebuilds += 1;
         }
         #[cfg(debug_assertions)]
@@ -563,8 +719,8 @@ impl LoadBalancer {
     #[cfg(debug_assertions)]
     fn assert_epoch_matches_scan(&self, now: f64) {
         assert_eq!(self.epoch.slots.len(), self.backends.len());
-        let (mut capacity_rps, mut in_flight) = (0.0, 0);
-        let (mut with_headroom, mut fallbacks_with_headroom) = (0, 0);
+        let (mut capacity_rps, mut in_flight, mut with_headroom) = (0.0, 0, 0);
+        let mut leaves = 0;
         for (slot, (b, kept)) in self.backends.iter().zip(&self.epoch.slots).enumerate() {
             let accepts = b.accepts_new(now);
             let usable = accepts || self.drain_fallback_ok(slot, now);
@@ -574,7 +730,6 @@ impl LoadBalancer {
             }
             let saturated = self.is_saturated(slot, now);
             with_headroom += usize::from(accepts && !saturated);
-            fallbacks_with_headroom += usize::from(usable && !accepts && !saturated);
             assert_eq!(
                 (
                     kept.accepting,
@@ -584,20 +739,36 @@ impl LoadBalancer {
                 (accepts, usable, saturated),
                 "slot {slot} of the route epoch is stale at t={now}"
             );
+            // Fallbacks are numbered in slot order, and a leaf holds its
+            // utilization bit for bit until it saturates.
+            let fallback = usable && !accepts;
+            assert_eq!(
+                kept.fallback_leaf,
+                fallback.then_some(leaves),
+                "slot {slot}'s tier-2 leaf number is stale at t={now}"
+            );
+            if let Some(leaf) = kept.fallback_leaf {
+                let (value, at) = self.epoch.fallbacks.nodes[self.epoch.fallbacks.size + leaf];
+                let want = if saturated {
+                    NO_FALLBACK
+                } else {
+                    (b.utilization(now, self.config.service_secs), slot)
+                };
+                assert_eq!(
+                    (value.to_bits(), at),
+                    (want.0.to_bits(), want.1),
+                    "slot {slot}'s tier-2 leaf is stale at t={now}"
+                );
+                leaves += 1;
+            }
         }
         assert_eq!(
             (
                 self.epoch.capacity_rps.to_bits(),
                 self.epoch.in_flight,
                 self.epoch.with_headroom,
-                self.epoch.fallbacks_with_headroom
             ),
-            (
-                f64::to_bits(capacity_rps),
-                in_flight,
-                with_headroom,
-                fallbacks_with_headroom
-            ),
+            (f64::to_bits(capacity_rps), in_flight, with_headroom),
             "route epoch sums are stale at t={now}"
         );
     }
@@ -607,13 +778,14 @@ impl LoadBalancer {
         let entry = self.epoch.slots[slot];
         debug_assert!(entry.usable, "routed to an unusable slot");
         self.backends[slot].in_flight += 1;
+        let in_flight = self.backends[slot].in_flight;
         self.epoch.in_flight += 1;
         // This request used up the backend's headroom.
-        if self.backends[slot].in_flight == entry.saturated_from {
-            if let Some(count) = self.epoch.headroom_count(entry) {
-                *count -= 1;
-            }
+        if entry.accepting && in_flight == entry.saturated_from {
+            self.epoch.with_headroom -= 1;
         }
+        self.epoch
+            .reseat_fallback(slot, in_flight, self.config.service_secs);
         self.stats.routed += 1;
         RouteOutcome::Routed(self.backends[slot].id)
     }
@@ -671,9 +843,10 @@ impl LoadBalancer {
                     // Seek capacity: healthy backends first, then
                     // still-alive draining ones (the paper's "load stays
                     // on the revoked servers until replacements start").
+                    let except = (bslot != RETIRED).then_some(bslot);
                     let target = self
                         .pick_with_headroom(now)
-                        .or_else(|| self.pick_fallback_with_headroom(now, Some(b)));
+                        .or_else(|| self.pick_fallback_with_headroom(now, except));
                     if let Some(nb) = target {
                         self.sessions.assign(s, self.backends[nb].id);
                         if !serves {
@@ -729,23 +902,32 @@ impl LoadBalancer {
     }
 
     /// Tier 2, as a slot: the least utilized draining-but-alive backend
-    /// with headroom, other than `except`.
-    fn pick_fallback_with_headroom(&self, now: f64, except: Option<BackendId>) -> Option<usize> {
-        if self.epoch.fallbacks_with_headroom == 0 {
-            return None;
-        }
-        self.pick_least_utilized(now, |i| {
-            let s = self.epoch.slots[i];
-            let b = &self.backends[i];
-            s.usable && !s.accepting && b.in_flight < s.saturated_from && Some(b.id) != except
-        })
+    /// with headroom, other than the one in slot `except` — read off the
+    /// epoch's tournament tree. Debug builds check it against a scan.
+    fn pick_fallback_with_headroom(&self, now: f64, except: Option<usize>) -> Option<usize> {
+        let leaf = except.and_then(|slot| self.epoch.slots[slot].fallback_leaf);
+        let pick = self.epoch.fallbacks.least(leaf);
+        debug_assert_eq!(
+            pick,
+            self.pick_least_utilized(now, |i| {
+                let s = self.epoch.slots[i];
+                s.usable
+                    && !s.accepting
+                    && self.backends[i].in_flight < s.saturated_from
+                    && Some(i) != except
+            }),
+            "tier 2's tournament disagrees with a scan at t={now}"
+        );
+        pick
     }
 
     /// Slot of the least-utilized backend among those where
-    /// `eligible(slot)` holds. Used by the fallback tiers, whose
-    /// members often carry zero portfolio weight (e.g. draining servers
-    /// the optimizer already dropped) and therefore cannot go through
-    /// the WRR. Ties pick the lowest slot, i.e. the lowest external id.
+    /// `eligible(slot)` holds. Used by tiers 1b and 3, whose members
+    /// often carry zero portfolio weight (e.g. draining servers the
+    /// optimizer already dropped) and therefore cannot go through the
+    /// WRR; they keep the scan, being rare (510 calls to tier 2's
+    /// 80 404 in one `request_path` repetition at seed 1234). Ties pick
+    /// the lowest slot, i.e. the lowest external id.
     fn pick_least_utilized(&self, now: f64, eligible: impl Fn(usize) -> bool) -> Option<usize> {
         let service = self.config.service_secs;
         (0..self.backends.len())
@@ -768,16 +950,17 @@ impl LoadBalancer {
         let slot = self.slot_of[backend];
         if slot != RETIRED && self.backends[slot].in_flight > 0 {
             self.backends[slot].in_flight -= 1;
+            let in_flight = self.backends[slot].in_flight;
             if let Some(&entry) = self.epoch.slots.get(slot) {
                 if entry.usable {
                     self.epoch.in_flight -= 1;
                 }
                 // This completion gave the backend headroom again.
-                if self.backends[slot].in_flight + 1 == entry.saturated_from {
-                    if let Some(count) = self.epoch.headroom_count(entry) {
-                        *count += 1;
-                    }
+                if entry.accepting && in_flight + 1 == entry.saturated_from {
+                    self.epoch.with_headroom += 1;
                 }
+                self.epoch
+                    .reseat_fallback(slot, in_flight, self.config.service_secs);
             }
         }
         if let Some(s) = session_done {
@@ -1509,5 +1692,171 @@ mod tests {
             }
         }
         assert!(counts[0] > 0 && counts[1] > 0, "counts {counts:?}");
+    }
+
+    /// Every bad input is refused with a panic that names its field:
+    /// unchecked, a NaN or zero service time turned every utilization
+    /// into `in_flight / 1e-9`, and a NaN capacity died on the WRR's
+    /// unnamed weight assert.
+    #[test]
+    fn bad_inputs_are_rejected_by_field_name() {
+        let service: fn(f64) = |service_secs| {
+            LoadBalancer::new(LoadBalancerConfig {
+                service_secs,
+                ..LoadBalancerConfig::default()
+            });
+        };
+        let delay: fn(f64) = |max_delay_secs| {
+            LoadBalancer::new(LoadBalancerConfig {
+                max_delay_secs,
+                ..LoadBalancerConfig::default()
+            });
+        };
+        let up: fn(f64) = |capacity| {
+            aware().add_backend_up(0, capacity);
+        };
+        let starting: fn(f64) = |capacity| {
+            aware().add_backend(0, capacity, 0.0, 1.0, 1.0);
+        };
+        let backend_up: fn(f64) = |capacity| {
+            Backend::up(0, 0, capacity);
+        };
+        let backend_starting: fn(f64) = |capacity| {
+            Backend::starting(0, 0, capacity, 0.0, 1.0, 1.0);
+        };
+        let positive_service = "`service_secs` must be finite and positive";
+        let positive_capacity = "`capacity_rps` must be finite and positive";
+        let mut cases = vec![
+            (service, f64::NAN, format!("{positive_service} (got NaN)")),
+            (service, 0.0, format!("{positive_service} (got 0)")),
+            (service, -1.0, format!("{positive_service} (got -1)")),
+            (
+                service,
+                f64::INFINITY,
+                format!("{positive_service} (got inf)"),
+            ),
+            (
+                delay,
+                -1.0,
+                "`max_delay_secs` must be non-negative (got -1)".to_string(),
+            ),
+            (
+                delay,
+                f64::NAN,
+                "`max_delay_secs` must be non-negative (got NaN)".to_string(),
+            ),
+        ];
+        for add in [up, starting, backend_up, backend_starting] {
+            for (capacity, shown) in [
+                (f64::NAN, "NaN"),
+                (-1.0, "-1"),
+                (0.0, "0"),
+                (f64::INFINITY, "inf"),
+            ] {
+                cases.push((add, capacity, format!("{positive_capacity} (got {shown})")));
+            }
+        }
+        for (call, value, want) in cases {
+            let panic = std::panic::catch_unwind(|| call(value))
+                .expect_err(&format!("{want:?} was accepted"));
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(message, want);
+        }
+        // A zero delay budget stays legal: admission then drops
+        // whatever would queue.
+        delay(0.0);
+    }
+
+    /// Tier 2's pick as the balancer made it before the tournament
+    /// tree: the routing predicates at `now` over every slot, the first
+    /// minimum in slot order.
+    fn scan_tier_two(lb: &LoadBalancer, now: f64, except: Option<usize>) -> Option<usize> {
+        let service = lb.config.service_secs;
+        (0..lb.backends.len())
+            .filter(|&i| {
+                !lb.backends[i].accepts_new(now)
+                    && lb.drain_fallback_ok(i, now)
+                    && !lb.is_saturated(i, now)
+                    && Some(i) != except
+            })
+            .map(|i| (i, lb.backends[i].utilization(now, service)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite utilizations"))
+            .map(|(i, _)| i)
+    }
+
+    /// A whole fleet warned at one instant, as a correlated revocation
+    /// does: every request of the drain goes through tier 2. Each pick
+    /// of the tournament tree is checked against a scan while the
+    /// in-flight load sweeps from idle to past saturation and back —
+    /// at fallback counts that are and are not powers of two, with
+    /// tied utilizations, saturated leaves, and pinned sessions whose
+    /// own backend won the tree (the root-path walk).
+    #[test]
+    fn tier_two_tournament_matches_a_scan_over_an_all_draining_fleet() {
+        let sizes: &[usize] = if cfg!(miri) {
+            &[3, 5]
+        } else {
+            &[1, 2, 5, 37, 64]
+        };
+        let requests = if cfg!(miri) { 300 } else { 3000 };
+        let (mut with_except, mut walked) = (0, 0);
+        for &n in sizes {
+            let mut lb = aware();
+            // Three capacities, so utilizations tie; 2 to 4 requests in
+            // flight saturate a backend.
+            let capacities: Vec<f64> = (0..n).map(|i| 4.0 + (i % 3) as f64 * 2.0).collect();
+            for (i, &capacity) in capacities.iter().enumerate() {
+                lb.add_backend_up(i % 3, capacity);
+            }
+            let sessions = 4 * n as u64;
+            for s in 0..sessions {
+                if let RouteOutcome::Routed(b) = lb.route(Some(s), 0.0) {
+                    lb.complete(b, None);
+                }
+            }
+            for id in 0..n {
+                lb.revocation_warning(id, 1.0, 120.0);
+            }
+            let saturation: f64 = capacities.iter().map(|c| c * 0.25 * 2.0).sum();
+            let mut outstanding: Vec<BackendId> = Vec::new();
+            let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+            for k in 0..requests {
+                let now = 2.0 + k as f64 * 0.01;
+                let session = (k % 4 != 0).then_some(k as u64 % sessions);
+                lb.enter_epoch(now);
+                let pinned = session.and_then(|s| lb.sessions().lookup(s));
+                let except = pinned.map(|b| lb.slot_of[b]);
+                let picked = lb.pick_fallback_with_headroom(now, except);
+                assert_eq!(picked, scan_tier_two(&lb, now, except), "n={n} request {k}");
+                if let Some(slot) = except {
+                    with_except += usize::from(picked.is_some());
+                    walked += usize::from(lb.epoch.fallbacks.nodes[1].1 == slot);
+                }
+                if let RouteOutcome::Routed(b) = lb.route(session, now) {
+                    outstanding.push(b);
+                }
+                // Complete down to a target that sweeps from idle to
+                // half again the saturation load and back, every 400
+                // requests, from random positions.
+                let phase = (k % 400) as f64;
+                let target = phase.min(400.0 - phase) / 200.0 * 1.5 * saturation;
+                while outstanding.len() as f64 > target {
+                    rng = rng
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let b = outstanding.swap_remove((rng >> 33) as usize % outstanding.len());
+                    lb.complete(b, None);
+                }
+            }
+        }
+        assert!(
+            with_except > 0,
+            "tier 2 never picked around a pinned fallback"
+        );
+        assert!(walked > 0, "no pinned fallback ever won the tree");
     }
 }

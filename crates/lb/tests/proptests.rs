@@ -474,10 +474,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Differential test of the route epoch: a seeded sequence of every
-    /// operation the balancer has, at times that sit on, just beside
-    /// and far from the lifecycle edges and move in both directions,
-    /// gives the same routes, warning reports, deaths, counters and
-    /// per-backend state as [`ScanBalancer`].
+    /// operation the balancer has, whole-fleet warnings included, at
+    /// times that sit on, just beside and far from the lifecycle edges
+    /// and move in both directions, gives the same routes, warning
+    /// reports, deaths, counters and per-backend state as
+    /// [`ScanBalancer`].
     #[test]
     fn epoch_matches_scan(
         transiency_aware in prop::bool::ANY,
@@ -561,6 +562,22 @@ proptest! {
                         let done = (c & 1 == 0).then_some(session);
                         lb.complete(backend, done);
                         reference.complete(backend, done);
+                    }
+                }
+                10 => {
+                    // A correlated revocation: every live backend is
+                    // warned at one instant, so the sessions pinned to
+                    // them leave through tier 2 over a fallback set as
+                    // large as the fleet.
+                    let secs = warnings[(c >> 8) as usize % warnings.len()];
+                    for t in 0..n {
+                        let state = reference.backends[t].state;
+                        if matches!(state, BackendState::Up | BackendState::Starting { .. }) {
+                            let report = lb.revocation_warning(t, now, secs);
+                            let (migrated, stayed) = reference.revocation_warning(t, now, secs);
+                            prop_assert_eq!(report.migrated_sessions, migrated, "step {}", step);
+                            prop_assert_eq!(report.stayed_sessions, stayed, "step {}", step);
+                        }
                     }
                 }
                 _ => {
