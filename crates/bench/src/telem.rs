@@ -47,8 +47,27 @@ pub fn render_report(run: &CellRun) -> String {
         run.sink.events().len(),
         run.sink.dropped_events(),
     ));
+    let events = run.sink.events();
+    let decisions: Vec<_> = events
+        .iter()
+        .filter_map(|e| match &e.event {
+            TraceEvent::Decision(d) => Some(d),
+            _ => None,
+        })
+        .collect();
+    if !decisions.is_empty() {
+        let count = decisions.len() as f64;
+        let iterations: usize = decisions.iter().map(|d| d.iterations).sum();
+        let polished = decisions.iter().filter(|d| d.polished).count();
+        out.push_str(&format!(
+            "decisions {}: {:.1} ADMM iterations a solve, {:.0}% polished\n",
+            decisions.len(),
+            iterations as f64 / count,
+            100.0 * polished as f64 / count,
+        ));
+    }
 
-    for e in run.sink.events() {
+    for e in &events {
         match &e.event {
             TraceEvent::Decision(d) => {
                 let chosen: Vec<String> = d
@@ -168,6 +187,7 @@ mod tests {
 
         let report = render_report(&a);
         assert!(report.contains("decision #"));
+        assert!(report.contains("ADMM iterations a solve,"), "{report}");
         assert!(report.contains("FAULT correlated_revocation"));
     }
 }

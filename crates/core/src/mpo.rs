@@ -26,10 +26,15 @@ pub struct PortfolioDecision {
     pub plan: Vec<Vec<f64>>,
     /// QP objective value at the solution.
     pub objective: f64,
-    /// ADMM iterations used.
+    /// ADMM iterations used; the polish, when there was one, is not
+    /// counted here but in [`PortfolioDecision::polished`].
     pub iterations: usize,
-    /// Whether the solver reached full tolerance.
+    /// Whether the solution passes the solver's full-tolerance test,
+    /// polished or not.
     pub solved: bool,
+    /// Whether the solver polished its iterate: the active set's
+    /// equality KKT system solved directly, exact to round-off.
+    pub polished: bool,
     /// Whether the solve started from the previous interval's
     /// primal/dual iterate (vs the zero cold start).
     pub warm_started: bool,
@@ -177,6 +182,7 @@ impl MpoOptimizer {
             objective: sol.objective,
             iterations: sol.iterations,
             solved: sol.is_solved(),
+            polished: sol.polished,
             warm_started,
             factor_reused: update == Update::Kept,
             certificate: sol.certificate(),

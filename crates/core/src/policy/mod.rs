@@ -202,63 +202,63 @@ impl Policy for SpotWebPolicy {
                 }
             }
         };
-        let (counts, objective, iterations, solved, certificate) =
-            match self
-                .optimizer
-                .optimize(catalog, &forecast, obs.covariance, &self.prev_allocation)
-            {
-                Ok(decision) => {
-                    self.prev_allocation = decision.first().to_vec();
-                    self.telemetry.count(names::MPO_SOLVES_TOTAL, 1);
-                    // Iterations-to-convergence: the number the
-                    // warm-start fast path exists to shrink.
-                    self.telemetry
-                        .count(names::ADMM_ITERATIONS_TOTAL, decision.iterations as u64);
-                    self.telemetry
-                        .observe(names::ADMM_ITERATIONS_HIST, decision.iterations as f64);
-                    self.telemetry.count(
-                        if decision.warm_started {
-                            names::MPO_WARM_SOLVES_TOTAL
-                        } else {
-                            names::MPO_COLD_SOLVES_TOTAL
-                        },
-                        1,
-                    );
-                    if decision.factor_reused {
-                        self.telemetry.count(names::MPO_FACTOR_REUSE_TOTAL, 1);
-                    }
-                    let counts = to_server_counts(
-                        catalog,
-                        decision.first(),
-                        forecast.workload[0],
-                        MIN_ALLOCATION,
-                    );
-                    (
-                        counts,
-                        decision.objective,
-                        decision.iterations,
-                        decision.solved,
-                        decision.certificate,
-                    )
+        let (counts, objective, iterations, solved, polished, certificate) = match self
+            .optimizer
+            .optimize(catalog, &forecast, obs.covariance, &self.prev_allocation)
+        {
+            Ok(decision) => {
+                self.prev_allocation = decision.first().to_vec();
+                self.telemetry.count(names::MPO_SOLVES_TOTAL, 1);
+                // Iterations-to-convergence: the number the
+                // warm-start fast path exists to shrink.
+                self.telemetry
+                    .count(names::ADMM_ITERATIONS_TOTAL, decision.iterations as u64);
+                self.telemetry
+                    .observe(names::ADMM_ITERATIONS_HIST, decision.iterations as f64);
+                self.telemetry.count(
+                    if decision.warm_started {
+                        names::MPO_WARM_SOLVES_TOTAL
+                    } else {
+                        names::MPO_COLD_SOLVES_TOTAL
+                    },
+                    1,
+                );
+                if decision.factor_reused {
+                    self.telemetry.count(names::MPO_FACTOR_REUSE_TOTAL, 1);
                 }
-                // On solver failure keep the previous fleet (fail static,
-                // never fail empty).
-                Err(_) => {
-                    self.telemetry.count(names::MPO_SOLVE_FAILURES_TOTAL, 1);
-                    let counts = to_server_counts(
-                        catalog,
-                        &self.prev_allocation,
-                        forecast.workload[0],
-                        MIN_ALLOCATION,
-                    );
-                    let unsolved = Certificate {
-                        primal_residual: f64::NAN,
-                        dual_residual: f64::NAN,
-                        duality_gap: f64::NAN,
-                    };
-                    (counts, f64::NAN, 0, false, unsolved)
-                }
-            };
+                let counts = to_server_counts(
+                    catalog,
+                    decision.first(),
+                    forecast.workload[0],
+                    MIN_ALLOCATION,
+                );
+                (
+                    counts,
+                    decision.objective,
+                    decision.iterations,
+                    decision.solved,
+                    decision.polished,
+                    decision.certificate,
+                )
+            }
+            // On solver failure keep the previous fleet (fail static,
+            // never fail empty).
+            Err(_) => {
+                self.telemetry.count(names::MPO_SOLVE_FAILURES_TOTAL, 1);
+                let counts = to_server_counts(
+                    catalog,
+                    &self.prev_allocation,
+                    forecast.workload[0],
+                    MIN_ALLOCATION,
+                );
+                let unsolved = Certificate {
+                    primal_residual: f64::NAN,
+                    dual_residual: f64::NAN,
+                    duality_gap: f64::NAN,
+                };
+                (counts, f64::NAN, 0, false, false, unsolved)
+            }
+        };
         if self.telemetry.is_enabled() {
             let markets: Vec<MarketEval> = (0..catalog.len())
                 .map(|i| {
@@ -298,6 +298,7 @@ impl Policy for SpotWebPolicy {
                 objective,
                 iterations,
                 solved,
+                polished,
                 primal_residual: certificate.primal_residual,
                 dual_residual: certificate.dual_residual,
                 duality_gap: certificate.duality_gap,

@@ -10,6 +10,8 @@
 //!   products, transposes and Gram matrices.
 //! * [`cholesky`] — Cholesky factorization for symmetric positive
 //!   definite systems (the ADMM solver's cached factorization).
+//! * [`band`] — band Cholesky in caller-owned storage, for the QP
+//!   solver's polish of the active set's reduced system.
 //! * [`block_tridiag`] — block-tridiagonal Cholesky for the
 //!   multi-period KKT structure (`O(H·N³)` instead of `O((HN)³)`).
 //! * [`qr`] — Householder QR, the numerically robust path for
@@ -32,6 +34,7 @@
 )]
 #![warn(missing_docs)]
 
+pub mod band;
 pub mod block_tridiag;
 pub mod cholesky;
 pub mod lstsq;

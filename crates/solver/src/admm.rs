@@ -1,6 +1,6 @@
 //! The ADMM iteration (OSQP-style operator splitting).
 
-use spotweb_linalg::vector;
+use spotweb_linalg::{band, vector};
 use spotweb_linalg::{BlockTridiagCholesky, CsrMatrix, Matrix};
 
 use crate::qp::{Certificate, QpSolution, QpStatus, Settings, SparseQp};
@@ -30,6 +30,19 @@ const MAX_ITER: usize = 4000;
 const EPS_ABS: f64 = 1e-6;
 /// Relative tolerance for the primal/dual residuals.
 const EPS_REL: f64 = 1e-6;
+/// Absolute and relative tolerance from which the iteration polishes:
+/// by then the active set has settled, and the iterations to `EPS_ABS`
+/// would only buy digits the polish gets exactly.
+const POLISH_EPS: f64 = 1e-3;
+/// Round-off allowance of a polished point, relative and in scaled
+/// units: how far a row may sit outside its bounds (times
+/// `1 + max(‖Ax‖∞, ‖z‖∞)`) and a multiplier past zero on the wrong
+/// side for its bound (times `1 + ‖q‖∞`).
+const POLISH_TOL: f64 = 1e-9;
+/// Reduced solves a polish may take: the guessed active set, then that
+/// set with the rows its solution crossed held at their bounds, and so
+/// on.
+const POLISH_ROUNDS: usize = 3;
 /// Re-tune ρ from the residual ratio every this many iterations.
 const ADAPTIVE_RHO_INTERVAL: usize = 50;
 /// Refactor only when ρ changes by more than this multiplicative
@@ -61,15 +74,13 @@ struct SolveWorkspace {
     ztil: Vec<f64>,
     /// ρ⊙z − y accumulator.
     tmp_m: Vec<f64>,
-    /// Residual scratch: A·x.
-    ax: Vec<f64>,
-    /// Residual scratch: P·x.
-    px: Vec<f64>,
-    /// Residual scratch: Aᵀy.
-    aty_res: Vec<f64>,
+    /// Residual scratch.
+    check: CheckScratch,
     /// One KKT block long: where the factor's backward pass sums
     /// `Bᵀ·x` (see `BlockTridiagCholesky::solve_in_place`).
     kkt_block: Vec<f64>,
+    /// Polish scratch.
+    polish: PolishScratch,
 }
 
 impl SolveWorkspace {
@@ -80,8 +91,8 @@ impl SolveWorkspace {
             &mut self.x,
             &mut self.rhs,
             &mut self.aty,
-            &mut self.px,
-            &mut self.aty_res,
+            &mut self.check.px,
+            &mut self.check.aty,
         ] {
             v.clear();
             v.resize(n, 0.0);
@@ -91,14 +102,93 @@ impl SolveWorkspace {
             &mut self.z,
             &mut self.ztil,
             &mut self.tmp_m,
-            &mut self.ax,
+            &mut self.check.ax,
         ] {
             v.clear();
             v.resize(m, 0.0);
         }
         self.kkt_block.clear();
         self.kkt_block.resize(block, 0.0);
+        self.polish.reset(n);
     }
+}
+
+/// What [`AdmmSolver::polish`] works in. Each buffer is rewritten by
+/// the polish that uses it; `reset` forgets the turned-down guess and
+/// reserves room for `n` entries in the ones whose length depends on
+/// the active set. So a polish allocates no block smaller than the
+/// problem: small blocks freed while a large problem's factor is live
+/// would pin the heap above them after the solver is dropped.
+#[derive(Default)]
+struct PolishScratch {
+    /// The active set being tried.
+    guess: Vec<Bound>,
+    /// The last active set turned down in this solve.
+    rejected: Vec<Bound>,
+    /// Per variable, the active one-entry row fixing it.
+    fixed_by: Vec<Option<usize>>,
+    /// Per variable, its number among the free ones.
+    slot: Vec<Option<usize>>,
+    /// The active rows of more than one entry, with their bounds.
+    general: Vec<(usize, f64)>,
+    /// The reduced system's band factor, then `x₀`.
+    band: Vec<f64>,
+    /// Per general row, its entries on the free variables and their
+    /// solve through the reduced system.
+    rows: Vec<f64>,
+    /// The Schur complement's factor, then the multipliers.
+    schur: Vec<f64>,
+}
+
+impl PolishScratch {
+    fn reset(&mut self, n: usize) {
+        self.rejected.clear();
+        for v in [&mut self.band, &mut self.rows, &mut self.schur] {
+            v.clear();
+            v.reserve(n);
+        }
+    }
+}
+
+/// Where [`Residuals::compute`] leaves `A·x`, `P·x` and `Aᵀy`.
+#[derive(Default)]
+struct CheckScratch {
+    ax: Vec<f64>,
+    px: Vec<f64>,
+    aty: Vec<f64>,
+}
+
+/// Where a constraint row sits in a guessed active set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bound {
+    /// Strictly inside its bounds: multiplier 0.
+    Inactive,
+    /// At `l`, multiplier ≤ 0.
+    Lower,
+    /// At `u`, multiplier ≥ 0.
+    Upper,
+    /// An equality row (`l = u`), multiplier of either sign.
+    Equal,
+}
+
+impl Bound {
+    /// The value an active row is held at.
+    fn value(self, l: f64, u: f64) -> Option<f64> {
+        match self {
+            Bound::Inactive => None,
+            Bound::Lower | Bound::Equal => Some(l),
+            Bound::Upper => Some(u),
+        }
+    }
+}
+
+/// A point unscaled and measured on the original problem.
+struct Report {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    objective: f64,
+    certificate: Certificate,
 }
 
 /// What [`AdmmSolver::update`] did with the problem it was given.
@@ -269,6 +359,13 @@ impl AdmmSolver {
     /// The iteration behind [`AdmmSolver::solve`] (no warm start: the
     /// zeroed workspace *is* the cold iterate) and
     /// [`AdmmSolver::solve_from`].
+    ///
+    /// Every check whose residuals pass [`POLISH_EPS`] may polish the
+    /// iterate (see [`AdmmSolver::try_polish`]). A polished point that
+    /// is feasible, passes the full-tolerance test and certifies no
+    /// worse than the iterate it came from ends the solve; otherwise
+    /// the iteration carries on from that iterate, untouched, and the
+    /// next check tries again if the guessed active set moved.
     fn iterate(&mut self, warm: Option<(&[f64], &[f64])>, max_iter: usize) -> QpSolution {
         let n = self.num_vars();
         let m = self.num_constraints();
@@ -297,6 +394,7 @@ impl AdmmSolver {
         let mut status = QpStatus::MaxIterations;
         let mut iterations = max_iter;
         let mut last_res: Option<Residuals> = None;
+        let mut polished: Option<Report> = None;
 
         for it in 1..=max_iter {
             // rhs = σx − q + Aᵀ(ρ⊙z − y)
@@ -345,22 +443,24 @@ impl AdmmSolver {
             let do_check = it % CHECK_INTERVAL == 0 || it == max_iter;
             let do_adapt = it % ADAPTIVE_RHO_INTERVAL == 0;
             if do_check || do_adapt {
-                let res = Residuals::compute(
-                    &self.prob.p,
-                    &self.prob.q,
-                    &self.prob.a,
-                    &ws.x,
-                    &ws.z,
-                    &ws.y,
-                    &mut ws.ax,
-                    &mut ws.px,
-                    &mut ws.aty_res,
-                );
+                let res = self.residuals(&ws.x, &ws.z, &ws.y, &mut ws.check);
                 if !res.is_finite() {
                     status = QpStatus::NonFinite;
                     iterations = it;
                     last_res = Some(res);
                     break;
+                }
+                if do_check && res.converged(POLISH_EPS, POLISH_EPS) {
+                    let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
+                    if let Some((report, res)) =
+                        self.try_polish(iterate, &mut ws.polish, &mut ws.check)
+                    {
+                        polished = Some(report);
+                        status = QpStatus::Solved;
+                        iterations = it;
+                        last_res = Some(res);
+                        break;
+                    }
                 }
                 if do_check && res.converged(EPS_ABS, EPS_REL) {
                     status = QpStatus::Solved;
@@ -375,31 +475,336 @@ impl AdmmSolver {
             }
         }
 
-        // Unscale and report against the original problem. The
-        // residual scratch is free again: the iteration is done with it.
-        let x_orig = self.scaling.unscale_x(&ws.x);
-        let y_orig = self.scaling.unscale_y(&ws.y);
+        let is_polished = polished.is_some();
+        let report = match polished {
+            Some(report) => report,
+            None => self.report(&ws.x, &ws.y, &mut ws.check),
+        };
+        self.workspace = ws;
+        let (primal_residual, dual_residual) = match last_res {
+            Some(r) => (r.primal, r.dual),
+            None => (f64::INFINITY, f64::INFINITY),
+        };
+        QpSolution {
+            x: report.x,
+            y: report.y,
+            z: report.z,
+            status,
+            iterations,
+            polished: is_polished,
+            objective: report.objective,
+            primal_residual,
+            dual_residual,
+            certificate: report.certificate,
+        }
+    }
+
+    /// The residuals of the scaled problem at `(x, z, y)`, computed in
+    /// the workspace's residual scratch.
+    fn residuals(&self, x: &[f64], z: &[f64], y: &[f64], scratch: &mut CheckScratch) -> Residuals {
+        let (p, q, a) = (&self.prob.p, &self.prob.q, &self.prob.a);
+        let CheckScratch { ax, px, aty } = scratch;
+        Residuals::compute(p, q, a, x, z, y, ax, px, aty)
+    }
+
+    /// Polish the iterate `(x, z, y)` and judge the result: `Some`
+    /// with the polished point's report and scaled residuals when it
+    /// is feasible to [`POLISH_TOL`], passes the full-tolerance test and
+    /// its certificate's dual residual and duality gap are no larger
+    /// than the iterate's own. A point that crosses rows the guess left
+    /// inactive is solved again with them held, up to [`POLISH_ROUNDS`]
+    /// solves.
+    ///
+    /// The polished point follows from the guessed active set (the
+    /// iterate adds only the multiplier of an active row whose
+    /// variables are all fixed), so a guess that equals the last one
+    /// turned down this solve is not solved again.
+    fn try_polish(
+        &self,
+        (x, z, y): (&[f64], &[f64], &[f64]),
+        scratch: &mut PolishScratch,
+        check: &mut CheckScratch,
+    ) -> Option<(Report, Residuals)> {
+        self.guess_active_set(z, y, &mut scratch.guess);
+        if scratch.guess == scratch.rejected {
+            return None;
+        }
+        // Remembered as turned down unless a round is accepted.
+        scratch.rejected.clone_from(&scratch.guess);
+        for _ in 0..POLISH_ROUNDS {
+            let (px, py, res) = self.polish(y, scratch, check)?;
+            let tol = POLISH_TOL * (1.0 + res.primal_scale);
+            if res.primal > tol {
+                // Rows taken as inactive that the point leaves: hold
+                // them at the bound they cross, and solve again.
+                let mut held = false;
+                for (((side, &ax), &lo), &hi) in scratch
+                    .guess
+                    .iter_mut()
+                    .zip(&check.ax)
+                    .zip(&self.prob.l)
+                    .zip(&self.prob.u)
+                {
+                    if *side == Bound::Inactive && (ax < lo - tol || ax > hi + tol) {
+                        *side = if ax < lo { Bound::Lower } else { Bound::Upper };
+                        held = true;
+                    }
+                }
+                if held {
+                    continue;
+                }
+                return None;
+            }
+            if !res.converged(EPS_ABS, EPS_REL) {
+                return None;
+            }
+            let current = self.report(x, y, check).certificate;
+            let report = self.report(&px, &py, check);
+            let c = report.certificate;
+            if c.dual_residual > current.dual_residual || c.duality_gap > current.duality_gap {
+                return None;
+            }
+            debug_assert!(
+                c.primal_residual <= current.primal_residual.max(tol)
+                    && c.dual_residual <= current.dual_residual
+                    && c.duality_gap <= current.duality_gap,
+                "polished {c:?} against the iterate's {current:?}"
+            );
+            scratch.rejected.clear();
+            return Some((report, res));
+        }
+        None
+    }
+
+    /// OSQP's guess of the active set from the scaled iterate, into
+    /// `guess`: row `i` is at its lower bound when `zᵢ − lᵢ < −yᵢ`, at
+    /// its upper bound when `uᵢ − zᵢ < yᵢ`, and an equality row
+    /// (`lᵢ = uᵢ`) always.
+    fn guess_active_set(&self, z: &[f64], y: &[f64], guess: &mut Vec<Bound>) {
+        let (l, u) = (&self.prob.l, &self.prob.u);
+        guess.clear();
+        guess.extend((0..l.len()).map(|i| {
+            if l[i] == u[i] {
+                Bound::Equal
+            } else if z[i] - l[i] < -y[i] {
+                Bound::Lower
+            } else if u[i] - z[i] < y[i] {
+                Bound::Upper
+            } else {
+                Bound::Inactive
+            }
+        }));
+    }
+
+    /// Solution polishing (OSQP, Stellato et al. 2020, §5.2): solve the
+    /// equality KKT system of the active set in `scratch.guess`
+    /// exactly, in the scaled coordinates, and return the point
+    /// `(x, y)` with its scaled residuals.
+    ///
+    /// An active row with one entry fixes its variable at the bound;
+    /// the other active rows become equalities on the variables left
+    /// free, solved through their Schur complement over `P` restricted
+    /// to the free variables — without σ or ρ. Numbered in order, the
+    /// free variables keep `P`'s band: block-tridiagonal in the
+    /// horizon, a band as wide as two periods' free allocations, which
+    /// [`band`] factors in the scratch it is given. Row multipliers
+    /// follow from stationarity — except on an active row of more than
+    /// one entry whose variables are all fixed (a period's budget met
+    /// by allocations all at their bounds). Its multiplier is not
+    /// unique, and it keeps the iterate's `y_iter`, the one ADMM
+    /// converges to.
+    ///
+    /// `None` when the guess is inconsistent (two active one-entry rows
+    /// on one variable), when the reduced system does not factor (a
+    /// singular `P` on the free variables, as in an LP, or linearly
+    /// dependent active rows), or when a multiplier has the wrong sign
+    /// for its bound beyond round-off.
+    fn polish(
+        &self,
+        y_iter: &[f64],
+        scratch: &mut PolishScratch,
+        check: &mut CheckScratch,
+    ) -> Option<(Vec<f64>, Vec<f64>, Residuals)> {
+        let prob = &self.prob;
+        let n = prob.num_vars();
+        let PolishScratch {
+            guess,
+            fixed_by,
+            slot,
+            general,
+            band: reduced,
+            rows,
+            schur,
+            ..
+        } = scratch;
+        fixed_by.clear();
+        fixed_by.resize(n, None);
+        general.clear();
+        let mut x = vec![0.0; n];
+        for (i, side) in guess.iter().enumerate() {
+            let Some(bound) = side.value(prob.l[i], prob.u[i]) else {
+                continue;
+            };
+            match prob.a.row(i) {
+                ([j], [a]) => {
+                    if fixed_by[*j].replace(i).is_some() {
+                        return None;
+                    }
+                    x[*j] = bound / a;
+                }
+                ([], _) => {}
+                _ => general.push((i, bound)),
+            }
+        }
+
+        // Number the free variables; `P` on them is a band `bw` wide.
+        let mut free = 0;
+        slot.clear();
+        slot.extend(fixed_by.iter().map(|f| {
+            f.is_none().then(|| {
+                free += 1;
+                free - 1
+            })
+        }));
+        let mut bw = 0;
+        for (i, si) in slot.iter().enumerate() {
+            let Some(si) = si else { continue };
+            for &j in prob.p.row(i).0 {
+                if let Some(sj) = slot[j] {
+                    bw = bw.max(si.saturating_sub(sj));
+                }
+            }
+        }
+        // Its lower band, and `x₀ = −q − P·x_fixed` beside it.
+        let w = bw + 1;
+        reduced.clear();
+        reduced.resize(free * w + free, 0.0);
+        let (k_band, x0) = reduced.split_at_mut(free * w);
+        for (i, si) in slot.iter().enumerate() {
+            let Some(si) = *si else { continue };
+            x0[si] = -prob.q[i];
+            let (cols, vals) = prob.p.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                match slot[j] {
+                    None => x0[si] -= v * x[j],
+                    Some(sj) if sj <= si => k_band[si * w + sj + bw - si] = v,
+                    Some(_) => {}
+                }
+            }
+        }
+        band::factor_in_place(k_band, free, bw).ok()?;
+        band::solve_in_place(k_band, free, bw, x0).ok()?;
+
+        // Per general row: its entries on the free variables (`a`) and
+        // `K⁻¹a` (`w`), side by side in `rows`; `general` keeps the row
+        // and what it asks of the free variables.
+        let mut y = vec![0.0; prob.num_constraints()];
+        rows.clear();
+        let mut kept = 0;
+        for g in 0..general.len() {
+            let (i, mut target) = general[g];
+            let start = rows.len();
+            rows.resize(start + free, 0.0);
+            let (cols, vals) = prob.a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                match slot[j] {
+                    Some(s) => rows[start + s] = v,
+                    None => target -= v * x[j],
+                }
+            }
+            if rows[start..].iter().all(|&v| v == 0.0) {
+                // Met or not by the fixed variables alone, which the
+                // residual test checks.
+                y[i] = y_iter[i];
+                rows.truncate(start);
+                continue;
+            }
+            rows.extend_from_within(start..start + free);
+            band::solve_in_place(k_band, free, bw, &mut rows[start + free..]).ok()?;
+            general[kept] = (i, target);
+            kept += 1;
+        }
+        general.truncate(kept);
+        // The Schur complement `S = A_E K⁻¹ A_Eᵀ`, dense (a band as wide
+        // as itself), and the multipliers from `S λ = A_E x₀ − b`; then
+        // `x = x₀ − K⁻¹ A_Eᵀ λ`.
+        let a_of = |e: usize| &rows[2 * e * free..(2 * e + 1) * free];
+        let w_of = |e: usize| &rows[(2 * e + 1) * free..(2 * e + 2) * free];
+        schur.clear();
+        schur.resize(kept * kept + kept, 0.0);
+        let (s, lambda) = schur.split_at_mut(kept * kept);
+        for e in 0..kept {
+            for f in 0..=e {
+                s[e * kept + f + kept - 1 - e] = vector::dot(a_of(e), w_of(f));
+            }
+            lambda[e] = vector::dot(a_of(e), x0) - general[e].1;
+        }
+        if kept > 0 {
+            band::factor_in_place(s, kept, kept - 1).ok()?;
+            band::solve_in_place(s, kept, kept - 1, lambda).ok()?;
+        }
+        for (e, &l) in lambda.iter().enumerate() {
+            for (xi, wi) in x0.iter_mut().zip(w_of(e)) {
+                *xi -= l * wi;
+            }
+        }
+        for (xj, s) in x.iter_mut().zip(slot.iter()) {
+            if let Some(s) = s {
+                *xj = x0[*s];
+            }
+        }
+
+        // Multipliers: the general rows' λ, and for each fixed
+        // variable's row what is left of its stationarity row
+        // `P·x + q + Aᵀy`.
+        for (&(i, _), &l) in general.iter().zip(lambda.iter()) {
+            y[i] = l;
+        }
+        let CheckScratch { ax, px, aty } = check;
+        prob.p.matvec_into(&x, px).expect("polish: P·x");
+        prob.a.matvec_transpose_into(&y, aty).expect("polish: Aᵀy");
+        for (j, row) in fixed_by.iter().enumerate() {
+            if let &Some(i) = row {
+                let a = prob.a.row(i).1[0];
+                y[i] = -(px[j] + prob.q[j] + aty[j]) / a;
+                aty[j] += a * y[i];
+            }
+        }
+        let tol = POLISH_TOL * (1.0 + vector::norm_inf(&prob.q));
+        for (yi, side) in y.iter().zip(guess.iter()) {
+            let wrong = match side {
+                Bound::Lower => *yi > tol,
+                Bound::Upper => *yi < -tol,
+                Bound::Equal | Bound::Inactive => false,
+            };
+            if wrong {
+                return None;
+            }
+        }
+        prob.a.matvec_into(&x, ax).expect("polish: A·x");
+        let mut z = ax.clone();
+        vector::clamp_box(&mut z, &prob.l, &prob.u);
+        let res = Residuals::reduce(&prob.q, &z, ax, px, aty);
+        Some((x, y, res))
+    }
+
+    /// Unscale `(x, y)` and measure it on the original problem: `z` is
+    /// `Ax` projected into `[l, u]`, and the certificate's residuals
+    /// leave `P·x` in the workspace's `px`.
+    fn report(&self, x: &[f64], y: &[f64], scratch: &mut CheckScratch) -> Report {
+        let x_orig = self.scaling.unscale_x(x);
+        let y_orig = self.scaling.unscale_y(y);
         let mut z_orig = self.orig.a.matvec(&x_orig).expect("report: A·x");
         vector::clamp_box(&mut z_orig, &self.orig.l, &self.orig.u);
-        // The certificate's residuals; they leave `P·x` in `px`.
-        let unscaled = Residuals::compute(
-            &self.orig.p,
-            &self.orig.q,
-            &self.orig.a,
-            &x_orig,
-            &z_orig,
-            &y_orig,
-            &mut ws.ax,
-            &mut ws.px,
-            &mut ws.aty_res,
-        );
+        let (p, q, a) = (&self.orig.p, &self.orig.q, &self.orig.a);
+        let CheckScratch { ax, px, aty } = scratch;
+        let unscaled = Residuals::compute(p, q, a, &x_orig, &z_orig, &y_orig, ax, px, aty);
         // ½ xᵀPx + qᵀx, the quadratic form summed row by row.
         let mut xpx = 0.0;
-        for (xi, pxi) in x_orig.iter().zip(&ws.px) {
+        for (xi, pxi) in x_orig.iter().zip(px.iter()) {
             xpx += xi * pxi;
         }
         let qx = vector::dot(&self.orig.q, &x_orig);
-        let objective = 0.5 * xpx + qx;
         // Σ sᵢ(yᵢ), the support function of the box. A multiplier on an
         // unbounded side is round-off (`y − ρ·(y/ρ)`) and counts as 0,
         // which projects `y` onto the polar of the box's recession cone
@@ -416,26 +821,16 @@ impl AdmmSolver {
                 0.0
             };
         }
-        let certificate = Certificate {
-            primal_residual: unscaled.primal,
-            dual_residual: unscaled.dual,
-            duality_gap: (xpx + qx + support).abs(),
-        };
-        self.workspace = ws;
-        let (primal_residual, dual_residual) = match last_res {
-            Some(r) => (r.primal, r.dual),
-            None => (f64::INFINITY, f64::INFINITY),
-        };
-        QpSolution {
+        Report {
             x: x_orig,
             y: y_orig,
             z: z_orig,
-            status,
-            iterations,
-            objective,
-            primal_residual,
-            dual_residual,
-            certificate,
+            objective: 0.5 * xpx + qx,
+            certificate: Certificate {
+                primal_residual: unscaled.primal,
+                dual_residual: unscaled.dual,
+                duality_gap: (xpx + qx + support).abs(),
+            },
         }
     }
 
@@ -758,7 +1153,7 @@ mod tests {
             vec![1.0, f64::INFINITY, f64::INFINITY],
         )
         .unwrap();
-        let sol = solve(p);
+        let sol = solve(p.clone());
         assert!(
             sol.is_solved(),
             "residuals {} {}",
@@ -767,6 +1162,128 @@ mod tests {
         );
         assert!(sol.x[0].abs() < 1e-3, "x1 = {}", sol.x[0]);
         assert!((sol.x[1] - 1.0).abs() < 1e-3, "x2 = {}", sol.x[1]);
+        // No polish: with `P = 0` the reduced system on the free `x₂`
+        // is singular, for the right active set too, and the iteration
+        // ran on to the full tolerance.
+        assert!(!sol.polished);
+        let solver = AdmmSolver::new(p, Settings::default()).unwrap();
+        let (mut scratch, mut check) = (PolishScratch::default(), CheckScratch::default());
+        scratch.guess = vec![Bound::Upper, Bound::Lower, Bound::Inactive];
+        assert!(solver.polish(&[0.0; 3], &mut scratch, &mut check).is_none());
+    }
+
+    /// min (x₁ − a)² + (x₂ − 2)² s.t. x₁ + x₂ ≤ 1.5, x ≥ 0. For `a`
+    /// near ½ the budget holds (multiplier 1) and `x₁ ≥ 0` is nearly
+    /// degenerate: `x₁ = (a − ½)/2` above ½, else 0 with multiplier
+    /// `2a − 1`.
+    fn degenerate_qp(a: f64) -> QpProblem {
+        QpProblem::new(
+            Matrix::from_diag(&[2.0, 2.0]),
+            vec![-2.0 * a, -4.0],
+            Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]),
+            vec![f64::NEG_INFINITY, 0.0, 0.0],
+            vec![1.5, f64::INFINITY, f64::INFINITY],
+        )
+        .unwrap()
+    }
+
+    /// Polish the scaled iterate a capped solve of `qp` stopped at, as
+    /// if ADMM's guess were `guess`.
+    fn polish_early_stop(qp: QpProblem, guess: [Bound; 3]) -> (AdmmSolver, SolveWorkspace) {
+        let mut solver = AdmmSolver::new(qp, Settings::default()).unwrap();
+        let early = solver.solve_capped(CHECK_INTERVAL);
+        assert!(early.is_solved(), "loose enough to polish");
+        let mut ws = std::mem::take(&mut solver.workspace);
+        solver.guess_active_set(&ws.z, &ws.y, &mut ws.polish.guess);
+        assert_eq!(
+            ws.polish.guess,
+            [Bound::Upper, Bound::Inactive, Bound::Inactive]
+        );
+        ws.polish.guess = guess.to_vec();
+        (solver, ws)
+    }
+
+    #[test]
+    fn a_wrong_active_set_is_turned_down_and_the_iteration_goes_on() {
+        // At a = ½ + 2e-5 the optimum keeps x₁ = 1e-5 off its bound.
+        // Holding x₁ at 0 instead solves to (0, 1.5) with the bound's
+        // multiplier 4e-5 > 0: the wrong sign for a lower bound.
+        let qp = degenerate_qp(0.50002);
+        let (solver, mut ws) =
+            polish_early_stop(qp.clone(), [Bound::Upper, Bound::Lower, Bound::Inactive]);
+        assert!(solver
+            .polish(&ws.y, &mut ws.polish, &mut ws.check)
+            .is_none());
+        // Through `try_polish`, with the iterate doctored to make that
+        // guess (x₁'s row at its bound, a negative multiplier): turned
+        // down, and remembered so the same guess is not solved again.
+        let (mut z, mut y) = (ws.z.clone(), ws.y.clone());
+        (z[1], y[1]) = (0.0, -1e-3);
+        let x = ws.x.clone();
+        let polished = solver.try_polish((&x, &z, &y), &mut ws.polish, &mut ws.check);
+        assert!(polished.is_none());
+        assert_eq!(
+            ws.polish.rejected,
+            [Bound::Upper, Bound::Lower, Bound::Inactive]
+        );
+
+        // The solve itself is right, to round-off.
+        let sol = solve(qp.clone());
+        assert!(sol.is_solved() && sol.polished);
+        assert!((sol.x[0] - 1e-5).abs() <= 1e-15 && (sol.x[1] - 1.49999).abs() <= 1e-15);
+        assert_eq!(sol.y[1], 0.0);
+        assert!(qp.max_violation(&sol.x) <= 1e-15);
+    }
+
+    #[test]
+    fn a_row_the_guess_missed_is_held_at_the_bound_it_crosses() {
+        // At a = ½ − 2e-5 the optimum is x₁ = 0 with multiplier −4e-5.
+        // A guess that leaves x₁'s row out solves to x₁ = −1e-5; the
+        // polish holds the row at 0 and solves again, exactly.
+        let qp = degenerate_qp(0.49998);
+        let (solver, mut ws) =
+            polish_early_stop(qp, [Bound::Upper, Bound::Inactive, Bound::Inactive]);
+        let (x, _, res) = solver
+            .polish(&ws.y, &mut ws.polish, &mut ws.check)
+            .expect("the first round solves");
+        assert!(x[0] < -5e-6 && res.primal > 5e-6, "{x:?}");
+        let iterate = (ws.x.clone(), ws.z.clone(), ws.y.clone());
+        let (report, _) = solver
+            .try_polish(
+                (&iterate.0, &iterate.1, &iterate.2),
+                &mut ws.polish,
+                &mut ws.check,
+            )
+            .expect("the second round is the optimum");
+        assert_eq!(report.x, [0.0, 1.5]);
+        assert!(
+            report.y[1] < 0.0 && (report.y[1] + 4e-5).abs() < 1e-12,
+            "{:?}",
+            report.y
+        );
+    }
+
+    #[test]
+    fn an_active_row_with_a_zero_multiplier_polishes_exactly() {
+        // min ½‖x − (½, ½)‖² s.t. x₁ + x₂ ≤ 1, x ≥ 0: the budget holds
+        // with equality at the unconstrained optimum, multiplier 0.
+        let sol = solve(
+            QpProblem::new(
+                Matrix::identity(2),
+                vec![-0.5, -0.5],
+                Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]),
+                vec![f64::NEG_INFINITY, 0.0, 0.0],
+                vec![1.0, f64::INFINITY, f64::INFINITY],
+            )
+            .unwrap(),
+        );
+        assert!(sol.is_solved() && sol.polished);
+        for (x, y) in sol.x.iter().zip(&sol.y) {
+            assert!((x - 0.5).abs() <= 1e-15, "{:?}", sol.x);
+            assert!(y.abs() <= 1e-15, "{:?}", sol.y);
+        }
+        let c = sol.certificate();
+        assert!(c.primal_residual <= 1e-15 && c.dual_residual <= 1e-15 && c.duality_gap <= 1e-15);
     }
 
     /// min (x₁ − 1)² + (x₂ − 2)² s.t. x₁ + x₂ ≤ 1.5, x ≥ 0.

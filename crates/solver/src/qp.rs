@@ -240,7 +240,9 @@ pub struct Settings;
 /// Why the solver stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QpStatus {
-    /// Residuals met the requested tolerances.
+    /// The reported point passes the full-tolerance residual test —
+    /// reached by the ADMM iteration itself or by polishing its
+    /// iterate ([`QpSolution::polished`]).
     Solved,
     /// Hit `max_iter` before converging (the iterate is still usable,
     /// check the reported residuals).
@@ -262,8 +264,12 @@ pub struct QpSolution {
     pub z: Vec<f64>,
     /// Termination status.
     pub status: QpStatus,
-    /// Iterations performed.
+    /// ADMM iterations performed; a polish is not one of them.
     pub iterations: usize,
+    /// Whether the reported point is the polished one: the equality
+    /// KKT system of the active set the ADMM iterate identified, solved
+    /// directly, which made `x` and `y` exact to round-off.
+    pub polished: bool,
     /// Objective value at `x`.
     pub objective: f64,
     /// Primal residual `‖Ax − z‖∞` at the last termination check, in

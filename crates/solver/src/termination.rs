@@ -44,7 +44,8 @@ impl Residuals {
         Self::reduce(q, z, ax, px, aty)
     }
 
-    fn reduce(q: &[f64], z: &[f64], ax: &[f64], px: &[f64], aty: &[f64]) -> Residuals {
+    /// The residuals from the products `A·x`, `P·x` and `Aᵀy` at hand.
+    pub(crate) fn reduce(q: &[f64], z: &[f64], ax: &[f64], px: &[f64], aty: &[f64]) -> Residuals {
         // Every max keeps a NaN: a NaN iterate must read as a NaN
         // residual, not as the 0 an `f64::max` fold makes of it.
         let mut primal: f64 = 0.0;

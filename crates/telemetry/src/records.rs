@@ -75,11 +75,14 @@ pub struct DecisionRecord {
     pub predicted_workload: Vec<f64>,
     /// Objective value at the solution.
     pub objective: f64,
-    /// Solver iterations used.
+    /// ADMM iterations used (a polish is not one of them).
     pub iterations: usize,
     /// Whether the solver converged (fail-static reuses the previous
     /// allocation and reports `false`).
     pub solved: bool,
+    /// Whether the solution is the solver's polished point: the active
+    /// set's equality KKT system solved directly.
+    pub polished: bool,
     /// The solution's certificate on the unscaled QP: primal residual
     /// `‖Ax − z‖∞`, dual residual `‖Px + q + Aᵀy‖∞` and duality gap.
     /// NaN (rendered `null`) when the solve failed.
@@ -102,7 +105,7 @@ impl DecisionRecord {
         format!(
             "\"interval\":{},\"policy\":{},\"observed_rps\":{},\"horizon\":{},\
              \"predicted_workload\":{},\"objective\":{},\"iterations\":{},\
-             \"solved\":{},\"primal_residual\":{},\"dual_residual\":{},\
+             \"solved\":{},\"polished\":{},\"primal_residual\":{},\"dual_residual\":{},\
              \"duality_gap\":{},\"total_allocation\":{},\"markets\":[{}]",
             self.interval,
             json_string(&self.policy),
@@ -112,6 +115,7 @@ impl DecisionRecord {
             json_f64(self.objective),
             self.iterations,
             self.solved,
+            self.polished,
             json_f64(self.primal_residual),
             json_f64(self.dual_residual),
             json_f64(self.duality_gap),
@@ -216,6 +220,7 @@ mod tests {
             objective: 1.25,
             iterations: 40,
             solved: true,
+            polished: true,
             primal_residual: 2e-7,
             dual_residual: 5e-6,
             duality_gap: f64::NAN,
@@ -235,7 +240,7 @@ mod tests {
             }],
         };
         let json = format!("{{{}}}", rec.to_json_fields());
-        assert!(json.contains("\"solved\":true"));
+        assert!(json.contains("\"solved\":true,\"polished\":true,"));
         assert!(json.contains(
             "\"primal_residual\":0.0000002,\"dual_residual\":0.000005,\"duality_gap\":null"
         ));

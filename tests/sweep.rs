@@ -67,12 +67,22 @@ fn tournament_grid_is_byte_identical_at_jobs_1_and_4() {
 /// single byte of the sweep grid. The constants are the full-grid
 /// digests recorded when the counter-based arrival RNG landed
 /// (ISSUE 10) — any later refactor must reproduce them exactly.
+///
+/// Re-recorded when the solver started polishing, from
+/// `dd89cc681eefa2fa` / `0cbc211b0b46d267` / `96cda72316c02a98`: the
+/// first record differs at every seed, and in each only its
+/// `admm_iterations` moves (e.g. 200 → 70 on seed 1234's first cell).
+/// Across the 30 summaries of the three grids 15 iteration counts move
+/// and no other leaf does: the polished fleets round to the same
+/// servers, so every request-level number is byte-equal
+/// (`runner_equivalence.jsonl`, blessed at epoch 3, holds the same
+/// summaries).
 #[test]
 fn mpo_and_reactive_sweep_digests_survive_the_factory_refactor() {
     const GOLDEN_DIGESTS: &[(u64, &str)] = &[
-        (1234, "dd89cc681eefa2fa"),
-        (7, "0cbc211b0b46d267"),
-        (99, "96cda72316c02a98"),
+        (1234, "ac22b054ab8351c3"),
+        (7, "0ede622110067a85"),
+        (99, "41dfa90b4458a5ec"),
     ];
     for &(seed, expected) in GOLDEN_DIGESTS {
         let specs = build_grid(None, seed).expect("full grid builds");
