@@ -370,12 +370,13 @@ mod tests {
         let n = diag[0].rows();
         let h = diag.len();
         let mut k = Matrix::zeros(n * h, n * h);
+        // The blocks do not overlap, so adding each into zeros sets it.
         for (t, d) in diag.iter().enumerate() {
-            k.set_block(t * n, t * n, d);
+            k.add_block(t * n, t * n, d);
         }
         for (t, e) in sub.iter().enumerate() {
-            k.set_block((t + 1) * n, t * n, e);
-            k.set_block(t * n, (t + 1) * n, &e.transpose());
+            k.add_block((t + 1) * n, t * n, e);
+            k.add_block(t * n, (t + 1) * n, &e.transpose());
         }
         k
     }

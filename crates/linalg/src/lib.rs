@@ -9,14 +9,15 @@
 //! * [`Matrix`] — a row-major dense matrix with the usual arithmetic,
 //!   products, transposes and Gram matrices.
 //! * [`cholesky`] — Cholesky factorization for symmetric positive
-//!   definite systems (the ADMM solver's cached factorization).
+//!   definite systems (the ADMM solver's cached factorization and the
+//!   spline fit's ridge normal equations).
 //! * [`band`] — band Cholesky in caller-owned storage, for the QP
 //!   solver's polish of the active set's reduced system.
 //! * [`block_tridiag`] — block-tridiagonal Cholesky for the
 //!   multi-period KKT structure (`O(H·N³)` instead of `O((HN)³)`).
-//! * [`qr`] — Householder QR, the numerically robust path for
-//!   least-squares spline fitting.
-//! * [`mod@lstsq`] — linear least squares built on QR.
+//! * [`qr`] — Householder QR, and [`mod@lstsq`], linear least squares
+//!   built on it: the dense references the tests check the solver's
+//!   polish and the spline fit against.
 //! * [`sparse`] — CSR matrices: the QP's `P` and `A` from assembly
 //!   through equilibration to the per-iteration products.
 //! * [`vector`] — free functions on `&[f64]` (dot, ∞-norm, box clamp,

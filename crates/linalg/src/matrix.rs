@@ -324,19 +324,6 @@ impl Matrix {
         }
     }
 
-    /// Write `block` into `self` with its top-left corner at `(r0, c0)`.
-    ///
-    /// # Panics
-    /// Panics if the block does not fit.
-    pub fn set_block(&mut self, r0: usize, c0: usize, block: &Matrix) {
-        assert!(r0 + block.rows <= self.rows && c0 + block.cols <= self.cols);
-        for i in 0..block.rows {
-            for j in 0..block.cols {
-                self[(r0 + i, c0 + j)] = block[(i, j)];
-            }
-        }
-    }
-
     /// Add `block` into `self` with its top-left corner at `(r0, c0)`.
     ///
     /// # Panics
@@ -447,7 +434,7 @@ mod tests {
     fn blocks() {
         let mut m = Matrix::zeros(3, 3);
         let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        m.set_block(1, 1, &b);
+        m.add_block(1, 1, &b);
         assert_eq!(m[(2, 2)], 4.0);
         m.add_block(1, 1, &b);
         assert_eq!(m[(1, 1)], 2.0);

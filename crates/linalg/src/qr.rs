@@ -1,9 +1,9 @@
 //! Householder QR factorization.
 //!
-//! Used by the spline regression in `spotweb-predict`: least squares via
-//! QR avoids squaring the condition number the way normal equations do,
-//! which matters because spline basis matrices are poorly conditioned
-//! near window edges.
+//! The dense reference of the tests: least squares via QR avoids
+//! squaring the condition number the way normal equations do, so the
+//! KKT oracle and the spline fit's oracle solve through it, sharing no
+//! code with the factorizations they check.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -31,8 +31,8 @@ impl Qr {
     /// all `j` at once with `i` outermost, so the inner loops run along
     /// the row-major storage. Every `s[j]` still adds its terms in
     /// ascending `i` — one accumulator per column, bit-identical to the
-    /// column-at-a-time textbook loop (the goldens depend on it).
-    pub fn factor_owned(mut qr: Matrix) -> Result<Self> {
+    /// column-at-a-time textbook loop.
+    fn factor_owned(mut qr: Matrix) -> Result<Self> {
         let (m, n) = (qr.rows(), qr.cols());
         if m < n {
             return Err(LinalgError::DimensionMismatch {
@@ -249,9 +249,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
-        /// The shape `predict::spline` factors every interval: 336
-        /// window rows of four-wide periodic support plus a trend
-        /// column, stacked on 29 ridge rows (mostly exact zeros).
+        /// The shape `predict::spline`'s oracle factors: 336 window
+        /// rows of four-wide periodic support plus a trend column,
+        /// stacked on 29 ridge rows (mostly exact zeros).
         #[test]
         #[cfg_attr(miri, ignore)]
         fn row_sweep_is_bitwise_the_column_walk_on_the_ridge_stacked_spline_shape(

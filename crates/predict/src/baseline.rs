@@ -368,6 +368,41 @@ mod tests {
         }
     }
 
+    /// NaN and ±∞ are rejected by name through both spline predictors,
+    /// before the first fit and after it. Taken in, such a value fit
+    /// NaN coefficients, which `point`'s clamp then read as a forecast
+    /// of 0 for as long as the sample sat in the window.
+    #[test]
+    fn non_finite_observations_are_rejected_by_name() {
+        let trace = wikipedia_like(60, 11);
+        for (bad, shown) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ] {
+            for warm in [0, 60] {
+                let predictors: [(&str, Box<dyn SeriesPredictor>); 2] = [
+                    ("SpotWebPredictor", Box::new(SpotWebPredictor::new())),
+                    (
+                        "AliEldinPredictor",
+                        Box::new(AliEldinPredictor::with_config(48, 8, 1e-6)),
+                    ),
+                ];
+                for (name, mut p) in predictors {
+                    for v in &trace.values[..warm] {
+                        p.observe(*v);
+                    }
+                    let what = format!("{name} after {warm} observations, {shown}");
+                    let observe = std::panic::AssertUnwindSafe(|| p.observe(bad));
+                    let payload = std::panic::catch_unwind(observe).expect_err(&what);
+                    let message = payload.downcast_ref::<String>().expect(&what);
+                    let expected = format!("the observed `value` must be finite (got {shown})");
+                    assert_eq!(*message, expected, "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn reactive_is_persistence() {
         let mut p = ReactivePredictor::new();

@@ -10,7 +10,7 @@
 //!   window, the core of the workload predictor of Ali-Eldin et al.
 //!   \[1\] that SpotWeb extends. Our spline regresses on hour-of-week
 //!   (capturing the diurnal/weekly repetition the paper says splines
-//!   model well) plus a linear trend, through ridge least squares.
+//!   model well) plus a linear trend, by ridge regression.
 //! * [`ar`] — the AR(1) residual model \[1\] uses for small spikes.
 //! * [`confidence`] — SpotWeb's extension: the upper bound of the 99%
 //!   confidence interval around each prediction becomes the
