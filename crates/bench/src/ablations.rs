@@ -1,4 +1,4 @@
-//! Ablations beyond the paper's figures.
+//! Ablations beyond the paper's figures, and the related-work runs.
 //!
 //! DESIGN.md commits to four ablation sweeps that probe SpotWeb's
 //! design choices:
@@ -9,15 +9,26 @@
 //! * **padding** — the confidence level of the over-provisioning
 //!   (90/95/99/99.9%),
 //! * **horizon** — look-ahead beyond the paper's 10.
+//!
+//! [`related_work`] runs the policy zoo on the same setup, so each
+//! related-work policy's scorecard row reads its own source paper's
+//! metric off the same record walk.
 
 use serde::Serialize;
 use spotweb_core::evaluate::EvalOptions;
+use spotweb_core::policy::Policy;
 use spotweb_core::risk::herfindahl;
-use spotweb_core::{simulate_costs, SpotWebConfig, SpotWebPolicy};
+use spotweb_core::{
+    simulate_costs, ExoSphereMarkowitzPolicy, HetSpotGroupsPolicy, IndexTrackingPolicy,
+    SpotWebConfig, SpotWebPolicy,
+};
 use spotweb_market::Catalog;
 use spotweb_predict::confidence::ConfidenceLevel;
 use spotweb_predict::SpotWebPredictor;
 use spotweb_workload::wikipedia_like;
+
+/// Markets of the setup every run here shares.
+const MARKETS: usize = 9;
 
 /// One ablation row.
 #[derive(Debug, Clone, Serialize)]
@@ -34,6 +45,9 @@ pub struct AblationRow {
     pub mean_churn: f64,
     /// Mean portfolio concentration (Herfindahl over fleet capacity).
     pub mean_hhi: f64,
+    /// Coefficient of variation (population standard deviation over
+    /// mean) of the hourly provisioning $ per request across the run.
+    pub cost_cv: f64,
 }
 
 /// An ablation sweep result.
@@ -45,27 +59,18 @@ pub struct Ablation {
     pub rows: Vec<AblationRow>,
 }
 
-fn evaluate(
-    config: SpotWebConfig,
-    level: Option<ConfidenceLevel>,
-    intervals: usize,
-    seed: u64,
-) -> AblationRow {
-    let n = 9;
-    let catalog = Catalog::ec2_subset(n);
+/// Run `policy` on the shared setup: [`MARKETS`] EC2 markets, the
+/// Wikipedia-like trace at a 20 000 req/s mean, `intervals` hours at
+/// `seed`. The row's `value` is 0, for the caller to fill.
+fn evaluate(policy: &mut dyn Policy, intervals: usize, seed: u64) -> AblationRow {
+    let catalog = Catalog::ec2_subset(MARKETS);
     let trace = wikipedia_like(intervals + 16, seed).with_mean(20_000.0);
     let options = EvalOptions {
         intervals,
         seed,
         ..EvalOptions::default()
     };
-    let mut policy = match level {
-        Some(l) => {
-            SpotWebPolicy::with_predictor(config, n, Box::new(SpotWebPredictor::with_level(l)))
-        }
-        None => SpotWebPolicy::new(config, n),
-    };
-    let report = simulate_costs(&mut policy, &catalog, &trace, &options);
+    let report = simulate_costs(policy, &catalog, &trace, &options);
 
     // Churn: per-market absolute fleet delta between intervals.
     let mut churn_total = 0.0;
@@ -90,8 +95,21 @@ fn evaluate(
             .collect();
         hhi_sum += herfindahl(&caps);
     }
+
+    // Predictability: an hour's $ over its req/s is a fixed multiple
+    // of its $ per request, so both have the same CV.
+    let per_request: Vec<f64> = report
+        .records
+        .iter()
+        .filter(|rec| rec.workload > 0.0)
+        .map(|rec| rec.provisioning_cost / rec.workload)
+        .collect();
+    let n = per_request.len().max(1) as f64;
+    let mean = per_request.iter().sum::<f64>() / n;
+    let variance = per_request.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / n;
+
     AblationRow {
-        value: 0.0, // filled by caller
+        value: 0.0,
         total_cost: report.total_cost(),
         penalty_fraction: if report.total_cost() > 0.0 {
             report.penalty_cost / report.total_cost()
@@ -101,6 +119,67 @@ fn evaluate(
         drop_fraction: report.drop_fraction(),
         mean_churn,
         mean_hhi: hhi_sum / report.records.len().max(1) as f64,
+        cost_cv: variance.sqrt() / mean,
+    }
+}
+
+/// [`evaluate`] for SpotWeb under `config`, with the default predictor
+/// or one padded to `level`.
+fn evaluate_spotweb(
+    config: SpotWebConfig,
+    level: Option<ConfidenceLevel>,
+    intervals: usize,
+    seed: u64,
+) -> AblationRow {
+    let mut policy = match level {
+        Some(l) => SpotWebPolicy::with_predictor(
+            config,
+            MARKETS,
+            Box::new(SpotWebPredictor::with_level(l)),
+        ),
+        None => SpotWebPolicy::new(config, MARKETS),
+    };
+    evaluate(&mut policy, intervals, seed)
+}
+
+/// The related-work policies on the ablations' setup, each beside the
+/// run its source paper's claim is measured against.
+pub struct RelatedWork {
+    /// Zoo ExoSphere (arXiv:1704.08738) at the default risk aversion.
+    pub exosphere: AblationRow,
+    /// The same policy at `α = 0`: cost alone, no diversification.
+    pub exosphere_cost_only: AblationRow,
+    /// Cloud Index Tracking (arXiv:1809.03110).
+    pub index_tracking: AblationRow,
+    /// SpotWeb at `H = 2`, the index tracker's yardstick.
+    pub spotweb: AblationRow,
+    /// Heterogeneous spot groups (arXiv:1509.05197).
+    pub het_spot_groups: AblationRow,
+}
+
+/// Run every [`RelatedWork`] policy for `intervals` hours at `seed`.
+pub fn related_work(intervals: usize, seed: u64) -> RelatedWork {
+    let exosphere = |config: &SpotWebConfig| {
+        evaluate(
+            &mut ExoSphereMarkowitzPolicy::new(config, MARKETS),
+            intervals,
+            seed,
+        )
+    };
+    RelatedWork {
+        exosphere: exosphere(&SpotWebConfig::default()),
+        exosphere_cost_only: exosphere(&SpotWebConfig {
+            alpha: 0.0,
+            ..SpotWebConfig::default()
+        }),
+        index_tracking: evaluate(&mut IndexTrackingPolicy::new(MARKETS), intervals, seed),
+        spotweb: evaluate_spotweb(
+            SpotWebConfig::default().with_horizon(2),
+            None,
+            intervals,
+            seed,
+        ),
+        het_spot_groups: evaluate(&mut HetSpotGroupsPolicy::new(MARKETS), intervals, seed),
     }
 }
 
@@ -109,7 +188,7 @@ pub fn churn(gammas: &[f64], intervals: usize, seed: u64) -> Ablation {
     let rows = gammas
         .iter()
         .map(|&g| {
-            let mut row = evaluate(
+            let mut row = evaluate_spotweb(
                 SpotWebConfig {
                     churn_gamma: g,
                     ..SpotWebConfig::default()
@@ -133,7 +212,7 @@ pub fn alpha(alphas: &[f64], intervals: usize, seed: u64) -> Ablation {
     let rows = alphas
         .iter()
         .map(|&a| {
-            let mut row = evaluate(
+            let mut row = evaluate_spotweb(
                 SpotWebConfig {
                     alpha: a,
                     ..SpotWebConfig::default()
@@ -163,7 +242,7 @@ pub fn padding(intervals: usize, seed: u64) -> Ablation {
     let rows = levels
         .iter()
         .map(|&(v, l)| {
-            let mut row = evaluate(SpotWebConfig::default(), Some(l), intervals, seed);
+            let mut row = evaluate_spotweb(SpotWebConfig::default(), Some(l), intervals, seed);
             row.value = v;
             row
         })
@@ -179,7 +258,7 @@ pub fn horizon(horizons: &[usize], intervals: usize, seed: u64) -> Ablation {
     let rows = horizons
         .iter()
         .map(|&h| {
-            let mut row = evaluate(
+            let mut row = evaluate_spotweb(
                 SpotWebConfig::default().with_horizon(h),
                 None,
                 intervals,

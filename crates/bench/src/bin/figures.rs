@@ -20,8 +20,6 @@
 //! report      human-readable explanation of the same replay
 //! sweep       policy × scenario × seed grid on --jobs J workers,
 //!             checked byte-equal to a --jobs 1 pass
-//! tournament  policy-zoo leaderboard over the full grid, checked the
-//!             same way; writes tournament_leaderboard.json to --out
 //! soak        --hours N of 20 krps through the full stack; per-hour
 //!             req/wall-s and peak RSS on stderr, non-zero over the gate
 //! bless       audited golden regeneration against MANIFEST.json
@@ -37,7 +35,7 @@ use std::process::ExitCode;
 use std::path::Path;
 
 use spotweb_bench::cli::{figure_output, parse_args, usage, write, Args};
-use spotweb_bench::{bless, soak, sweep, telem, tournament};
+use spotweb_bench::{bless, soak, sweep, telem};
 
 /// Nearest directory at or above `start` whose `Cargo.toml` declares a
 /// `[workspace]` — the root `bless` resolves the golden directory from.
@@ -78,7 +76,9 @@ fn run(args: &Args) -> Result<(), String> {
         }
         "sweep" => {
             let output = sweep::run_command(args.jobs, args.scenario.as_deref(), seed)?;
-            print!("{}", output.summary_lines);
+            for summary in &output.summaries {
+                println!("{}", summary.to_json());
+            }
             // Iteration counts, not timings: deterministic, but not
             // part of the per-run corpus stdout carries.
             let warm = sweep::warm_start_probe();
@@ -92,22 +92,6 @@ fn run(args: &Args) -> Result<(), String> {
                 warm.cold_mean_iterations,
                 warm.markets,
                 warm.horizon
-            );
-        }
-        "tournament" => {
-            let output = tournament::run_command(
-                args.jobs,
-                args.policy.as_deref(),
-                args.scenario.as_deref(),
-            )?;
-            print!("{}", output.table);
-            let dir = Path::new(args.out.as_deref().unwrap_or("."));
-            let board_path = write(dir, "tournament_leaderboard.json", &output.leaderboard_json)?;
-            eprintln!(
-                "tournament: digest {} at --jobs {} matches --jobs 1; wrote {}",
-                output.digest,
-                args.jobs,
-                board_path.display()
             );
         }
         "soak" => {

@@ -25,8 +25,7 @@ use spotweb_telemetry::json::fnv1a64_hex;
 
 use crate::manifest::{self, FixtureEntry, HistoryEntry, Manifest};
 use crate::sweep::{build_grid, run_grid};
-use crate::tournament::{build_tournament_grid, leaderboard, render_leaderboard_json};
-use crate::{cell, cli, profile, telem};
+use crate::{cli, profile, telem};
 
 /// Seeds the runner-equivalence golden is recorded at (mirrors
 /// `tests/golden.rs`).
@@ -61,14 +60,6 @@ fn gen_runner_equivalence(_root: &Path) -> Result<String, String> {
         }
     }
     Ok(out)
-}
-
-fn gen_tournament(_root: &Path) -> Result<String, String> {
-    let summaries = run_grid(4, build_tournament_grid(None, None)?);
-    Ok(render_leaderboard_json(
-        &leaderboard(&summaries),
-        cell::SCENARIOS,
-    ))
 }
 
 fn gen_profile_spans(_root: &Path) -> Result<String, String> {
@@ -118,11 +109,6 @@ pub fn default_specs() -> Vec<FixtureSpec> {
             name: "scorecard.md",
             command: "cargo run --release -p spotweb-bench --bin figures -- scorecard --jobs 2 > tests/golden/scorecard.md",
             generate: |_| figure("scorecard --jobs 2"),
-        },
-        FixtureSpec {
-            name: "tournament_leaderboard.json",
-            command: "cargo run --release -p spotweb-bench --bin figures -- tournament --jobs 4 --out tests/golden/",
-            generate: gen_tournament,
         },
         FixtureSpec {
             name: "trace_revocation_storm.jsonl",

@@ -1,10 +1,10 @@
 //! The experiment cell: one (scenario, policy, seed) full-stack run.
 //!
 //! The paper's evaluation — and every full-stack command in this
-//! crate (`trace`, `report`, `sweep`, `tournament`, `soak`, the
-//! `profile_spans.json` generator) — is a grid of such cells. This
-//! module is the only place that knows what a cell is made of: which
-//! names exist and how they may be spelled, the Fig. 4 testbed catalog,
+//! crate (`trace`, `report`, `sweep`, `soak`, the `profile_spans.json`
+//! generator) — is a grid of such cells. This module is the only place
+//! that knows what a cell is made of: which names exist and how they
+//! may be spelled, the Fig. 4 testbed catalog,
 //! the seeded cloud and its warm-up, the flat offered-load trace, the
 //! [`RunnerConfig`], the fault plan behind a scenario name, and which
 //! policies are a [`spotweb_core::Policy`] behind a bridge and which
@@ -34,7 +34,6 @@ pub const POLICIES: &[&str] = &[
     "exosphere",
     "index-tracking",
     "het-spot-groups",
-    "randomized-market",
 ];
 
 /// Resolve a name as typed on the command line against `known`. One
@@ -56,7 +55,7 @@ pub fn resolve_scenario(raw: &str) -> Result<&'static str, String> {
 }
 
 /// Resolve a (leniently spelled) policy name against [`POLICIES`].
-pub fn resolve_policy(raw: &str) -> Result<&'static str, String> {
+fn resolve_policy(raw: &str) -> Result<&'static str, String> {
     resolve("policy", raw, POLICIES)
 }
 
@@ -83,8 +82,8 @@ pub fn chaos_reports(only: Option<&str>, seed: u64) -> Result<String, String> {
 }
 
 /// One full-stack experiment. `scenario` and `policy` are canonical
-/// names (from [`resolve_scenario`] / [`resolve_policy`], or literals
-/// out of [`SCENARIOS`] / [`POLICIES`]); the rest is the run's shape.
+/// names (resolved by [`Cell::trace_default`], or literals out of
+/// [`SCENARIOS`] / [`POLICIES`]); the rest is the run's shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Canonical scenario name (one of [`SCENARIOS`]).
@@ -113,7 +112,7 @@ pub struct CellRun {
 }
 
 impl Cell {
-    /// The shape `trace`, `sweep` and `tournament` share: 300 req/s
+    /// The shape `trace` and `sweep` share: 300 req/s
     /// over four 5-minute control intervals — long enough for the storm
     /// at t = 400 s to land mid-run with warmed replacements before the
     /// end, short enough that a double run stays cheap. Names are
@@ -186,7 +185,6 @@ impl Cell {
                     ..SpotWebConfig::default()
                 },
                 catalog.len(),
-                self.seed,
                 &sink,
             )
             .expect("cell names are canonical");
@@ -321,7 +319,7 @@ fn scenario_setup(name: &str, markets: usize) -> Option<(FaultPlan, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{profile, soak, sweep, telem, tournament};
+    use crate::{profile, soak, sweep, telem};
 
     /// A command's library entry point, reduced to "did the scenario
     /// name resolve".
@@ -333,9 +331,6 @@ mod tests {
         vec![
             ("cell", |s| Cell::trace_default(s, "reactive", 7).map(drop)),
             ("sweep", |s| sweep::build_grid(Some(s), 7).map(drop)),
-            ("tournament", |s| {
-                tournament::build_tournament_grid(Some("reactive"), Some(s)).map(drop)
-            }),
             // The entry points below run what they resolve: keep the
             // accepted spellings cheap (the soak at 1 req/s for an hour).
             ("soak", |s| soak::run_hourly(s, 7, 1.0, 1).map(drop)),

@@ -11,16 +11,16 @@ use crate::{DEFAULT_SEED, FIVE_DAYS_HOURS, ONE_WEEK_HOURS, THREE_WEEKS_HOURS};
 
 /// Every subcommand, in usage order.
 #[rustfmt::skip]
-pub const COMMANDS: [&str; 18] = [
+pub const COMMANDS: [&str; 17] = [
     "fig3", "fig4a", "fig4bcd", "fig5", "fig6a", "fig6b", "fig7a", "fig7b", "ablations",
-    "discussion", "scorecard", "chaos", "trace", "report", "sweep", "tournament", "soak", "bless",
+    "discussion", "scorecard", "chaos", "trace", "report", "sweep", "soak", "bless",
 ];
 
 /// The usage line printed with every parse error.
 pub fn usage() -> String {
     format!(
         "usage: figures <{}> [--seed N] [--intervals N] [--workload wikipedia|vod] \
-         [--scenario NAME] [--policy NAME] [--out DIR] [--jobs J] [--hours N] [--init] \
+         [--scenario NAME] [--out DIR] [--jobs J] [--hours N] [--init] \
          [--note TEXT] [--check] [--base-manifest FILE] [FIXTURE...]",
         COMMANDS.join("|")
     )
@@ -39,12 +39,9 @@ pub struct Args {
     pub workload: Fig6bWorkload,
     /// Chaos / trace scenario name.
     pub scenario: Option<String>,
-    /// `tournament` only: restrict the grid to one registered policy.
-    pub policy: Option<String>,
-    /// Output directory (`trace`, `tournament`).
+    /// `trace` only: output directory.
     pub out: Option<String>,
-    /// Worker threads for `sweep`/`tournament`/`scorecard` (accepted
-    /// everywhere).
+    /// Worker threads for `sweep`/`scorecard` (accepted everywhere).
     pub jobs: usize,
     /// `soak` only: simulated hours.
     pub hours: usize,
@@ -84,7 +81,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String
         intervals: THREE_WEEKS_HOURS,
         workload: Fig6bWorkload::Wikipedia,
         scenario: None,
-        policy: None,
         out: None,
         jobs: 1,
         hours: 24,
@@ -113,9 +109,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String
             }
             "--scenario" => {
                 out.scenario = Some(args.next().ok_or("--scenario needs a value")?);
-            }
-            "--policy" => {
-                out.policy = Some(args.next().ok_or("--policy needs a value")?);
             }
             "--init" => out.init = true,
             "--note" => {

@@ -20,7 +20,6 @@
 //! | [`cell`] | the experiment cell: one (scenario, policy, seed) full-stack run — every command below that simulates requests goes through it |
 //! | [`telem`] | `figures trace`/`report` — full-stack telemetry replay of the chaos scenarios |
 //! | [`sweep`] | `figures sweep` — deterministic parallel policy × scenario × seed grid, jobs-1 ≡ jobs-J digest proof |
-//! | [`tournament`] | `figures tournament` — policy-zoo leaderboard over the full grid |
 //! | [`soak`] | `figures soak` — 20 krps long-horizon run: per-hour throughput series + peak-RSS gate |
 //! | [`profile`] | `prof`-session wrappers behind `tests/profile.rs` and the `profile_spans.json` golden |
 //! | [`bless`] | `figures bless` — audited golden regeneration against `tests/golden/MANIFEST.json`, and its `--check` gate |
@@ -49,7 +48,6 @@ pub mod scorecard;
 pub mod soak;
 pub mod sweep;
 pub mod telem;
-pub mod tournament;
 
 /// Default seed used across the harness so every figure is
 /// reproducible end-to-end.

@@ -1,8 +1,10 @@
 //! `figures scorecard` — every paper-vs-measured claim, judged across
 //! seeds instead of on one draw.
 //!
-//! `ROWS` names each claim of §6–§8 once: the figure, the claim, the
-//! paper's value and an extractor over the `figN::run*` results. Every
+//! `ROWS` names each claim of §6–§8 once, and each related-work
+//! policy's claim in its own source paper's metric: the figure, the
+//! claim, the paper's value and an extractor over the `figN::run*`
+//! (or [`ablations::related_work`]) results. Every
 //! seed runs each figure once (through `parallel_map`, one task per
 //! seed), and each row prints the median, the `[min, max]`
 //! order-statistic interval and how many seeds show the paper's sign.
@@ -17,14 +19,15 @@ use std::fmt::Write as _;
 
 use spotweb_sim::sweep::parallel_map;
 
-use crate::{ablations, discussion, fig4, fig5, fig6, fig7, FIVE_DAYS_HOURS, ONE_WEEK_HOURS};
+use crate::ablations::{self, AblationRow};
+use crate::{discussion, fig4, fig5, fig6, fig7, FIVE_DAYS_HOURS, ONE_WEEK_HOURS};
 
 /// The seeds `figures scorecard` (and its golden) runs.
 pub const SCORECARD_SEEDS: [u64; 8] = [1234, 20190622, 42, 7, 99, 4242, 2019, 65537];
 
 /// Every figure run one seed contributes: Fig. 6(a) at H = 2 and 4,
 /// Fig. 6(b) at 9 / 18 / 36 markets and H = 2, Fig. 7(a) at ±20 %,
-/// the churn ablation at γ = 0 and 0.5.
+/// the churn ablation at γ = 0 and 0.5, the related-work policies.
 struct Runs {
     fig4a: fig4::Fig4a,
     fig4bcd: fig4::Fig4bcd,
@@ -36,6 +39,7 @@ struct Runs {
     churn: ablations::Ablation,
     /// §7: EC2-, GCP- and Azure-like rows, in that order.
     providers: discussion::Discussion,
+    related: ablations::RelatedWork,
 }
 
 impl Runs {
@@ -53,6 +57,7 @@ impl Runs {
             fig7a: fig7::run_fig7a(&[0.2], intervals, seed),
             churn: ablations::churn(&[0.0, 0.5], intervals.min(ONE_WEEK_HOURS), seed),
             providers: discussion::run(intervals.min(ONE_WEEK_HOURS), seed),
+            related: ablations::related_work(intervals.min(ONE_WEEK_HOURS), seed),
         }
     }
 }
@@ -68,13 +73,23 @@ struct Row {
     extract: fn(&Runs) -> f64,
 }
 
+/// Percent change of `field` from `base` to `row`.
+fn change(row: &AblationRow, base: &AblationRow, field: fn(&AblationRow) -> f64) -> f64 {
+    100.0 * (field(row) / field(base) - 1.0)
+}
+
 /// Percent change of the churn ablation's `field` from γ = 0 to 0.5.
-fn churn_change(r: &Runs, field: fn(&ablations::AblationRow) -> f64) -> f64 {
-    100.0 * (field(&r.churn.rows[1]) / field(&r.churn.rows[0]) - 1.0)
+fn churn_change(r: &Runs, field: fn(&AblationRow) -> f64) -> f64 {
+    change(&r.churn.rows[1], &r.churn.rows[0], field)
+}
+
+/// Percent change of zoo ExoSphere's `field` from α = 0 to the default.
+fn exosphere_change(r: &Runs, field: fn(&AblationRow) -> f64) -> f64 {
+    change(&r.related.exosphere, &r.related.exosphere_cost_only, field)
 }
 
 #[rustfmt::skip]
-const ROWS: [Row; 19] = [
+const ROWS: [Row; 23] = [
     Row { figure: "Fig. 4(a)", claim: "requests dropped in the 10-min run, transiency-aware LB (%)",
           paper: "none", sign: Equal, decimals: 2,
           extract: |r| 100.0 * r.fig4a.spotweb.drop_fraction },
@@ -132,6 +147,18 @@ const ROWS: [Row; 19] = [
     Row { figure: "ablation", claim: "cost, churn weight γ 0 → 0.5 (% change)",
           paper: "— (beyond the paper)", sign: Greater, decimals: 1,
           extract: |r| churn_change(r, |row| row.total_cost) },
+    Row { figure: "related work", claim: "zoo ExoSphere capacity HHI, risk aversion α 0 → 5 (% change)",
+          paper: "diversified portfolio (arXiv:1704.08738)", sign: Less, decimals: 1,
+          extract: |r| exosphere_change(r, |row| row.mean_hhi) },
+    Row { figure: "related work", claim: "zoo ExoSphere cost, risk aversion α 0 → 5 (% change)",
+          paper: "diversification at a premium", sign: Greater, decimals: 1,
+          extract: |r| exosphere_change(r, |row| row.total_cost) },
+    Row { figure: "related work", claim: "index tracking, CV of hourly $ per request vs SpotWeb at H = 2 (% change)",
+          paper: "predictable costs (arXiv:1809.03110)", sign: Less, decimals: 1,
+          extract: |r| change(&r.related.index_tracking, &r.related.spotweb, |row| row.cost_cv) },
+    Row { figure: "related work", claim: "het-spot-groups requests dropped (%)",
+          paper: "capacity ≥ λ after losing any one group (arXiv:1509.05197)", sign: Equal, decimals: 3,
+          extract: |r| 100.0 * r.related.het_spot_groups.drop_fraction },
 ];
 
 /// One row's statistics over its seeds.

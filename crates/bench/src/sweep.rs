@@ -31,39 +31,6 @@ pub fn run_grid(jobs: usize, cells: Vec<Cell>) -> Vec<RunSummary> {
     parallel_map(jobs, cells, |_, cell| cell.run().summary())
 }
 
-/// A grid that rendered the same bytes at `--jobs 1` and at `--jobs J`:
-/// the determinism proof every grid command makes before it renders
-/// anything.
-pub struct VerifiedGrid {
-    /// Per-cell summaries, grid order.
-    pub summaries: Vec<RunSummary>,
-    /// FNV digest over those summaries.
-    pub digest: String,
-}
-
-/// Run `cells` serially, run them again at `jobs` workers, and compare
-/// the two renderings line for line and as digests. A mismatch is the
-/// determinism contract broken, and an error.
-pub fn run_grid_verified(jobs: usize, cells: Vec<Cell>) -> Result<VerifiedGrid, String> {
-    let serial = run_grid(1, cells.clone());
-    let summaries = run_grid(jobs, cells);
-    let (digest_serial, digest_parallel) = (digest(&serial), digest(&summaries));
-    let same_lines = serial
-        .iter()
-        .zip(&summaries)
-        .all(|(a, b)| a.to_json() == b.to_json());
-    if digest_serial != digest_parallel || !same_lines {
-        return Err(format!(
-            "grid at --jobs {jobs} diverged from --jobs 1 (determinism contract violated): \
-             digest {digest_parallel} vs {digest_serial}"
-        ));
-    }
-    Ok(VerifiedGrid {
-        summaries,
-        digest: digest_parallel,
-    })
-}
-
 /// Mean ADMM iterations per MPO solve with the receding-horizon warm
 /// start on vs off, measured on a deterministic 18-market, H=4
 /// price-drift sequence (the Fig. 7(b) shape). The first solve of each
@@ -150,23 +117,37 @@ pub fn warm_start_probe() -> WarmStartStats {
     }
 }
 
-/// Result of [`run_command`]: the deterministic stdout body and its
-/// digest.
+/// What `figures sweep` prints: summaries that rendered the same bytes
+/// at `--jobs 1` and at `--jobs J`, and their digest.
 pub struct SweepOutput {
-    /// Per-run JSON lines (byte-stable, grid order) for stdout.
-    pub summary_lines: String,
+    /// Per-cell summaries, grid order.
+    pub summaries: Vec<RunSummary>,
     /// FNV digest over the summaries (the value `tests/sweep.rs` pins).
     pub digest: String,
 }
 
 /// Execute the sweep command: run the grid serially, run it again at
-/// `jobs` workers, verify byte-identical summaries, and render the
-/// stdout body.
+/// `jobs` workers, and compare the two renderings line for line and as
+/// digests. A mismatch is the determinism contract broken, and an
+/// error.
 pub fn run_command(jobs: usize, scenario: Option<&str>, seed: u64) -> Result<SweepOutput, String> {
-    let run = run_grid_verified(jobs, build_grid(scenario, seed)?)?;
+    let cells = build_grid(scenario, seed)?;
+    let serial = run_grid(1, cells.clone());
+    let summaries = run_grid(jobs, cells);
+    let (digest_serial, digest_parallel) = (digest(&serial), digest(&summaries));
+    let same_lines = serial
+        .iter()
+        .zip(&summaries)
+        .all(|(a, b)| a.to_json() == b.to_json());
+    if digest_serial != digest_parallel || !same_lines {
+        return Err(format!(
+            "grid at --jobs {jobs} diverged from --jobs 1 (determinism contract violated): \
+             digest {digest_parallel} vs {digest_serial}"
+        ));
+    }
     Ok(SweepOutput {
-        summary_lines: run.summaries.iter().map(|s| s.to_json() + "\n").collect(),
-        digest: run.digest,
+        summaries,
+        digest: digest_parallel,
     })
 }
 
@@ -188,7 +169,7 @@ mod tests {
     fn sweep_runs_are_deterministic_across_job_counts() {
         // Small grid (one scenario) to keep the double pass cheap; the
         // root tests/sweep.rs golden test covers the CLI-visible path.
-        let run = run_grid_verified(4, build_grid(Some("zero-warning"), 1234).unwrap())
+        let run = run_command(4, Some("zero-warning"), 1234)
             .expect("sweep output must be byte-identical at any jobs");
         // The spotweb run actually exercised the optimizer.
         let spot = &run.summaries[0];

@@ -52,7 +52,6 @@ pub use policy::exosphere::ExoSphereMarkowitzPolicy;
 pub use policy::factory::{build_policy, normalize_policy_name, ZOO_POLICIES};
 pub use policy::het_spot_groups::HetSpotGroupsPolicy;
 pub use policy::index_tracking::IndexTrackingPolicy;
-pub use policy::randomized_market::RandomizedMarketPolicy;
 pub use policy::{
     ConstantPortfolioPolicy, ExoSpherePolicy, OnDemandPolicy, Policy, PolicyObservation,
     SpotWebPolicy,

@@ -100,6 +100,7 @@ impl Policy for HetSpotGroupsPolicy {
 mod tests {
     use super::*;
     use spotweb_linalg::Matrix;
+    use spotweb_workload::rng::CounterStream;
 
     fn obs<'a>(prices: &'a [f64], failures: &'a [f64], cov: &'a Matrix) -> PolicyObservation<'a> {
         PolicyObservation {
@@ -180,6 +181,86 @@ mod tests {
         // market carries the whole load at share 1.
         assert_eq!(counts.iter().filter(|&&c| c > 0).count(), 1);
         assert!((p.weights.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    /// The sizing oracle: over a seeded sequence of observations with
+    /// varied correlation matrices, whenever `g > f` groups form,
+    /// zeroing the servers of every `f`-subset of groups still leaves
+    /// capacity ≥ the λ the policy sized for; when `g ≤ f`, one market
+    /// carries share 1.
+    #[test]
+    fn losing_any_f_groups_leaves_lambda_covered() {
+        let stream = CounterStream::new(150_905_197, 0);
+        let mut counter = 0;
+        let mut unit = || {
+            counter += 1;
+            stream.unit_f64_at(counter)
+        };
+        let (mut spread, mut single) = (0, 0);
+        for round in 0..200 {
+            let n = 2 + (unit() * 9.0) as usize;
+            let catalog = Catalog::ec2_subset(n);
+            let prices: Vec<f64> = catalog
+                .markets()
+                .iter()
+                .map(|m| m.instance.on_demand_price * (0.1 + 0.9 * unit()))
+                .collect();
+            let failures = vec![0.05; n];
+            // Even rounds: planted clusters, correlated at or above the
+            // threshold inside and below it across. Odd rounds: every
+            // pair uniform in [-1, 1], so groups chain transitively.
+            let clusters = 1 + (unit() * n as f64) as usize;
+            let cluster: Vec<usize> = (0..n)
+                .map(|_| (unit() * clusters as f64) as usize)
+                .collect();
+            let mut cov = Matrix::identity(n);
+            for i in 0..n {
+                for j in 0..i {
+                    let c = if round % 2 == 1 {
+                        2.0 * unit() - 1.0
+                    } else if cluster[i] == cluster[j] {
+                        CORR_THRESHOLD + (1.0 - CORR_THRESHOLD) * unit()
+                    } else {
+                        CORR_THRESHOLD * (2.0 * unit() - 1.0) * 0.99
+                    };
+                    cov[(i, j)] = c;
+                    cov[(j, i)] = c;
+                }
+            }
+            let lambda = 100.0 + 50_000.0 * unit();
+            let obs = PolicyObservation {
+                current_workload: lambda,
+                ..obs(&prices, &failures, &cov)
+            };
+            let mut p = HetSpotGroupsPolicy::new(n);
+            let counts = p.decide(&catalog, &obs);
+
+            let groups = correlation_groups(&cov, CORR_THRESHOLD);
+            let g = groups.iter().max().map_or(0, |m| m + 1);
+            if g > FAULT_TOLERANCE {
+                spread += 1;
+                for lost in (0u32..1 << g).filter(|m| m.count_ones() as usize == FAULT_TOLERANCE) {
+                    let left: f64 = (0..n)
+                        .filter(|&i| lost & (1 << groups[i]) == 0)
+                        .map(|i| counts[i] as f64 * catalog.market(i).capacity_rps())
+                        .sum();
+                    assert!(
+                        left >= lambda,
+                        "round {round}: losing groups {lost:#b} of {g} leaves {left} < λ {lambda}"
+                    );
+                }
+            } else {
+                single += 1;
+                let carrying: Vec<f64> = p.weights.iter().copied().filter(|w| *w > 0.0).collect();
+                assert_eq!(
+                    carrying,
+                    [1.0],
+                    "round {round}: {g} group(s), {:?}",
+                    p.weights
+                );
+            }
+        }
+        assert!(spread > 0 && single > 0, "{spread} spread, {single} single");
     }
 
     #[test]

@@ -23,14 +23,11 @@
 //! * [`index_tracking`] — hold the spot index (arXiv:1809.03110).
 //! * [`het_spot_groups`] — fault-tolerance-aware failure-domain
 //!   grouping (arXiv:1509.05197).
-//! * [`randomized_market`] — seeded randomized market selection
-//!   (arXiv:2601.14612).
 
 pub mod exosphere;
 pub mod factory;
 pub mod het_spot_groups;
 pub mod index_tracking;
-pub mod randomized_market;
 
 use spotweb_linalg::Matrix;
 use spotweb_market::{Catalog, Market, MarketKind};

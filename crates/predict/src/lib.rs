@@ -27,7 +27,7 @@
 //! * [`noisy`] — controlled error injection around any predictor, the
 //!   instrument behind the Fig. 7(a) accuracy-sensitivity sweep.
 //! * [`index`] — EWMA smoothing of spot-index weights, the input the
-//!   index-tracking policy of the tournament rebalances toward.
+//!   zoo's index-tracking policy rebalances toward.
 //! * [`metrics`] — relative-error distributions and
 //!   over/under-provisioning summaries (Fig. 4(c)/(d)).
 

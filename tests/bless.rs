@@ -289,9 +289,9 @@ fn a_fixture_gone_from_disk_and_manifest_is_a_retirement() {
 #[test]
 fn generators_reproduce_the_on_disk_goldens() {
     // Byte-fidelity for the cheap generators: blessing an unchanged
-    // fixture must be a digest no-op. (The sweep/tournament generators
-    // are exercised end-to-end by tests/golden.rs and
-    // tests/tournament.rs.)
+    // fixture must be a digest no-op. (The sweep and scorecard
+    // generators are exercised end-to-end by tests/golden.rs and
+    // tests/scorecard.rs.)
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for name in [
         "fig4a.json",

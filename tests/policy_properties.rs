@@ -1,13 +1,14 @@
-//! Property tests for the policy zoo (ISSUE 6): every policy the
-//! factory can build must, for every tournament seed,
+//! Property tests for the policy zoo: every policy the factory can
+//! build must
 //!
 //! * return one server count per catalog market,
 //! * cover the requested workload (allocated capacity ≥ λ),
 //! * stay within the configured over-provisioning envelope (no policy
 //!   buys unboundedly many servers), and
-//! * be a pure function of `(observation sequence, seed)`: building
-//!   the policy twice and replaying the same observations produces
-//!   byte-identical decision sequences.
+//! * be a pure function of the observation sequence: building the
+//!   policy twice and replaying the same observations produces
+//!   byte-identical decision sequences. No zoo policy draws
+//!   randomness, so there is no seed to sweep.
 
 use spotweb::core::policy::{OracleView, Policy, PolicyObservation};
 use spotweb::core::{build_policy, SpotWebConfig, ZOO_POLICIES};
@@ -15,7 +16,6 @@ use spotweb::linalg::Matrix;
 use spotweb::market::Catalog;
 use spotweb::telemetry::TelemetrySink;
 
-const SEEDS: &[u64] = &[1234, 7, 99];
 const INTERVALS: usize = 6;
 const LAMBDA: f64 = 1000.0;
 
@@ -58,12 +58,11 @@ fn obs_path(catalog: &Catalog) -> ObsPath {
 
 /// Replay the fixed observation path through a freshly built policy,
 /// returning the decision sequence.
-fn drive(name: &str, seed: u64, catalog: &Catalog, path: &ObsPath) -> Vec<Vec<u32>> {
+fn drive(name: &str, catalog: &Catalog, path: &ObsPath) -> Vec<Vec<u32>> {
     let policy = build_policy(
         name,
         &SpotWebConfig::default(),
         catalog.len(),
-        seed,
         &TelemetrySink::disabled(),
     )
     .expect("registered policies build");
@@ -102,24 +101,18 @@ fn every_policy_covers_the_workload_within_the_envelope() {
     let slack: f64 = catalog.markets().iter().map(|m| m.capacity_rps()).sum();
     let envelope = 3.0 * LAMBDA + slack;
     for name in ZOO_POLICIES {
-        for &seed in SEEDS {
-            for (t, counts) in drive(name, seed, &catalog, &path).iter().enumerate() {
-                assert_eq!(
-                    counts.len(),
-                    catalog.len(),
-                    "{name}/seed {seed}: one count per market"
-                );
-                let cap = capacity(&catalog, counts);
-                assert!(
-                    cap >= LAMBDA,
-                    "{name}/seed {seed}/interval {t}: capacity {cap} < λ {LAMBDA}"
-                );
-                assert!(
-                    cap <= envelope,
-                    "{name}/seed {seed}/interval {t}: capacity {cap} blows the \
-                     over-provisioning envelope {envelope}"
-                );
-            }
+        for (t, counts) in drive(name, &catalog, &path).iter().enumerate() {
+            assert_eq!(counts.len(), catalog.len(), "{name}: one count per market");
+            let cap = capacity(&catalog, counts);
+            assert!(
+                cap >= LAMBDA,
+                "{name}/interval {t}: capacity {cap} < λ {LAMBDA}"
+            );
+            assert!(
+                cap <= envelope,
+                "{name}/interval {t}: capacity {cap} blows the over-provisioning \
+                 envelope {envelope}"
+            );
         }
     }
 }
@@ -129,17 +122,15 @@ fn every_policy_is_a_pure_function_of_observations_and_seed() {
     let catalog = Catalog::fig4_testbed();
     let path = obs_path(&catalog);
     for name in ZOO_POLICIES {
-        for &seed in SEEDS {
-            let a = drive(name, seed, &catalog, &path);
-            let b = drive(name, seed, &catalog, &path);
-            // Byte-level equality of the rendered decision sequences:
-            // the same contract the sweep digest enforces end-to-end.
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "{name}/seed {seed}: double invocation must be byte-identical"
-            );
-        }
+        let a = drive(name, &catalog, &path);
+        let b = drive(name, &catalog, &path);
+        // Byte-level equality of the rendered decision sequences: the
+        // same contract the sweep digest enforces end-to-end.
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "{name}: double invocation must be byte-identical"
+        );
     }
 }
 
@@ -162,7 +153,6 @@ fn oracle_workload_overrides_the_reactive_target() {
             name,
             &SpotWebConfig::default(),
             catalog.len(),
-            1234,
             &TelemetrySink::disabled(),
         )
         .expect("registered policies build");

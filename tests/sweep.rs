@@ -5,8 +5,9 @@
 //! the same allocation in fewer iterations than cold solves.
 
 use spotweb::sim::sweep::digest;
+use spotweb_bench::bless::GOLDEN_SEEDS;
+use spotweb_bench::cell::{grid, POLICIES};
 use spotweb_bench::sweep::{build_grid, run_grid, warm_start_probe, SWEEP_POLICIES};
-use spotweb_bench::tournament::build_tournament_grid;
 use spotweb_bench::DEFAULT_SEED;
 
 /// The golden determinism property: summaries at `--jobs 1` and
@@ -42,13 +43,14 @@ fn sweep_rejects_unknown_scenarios_with_a_helpful_error() {
     assert!(build_grid(Some("zero-warning"), DEFAULT_SEED).is_ok());
 }
 
-/// The tournament grid (all six zoo policies on one scenario, every
-/// tournament seed) is byte-identical at `--jobs 1` and `--jobs 4` —
-/// the sweep determinism contract extended to the factory-built
-/// policies (ISSUE 6).
+/// The whole-registry grid (every cell policy, the factory-built zoo
+/// and the reactive baseline, on one scenario at the three golden
+/// seeds) is byte-identical at `--jobs 1` and `--jobs 4` — the sweep
+/// determinism contract extended to the factory-built policies.
 #[test]
 fn tournament_grid_is_byte_identical_at_jobs_1_and_4() {
-    let specs = build_tournament_grid(None, Some("zero_warning")).expect("known scenario");
+    let specs = grid(POLICIES, &["zero-warning"], &GOLDEN_SEEDS);
+    assert_eq!(specs.len(), POLICIES.len() * GOLDEN_SEEDS.len());
 
     let serial_summaries = run_grid(1, specs.clone());
     let parallel_summaries = run_grid(4, specs);
@@ -56,7 +58,7 @@ fn tournament_grid_is_byte_identical_at_jobs_1_and_4() {
         assert_eq!(
             s.to_json(),
             p.to_json(),
-            "tournament cell JSON must not depend on the jobs count"
+            "zoo cell JSON must not depend on the jobs count"
         );
     }
     assert_eq!(digest(&serial_summaries), digest(&parallel_summaries));
