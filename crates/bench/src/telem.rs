@@ -59,11 +59,19 @@ pub fn render_report(run: &CellRun) -> String {
         let count = decisions.len() as f64;
         let iterations: usize = decisions.iter().map(|d| d.iterations).sum();
         let polished = decisions.iter().filter(|d| d.polished).count();
+        let polish_solves: usize = decisions.iter().map(|d| d.polish_solves).sum();
+        let factored = decisions
+            .iter()
+            .filter(|d| d.kkt_factorizations > 0)
+            .count();
         out.push_str(&format!(
-            "decisions {}: {:.1} ADMM iterations a solve, {:.0}% polished\n",
+            "decisions {}: {:.1} ADMM iterations a solve, {:.0}% polished, \
+             {:.1} polish solves a solve, {:.0}% factored the KKT matrix\n",
             decisions.len(),
             iterations as f64 / count,
             100.0 * polished as f64 / count,
+            polish_solves as f64 / count,
+            100.0 * factored as f64 / count,
         ));
     }
 
@@ -79,13 +87,17 @@ pub fn render_report(run: &CellRun) -> String {
                 let rejected = d.markets.iter().filter(|m| !m.chosen).count();
                 out.push_str(&format!(
                     "[t={:7.1}] decision #{}: observed {:.0} rps, objective {:.4}, \
-                     chose [{}], rejected {} markets\n",
+                     chose [{}], rejected {} markets; {} ADMM iterations, \
+                     {} polish solves, {} KKT factorizations\n",
                     e.t,
                     d.interval,
                     d.observed_rps,
                     d.objective,
                     chosen.join(", "),
-                    rejected
+                    rejected,
+                    d.iterations,
+                    d.polish_solves,
+                    d.kkt_factorizations,
                 ));
                 for m in d.markets.iter().filter(|m| !m.chosen) {
                     out.push_str(&format!("             rejected {}: {}\n", m.name, m.reason));
@@ -188,6 +200,8 @@ mod tests {
         let report = render_report(&a);
         assert!(report.contains("decision #"));
         assert!(report.contains("ADMM iterations a solve,"), "{report}");
+        assert!(report.contains("polish solves a solve,"), "{report}");
+        assert!(report.contains(" polish solves, "), "{report}");
         assert!(report.contains("FAULT correlated_revocation"));
     }
 }

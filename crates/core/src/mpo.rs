@@ -27,7 +27,8 @@ pub struct PortfolioDecision {
     /// QP objective value at the solution.
     pub objective: f64,
     /// ADMM iterations used; the polish, when there was one, is not
-    /// counted here but in [`PortfolioDecision::polished`].
+    /// counted here but in [`PortfolioDecision::polished`]. 0 when the
+    /// polish of the warm start settled the decision.
     pub iterations: usize,
     /// Whether the solution passes the solver's full-tolerance test,
     /// polished or not.
@@ -35,12 +36,19 @@ pub struct PortfolioDecision {
     /// Whether the solver polished its iterate: the active set's
     /// equality KKT system solved directly, exact to round-off.
     pub polished: bool,
+    /// Reduced KKT systems the solver's polishes solved.
+    pub polish_solves: usize,
+    /// Factorizations of the ADMM KKT matrix this decision made: at
+    /// construction when the solver was built for it, and during the
+    /// solve when it had to iterate on a stale or re-tuned factor.
+    pub kkt_factorizations: usize,
     /// Whether the solve started from the previous interval's
     /// primal/dual iterate (vs the zero cold start).
     pub warm_started: bool,
-    /// Whether the previous solve's KKT factorization was reused: `P`
+    /// Whether the previous solve's KKT factorization was kept: `P`
     /// bitwise unchanged (same covariance, same configuration), so only
-    /// the linear cost was replaced. A moved covariance refactors.
+    /// the linear cost was replaced. A moved covariance leaves it
+    /// stale, to be refactored if the solve iterates.
     pub factor_reused: bool,
     /// How far the solution is from optimal, on the unscaled QP.
     pub certificate: Certificate,
@@ -127,7 +135,11 @@ impl MpoOptimizer {
     ///   constraints and the pattern of `P`, so the previous solver is
     ///   re-bound to the new one ([`AdmmSolver::update`]): its Ruiz
     ///   equilibration is kept, and the KKT matrix is refactored only
-    ///   when `P` (the covariance) moved.
+    ///   when `P` (the covariance) moved and the polish of the warm
+    ///   start does not settle the solve.
+    ///
+    /// A moved `P` whose KKT matrix does not factor ends the solve
+    /// unsolved (`solved == false`), not in an error.
     pub fn optimize(
         &mut self,
         catalog: &Catalog,
@@ -141,7 +153,7 @@ impl MpoOptimizer {
 
         let qp = build_sparse_qp(catalog, forecast, covariance, prev_allocation, &self.config)?;
         let update = match self.solver.as_mut() {
-            Some(solver) => solver.update(&qp)?,
+            Some(solver) => solver.update(&qp),
             None => Update::Rebuild,
         };
         if update == Update::Rebuild {
@@ -183,6 +195,8 @@ impl MpoOptimizer {
             iterations: sol.iterations,
             solved: sol.is_solved(),
             polished: sol.polished,
+            polish_solves: sol.polish_solves,
+            kkt_factorizations: sol.factorizations + usize::from(update == Update::Rebuild),
             warm_started,
             factor_reused: update == Update::Kept,
             certificate: sol.certificate(),
@@ -565,5 +579,57 @@ mod tests {
             ),
             "got {reused:?}"
         );
+    }
+
+    #[test]
+    fn decisions_count_their_polish_solves_and_kkt_factorizations() {
+        let catalog = Catalog::fig5_three_markets();
+        let forecast = flat_forecast(&[2.0, 1.0, 1.2], 4);
+        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
+        // Cold: the solver is built (one factorization) and iterates.
+        let d1 = opt
+            .optimize(&catalog, &forecast, &identity_cov(3), &[0.0; 3])
+            .unwrap();
+        assert!(d1.polished && d1.iterations > 0);
+        assert_eq!(d1.kkt_factorizations, 1);
+        assert!(d1.polish_solves >= 1);
+        // The same problem again: the warm start is its optimum, and one
+        // reduced solve settles it.
+        let d2 = opt
+            .optimize(&catalog, &forecast, &identity_cov(3), &[0.0; 3])
+            .unwrap();
+        assert!(d2.warm_started && d2.factor_reused && d2.polished);
+        assert_eq!(
+            (d2.iterations, d2.polish_solves, d2.kkt_factorizations),
+            (0, 1, 0)
+        );
+        assert_eq!(d2.first(), d1.first());
+    }
+
+    #[test]
+    fn an_indefinite_risk_matrix_after_a_solve_ends_unsolved_not_in_an_error() {
+        // Same pattern as the first covariance, so the solver is kept
+        // and `P` moves: its KKT matrix no longer factors. Cold, so the
+        // solve has to iterate (a warm start may polish at a vertex,
+        // where no variable is free and no factor is needed).
+        let catalog = Catalog::fig5_three_markets();
+        let forecast = flat_forecast(&[2.0, 1.0, 1.2], 4);
+        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
+        let d1 = opt
+            .optimize(&catalog, &forecast, &identity_cov(3), &[0.0; 3])
+            .unwrap();
+        assert!(d1.solved);
+        opt.set_warm_start(false);
+        let indefinite = Matrix::identity(3).scaled(-1e3);
+        let d2 = opt
+            .optimize(&catalog, &forecast, &indefinite, d1.first())
+            .expect("an unsolved decision, not an error");
+        assert!(!d2.factor_reused && !d2.solved && !d2.polished);
+        assert_eq!((d2.iterations, d2.kkt_factorizations), (0, 0));
+        // The next covariance is positive definite again, and solves.
+        let d3 = opt
+            .optimize(&catalog, &forecast, &identity_cov(3), d1.first())
+            .unwrap();
+        assert!(d3.solved && d3.kkt_factorizations >= 1);
     }
 }

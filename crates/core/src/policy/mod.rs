@@ -199,10 +199,10 @@ impl Policy for SpotWebPolicy {
                 }
             }
         };
-        let (counts, objective, iterations, solved, polished, certificate) = match self
-            .optimizer
-            .optimize(catalog, &forecast, obs.covariance, &self.prev_allocation)
-        {
+        let decided =
+            self.optimizer
+                .optimize(catalog, &forecast, obs.covariance, &self.prev_allocation);
+        let (counts, solve) = match decided {
             Ok(decision) => {
                 self.prev_allocation = decision.first().to_vec();
                 self.telemetry.count(names::MPO_SOLVES_TOTAL, 1);
@@ -229,14 +229,7 @@ impl Policy for SpotWebPolicy {
                     forecast.workload[0],
                     MIN_ALLOCATION,
                 );
-                (
-                    counts,
-                    decision.objective,
-                    decision.iterations,
-                    decision.solved,
-                    decision.polished,
-                    decision.certificate,
-                )
+                (counts, Some(decision))
             }
             // On solver failure keep the previous fleet (fail static,
             // never fail empty).
@@ -248,15 +241,19 @@ impl Policy for SpotWebPolicy {
                     forecast.workload[0],
                     MIN_ALLOCATION,
                 );
-                let unsolved = Certificate {
-                    primal_residual: f64::NAN,
-                    dual_residual: f64::NAN,
-                    duality_gap: f64::NAN,
-                };
-                (counts, f64::NAN, 0, false, false, unsolved)
+                (counts, None)
             }
         };
         if self.telemetry.is_enabled() {
+            // NaN when the optimizer failed.
+            let certificate = solve.as_ref().map_or(
+                Certificate {
+                    primal_residual: f64::NAN,
+                    dual_residual: f64::NAN,
+                    duality_gap: f64::NAN,
+                },
+                |d| d.certificate,
+            );
             let markets: Vec<MarketEval> = (0..catalog.len())
                 .map(|i| {
                     let m = catalog.market(i);
@@ -292,10 +289,12 @@ impl Policy for SpotWebPolicy {
                 observed_rps: obs.current_workload,
                 horizon: h,
                 predicted_workload: forecast.workload.clone(),
-                objective,
-                iterations,
-                solved,
-                polished,
+                objective: solve.as_ref().map_or(f64::NAN, |d| d.objective),
+                iterations: solve.as_ref().map_or(0, |d| d.iterations),
+                solved: solve.as_ref().is_some_and(|d| d.solved),
+                polished: solve.as_ref().is_some_and(|d| d.polished),
+                polish_solves: solve.as_ref().map_or(0, |d| d.polish_solves),
+                kkt_factorizations: solve.as_ref().map_or(0, |d| d.kkt_factorizations),
                 primal_residual: certificate.primal_residual,
                 dual_residual: certificate.dual_residual,
                 duality_gap: certificate.duality_gap,

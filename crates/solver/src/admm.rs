@@ -40,9 +40,9 @@ const POLISH_EPS: f64 = 1e-3;
 /// side for its bound (times `1 + ‖q‖∞`).
 const POLISH_TOL: f64 = 1e-9;
 /// Reduced solves a polish may take: the guessed active set, then that
-/// set with the rows its solution crossed held at their bounds, and so
-/// on.
-const POLISH_ROUNDS: usize = 3;
+/// set with the rows its solution crossed held at their bounds and the
+/// rows whose multiplier has the wrong sign released, and so on.
+const POLISH_ROUNDS: usize = 8;
 /// Re-tune ρ from the residual ratio every this many iterations.
 const ADAPTIVE_RHO_INTERVAL: usize = 50;
 /// Refactor only when ρ changes by more than this multiplicative
@@ -114,17 +114,20 @@ impl SolveWorkspace {
 }
 
 /// What [`AdmmSolver::polish`] works in. Each buffer is rewritten by
-/// the polish that uses it; `reset` forgets the turned-down guess and
-/// reserves room for `n` entries in the ones whose length depends on
-/// the active set. So a polish allocates no block smaller than the
-/// problem: small blocks freed while a large problem's factor is live
-/// would pin the heap above them after the solver is dropped.
+/// the polish that uses it; `reset` forgets the turned-down guess,
+/// zeroes the solve count and reserves room for `n` entries in the
+/// ones whose length depends on the active set. So a polish allocates
+/// no block smaller than the problem: small blocks freed while a large
+/// problem's factor is live would pin the heap above them after the
+/// solver is dropped.
 #[derive(Default)]
 struct PolishScratch {
     /// The active set being tried.
     guess: Vec<Bound>,
     /// The last active set turned down in this solve.
     rejected: Vec<Bound>,
+    /// Reduced KKT systems solved in this solve.
+    solves: usize,
     /// Per variable, the active one-entry row fixing it.
     fixed_by: Vec<Option<usize>>,
     /// Per variable, its number among the free ones.
@@ -143,6 +146,7 @@ struct PolishScratch {
 impl PolishScratch {
     fn reset(&mut self, n: usize) {
         self.rejected.clear();
+        self.solves = 0;
         for v in [&mut self.band, &mut self.rows, &mut self.schur] {
             v.clear();
             v.reserve(n);
@@ -198,9 +202,10 @@ pub enum Update {
     /// factor (with the ρ it was built for) was kept.
     Kept,
     /// `P`'s values moved: they were scaled under the construction-time
-    /// equilibration, ρ was reset to its initial value and the KKT
-    /// matrix was factored once.
-    Refactored,
+    /// equilibration and ρ was reset to its initial value. The KKT
+    /// factor is stale, and is made when an ADMM iteration next needs
+    /// it — a solve its warm polish settles never makes it.
+    Moved,
     /// `P`'s sparsity pattern, `A`, `l` or `u` differ: the solver is
     /// untouched, and the caller builds a new one.
     Rebuild,
@@ -208,14 +213,15 @@ pub enum Update {
 
 /// An ADMM solver instance bound to one problem.
 ///
-/// Construction performs the (optional) Ruiz equilibration and the
-/// initial KKT factorization; [`AdmmSolver::solve`] then iterates.
+/// Construction performs the Ruiz equilibration and the initial KKT
+/// factorization; [`AdmmSolver::solve`] then iterates.
 /// The solver supports warm starting via [`AdmmSolver::solve_from`],
 /// which SpotWeb's receding-horizon controller uses between periods —
 /// consecutive portfolio problems differ only in the forecast data, so
 /// the previous solution is an excellent initial iterate — and
 /// re-binding to the next period's problem via [`AdmmSolver::update`],
-/// which keeps everything but the numeric factor.
+/// which keeps everything but the numeric factor, and makes that only
+/// when an iteration needs it.
 ///
 /// The problem is held in CSR throughout ([`SparseQp`]); the only
 /// dense storage is the KKT factor itself, `H` diagonal and `H − 1`
@@ -231,9 +237,13 @@ pub struct AdmmSolver {
     rho_vec: Vec<f64>,
     /// Scalar ρ the vector was derived from.
     rho: f64,
-    /// The factored `P + σI + Aᵀdiag(ρ)A`: one block when the problem
-    /// is unstructured, `H` when it is multi-period.
-    kkt: BlockTridiagCholesky,
+    /// The factored `P + σI + Aᵀdiag(ρ)A`; `None` while stale, from an
+    /// [`AdmmSolver::update`] that moved `P` to the first iteration
+    /// after it.
+    kkt: Option<BlockTridiagCholesky>,
+    /// Diagonal blocks of the KKT matrix: one when the problem is
+    /// unstructured, `H` when it is multi-period.
+    blocks: usize,
     /// Reusable per-solve scratch (see [`SolveWorkspace`]).
     workspace: SolveWorkspace,
 }
@@ -293,7 +303,8 @@ impl AdmmSolver {
             scaling,
             rho_vec,
             rho,
-            kkt,
+            kkt: Some(kkt),
+            blocks,
             workspace: SolveWorkspace::default(),
         })
     }
@@ -360,12 +371,22 @@ impl AdmmSolver {
     /// zeroed workspace *is* the cold iterate) and
     /// [`AdmmSolver::solve_from`].
     ///
+    /// A finite warm start is polished before the first iteration (see
+    /// [`AdmmSolver::try_polish`]): it is the previous problem's
+    /// optimum, whose active set a moved forecast rarely changes by
+    /// more than a few rows. A non-finite one goes to the iteration,
+    /// which stops at its first check.
+    ///
     /// Every check whose residuals pass [`POLISH_EPS`] may polish the
-    /// iterate (see [`AdmmSolver::try_polish`]). A polished point that
-    /// is feasible, passes the full-tolerance test and certifies no
-    /// worse than the iterate it came from ends the solve; otherwise
-    /// the iteration carries on from that iterate, untouched, and the
-    /// next check tries again if the guessed active set moved.
+    /// iterate. A polished point that is feasible, passes the
+    /// full-tolerance test and certifies no worse than the iterate it
+    /// came from ends the solve; otherwise the iteration carries on
+    /// from that iterate, untouched, and the next check tries again if
+    /// the guessed active set moved.
+    ///
+    /// A KKT factor [`AdmmSolver::update`] left stale is made before
+    /// the first iteration; when it does not factor the solve stops
+    /// there, [`QpStatus::Unfactorable`].
     fn iterate(&mut self, warm: Option<(&[f64], &[f64])>, max_iter: usize) -> QpSolution {
         let n = self.num_vars();
         let m = self.num_constraints();
@@ -373,8 +394,9 @@ impl AdmmSolver {
         // Take the workspace out of `self` so the iteration below can
         // borrow it mutably alongside `self` (for ρ updates).
         let mut ws = std::mem::take(&mut self.workspace);
-        ws.reset(n, m, n / self.kkt.blocks());
+        ws.reset(n, m, n / self.blocks);
 
+        let mut finite_warm = false;
         if let Some((x0, y0)) = warm {
             // Map the warm start into scaled coordinates: x̄ = D⁻¹x,
             // ȳ = cE⁻¹y — inverse of Scaling::unscale_*.
@@ -388,6 +410,7 @@ impl AdmmSolver {
                 .a
                 .matvec_into(&ws.x, &mut ws.z)
                 .expect("warm-start A·x");
+            finite_warm = x0.iter().chain(y0).all(|v| v.is_finite());
         }
         vector::clamp_box(&mut ws.z, &self.prob.l, &self.prob.u);
 
@@ -395,83 +418,114 @@ impl AdmmSolver {
         let mut iterations = max_iter;
         let mut last_res: Option<Residuals> = None;
         let mut polished: Option<Report> = None;
+        let mut factorizations = 0;
 
-        for it in 1..=max_iter {
-            // rhs = σx − q + Aᵀ(ρ⊙z − y)
-            for (((t, &rho), &z), &y) in
-                ws.tmp_m.iter_mut().zip(&self.rho_vec).zip(&ws.z).zip(&ws.y)
-            {
-                *t = rho * z - y;
-            }
-            self.prob
-                .a
-                .matvec_transpose_into(&ws.tmp_m, &mut ws.aty)
-                .expect("admm: Aᵀv shape");
-            for (((r, &x), &q), &aty) in ws.rhs.iter_mut().zip(&ws.x).zip(&self.prob.q).zip(&ws.aty)
-            {
-                *r = SIGMA * x - q + aty;
-            }
-            // x̃ = K⁻¹ rhs (in place).
-            self.kkt
-                .solve_in_place(&mut ws.rhs, &mut ws.kkt_block)
-                .expect("kkt solve");
-            let xtil = &ws.rhs;
-            self.prob
-                .a
-                .matvec_into(xtil, &mut ws.ztil)
-                .expect("admm: A·x̃ shape");
-
-            // Relaxed updates.
-            for (x, &xtil) in ws.x.iter_mut().zip(&ws.rhs) {
-                *x = ALPHA * xtil + (1.0 - ALPHA) * *x;
-            }
-            for (((((z, y), &ztil), &rho), &lo), &hi) in
-                ws.z.iter_mut()
-                    .zip(&mut ws.y)
-                    .zip(&ws.ztil)
-                    .zip(&self.rho_vec)
-                    .zip(&self.prob.l)
-                    .zip(&self.prob.u)
-            {
-                let z_relaxed = ALPHA * ztil + (1.0 - ALPHA) * *z;
-                let z_pre = z_relaxed + *y / rho;
-                let z_new = z_pre.clamp(lo, hi);
-                *y += rho * (z_relaxed - z_new);
-                *z = z_new;
-            }
-
-            let do_check = it % CHECK_INTERVAL == 0 || it == max_iter;
-            let do_adapt = it % ADAPTIVE_RHO_INTERVAL == 0;
-            if do_check || do_adapt {
-                let res = self.residuals(&ws.x, &ws.z, &ws.y, &mut ws.check);
-                if !res.is_finite() {
-                    status = QpStatus::NonFinite;
-                    iterations = it;
+        'solve: {
+            if finite_warm {
+                let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
+                if let Some((report, res)) = self.try_polish(iterate, &mut ws.polish, &mut ws.check)
+                {
+                    polished = Some(report);
+                    status = QpStatus::Solved;
+                    iterations = 0;
                     last_res = Some(res);
-                    break;
+                    break 'solve;
                 }
-                if do_check && res.converged(POLISH_EPS, POLISH_EPS) {
-                    let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
-                    if let Some((report, res)) =
-                        self.try_polish(iterate, &mut ws.polish, &mut ws.check)
-                    {
-                        polished = Some(report);
+            }
+            if self.kkt.is_none() {
+                match factor_kkt(&self.prob, SIGMA, &self.rho_vec, self.blocks) {
+                    Ok(kkt) => {
+                        self.kkt = Some(kkt);
+                        factorizations += 1;
+                    }
+                    Err(_) => {
+                        status = QpStatus::Unfactorable;
+                        iterations = 0;
+                        break 'solve;
+                    }
+                }
+            }
+
+            for it in 1..=max_iter {
+                // rhs = σx − q + Aᵀ(ρ⊙z − y)
+                for (((t, &rho), &z), &y) in
+                    ws.tmp_m.iter_mut().zip(&self.rho_vec).zip(&ws.z).zip(&ws.y)
+                {
+                    *t = rho * z - y;
+                }
+                self.prob
+                    .a
+                    .matvec_transpose_into(&ws.tmp_m, &mut ws.aty)
+                    .expect("admm: Aᵀv shape");
+                for (((r, &x), &q), &aty) in
+                    ws.rhs.iter_mut().zip(&ws.x).zip(&self.prob.q).zip(&ws.aty)
+                {
+                    *r = SIGMA * x - q + aty;
+                }
+                // x̃ = K⁻¹ rhs (in place).
+                self.kkt
+                    .as_ref()
+                    .expect("factored before the first iteration")
+                    .solve_in_place(&mut ws.rhs, &mut ws.kkt_block)
+                    .expect("kkt solve");
+                let xtil = &ws.rhs;
+                self.prob
+                    .a
+                    .matvec_into(xtil, &mut ws.ztil)
+                    .expect("admm: A·x̃ shape");
+
+                // Relaxed updates.
+                for (x, &xtil) in ws.x.iter_mut().zip(&ws.rhs) {
+                    *x = ALPHA * xtil + (1.0 - ALPHA) * *x;
+                }
+                for (((((z, y), &ztil), &rho), &lo), &hi) in
+                    ws.z.iter_mut()
+                        .zip(&mut ws.y)
+                        .zip(&ws.ztil)
+                        .zip(&self.rho_vec)
+                        .zip(&self.prob.l)
+                        .zip(&self.prob.u)
+                {
+                    let z_relaxed = ALPHA * ztil + (1.0 - ALPHA) * *z;
+                    let z_pre = z_relaxed + *y / rho;
+                    let z_new = z_pre.clamp(lo, hi);
+                    *y += rho * (z_relaxed - z_new);
+                    *z = z_new;
+                }
+
+                let do_check = it % CHECK_INTERVAL == 0 || it == max_iter;
+                let do_adapt = it % ADAPTIVE_RHO_INTERVAL == 0;
+                if do_check || do_adapt {
+                    let res = self.residuals(&ws.x, &ws.z, &ws.y, &mut ws.check);
+                    if !res.is_finite() {
+                        status = QpStatus::NonFinite;
+                        iterations = it;
+                        last_res = Some(res);
+                        break;
+                    }
+                    if do_check && res.converged(POLISH_EPS, POLISH_EPS) {
+                        let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
+                        if let Some((report, res)) =
+                            self.try_polish(iterate, &mut ws.polish, &mut ws.check)
+                        {
+                            polished = Some(report);
+                            status = QpStatus::Solved;
+                            iterations = it;
+                            last_res = Some(res);
+                            break;
+                        }
+                    }
+                    if do_check && res.converged(EPS_ABS, EPS_REL) {
                         status = QpStatus::Solved;
                         iterations = it;
                         last_res = Some(res);
                         break;
                     }
-                }
-                if do_check && res.converged(EPS_ABS, EPS_REL) {
-                    status = QpStatus::Solved;
-                    iterations = it;
+                    if do_adapt && self.maybe_update_rho(res.rho_ratio()) {
+                        factorizations += 1;
+                    }
                     last_res = Some(res);
-                    break;
                 }
-                if do_adapt {
-                    self.maybe_update_rho(res.rho_ratio());
-                }
-                last_res = Some(res);
             }
         }
 
@@ -480,6 +534,7 @@ impl AdmmSolver {
             Some(report) => report,
             None => self.report(&ws.x, &ws.y, &mut ws.check),
         };
+        let polish_solves = ws.polish.solves;
         self.workspace = ws;
         let (primal_residual, dual_residual) = match last_res {
             Some(r) => (r.primal, r.dual),
@@ -492,6 +547,8 @@ impl AdmmSolver {
             status,
             iterations,
             polished: is_polished,
+            polish_solves,
+            factorizations,
             objective: report.objective,
             primal_residual,
             dual_residual,
@@ -511,9 +568,16 @@ impl AdmmSolver {
     /// with the polished point's report and scaled residuals when it
     /// is feasible to [`POLISH_TOL`], passes the full-tolerance test and
     /// its certificate's dual residual and duality gap are no larger
-    /// than the iterate's own. A point that crosses rows the guess left
-    /// inactive is solved again with them held, up to [`POLISH_ROUNDS`]
-    /// solves.
+    /// than the iterate's own.
+    ///
+    /// The guess is repaired by a primal-dual active-set loop of at
+    /// most [`POLISH_ROUNDS`] reduced solves. An active row whose
+    /// multiplier has the wrong sign for its bound beyond round-off is
+    /// released; when every sign is right, a row the guess left
+    /// inactive that the point crosses is held at the bound it
+    /// crosses. A point neither rule moves satisfies the KKT
+    /// conditions, so it is the optimum of a convex problem, up to the
+    /// tests above.
     ///
     /// The polished point follows from the guessed active set (the
     /// iterate adds only the multiplier of an active row whose
@@ -531,31 +595,46 @@ impl AdmmSolver {
         }
         // Remembered as turned down unless a round is accepted.
         scratch.rejected.clone_from(&scratch.guess);
+        let prob = &self.prob;
+        let dual_tol = POLISH_TOL * (1.0 + vector::norm_inf(&prob.q));
         for _ in 0..POLISH_ROUNDS {
+            scratch.solves += 1;
             let (px, py, res) = self.polish(y, scratch, check)?;
             let tol = POLISH_TOL * (1.0 + res.primal_scale);
-            if res.primal > tol {
-                // Rows taken as inactive that the point leaves: hold
-                // them at the bound they cross, and solve again.
-                let mut held = false;
+            // Release first: a guess that holds a row on the wrong side
+            // bends the point, and the rows it crosses then say little.
+            let mut moved = false;
+            for (side, &yi) in scratch.guess.iter_mut().zip(&py) {
+                let wrong = match side {
+                    Bound::Lower => yi > dual_tol,
+                    Bound::Upper => yi < -dual_tol,
+                    Bound::Equal | Bound::Inactive => false,
+                };
+                if wrong {
+                    *side = Bound::Inactive;
+                    moved = true;
+                }
+            }
+            if !moved {
                 for (((side, &ax), &lo), &hi) in scratch
                     .guess
                     .iter_mut()
                     .zip(&check.ax)
-                    .zip(&self.prob.l)
-                    .zip(&self.prob.u)
+                    .zip(&prob.l)
+                    .zip(&prob.u)
                 {
                     if *side == Bound::Inactive && (ax < lo - tol || ax > hi + tol) {
                         *side = if ax < lo { Bound::Lower } else { Bound::Upper };
-                        held = true;
+                        moved = true;
                     }
                 }
-                if held {
-                    continue;
-                }
-                return None;
             }
-            if !res.converged(EPS_ABS, EPS_REL) {
+            if moved {
+                continue;
+            }
+            // An active row whose variables are all fixed may still sit
+            // outside its bounds: no rule above moves it.
+            if res.primal > tol || !res.converged(EPS_ABS, EPS_REL) {
                 return None;
             }
             let current = self.report(x, y, check).certificate;
@@ -615,10 +694,10 @@ impl AdmmSolver {
     /// converges to.
     ///
     /// `None` when the guess is inconsistent (two active one-entry rows
-    /// on one variable), when the reduced system does not factor (a
+    /// on one variable) or when the reduced system does not factor (a
     /// singular `P` on the free variables, as in an LP, or linearly
-    /// dependent active rows), or when a multiplier has the wrong sign
-    /// for its bound beyond round-off.
+    /// dependent active rows). The multipliers' signs are the caller's
+    /// to judge.
     fn polish(
         &self,
         y_iter: &[f64],
@@ -770,17 +849,6 @@ impl AdmmSolver {
                 aty[j] += a * y[i];
             }
         }
-        let tol = POLISH_TOL * (1.0 + vector::norm_inf(&prob.q));
-        for (yi, side) in y.iter().zip(guess.iter()) {
-            let wrong = match side {
-                Bound::Lower => *yi > tol,
-                Bound::Upper => *yi < -tol,
-                Bound::Equal | Bound::Inactive => false,
-            };
-            if wrong {
-                return None;
-            }
-        }
         prob.a.matvec_into(&x, ax).expect("polish: A·x");
         let mut z = ax.clone();
         vector::clamp_box(&mut z, &prob.l, &prob.u);
@@ -835,10 +903,11 @@ impl AdmmSolver {
     }
 
     /// Adaptive ρ: rescale by the primal/dual residual ratio, refactor
-    /// the KKT system only if the change exceeds the tolerance.
-    fn maybe_update_rho(&mut self, ratio: f64) {
+    /// the KKT system only if the change exceeds the tolerance. Whether
+    /// it refactored.
+    fn maybe_update_rho(&mut self, ratio: f64) -> bool {
         if !ratio.is_finite() || ratio == 0.0 {
-            return;
+            return false;
         }
         let new_rho = (self.rho * ratio).clamp(RHO_MIN, RHO_MAX);
         let tol = ADAPTIVE_RHO_TOLERANCE;
@@ -849,12 +918,14 @@ impl AdmmSolver {
             // (unlikely) factorization failure all three stay as they
             // were and the iteration carries on with the old penalty.
             let rho_vec = build_rho_vec(&self.prob, new_rho);
-            if let Ok(kkt) = factor_kkt(&self.prob, SIGMA, &rho_vec, self.kkt.blocks()) {
+            if let Ok(kkt) = factor_kkt(&self.prob, SIGMA, &rho_vec, self.blocks) {
                 self.rho = new_rho;
                 self.rho_vec = rho_vec;
-                self.kkt = kkt;
+                self.kkt = Some(kkt);
+                return true;
             }
         }
+        false
     }
 
     /// Current scalar penalty (for diagnostics/tests).
@@ -883,18 +954,18 @@ impl AdmmSolver {
     /// merely differ from what a fresh equilibration would pick), so
     /// the new data is written as `c·D·P·D` and `c·D·q` in `O(nnz)`.
     /// When `P` moved, ρ goes back to its initial value and the KKT
-    /// matrix is factored once (`O(H·N³)` blockwise); when `P` is
-    /// bitwise unchanged only `q` is replaced, and the factor and its ρ
-    /// are kept.
+    /// factor goes stale ([`Update::Moved`]): the next solve makes it
+    /// (`O(H·N³)` blockwise) only if it has to iterate, and ends
+    /// [`QpStatus::Unfactorable`] if the new matrix does not factor.
+    /// When `P` is bitwise unchanged only `q` is replaced, and the
+    /// factor and its ρ are kept.
     ///
     /// Returns [`Update::Rebuild`], leaving the solver untouched, when
-    /// the structure differs, and [`SolverError::Factorization`] — the
-    /// solver again untouched — when the new KKT matrix does not
-    /// factor.
-    pub fn update(&mut self, qp: &SparseQp) -> Result<Update> {
+    /// the structure differs.
+    pub fn update(&mut self, qp: &SparseQp) -> Update {
         let orig = &self.orig;
         if !same_pattern(&qp.p, &orig.p) || qp.a != orig.a || qp.l != orig.l || qp.u != orig.u {
-            return Ok(Update::Rebuild);
+            return Update::Rebuild;
         }
         let (d, c) = (&self.scaling.d, self.scaling.c);
         let moved =
@@ -905,28 +976,19 @@ impl AdmmSolver {
         let update = if moved {
             // `d[i]·d[j]` commutes, so the scaled `P` stays symmetric
             // to the bit.
-            let mut scaled = qp.p.clone();
-            for i in 0..scaled.rows() {
-                let (cols, vals) = scaled.row_mut(i);
-                for (v, &j) in vals.iter_mut().zip(cols) {
-                    *v *= c * (d[i] * d[j]);
+            for i in 0..qp.p.rows() {
+                let (cols, new) = qp.p.row(i);
+                let (_, vals) = self.orig.p.row_mut(i);
+                vals.copy_from_slice(new);
+                let (_, vals) = self.prob.p.row_mut(i);
+                for ((v, &p), &j) in vals.iter_mut().zip(new).zip(cols) {
+                    *v = p * (c * (d[i] * d[j]));
                 }
             }
-            let rho_vec = build_rho_vec(&self.prob, RHO);
-            let old = std::mem::replace(&mut self.prob.p, scaled);
-            match factor_kkt(&self.prob, SIGMA, &rho_vec, self.kkt.blocks()) {
-                Ok(kkt) => {
-                    self.kkt = kkt;
-                    self.rho = RHO;
-                    self.rho_vec = rho_vec;
-                    self.orig.p = qp.p.clone();
-                }
-                Err(e) => {
-                    self.prob.p = old;
-                    return Err(e);
-                }
-            }
-            Update::Refactored
+            self.rho = RHO;
+            self.rho_vec = build_rho_vec(&self.prob, RHO);
+            self.kkt = None;
+            Update::Moved
         } else {
             Update::Kept
         };
@@ -934,7 +996,7 @@ impl AdmmSolver {
         for ((dst, &v), &dj) in self.prob.q.iter_mut().zip(&qp.q).zip(d) {
             *dst = c * dj * v;
         }
-        Ok(update)
+        update
     }
 }
 
@@ -1204,30 +1266,33 @@ mod tests {
     }
 
     #[test]
-    fn a_wrong_active_set_is_turned_down_and_the_iteration_goes_on() {
+    fn a_row_with_a_wrong_sign_multiplier_is_released_onto_the_optimum() {
         // At a = ½ + 2e-5 the optimum keeps x₁ = 1e-5 off its bound.
         // Holding x₁ at 0 instead solves to (0, 1.5) with the bound's
         // multiplier 4e-5 > 0: the wrong sign for a lower bound.
         let qp = degenerate_qp(0.50002);
         let (solver, mut ws) =
             polish_early_stop(qp.clone(), [Bound::Upper, Bound::Lower, Bound::Inactive]);
-        assert!(solver
+        let (x, y, _) = solver
             .polish(&ws.y, &mut ws.polish, &mut ws.check)
-            .is_none());
+            .expect("the guess solves");
+        assert!(x[0] == 0.0 && y[1] > 0.0, "{x:?} {y:?}");
         // Through `try_polish`, with the iterate doctored to make that
-        // guess (x₁'s row at its bound, a negative multiplier): turned
-        // down, and remembered so the same guess is not solved again.
+        // guess (x₁'s row at its bound, a negative multiplier): the row
+        // is released and the second reduced solve is the optimum.
         let (mut z, mut y) = (ws.z.clone(), ws.y.clone());
         (z[1], y[1]) = (0.0, -1e-3);
         let x = ws.x.clone();
-        let polished = solver.try_polish((&x, &z, &y), &mut ws.polish, &mut ws.check);
-        assert!(polished.is_none());
-        assert_eq!(
-            ws.polish.rejected,
-            [Bound::Upper, Bound::Lower, Bound::Inactive]
-        );
+        let before = ws.polish.solves;
+        let (report, _) = solver
+            .try_polish((&x, &z, &y), &mut ws.polish, &mut ws.check)
+            .expect("the repaired guess is the optimum");
+        assert_eq!(ws.polish.solves - before, 2);
+        assert!(ws.polish.rejected.is_empty());
+        assert!((report.x[0] - 1e-5).abs() <= 1e-15 && (report.x[1] - 1.49999).abs() <= 1e-15);
+        assert_eq!(report.y[1], 0.0);
 
-        // The solve itself is right, to round-off.
+        // The solve lands on the same point, to round-off.
         let sol = solve(qp.clone());
         assert!(sol.is_solved() && sol.polished);
         assert!((sol.x[0] - 1e-5).abs() <= 1e-15 && (sol.x[1] - 1.49999).abs() <= 1e-15);
@@ -1353,10 +1418,10 @@ mod tests {
         assert!(c.dual_residual < 1e-5 && c.duality_gap < 1e-5, "{c:?}");
 
         // The stopping test judges the residuals of the Ruiz-scaled
-        // problem. With costs spanning eight orders of magnitude the
-        // dual one converged at 1.5e-6 is 1.5 in the problem's units —
-        // still 1.5e-6 of ‖q‖∞ = 1e6, and the gap as small against the
-        // objective of −5e5.
+        // problem. With costs spanning eight orders of magnitude
+        // (‖q‖∞ = 1e6) a dual residual there is a million times larger
+        // in the problem's units: stopped at 50 iterations, short of
+        // the first polish, 0.44 reads 4.4e5.
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]);
         let wide = QpProblem::new(
             Matrix::from_diag(&[1e6, 1e-2]),
@@ -1366,14 +1431,23 @@ mod tests {
             vec![1.0, f64::INFINITY, f64::INFINITY],
         )
         .unwrap();
+        let capped = AdmmSolver::new(wide.clone(), Settings::default())
+            .unwrap()
+            .solve_capped(50);
+        let c = capped.certificate();
+        assert!(!capped.polished && capped.dual_residual < 1.0);
+        assert!(
+            c.dual_residual > 1.0 && c.dual_residual > 1e5 * capped.dual_residual,
+            "{c:?} against {}",
+            capped.dual_residual
+        );
+        // Run on, the polish makes both residuals and the gap round-off
+        // in the problem's units too.
         let sol = solve(wide);
         let c = sol.certificate();
-        assert!(sol.is_solved() && sol.dual_residual < 1e-5);
-        assert!(
-            c.dual_residual > 1.0 && c.dual_residual < 1e-5 * 1e6,
-            "{c:?}"
-        );
-        assert!(c.duality_gap < 1e-5 * sol.objective.abs(), "{c:?}");
+        assert!(sol.is_solved() && sol.polished);
+        assert!(c.dual_residual < 1e-15 * 1e6, "{c:?}");
+        assert!(c.duality_gap < 1e-15 * sol.objective.abs(), "{c:?}");
 
         // Stopped early, the point is not optimal and the certificate
         // says so; a non-finite iterate reads NaN.
@@ -1656,8 +1730,8 @@ mod tests {
         let first = updated.solve();
         let adapted = updated.rho();
         assert_eq!(
-            updated.update(&next.clone().try_into().unwrap()).unwrap(),
-            Update::Refactored
+            updated.update(&next.clone().try_into().unwrap()),
+            Update::Moved
         );
         assert_eq!(updated.rho(), RHO, "ρ resets (was {adapted})");
         let warm = updated.solve_from(&first.x, &first.y);
@@ -1680,9 +1754,7 @@ mod tests {
         cost_only.q = qp_cost(&next, 0.9);
         let rho = updated.rho();
         assert_eq!(
-            updated
-                .update(&cost_only.clone().try_into().unwrap())
-                .unwrap(),
+            updated.update(&cost_only.clone().try_into().unwrap()),
             Update::Kept
         );
         assert_eq!(updated.rho(), rho);
@@ -1720,7 +1792,7 @@ mod tests {
             ("dimensions", shorter),
         ] {
             let mut solver = block_solver(qp.clone());
-            let got = solver.update(&changed.try_into().unwrap()).unwrap();
+            let got = solver.update(&changed.try_into().unwrap());
             assert_eq!(got, Update::Rebuild, "{case}");
             let sol = solver.solve();
             assert_eq!(sol.iterations, expected.iterations, "{case}");
@@ -1747,5 +1819,132 @@ mod tests {
         let mut s = AdmmSolver::new(p, Settings::default()).unwrap();
         let sol = s.solve_capped(2);
         assert_eq!(sol.status, QpStatus::MaxIterations);
+    }
+
+    /// min ½‖x − c‖² s.t. x₁ + … + x₄ ≤ 2.5, 0 ≤ x ≤ 1: each variable
+    /// is `cᵢ` clamped to its box while the budget is slack.
+    fn box_qp(c: [f64; 4]) -> SparseQp {
+        let mut a = Matrix::zeros(5, 4);
+        for i in 0..4 {
+            a[(i, i)] = 1.0;
+            a[(4, i)] = 1.0;
+        }
+        let (mut l, mut u) = (vec![0.0; 5], vec![1.0; 5]);
+        (l[4], u[4]) = (f64::NEG_INFINITY, 2.5);
+        QpProblem::new(Matrix::identity(4), c.iter().map(|v| -v).collect(), a, l, u)
+            .unwrap()
+            .try_into()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_warm_start_that_lost_a_row_and_gained_one_polishes_at_iteration_0() {
+        // x₂ leaves its lower bound (the warm guess holds it there with
+        // the wrong sign) and x₃ reaches its own (the guess crosses it).
+        let before = box_qp([1.5, -0.5, 0.5, 0.3]);
+        let after = box_qp([1.5, 0.4, -0.5, 0.3]);
+        let mut solver = AdmmSolver::new(before, Settings::default()).unwrap();
+        let first = solver.solve();
+        assert!(first.polished);
+        assert_eq!(first.x, [1.0, 0.0, 0.5, 0.3]);
+        assert_eq!(solver.update(&after), Update::Kept);
+        let warm = solver.solve_from(&first.x, &first.y);
+        assert!(warm.is_solved() && warm.polished);
+        assert_eq!((warm.iterations, warm.factorizations), (0, 0));
+        // Release x₂'s row, then hold x₃'s, then accept.
+        assert_eq!(warm.polish_solves, 3);
+        let cold = solver.solve();
+        assert!(cold.polished && cold.iterations > 0);
+        assert_eq!(bits(&warm.x), bits(&cold.x));
+        for (x, want) in warm.x.iter().zip([1.0, 0.4, 0.0, 0.3]) {
+            assert!((x - want).abs() <= 1e-15, "{:?}", warm.x);
+        }
+    }
+
+    #[test]
+    fn an_unchanged_active_set_polishes_without_a_kkt_factorization() {
+        // `P` moves by 0.1 %, so the factor goes stale; the active set
+        // does not, so the warm polish settles the solve in one reduced
+        // solve and nothing factors the KKT matrix.
+        let qp = multi_period_qp(4);
+        let mut solver = block_solver(qp.clone());
+        let first = solver.solve();
+        assert!(first.polished);
+        let mut next = qp.clone();
+        for i in 0..next.num_vars() {
+            next.p[(i, i)] *= 1.001;
+        }
+        assert_eq!(
+            solver.update(&next.clone().try_into().unwrap()),
+            Update::Moved
+        );
+        assert!(solver.kkt.is_none());
+        let warm = solver.solve_from(&first.x, &first.y);
+        assert!(warm.is_solved() && warm.polished);
+        assert_eq!(
+            (warm.iterations, warm.polish_solves, warm.factorizations),
+            (0, 1, 0)
+        );
+        assert!(solver.kkt.is_none(), "no iteration, no factor");
+        let cold = block_solver(next).solve();
+        assert!(cold.polished);
+        let worst = warm
+            .x
+            .iter()
+            .zip(&cold.x)
+            .fold(0.0_f64, |w, (a, b)| w.max((a - b).abs()));
+        assert!(worst <= 1e-12, "warm vs a fresh solver: {worst:e}");
+    }
+
+    #[test]
+    fn a_solve_that_iterates_after_a_moved_p_factors_exactly_once() {
+        let qp = multi_period_qp(4);
+        let mut solver = block_solver(qp.clone());
+        let setup = solver.solve();
+        assert_eq!(setup.factorizations, 0, "construction factored");
+        assert_eq!(
+            solver.update(&next_period(&qp).try_into().unwrap()),
+            Update::Moved
+        );
+        let cold = solver.solve();
+        assert!(cold.is_solved() && cold.iterations > 0);
+        assert!(cold.iterations < ADAPTIVE_RHO_INTERVAL, "no ρ step");
+        assert_eq!(cold.factorizations, 1);
+        assert_eq!(solver.solve().factorizations, 0, "the factor is fresh");
+    }
+
+    #[test]
+    fn an_update_to_an_indefinite_p_ends_unsolved_without_panicking() {
+        // The 1 × 1 problem of the refactorization test above, bound
+        // first at P = 1 and then moved to P = −1: K = −1 + σ + ρ with
+        // ρ reset to 0.1 does not factor.
+        let problem = |p: f64| -> SparseQp {
+            QpProblem::new(
+                Matrix::from_diag(&[p]),
+                vec![0.3],
+                Matrix::identity(1),
+                vec![-1.0],
+                vec![1.0],
+            )
+            .unwrap()
+            .try_into()
+            .unwrap()
+        };
+        let mut solver = AdmmSolver::new(problem(1.0), Settings::default()).unwrap();
+        let first = solver.solve();
+        assert!(first.is_solved());
+        assert_eq!(solver.update(&problem(-1.0)), Update::Moved);
+        // Cold, and warm from an inactive row (the reduced `P = −1`
+        // does not factor either, so the polish cannot settle it).
+        for sol in [solver.solve(), solver.solve_from(&[0.2], &[0.0])] {
+            assert_eq!(sol.status, QpStatus::Unfactorable);
+            assert!(!sol.is_solved() && !sol.polished);
+            assert_eq!((sol.iterations, sol.factorizations), (0, 0));
+        }
+        // Moved back, the solver works again.
+        assert_eq!(solver.update(&problem(1.0)), Update::Moved);
+        let again = solver.solve();
+        assert!(again.is_solved() && again.factorizations == 1);
+        assert_eq!(bits(&again.x), bits(&first.x));
     }
 }

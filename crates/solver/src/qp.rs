@@ -251,6 +251,10 @@ pub enum QpStatus {
     /// non-finite warm start) and the iteration stopped at the first
     /// residual check that saw it. `x`, `y` and `z` are not usable.
     NonFinite,
+    /// The KKT matrix, left stale by [`crate::AdmmSolver::update`], did
+    /// not factor (a `P` that is not positive semidefinite) and no
+    /// iteration ran. `x` and `y` are the warm start (zero when cold).
+    Unfactorable,
 }
 
 /// The result of a solve.
@@ -270,6 +274,13 @@ pub struct QpSolution {
     /// KKT system of the active set the ADMM iterate identified, solved
     /// directly, which made `x` and `y` exact to round-off.
     pub polished: bool,
+    /// Reduced KKT systems the polishes of this solve factored and
+    /// solved, accepted or not: the work `iterations` does not count.
+    pub polish_solves: usize,
+    /// Factorizations of the ADMM KKT matrix this solve made: the one
+    /// an [`crate::AdmmSolver::update`] left stale, and adaptive-ρ
+    /// refactors.
+    pub factorizations: usize,
     /// Objective value at `x`.
     pub objective: f64,
     /// Primal residual `‖Ax − z‖∞` at the last termination check, in

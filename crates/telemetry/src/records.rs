@@ -83,6 +83,12 @@ pub struct DecisionRecord {
     /// Whether the solution is the solver's polished point: the active
     /// set's equality KKT system solved directly.
     pub polished: bool,
+    /// Reduced KKT systems the solver's polishes solved, accepted or
+    /// not: with `iterations` 0, the whole of the solve's work.
+    pub polish_solves: usize,
+    /// Factorizations of the ADMM KKT matrix the decision made (0 when
+    /// it kept the previous factor or never iterated).
+    pub kkt_factorizations: usize,
     /// The solution's certificate on the unscaled QP: primal residual
     /// `‖Ax − z‖∞`, dual residual `‖Px + q + Aᵀy‖∞` and duality gap.
     /// NaN (rendered `null`) when the solve failed.
@@ -105,8 +111,9 @@ impl DecisionRecord {
         format!(
             "\"interval\":{},\"policy\":{},\"observed_rps\":{},\"horizon\":{},\
              \"predicted_workload\":{},\"objective\":{},\"iterations\":{},\
-             \"solved\":{},\"polished\":{},\"primal_residual\":{},\"dual_residual\":{},\
-             \"duality_gap\":{},\"total_allocation\":{},\"markets\":[{}]",
+             \"solved\":{},\"polished\":{},\"polish_solves\":{},\"kkt_factorizations\":{},\
+             \"primal_residual\":{},\"dual_residual\":{},\"duality_gap\":{},\
+             \"total_allocation\":{},\"markets\":[{}]",
             self.interval,
             json_string(&self.policy),
             json_f64(self.observed_rps),
@@ -116,6 +123,8 @@ impl DecisionRecord {
             self.iterations,
             self.solved,
             self.polished,
+            self.polish_solves,
+            self.kkt_factorizations,
             json_f64(self.primal_residual),
             json_f64(self.dual_residual),
             json_f64(self.duality_gap),
@@ -221,6 +230,8 @@ mod tests {
             iterations: 40,
             solved: true,
             polished: true,
+            polish_solves: 2,
+            kkt_factorizations: 0,
             primal_residual: 2e-7,
             dual_residual: 5e-6,
             duality_gap: f64::NAN,
@@ -240,7 +251,9 @@ mod tests {
             }],
         };
         let json = format!("{{{}}}", rec.to_json_fields());
-        assert!(json.contains("\"solved\":true,\"polished\":true,"));
+        assert!(json.contains(
+            "\"solved\":true,\"polished\":true,\"polish_solves\":2,\"kkt_factorizations\":0,"
+        ));
         assert!(json.contains(
             "\"primal_residual\":0.0000002,\"dual_residual\":0.000005,\"duality_gap\":null"
         ));
