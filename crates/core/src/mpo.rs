@@ -9,7 +9,7 @@
 //! across intervals, which is why re-optimizing every interval stays
 //! cheap (Fig. 7(b)).
 
-use spotweb_linalg::Matrix;
+use spotweb_linalg::{Cholesky, Matrix};
 use spotweb_market::Catalog;
 use spotweb_solver::{AdmmSolver, Certificate, QpStatus, Settings, Update};
 use spotweb_telemetry::{names, prof};
@@ -18,6 +18,35 @@ use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
 use crate::portfolio::{build_sparse_qp, unpack_plan};
 use crate::Result;
+
+/// Round-off allowance of the covariance check: `M` passes when
+/// `(M + Mᵀ)/2 + PSD_TOL·max Mᵢᵢ·I` factors, so a singular positive
+/// semidefinite `M` (a sample covariance of fewer observations than
+/// markets) passes and one with an eigenvalue below `−PSD_TOL·max Mᵢᵢ`
+/// does not. The factorization's own round-off, at most about
+/// `N²·ε·max Mᵢᵢ` for a semidefinite `M` (5e-12 of it at 144
+/// markets), stays far below the allowance.
+const PSD_TOL: f64 = 1e-9;
+
+/// Whether the square `m` is positive semidefinite to [`PSD_TOL`].
+fn is_psd(m: &Matrix) -> bool {
+    let n = m.rows();
+    let scale = (0..n).fold(0.0_f64, |s, i| s.max(m[(i, i)]));
+    // The factor reads the lower triangle only: `(M + Mᵀ)/2` there,
+    // shifted on the diagonal; `M`'s own upper triangle goes unread.
+    let mut s = m.clone();
+    for i in 0..n {
+        for j in 0..i {
+            s[(i, j)] = 0.5 * m[(i, j)] + 0.5 * m[(j, i)];
+        }
+        s[(i, i)] += PSD_TOL * scale;
+    }
+    if scale == 0.0 {
+        // No positive diagonal: semidefinite only if zero throughout.
+        return (0..n).all(|i| s.row(i)[..=i].iter().all(|&v| v == 0.0));
+    }
+    Cholesky::factor_in_place(s).is_ok()
+}
 
 /// Output of one optimization run.
 #[derive(Debug, Clone)]
@@ -71,6 +100,8 @@ pub struct MpoOptimizer {
     /// The solver of the previous call, re-bound to each next problem
     /// while its constraints and the pattern of `P` hold.
     solver: Option<AdmmSolver>,
+    /// The covariance last checked by [`is_psd`], and its verdict.
+    checked: Option<(Matrix, bool)>,
 }
 
 impl std::fmt::Debug for MpoOptimizer {
@@ -93,6 +124,7 @@ impl Clone for MpoOptimizer {
             warm: self.warm.clone(),
             warm_start_enabled: self.warm_start_enabled,
             solver: None,
+            checked: None,
         }
     }
 }
@@ -105,6 +137,7 @@ impl MpoOptimizer {
             warm: None,
             warm_start_enabled: true,
             solver: None,
+            checked: None,
         }
     }
 
@@ -138,8 +171,14 @@ impl MpoOptimizer {
     ///   when `P` (the covariance) moved and the polish of the warm
     ///   start does not settle the solve.
     ///
-    /// A moved `P` whose KKT matrix does not factor ends the solve
-    /// unsolved (`solved == false`), not in an error.
+    /// A covariance that is not positive semidefinite ends the decision
+    /// unsolved (`solved == false`), not in an error, and so does a
+    /// moved `P` whose KKT matrix does not factor. The covariance is
+    /// checked on its own, whenever it is not bitwise the one checked
+    /// last: the polish of a warm start at a vertex, where no variable
+    /// is free, never factors `P` and would accept any. An unsolved
+    /// decision by the check plans `prev_allocation` for every
+    /// interval, and keeps the warm start for the next.
     pub fn optimize(
         &mut self,
         catalog: &Catalog,
@@ -156,6 +195,24 @@ impl MpoOptimizer {
             Some(solver) => solver.update(&qp),
             None => Update::Rebuild,
         };
+        if !self.covariance_is_psd(covariance) {
+            return Ok(PortfolioDecision {
+                plan: vec![prev_allocation.to_vec(); h],
+                objective: f64::NAN,
+                iterations: 0,
+                solved: false,
+                polished: false,
+                polish_solves: 0,
+                kkt_factorizations: 0,
+                warm_started: false,
+                factor_reused: false,
+                certificate: Certificate {
+                    primal_residual: f64::NAN,
+                    dual_residual: f64::NAN,
+                    duality_gap: f64::NAN,
+                },
+            });
+        }
         if update == Update::Rebuild {
             // The portfolio QP is block-tridiagonal in the horizon (risk
             // and constraints are per-period; churn couples neighbours),
@@ -201,6 +258,27 @@ impl MpoOptimizer {
             factor_reused: update == Update::Kept,
             certificate: sol.certificate(),
         })
+    }
+
+    /// [`is_psd`] on `covariance`, or the verdict of the last check
+    /// when it was made on the same bits.
+    fn covariance_is_psd(&mut self, covariance: &Matrix) -> bool {
+        let same = |m: &Matrix| {
+            m.rows() == covariance.rows()
+                && m.cols() == covariance.cols()
+                && m.as_slice()
+                    .iter()
+                    .zip(covariance.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        match &self.checked {
+            Some((m, verdict)) if same(m) => *verdict,
+            _ => {
+                let verdict = is_psd(covariance);
+                self.checked = Some((covariance.clone(), verdict));
+                verdict
+            }
+        }
     }
 }
 
@@ -631,5 +709,65 @@ mod tests {
             .optimize(&catalog, &forecast, &identity_cov(3), d1.first())
             .unwrap();
         assert!(d3.solved && d3.kkt_factorizations >= 1);
+    }
+
+    #[test]
+    fn an_indefinite_risk_matrix_is_unsolved_where_the_warm_polish_factors_nothing() {
+        // Market 0 is so cheap that the optimum is the vertex (1, 0, 0)
+        // in every period: no variable is free, so the warm polish
+        // needs no factor of `P` and would settle the decision whatever
+        // `P` is.
+        let catalog = Catalog::fig5_three_markets();
+        let forecast = flat_forecast(&[1.0, 6.0, 6.0], 4);
+        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
+        let d1 = opt
+            .optimize(&catalog, &forecast, &identity_cov(3), &[0.0; 3])
+            .unwrap();
+        assert!(d1.solved && d1.polished);
+        assert_eq!(d1.first(), [1.0, 0.0, 0.0]);
+        let indefinite = Matrix::identity(3).scaled(-1e3);
+        for _ in 0..2 {
+            // The second time the check's verdict is remembered.
+            let d2 = opt
+                .optimize(&catalog, &forecast, &indefinite, d1.first())
+                .expect("an unsolved decision, not an error");
+            assert!(!d2.solved && !d2.polished, "{d2:?}");
+            assert_eq!((d2.iterations, d2.kkt_factorizations), (0, 0));
+            assert!(d2.plan.iter().all(|p| p == d1.first()));
+        }
+        // The warm start survives, and a positive definite matrix
+        // settles at iteration 0 again.
+        let d3 = opt
+            .optimize(&catalog, &forecast, &identity_cov(3), d1.first())
+            .unwrap();
+        assert!(d3.warm_started && d3.solved && d3.polished && d3.iterations == 0);
+        assert_eq!(d3.first(), d1.first());
+    }
+
+    #[test]
+    fn the_covariance_check_passes_singular_and_fails_indefinite_matrices() {
+        // Rank one, `vvᵀ`: positive semidefinite and singular, its
+        // factorization at round-off without the allowance.
+        let v = [1e-2, -3e-3, 7e-3, 2e-3];
+        let mut rank_one = Matrix::zeros(4, 4);
+        for i in 0..4 {
+            for j in 0..4 {
+                rank_one[(i, j)] = v[i] * v[j];
+            }
+        }
+        assert!(is_psd(&rank_one));
+        assert!(is_psd(&Matrix::zeros(4, 4)));
+        // An eigenvalue of −1e-6 against entries of 1e-2 is no
+        // round-off: `vvᵀ − 1e-6·uuᵀ` with `u` orthogonal to `v`.
+        let u = [3e-3 / 1e-2, 1.0, 0.0, 0.0];
+        let norm2: f64 = u.iter().map(|x| x * x).sum();
+        let mut indefinite = rank_one.clone();
+        for i in 0..4 {
+            for j in 0..4 {
+                indefinite[(i, j)] -= 1e-6 * u[i] * u[j] / norm2;
+            }
+        }
+        assert!(!is_psd(&indefinite));
+        assert!(!is_psd(&Matrix::identity(3).scaled(-1e3)));
     }
 }

@@ -65,16 +65,17 @@ fn row_hull(row: &[f64]) -> (usize, usize) {
 }
 
 impl Coupling {
-    /// `B = E·L⁻ᵀ`: each row of `E` forward-substituted through `prev`.
+    /// `B = E·L⁻ᵀ`: each row of `E` forward-substituted through `prev`,
+    /// in `E`'s own storage.
     ///
     /// Four rows share each pass over `prev`'s factor, and the pivots
     /// ahead of a row's first live entry are left out: on a right-hand
     /// side that is `+0.0` so far they yield `+0.0` and then take
     /// `±0.0` off the later entries, which changes one only if it is
     /// `−0.0` — so a tile holding a `−0.0` anywhere starts at pivot 0.
-    fn factor(prev: &Cholesky, e: &Matrix) -> Coupling {
+    fn factor(prev: &Cholesky, e: Matrix) -> Coupling {
         let n = e.rows();
-        let mut b = e.clone();
+        let mut b = e;
         for tile in b.as_mut_slice().chunks_mut(4 * n.max(1)) {
             let start = if tile.iter().any(|v| v.to_bits() == NEG_ZERO) {
                 0
@@ -90,14 +91,13 @@ impl Coupling {
         Coupling { b, hull }
     }
 
-    /// `d − B·Bᵀ`, lower triangle only (all `Cholesky::factor` reads;
-    /// the upper triangle is left as `d`'s). Entry `(i, j)` sums
+    /// `d ← d − B·Bᵀ`, lower triangle only (all `Cholesky::factor`
+    /// reads; the upper triangle is left as it was). Entry `(i, j)` sums
     /// `B[i, k]·B[j, k]` from `+0.0` in ascending `k` over the two
     /// rows' common hull, skipping `B[i, k] == 0.0` as
     /// `Matrix::matmul` does, four `j` together.
-    fn schur_lower(&self, d: &Matrix) -> Matrix {
-        let n = d.rows();
-        let mut s = d.clone();
+    fn schur_lower(&self, s: &mut Matrix) {
+        let n = s.rows();
         for i in 0..n {
             let (lo_i, hi_i) = self.hull[i];
             let row_i = self.b.row(i);
@@ -144,7 +144,6 @@ impl Coupling {
                 s[(i, j)] -= acc;
             }
         }
-        s
     }
 
     /// Forward coupling, `cur[i] ← ((cur[i] − B[i, lo]·z[lo]) − …)`:
@@ -251,8 +250,17 @@ impl BlockTridiagCholesky {
     /// row `t+1`, column `t`; pass an empty vec for block-diagonal).
     ///
     /// A [`LinalgError::NotPositiveDefinite`] pivot is an index into
-    /// the whole `H·N` matrix.
+    /// the whole `H·N` matrix. The blocks are copied once and factored
+    /// by [`BlockTridiagCholesky::factor_in_place`].
     pub fn factor(diag: &[Matrix], sub: &[Matrix]) -> Result<Self> {
+        Self::factor_in_place(diag.to_vec(), sub.to_vec())
+    }
+
+    /// [`BlockTridiagCholesky::factor`] on blocks it owns: each
+    /// diagonal block takes its Schur update and becomes its Cholesky
+    /// factor in place, and each coupling block becomes `B`, so the
+    /// factor is made in the blocks' own storage.
+    pub fn factor_in_place(diag: Vec<Matrix>, sub: Vec<Matrix>) -> Result<Self> {
         if diag.is_empty() {
             return Err(LinalgError::DimensionMismatch {
                 context: "block tridiag: need at least one diagonal block",
@@ -264,14 +272,14 @@ impl BlockTridiagCholesky {
             });
         }
         let n = diag[0].rows();
-        for d in diag {
+        for d in &diag {
             if d.rows() != n || d.cols() != n {
                 return Err(LinalgError::DimensionMismatch {
                     context: "block tridiag: inconsistent diagonal block shape",
                 });
             }
         }
-        for e in sub {
+        for e in &sub {
             if e.rows() != n || e.cols() != n {
                 return Err(LinalgError::DimensionMismatch {
                     context: "block tridiag: inconsistent coupling block shape",
@@ -282,11 +290,12 @@ impl BlockTridiagCholesky {
         let h = diag.len();
         let mut factors: Vec<Cholesky> = Vec::with_capacity(h);
         let mut subs: Vec<Coupling> = Vec::with_capacity(h - 1);
-        factors.push(Cholesky::factor(&diag[0])?);
-        for t in 1..h {
-            let coupling = Coupling::factor(&factors[t - 1], &sub[t - 1]);
-            let s = coupling.schur_lower(&diag[t]);
-            factors.push(Cholesky::factor(&s).map_err(|e| match e {
+        let mut diag = diag.into_iter();
+        factors.push(Cholesky::factor_in_place(diag.next().expect("checked"))?);
+        for (t, (mut s, e)) in (1..).zip(diag.zip(sub)) {
+            let coupling = Coupling::factor(&factors[t - 1], e);
+            coupling.schur_lower(&mut s);
+            factors.push(Cholesky::factor_in_place(s).map_err(|e| match e {
                 LinalgError::NotPositiveDefinite { pivot } => LinalgError::NotPositiveDefinite {
                     pivot: t * n + pivot,
                 },
@@ -710,7 +719,8 @@ mod tests {
                 }
                 for (t, (c, b)) in f.sub.iter().zip(&bs).enumerate() {
                     assert_bits(c.b.as_slice(), b.as_slice(), &at(t + 1, "B"));
-                    let s = c.schur_lower(&diag[t + 1]);
+                    let mut s = diag[t + 1].clone();
+                    c.schur_lower(&mut s);
                     for i in 0..n {
                         assert_bits(&s.row(i)[..=i], &schurs[t].row(i)[..=i], &at(t + 1, "S"));
                     }

@@ -36,8 +36,16 @@ impl Cholesky {
     /// Only the lower triangle of `a` is read. Returns
     /// [`LinalgError::NotPositiveDefinite`] if a pivot is ≤ 0 (within a
     /// small numerical guard), and [`LinalgError::DimensionMismatch`]
-    /// for non-square input.
+    /// for non-square input. One copy of `a` is made and factored by
+    /// [`Cholesky::factor_in_place`].
     pub fn factor(a: &Matrix) -> Result<Self> {
+        Self::factor_in_place(a.clone())
+    }
+
+    /// [`Cholesky::factor`] on a matrix it owns, whose storage becomes
+    /// the factor: no second `n × n` buffer is made. The errors are
+    /// `factor`'s, and the matrix is dropped with them.
+    pub fn factor_in_place(a: Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::DimensionMismatch {
                 context: "cholesky: matrix must be square",
@@ -49,13 +57,15 @@ impl Cholesky {
         // a dot product of two rows summed in ascending `k`. Four rows
         // `i` run against row `j` together: one chain is bound by the
         // subtract latency, four independent ones are not. Column `j`
-        // of `L` is mirrored into row `j` as it is written, where no
-        // later dot product reads.
-        let mut l = Matrix::zeros(n, n);
+        // of `L` is written over `a[.., j]` below the diagonal, the
+        // entries it is the last to read, and mirrored into row `j`
+        // right of the pivot: upper triangle, which no later step
+        // reads.
+        let mut l = a;
         for j in 0..n {
             let (head, below) = l.as_mut_slice().split_at_mut((j + 1) * n);
             let (row_j, mirror) = head[j * n..].split_at_mut(j);
-            let mut d = a[(j, j)];
+            let mut d = mirror[0];
             for v in &*row_j {
                 d -= v * v;
             }
@@ -67,13 +77,11 @@ impl Cholesky {
             let row_j = &*row_j;
             for (c, quad) in below.chunks_mut(4 * n).enumerate() {
                 let at = 1 + 4 * c;
-                let i = j + at;
                 if quad.len() == 4 * n {
                     let (r0, rest) = quad.split_at_mut(n);
                     let (r1, rest) = rest.split_at_mut(n);
                     let (r2, r3) = rest.split_at_mut(n);
-                    let (mut s0, mut s1, mut s2, mut s3) =
-                        (a[(i, j)], a[(i + 1, j)], a[(i + 2, j)], a[(i + 3, j)]);
+                    let (mut s0, mut s1, mut s2, mut s3) = (r0[j], r1[j], r2[j], r3[j]);
                     for ((((ljk, a0), a1), a2), a3) in
                         row_j.iter().zip(&*r0).zip(&*r1).zip(&*r2).zip(&*r3)
                     {
@@ -89,7 +97,7 @@ impl Cholesky {
                     mirror[at..at + 4].copy_from_slice(&column);
                 } else {
                     for (r, row) in quad.chunks_mut(n).enumerate() {
-                        let mut s = a[(i + r, j)];
+                        let mut s = row[j];
                         for (lik, ljk) in row.iter().zip(row_j) {
                             s -= lik * ljk;
                         }

@@ -263,7 +263,7 @@ impl SplineModel {
             beta[k] += x * s.value;
         }
         gram.add_diag_mut(self.ridge);
-        let factor = Cholesky::factor(&gram).ok()?;
+        let factor = Cholesky::factor_in_place(gram).ok()?;
         factor
             .solve_in_place(&mut beta)
             .expect("one entry per column");

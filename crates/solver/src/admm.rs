@@ -30,10 +30,6 @@ const MAX_ITER: usize = 4000;
 const EPS_ABS: f64 = 1e-6;
 /// Relative tolerance for the primal/dual residuals.
 const EPS_REL: f64 = 1e-6;
-/// Absolute and relative tolerance from which the iteration polishes:
-/// by then the active set has settled, and the iterations to `EPS_ABS`
-/// would only buy digits the polish gets exactly.
-const POLISH_EPS: f64 = 1e-3;
 /// Round-off allowance of a polished point, relative and in scaled
 /// units: how far a row may sit outside its bounds (times
 /// `1 + max(‖Ax‖∞, ‖z‖∞)`) and a multiplier past zero on the wrong
@@ -377,10 +373,12 @@ impl AdmmSolver {
     /// more than a few rows. A non-finite one goes to the iteration,
     /// which stops at its first check.
     ///
-    /// Every check whose residuals pass [`POLISH_EPS`] may polish the
-    /// iterate. A polished point that is feasible, passes the
-    /// full-tolerance test and certifies no worse than the iterate it
-    /// came from ends the solve; otherwise the iteration carries on
+    /// Every check (each [`CHECK_INTERVAL`] iterations, and the last)
+    /// polishes the iterate: a guess ADMM's early iterates already get
+    /// right saves the iterations to `EPS_ABS`, and a wrong one costs a
+    /// few reduced solves. A polished point that is feasible, passes
+    /// the full-tolerance test and certifies no worse than the iterate
+    /// it came from ends the solve; otherwise the iteration carries on
     /// from that iterate, untouched, and the next check tries again if
     /// the guessed active set moved.
     ///
@@ -447,52 +445,7 @@ impl AdmmSolver {
             }
 
             for it in 1..=max_iter {
-                // rhs = σx − q + Aᵀ(ρ⊙z − y)
-                for (((t, &rho), &z), &y) in
-                    ws.tmp_m.iter_mut().zip(&self.rho_vec).zip(&ws.z).zip(&ws.y)
-                {
-                    *t = rho * z - y;
-                }
-                self.prob
-                    .a
-                    .matvec_transpose_into(&ws.tmp_m, &mut ws.aty)
-                    .expect("admm: Aᵀv shape");
-                for (((r, &x), &q), &aty) in
-                    ws.rhs.iter_mut().zip(&ws.x).zip(&self.prob.q).zip(&ws.aty)
-                {
-                    *r = SIGMA * x - q + aty;
-                }
-                // x̃ = K⁻¹ rhs (in place).
-                self.kkt
-                    .as_ref()
-                    .expect("factored before the first iteration")
-                    .solve_in_place(&mut ws.rhs, &mut ws.kkt_block)
-                    .expect("kkt solve");
-                let xtil = &ws.rhs;
-                self.prob
-                    .a
-                    .matvec_into(xtil, &mut ws.ztil)
-                    .expect("admm: A·x̃ shape");
-
-                // Relaxed updates.
-                for (x, &xtil) in ws.x.iter_mut().zip(&ws.rhs) {
-                    *x = ALPHA * xtil + (1.0 - ALPHA) * *x;
-                }
-                for (((((z, y), &ztil), &rho), &lo), &hi) in
-                    ws.z.iter_mut()
-                        .zip(&mut ws.y)
-                        .zip(&ws.ztil)
-                        .zip(&self.rho_vec)
-                        .zip(&self.prob.l)
-                        .zip(&self.prob.u)
-                {
-                    let z_relaxed = ALPHA * ztil + (1.0 - ALPHA) * *z;
-                    let z_pre = z_relaxed + *y / rho;
-                    let z_new = z_pre.clamp(lo, hi);
-                    *y += rho * (z_relaxed - z_new);
-                    *z = z_new;
-                }
-
+                self.step(&mut ws);
                 let do_check = it % CHECK_INTERVAL == 0 || it == max_iter;
                 let do_adapt = it % ADAPTIVE_RHO_INTERVAL == 0;
                 if do_check || do_adapt {
@@ -503,7 +456,7 @@ impl AdmmSolver {
                         last_res = Some(res);
                         break;
                     }
-                    if do_check && res.converged(POLISH_EPS, POLISH_EPS) {
+                    if do_check {
                         let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
                         if let Some((report, res)) =
                             self.try_polish(iterate, &mut ws.polish, &mut ws.check)
@@ -553,6 +506,52 @@ impl AdmmSolver {
             primal_residual,
             dual_residual,
             certificate: report.certificate,
+        }
+    }
+
+    /// One ADMM iteration on the workspace's `(x, z, y)`, through the
+    /// KKT factor (which must be fresh).
+    fn step(&self, ws: &mut SolveWorkspace) {
+        // rhs = σx − q + Aᵀ(ρ⊙z − y)
+        for (((t, &rho), &z), &y) in ws.tmp_m.iter_mut().zip(&self.rho_vec).zip(&ws.z).zip(&ws.y) {
+            *t = rho * z - y;
+        }
+        self.prob
+            .a
+            .matvec_transpose_into(&ws.tmp_m, &mut ws.aty)
+            .expect("admm: Aᵀv shape");
+        for (((r, &x), &q), &aty) in ws.rhs.iter_mut().zip(&ws.x).zip(&self.prob.q).zip(&ws.aty) {
+            *r = SIGMA * x - q + aty;
+        }
+        // x̃ = K⁻¹ rhs (in place).
+        self.kkt
+            .as_ref()
+            .expect("factored before the first iteration")
+            .solve_in_place(&mut ws.rhs, &mut ws.kkt_block)
+            .expect("kkt solve");
+        let xtil = &ws.rhs;
+        self.prob
+            .a
+            .matvec_into(xtil, &mut ws.ztil)
+            .expect("admm: A·x̃ shape");
+
+        // Relaxed updates.
+        for (x, &xtil) in ws.x.iter_mut().zip(&ws.rhs) {
+            *x = ALPHA * xtil + (1.0 - ALPHA) * *x;
+        }
+        for (((((z, y), &ztil), &rho), &lo), &hi) in
+            ws.z.iter_mut()
+                .zip(&mut ws.y)
+                .zip(&ws.ztil)
+                .zip(&self.rho_vec)
+                .zip(&self.prob.l)
+                .zip(&self.prob.u)
+        {
+            let z_relaxed = ALPHA * ztil + (1.0 - ALPHA) * *z;
+            let z_pre = z_relaxed + *y / rho;
+            let z_new = z_pre.clamp(lo, hi);
+            *y += rho * (z_relaxed - z_new);
+            *z = z_new;
         }
     }
 
@@ -1076,7 +1075,8 @@ fn assemble_kkt_blocks(
     (diag, sub)
 }
 
-/// Assemble and factor the KKT matrix blockwise.
+/// Assemble and factor the KKT matrix blockwise, in the assembled
+/// blocks' own storage.
 fn factor_kkt(
     prob: &SparseQp,
     sigma: f64,
@@ -1084,7 +1084,8 @@ fn factor_kkt(
     blocks: usize,
 ) -> Result<BlockTridiagCholesky> {
     let (diag, sub) = assemble_kkt_blocks(prob, sigma, rho_vec, blocks);
-    BlockTridiagCholesky::factor(&diag, &sub).map_err(|e| SolverError::Factorization(e.to_string()))
+    BlockTridiagCholesky::factor_in_place(diag, sub)
+        .map_err(|e| SolverError::Factorization(e.to_string()))
 }
 
 /// Check over the stored entries that `P` is block-tridiagonal and
@@ -1203,18 +1204,21 @@ mod tests {
         assert!((sol.x[1] - 10.0 / 11.0).abs() < 1e-3, "x2 = {}", sol.x[1]);
     }
 
-    #[test]
-    fn pure_lp_via_zero_p() {
-        // min −x₁ − 2x₂ s.t. x₁ + x₂ ≤ 1, x ≥ 0 → x = (0, 1).
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]);
-        let p = QpProblem::new(
+    /// min −x₁ − 2x₂ s.t. x₁ + x₂ ≤ 1, x ≥ 0 → x = (0, 1).
+    fn lp_qp() -> QpProblem {
+        QpProblem::new(
             Matrix::zeros(2, 2),
             vec![-1.0, -2.0],
-            a,
+            Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]),
             vec![f64::NEG_INFINITY, 0.0, 0.0],
             vec![1.0, f64::INFINITY, f64::INFINITY],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn pure_lp_via_zero_p() {
+        let p = lp_qp();
         let sol = solve(p.clone());
         assert!(
             sol.is_solved(),
@@ -1420,38 +1424,45 @@ mod tests {
         // The stopping test judges the residuals of the Ruiz-scaled
         // problem. With costs spanning eight orders of magnitude
         // (‖q‖∞ = 1e6) a dual residual there is a million times larger
-        // in the problem's units: stopped at 50 iterations, short of
-        // the first polish, 0.44 reads 4.4e5.
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]);
-        let wide = QpProblem::new(
-            Matrix::from_diag(&[1e6, 1e-2]),
-            vec![-1e6, -1e-2],
-            a,
-            vec![f64::NEG_INFINITY, 0.0, 0.0],
-            vec![1.0, f64::INFINITY, f64::INFINITY],
-        )
-        .unwrap();
-        let capped = AdmmSolver::new(wide.clone(), Settings::default())
+        // in the problem's units. Every check polishes, so the iterate
+        // is seen unpolished only where no check's polish is accepted:
+        // with `x₂`'s cost linear (`P₂₂ = 0`), `P` on the free variables
+        // of the optimum's active set is singular, and so it is on those
+        // of any guess that leaves `x₂` free. Stopped at 50 iterations,
+        // 0.44 reads 4.4e5.
+        let wide = |p22: f64| {
+            QpProblem::new(
+                Matrix::from_diag(&[1e6, p22]),
+                vec![-1e6, -1e-2],
+                Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0], &[0.0, 1.0]]),
+                vec![f64::NEG_INFINITY, 0.0, 0.0],
+                vec![1.0, f64::INFINITY, f64::INFINITY],
+            )
+            .unwrap()
+        };
+        let capped = AdmmSolver::new(wide(0.0), Settings::default())
             .unwrap()
             .solve_capped(50);
         let c = capped.certificate();
-        assert!(!capped.polished && capped.dual_residual < 1.0);
+        assert!(!capped.polished && capped.polish_solves > 0);
+        assert!(capped.dual_residual < 1.0);
         assert!(
             c.dual_residual > 1.0 && c.dual_residual > 1e5 * capped.dual_residual,
             "{c:?} against {}",
             capped.dual_residual
         );
-        // Run on, the polish makes both residuals and the gap round-off
-        // in the problem's units too.
-        let sol = solve(wide);
+        // With `P₂₂ = 1e-2` the polish is accepted, and both residuals
+        // and the gap are round-off in the problem's units too.
+        let sol = solve(wide(1e-2));
         let c = sol.certificate();
         assert!(sol.is_solved() && sol.polished);
         assert!(c.dual_residual < 1e-15 * 1e6, "{c:?}");
         assert!(c.duality_gap < 1e-15 * sol.objective.abs(), "{c:?}");
 
-        // Stopped early, the point is not optimal and the certificate
-        // says so; a non-finite iterate reads NaN.
-        let c = AdmmSolver::new(budget_qp(), Settings::default())
+        // Stopped early on an LP, whose polish never factors, the point
+        // is not optimal and the certificate says so; a non-finite
+        // iterate reads NaN.
+        let c = AdmmSolver::new(lp_qp(), Settings::default())
             .unwrap()
             .solve_capped(2)
             .certificate();
@@ -1946,5 +1957,79 @@ mod tests {
         let again = solver.solve();
         assert!(again.is_solved() && again.factorizations == 1);
         assert_eq!(bits(&again.x), bits(&first.x));
+    }
+
+    #[test]
+    fn a_cold_solve_whose_first_check_guesses_the_active_set_polishes_at_iteration_10() {
+        // x₁ at its upper bound, x₂ at its lower one, x₃ and x₄ and the
+        // budget inside: ten iterations from zero already say so.
+        let mut solver =
+            AdmmSolver::new(box_qp([1.5, -0.5, 0.5, 0.3]), Settings::default()).unwrap();
+        let sol = solver.solve();
+        assert!(sol.is_solved() && sol.polished);
+        assert_eq!((sol.iterations, sol.polish_solves), (CHECK_INTERVAL, 1));
+        let (ws, mut guess) = (&solver.workspace, Vec::new());
+        solver.guess_active_set(&ws.z, &ws.y, &mut guess);
+        use Bound::{Inactive, Lower, Upper};
+        assert_eq!(guess, [Upper, Lower, Inactive, Inactive, Inactive]);
+        assert_eq!(sol.x, [1.0, 0.0, 0.5, 0.3]);
+    }
+
+    /// min ½x₂² − 3e-3·x₁ − ½x₂ over the unit box: `x = (1, ½)`. `x₁`'s
+    /// cost is linear, so a guess that leaves it free makes `P` on the
+    /// free variables singular, and ADMM's `x₁` reaches its bound only
+    /// after the first check.
+    fn creeping_qp() -> QpProblem {
+        QpProblem::new(
+            Matrix::from_diag(&[0.0, 1.0]),
+            vec![-3e-3, -0.5],
+            Matrix::identity(2),
+            vec![0.0, 0.0],
+            vec![1.0, 1.0],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_polish_turned_down_at_an_early_check_leaves_the_iterate_untouched() {
+        let qp = creeping_qp();
+        let mut solver = AdmmSolver::new(qp.clone(), Settings::default()).unwrap();
+        let sol = solver.solve();
+        assert!(sol.is_solved() && sol.polished);
+        // One reduced solve turned down at the first check, one
+        // accepted at the second.
+        assert_eq!((sol.iterations, sol.polish_solves), (2 * CHECK_INTERVAL, 2));
+        assert!(
+            sol.x[0] == 1.0 && (sol.x[1] - 0.5).abs() <= 1e-15,
+            "{:?}",
+            sol.x
+        );
+
+        // The same twenty iterations with nothing between them, on a
+        // second solver: the iterate the solve went on from, and the
+        // point it accepted, are bitwise these.
+        let reference = AdmmSolver::new(qp, Settings::default()).unwrap();
+        let mut ws = SolveWorkspace::default();
+        ws.reset(2, 2, 2);
+        for it in 1..=2 * CHECK_INTERVAL {
+            reference.step(&mut ws);
+            if it == CHECK_INTERVAL {
+                let (mut scratch, mut check) = (PolishScratch::default(), CheckScratch::default());
+                let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
+                assert!(reference
+                    .try_polish(iterate, &mut scratch, &mut check)
+                    .is_none());
+            }
+        }
+        let done = &solver.workspace;
+        for (got, want) in [(&done.x, &ws.x), (&done.z, &ws.z), (&done.y, &ws.y)] {
+            assert_eq!(bits(got), bits(want));
+        }
+        let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
+        let (report, _) = reference
+            .try_polish(iterate, &mut ws.polish, &mut ws.check)
+            .expect("the second check's polish");
+        assert_eq!(bits(&report.x), bits(&sol.x));
+        assert_eq!(bits(&report.y), bits(&sol.y));
     }
 }

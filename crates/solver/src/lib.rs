@@ -18,9 +18,9 @@
 //! re-factoring only when the adaptive penalty ρ moves by more than a
 //! threshold. Ruiz equilibration preconditions badly scaled problems
 //! (per-request costs span orders of magnitude across markets).
-//! Once the residuals pass a loose tolerance the solver *polishes*
-//! (OSQP §5.2): it solves the equality KKT system of the active set the
-//! iterate identifies, directly, and keeps that exact point when it is
+//! At every termination check the solver *polishes* (OSQP §5.2): it
+//! solves the equality KKT system of the active set the iterate
+//! identifies, directly, and keeps that exact point when it is
 //! feasible and certifies no worse ([`QpSolution::polished`]).
 //!
 //! `P` and `A` are carried in CSR from set-up to the final report

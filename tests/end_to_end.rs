@@ -260,7 +260,12 @@ fn admm_iteration_counts_are_pinned_on_the_benchmark_cells() {
     // (grid index, markets, horizon, pinned iterations). Re-pinned
     // from 190 and 430 when the solver started polishing: both cells
     // now stop at a loose check and solve the active set's KKT system.
-    for (index, n, horizon, pinned) in [(0, 36, 4, 60), (5, 144, 10, 50)] {
+    // Re-pinned from 60 and 50 when every check started polishing, not
+    // only one whose residuals pass 1e-3: both cells' first check
+    // already guesses the optimum's active set, and its one reduced
+    // solve certifies as the later check's did (gaps 2.3e-13 and
+    // 3.8e-13 of the objective). The bounds below held unchanged.
+    for (index, n, horizon, pinned) in [(0, 36, 4, 10), (5, 144, 10, 10)] {
         let cell = fig7b_cell(index, n, horizon, |_| 1.0);
         let (catalog, forecast, covariance, config) = &cell;
         let decision = MpoOptimizer::new(config.clone())
@@ -392,9 +397,11 @@ fn control_plane_decisions_are_pinned() {
     // polishing the previous active set: all 71 warm decisions settle
     // at iteration 0 (one to three polish solves each), only the cold
     // first one iterates. No fleet, cost, allocation bit or oracle
-    // bound moved.
+    // bound moved. 20 → 10 for the cold first decision when every ADMM
+    // check started polishing; again no fleet, cost, allocation bit or
+    // oracle bound moved.
     let mut pinned = [0; 72];
-    pinned[0] = 20;
+    pinned[0] = 10;
     assert_eq!(iterations, pinned);
     assert_eq!(bytes.len(), 72 * 36 * 8);
     // Every decision the exact optimum, by the dense KKT oracle.
@@ -473,28 +480,38 @@ fn polished_control_plane_matches_the_dense_kkt_oracle_over_three_weeks() {
 
 /// The Fig. 7(b) 144 × 10 cell solved cold under ±2 % per-market price
 /// jitter, 50 draws: EXPERIMENTS.md "Polished solves"' jitter row. Every
-/// solve must be polished and match the dense KKT oracle. Seconds in a
-/// release build.
+/// solve must be polished and match the dense KKT oracle, and the
+/// polish at every ADMM check must keep the cold cost down: at most 30
+/// iterations on average and 60 at worst (24.6 and 50 measured), and
+/// a duality gap within 1e-12 of the objective (1.7e-13 measured).
+/// Seconds in a release build.
 #[test]
 #[ignore = "the jitter row of EXPERIMENTS.md; run in release"]
 fn cold_solves_under_two_percent_price_jitter_polish() {
     use spotweb::workload::rng::{stream_id, CounterStream, DOMAIN_NOISE};
-    let (mut iterations, mut worst_gap) = (Vec::new(), 0.0_f64);
-    for draw in 0..50 {
-        let jitter = CounterStream::new(1234, stream_id(DOMAIN_NOISE, 100 + draw));
+    const DRAWS: usize = 50;
+    let (mut iterations, mut polish_solves, mut worst_gap) = (Vec::new(), 0, 0.0_f64);
+    for draw in 0..DRAWS {
+        let jitter = CounterStream::new(1234, stream_id(DOMAIN_NOISE, 100 + draw as u64));
         let cell = fig7b_cell(5, 144, 10, |i| {
             1.0 + 0.02 * (2.0 * jitter.unit_f64_at(i as u64) - 1.0)
         });
         let sol = polished_cold_solve(&cell, &format!("draw {draw}"));
         iterations.push(sol.iterations);
+        polish_solves += sol.polish_solves;
         worst_gap = worst_gap.max(sol.certificate().duality_gap / sol.objective.abs());
     }
+    let mean = iterations.iter().sum::<usize>() as f64 / DRAWS as f64;
+    let worst = *iterations.iter().max().unwrap();
     println!(
-        "144 × 10 cold, ±2 % jitter, 50 draws: ADMM iterations mean {:.1}, worst {}, all \
-         polished; worst gap/|objective| {worst_gap:.2e}",
-        iterations.iter().sum::<usize>() as f64 / 50.0,
-        iterations.iter().max().unwrap()
+        "144 × 10 cold, ±2 % jitter, {DRAWS} draws: ADMM iterations mean {mean:.1}, worst \
+         {worst}, all polished, {:.2} polish solves a solve; worst gap/|objective| \
+         {worst_gap:.2e}",
+        polish_solves as f64 / DRAWS as f64
     );
+    assert!(mean <= 30.0, "mean {mean} iterations");
+    assert!(worst <= 60, "worst {worst} iterations");
+    assert!(worst_gap <= 1e-12, "worst gap/|objective| {worst_gap:e}");
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
