@@ -56,11 +56,10 @@ impl Cholesky {
         // `L[i, j] = (a[i, j] − Σ_{k<j} L[i, k]·L[j, k]) / L[j, j]`, each
         // a dot product of two rows summed in ascending `k`. Four rows
         // `i` run against row `j` together: one chain is bound by the
-        // subtract latency, four independent ones are not. Column `j`
-        // of `L` is written over `a[.., j]` below the diagonal, the
-        // entries it is the last to read, and mirrored into row `j`
-        // right of the pivot: upper triangle, which no later step
-        // reads.
+        // subtract latency, four independent ones are not. `L[i, j]`
+        // overwrites `a[i, j]`, which no later step reads, and is
+        // mirrored into row `j` right of the pivot, in the upper
+        // triangle no step reads.
         let mut l = a;
         for j in 0..n {
             let (head, below) = l.as_mut_slice().split_at_mut((j + 1) * n);
