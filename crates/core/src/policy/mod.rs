@@ -203,7 +203,7 @@ impl Policy for SpotWebPolicy {
             self.optimizer
                 .optimize(catalog, &forecast, obs.covariance, &self.prev_allocation);
         let (counts, solve) = match decided {
-            Ok(decision) => {
+            Ok(decision) if decision.solved => {
                 self.prev_allocation = decision.first().to_vec();
                 self.telemetry.count(names::MPO_SOLVES_TOTAL, 1);
                 // Iterations-to-convergence: the number the
@@ -231,9 +231,9 @@ impl Policy for SpotWebPolicy {
                 );
                 (counts, Some(decision))
             }
-            // On solver failure keep the previous fleet (fail static,
-            // never fail empty).
-            Err(_) => {
+            // On solver failure, or a decision that did not solve, keep
+            // the previous fleet (fail static, never fail empty).
+            failed => {
                 self.telemetry.count(names::MPO_SOLVE_FAILURES_TOTAL, 1);
                 let counts = to_server_counts(
                     catalog,
@@ -241,11 +241,11 @@ impl Policy for SpotWebPolicy {
                     forecast.workload[0],
                     MIN_ALLOCATION,
                 );
-                (counts, None)
+                (counts, failed.ok())
             }
         };
         if self.telemetry.is_enabled() {
-            // NaN when the optimizer failed.
+            // NaN when the optimizer failed or turned the covariance down.
             let certificate = solve.as_ref().map_or(
                 Certificate {
                     primal_residual: f64::NAN,
@@ -329,14 +329,15 @@ impl ExoSpherePolicy {
 
     /// Re-solve from *current* observations only — flat forecasts, and
     /// zeros for the previous allocation, which no churn term reads —
-    /// and return the allocation; a failed solve keeps the last one.
+    /// and return the allocation; a failed or unsolved decision keeps
+    /// the last one.
     fn allocate(&mut self, catalog: &Catalog, obs: &PolicyObservation<'_>) -> &[f64] {
         let forecast = ForecastBundle::flat(obs.current_workload, obs.prices, obs.failure_probs, 1);
         let zeros = vec![0.0; catalog.len()];
-        let solved = self
+        let decided = self
             .optimizer
             .optimize(catalog, &forecast, obs.covariance, &zeros);
-        if let Ok(decision) = solved {
+        if let Some(decision) = decided.ok().filter(|d| d.solved) {
             self.last_allocation = decision.first().to_vec();
         }
         &self.last_allocation
@@ -534,6 +535,44 @@ mod tests {
                 assert!(m.reason.contains("below min") || m.reason.contains("zero servers"));
             }
         }
+    }
+
+    #[test]
+    fn an_indefinite_covariance_keeps_the_fleet_and_counts_a_failure() {
+        // The optimizer turns the covariance down and plans the
+        // allocation it was given; ExoSphere passes zeros, so adopting
+        // that plan would deploy nothing.
+        let catalog = Catalog::fig5_three_markets();
+        let prices = [2.0, 1.0, 1.2];
+        let failures = [0.04; 3];
+        let cov = Matrix::identity(3).scaled(1e-4);
+        let indefinite = Matrix::identity(3).scaled(-1e3);
+        let mut obs = obs_fixture(&prices, &failures, &cov);
+
+        let mut exo = ExoSpherePolicy::new(SpotWebConfig::default(), 3);
+        let fleet = exo.decide(&catalog, &obs);
+        let allocation = exo.last_allocation.clone();
+        assert!(fleet.iter().sum::<u32>() > 0);
+        obs.covariance = &indefinite;
+        assert_eq!(exo.decide(&catalog, &obs), fleet);
+        assert_eq!(exo.last_allocation, allocation);
+
+        let sink = TelemetrySink::enabled();
+        let mut spotweb =
+            SpotWebPolicy::new(SpotWebConfig::default(), 3).with_telemetry(sink.clone());
+        obs.covariance = &cov;
+        let fleet = spotweb.decide(&catalog, &obs);
+        obs.interval = 1;
+        obs.covariance = &indefinite;
+        assert_eq!(spotweb.decide(&catalog, &obs), fleet);
+        assert_eq!(sink.counter("spotweb_mpo_solves_total"), 1);
+        assert_eq!(sink.counter("spotweb_mpo_solve_failures_total"), 1);
+        let last = sink.events().into_iter().rev().find_map(|e| match e.event {
+            TraceEvent::Decision(d) => Some(d),
+            _ => None,
+        });
+        let last = last.expect("a decision record");
+        assert!(!last.solved && last.objective.is_nan());
     }
 
     #[test]
