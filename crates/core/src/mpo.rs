@@ -16,7 +16,7 @@ use spotweb_telemetry::{names, prof};
 
 use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
-use crate::portfolio::{build_sparse_qp, unpack_plan};
+use crate::portfolio::{assemble, stage, unpack_plan, PValues};
 use crate::Result;
 
 /// Round-off allowance of the covariance check: `M` passes when
@@ -100,6 +100,16 @@ pub struct MpoOptimizer {
     /// The solver of the previous call, re-bound to each next problem
     /// while its constraints and the pattern of `P` hold.
     solver: Option<AdmmSolver>,
+    /// `P`'s values of the problem the solver holds; where they are
+    /// zero, its pattern stores no entry.
+    bound: PValues,
+    /// The decision's own values, staged before the covariance check:
+    /// `P`'s here, the linear cost in `q`.
+    staged: PValues,
+    q: Vec<f64>,
+    /// Decisions that assembled a fresh QP: the first, and each whose
+    /// values do not fit the held pattern.
+    assemblies: usize,
 }
 
 impl std::fmt::Debug for MpoOptimizer {
@@ -109,6 +119,7 @@ impl std::fmt::Debug for MpoOptimizer {
             .field("warm", &self.warm.is_some())
             .field("warm_start_enabled", &self.warm_start_enabled)
             .field("cached_solver", &self.solver.is_some())
+            .field("assemblies", &self.assemblies)
             .finish()
     }
 }
@@ -118,10 +129,9 @@ impl Clone for MpoOptimizer {
     /// the built solver (it is rebuilt on the clone's first solve).
     fn clone(&self) -> Self {
         MpoOptimizer {
-            config: self.config.clone(),
             warm: self.warm.clone(),
             warm_start_enabled: self.warm_start_enabled,
-            solver: None,
+            ..MpoOptimizer::new(self.config.clone())
         }
     }
 }
@@ -134,6 +144,10 @@ impl MpoOptimizer {
             warm: None,
             warm_start_enabled: true,
             solver: None,
+            bound: PValues::default(),
+            staged: PValues::default(),
+            q: Vec::new(),
+            assemblies: 0,
         }
     }
 
@@ -155,22 +169,28 @@ impl MpoOptimizer {
     /// Run one optimization. `prev_allocation` is the currently
     /// deployed first-interval allocation (zeros at cold start).
     ///
-    /// Two reuses cut the per-interval cost of the receding-horizon
+    /// Three reuses cut the per-interval cost of the receding-horizon
     /// loop (Fig. 7(b)):
+    /// * **values in place** — consecutive problems share their
+    ///   constraints and, while `M`'s zeros stay put, the pattern of
+    ///   `P`, so the QP is assembled once and each later decision
+    ///   writes only `P`'s values and `q` over the solver's own
+    ///   ([`AdmmSolver::rebind`]). A decision whose values do not fit
+    ///   the held pattern (`M`'s zero pattern moved, or a value is not
+    ///   finite) assembles a fresh QP, which reports the error or is
+    ///   re-bound by [`AdmmSolver::update`] or built into a new solver;
+    /// * **solver reuse** — the re-bound solver keeps its Ruiz
+    ///   equilibration, and the KKT matrix is refactored only when `P`
+    ///   (the covariance) moved and the polish of the warm start does
+    ///   not settle the solve;
     /// * **warm start** — the previous interval's primal/dual solution
     ///   seeds the ADMM iteration via `solve_from` whenever the
-    ///   problem dimensions are unchanged;
-    /// * **solver reuse** — consecutive problems share their
-    ///   constraints and the pattern of `P`, so the previous solver is
-    ///   re-bound to the new one ([`AdmmSolver::update`]): its Ruiz
-    ///   equilibration is kept, and the KKT matrix is refactored only
-    ///   when `P` (the covariance) moved and the polish of the warm
-    ///   start does not settle the solve.
+    ///   problem dimensions are unchanged.
     ///
     /// A covariance that is not positive semidefinite ends the decision
     /// unsolved (`solved == false`), not in an error, and so does a
     /// moved `P` whose KKT matrix does not factor. The covariance is
-    /// checked on its own, before the solver sees the new QP: the
+    /// checked on its own, before the solver sees the new values: the
     /// polish of a warm start at a vertex, where no variable is free,
     /// never factors `P` and would accept any. A decision the check
     /// turns down leaves the solver and the warm start as they were,
@@ -186,45 +206,82 @@ impl MpoOptimizer {
         let n = catalog.len();
         let h = self.config.horizon;
 
-        // The builder rejects malformed or non-finite inputs as errors,
-        // so the check below sees a square, finite `M`.
-        let qp = build_sparse_qp(catalog, forecast, covariance, prev_allocation, &self.config)?;
-        if !is_psd(covariance) {
-            return Ok(PortfolioDecision {
-                plan: vec![prev_allocation.to_vec(); h],
-                objective: f64::NAN,
-                iterations: 0,
-                solved: false,
-                polished: false,
-                polish_solves: 0,
-                kkt_factorizations: 0,
-                warm_started: false,
-                factor_reused: false,
-                certificate: Certificate {
-                    primal_residual: f64::NAN,
-                    dual_residual: f64::NAN,
-                    duality_gap: f64::NAN,
-                },
-            });
-        }
-        let update = match self.solver.as_mut() {
-            Some(solver) => solver.update(&qp),
-            None => Update::Rebuild,
-        };
-        if update == Update::Rebuild {
-            // The portfolio QP is block-tridiagonal in the horizon (risk
-            // and constraints are per-period; churn couples neighbours),
-            // so a multi-period instance factors blockwise in O(H·N³).
-            // The builder guarantees the structure, so the problem is
-            // moved into the solver; a failed check is an error, not a
-            // fallback.
-            self.solver = Some(if h >= 2 {
-                AdmmSolver::with_block_structure(qp, Settings::default(), n)?
+        // Malformed inputs are errors here and non-finite ones in
+        // `assemble`, so the check below sees a square, finite `M`.
+        let fresh = {
+            prof::scope!(names::SPAN_MPO_SOLVE_BUILD);
+            stage(
+                &mut self.staged,
+                &mut self.q,
+                catalog,
+                forecast,
+                covariance,
+                prev_allocation,
+                &self.config,
+            )?;
+            let in_place = self.solver.is_some()
+                && self.staged.fits(&self.bound)
+                && self.q.iter().all(|v| v.is_finite());
+            if in_place {
+                None
             } else {
-                AdmmSolver::new(qp, Settings::default())?
-            });
+                Some(assemble(&self.staged, self.q.clone(), &self.config)?)
+            }
+        };
+        {
+            prof::scope!(names::SPAN_MPO_SOLVE_CHECK);
+            if !is_psd(covariance) {
+                return Ok(PortfolioDecision {
+                    plan: vec![prev_allocation.to_vec(); h],
+                    objective: f64::NAN,
+                    iterations: 0,
+                    solved: false,
+                    polished: false,
+                    polish_solves: 0,
+                    kkt_factorizations: 0,
+                    warm_started: false,
+                    factor_reused: false,
+                    certificate: Certificate {
+                        primal_residual: f64::NAN,
+                        dual_residual: f64::NAN,
+                        duality_gap: f64::NAN,
+                    },
+                });
+            }
         }
+        let update = {
+            prof::scope!(names::SPAN_MPO_SOLVE_REBIND);
+            let update = match (fresh, self.solver.as_mut()) {
+                (None, Some(solver)) => {
+                    let staged = &self.staged;
+                    solver.rebind(&self.q, |r, cols, vals| staged.write_row(r, cols, vals))
+                }
+                (Some(qp), solver) => {
+                    self.assemblies += 1;
+                    let update = solver.map_or(Update::Rebuild, |s| s.update(&qp));
+                    if update == Update::Rebuild {
+                        // The portfolio QP is block-tridiagonal in the
+                        // horizon (risk and constraints are per-period;
+                        // churn couples neighbours), so a multi-period
+                        // instance factors blockwise in O(H·N³). The
+                        // builder guarantees the structure, so the
+                        // problem is moved into the solver; a failed
+                        // check is an error, not a fallback.
+                        self.solver = Some(if h >= 2 {
+                            AdmmSolver::with_block_structure(qp, Settings::default(), n)?
+                        } else {
+                            AdmmSolver::new(qp, Settings::default())?
+                        });
+                    }
+                    update
+                }
+                (None, None) => unreachable!("values are written in place only on a held solver"),
+            };
+            std::mem::swap(&mut self.staged, &mut self.bound);
+            update
+        };
 
+        prof::scope!(names::SPAN_MPO_SOLVE_ITERATE);
         let solver = self.solver.as_mut().expect("solver bound above");
         let nv = solver.num_vars();
         let mc = solver.num_constraints();
@@ -616,24 +673,122 @@ mod tests {
             ("NaN bound", nan_bound, &good, &good_cov),
         ];
         for (case, config, forecast, cov) in table {
-            let mut opt = MpoOptimizer::new(config);
-            let got = opt.optimize(&catalog, forecast, cov, &[0.0; 3]);
-            assert!(got.is_err(), "{case} must be rejected, got {got:?}");
-        }
+            let fresh =
+                MpoOptimizer::new(config.clone()).optimize(&catalog, forecast, cov, &[0.0; 3]);
+            let fresh = format!("{:?}", fresh.expect_err(case));
 
-        // A solver kept from the previous call rejects it the same way.
-        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
-        opt.optimize(&catalog, &good, &good_cov, &[0.0; 3]).unwrap();
-        let reused = opt.optimize(&catalog, &overflow, &good_cov, &[0.0; 3]);
+            // A solver kept from a good decision rejects it the same
+            // way, and still solves the next good one. A configuration
+            // cannot change through the API; swapping it in runs the
+            // in-place path's own check of it.
+            let mut kept = MpoOptimizer::new(SpotWebConfig::default());
+            kept.optimize(&catalog, &good, &good_cov, &[0.0; 3])
+                .unwrap();
+            kept.config = config;
+            let got = kept.optimize(&catalog, forecast, cov, &[0.0; 3]);
+            assert_eq!(format!("{:?}", got.expect_err(case)), fresh, "{case}");
+            kept.config = SpotWebConfig::default();
+            let next = kept
+                .optimize(&catalog, &good, &good_cov, &[0.0; 3])
+                .unwrap();
+            assert!(next.solved && next.factor_reused, "{case}: {next:?}");
+        }
+        // The overflow is the solver's check of `q`.
+        let overflowed = MpoOptimizer::new(SpotWebConfig::default())
+            .optimize(&catalog, &overflow, &good_cov, &[0.0; 3]);
         assert!(
             matches!(
-                reused,
+                overflowed,
                 Err(crate::CoreError::Solver(
                     spotweb_solver::SolverError::NonFinite { what: "q" }
                 ))
             ),
-            "got {reused:?}"
+            "got {overflowed:?}"
         );
+    }
+
+    #[test]
+    fn a_moved_zero_pattern_reassembles_then_the_values_go_back_in_place() {
+        use spotweb_market::MarketHistory;
+
+        // Market 2's failure series turns constant: once the window
+        // holds nothing else, `correlation` zeroes its row and column,
+        // and `P` stores fewer entries.
+        let catalog = Catalog::fig5_three_markets();
+        let forecast = flat_forecast(&[2.0, 1.0, 1.2], 4);
+        let mut history = MarketHistory::new(3, 4);
+        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
+        let decide = |history: &MarketHistory, opt: &mut MpoOptimizer| {
+            let m = history.correlation(0.1);
+            let d = opt.optimize(&catalog, &forecast, &m, &[0.0; 3]).unwrap();
+            let fresh = MpoOptimizer::new(SpotWebConfig::default())
+                .optimize(&catalog, &forecast, &m, &[0.0; 3])
+                .unwrap();
+            assert!(d.solved && fresh.solved);
+            for (a, b) in d.first().iter().zip(fresh.first()) {
+                assert!((a - b).abs() < 1e-6, "kept {a} vs fresh {b}");
+            }
+            (d, m.as_slice().iter().filter(|&&v| v == 0.0).count())
+        };
+        for t in 0..4 {
+            let x = 0.01 * f64::from(t);
+            history.record(&[0.02 + x, 0.05 - 0.5 * x, 0.03 + x * x]);
+        }
+        let (d, zeros) = decide(&history, &mut opt);
+        assert_eq!((d.kkt_factorizations, opt.assemblies, zeros), (1, 1, 0));
+        history.record(&[0.06, 0.04, 0.01]);
+        let (d, _) = decide(&history, &mut opt);
+        assert!(!d.factor_reused, "the correlation moved");
+        assert_eq!(opt.assemblies, 1, "same zeros: written in place");
+
+        // Market 2 reads 0.01 from the fifth record on: at the eighth
+        // the window holds nothing else.
+        for t in 0..2 {
+            history.record(&[0.03 + 0.01 * f64::from(t), 0.05, 0.01]);
+            let (_, zeros) = decide(&history, &mut opt);
+            assert_eq!((opt.assemblies, zeros), (1, 0), "record {t}");
+        }
+        history.record(&[0.02, 0.03, 0.01]);
+        let (d, zeros) = decide(&history, &mut opt);
+        assert_eq!(zeros, 4, "market 2 uncorrelated");
+        assert_eq!(
+            (d.kkt_factorizations, opt.assemblies),
+            (1, 2),
+            "rebuilt: {d:?}"
+        );
+        history.record(&[0.05, 0.02, 0.01]);
+        let (d, zeros) = decide(&history, &mut opt);
+        assert_eq!(zeros, 4);
+        assert_eq!(opt.assemblies, 2, "back in place: {d:?}");
+    }
+
+    #[test]
+    fn a_traced_decision_splits_into_build_check_rebind_and_iterate() {
+        let catalog = Catalog::fig5_three_markets();
+        let forecast = flat_forecast(&[2.0, 1.0, 1.2], 4);
+        let mut opt = MpoOptimizer::new(SpotWebConfig::default());
+        let session = prof::begin();
+        for _ in 0..2 {
+            opt.optimize(&catalog, &forecast, &identity_cov(3), &[0.0; 3])
+                .unwrap();
+        }
+        let tree = session.finish().merged();
+        let solve = tree
+            .children
+            .iter()
+            .find(|c| c.name == names::SPAN_MPO_SOLVE)
+            .expect("an mpo.solve span");
+        let children: Vec<&str> = solve.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(
+            children,
+            [
+                names::SPAN_MPO_SOLVE_BUILD,
+                names::SPAN_MPO_SOLVE_CHECK,
+                names::SPAN_MPO_SOLVE_ITERATE,
+                names::SPAN_MPO_SOLVE_REBIND,
+            ]
+        );
+        assert!(solve.children.iter().all(|c| c.children.is_empty()));
     }
 
     #[test]

@@ -86,56 +86,74 @@ pub fn build_sparse_qp(
     prev_allocation: &[f64],
     config: &SpotWebConfig,
 ) -> Result<SparseQp> {
+    let (mut p, mut q) = (PValues::default(), Vec::new());
+    stage(
+        &mut p,
+        &mut q,
+        catalog,
+        forecast,
+        covariance,
+        prev_allocation,
+        config,
+    )?;
+    assemble(&p, q, config)
+}
+
+/// Validate one decision's inputs as [`build_sparse_qp`] does and
+/// write its values, in the storage of the last decision's: `P`'s into
+/// `p`, the linear cost into `q`. Non-finite values are left for
+/// [`assemble`] to reject.
+pub(crate) fn stage(
+    p: &mut PValues,
+    q: &mut Vec<f64>,
+    catalog: &Catalog,
+    forecast: &ForecastBundle,
+    covariance: &Matrix,
+    prev_allocation: &[f64],
+    config: &SpotWebConfig,
+) -> Result<()> {
     config.validate().map_err(CoreError::Dimension)?;
     let n = catalog.len();
-    let h = config.horizon;
     if covariance.rows() != n || covariance.cols() != n {
         return Err(CoreError::Dimension("covariance must be N×N".into()));
     }
-    // ---- Linear part q (validates the forecast and `prev_allocation`). ----
-    let q = build_linear_cost(catalog, forecast, prev_allocation, config)?;
-    let nv = n * h;
+    // Validates the forecast and `prev_allocation`.
+    write_linear_cost(q, catalog, forecast, prev_allocation, config)?;
+    p.assign(covariance, config);
+    Ok(())
+}
 
-    // ---- Quadratic part P (in ½xᵀPx convention → factor 2). ----
-    // One interval's diagonal block: the risk term 2α·M, made symmetric
-    // ((P + Pᵀ)/2 off the diagonal) as every QP constructor would.
-    // Churn γ Σ_τ ‖A(τ) − A(τ−1)‖² adds 2γ to the diagonal once for
-    // the τ-th difference and once more for the (τ+1)-th when it
-    // exists, and −2γ between A[τ][i] and A[τ+1][i].
-    let mut risk = covariance.scaled(2.0 * config.alpha);
-    risk.symmetrize_mut();
-    let g = config.churn_gamma;
-    let churn = g > 0.0;
+/// The QP around staged values: `P` stores the nonzeros of the rows
+/// [`PValues::write_row`] writes, and the constraints are the boxes and
+/// budgets of `config`.
+pub(crate) fn assemble(p: &PValues, q: Vec<f64>, config: &SpotWebConfig) -> Result<SparseQp> {
+    let n = p.risk.rows();
+    let h = config.horizon;
+    let nv = n * h;
     let mut p_indptr = Vec::with_capacity(nv + 1);
     let mut p_indices = Vec::with_capacity(nv * (n + 2));
     let mut p_data = Vec::with_capacity(nv * (n + 2));
     p_indptr.push(0);
-    for tau in 0..h {
-        let last = tau + 1 == h;
-        for i in 0..n {
-            let row = risk.row(i);
-            let diag = match (churn, last) {
-                (false, _) => row[i],
-                (true, true) => row[i] + 2.0 * g,
-                (true, false) => row[i] + 2.0 * g + 2.0 * g,
-            };
-            let mut push = |col: usize, v: f64| {
-                if v != 0.0 {
-                    p_indices.push(col);
-                    p_data.push(v);
-                }
-            };
-            if churn && tau > 0 {
-                push((tau - 1) * n + i, -2.0 * g);
+    let (mut cols, mut vals) = (Vec::with_capacity(n + 2), Vec::with_capacity(n + 2));
+    for r in 0..nv {
+        // Every column the row may hold: the previous interval's churn
+        // coupling, the interval's own block, the next one's coupling.
+        let (tau, i) = (r / n, r % n);
+        let (left, right) = p.couplings(tau);
+        cols.clear();
+        cols.extend(left.then(|| (tau - 1) * n + i));
+        cols.extend(tau * n..(tau + 1) * n);
+        cols.extend(right.then(|| (tau + 1) * n + i));
+        vals.clear();
+        vals.resize(cols.len(), 0.0);
+        p.write_row(r, &cols, &mut vals);
+        for (&col, &v) in cols.iter().zip(&vals) {
+            if v != 0.0 {
+                p_indices.push(col);
+                p_data.push(v);
             }
-            for (j, &v) in row.iter().enumerate() {
-                push(tau * n + j, if j == i { diag } else { v });
-            }
-            if churn && !last {
-                push((tau + 1) * n + i, -2.0 * g);
-            }
-            p_indptr.push(p_indices.len());
         }
+        p_indptr.push(p_indices.len());
     }
     let p = CsrMatrix::from_parts(nv, nv, p_indptr, p_indices, p_data)
         .expect("rows assembled with ascending columns");
@@ -155,6 +173,131 @@ pub fn build_sparse_qp(
     Ok(SparseQp::new(p, q, a, l, u)?)
 }
 
+/// The values of the quadratic part `P` (in ½xᵀPx convention, hence the
+/// factor 2) for one covariance and configuration: one formula for
+/// [`assemble`], which stores a row's nonzeros, and for the optimizer,
+/// which writes a later decision's values over the pattern it stored.
+///
+/// One interval's diagonal block is the risk term `2α·M`, made
+/// symmetric (`(P + Pᵀ)/2` off the diagonal) as every QP constructor
+/// would. Churn `γ Σ_τ ‖A(τ) − A(τ−1)‖²` adds `2γ` to the diagonal once
+/// for the τ-th difference and once more for the (τ+1)-th when it
+/// exists, and `−2γ` between `A[τ][i]` and `A[τ+1][i]`.
+#[derive(Debug, Clone)]
+pub(crate) struct PValues {
+    /// `2α·sym(M)`, `N × N`.
+    risk: Matrix,
+    horizon: usize,
+    /// The churn weight γ.
+    gamma: f64,
+}
+
+impl Default for PValues {
+    fn default() -> Self {
+        PValues {
+            risk: Matrix::zeros(0, 0),
+            horizon: 0,
+            gamma: 0.0,
+        }
+    }
+}
+
+impl PValues {
+    /// Recompute for `covariance` (square) under `config`.
+    fn assign(&mut self, covariance: &Matrix, config: &SpotWebConfig) {
+        let n = covariance.rows();
+        if (self.risk.rows(), self.risk.cols()) != (n, n) {
+            self.risk = Matrix::zeros(n, n);
+        }
+        let s = 2.0 * config.alpha;
+        let dst = self.risk.as_mut_slice();
+        for (d, &m) in dst.iter_mut().zip(covariance.as_slice()) {
+            *d = m * s;
+        }
+        self.risk.symmetrize_mut();
+        self.horizon = config.horizon;
+        self.gamma = config.churn_gamma;
+    }
+
+    /// Whether the rows of interval `τ` hold a churn coupling to the
+    /// previous interval and to the next one.
+    fn couplings(&self, tau: usize) -> (bool, bool) {
+        let churn = self.gamma > 0.0;
+        (churn && tau > 0, churn && tau + 1 < self.horizon)
+    }
+
+    /// Row `(τ, i)`'s diagonal entry.
+    fn diagonal(&self, tau: usize, i: usize) -> f64 {
+        let (d, g) = (self.risk[(i, i)], self.gamma);
+        match (g > 0.0, tau + 1 == self.horizon) {
+            (false, _) => d,
+            (true, true) => d + 2.0 * g,
+            (true, false) => d + 2.0 * g + 2.0 * g,
+        }
+    }
+
+    /// Write row `r` of `P` at the ascending columns `cols` into
+    /// `vals`. `cols` hold the row's churn couplings and some of its
+    /// interval's block. A row that holds the whole block is a copy of
+    /// the risk row with the diagonal patched; any other is written
+    /// entry by entry.
+    pub(crate) fn write_row(&self, r: usize, cols: &[usize], vals: &mut [f64]) {
+        let n = self.risk.rows();
+        let (tau, i) = (r / n, r % n);
+        let (left, right) = self.couplings(tau);
+        let (lo, hi) = (usize::from(left), vals.len() - usize::from(right));
+        let coupling = -2.0 * self.gamma;
+        vals[..lo].fill(coupling);
+        vals[hi..].fill(coupling);
+        let (cols, vals) = (&cols[lo..hi], &mut vals[lo..hi]);
+        let (row, diagonal) = (self.risk.row(i), self.diagonal(tau, i));
+        if vals.len() == n {
+            vals.copy_from_slice(row);
+            vals[i] = diagonal;
+        } else {
+            for (v, &col) in vals.iter_mut().zip(cols) {
+                let j = col - tau * n;
+                *v = if j == i { diagonal } else { row[j] };
+            }
+        }
+    }
+
+    /// Whether these values, written over the pattern [`assemble`]
+    /// stored for `bound`'s, give the problem [`build_sparse_qp`] would
+    /// build from them: the same shape and churn couplings, a zero
+    /// exactly where `bound` has one, and values that
+    /// [`SparseQp::new`] accepts unchanged (finite, and an off-diagonal
+    /// entry finite when doubled, or symmetrizing would overflow it).
+    /// The off-diagonal rule is checked on the whole risk block, whose
+    /// own diagonal it holds to more than it needs: such a decision
+    /// takes the full build.
+    pub(crate) fn fits(&self, bound: &PValues) -> bool {
+        let n = self.risk.rows();
+        let (churn, bound_churn) = (self.gamma > 0.0, bound.gamma > 0.0);
+        if bound.risk.rows() != n || bound.horizon != self.horizon || churn != bound_churn {
+            return false;
+        }
+        let coupling = -2.0 * self.gamma;
+        if !(coupling + coupling).is_finite() {
+            return false;
+        }
+        let same_zero = |a: f64, b: f64| (a == 0.0) == (b == 0.0);
+        let block = self.risk.as_slice().iter().zip(bound.risk.as_slice());
+        if !block.fold(true, |ok, (&a, &b)| {
+            ok & (a + a).is_finite() & same_zero(a, b)
+        }) {
+            return false;
+        }
+        // The first and last intervals' diagonals cover every kind.
+        (0..n).all(|i| {
+            [0, self.horizon - 1].into_iter().all(|tau| {
+                let (a, b) = (self.diagonal(tau, i), bound.diagonal(tau, i));
+                a.is_finite() && same_zero(a, b)
+            })
+        })
+    }
+}
+
 /// Split a flat `N·H` solution vector into per-interval allocation
 /// rows (`result[τ][i] = A[τ][i]`), clamping solver jitter below zero
 /// into bounds. Free-standing so the optimizer (which never builds a
@@ -171,15 +314,16 @@ pub fn unpack_plan(x: &[f64], markets: usize, horizon: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Assemble the linear cost `q` alone: the fresh price, workload and
+/// Write the linear cost `q` alone: the fresh price, workload and
 /// failure forecasts, and the churn cross-term with the currently
 /// running allocation. Validates the forecast and `prev_allocation`.
-fn build_linear_cost(
+fn write_linear_cost(
+    q: &mut Vec<f64>,
     catalog: &Catalog,
     forecast: &ForecastBundle,
     prev_allocation: &[f64],
     config: &SpotWebConfig,
-) -> Result<Vec<f64>> {
+) -> Result<()> {
     forecast.validate().map_err(CoreError::Dimension)?;
     let n = catalog.len();
     let h = config.horizon;
@@ -202,7 +346,8 @@ fn build_linear_cost(
     }
 
     let interval_hours = config.interval_secs / 3600.0;
-    let mut q = vec![0.0; n * h];
+    q.clear();
+    q.resize(n * h, 0.0);
     for tau in 0..h {
         let lam = forecast.workload[tau];
         for (i, market) in catalog.markets().iter().enumerate() {
@@ -219,13 +364,25 @@ fn build_linear_cost(
             q[i] -= 2.0 * g * prev_allocation[i];
         }
     }
-    Ok(q)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spotweb_market::Catalog;
+
+    fn build_linear_cost(
+        catalog: &Catalog,
+        forecast: &ForecastBundle,
+        prev_allocation: &[f64],
+        config: &SpotWebConfig,
+    ) -> Result<Vec<f64>> {
+        let mut q = Vec::new();
+        write_linear_cost(&mut q, catalog, forecast, prev_allocation, config)?;
+        Ok(q)
+    }
 
     fn setup() -> (Catalog, ForecastBundle, Matrix, SpotWebConfig) {
         let catalog = Catalog::fig5_three_markets();
@@ -331,6 +488,118 @@ mod tests {
                 assert_eq!((built.p, built.a), (dense.p, dense.a), "{case}");
                 assert_eq!((built.q, built.l, built.u), (dense.q, dense.l, dense.u));
             }
+        }
+    }
+
+    prop_compose! {
+        /// An asymmetric `N × N` covariance, a third of its
+        /// off-diagonal pairs exact zeros, and the pair whose zeros
+        /// the test moves.
+        fn sparse_covariance(n: usize)(
+            cells in prop::collection::vec(-1e-3f64..1e-3, n * n),
+            diagonal in prop::collection::vec(1e-4f64..1e-2, n),
+            zeros in prop::collection::vec(prop::bool::weighted(0.35), n * n),
+            (i, j) in (0..n, 0..n - 1),
+        ) -> (Matrix, (usize, usize)) {
+            let mut m = Matrix::zeros(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    let zero = zeros[r.min(c) * n + r.max(c)];
+                    m[(r, c)] = if r == c { diagonal[r] } else if zero { 0.0 } else { cells[r * n + c] };
+                }
+            }
+            (m, (i, j + usize::from(j >= i)))
+        }
+    }
+
+    /// The stored values of `p`'s pattern as the value writer writes
+    /// them for `values`.
+    fn written(values: &PValues, p: &CsrMatrix) -> Vec<u64> {
+        let mut out = Vec::with_capacity(p.nnz());
+        for r in 0..p.rows() {
+            let cols = p.row(r).0;
+            let mut vals = vec![f64::NAN; cols.len()];
+            values.write_row(r, cols, &mut vals);
+            out.extend(vals.iter().map(|v| v.to_bits()));
+        }
+        out
+    }
+
+    fn bits(p: &CsrMatrix) -> Vec<u64> {
+        p.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The value writer is `build_sparse_qp`'s `P`, bit for bit: on
+        /// the pattern built from the same covariance, and on the
+        /// pattern of an earlier covariance with the same zeros. A zero
+        /// that appears or vanishes is a mismatch.
+        #[test]
+        fn the_value_writer_is_the_builders_p_bitwise(
+            (cov, (i, j)) in sparse_covariance(6),
+            scale in 0.5f64..2.0,
+        ) {
+            let catalog = Catalog::ec2_subset(6);
+            let forecast = ForecastBundle::flat(4000.0, &[0.3; 6], &[0.05; 6], 4);
+            let prev = [0.1; 6];
+            let mut moved = cov.clone();
+            moved.as_mut_slice().iter_mut().for_each(|v| *v *= scale);
+            let mut flipped = moved.clone();
+            let cell = if flipped[(i, j)] == 0.0 { 3e-4 } else { 0.0 };
+            flipped[(i, j)] = cell;
+            flipped[(j, i)] = cell;
+            for (h, gamma) in [(1, 0.0), (1, 0.05), (4, 0.0), (4, 0.05)] {
+                let config = SpotWebConfig {
+                    churn_gamma: gamma,
+                    ..SpotWebConfig::default().with_horizon(h)
+                };
+                let staged = |m: &Matrix| {
+                    let (mut p, mut q) = (PValues::default(), Vec::new());
+                    stage(&mut p, &mut q, &catalog, &forecast, m, &prev, &config).unwrap();
+                    p
+                };
+                let build = |m: &Matrix| {
+                    build_sparse_qp(&catalog, &forecast, m, &prev, &config).unwrap().p().clone()
+                };
+                let (bound, first) = (staged(&cov), build(&cov));
+                prop_assert_eq!(written(&bound, &first), bits(&first), "H = {}, γ = {}", h, gamma);
+
+                let (next, want) = (staged(&moved), build(&moved));
+                prop_assert!(next.fits(&bound), "same zeros, H = {}, γ = {}", h, gamma);
+                prop_assert_eq!(written(&next, &first), bits(&want), "H = {}, γ = {}", h, gamma);
+
+                // The pair's zero appeared or vanished: `P`'s pattern
+                // moved, and the writer says so.
+                let (flip, rebuilt) = (staged(&flipped), build(&flipped));
+                prop_assert_ne!(rebuilt.nnz(), first.nnz());
+                prop_assert!(!flip.fits(&bound), "({}, {}) moved, H = {}, γ = {}", i, j, h, gamma);
+            }
+        }
+    }
+
+    #[test]
+    fn the_value_writer_turns_down_what_the_builder_rejects() {
+        let (c, f, m, cfg) = setup();
+        let stage_of = |m: &Matrix| {
+            let (mut p, mut q) = (PValues::default(), Vec::new());
+            stage(&mut p, &mut q, &c, &f, m, &[0.0; 3], &cfg).unwrap();
+            p
+        };
+        let bound = stage_of(&m);
+        assert!(stage_of(&m).fits(&bound));
+        // A NaN, and an entry whose risk term is finite but overflows
+        // when symmetrizing adds it to its mirror image.
+        for bad in [f64::NAN, 0.75 * f64::MAX / (2.0 * cfg.alpha)] {
+            let mut cov = m.clone();
+            cov[(0, 1)] = bad;
+            cov[(1, 0)] = bad;
+            assert!(!stage_of(&cov).fits(&bound), "{bad}");
+            assert!(
+                build_sparse_qp(&c, &f, &cov, &[0.0; 3], &cfg).is_err(),
+                "{bad}"
+            );
         }
     }
 

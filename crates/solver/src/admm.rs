@@ -77,6 +77,8 @@ struct SolveWorkspace {
     kkt_block: Vec<f64>,
     /// Polish scratch.
     polish: PolishScratch,
+    /// One row of `P`'s new values during [`AdmmSolver::rebind`].
+    p_row: Vec<f64>,
 }
 
 impl SolveWorkspace {
@@ -966,36 +968,107 @@ impl AdmmSolver {
         if !same_pattern(&qp.p, &orig.p) || qp.a != orig.a || qp.l != orig.l || qp.u != orig.u {
             return Update::Rebuild;
         }
-        let (d, c) = (&self.scaling.d, self.scaling.c);
-        let moved =
-            qp.p.values()
-                .iter()
-                .zip(orig.p.values())
-                .any(|(a, b)| a.to_bits() != b.to_bits());
-        let update = if moved {
-            // `d[i]·d[j]` commutes, so the scaled `P` stays symmetric
-            // to the bit.
-            for i in 0..qp.p.rows() {
-                let (cols, new) = qp.p.row(i);
-                let (_, vals) = self.orig.p.row_mut(i);
-                vals.copy_from_slice(new);
-                let (_, vals) = self.prob.p.row_mut(i);
-                for ((v, &p), &j) in vals.iter_mut().zip(new).zip(cols) {
-                    *v = p * (c * (d[i] * d[j]));
+        self.rebind(&qp.q, |i, _, vals| vals.copy_from_slice(qp.p.row(i).1))
+    }
+
+    /// Re-bind the solver to new values of `P` and `q` on the structure
+    /// it holds: [`AdmmSolver::update`] without a problem to compare.
+    /// `p_row(i, cols, vals)` writes row `i`'s new values at its stored
+    /// columns `cols` into `vals`; `q` replaces the linear cost. The
+    /// caller vouches for what [`SparseQp::new`] checks: finite values,
+    /// and a `P` stored symmetric.
+    ///
+    /// One pass per row bit-compares the new values with the held ones
+    /// and, from the first row that differs on, copies and rescales
+    /// them; the rows before it are rescaled then, from values that did
+    /// not move. So a moved `P` is scaled entry for entry as `update`
+    /// scales it, and a `P` that did not move is left untouched with
+    /// its factor ([`Update::Kept`]). Never [`Update::Rebuild`].
+    pub fn rebind(
+        &mut self,
+        q: &[f64],
+        mut p_row: impl FnMut(usize, &[usize], &mut [f64]),
+    ) -> Update {
+        assert_eq!(
+            q.len(),
+            self.num_vars(),
+            "q must have one entry per variable"
+        );
+        let AdmmSolver {
+            orig,
+            prob,
+            scaling,
+            workspace,
+            ..
+        } = self;
+        let (d, c) = (&scaling.d, scaling.c);
+        let row = &mut workspace.p_row;
+        let mut moved = false;
+        for i in 0..orig.p.rows() {
+            if moved {
+                let (cols, held) = orig.p.row_mut(i);
+                p_row(i, cols, held);
+            } else {
+                let (cols, held) = orig.p.row(i);
+                row.clear();
+                row.resize(cols.len(), 0.0);
+                p_row(i, cols, row);
+                if held
+                    .iter()
+                    .zip(row.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+                {
+                    continue;
                 }
+                moved = true;
+                for r in 0..i {
+                    let (cols, held) = orig.p.row(r);
+                    rescale_row(r, cols, held, prob.p.row_mut(r).1, d, c);
+                }
+                orig.p.row_mut(i).1.copy_from_slice(row);
             }
-            self.rho = RHO;
-            self.rho_vec = build_rho_vec(&self.prob, RHO);
-            self.kkt = None;
-            Update::Moved
-        } else {
-            Update::Kept
-        };
-        self.orig.q.copy_from_slice(&qp.q);
-        for ((dst, &v), &dj) in self.prob.q.iter_mut().zip(&qp.q).zip(d) {
+            let (cols, held) = orig.p.row(i);
+            debug_assert!(
+                held.iter().all(|v| v.is_finite()),
+                "P row {i} is not finite"
+            );
+            rescale_row(i, cols, held, prob.p.row_mut(i).1, d, c);
+        }
+        debug_assert!(q.iter().all(|v| v.is_finite()), "q is not finite");
+        orig.q.copy_from_slice(q);
+        for ((dst, &v), &dj) in prob.q.iter_mut().zip(q).zip(d) {
             *dst = c * dj * v;
         }
-        update
+        if !moved {
+            return Update::Kept;
+        }
+        self.rho = RHO;
+        self.rho_vec = build_rho_vec(&self.prob, RHO);
+        self.kkt = None;
+        Update::Moved
+    }
+}
+
+/// Row `i` of `P` under the fixed scaling: `scaled[k] =
+/// p[k]·(c·(d[i]·d[cols[k]]))`. `d[i]·d[j]` commutes, so a symmetric
+/// `P` stays symmetric to the bit. The column scales are read a run of
+/// consecutive columns at a time, as a slice.
+fn rescale_row(i: usize, cols: &[usize], p: &[f64], scaled: &mut [f64], d: &[f64], c: f64) {
+    let di = d[i];
+    let mut start = 0;
+    while start < cols.len() {
+        let first = cols[start];
+        let run = cols[start..]
+            .iter()
+            .zip(first..)
+            .take_while(|(&j, k)| j == *k)
+            .count();
+        let end = start + run;
+        let dj = &d[first..first + run];
+        for ((v, &p), &dj) in scaled[start..end].iter_mut().zip(&p[start..end]).zip(dj) {
+            *v = p * (c * (di * dj));
+        }
+        start = end;
     }
 }
 

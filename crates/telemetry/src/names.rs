@@ -169,6 +169,24 @@ pub const SPAN_SWEEP_TASK: &str = "sweep.task";
 /// (`core::mpo::MpoOptimizer::optimize`).
 pub const SPAN_MPO_SOLVE: &str = "mpo.solve";
 
+/// Span: staging one decision's values under [`SPAN_MPO_SOLVE`] — the
+/// input checks, `P`'s values and the linear cost, and the fresh QP
+/// when they do not fit the held pattern.
+pub const SPAN_MPO_SOLVE_BUILD: &str = "mpo.solve.build";
+
+/// Span: the covariance check under [`SPAN_MPO_SOLVE`] (`M` positive
+/// semidefinite).
+pub const SPAN_MPO_SOLVE_CHECK: &str = "mpo.solve.check";
+
+/// Span: handing the staged values to the solver under
+/// [`SPAN_MPO_SOLVE`]: written in place, or a fresh QP re-bound or
+/// built into a new solver.
+pub const SPAN_MPO_SOLVE_REBIND: &str = "mpo.solve.rebind";
+
+/// Span: the solve under [`SPAN_MPO_SOLVE`]: the polish of the warm
+/// start, the ADMM iteration if it needs one, and the certificate.
+pub const SPAN_MPO_SOLVE_ITERATE: &str = "mpo.solve.iterate";
+
 /// Span: one load-balancer route decision (`lb::balancer::route`);
 /// entered once per simulated request — the hottest span.
 pub const SPAN_LB_ROUTE: &str = "lb.route";

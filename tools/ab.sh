@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # ab.sh — paired A/B of two revisions on the repo's benchmark.
 #
-#   tools/ab.sh <parent-rev> <change-rev> [--workload W] [--pairs 10]
+#   tools/ab.sh <parent-rev> <change-rev> [--workload W[,W...]] [--pairs 10]
 #               [--seeds 1234,S] [--seconds 28] [--ledger "<title>"]
 #       Checks both revisions out with `git worktree add` (under a
 #       temporary directory, removed on exit), builds each offline with
 #       its own CARGO_TARGET_DIR, and runs `benchmark/run.sh --workload W
 #       --seed S --seconds T --trace 0` of each side in every pair,
-#       alternating which side goes first. The result files are kept
-#       under <tmp>/results/{parent,change}/<seed>/<pair>/ and judged as
-#       --from-dirs judges them.
+#       alternating which side goes first. Workloads run one after the
+#       other, each with all its seeds and pairs, so a claimed workload
+#       and its guards are measured by one command. The result files are
+#       kept under <tmp>/results/{parent,change}/<seed>/<pair>/ and
+#       judged as --from-dirs judges them.
 #
-#   tools/ab.sh --from-dirs A B [--ledger "<title>"]
+#   tools/ab.sh --from-dirs A B [--workload W] [--ledger "<title>"]
 #       Judges saved result files: every `*.untraced.json` under A (the
 #       parent) is paired with the file at the same relative path under
 #       B (the change).
@@ -19,26 +21,27 @@
 # Per workload and seed, for every end-to-end metric: both medians, the
 # change in the median, the parent's interquartile range, the pairs the
 # change won (better by the metric's own `better`; ties are dropped)
-# and the exact two-sided sign-test p (9 of 10 pairs is p = 0.021).
+# and the exact two-sided sign test p (9 of 10 pairs is p = 0.021).
 # Then each side's median `host.off_cpu_frac`, and whether every exact
 # metric (the `sim_*` outcomes and exact counts) read the same in every
 # run of both sides. --ledger prints EXPERIMENTS.md's A/B-ledger row
-# for `wall_s`: the first seed, then the second in parentheses.
+# for `wall_s` of the first workload listed (without --workload, the
+# first judged): the first seed, then the second in parentheses.
 set -euo pipefail
 
 usage() {
-    sed -n '3,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '3,20p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
-workload=control_plane pairs=10 seeds=1234,7 seconds=28 ledger="" from=()
+workloads="" pairs=10 seeds=1234,7 seconds=28 ledger="" from=()
 revs=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload | --pairs | --seeds | --seconds | --ledger)
             [ $# -ge 2 ] || usage
             case "$1" in
-                --workload) workload=$2 ;;
+                --workload) workloads=$2 ;;
                 --pairs) pairs=$2 ;;
                 --seeds) seeds=$2 ;;
                 --seconds) seconds=$2 ;;
@@ -55,11 +58,12 @@ while [ $# -gt 0 ]; do
 done
 
 judge() { # parent-dir change-dir
-    python3 - "$1" "$2" "$ledger" <<'PY'
+    python3 - "$1" "$2" "$ledger" "${workloads%%,*}" <<'PY'
 import json, math, statistics, sys
 from pathlib import Path
 
 parent_dir, change_dir, ledger = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+ledger_workload = sys.argv[4]
 groups = {}  # (workload, seed) -> [(parent run, change run)]
 for a in sorted(parent_dir.rglob("*.untraced.json")):
     b = change_dir / a.relative_to(parent_dir)
@@ -128,8 +132,10 @@ for (workload, seed), runs in sorted(groups.items(), key=lambda g: (g[0][0], str
 
 if ledger:
     walls = [(k, v) for k, v in rows.items() if k[2] == "wall_s"]
+    if ledger_workload:
+        walls = [(k, v) for k, v in walls if k[0] == ledger_workload]
     if not walls:
-        sys.exit("ab.sh: --ledger needs wall_s runs")
+        sys.exit(f"ab.sh: --ledger needs wall_s runs of {ledger_workload or 'a workload'}")
     (workload, seed, _), (mp, mc, delta, q1, q3, wins, n, pv, unit) = walls[0]
     second = ""
     if len(walls) > 1:
@@ -171,24 +177,27 @@ for i in 0 1; do
         --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
 done
 
-run_side() { # side seed pair
-    local out=$work/results/$1/$2/$3
+run_side() { # side workload seed pair
+    local out=$work/results/$1/$3/$4
     mkdir -p "$out"
-    CARGO_TARGET_DIR=$work/target-$1 bash "$work/$1/benchmark/run.sh" --workload "$workload" \
-        --seed "$2" --seconds "$seconds" --trace 0 --out "$out" >/dev/null
+    CARGO_TARGET_DIR=$work/target-$1 bash "$work/$1/benchmark/run.sh" --workload "$2" \
+        --seed "$3" --seconds "$seconds" --trace 0 --out "$out" >/dev/null
 }
 
+IFS=, read -r -a workload_list <<<"${workloads:-control_plane}"
 IFS=, read -r -a seed_list <<<"$seeds"
-for seed in "${seed_list[@]}"; do
-    for pair in $(seq -w 1 "$pairs"); do
-        echo "ab.sh: $workload seed $seed pair $pair" >&2
-        if [ $((10#$pair % 2)) -eq 1 ]; then
-            run_side parent "$seed" "$pair"
-            run_side change "$seed" "$pair"
-        else
-            run_side change "$seed" "$pair"
-            run_side parent "$seed" "$pair"
-        fi
+for workload in "${workload_list[@]}"; do
+    for seed in "${seed_list[@]}"; do
+        for pair in $(seq -w 1 "$pairs"); do
+            echo "ab.sh: $workload seed $seed pair $pair" >&2
+            if [ $((10#$pair % 2)) -eq 1 ]; then
+                run_side parent "$workload" "$seed" "$pair"
+                run_side change "$workload" "$seed" "$pair"
+            else
+                run_side change "$workload" "$seed" "$pair"
+                run_side parent "$workload" "$seed" "$pair"
+            fi
+        done
     done
 done
 judge "$work/results/parent" "$work/results/change"
