@@ -100,10 +100,7 @@ pub struct MpoOptimizer {
     /// The solver of the previous call, re-bound to each next problem
     /// while its constraints and the pattern of `P` hold.
     solver: Option<AdmmSolver>,
-    /// `P`'s values of the problem the solver holds; where they are
-    /// zero, its pattern stores no entry.
-    bound: PValues,
-    /// The decision's own values, staged before the covariance check:
+    /// The decision's values, staged before the covariance check:
     /// `P`'s here, the linear cost in `q`.
     staged: PValues,
     q: Vec<f64>,
@@ -144,7 +141,6 @@ impl MpoOptimizer {
             warm: None,
             warm_start_enabled: true,
             solver: None,
-            bound: PValues::default(),
             staged: PValues::default(),
             q: Vec::new(),
             assemblies: 0,
@@ -219,9 +215,9 @@ impl MpoOptimizer {
                 prev_allocation,
                 &self.config,
             )?;
-            let in_place = self.solver.is_some()
-                && self.staged.fits(&self.bound)
-                && self.q.iter().all(|v| v.is_finite());
+            let in_place = self.solver.as_ref().is_some_and(|solver| {
+                self.staged.fits(solver.problem().p()) && self.q.iter().all(|v| v.is_finite())
+            });
             if in_place {
                 None
             } else {
@@ -251,7 +247,7 @@ impl MpoOptimizer {
         }
         let update = {
             prof::scope!(names::SPAN_MPO_SOLVE_REBIND);
-            let update = match (fresh, self.solver.as_mut()) {
+            match (fresh, self.solver.as_mut()) {
                 (None, Some(solver)) => {
                     let staged = &self.staged;
                     solver.rebind(&self.q, |r, cols, vals| staged.write_row(r, cols, vals))
@@ -276,9 +272,7 @@ impl MpoOptimizer {
                     update
                 }
                 (None, None) => unreachable!("values are written in place only on a held solver"),
-            };
-            std::mem::swap(&mut self.staged, &mut self.bound);
-            update
+            }
         };
 
         prof::scope!(names::SPAN_MPO_SOLVE_ITERATE);

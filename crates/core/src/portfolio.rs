@@ -262,39 +262,44 @@ impl PValues {
         }
     }
 
-    /// Whether these values, written over the pattern [`assemble`]
-    /// stored for `bound`'s, give the problem [`build_sparse_qp`] would
-    /// build from them: the same shape and churn couplings, a zero
-    /// exactly where `bound` has one, and values that
-    /// [`SparseQp::new`] accepts unchanged (finite, and an off-diagonal
-    /// entry finite when doubled, or symmetrizing would overflow it).
-    /// The off-diagonal rule is checked on the whole risk block, whose
-    /// own diagonal it holds to more than it needs: such a decision
-    /// takes the full build.
-    pub(crate) fn fits(&self, bound: &PValues) -> bool {
-        let n = self.risk.rows();
-        let (churn, bound_churn) = (self.gamma > 0.0, bound.gamma > 0.0);
-        if bound.risk.rows() != n || bound.horizon != self.horizon || churn != bound_churn {
-            return false;
-        }
+    /// Whether these values, written over `p`'s pattern, give the `P`
+    /// [`build_sparse_qp`] would build from them. `p` must store, in
+    /// rows of this shape, the churn couplings and every nonzero of the
+    /// interval blocks and nothing else; every interval holds the same
+    /// risk block, so the first interval's rows and the last one's
+    /// diagonal cover the pattern. The values must be ones
+    /// [`SparseQp::new`] accepts unchanged: finite, and an off-diagonal
+    /// entry finite when doubled, or symmetrizing would overflow it.
+    /// The doubling rule is checked on the whole risk block, whose own
+    /// diagonal it holds to more than it needs: such a decision takes
+    /// the full build.
+    pub(crate) fn fits(&self, p: &CsrMatrix) -> bool {
+        let (n, h) = (self.risk.rows(), self.horizon);
         let coupling = -2.0 * self.gamma;
-        if !(coupling + coupling).is_finite() {
-            return false;
-        }
-        let same_zero = |a: f64, b: f64| (a == 0.0) == (b == 0.0);
-        let block = self.risk.as_slice().iter().zip(bound.risk.as_slice());
-        if !block.fold(true, |ok, (&a, &b)| {
-            ok & (a + a).is_finite() & same_zero(a, b)
-        }) {
-            return false;
-        }
-        // The first and last intervals' diagonals cover every kind.
-        (0..n).all(|i| {
-            [0, self.horizon - 1].into_iter().all(|tau| {
-                let (a, b) = (self.diagonal(tau, i), bound.diagonal(tau, i));
-                a.is_finite() && same_zero(a, b)
+        let block = self.risk.as_slice().iter();
+        let finite = block.fold((coupling + coupling).is_finite(), |ok, &v| {
+            ok & (v + v).is_finite()
+        });
+        finite
+            && p.rows() == n * h
+            && (0..n).all(|i| {
+                let last = (h - 1) * n + i;
+                let diagonal = self.diagonal(h - 1, i);
+                let stored = p.row(last).0.binary_search(&last).is_ok();
+                self.stores(i, p.row(i).0) && diagonal.is_finite() && stored == (diagonal != 0.0)
             })
-        })
+    }
+
+    /// Whether `cols` are the columns the first interval's row `i`
+    /// stores: its block's nonzeros and its churn coupling.
+    fn stores(&self, i: usize, cols: &[usize]) -> bool {
+        let (row, diagonal) = (self.risk.row(i), self.diagonal(0, i));
+        if !diagonal.is_finite() {
+            return false;
+        }
+        let block = (0..row.len()).filter(|&j| (if j == i { diagonal } else { row[j] }) != 0.0);
+        let next = self.couplings(0).1.then(|| row.len() + i);
+        block.chain(next).eq(cols.iter().copied())
     }
 }
 
@@ -563,18 +568,20 @@ mod tests {
                 let build = |m: &Matrix| {
                     build_sparse_qp(&catalog, &forecast, m, &prev, &config).unwrap().p().clone()
                 };
-                let (bound, first) = (staged(&cov), build(&cov));
-                prop_assert_eq!(written(&bound, &first), bits(&first), "H = {}, γ = {}", h, gamma);
+                let first = build(&cov);
+                prop_assert!(staged(&cov).fits(&first));
+                prop_assert_eq!(written(&staged(&cov), &first), bits(&first), "H = {}, γ = {}", h, gamma);
 
                 let (next, want) = (staged(&moved), build(&moved));
-                prop_assert!(next.fits(&bound), "same zeros, H = {}, γ = {}", h, gamma);
+                prop_assert!(next.fits(&first), "same zeros, H = {}, γ = {}", h, gamma);
                 prop_assert_eq!(written(&next, &first), bits(&want), "H = {}, γ = {}", h, gamma);
 
                 // The pair's zero appeared or vanished: `P`'s pattern
                 // moved, and the writer says so.
                 let (flip, rebuilt) = (staged(&flipped), build(&flipped));
                 prop_assert_ne!(rebuilt.nnz(), first.nnz());
-                prop_assert!(!flip.fits(&bound), "({}, {}) moved, H = {}, γ = {}", i, j, h, gamma);
+                prop_assert!(!flip.fits(&first), "({}, {}) moved, H = {}, γ = {}", i, j, h, gamma);
+                prop_assert!(!staged(&cov).fits(&rebuilt), "the reverse, H = {}, γ = {}", h, gamma);
             }
         }
     }
@@ -587,15 +594,15 @@ mod tests {
             stage(&mut p, &mut q, &c, &f, m, &[0.0; 3], &cfg).unwrap();
             p
         };
-        let bound = stage_of(&m);
-        assert!(stage_of(&m).fits(&bound));
+        let built = build_sparse_qp(&c, &f, &m, &[0.0; 3], &cfg).unwrap();
+        assert!(stage_of(&m).fits(built.p()));
         // A NaN, and an entry whose risk term is finite but overflows
         // when symmetrizing adds it to its mirror image.
         for bad in [f64::NAN, 0.75 * f64::MAX / (2.0 * cfg.alpha)] {
             let mut cov = m.clone();
             cov[(0, 1)] = bad;
             cov[(1, 0)] = bad;
-            assert!(!stage_of(&cov).fits(&bound), "{bad}");
+            assert!(!stage_of(&cov).fits(built.p()), "{bad}");
             assert!(
                 build_sparse_qp(&c, &f, &cov, &[0.0; 3], &cfg).is_err(),
                 "{bad}"

@@ -934,6 +934,11 @@ impl AdmmSolver {
         self.rho
     }
 
+    /// The bound problem, unscaled.
+    pub fn problem(&self) -> &SparseQp {
+        &self.orig
+    }
+
     /// Number of decision variables of the bound problem.
     pub fn num_vars(&self) -> usize {
         self.prob.num_vars()
@@ -978,12 +983,13 @@ impl AdmmSolver {
     /// caller vouches for what [`SparseQp::new`] checks: finite values,
     /// and a `P` stored symmetric.
     ///
-    /// One pass per row bit-compares the new values with the held ones
-    /// and, from the first row that differs on, copies and rescales
-    /// them; the rows before it are rescaled then, from values that did
-    /// not move. So a moved `P` is scaled entry for entry as `update`
-    /// scales it, and a `P` that did not move is left untouched with
-    /// its factor ([`Update::Kept`]). Never [`Update::Rebuild`].
+    /// Rows are bit-compared with the held ones up to the first that
+    /// differs. From there on, each row is written over the held one
+    /// and rescaled in the same pass, and the rows before it are
+    /// rescaled once, from values that did not move: a moved `P` is
+    /// scaled entry for entry by one formula. A `P` that did not move
+    /// is left untouched with its factor ([`Update::Kept`]). Never
+    /// [`Update::Rebuild`].
     pub fn rebind(
         &mut self,
         q: &[f64],
@@ -1791,6 +1797,58 @@ mod tests {
 
     fn block_solver(qp: QpProblem) -> AdmmSolver {
         AdmmSolver::with_block_structure(qp, Settings::default(), 2).unwrap()
+    }
+
+    /// Whether every stored entry of the scaled `P` is the one formula
+    /// of the original: `p·(c·(d[i]·d[j]))`.
+    fn scaled_by_the_formula(solver: &AdmmSolver) -> bool {
+        let (d, c) = (&solver.scaling.d, solver.scaling.c);
+        (0..solver.num_vars()).all(|i| {
+            let ((cols, p), (_, scaled)) = (solver.orig.p.row(i), solver.prob.p.row(i));
+            cols.iter()
+                .zip(p)
+                .zip(scaled)
+                .all(|((&j, &p), &s)| s.to_bits() == (p * (c * (d[i] * d[j]))).to_bits())
+        })
+    }
+
+    #[test]
+    fn a_rebind_that_moves_only_the_last_row_rescales_every_row() {
+        // Weighted as in the test below, so equilibration's own scaled
+        // `P` is not the formula's to the bit.
+        let mut qp = multi_period_qp(4);
+        for i in 0..qp.num_vars() {
+            for j in 0..qp.num_vars() {
+                qp.p[(i, j)] *= 5f64.powi((i % 3) as i32 + (j % 3) as i32);
+            }
+        }
+        let sparse: SparseQp = qp.clone().try_into().unwrap();
+        let mut solver = block_solver(qp);
+        assert!(!scaled_by_the_formula(&solver));
+        let scaled = bits(solver.prob.p.values());
+
+        let same =
+            |i: usize, _: &[usize], vals: &mut [f64]| vals.copy_from_slice(sparse.p.row(i).1);
+        assert_eq!(solver.rebind(&sparse.q, same), Update::Kept);
+        assert_eq!(
+            bits(solver.prob.p.values()),
+            scaled,
+            "a kept P is untouched"
+        );
+        assert!(solver.kkt.is_some());
+
+        // The last variable's diagonal, which no other row holds.
+        let last = solver.num_vars() - 1;
+        let moved = |i: usize, cols: &[usize], vals: &mut [f64]| {
+            vals.copy_from_slice(sparse.p.row(i).1);
+            if i == last {
+                let k = cols.iter().position(|&j| j == last).expect("a diagonal");
+                vals[k] *= 2.0;
+            }
+        };
+        assert_eq!(solver.rebind(&sparse.q, moved), Update::Moved);
+        assert!(scaled_by_the_formula(&solver), "rows before the move too");
+        assert!(solver.kkt.is_none() && solver.rho() == RHO);
     }
 
     #[test]
