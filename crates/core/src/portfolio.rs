@@ -291,15 +291,25 @@ impl PValues {
     }
 
     /// Whether `cols` are the columns the first interval's row `i`
-    /// stores: its block's nonzeros and its churn coupling.
+    /// stores: its block's nonzeros and its churn coupling. As many
+    /// block columns as the row has nonzeros, each at a nonzero, are
+    /// the nonzeros; a row that stores the whole block needs only the
+    /// count.
     fn stores(&self, i: usize, cols: &[usize]) -> bool {
         let (row, diagonal) = (self.risk.row(i), self.diagonal(0, i));
-        if !diagonal.is_finite() {
+        let coupled = usize::from(self.couplings(0).1);
+        let Some(block) = cols.len().checked_sub(coupled).map(|k| &cols[..k]) else {
             return false;
-        }
-        let block = (0..row.len()).filter(|&j| (if j == i { diagonal } else { row[j] }) != 0.0);
-        let next = self.couplings(0).1.then(|| row.len() + i);
-        block.chain(next).eq(cols.iter().copied())
+        };
+        let nonzeros = row.iter().filter(|&&v| v != 0.0).count() + usize::from(diagonal != 0.0)
+            - usize::from(row[i] != 0.0);
+        let value = |j: usize| if j == i { diagonal } else { row[j] };
+        // `N` ascending columns, the last `N − 1`, are the whole block.
+        let whole = block.len() == row.len() && block.last() == Some(&(row.len() - 1));
+        diagonal.is_finite()
+            && nonzeros == block.len()
+            && (whole || block.iter().all(|&j| j < row.len() && value(j) != 0.0))
+            && cols[block.len()..].iter().all(|&j| j == row.len() + i)
     }
 }
 
