@@ -16,7 +16,7 @@ use spotweb_telemetry::{names, prof};
 
 use crate::config::SpotWebConfig;
 use crate::forecast::ForecastBundle;
-use crate::portfolio::{assemble, stage, unpack_plan, PValues};
+use crate::portfolio::{assemble, build_sparse_qp, stage, unpack_plan, PValues};
 use crate::Result;
 
 /// Round-off allowance of the covariance check: `M` passes when
@@ -206,22 +206,26 @@ impl MpoOptimizer {
         // `assemble`, so the check below sees a square, finite `M`.
         let fresh = {
             prof::scope!(names::SPAN_MPO_SOLVE_BUILD);
-            stage(
-                &mut self.staged,
-                &mut self.q,
-                catalog,
-                forecast,
-                covariance,
-                prev_allocation,
-                &self.config,
-            )?;
-            let in_place = self.solver.as_ref().is_some_and(|solver| {
-                self.staged.fits(solver.problem().p()) && self.q.iter().all(|v| v.is_finite())
-            });
-            if in_place {
-                None
-            } else {
-                Some(assemble(&self.staged, self.q.clone(), &self.config)?)
+            let config = &self.config;
+            match &self.solver {
+                // Nothing holds a pattern to write into yet: the QP is
+                // built whole, and its staging buffers go with it.
+                None => Some(build_sparse_qp(
+                    catalog,
+                    forecast,
+                    covariance,
+                    prev_allocation,
+                    config,
+                )?),
+                Some(solver) => {
+                    let (p, q) = (&mut self.staged, &mut self.q);
+                    stage(p, q, catalog, forecast, covariance, prev_allocation, config)?;
+                    if p.fits(solver.problem().p()) && q.iter().all(|v| v.is_finite()) {
+                        None
+                    } else {
+                        Some(assemble(p, q.clone(), config)?)
+                    }
+                }
             }
         };
         {

@@ -176,7 +176,8 @@ pub(crate) fn assemble(p: &PValues, q: Vec<f64>, config: &SpotWebConfig) -> Resu
 /// The values of the quadratic part `P` (in ½xᵀPx convention, hence the
 /// factor 2) for one covariance and configuration: one formula for
 /// [`assemble`], which stores a row's nonzeros, and for the optimizer,
-/// which writes a later decision's values over the pattern it stored.
+/// which writes a later decision's values over the pattern its solver
+/// holds.
 ///
 /// One interval's diagonal block is the risk term `2α·M`, made
 /// symmetric (`(P + Pᵀ)/2` off the diagonal) as every QP constructor
