@@ -68,8 +68,8 @@ pub struct PortfolioDecision {
     /// Reduced KKT systems the solver's polishes solved.
     pub polish_solves: usize,
     /// Factorizations of the ADMM KKT matrix this decision made: at
-    /// construction when the solver was built for it, and during the
-    /// solve when it had to iterate on a stale or re-tuned factor.
+    /// construction when the solver was built for it, or during the
+    /// solve when it had to iterate on a stale factor. At most one.
     pub kkt_factorizations: usize,
     /// Whether the solve started from the previous interval's
     /// primal/dual iterate (vs the zero cold start).
@@ -97,8 +97,8 @@ pub struct MpoOptimizer {
     warm: Option<(Vec<f64>, Vec<f64>)>,
     /// Warm starting on by default; disable to measure the cold cost.
     warm_start_enabled: bool,
-    /// The solver of the previous call, re-bound to each next problem
-    /// while its constraints and the pattern of `P` hold.
+    /// The solver of the previous call, re-bound to each next
+    /// decision's values while the pattern of `P` holds.
     solver: Option<AdmmSolver>,
     /// The decision's values, staged before the covariance check:
     /// `P`'s here, the linear cost in `q`.
@@ -174,7 +174,7 @@ impl MpoOptimizer {
     ///   ([`AdmmSolver::rebind`]). A decision whose values do not fit
     ///   the held pattern (`M`'s zero pattern moved, or a value is not
     ///   finite) assembles a fresh QP, which reports the error or is
-    ///   re-bound by [`AdmmSolver::update`] or built into a new solver;
+    ///   built into a new solver;
     /// * **solver reuse** — the re-bound solver keeps its Ruiz
     ///   equilibration, and the KKT matrix is refactored only when `P`
     ///   (the covariance) moved and the polish of the warm start does
@@ -249,31 +249,30 @@ impl MpoOptimizer {
                 });
             }
         }
-        let update = {
+        // `None` when the solver was built for this decision.
+        let rebound = {
             prof::scope!(names::SPAN_MPO_SOLVE_REBIND);
             match (fresh, self.solver.as_mut()) {
                 (None, Some(solver)) => {
                     let staged = &self.staged;
-                    solver.rebind(&self.q, |r, cols, vals| staged.write_row(r, cols, vals))
+                    Some(solver.rebind(&self.q, |r, cols, vals| staged.write_row(r, cols, vals)))
                 }
-                (Some(qp), solver) => {
+                (Some(qp), _) => {
                     self.assemblies += 1;
-                    let update = solver.map_or(Update::Rebuild, |s| s.update(&qp));
-                    if update == Update::Rebuild {
-                        // The portfolio QP is block-tridiagonal in the
-                        // horizon (risk and constraints are per-period;
-                        // churn couples neighbours), so a multi-period
-                        // instance factors blockwise in O(H·N³). The
-                        // builder guarantees the structure, so the
-                        // problem is moved into the solver; a failed
-                        // check is an error, not a fallback.
-                        self.solver = Some(if h >= 2 {
-                            AdmmSolver::with_block_structure(qp, Settings::default(), n)?
-                        } else {
-                            AdmmSolver::new(qp, Settings::default())?
-                        });
-                    }
-                    update
+                    // The portfolio QP is block-tridiagonal in the
+                    // horizon (risk and constraints are per-period;
+                    // churn couples neighbours), so a multi-period
+                    // instance factors blockwise in O(H·N³); at `H = 1`
+                    // the one block is the whole problem. The builder
+                    // guarantees the structure, so the problem is moved
+                    // into the solver; a failed check is an error, not
+                    // a fallback.
+                    self.solver = Some(AdmmSolver::with_block_structure(
+                        qp,
+                        Settings::default(),
+                        n,
+                    )?);
+                    None
                 }
                 (None, None) => unreachable!("values are written in place only on a held solver"),
             }
@@ -306,9 +305,9 @@ impl MpoOptimizer {
             solved: sol.is_solved(),
             polished: sol.polished,
             polish_solves: sol.polish_solves,
-            kkt_factorizations: sol.factorizations + usize::from(update == Update::Rebuild),
+            kkt_factorizations: sol.factorizations + usize::from(rebound.is_none()),
             warm_started,
-            factor_reused: update == Update::Kept,
+            factor_reused: rebound == Some(Update::Kept),
             certificate: sol.certificate(),
         })
     }

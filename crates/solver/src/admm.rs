@@ -1,7 +1,7 @@
 //! The ADMM iteration (OSQP-style operator splitting).
 
 use spotweb_linalg::{band, vector};
-use spotweb_linalg::{BlockTridiagCholesky, CsrMatrix, Matrix};
+use spotweb_linalg::{BlockTridiagCholesky, Matrix};
 
 use crate::qp::{Certificate, QpSolution, QpStatus, Settings, SparseQp};
 use crate::scaling::{ruiz_equilibrate, Scaling};
@@ -12,13 +12,9 @@ use crate::{Result, SolverError};
 /// equality constraints need a much stiffer penalty to converge fast.
 const EQ_RHO_BOOST: f64 = 1e3;
 
-/// Bounds for the adaptive penalty.
-const RHO_MIN: f64 = 1e-6;
-const RHO_MAX: f64 = 1e6;
-
 // The iteration's tuning, close to OSQP's defaults; every SpotWeb
 // portfolio instance solves with it.
-/// Initial ADMM penalty ρ, and the one [`AdmmSolver::update`] resets to.
+/// ADMM penalty ρ.
 const RHO: f64 = 0.1;
 /// Cost regularization σ (keeps the KKT system positive definite).
 const SIGMA: f64 = 1e-6;
@@ -39,11 +35,6 @@ const POLISH_TOL: f64 = 1e-9;
 /// set with the rows its solution crossed held at their bounds and the
 /// rows whose multiplier has the wrong sign released, and so on.
 const POLISH_ROUNDS: usize = 8;
-/// Re-tune ρ from the residual ratio every this many iterations.
-const ADAPTIVE_RHO_INTERVAL: usize = 50;
-/// Refactor only when ρ changes by more than this multiplicative
-/// factor (avoids thrashing the Cholesky cache).
-const ADAPTIVE_RHO_TOLERANCE: f64 = 5.0;
 /// Check termination every this many iterations.
 const CHECK_INTERVAL: usize = 10;
 /// Ruiz equilibration rounds.
@@ -124,6 +115,9 @@ struct PolishScratch {
     guess: Vec<Bound>,
     /// The last active set turned down in this solve.
     rejected: Vec<Bound>,
+    /// Whether a reduced solve of that turn-down kept an iterate's
+    /// multiplier (see [`AdmmSolver::polish`]).
+    borrowed: bool,
     /// Reduced KKT systems solved in this solve.
     solves: usize,
     /// Per variable, the active one-entry row fixing it.
@@ -193,20 +187,17 @@ struct Report {
     certificate: Certificate,
 }
 
-/// What [`AdmmSolver::update`] did with the problem it was given.
+/// What [`AdmmSolver::rebind`] did with the values it was given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Update {
     /// `P` was bitwise unchanged: only `q` was replaced, and the KKT
-    /// factor (with the ρ it was built for) was kept.
+    /// factor was kept.
     Kept,
     /// `P`'s values moved: they were scaled under the construction-time
-    /// equilibration and ρ was reset to its initial value. The KKT
-    /// factor is stale, and is made when an ADMM iteration next needs
-    /// it — a solve its warm polish settles never makes it.
+    /// equilibration. The KKT factor is stale, and is made when an ADMM
+    /// iteration next needs it — a solve its warm polish settles never
+    /// makes it.
     Moved,
-    /// `P`'s sparsity pattern, `A`, `l` or `u` differ: the solver is
-    /// untouched, and the caller builds a new one.
-    Rebuild,
 }
 
 /// An ADMM solver instance bound to one problem.
@@ -217,7 +208,7 @@ pub enum Update {
 /// which SpotWeb's receding-horizon controller uses between periods —
 /// consecutive portfolio problems differ only in the forecast data, so
 /// the previous solution is an excellent initial iterate — and
-/// re-binding to the next period's problem via [`AdmmSolver::update`],
+/// re-binding to the next period's values via [`AdmmSolver::rebind`],
 /// which keeps everything but the numeric factor, and makes that only
 /// when an iteration needs it.
 ///
@@ -233,10 +224,8 @@ pub struct AdmmSolver {
     scaling: Scaling,
     /// Per-row penalty ρᵢ (boosted on equality rows).
     rho_vec: Vec<f64>,
-    /// Scalar ρ the vector was derived from.
-    rho: f64,
-    /// The factored `P + σI + Aᵀdiag(ρ)A`; `None` while stale, from an
-    /// [`AdmmSolver::update`] that moved `P` to the first iteration
+    /// The factored `P + σI + Aᵀdiag(ρ)A`; `None` while stale, from a
+    /// [`AdmmSolver::rebind`] that moved `P` to the first iteration
     /// after it.
     kkt: Option<BlockTridiagCholesky>,
     /// Diagonal blocks of the KKT matrix: one when the problem is
@@ -256,7 +245,7 @@ impl AdmmSolver {
         Q: TryInto<SparseQp>,
         SolverError: From<Q::Error>,
     {
-        Self::build(problem.try_into()?, 1, RHO)
+        Self::build(problem.try_into()?, 1)
     }
 
     /// Set up a solver that exploits *multi-period structure*: the
@@ -287,20 +276,19 @@ impl AdmmSolver {
         }
         verify_block_structure(&problem, block_size)?;
         let blocks = (problem.num_vars() / block_size).max(1);
-        Self::build(problem, blocks, RHO)
+        Self::build(problem, blocks)
     }
 
-    fn build(orig: SparseQp, blocks: usize, rho: f64) -> Result<Self> {
+    fn build(orig: SparseQp, blocks: usize) -> Result<Self> {
         let mut prob = orig.clone();
         let scaling = ruiz_equilibrate(&mut prob, SCALING_ITERS);
-        let rho_vec = build_rho_vec(&prob, rho);
+        let rho_vec = build_rho_vec(&prob);
         let kkt = factor_kkt(&prob, SIGMA, &rho_vec, blocks)?;
         Ok(AdmmSolver {
             prob,
             orig,
             scaling,
             rho_vec,
-            rho,
             kkt: Some(kkt),
             blocks,
             workspace: SolveWorkspace::default(),
@@ -310,12 +298,6 @@ impl AdmmSolver {
     /// Solve from a cold start (zero initial iterate).
     pub fn solve(&mut self) -> QpSolution {
         self.iterate(None, MAX_ITER)
-    }
-
-    /// A solver starting at penalty `rho` instead of [`RHO`].
-    #[cfg(test)]
-    fn with_rho(problem: crate::QpProblem, rho: f64) -> Result<Self> {
-        Self::build(problem.try_into()?, 1, rho)
     }
 
     /// A cold solve stopped after at most `max_iter` iterations.
@@ -382,9 +364,10 @@ impl AdmmSolver {
     /// the full-tolerance test and certifies no worse than the iterate
     /// it came from ends the solve; otherwise the iteration carries on
     /// from that iterate, untouched, and the next check tries again if
-    /// the guessed active set moved.
+    /// the guessed active set moved or the turn-down read the
+    /// iterate's multipliers (see [`AdmmSolver::try_polish`]).
     ///
-    /// A KKT factor [`AdmmSolver::update`] left stale is made before
+    /// A KKT factor [`AdmmSolver::rebind`] left stale is made before
     /// the first iteration; when it does not factor the solve stops
     /// there, [`QpStatus::Unfactorable`].
     fn iterate(&mut self, warm: Option<(&[f64], &[f64])>, max_iter: usize) -> QpSolution {
@@ -392,7 +375,7 @@ impl AdmmSolver {
         let m = self.num_constraints();
 
         // Take the workspace out of `self` so the iteration below can
-        // borrow it mutably alongside `self` (for ρ updates).
+        // borrow it mutably alongside `self`.
         let mut ws = std::mem::take(&mut self.workspace);
         ws.reset(n, m, n / self.blocks);
 
@@ -448,39 +431,32 @@ impl AdmmSolver {
 
             for it in 1..=max_iter {
                 self.step(&mut ws);
-                let do_check = it % CHECK_INTERVAL == 0 || it == max_iter;
-                let do_adapt = it % ADAPTIVE_RHO_INTERVAL == 0;
-                if do_check || do_adapt {
-                    let res = self.residuals(&ws.x, &ws.z, &ws.y, &mut ws.check);
-                    if !res.is_finite() {
-                        status = QpStatus::NonFinite;
-                        iterations = it;
-                        last_res = Some(res);
-                        break;
-                    }
-                    if do_check {
-                        let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
-                        if let Some((report, res)) =
-                            self.try_polish(iterate, &mut ws.polish, &mut ws.check)
-                        {
-                            polished = Some(report);
-                            status = QpStatus::Solved;
-                            iterations = it;
-                            last_res = Some(res);
-                            break;
-                        }
-                    }
-                    if do_check && res.converged(EPS_ABS, EPS_REL) {
-                        status = QpStatus::Solved;
-                        iterations = it;
-                        last_res = Some(res);
-                        break;
-                    }
-                    if do_adapt && self.maybe_update_rho(res.rho_ratio()) {
-                        factorizations += 1;
-                    }
-                    last_res = Some(res);
+                if it % CHECK_INTERVAL != 0 && it != max_iter {
+                    continue;
                 }
+                let res = self.residuals(&ws.x, &ws.z, &ws.y, &mut ws.check);
+                if !res.is_finite() {
+                    status = QpStatus::NonFinite;
+                    iterations = it;
+                    last_res = Some(res);
+                    break;
+                }
+                let iterate = (&ws.x[..], &ws.z[..], &ws.y[..]);
+                if let Some((report, res)) = self.try_polish(iterate, &mut ws.polish, &mut ws.check)
+                {
+                    polished = Some(report);
+                    status = QpStatus::Solved;
+                    iterations = it;
+                    last_res = Some(res);
+                    break;
+                }
+                if res.converged(EPS_ABS, EPS_REL) {
+                    status = QpStatus::Solved;
+                    iterations = it;
+                    last_res = Some(res);
+                    break;
+                }
+                last_res = Some(res);
             }
         }
 
@@ -580,10 +556,14 @@ impl AdmmSolver {
     /// conditions, so it is the optimum of a convex problem, up to the
     /// tests above.
     ///
-    /// The polished point follows from the guessed active set (the
-    /// iterate adds only the multiplier of an active row whose
-    /// variables are all fixed), so a guess that equals the last one
-    /// turned down this solve is not solved again.
+    /// The polished point follows from the guessed active set and, for
+    /// an active row whose variables are all fixed, the iterate's
+    /// multiplier. So a guess that equals the last one turned down this
+    /// solve is not solved again, unless that turn-down kept such a
+    /// multiplier: the iterate's has moved since. A warm start at a
+    /// vertex where the budget is met by allocations all at their
+    /// bounds carries the previous problem's budget multiplier, which
+    /// may suit no sign pattern of the new one.
     fn try_polish(
         &self,
         (x, z, y): (&[f64], &[f64], &[f64]),
@@ -591,11 +571,12 @@ impl AdmmSolver {
         check: &mut CheckScratch,
     ) -> Option<(Report, Residuals)> {
         self.guess_active_set(z, y, &mut scratch.guess);
-        if scratch.guess == scratch.rejected {
+        if scratch.guess == scratch.rejected && !scratch.borrowed {
             return None;
         }
         // Remembered as turned down unless a round is accepted.
         scratch.rejected.clone_from(&scratch.guess);
+        scratch.borrowed = false;
         let prob = &self.prob;
         let dual_tol = POLISH_TOL * (1.0 + vector::norm_inf(&prob.q));
         for _ in 0..POLISH_ROUNDS {
@@ -715,6 +696,7 @@ impl AdmmSolver {
             band: reduced,
             rows,
             schur,
+            borrowed,
             ..
         } = scratch;
         fixed_by.clear();
@@ -796,6 +778,7 @@ impl AdmmSolver {
                 // Met or not by the fixed variables alone, which the
                 // residual test checks.
                 y[i] = y_iter[i];
+                *borrowed = true;
                 rows.truncate(start);
                 continue;
             }
@@ -903,37 +886,6 @@ impl AdmmSolver {
         }
     }
 
-    /// Adaptive ρ: rescale by the primal/dual residual ratio, refactor
-    /// the KKT system only if the change exceeds the tolerance. Whether
-    /// it refactored.
-    fn maybe_update_rho(&mut self, ratio: f64) -> bool {
-        if !ratio.is_finite() || ratio == 0.0 {
-            return false;
-        }
-        let new_rho = (self.rho * ratio).clamp(RHO_MIN, RHO_MAX);
-        let tol = ADAPTIVE_RHO_TOLERANCE;
-        if new_rho > self.rho * tol || new_rho < self.rho / tol {
-            // Factor first; ρ, its per-row vector and the factor must
-            // change together or not at all — `K` embeds ρ, and the
-            // y/z updates must use the ρ that `K` was built with. On
-            // (unlikely) factorization failure all three stay as they
-            // were and the iteration carries on with the old penalty.
-            let rho_vec = build_rho_vec(&self.prob, new_rho);
-            if let Ok(kkt) = factor_kkt(&self.prob, SIGMA, &rho_vec, self.blocks) {
-                self.rho = new_rho;
-                self.rho_vec = rho_vec;
-                self.kkt = Some(kkt);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Current scalar penalty (for diagnostics/tests).
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
     /// The bound problem, unscaled.
     pub fn problem(&self) -> &SparseQp {
         &self.orig
@@ -949,47 +901,31 @@ impl AdmmSolver {
         self.prob.num_constraints()
     }
 
-    /// Re-bind the solver to `qp`, the next problem of a sequence that
-    /// keeps its structure: the same sparsity pattern of `P`, and the
-    /// same `A`, `l` and `u`. SpotWeb's receding-horizon controller is
-    /// such a sequence — each interval moves the forecasts (`q`) and
-    /// the risk matrix (`P`'s values), never the constraints.
-    ///
-    /// The Ruiz scaling from construction is kept as a fixed
-    /// preconditioner (any fixed positive scaling is valid; it may
-    /// merely differ from what a fresh equilibration would pick), so
-    /// the new data is written as `c·D·P·D` and `c·D·q` in `O(nnz)`.
-    /// When `P` moved, ρ goes back to its initial value and the KKT
-    /// factor goes stale ([`Update::Moved`]): the next solve makes it
-    /// (`O(H·N³)` blockwise) only if it has to iterate, and ends
-    /// [`QpStatus::Unfactorable`] if the new matrix does not factor.
-    /// When `P` is bitwise unchanged only `q` is replaced, and the
-    /// factor and its ρ are kept.
-    ///
-    /// Returns [`Update::Rebuild`], leaving the solver untouched, when
-    /// the structure differs.
-    pub fn update(&mut self, qp: &SparseQp) -> Update {
-        let orig = &self.orig;
-        if !same_pattern(&qp.p, &orig.p) || qp.a != orig.a || qp.l != orig.l || qp.u != orig.u {
-            return Update::Rebuild;
-        }
-        self.rebind(&qp.q, |i, _, vals| vals.copy_from_slice(qp.p.row(i).1))
-    }
-
     /// Re-bind the solver to new values of `P` and `q` on the structure
-    /// it holds: [`AdmmSolver::update`] without a problem to compare.
+    /// it holds: the same sparsity pattern of `P`, and the same `A`, `l`
+    /// and `u`. SpotWeb's receding-horizon controller is such a
+    /// sequence — each interval moves the forecasts (`q`) and the risk
+    /// matrix (`P`'s values), never the constraints.
     /// `p_row(i, cols, vals)` writes row `i`'s new values at its stored
     /// columns `cols` into `vals`; `q` replaces the linear cost. The
     /// caller vouches for what [`SparseQp::new`] checks: finite values,
     /// and a `P` stored symmetric.
     ///
+    /// The Ruiz scaling from construction is kept as a fixed
+    /// preconditioner (any fixed positive scaling is valid; it may
+    /// merely differ from what a fresh equilibration would pick), so
+    /// the new data is written as `c·D·P·D` and `c·D·q` in `O(nnz)`.
     /// Rows are bit-compared with the held ones up to the first that
     /// differs. From there on, each row is written over the held one
     /// and rescaled in the same pass, and the rows before it are
     /// rescaled once, from values that did not move: a moved `P` is
-    /// scaled entry for entry by one formula. A `P` that did not move
-    /// is left untouched with its factor ([`Update::Kept`]). Never
-    /// [`Update::Rebuild`].
+    /// scaled entry for entry by one formula.
+    ///
+    /// When `P` moved the KKT factor goes stale ([`Update::Moved`]):
+    /// the next solve makes it (`O(H·N³)` blockwise) only if it has to
+    /// iterate, and ends [`QpStatus::Unfactorable`] if the new matrix
+    /// does not factor. A `P` that did not move is left untouched with
+    /// its factor ([`Update::Kept`]).
     pub fn rebind(
         &mut self,
         q: &[f64],
@@ -1048,8 +984,6 @@ impl AdmmSolver {
         if !moved {
             return Update::Kept;
         }
-        self.rho = RHO;
-        self.rho_vec = build_rho_vec(&self.prob, RHO);
         self.kkt = None;
         Update::Moved
     }
@@ -1078,20 +1012,12 @@ fn rescale_row(i: usize, cols: &[usize], p: &[f64], scaled: &mut [f64], d: &[f64
     }
 }
 
-/// Whether two CSR matrices store entries at the same positions.
-fn same_pattern(a: &CsrMatrix, b: &CsrMatrix) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.nnz() == b.nnz()
-        && (0..a.rows()).all(|r| a.row(r).0 == b.row(r).0)
-}
-
 /// Per-row ρ with the equality-constraint boost.
-fn build_rho_vec(prob: &SparseQp, rho: f64) -> Vec<f64> {
+fn build_rho_vec(prob: &SparseQp) -> Vec<f64> {
     prob.l
         .iter()
         .zip(&prob.u)
-        .map(|(&lo, &hi)| if lo == hi { rho * EQ_RHO_BOOST } else { rho })
+        .map(|(&lo, &hi)| if lo == hi { RHO * EQ_RHO_BOOST } else { RHO })
         .collect()
 }
 
@@ -1645,7 +1571,7 @@ mod tests {
         let mut dense = dense;
         ruiz_equilibrate(&mut sparse, SCALING_ITERS);
         ruiz_equilibrate_dense(&mut dense, SCALING_ITERS);
-        let rho_vec = build_rho_vec(&sparse, RHO);
+        let rho_vec = build_rho_vec(&sparse);
         let k = assemble_kkt_dense(&dense, SIGMA, &rho_vec);
         let (diag, sub) = assemble_kkt_blocks(&sparse, SIGMA, &rho_vec, blocks);
         let nb = dense.num_vars() / blocks;
@@ -1682,41 +1608,6 @@ mod tests {
         for h in [2, 3, 6] {
             assert_kkt_blocks_match_dense(multi_period_qp(h), h);
         }
-    }
-
-    #[test]
-    fn failed_refactorization_leaves_rho_and_iterates_unchanged() {
-        // K = P + σ + ρ with P = −1 (Ruiz leaves this 1 × 1 problem
-        // as it is): positive definite at ρ = 2, not at the ρ = 0.2 the
-        // adaptive rule asks for below, so the refactorization fails
-        // and the update must be dropped whole.
-        let make = || {
-            let qp = QpProblem::new(
-                Matrix::from_diag(&[-1.0]),
-                vec![0.3],
-                Matrix::identity(1),
-                vec![-1.0],
-                vec![1.0],
-            )
-            .unwrap();
-            AdmmSolver::with_rho(qp, 2.0).unwrap()
-        };
-        let mut untouched = make();
-        let mut nudged = make();
-        assert_eq!(nudged.scaling.d, [1.0]);
-        nudged.maybe_update_rho(0.1);
-        assert_eq!(nudged.rho(), 2.0);
-        assert_eq!(nudged.rho_vec, untouched.rho_vec);
-        // 25 iterations: short of the first adaptive ρ step.
-        let (a, b) = (nudged.solve_capped(25), untouched.solve_capped(25));
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(bits(&a.x), bits(&b.x));
-        assert_eq!(bits(&a.y), bits(&b.y));
-
-        // A refactorization that succeeds commits all three together.
-        nudged.maybe_update_rho(10.0);
-        assert_eq!(nudged.rho(), 20.0);
-        assert_eq!(nudged.rho_vec, vec![20.0]);
     }
 
     #[test]
@@ -1767,8 +1658,8 @@ mod tests {
         let qp = multi_period_qp(4);
         let mut reused = AdmmSolver::new(qp.clone(), Settings::default()).unwrap();
         let _ = reused.solve();
-        // Second solver: rho may have adapted on `reused`, so compare
-        // against a fresh solve from the same warm iterate instead.
+        // A solver that already solved once against a fresh one, from
+        // the same warm iterate.
         let mut a = AdmmSolver::new(qp.clone(), Settings::default()).unwrap();
         let first = a.solve();
         let again = a.solve_from(&first.x, &first.y);
@@ -1797,6 +1688,21 @@ mod tests {
 
     fn block_solver(qp: QpProblem) -> AdmmSolver {
         AdmmSolver::with_block_structure(qp, Settings::default(), 2).unwrap()
+    }
+
+    /// Re-bind `solver` to the values of `qp`, which stores `P` at the
+    /// positions the solver holds.
+    fn rebind_to<Q>(solver: &mut AdmmSolver, qp: Q) -> Update
+    where
+        Q: TryInto<SparseQp>,
+        SolverError: From<Q::Error>,
+    {
+        let qp = qp.try_into().map_err(SolverError::from).unwrap();
+        solver.rebind(&qp.q, |i, cols, vals| {
+            let (held, new) = qp.p.row(i);
+            assert_eq!(cols, held, "P's pattern moved at row {i}");
+            vals.copy_from_slice(new);
+        })
     }
 
     /// Whether every stored entry of the scaled `P` is the one formula
@@ -1848,11 +1754,11 @@ mod tests {
         };
         assert_eq!(solver.rebind(&sparse.q, moved), Update::Moved);
         assert!(scaled_by_the_formula(&solver), "rows before the move too");
-        assert!(solver.kkt.is_none() && solver.rho() == RHO);
+        assert!(solver.kkt.is_none());
     }
 
     #[test]
-    fn update_matches_a_fresh_solver_within_its_certificate() {
+    fn a_rebind_matches_a_fresh_solver_within_its_certificate() {
         // Variables weighted 1 / 5 / 25 (`S·P·S`), so Ruiz's `D` is not
         // the identity it is on `multi_period_qp` itself.
         let mut qp = multi_period_qp(5);
@@ -1870,12 +1776,7 @@ mod tests {
 
         let mut updated = block_solver(qp);
         let first = updated.solve();
-        let adapted = updated.rho();
-        assert_eq!(
-            updated.update(&next.clone().try_into().unwrap()),
-            Update::Moved
-        );
-        assert_eq!(updated.rho(), RHO, "ρ resets (was {adapted})");
+        assert_eq!(rebind_to(&mut updated, next.clone()), Update::Moved);
         let warm = updated.solve_from(&first.x, &first.y);
         let mut fresh = block_solver(next.clone());
         let cold = fresh.solve();
@@ -1891,15 +1792,10 @@ mod tests {
             cold.objective
         );
 
-        // `P` unchanged: only `q` is replaced, the factor and ρ stay.
+        // `P` unchanged: only `q` is replaced, and the factor stays.
         let mut cost_only = next.clone();
         cost_only.q = qp_cost(&next, 0.9);
-        let rho = updated.rho();
-        assert_eq!(
-            updated.update(&cost_only.clone().try_into().unwrap()),
-            Update::Kept
-        );
-        assert_eq!(updated.rho(), rho);
+        assert_eq!(rebind_to(&mut updated, cost_only.clone()), Update::Kept);
         let kept = updated.solve();
         let cold = block_solver(cost_only).solve();
         assert!(kept.is_solved() && tol(&kept) && cold.is_solved());
@@ -1908,39 +1804,6 @@ mod tests {
 
     fn qp_cost(qp: &QpProblem, scale: f64) -> Vec<f64> {
         qp.q.iter().map(|v| v * scale).collect()
-    }
-
-    #[test]
-    fn a_changed_structure_reports_rebuild_and_leaves_the_solver_untouched() {
-        let qp = multi_period_qp(3);
-        let mut reference = block_solver(qp.clone());
-        let expected = reference.solve();
-
-        let mut pattern = next_period(&qp);
-        pattern.p[(0, 1)] = 0.01;
-        pattern.p[(1, 0)] = 0.01;
-        let mut a = next_period(&qp);
-        a.a[(2, 0)] = 2.0;
-        let mut bounds = next_period(&qp);
-        bounds.u[2] = 1.25;
-        let mut lower = next_period(&qp);
-        lower.l[0] = -0.5;
-        let shorter = multi_period_qp(2);
-        for (case, changed) in [
-            ("P pattern", pattern),
-            ("A", a),
-            ("u", bounds),
-            ("l", lower),
-            ("dimensions", shorter),
-        ] {
-            let mut solver = block_solver(qp.clone());
-            let got = solver.update(&changed.try_into().unwrap());
-            assert_eq!(got, Update::Rebuild, "{case}");
-            let sol = solver.solve();
-            assert_eq!(sol.iterations, expected.iterations, "{case}");
-            assert_eq!(bits(&sol.x), bits(&expected.x), "{case}");
-            assert_eq!(bits(&sol.y), bits(&expected.y), "{case}");
-        }
     }
 
     #[test]
@@ -1989,7 +1852,7 @@ mod tests {
         let first = solver.solve();
         assert!(first.polished);
         assert_eq!(first.x, [1.0, 0.0, 0.5, 0.3]);
-        assert_eq!(solver.update(&after), Update::Kept);
+        assert_eq!(rebind_to(&mut solver, after), Update::Kept);
         let warm = solver.solve_from(&first.x, &first.y);
         assert!(warm.is_solved() && warm.polished);
         assert_eq!((warm.iterations, warm.factorizations), (0, 0));
@@ -2016,10 +1879,7 @@ mod tests {
         for i in 0..next.num_vars() {
             next.p[(i, i)] *= 1.001;
         }
-        assert_eq!(
-            solver.update(&next.clone().try_into().unwrap()),
-            Update::Moved
-        );
+        assert_eq!(rebind_to(&mut solver, next.clone()), Update::Moved);
         assert!(solver.kkt.is_none());
         let warm = solver.solve_from(&first.x, &first.y);
         assert!(warm.is_solved() && warm.polished);
@@ -2044,22 +1904,18 @@ mod tests {
         let mut solver = block_solver(qp.clone());
         let setup = solver.solve();
         assert_eq!(setup.factorizations, 0, "construction factored");
-        assert_eq!(
-            solver.update(&next_period(&qp).try_into().unwrap()),
-            Update::Moved
-        );
+        assert_eq!(rebind_to(&mut solver, next_period(&qp)), Update::Moved);
         let cold = solver.solve();
         assert!(cold.is_solved() && cold.iterations > 0);
-        assert!(cold.iterations < ADAPTIVE_RHO_INTERVAL, "no ρ step");
         assert_eq!(cold.factorizations, 1);
         assert_eq!(solver.solve().factorizations, 0, "the factor is fresh");
     }
 
     #[test]
-    fn an_update_to_an_indefinite_p_ends_unsolved_without_panicking() {
-        // The 1 × 1 problem of the refactorization test above, bound
-        // first at P = 1 and then moved to P = −1: K = −1 + σ + ρ with
-        // ρ reset to 0.1 does not factor.
+    fn a_rebind_to_an_indefinite_p_ends_unsolved_without_panicking() {
+        // A 1 × 1 problem bound first at P = 1 and then moved to
+        // P = −1 (Ruiz leaves it as it is): K = −1 + σ + ρ at ρ = 0.1
+        // does not factor.
         let problem = |p: f64| -> SparseQp {
             QpProblem::new(
                 Matrix::from_diag(&[p]),
@@ -2075,7 +1931,7 @@ mod tests {
         let mut solver = AdmmSolver::new(problem(1.0), Settings::default()).unwrap();
         let first = solver.solve();
         assert!(first.is_solved());
-        assert_eq!(solver.update(&problem(-1.0)), Update::Moved);
+        assert_eq!(rebind_to(&mut solver, problem(-1.0)), Update::Moved);
         // Cold, and warm from an inactive row (the reduced `P = −1`
         // does not factor either, so the polish cannot settle it).
         for sol in [solver.solve(), solver.solve_from(&[0.2], &[0.0])] {
@@ -2084,7 +1940,7 @@ mod tests {
             assert_eq!((sol.iterations, sol.factorizations), (0, 0));
         }
         // Moved back, the solver works again.
-        assert_eq!(solver.update(&problem(1.0)), Update::Moved);
+        assert_eq!(rebind_to(&mut solver, problem(1.0)), Update::Moved);
         let again = solver.solve();
         assert!(again.is_solved() && again.factorizations == 1);
         assert_eq!(bits(&again.x), bits(&first.x));

@@ -14,10 +14,11 @@
 //!
 //! with `P ⪰ 0`. The ADMM iteration factors `P + σI + ρAᵀA` **once**
 //! (Cholesky from `spotweb-linalg`, blockwise when the problem is
-//! multi-period) and reuses the factorization every iteration,
-//! re-factoring only when the adaptive penalty ρ moves by more than a
-//! threshold. Ruiz equilibration preconditions badly scaled problems
-//! (per-request costs span orders of magnitude across markets).
+//! multi-period) at a fixed penalty ρ and reuses the factorization
+//! every iteration; a re-bind that moves `P` leaves it stale, and the
+//! next solve that has to iterate factors it again. Ruiz equilibration
+//! preconditions badly scaled problems (per-request costs span orders
+//! of magnitude across markets).
 //! At every termination check the solver *polishes* (OSQP §5.2): it
 //! solves the equality KKT system of the active set the iterate
 //! identifies, directly, and keeps that exact point when it is

@@ -251,7 +251,7 @@ pub enum QpStatus {
     /// non-finite warm start) and the iteration stopped at the first
     /// residual check that saw it. `x`, `y` and `z` are not usable.
     NonFinite,
-    /// The KKT matrix, left stale by [`crate::AdmmSolver::update`], did
+    /// The KKT matrix, left stale by [`crate::AdmmSolver::rebind`], did
     /// not factor (a `P` that is not positive semidefinite) and no
     /// iteration ran. `x` and `y` are the warm start (zero when cold).
     Unfactorable,
@@ -277,9 +277,8 @@ pub struct QpSolution {
     /// Reduced KKT systems the polishes of this solve factored and
     /// solved, accepted or not: the work `iterations` does not count.
     pub polish_solves: usize,
-    /// Factorizations of the ADMM KKT matrix this solve made: the one
-    /// an [`crate::AdmmSolver::update`] left stale, and adaptive-ρ
-    /// refactors.
+    /// Factorizations of the ADMM KKT matrix this solve made: at most
+    /// one, of the factor an [`crate::AdmmSolver::rebind`] left stale.
     pub factorizations: usize,
     /// Objective value at `x`.
     pub objective: f64,

@@ -78,14 +78,6 @@ impl Residuals {
         let eps_dua = eps_abs + eps_rel * self.dual_scale;
         self.is_finite() && self.primal <= eps_pri && self.dual <= eps_dua
     }
-
-    /// Ratio used by adaptive-ρ: relative primal over relative dual
-    /// residual, guarded against division by zero.
-    pub fn rho_ratio(&self) -> f64 {
-        let rp = self.primal / self.primal_scale.max(1e-10);
-        let rd = self.dual / self.dual_scale.max(1e-10);
-        (rp / rd.max(1e-10)).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -168,16 +160,5 @@ mod tests {
                 assert!(!r.is_finite() && !r.converged(1e-3, 1e-3), "{r:?}");
             }
         }
-    }
-
-    #[test]
-    fn rho_ratio_is_finite() {
-        let r = Residuals {
-            primal: 1.0,
-            dual: 0.0,
-            primal_scale: 1.0,
-            dual_scale: 1.0,
-        };
-        assert!(r.rho_ratio().is_finite());
     }
 }

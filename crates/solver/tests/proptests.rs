@@ -2,7 +2,8 @@
 //! random convex instances — every converged one carries an unscaled
 //! certificate within tolerance — and agree with the independent
 //! box-plus-budget projection and projected gradient of
-//! `spotweb_solver::pgd`.
+//! `spotweb_solver::pgd`. No solve factors the KKT matrix more than
+//! once: ρ is fixed, so only a stale factor is ever made again.
 
 use proptest::prelude::*;
 use spotweb_linalg::Matrix;
@@ -79,6 +80,7 @@ proptest! {
         let mut solver = AdmmSolver::new(prob.clone(), Settings::default()).unwrap();
         let admm = solver.solve();
         prop_assert!(admm.is_solved(), "residuals {} {}", admm.primal_residual, admm.dual_residual);
+        prop_assert!(admm.factorizations <= 1);
         prop_assert!(certified(&admm), "{:?}", admm.certificate());
 
         let unbudgeted = BoxBudget::new(lo, hi, f64::NEG_INFINITY, f64::INFINITY).unwrap();
@@ -113,6 +115,7 @@ proptest! {
         ).unwrap();
         let admm = AdmmSolver::new(prob, Settings::default()).unwrap().solve();
         prop_assert!(admm.is_solved());
+        prop_assert!(admm.factorizations <= 1);
         let exact = set.project(&v).unwrap();
         for (x, e) in admm.x.iter().zip(&exact) {
             prop_assert!((x - e).abs() <= CERTIFICATE_TOL, "admm {:?} vs projection {exact:?}", admm.x);
@@ -144,6 +147,7 @@ proptest! {
         prop_assert!(prob.max_violation(&sol.x) < 1e-3,
             "violation {}", prob.max_violation(&sol.x));
         prop_assert!(sol.is_solved());
+        prop_assert!(sol.factorizations <= 1);
         prop_assert!(certified(&sol), "{:?}", sol.certificate());
         // The budget row is one more case for the PGD comparison.
         let budgeted = BoxBudget::new(vec![0.0; 5], vec![1.0; 5], f64::NEG_INFINITY, budget).unwrap();
@@ -166,6 +170,7 @@ proptest! {
         ).unwrap();
         let mut solver = AdmmSolver::new(prob.clone(), Settings::default()).unwrap();
         let sol = solver.solve();
+        prop_assert!(sol.factorizations <= 1);
         prop_assume!(sol.is_solved());
         prop_assert!(certified(&sol), "{:?}", sol.certificate());
         for i in 0..3 {

@@ -4,7 +4,8 @@
 #   tools/ab.sh <parent-rev> <change-rev> [--workload W[,W...]] [--pairs 10]
 #               [--seeds 1234,S] [--seconds 28] [--ledger "<title>"]
 #       Checks both revisions out with `git worktree add` (under a
-#       temporary directory, removed on exit), builds each offline with
+#       temporary directory, removed on exit; an INT or TERM first stops
+#       the build or run going on), builds each offline with
 #       its own CARGO_TARGET_DIR, and runs `benchmark/run.sh --workload W
 #       --seed S --seconds T --trace 0` of each side in every pair,
 #       alternating which side goes first. Workloads run one after the
@@ -158,6 +159,29 @@ fi
 
 repo=$(git rev-parse --show-toplevel)
 work=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
+
+# Each build and benchmark run goes in the background, in a process
+# group of its own (job control), and the script waits for it: a
+# trapped INT or TERM then interrupts the wait, and the trap stops the
+# whole group (cargo, run.sh, spotweb-benchmark) before the EXIT trap
+# removes the worktree it runs from.
+set -m
+child=""
+in_child() { # command...
+    "$@" &
+    child=$!
+    wait "$child"
+    child=""
+}
+stop() { # signal number
+    if [ -n "$child" ]; then
+        kill -TERM -- "-$child" 2>/dev/null || true
+        wait "$child" 2>/dev/null || true
+    fi
+    exit $((128 + $1))
+}
+trap 'stop 2' INT
+trap 'stop 15' TERM
 cleanup() {
     for side in parent change; do
         git -C "$repo" worktree remove --force "$work/$side" 2>/dev/null || true
@@ -173,8 +197,8 @@ for i in 0 1; do
     side=${sides[$i]}
     git -C "$repo" worktree add --detach --quiet "$work/$side" "${revs[$i]}"
     echo "ab.sh: building $side (${revs[$i]})" >&2
-    CARGO_TARGET_DIR=$work/target-$side cargo build --release --offline --quiet \
-        --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
+    in_child env CARGO_TARGET_DIR="$work/target-$side" cargo build --release --offline \
+        --quiet --manifest-path "$work/$side/benchmark/Cargo.toml" >&2
 done
 
 run_side() { # side workload seed pair
@@ -191,11 +215,11 @@ for workload in "${workload_list[@]}"; do
         for pair in $(seq -w 1 "$pairs"); do
             echo "ab.sh: $workload seed $seed pair $pair" >&2
             if [ $((10#$pair % 2)) -eq 1 ]; then
-                run_side parent "$workload" "$seed" "$pair"
-                run_side change "$workload" "$seed" "$pair"
+                in_child run_side parent "$workload" "$seed" "$pair"
+                in_child run_side change "$workload" "$seed" "$pair"
             else
-                run_side change "$workload" "$seed" "$pair"
-                run_side parent "$workload" "$seed" "$pair"
+                in_child run_side change "$workload" "$seed" "$pair"
+                in_child run_side parent "$workload" "$seed" "$pair"
             fi
         done
     done
