@@ -26,10 +26,39 @@ pub fn max_nan(a: f64, b: f64) -> f64 {
     }
 }
 
+/// `(0..len).map(term).fold(0.0, max_nan)`, to the bit, in four
+/// compare-and-select lanes. Without a NaN the fold keeps the largest
+/// term, or the `+0.0` it starts from (a `−0.0` never displaces it),
+/// whatever order the terms come in, and so do the lanes. A NaN sets a
+/// flag, and the fold itself is then re-run for the NaN it keeps.
+#[inline]
+pub fn max_nan_of(len: usize, term: impl Fn(usize) -> f64) -> f64 {
+    let select = |m: f64, v: f64| if v > m { v } else { m };
+    let mut lanes = [0.0_f64; 4];
+    let mut nan = false;
+    for q in 0..len / 4 {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            let v = term(4 * q + k);
+            nan |= v.is_nan();
+            *lane = select(*lane, v);
+        }
+    }
+    let mut m = select(select(lanes[0], lanes[1]), select(lanes[2], lanes[3]));
+    for i in len - len % 4..len {
+        let v = term(i);
+        nan |= v.is_nan();
+        m = select(m, v);
+    }
+    if nan {
+        return (0..len).fold(0.0, |m, i| max_nan(m, term(i)));
+    }
+    m
+}
+
 /// Infinity (max-abs) norm; NaN if any entry is.
 #[inline]
 pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, v| max_nan(m, v.abs()))
+    max_nan_of(a.len(), |i| a[i].abs())
 }
 
 /// Clamp each element of `x` into `[lo[i], hi[i]]` in place.
@@ -109,6 +138,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dot_and_norms() {
@@ -127,6 +157,80 @@ mod tests {
         assert!(max_nan(f64::NAN, 1.0).is_nan() && max_nan(1.0, f64::NAN).is_nan());
         assert_eq!(max_nan(1.0, 2.0), 2.0);
         assert_eq!(max_nan(2.0, 1.0), 2.0);
+    }
+
+    /// The fold the lanes stand for, kept as their oracle.
+    fn max_nan_fold(a: &[f64]) -> f64 {
+        a.iter().fold(0.0_f64, |m, v| max_nan(m, v.abs()))
+    }
+
+    /// Lengths 0–13 (every remainder of four, and none); each entry a
+    /// `±0.0`, a `±∞`, a NaN of either sign or payload, or a value.
+    fn entries() -> impl Strategy<Value = Vec<(u8, f64)>> {
+        let len = if cfg!(miri) { 0..6 } else { 0..14 };
+        prop::collection::vec((0u8..12, -1e3f64..1e3), len)
+    }
+
+    fn entry((kind, v): (u8, f64)) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => f64::NAN,
+            5 => -f64::from_bits(f64::NAN.to_bits() | 0x5a5a),
+            _ => v,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 16 } else { 512 }))]
+
+        /// The lane max is the `max_nan` fold to the bit over any mix
+        /// of signed zeros, infinities, NaNs and values.
+        #[test]
+        fn lane_max_is_bitwise_the_max_nan_fold(cells in entries()) {
+            let a: Vec<f64> = cells.into_iter().map(entry).collect();
+            prop_assert_eq!(norm_inf(&a).to_bits(), max_nan_fold(&a).to_bits());
+        }
+    }
+
+    #[test]
+    fn lane_max_keeps_the_fold_s_nan_first_last_or_alone() {
+        let other = -f64::from_bits(f64::NAN.to_bits() | 1);
+        for len in 1..10 {
+            for at in [0, len - 1] {
+                for nan in [f64::NAN, other] {
+                    let mut a: Vec<f64> = (0..len).map(|i| i as f64 - 4.0).collect();
+                    a[at] = nan;
+                    assert_eq!(norm_inf(&a).to_bits(), max_nan_fold(&a).to_bits());
+                    // Two NaNs: the fold keeps the later one's bits.
+                    a[len - 1 - at] = if nan.to_bits() == other.to_bits() {
+                        f64::NAN
+                    } else {
+                        other
+                    };
+                    assert_eq!(norm_inf(&a).to_bits(), max_nan_fold(&a).to_bits());
+                }
+            }
+        }
+        assert!(norm_inf(&[f64::NAN]).is_nan());
+        for a in [
+            &[][..],
+            &[-0.0],
+            &[-0.0; 5],
+            &[f64::NEG_INFINITY, -0.0, 0.0, -0.0],
+        ] {
+            assert_eq!(norm_inf(a).to_bits(), max_nan_fold(a).to_bits(), "{a:?}");
+        }
+        assert_eq!(
+            norm_inf(&[1.0, -0.0, f64::NEG_INFINITY, 2.0, 3.0]),
+            f64::INFINITY
+        );
+        // Signed terms, which the solver's residuals never pass: a
+        // negative one never displaces the `+0.0` start.
+        let signed = [-3.0, -0.0, -1.0, -7.0, -2.0];
+        assert_eq!(max_nan_of(5, |i| signed[i]).to_bits(), 0.0_f64.to_bits());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The ADMM iteration (OSQP-style operator splitting).
 
 use spotweb_linalg::{band, vector};
-use spotweb_linalg::{BlockTridiagCholesky, Matrix};
+use spotweb_linalg::{BlockTridiagCholesky, CsrMatrix, Matrix};
 
 use crate::qp::{Certificate, QpSolution, QpStatus, Settings, SparseQp};
 use crate::scaling::{ruiz_equilibrate, Scaling};
@@ -282,6 +282,10 @@ impl AdmmSolver {
     fn build(orig: SparseQp, blocks: usize) -> Result<Self> {
         let mut prob = orig.clone();
         let scaling = ruiz_equilibrate(&mut prob, SCALING_ITERS);
+        debug_assert!(
+            is_bitwise_symmetric(&orig.p) && is_bitwise_symmetric(&prob.p),
+            "P is not stored symmetric to the bit"
+        );
         let rho_vec = build_rho_vec(&prob);
         let kkt = factor_kkt(&prob, SIGMA, &rho_vec, blocks)?;
         Ok(AdmmSolver {
@@ -824,7 +828,7 @@ impl AdmmSolver {
             y[i] = l;
         }
         let CheckScratch { ax, px, aty } = check;
-        prob.p.matvec_into(&x, px).expect("polish: P·x");
+        prob.p.symmetric_matvec_into(&x, px).expect("polish: P·x");
         prob.a.matvec_transpose_into(&y, aty).expect("polish: Aᵀy");
         for (j, row) in fixed_by.iter().enumerate() {
             if let &Some(i) = row {
@@ -909,7 +913,7 @@ impl AdmmSolver {
     /// `p_row(i, cols, vals)` writes row `i`'s new values at its stored
     /// columns `cols` into `vals`; `q` replaces the linear cost. The
     /// caller vouches for what [`SparseQp::new`] checks: finite values,
-    /// and a `P` stored symmetric.
+    /// and a `P` stored symmetric to the bit.
     ///
     /// The Ruiz scaling from construction is kept as a fixed
     /// preconditioner (any fixed positive scaling is valid; it may
@@ -984,9 +988,23 @@ impl AdmmSolver {
         if !moved {
             return Update::Kept;
         }
+        debug_assert!(
+            is_bitwise_symmetric(&orig.p) && is_bitwise_symmetric(&prob.p),
+            "P is not stored symmetric to the bit"
+        );
         self.kkt = None;
         Update::Moved
     }
+}
+
+/// Whether `p` is stored symmetric to the bit, as every `P·x` the
+/// solver takes reads it (see `CsrMatrix::symmetric_matvec_into`).
+fn is_bitwise_symmetric(p: &CsrMatrix) -> bool {
+    let t = p.transpose();
+    (0..p.rows()).all(|i| {
+        let ((pc, pv), (tc, tv)) = (p.row(i), t.row(i));
+        pc == tc && pv.iter().zip(tv).all(|(a, b)| a.to_bits() == b.to_bits())
+    })
 }
 
 /// Row `i` of `P` under the fixed scaling: `scaled[k] =

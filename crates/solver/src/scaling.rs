@@ -13,6 +13,7 @@
 //! `x = Dx̄`, `y = cE ȳ`.
 
 use crate::qp::SparseQp;
+use spotweb_linalg::vector::norm_inf;
 
 /// Diagonal scalings produced by [`ruiz_equilibrate`].
 #[derive(Debug, Clone)]
@@ -58,20 +59,6 @@ fn safe_inv_sqrt(v: f64) -> f64 {
     }
 }
 
-/// ∞-norm of a row's stored values. A max of magnitudes does not
-/// depend on the order they are taken in, so four lanes share it.
-fn abs_max(vals: &[f64]) -> f64 {
-    let mut lanes = [0.0_f64; 4];
-    let mut quads = vals.chunks_exact(4);
-    for quad in quads.by_ref() {
-        for (lane, v) in lanes.iter_mut().zip(quad) {
-            *lane = lane.max(v.abs());
-        }
-    }
-    let head = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
-    quads.remainder().iter().fold(head, |m, v| m.max(v.abs()))
-}
-
 /// Scale a stored row by `row_scale · col_scale[j]`, entry by entry,
 /// and return its new ∞-norm. Four factors are gathered before any
 /// product is stored: nothing tells the compiler that a store to
@@ -94,7 +81,7 @@ fn scale_row(cols: &[usize], vals: &mut [f64], row_scale: f64, col_scale: &[f64]
     for (v, &j) in quads.into_remainder().iter_mut().zip(quad_cols.remainder()) {
         *v *= row_scale * col_scale[j];
     }
-    abs_max(vals)
+    norm_inf(vals)
 }
 
 /// Equilibrate the problem in place, returning the applied [`Scaling`].
@@ -117,8 +104,8 @@ pub fn ruiz_equilibrate(problem: &mut SparseQp, iters: usize) -> Scaling {
     let n = problem.num_vars();
     let m = problem.num_constraints();
     let mut scaling = Scaling::identity(n, m);
-    let mut p_norms: Vec<f64> = (0..n).map(|i| abs_max(problem.p.row(i).1)).collect();
-    let mut a_row_norms: Vec<f64> = (0..m).map(|i| abs_max(problem.a.row(i).1)).collect();
+    let mut p_norms: Vec<f64> = (0..n).map(|i| norm_inf(problem.p.row(i).1)).collect();
+    let mut a_row_norms: Vec<f64> = (0..m).map(|i| norm_inf(problem.a.row(i).1)).collect();
     let mut a_col_norms = vec![0.0_f64; n];
     for i in 0..m {
         let (cols, vals) = problem.a.row(i);
@@ -175,7 +162,7 @@ pub fn ruiz_equilibrate(problem: &mut SparseQp, iters: usize) -> Scaling {
     } else {
         p_norms.iter().sum::<f64>() / n as f64
     };
-    let q_norm = spotweb_linalg::vector::norm_inf(&problem.q);
+    let q_norm = norm_inf(&problem.q);
     let denom = mean_p_col.max(q_norm);
     let c = if denom < 1e-10 { 1.0 } else { 1.0 / denom };
     problem.p.scale_mut(c);
@@ -484,7 +471,7 @@ pub(crate) mod tests {
         ruiz_equilibrate(&mut p, 10);
         // After equilibration all row norms of A should be near 1.
         for i in 0..p.a.rows() {
-            let rn = abs_max(p.a.row(i).1);
+            let rn = norm_inf(p.a.row(i).1);
             assert!((rn - 1.0).abs() < 0.2, "row {i} norm {rn}");
         }
     }

@@ -1,6 +1,6 @@
 //! Convergence criteria for the ADMM iteration.
 
-use spotweb_linalg::vector::{max_nan, norm_inf};
+use spotweb_linalg::vector::{max_nan, max_nan_of, norm_inf};
 use spotweb_linalg::CsrMatrix;
 
 /// Primal and dual residuals plus the scale factors used for the
@@ -20,8 +20,10 @@ pub struct Residuals {
 impl Residuals {
     /// Compute both residuals at the current iterate.
     ///
-    /// Scratch buffers (`ax`, `px`, `aty`) must be sized `m`, `n`, `n`;
-    /// they are overwritten.
+    /// `p` must be stored symmetric to the bit, as [`crate::SparseQp`]
+    /// stores it: `P·x` reads only the rows `x` uses (see
+    /// [`CsrMatrix::symmetric_matvec_into`]). Scratch buffers (`ax`,
+    /// `px`, `aty`) must be sized `m`, `n`, `n`; they are overwritten.
     #[allow(
         clippy::too_many_arguments,
         reason = "the ADMM iterate (x, z, y), the problem (P, q, A) and three caller-owned scratch buffers"
@@ -38,7 +40,7 @@ impl Residuals {
         aty: &mut [f64],
     ) -> Residuals {
         a.matvec_into(x, ax).expect("residual: A·x shape");
-        p.matvec_into(x, px).expect("residual: P·x shape");
+        p.symmetric_matvec_into(x, px).expect("residual: P·x shape");
         a.matvec_transpose_into(y, aty)
             .expect("residual: Aᵀ·y shape");
         Self::reduce(q, z, ax, px, aty)
@@ -48,17 +50,10 @@ impl Residuals {
     pub(crate) fn reduce(q: &[f64], z: &[f64], ax: &[f64], px: &[f64], aty: &[f64]) -> Residuals {
         // Every max keeps a NaN: a NaN iterate must read as a NaN
         // residual, not as the 0 an `f64::max` fold makes of it.
-        let mut primal: f64 = 0.0;
-        for (axi, zi) in ax.iter().zip(z) {
-            primal = max_nan(primal, (axi - zi).abs());
-        }
-        let mut dual: f64 = 0.0;
-        for ((pxi, qi), atyi) in px.iter().zip(q).zip(aty.iter()) {
-            dual = max_nan(dual, (pxi + qi + atyi).abs());
-        }
+        let (z, q, aty) = (&z[..ax.len()], &q[..px.len()], &aty[..px.len()]);
         Residuals {
-            primal,
-            dual,
+            primal: max_nan_of(ax.len(), |i| (ax[i] - z[i]).abs()),
+            dual: max_nan_of(px.len(), |i| (px[i] + q[i] + aty[i]).abs()),
             primal_scale: max_nan(norm_inf(ax), norm_inf(z)),
             dual_scale: max_nan(max_nan(norm_inf(px), norm_inf(aty)), norm_inf(q)),
         }

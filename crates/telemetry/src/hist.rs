@@ -12,14 +12,13 @@
 //!
 //! Determinism: bucket boundaries are built by repeated
 //! multiplication and representatives by `sqrt`, both of which IEEE
-//! 754 requires to be correctly rounded. The bucket search starts at
-//! the previous sample's bucket — latencies arrive clustered, so that
-//! bucket or a neighbour is usually the answer — and falls back to the
-//! only libm call (`log2`, not bit-stable across platforms) when it is
-//! not. Either way the start merely *seeds* the search; the final
-//! index is always corrected against the exact boundary grid, so
-//! histogram output is byte-identical across machines — a requirement
-//! for the golden trace fixtures.
+//! 754 requires to be correctly rounded. A sample's bucket is found
+//! from its bits alone: its biased exponent and top seven mantissa
+//! bits name a cell, a table gives the bucket holding the cell's low
+//! edge, and one comparison against the exact boundary grid finishes
+//! the search. No libm call is left, so histogram output is
+//! byte-identical across machines — a requirement for the golden trace
+//! fixtures.
 
 use std::sync::{Arc, OnceLock};
 
@@ -30,21 +29,28 @@ pub const DEFAULT_CEILING: f64 = 1e5;
 /// Default per-bucket growth factor (0.5% worst-case relative error).
 pub const DEFAULT_GROWTH: f64 = 1.01;
 
-/// Shared bucket layout: the geometric boundary grid. One `Layout` is
-/// built per configuration and shared (`Arc`) across every histogram
-/// that uses it, so per-histogram memory is just the counts vector.
+/// Shared bucket layout: the geometric boundary grid and its cell
+/// table. One `Layout` is built per configuration and shared (`Arc`)
+/// across every histogram that uses it, so per-histogram memory is just
+/// the counts vector.
 #[derive(Debug, Clone)]
 struct Layout {
     floor: f64,
     growth: f64,
-    /// `1 / log2(growth)` — seeds the bucket search in [`Layout::index_of`]
-    /// when the hint misses. Only a starting guess; the result is always
-    /// corrected against the exact `bounds` grid, so libm imprecision
-    /// cannot reach the output.
-    inv_log2_growth: f64,
     /// `bounds[i]..bounds[i+1]` is bucket `i`; `bounds.len() - 1` buckets.
     bounds: Arc<Vec<f64>>,
+    /// Per cell — a positive `f64`'s bits `>> CELL_SHIFT`, less
+    /// `first_cell` — the bucket holding the cell's low edge. A cell
+    /// spans a ratio of at most `1 + 2⁻⁷`, under the default 1 %
+    /// growth, so a sample is in that bucket or the next.
+    cells: Arc<Vec<u16>>,
+    /// The cell of the lowest power of two at or below `floor`.
+    first_cell: u64,
 }
+
+/// The mantissa bits below a cell's seven: a cell is one biased
+/// exponent and the top seven bits of the mantissa.
+const CELL_SHIFT: u32 = 52 - 7;
 
 impl Layout {
     fn new(floor: f64, ceiling: f64, growth: f64) -> Self {
@@ -55,11 +61,21 @@ impl Layout {
             b *= growth;
             bounds.push(b);
         }
+        let first_cell = floor.to_bits() >> 52 << 7;
+        let last_cell = bounds[bounds.len() - 1].to_bits() >> CELL_SHIFT;
+        let cells = (first_cell..=last_cell)
+            .map(|cell| {
+                let low_edge = f64::from_bits(cell << CELL_SHIFT);
+                let bucket = bounds.partition_point(|&b| b <= low_edge).saturating_sub(1);
+                u16::try_from(bucket).expect("a bucket index fits a u16")
+            })
+            .collect();
         Layout {
             floor,
             growth,
-            inv_log2_growth: 1.0 / growth.log2(),
             bounds: Arc::new(bounds),
+            cells: Arc::new(cells),
+            first_cell,
         }
     }
 
@@ -74,9 +90,9 @@ impl Layout {
         self.bounds.len() - 1
     }
 
-    /// The bucket holding `v`, searched from bucket `hint` (any valid
-    /// index; a good one saves the `log2`).
-    fn index_of(&self, v: f64, hint: usize) -> usize {
+    /// The bucket holding `v`: `partition_point(|&b| b <= v) - 1`,
+    /// clamped into the grid.
+    fn index_of(&self, v: f64) -> usize {
         let bounds = &self.bounds[..];
         if v <= bounds[0] {
             return 0;
@@ -84,35 +100,12 @@ impl Layout {
         if v >= bounds[bounds.len() - 1] {
             return self.n_buckets() - 1;
         }
-        // `bounds[0] < v < bounds[last]` from here on, so stepping down
-        // from a bucket whose lower bound exceeds `v`, or up from one
-        // whose upper bound does not, stays inside the grid.
-        let mut i = hint;
-        if bounds[i] > v {
-            i -= 1;
-        } else if bounds[i + 1] <= v {
+        // `floor < v < bounds[last]`, so `v`'s cell is in the table and
+        // its bucket is the one the table names or the next.
+        let cell = (v.to_bits() >> CELL_SHIFT) - self.first_cell;
+        let mut i = usize::from(self.cells[cell as usize]);
+        while bounds[i + 1] <= v {
             i += 1;
-        }
-        if bounds[i] > v || bounds[i + 1] <= v {
-            // Not the hinted bucket or a neighbour. Seed with a log2
-            // estimate (in place of a ~12-probe binary search over the
-            // grid), then walk to the exact bucket. The walk compares
-            // only against the exact repeated-multiplication `bounds`,
-            // so the returned index is identical to what
-            // `partition_point(|&b| b <= v) - 1` yields — any libm log2
-            // imprecision costs at most an extra step, never a
-            // different answer. In practice the estimate is off by at
-            // most one bucket (cumulative grid rounding drift is ~1e-13
-            // relative, i.e. ~1e-11 buckets), so the walk is one or two
-            // comparisons.
-            let est = ((v / self.floor).log2() * self.inv_log2_growth) as usize;
-            i = est.min(self.n_buckets() - 1);
-            while bounds[i] > v {
-                i -= 1;
-            }
-            while bounds[i + 1] <= v {
-                i += 1;
-            }
         }
         i
     }
@@ -137,8 +130,6 @@ pub struct StreamingHistogram {
     layout: Layout,
     /// Lazily grown: only as long as the highest bucket touched.
     counts: Vec<u64>,
-    /// Bucket of the previous sample: where the next search starts.
-    last_bucket: usize,
     count: u64,
     sum: f64,
     min: f64,
@@ -158,7 +149,6 @@ impl StreamingHistogram {
         StreamingHistogram {
             layout: Layout::default_shared(),
             counts: Vec::new(),
-            last_bucket: 0,
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -173,8 +163,7 @@ impl StreamingHistogram {
         if v.is_nan() {
             return;
         }
-        let idx = self.layout.index_of(v, self.last_bucket);
-        self.last_bucket = idx;
+        let idx = self.layout.index_of(v);
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
@@ -429,95 +418,45 @@ mod tests {
     }
 
     #[test]
-    fn seeded_index_search_matches_binary_search() {
-        // Wherever the search starts — the previous sample's bucket,
-        // its neighbours, or the log2 estimate when those miss — every
-        // sample must land in exactly the bucket a pure binary search
-        // over the grid would pick, including values sitting on (or one
-        // ulp either side of) a boundary, where a sloppy estimate+round
-        // would go wrong.
+    fn index_of_is_the_binary_search_bucket() {
+        // Every sample must land in exactly the bucket a binary search
+        // over the grid picks, including values on (or one ulp either
+        // side of) a boundary, where a cell's table entry is one off.
         let layout = Layout::default_shared();
         let n = layout.n_buckets();
         let reference = |v: f64| -> usize {
             if v <= layout.bounds[0] {
                 return 0;
             }
-            if v >= *layout.bounds.last().unwrap() {
-                return n - 1;
-            }
-            layout.bounds.partition_point(|&b| b <= v) - 1
+            layout.bounds.partition_point(|&b| b <= v).min(n) - 1
         };
-        let check = |v: f64, hint: usize| {
-            assert_eq!(
-                layout.index_of(v, hint),
-                reference(v),
-                "probe {v:e} from bucket {hint} diverged from binary search"
-            );
+        let check = |v: f64| {
+            assert_eq!(layout.index_of(v), reference(v), "probe {v:e}");
         };
-        for (i, &b) in layout.bounds.iter().enumerate() {
+        for &b in layout.bounds.iter() {
             for v in [b, b.next_down(), b.next_up(), b * 1.004999] {
-                // Hints at both ends of the grid, on the boundary's own
-                // buckets and one or two off (the ± 1 step's edges),
-                // and far away (the log2 fallback).
-                let near = i.saturating_sub(2)..=(i + 2).min(n - 1);
-                for hint in near.chain([0, n - 1, (i + n / 2) % n]) {
-                    check(v, hint);
-                }
+                check(v);
             }
         }
-        for v in [
-            0.0,
-            -1.0,
-            DEFAULT_FLOOR,
-            DEFAULT_CEILING,
-            1e9,
-            f64::INFINITY,
-        ] {
-            for hint in [0, n / 2, n - 1] {
-                check(v, hint);
+        for v in [DEFAULT_FLOOR, DEFAULT_CEILING] {
+            for v in [v, v.next_down(), v.next_up()] {
+                check(v);
             }
+        }
+        for v in [0.0, -0.0, -1.0, 1e-300, 1e9, f64::INFINITY] {
+            check(v);
+        }
+        // Each cell's low edge and the last value below it.
+        for cell in 0..layout.cells.len() as u64 {
+            let low_edge = f64::from_bits((layout.first_cell + cell) << CELL_SHIFT);
+            check(low_edge);
+            check(low_edge.next_down());
         }
         let mut rng = XorShift(0xD1CE_0001);
-        for _ in 0..100_000 {
+        for _ in 0..if cfg!(miri) { 1_000 } else { 100_000 } {
             // Log-uniform across the full grid plus out-of-range tails.
-            let v = 1e-7 * (1e13_f64).powf(rng.next_f64());
-            check(v, (rng.next_f64() * n as f64) as usize);
+            check(1e-7 * (1e13_f64).powf(rng.next_f64()));
         }
-    }
-
-    #[test]
-    fn record_lands_in_the_binary_search_bucket_after_any_previous_sample() {
-        // Same differential through `record`, whose hint is the
-        // previous sample's bucket: jumps across the grid, repeats,
-        // neighbours, boundaries and both clamped tails.
-        let layout = Layout::default_shared();
-        let mut h = StreamingHistogram::new();
-        let mut expected = vec![0u64; layout.n_buckets()];
-        let mut rng = XorShift(0x5EED_0021);
-        let mut probes = vec![1e-9, 0.12, 0.12, 0.1212, 0.24, 1e7, 0.12, 1e-6, 1e5, 3.0];
-        for _ in 0..20_000 {
-            let jump = 1e-7 * (1e13_f64).powf(rng.next_f64());
-            let boundary = layout.bounds[(rng.next_f64() * layout.bounds.len() as f64) as usize];
-            probes.extend([
-                jump,
-                jump * 1.003,
-                jump * 0.99,
-                boundary,
-                boundary.next_down(),
-            ]);
-        }
-        for &v in &probes {
-            h.record(v);
-            let want = if v <= layout.bounds[0] {
-                0
-            } else {
-                (layout.bounds.partition_point(|&b| b <= v) - 1).min(layout.n_buckets() - 1)
-            };
-            expected[want] += 1;
-            assert_eq!(h.last_bucket, want, "probe {v:e}");
-        }
-        expected.truncate(h.counts.len());
-        assert_eq!(h.counts, expected);
     }
 
     #[test]
